@@ -1,25 +1,22 @@
 //! A set-associative cache with LRU replacement and per-line fill
 //! timestamps.
 //!
-//! Hot-path layout: all lines live in one contiguous `Vec<Line>`; set `s`
-//! occupies `lines[s * assoc .. (s + 1) * assoc]`. The per-set `Vec<Vec<_>>`
-//! of the original implementation cost a pointer chase per access and
-//! scattered the sets across the allocator; the flat array makes a lookup
-//! a single bounded slice scan over adjacent memory.
+//! Hot-path layout: structure of arrays, one slot per line; set `s`
+//! occupies slots `s * assoc .. (s + 1) * assoc`, most recently used way
+//! first. Recency *is* the position — a hit moves its way to the front of
+//! the set and the victim is always the last way. Uses of a set's lines
+//! are totally ordered in time, so this is exact LRU with no timestamps,
+//! and a repeat hit on the front way changes nothing. A lookup scans only
+//! the dense `tags`; `ready_at` is read on a hit. An empty way holds
+//! [`INVALID`], which no address maps to, so it needs no separate valid
+//! bit; installs fill from the front, hence the valid ways are a prefix
+//! and the last way is empty whenever any is.
 
 use crate::config::CacheParams;
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// Cycle at which the line's fill completes. A demand access before
-    /// this time waits for the remainder — this is how prefetch timeliness
-    /// ("not too late") is modelled.
-    ready_at: u64,
-    /// LRU timestamp.
-    last_used: u64,
-}
+/// Tag of an empty way. A real tag is an address shifted right by at least
+/// one bit (asserted in [`Cache::new`]), so it is never all ones.
+const INVALID: u64 = u64::MAX;
 
 /// Result of a cache lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,34 +35,43 @@ pub enum Lookup {
 #[derive(Clone, Debug)]
 pub struct Cache {
     params: CacheParams,
-    /// All lines, contiguous; set `s` is `lines[s * assoc..][..assoc]`.
-    lines: Vec<Line>,
+    /// Tag per way, each set MRU first; [`INVALID`] marks an empty way.
+    tags: Box<[u64]>,
+    /// Cycle at which the way's fill completes, parallel to `tags`. A
+    /// demand access before this time waits for the remainder — this is
+    /// how prefetch timeliness ("not too late") is modelled.
+    ready_at: Box<[u64]>,
     assoc: usize,
     set_mask: u64,
     set_shift: u32,
     line_shift: u32,
-    tick: u64,
-    /// Index (into `lines`) of the most recently hit line. Pure lookup
-    /// accelerator: a hit through `mru` performs the same tick/`last_used`
-    /// update the way scan would, so hit/miss/eviction decisions are
-    /// unchanged — consecutive accesses to the same line skip the scan.
-    mru: usize,
 }
 
 impl Cache {
     /// Creates a cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent, or is a single one-byte
+    /// line per way (whose tags would be whole addresses).
     pub fn new(params: CacheParams) -> Self {
         let sets = params.sets();
         let assoc = params.assoc as usize;
+        let set_shift = (sets - 1).count_ones();
+        let line_shift = params.line_bytes.trailing_zeros();
+        assert!(
+            set_shift + line_shift > 0,
+            "line_bytes x sets must exceed 1: a tag must be shorter than an address"
+        );
+        let ways = sets as usize * assoc;
         Cache {
             params,
-            lines: vec![Line::default(); sets as usize * assoc],
+            tags: vec![INVALID; ways].into_boxed_slice(),
+            ready_at: vec![0; ways].into_boxed_slice(),
             assoc,
             set_mask: sets - 1,
-            set_shift: (sets - 1).count_ones(),
-            line_shift: params.line_bytes.trailing_zeros(),
-            tick: 0,
-            mru: 0,
+            set_shift,
+            line_shift,
         }
     }
 
@@ -83,53 +89,34 @@ impl Cache {
         )
     }
 
+    /// Moves way `k` of the set at `base` to the front (most recent).
+    #[inline(always)]
+    fn promote(&mut self, base: usize, k: usize) {
+        self.tags[base..=base + k].rotate_right(1);
+        self.ready_at[base..=base + k].rotate_right(1);
+    }
+
     /// Looks up `addr`, updating LRU state on a hit.
     #[inline]
     pub fn lookup(&mut self, addr: u64, now: u64) -> Lookup {
-        self.tick += 1;
         let (base, tag) = self.set_base_and_tag(addr);
-        let tick = self.tick;
-        // Fast path: consecutive accesses overwhelmingly touch the line
-        // hit last time.
-        if self.mru.wrapping_sub(base) < self.assoc {
-            let line = &mut self.lines[self.mru];
-            if line.valid && line.tag == tag {
-                line.last_used = tick;
-                return Lookup::Hit {
-                    wait: line.ready_at.saturating_sub(now),
-                };
-            }
+        let set = &self.tags[base..base + self.assoc];
+        let Some(k) = set.iter().position(|&t| t == tag) else {
+            return Lookup::Miss;
+        };
+        if k != 0 {
+            self.promote(base, k);
         }
-        for (i, line) in self.lines[base..base + self.assoc].iter_mut().enumerate() {
-            if line.valid && line.tag == tag {
-                line.last_used = tick;
-                self.mru = base + i;
-                return Lookup::Hit {
-                    wait: line.ready_at.saturating_sub(now),
-                };
-            }
+        Lookup::Hit {
+            wait: self.ready_at[base].saturating_sub(now),
         }
-        Lookup::Miss
-    }
-
-    /// Re-touches the line hit by the immediately preceding lookup:
-    /// exactly the `lookup` MRU fast path (tick advance + `last_used`
-    /// refresh) for a caller that has already proven the same line is
-    /// accessed again. Caller contract: no install/flush since that
-    /// lookup, so validity, tag, and `ready_at` are unchanged.
-    #[inline(always)]
-    pub(crate) fn touch_mru(&mut self) {
-        self.tick += 1;
-        self.lines[self.mru].last_used = self.tick;
     }
 
     /// Whether the line containing `addr` is present (no LRU update).
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
         let (base, tag) = self.set_base_and_tag(addr);
-        self.lines[base..base + self.assoc]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.tags[base..base + self.assoc].contains(&tag)
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if needed.
@@ -139,44 +126,28 @@ impl Cache {
     /// line evicted to make room, if any (used for prefetch-eviction
     /// attribution).
     pub fn install(&mut self, addr: u64, ready_at: u64) -> Option<u64> {
-        self.tick += 1;
         let (base, tag) = self.set_base_and_tag(addr);
-        let tick = self.tick;
-        let set = &mut self.lines[base..base + self.assoc];
-        if let Some((i, line)) = set
-            .iter_mut()
-            .enumerate()
-            .find(|(_, l)| l.valid && l.tag == tag)
-        {
-            line.ready_at = line.ready_at.min(ready_at);
-            line.last_used = tick;
-            self.mru = base + i;
+        let set = &self.tags[base..base + self.assoc];
+        if let Some(k) = set.iter().position(|&t| t == tag) {
+            self.promote(base, k);
+            self.ready_at[base] = self.ready_at[base].min(ready_at);
             return None;
         }
-        let (way, victim) = set
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.last_used } else { 0 })
-            .expect("associativity is at least 1");
-        let evicted = victim.valid.then(|| {
+        // The last way is empty if any is, else the least recently used.
+        let last = self.assoc - 1;
+        let victim = self.tags[base + last];
+        self.promote(base, last);
+        self.tags[base] = tag;
+        self.ready_at[base] = ready_at;
+        (victim != INVALID).then(|| {
             let set_index = (base / self.assoc) as u64;
-            ((victim.tag << self.set_shift) | set_index) << self.line_shift
-        });
-        *victim = Line {
-            tag,
-            valid: true,
-            ready_at,
-            last_used: tick,
-        };
-        self.mru = base + way;
-        evicted
+            ((victim << self.set_shift) | set_index) << self.line_shift
+        })
     }
 
     /// Invalidates everything (used between benchmark runs).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(INVALID);
     }
 }
 
@@ -252,6 +223,19 @@ mod tests {
         c.install(0x1000, 0);
         c.flush();
         assert_eq!(c.lookup(0x1000, 0), Lookup::Miss);
+    }
+
+    #[test]
+    #[should_panic(expected = "a tag must be shorter than an address")]
+    fn whole_address_tags_rejected_at_construction() {
+        // One set of one-byte lines: the tag of address `u64::MAX` would
+        // be the empty-way marker.
+        let _ = Cache::new(CacheParams {
+            size_bytes: 2,
+            line_bytes: 1,
+            assoc: 2,
+            hit_latency: 1,
+        });
     }
 
     #[test]

@@ -52,16 +52,6 @@ pub struct MemorySystem<S: TraceSink = NoopSink> {
     /// software prefetches target the L2). Only populated when
     /// `S::ENABLED`.
     pending_l2: HashMap<u64, SiteId>,
-    /// L1-line-aligned address of the last demand access iff it was a TLB
-    /// hit plus settled L1 hit and nothing has mutated the TLB or caches
-    /// since (`u64::MAX` otherwise). A repeat access to this line is the
-    /// exact state transition `touch_mru` applies to the TLB and L1, so
-    /// [`Self::demand_access`] short-circuits the lookups. Untraced builds
-    /// only — with a sink enabled the memo is never set, keeping the
-    /// pending-prefetch bookkeeping on every access.
-    fast_line: u64,
-    /// `!(l1.line_bytes - 1)`, cached for the demand fast path.
-    fast_mask: u64,
 }
 
 impl MemorySystem {
@@ -83,8 +73,6 @@ impl<S: TraceSink> MemorySystem<S> {
             cur_site: SiteId::UNKNOWN,
             pending_l1: HashMap::new(),
             pending_l2: HashMap::new(),
-            fast_line: u64::MAX,
-            fast_mask: !(cfg.l1.line_bytes - 1),
             cfg,
         }
     }
@@ -128,7 +116,6 @@ impl<S: TraceSink> MemorySystem<S> {
         self.l2.flush();
         self.tlb.flush();
         self.stats = MemStats::default();
-        self.fast_line = u64::MAX;
         if S::ENABLED {
             self.sink.clear();
             self.cur_site = SiteId::UNKNOWN;
@@ -212,17 +199,6 @@ impl<S: TraceSink> MemorySystem<S> {
     /// outlined [`Self::demand_slow`].
     #[inline]
     fn demand_access(&mut self, addr: u64, now: u64, is_load: bool) -> u64 {
-        // Same L1 line as the last settled hit, with no intervening
-        // mutation: the TLB and L1 MRU entries still cover this access, so
-        // replay their touch without the lookups. (`fast_line` is aligned
-        // and `u64::MAX` is not, so an unset memo never matches.)
-        if !S::ENABLED && addr & self.fast_mask == self.fast_line {
-            self.tlb.touch_mru();
-            self.l1.touch_mru();
-            let latency = self.cfg.l1.hit_latency;
-            self.stats.stall_cycles += latency;
-            return latency;
-        }
         let tlb_hit = self.tlb.lookup(addr);
         if !tlb_hit {
             self.tlb.insert(addr);
@@ -241,15 +217,11 @@ impl<S: TraceSink> MemorySystem<S> {
                 if S::ENABLED && !self.pending_l1.is_empty() {
                     self.note_use(CacheLevel::L1, addr, now, 0);
                 }
-                if !S::ENABLED {
-                    self.fast_line = addr & self.fast_mask;
-                }
                 let latency = self.cfg.l1.hit_latency;
                 self.stats.stall_cycles += latency;
                 return latency;
             }
         }
-        self.fast_line = u64::MAX;
         let base = if tlb_hit {
             0
         } else {
@@ -373,7 +345,6 @@ impl<S: TraceSink> MemorySystem<S> {
     /// Pentium 4 behaviour) and otherwise performs the page walk (Athlon).
     /// Returns the issue cost in cycles.
     pub fn software_prefetch(&mut self, addr: u64, now: u64) -> u64 {
-        self.fast_line = u64::MAX;
         self.stats.swpf_issued += 1;
         let site = self.cur_site;
         let line = self.line_of(self.cfg.swpf_target, addr);
@@ -446,7 +417,6 @@ impl<S: TraceSink> MemorySystem<S> {
     /// priming" mapping for intra-iteration prefetches on the Pentium 4
     /// (§3.3). Returns the issue cost; the fill is overlapped.
     pub fn guarded_load(&mut self, addr: u64, now: u64) -> u64 {
-        self.fast_line = u64::MAX;
         self.stats.guarded_loads += 1;
         let site = self.cur_site;
         let line = self.line_of(CacheLevel::L1, addr);

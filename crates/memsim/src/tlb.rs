@@ -1,47 +1,37 @@
 //! A fully associative, LRU data TLB.
 //!
-//! Hot-path layout: entries live in a fixed-capacity boxed slice sized at
-//! construction — lookups and inserts scan `entries[..len]` and never
-//! allocate. (The original kept a growable `Vec` and evicted with
-//! `swap_remove` + `push`; entry order within the array is irrelevant to
-//! behaviour because pages are unique and LRU timestamps strictly
-//! increase, so the in-place replacement used here produces identical
-//! hit/miss/eviction decisions.)
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Entry {
-    page: u64,
-    last_used: u64,
-}
+//! Hot-path layout: `pages[..len]` holds the resident pages most recently
+//! used first, in a boxed slice sized at construction — nothing allocates
+//! after `new`. Recency *is* the position: a hit moves its page to the
+//! front, the victim is whatever sits in the last slot. Uses of a page
+//! are totally ordered in time, so this is exact LRU with no timestamps,
+//! and a repeat hit on the front page changes nothing at all.
 
 /// A fully associative translation lookaside buffer.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    /// Fixed-capacity storage; only `entries[..len]` is live.
-    entries: Box<[Entry]>,
+    /// Fixed-capacity storage; only `pages[..len]` is live, MRU first.
+    pages: Box<[u64]>,
     len: usize,
     page_shift: u32,
-    tick: u64,
-    /// Index of the most recently hit entry. Pure lookup accelerator: a
-    /// hit through `mru` performs the same tick/`last_used` update the
-    /// full scan would, so hit/miss/eviction decisions are unchanged —
-    /// only the O(entries) scan is skipped on page-local access runs.
-    mru: usize,
 }
 
 impl Tlb {
     /// Creates a TLB with `entries` slots for pages of `page_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero or `page_bytes` is not a power of two.
     pub fn new(entries: u32, page_bytes: u64) -> Self {
+        assert!(entries > 0, "dtlb_entries must be at least 1");
         assert!(
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         Tlb {
-            entries: vec![Entry::default(); entries as usize].into_boxed_slice(),
+            pages: vec![0; entries as usize].into_boxed_slice(),
             len: 0,
             page_shift: page_bytes.trailing_zeros(),
-            tick: 0,
-            mru: 0,
         }
     }
 
@@ -50,79 +40,47 @@ impl Tlb {
         addr >> self.page_shift
     }
 
+    /// Slot of `page` among the live entries.
+    #[inline(always)]
+    fn position(&self, page: u64) -> Option<usize> {
+        self.pages[..self.len].iter().position(|&p| p == page)
+    }
+
     /// Looks up the page of `addr`; returns whether it hit (updating LRU).
     #[inline]
     pub fn lookup(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        let page = self.page(addr);
-        // Fast path: consecutive accesses overwhelmingly translate the
-        // same page as the last hit.
-        if self.mru < self.len && self.entries[self.mru].page == page {
-            self.entries[self.mru].last_used = self.tick;
-            return true;
+        match self.position(self.page(addr)) {
+            Some(0) => true,
+            Some(k) => {
+                self.pages[..=k].rotate_right(1);
+                true
+            }
+            None => false,
         }
-        if let Some((i, e)) = self.entries[..self.len]
-            .iter_mut()
-            .enumerate()
-            .find(|(_, e)| e.page == page)
-        {
-            e.last_used = self.tick;
-            self.mru = i;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Re-touches the entry hit by the immediately preceding lookup:
-    /// exactly the `lookup` MRU fast path (tick advance + `last_used`
-    /// refresh) for a caller that has already proven the page matches.
-    /// Caller contract: no insert/flush since that lookup.
-    #[inline(always)]
-    pub(crate) fn touch_mru(&mut self) {
-        self.tick += 1;
-        self.entries[self.mru].last_used = self.tick;
     }
 
     /// Whether the page of `addr` is resident (no LRU update).
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
-        let page = self.page(addr);
-        self.entries[..self.len].iter().any(|e| e.page == page)
+        self.position(self.page(addr)).is_some()
     }
 
     /// Inserts the page of `addr`, evicting the LRU entry if full.
     pub fn insert(&mut self, addr: u64) {
-        self.tick += 1;
         let page = self.page(addr);
-        let capacity = self.entries.len();
-        let live = &mut self.entries[..self.len];
-        if let Some(e) = live.iter_mut().find(|e| e.page == page) {
-            e.last_used = self.tick;
-            return;
-        }
-        let slot = if self.len == capacity {
-            // Evict the LRU entry in place.
-            live.iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("tlb has capacity")
-        } else {
-            self.len += 1;
+        // The slot that ends up in front: the page's own if resident,
+        // else a fresh one while any is free, else the last (the LRU).
+        let k = self.position(page).unwrap_or_else(|| {
+            self.len = (self.len + 1).min(self.pages.len());
             self.len - 1
-        };
-        self.entries[slot] = Entry {
-            page,
-            last_used: self.tick,
-        };
-        self.mru = slot;
+        });
+        self.pages[..=k].rotate_right(1);
+        self.pages[0] = page;
     }
 
     /// Empties the TLB.
     pub fn flush(&mut self) {
         self.len = 0;
-        self.mru = 0;
     }
 }
 
@@ -157,6 +115,12 @@ mod tests {
         t.insert(0x0000);
         t.flush();
         assert!(!t.contains(0x0000));
+    }
+
+    #[test]
+    #[should_panic(expected = "dtlb_entries must be at least 1")]
+    fn zero_entries_rejected_at_construction() {
+        let _ = Tlb::new(0, 4096);
     }
 
     #[test]

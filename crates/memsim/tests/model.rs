@@ -1,11 +1,11 @@
 //! Model-based property tests: the flat-array [`Cache`] and the
 //! fixed-capacity [`Tlb`] must behave exactly like naive reference models
 //! (recency-ordered lists) on random operation streams — hits, misses,
-//! waits, evictions, and LRU decisions all included.
+//! waits, evictions, victim addresses, and LRU decisions all included.
 
 use spf_memsim::cache::{Cache, Lookup};
 use spf_memsim::config::CacheParams;
-use spf_memsim::Tlb;
+use spf_memsim::{ProcessorConfig, Tlb};
 use spf_testkit::{cases, Rng};
 
 // ---------------------------------------------------------------------
@@ -59,7 +59,8 @@ impl RefCache {
         self.sets[s].iter().any(|(t, _)| *t == tag)
     }
 
-    fn install(&mut self, addr: u64, ready_at: u64) {
+    /// Returns the line-aligned address of the line evicted, if any.
+    fn install(&mut self, addr: u64, ready_at: u64) -> Option<u64> {
         let (s, tag) = self.locate(addr);
         let assoc = self.assoc;
         let set = &mut self.sets[s];
@@ -67,12 +68,15 @@ impl RefCache {
             Some(i) => {
                 let (t, r) = set.remove(i);
                 set.push((t, r.min(ready_at)));
+                None
             }
             None => {
-                if set.len() == assoc {
-                    set.remove(0); // least recently used
-                }
+                let victim = (set.len() == assoc).then(|| {
+                    let (lru_tag, _) = set.remove(0); // least recently used
+                    ((lru_tag << self.set_shift) | s as u64) << self.line_shift
+                });
                 set.push((tag, ready_at));
+                victim
             }
         }
     }
@@ -96,43 +100,80 @@ fn arb_cache_params(rng: &mut Rng) -> CacheParams {
     }
 }
 
+/// Runs `steps` random operations drawn from `pool` against both caches,
+/// flushing both once in about `4 * flush_one_in` of them.
+fn check_cache(rng: &mut Rng, params: CacheParams, pool: &[u64], steps: usize, flush_one_in: u64) {
+    let mut real = Cache::new(params);
+    let mut model = RefCache::new(params);
+    let mut now = 0u64;
+    for _ in 0..steps {
+        let addr = pool[rng.index(pool.len())];
+        match rng.index(4) {
+            0 => {
+                let ready = now + rng.u64_in(0, 99);
+                assert_eq!(
+                    real.install(addr, ready),
+                    model.install(addr, ready),
+                    "victim of install({addr:#x}) with {params:?}"
+                );
+            }
+            1 => assert_eq!(
+                real.contains(addr),
+                model.contains(addr),
+                "contains({addr:#x}) with {params:?}"
+            ),
+            2 if rng.chance(1, flush_one_in) => {
+                real.flush();
+                model.flush();
+            }
+            _ => {
+                assert_eq!(
+                    real.lookup(addr, now),
+                    model.lookup(addr, now),
+                    "lookup({addr:#x}) at {now} with {params:?}"
+                );
+            }
+        }
+        now += rng.u64_in(0, 9);
+    }
+}
+
 #[test]
 fn cache_matches_reference_model() {
     cases(128, "flat cache matches list-LRU reference", |rng| {
         let params = arb_cache_params(rng);
-        let mut real = Cache::new(params);
-        let mut model = RefCache::new(params);
         // A small address pool forces set conflicts and evictions.
         let pool: Vec<u64> = (0..24).map(|_| rng.u64_in(0, 0x2000)).collect();
-        let mut now = 0u64;
-        for _ in 0..rng.usize_in(50, 399) {
-            let addr = pool[rng.index(pool.len())];
-            match rng.index(4) {
-                0 => {
-                    let ready = now + rng.u64_in(0, 99);
-                    real.install(addr, ready);
-                    model.install(addr, ready);
-                }
-                1 => assert_eq!(
-                    real.contains(addr),
-                    model.contains(addr),
-                    "contains({addr:#x}) with {params:?}"
-                ),
-                2 if rng.chance(1, 20) => {
-                    real.flush();
-                    model.flush();
-                }
-                _ => {
-                    assert_eq!(
-                        real.lookup(addr, now),
-                        model.lookup(addr, now),
-                        "lookup({addr:#x}) at {now} with {params:?}"
-                    );
+        let steps = rng.usize_in(50, 399);
+        check_cache(rng, params, &pool, steps, 20);
+    });
+}
+
+/// The four cache geometries the simulator ships (P4 4-way 64 B / 8-way
+/// 128 B, Athlon 2-way / 16-way 64 B), each with a pool that packs three
+/// sets with one and a half times their ways and flushes some thousand
+/// operations apart, so every way of a 16-way set fills and the victim is
+/// decided by recency among all of them.
+#[test]
+fn shipped_cache_geometries_match_reference_model() {
+    let (p4, athlon) = (ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp());
+    for params in [p4.l1, p4.l2, athlon.l1, athlon.l2] {
+        cases(16, "shipped cache geometry matches reference", |rng| {
+            let sets = params.sets();
+            let set_stride = params.line_bytes;
+            let tag_stride = sets * params.line_bytes;
+            let tags = u64::from(params.assoc) * 3 / 2 + 1;
+            let mut pool = Vec::new();
+            for _ in 0..3 {
+                let set = rng.below(sets);
+                for tag in 0..tags {
+                    let offset = rng.below(params.line_bytes);
+                    pool.push(tag * tag_stride + set * set_stride + offset);
                 }
             }
-            now += rng.u64_in(0, 9);
-        }
-    });
+            check_cache(rng, params, &pool, 6_000, 500);
+        });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -185,6 +226,33 @@ impl RefTlb {
     }
 }
 
+/// Runs `steps` random operations over `pages` against both TLBs,
+/// flushing both once in about `4 * flush_one_in` of them.
+fn check_tlb(rng: &mut Rng, entries: u32, pages: &[u64], steps: usize, flush_one_in: u64) {
+    let page_bytes = 4096u64;
+    let mut real = Tlb::new(entries, page_bytes);
+    let mut model = RefTlb::new(entries as usize, page_bytes);
+    for _ in 0..steps {
+        let addr = pages[rng.index(pages.len())] * page_bytes + rng.u64_in(0, page_bytes - 1);
+        match rng.index(4) {
+            0 => {
+                real.insert(addr);
+                model.insert(addr);
+            }
+            1 => assert_eq!(
+                real.contains(addr),
+                model.contains(addr),
+                "contains({addr:#x})"
+            ),
+            2 if rng.chance(1, flush_one_in) => {
+                real.flush();
+                model.flush();
+            }
+            _ => assert_eq!(real.lookup(addr), model.lookup(addr), "lookup({addr:#x})"),
+        }
+    }
+}
+
 #[test]
 fn tlb_matches_reference_model() {
     cases(
@@ -192,30 +260,26 @@ fn tlb_matches_reference_model() {
         "fixed-capacity TLB matches list-LRU reference",
         |rng| {
             let entries = rng.u64_in(1, 8) as u32;
-            let page_bytes = 4096u64;
-            let mut real = Tlb::new(entries, page_bytes);
-            let mut model = RefTlb::new(entries as usize, page_bytes);
             // Few distinct pages so reuse, eviction, and re-insertion all occur.
-            let pages: Vec<u64> = (0..12).map(|_| rng.u64_in(0, 19) * page_bytes).collect();
-            for _ in 0..rng.usize_in(50, 399) {
-                let addr = pages[rng.index(pages.len())] + rng.u64_in(0, page_bytes - 1);
-                match rng.index(4) {
-                    0 => {
-                        real.insert(addr);
-                        model.insert(addr);
-                    }
-                    1 => assert_eq!(
-                        real.contains(addr),
-                        model.contains(addr),
-                        "contains({addr:#x})"
-                    ),
-                    2 if rng.chance(1, 20) => {
-                        real.flush();
-                        model.flush();
-                    }
-                    _ => assert_eq!(real.lookup(addr), model.lookup(addr), "lookup({addr:#x})"),
-                }
-            }
+            let pages: Vec<u64> = (0..12).map(|_| rng.u64_in(0, 19)).collect();
+            let steps = rng.usize_in(50, 399);
+            check_tlb(rng, entries, &pages, steps, 20);
         },
     );
+}
+
+/// The shipped DTLB sizes (P4 64 entries, Athlon 256), over one and a
+/// half times as many pages as entries, with flushes some ten thousand
+/// operations apart so the TLB fills and evicts in between.
+#[test]
+fn shipped_tlb_sizes_match_reference_model() {
+    for entries in [
+        ProcessorConfig::pentium4().dtlb_entries,
+        ProcessorConfig::athlon_mp().dtlb_entries,
+    ] {
+        cases(8, "shipped TLB size matches reference", |rng| {
+            let pages: Vec<u64> = (0..u64::from(entries) * 3 / 2).collect();
+            check_tlb(rng, entries, &pages, 30_000, 2_500);
+        });
+    }
 }

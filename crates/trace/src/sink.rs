@@ -66,8 +66,11 @@ pub struct RingSink {
     total: u64,
 }
 
-/// Default ring capacity: enough for the tiny/small experiment sizes the
-/// tracing harness targets (~10 MB of events).
+/// Default ring capacity (~10 MB of events), sized for the tiny experiment
+/// size. It is *not* enough at small — the benchmark's traced run of
+/// `matrix-memsim` lost 347 794 events to overwrites — so a consumer that
+/// needs the whole stream must check [`TraceSink::lost`] or size its own
+/// ring with [`RingSink::with_capacity`].
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 18;
 
 impl Default for RingSink {
