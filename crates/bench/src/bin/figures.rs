@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use spf_bench::RunPlan;
 use spf_bench::{figures, matrix, matrix_json, out_dir};
-use spf_trace::{deopt, summary, TraceEvent};
+use spf_trace::{attribute, deopt, summary};
 use spf_workloads::Size;
 
 struct Args {
@@ -214,33 +214,21 @@ fn traced_sweep(
             ));
         }
         // Adaptive counters must reconcile exactly with the trace: every
-        // deopt/recompile and every per-loop invalidation/repatch the VM
+        // recompile and every per-loop invalidation/repatch the VM
         // counted (warm-up plus best run) has a matching event
         // (compile_events plus best-run attribution) — unless the ring
         // dropped events in either phase.
         if t.trace.lost == 0 && t.trace.warm_lost == 0 {
-            let count = |evs: &[TraceEvent], want: &str| {
-                evs.iter()
-                    .filter(|e| match e {
-                        TraceEvent::Deopt { .. } => want == "deopt",
-                        TraceEvent::Recompile { .. } => want == "recompile",
-                        TraceEvent::LoopInvalidated { .. } => want == "loop_invalidated",
-                        TraceEvent::LoopRepatched { .. } => want == "loop_repatched",
-                        _ => false,
-                    })
-                    .count() as u64
-            };
-            let ce = &t.trace.compile_events;
-            let ev_deopts = count(ce, "deopt") + attr.deopts;
-            let ev_recompiles = count(ce, "recompile") + attr.recompiles;
-            let ev_loop_inv = count(ce, "loop_invalidated") + attr.loop_invalidated;
-            let ev_loop_rep = count(ce, "loop_repatched") + attr.loop_repatched;
-            if ev_deopts != m.deopts || ev_recompiles != m.recompiles {
+            let warm = attribute(&t.trace.compile_events);
+            let ev_recompiles = warm.recompiles + attr.recompiles;
+            let ev_loop_inv = warm.loop_invalidated + attr.loop_invalidated;
+            let ev_loop_rep = warm.loop_repatched + attr.loop_repatched;
+            if ev_recompiles != m.recompiles {
                 ok = false;
                 emit(&format!(
                     "trace: {run}: adaptive counters diverge from events: \
-                     deopts {} != {ev_deopts}, recompiles {} != {ev_recompiles}",
-                    m.deopts, m.recompiles
+                     recompiles {} != {ev_recompiles}",
+                    m.recompiles
                 ));
             }
             if ev_loop_inv != m.loop_deopts || ev_loop_rep != m.loop_repatches {
@@ -253,9 +241,9 @@ fn traced_sweep(
             }
         }
         rows.extend(summary::rows(&run, attr, &t.trace.sites));
-        // Adaptive-reprofiling events land in both phases: deopts and
-        // recompiles during warm-up go to `compile_events`, steady-state
-        // ones to the best run's stream.
+        // Adaptive-reprofiling events land in both phases: those during
+        // warm-up go to `compile_events`, steady-state ones to the best
+        // run's stream.
         deopt_rows.extend(deopt::rows(&run, &t.trace.compile_events));
         deopt_rows.extend(deopt::rows(&run, &t.trace.events));
     }

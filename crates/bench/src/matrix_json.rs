@@ -1,11 +1,10 @@
 //! `BENCH_matrix.json` — a machine-readable record of one matrix sweep.
 //!
-//! The emitter writes one JSON object per cell on its own line; the parser
-//! reads exactly that shape back. Both are hand-rolled (the build
-//! environment has no registry access, so serde is not available) and are
-//! only promised to round-trip files produced by [`emit`] — this is a
-//! benchmark log format, not a general JSON library.
+//! The emitter writes one JSON object per cell on its own line (so shell
+//! gates can `grep` a cell); the parser reads any JSON document of that
+//! schema through [`spf_trace::json`].
 
+use spf_trace::json::{self, Str, Value};
 use spf_workloads::Size;
 
 use crate::matrix::CellResult;
@@ -57,10 +56,6 @@ impl CellSummary {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders a sweep as `BENCH_matrix.json`.
 pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u128) -> String {
     let mut s = String::new();
@@ -72,15 +67,15 @@ pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u
     for (i, r) in results.iter().enumerate() {
         let m = &r.measurement;
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mode\": \"{}\", \"processor\": \"{}\", \
+            "    {{\"name\": {}, \"mode\": {}, \"processor\": {}, \
              \"best_cycles\": {}, \"retired\": {}, \"wall_nanos\": {}, \
              \"host_wall_ns\": {}, \
              \"deopts\": {}, \"recompiles\": {}, \"loop_deopts\": {}, \
              \"loop_repatches\": {}, \"reagreed\": {}, \
              \"inspection_cycles\": {}, \"static_sites\": {}, \"checksum\": {}}}{}\n",
-            escape(&m.name),
-            escape(&m.mode.to_string()),
-            escape(&m.processor),
+            Str(&m.name),
+            Str(&m.mode.to_string()),
+            Str(&m.processor),
             m.best_cycles,
             m.retired,
             r.wall_nanos,
@@ -100,22 +95,12 @@ pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u
     s
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// Parses a file produced by [`emit`] back into its cells.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed cell line.
+/// Returns a message naming the line of the first JSON error, or the
+/// first cell with a missing or malformed field.
 pub fn parse(text: &str) -> Result<Vec<CellSummary>, String> {
     parse_with_warnings(text).map(|(cells, _)| cells)
 }
@@ -128,79 +113,43 @@ pub fn parse(text: &str) -> Result<Vec<CellSummary>, String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed cell line.
+/// As [`parse`].
 pub fn parse_with_warnings(text: &str) -> Result<(Vec<CellSummary>, Vec<String>), String> {
     const KNOWN_TOP_LEVEL: [&str; 4] = ["size", "jobs", "total_wall_nanos", "cells"];
-    let mut cells = Vec::new();
-    let mut warnings = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.contains("\"name\"")) {
-            // Not a cell line. If it introduces a top-level key we do not
-            // know, warn; structural lines and known keys pass silently.
-            if let Some(key) = line.strip_prefix('"').and_then(|r| r.split('"').next()) {
-                if !KNOWN_TOP_LEVEL.contains(&key) {
-                    warnings.push(format!("ignoring unknown top-level field \"{key}\""));
-                }
-            }
-            continue;
-        }
-        let get = |key: &str| {
-            field(line, key).ok_or_else(|| format!("missing field {key} in line: {line}"))
-        };
-        cells.push(CellSummary {
-            name: get("name")?.to_string(),
-            mode: get("mode")?.to_string(),
-            processor: get("processor")?.to_string(),
-            best_cycles: get("best_cycles")?
-                .parse()
-                .map_err(|e| format!("bad best_cycles in {line}: {e}"))?,
-            retired: get("retired")?
-                .parse()
-                .map_err(|e| format!("bad retired in {line}: {e}"))?,
-            wall_nanos: get("wall_nanos")?
-                .parse()
-                .map_err(|e| format!("bad wall_nanos in {line}: {e}"))?,
-            // Tolerate files emitted before host timing repetitions
-            // existed: fall back to the single wall-clock sample.
-            host_wall_ns: match field(line, "host_wall_ns") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|e| format!("bad host_wall_ns in {line}: {e}"))?,
-                None => get("wall_nanos")?
-                    .parse()
-                    .map_err(|e| format!("bad wall_nanos in {line}: {e}"))?,
-            },
-            // Tolerate files emitted before the adaptive counters existed.
-            deopts: field(line, "deopts")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad deopts in {line}: {e}"))?,
-            recompiles: field(line, "recompiles")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad recompiles in {line}: {e}"))?,
-            // Tolerate files emitted before invalidation went per-loop.
-            loop_deopts: field(line, "loop_deopts")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad loop_deopts in {line}: {e}"))?,
-            loop_repatches: field(line, "loop_repatches")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad loop_repatches in {line}: {e}"))?,
-            reagreed: field(line, "reagreed")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad reagreed in {line}: {e}"))?,
-            // Tolerate files emitted before the compile-time cost model.
-            inspection_cycles: field(line, "inspection_cycles")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad inspection_cycles in {line}: {e}"))?,
-            static_sites: field(line, "static_sites")
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("bad static_sites in {line}: {e}"))?,
-            checksum: get("checksum")?
-                .parse()
-                .map_err(|e| format!("bad checksum in {line}: {e}"))?,
-        });
-    }
+    let doc = json::parse(text)?;
+    let cells = json::each("cells", doc.arr("cells")?, cell)?;
+    let warnings = doc
+        .keys()
+        .filter(|key| !KNOWN_TOP_LEVEL.contains(key))
+        .map(|key| format!("ignoring unknown top-level field \"{key}\""))
+        .collect();
     Ok((cells, warnings))
+}
+
+fn cell(c: &Value) -> Result<CellSummary, String> {
+    let wall_nanos = c.num("wall_nanos")?;
+    Ok(CellSummary {
+        name: c.str("name")?.to_string(),
+        mode: c.str("mode")?.to_string(),
+        processor: c.str("processor")?.to_string(),
+        best_cycles: c.num("best_cycles")?,
+        retired: c.num("retired")?,
+        wall_nanos,
+        // Files emitted before host timing repetitions existed carry the
+        // single wall-clock sample only.
+        host_wall_ns: c.opt_num("host_wall_ns", wall_nanos)?,
+        // Absent before the adaptive counters existed.
+        deopts: c.opt_num("deopts", 0)?,
+        recompiles: c.opt_num("recompiles", 0)?,
+        reagreed: c.opt_num("reagreed", 0)?,
+        // Absent before invalidation went per-loop.
+        loop_deopts: c.opt_num("loop_deopts", 0)?,
+        loop_repatches: c.opt_num("loop_repatches", 0)?,
+        // Absent before the compile-time cost model.
+        inspection_cycles: c.opt_num("inspection_cycles", 0)?,
+        static_sites: c.opt_num("static_sites", 0)?,
+        checksum: c.num("checksum")?,
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! are totally ordered in time, so this is exact LRU with no timestamps,
 //! and a repeat hit on the front way changes nothing. A lookup scans only
 //! the dense `tags`; `ready_at` is read on a hit. An empty way holds
-//! [`INVALID`], which no address maps to, so it needs no separate valid
+//! `INVALID`, which no address maps to, so it needs no separate valid
 //! bit; installs fill from the front, hence the valid ways are a prefix
 //! and the last way is empty whenever any is.
 

@@ -38,8 +38,6 @@
 //! stopped, and the p99 of post-recovery requests must be within a fixed
 //! bound of the same requests' p99 in the fault-free run.
 
-use std::fmt::Write as _;
-
 use spf_testkit::Rng;
 use spf_trace::FaultKind;
 
@@ -251,80 +249,6 @@ pub fn inject_bursts(base: &[Request], plan: &FaultPlan, chaos: &ChaosConfig) ->
     out
 }
 
-/// Renders a plan as `FAULT_plan.json` (hand-rolled, like every artifact
-/// in this repo; [`parse`] round-trips it).
-pub fn emit(plan: &FaultPlan) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"spf-fault-plan-v1\",\n  \"windows\": [\n");
-    for (i, w) in plan.windows.iter().enumerate() {
-        let comma = if i + 1 == plan.windows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"kind\": \"{}\", \"tenant\": {}, \"start\": {}, \"end\": {}}}{comma}",
-            w.kind, w.tenant, w.start, w.end,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
-fn kind_from_str(s: &str) -> Option<FaultKind> {
-    Some(match s {
-        "gc-storm" => FaultKind::GcStorm,
-        "compile-stall" => FaultKind::CompileStall,
-        "cache-squeeze" => FaultKind::CacheSqueeze,
-        "traffic-burst" => FaultKind::TrafficBurst,
-        _ => return None,
-    })
-}
-
-/// Parses a file produced by [`emit`].
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line or field.
-pub fn parse(text: &str) -> Result<FaultPlan, String> {
-    let mut windows = Vec::new();
-    let mut seen_schema = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if field(line, "schema").is_some() {
-            seen_schema = true;
-        }
-        let Some(kind) = field(line, "kind") else {
-            continue;
-        };
-        let kind = kind_from_str(kind).ok_or_else(|| format!("unknown fault kind in: {line}"))?;
-        let num = |key: &str| -> Result<u64, String> {
-            field(line, key)
-                .ok_or_else(|| format!("missing {key} in: {line}"))?
-                .parse()
-                .map_err(|e| format!("bad {key} in {line}: {e}"))
-        };
-        windows.push(FaultWindow {
-            start: num("start")?,
-            end: num("end")?,
-            kind,
-            tenant: num("tenant")? as u32,
-        });
-    }
-    if !seen_schema {
-        return Err("not a FAULT_plan.json: no schema field".to_string());
-    }
-    Ok(FaultPlan { windows })
-}
-
 /// Upper bound on post-recovery p99 as a ratio of the fault-free run's
 /// p99, in milli (2000 = 2.0×). The absolute slack of a few epoch slots
 /// in [`verify_recovery`] covers tiny-denominator cases.
@@ -483,30 +407,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn plan_serialization_round_trips() {
-        cases(64, "fault plan round trip", |r| {
-            let chaos = arb_chaos(r);
-            let plan = generate(&chaos, r.usize_in(1, 50), 3_000_000, 100_000);
-            let back = parse(&emit(&plan)).expect("round trip");
-            assert_eq!(plan, back);
-        });
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse("hello").is_err());
-        assert!(
-            parse("{\"schema\": \"spf-fault-plan-v1\", \"windows\": []}").is_ok(),
-            "empty plan is fine"
-        );
-        assert!(parse(
-            "{\"schema\": \"x\",\n{\"kind\": \"meteor-strike\", \"tenant\": 0, \
-             \"start\": 0, \"end\": 1}"
-        )
-        .is_err());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! Every statistic is an integer computed from simulated quantities
 //! (nearest-rank percentiles, floored means, milli-scaled queue depth), so
 //! the emitted file is byte-identical for byte-identical simulations —
-//! CI compares two `--jobs` runs with `cmp`, no tolerance needed. Like the
-//! rest of the repo's artifacts, emitter and parser are hand-rolled (no
-//! JSON dependency) and promise only to round-trip each other's output.
+//! CI compares two `--jobs` runs with `cmp`, no tolerance needed. Read
+//! back through [`spf_trace::json`].
 
 use std::fmt::Write as _;
+
+use spf_trace::json::{self, Str, Value};
 
 use crate::sim::ServeOutcome;
 
@@ -177,7 +178,7 @@ pub fn emit(s: &ServeSummary) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"spf-serve-summary-v1\",");
-    let _ = writeln!(out, "  \"processor\": \"{}\",", s.processor);
+    let _ = writeln!(out, "  \"processor\": {},", Str(&s.processor));
     let _ = writeln!(out, "  \"tenants\": {},", s.tenants);
     let _ = writeln!(out, "  \"requests\": {},", s.requests);
     let _ = writeln!(out, "  \"mean_interarrival\": {},", s.mean_interarrival);
@@ -194,12 +195,12 @@ pub fn emit(s: &ServeSummary) -> String {
         let comma = if i + 1 == s.modes.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"mode\": \"{}\", \"completed\": {}, \"p50\": {}, \"p99\": {}, \
+            "    {{\"mode\": {}, \"completed\": {}, \"p50\": {}, \"p99\": {}, \
              \"p999\": {}, \"max\": {}, \"mean\": {}, \"queue_depth_max\": {}, \
              \"queue_depth_mean_milli\": {}, \"compiles\": {}, \"evictions\": {}, \
              \"deopts\": {}, \"recompiles\": {}, \"loop_deopts\": {}, \
              \"loop_repatches\": {}, \"stranded\": {}, \"checksum\": {}}}{comma}",
-            m.mode,
+            Str(&m.mode),
             m.completed,
             m.p50,
             m.p99,
@@ -228,11 +229,11 @@ pub fn emit(s: &ServeSummary) -> String {
         let comma = if i + 1 == s.chaos.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"mode\": \"{}\", \"faults\": {}, \"shed\": {}, \"retries\": {}, \
+            "    {{\"mode\": {}, \"faults\": {}, \"shed\": {}, \"retries\": {}, \
              \"rearms\": {}, \"stranded_final\": {}, \"completed\": {}, \"p99\": {}, \
              \"recovery_at\": {}, \"post_requests\": {}, \
              \"post_p99_ratio_milli\": {}}}{comma}",
-            c.mode,
+            Str(&c.mode),
             c.faults,
             c.shed,
             c.retries,
@@ -249,139 +250,72 @@ pub fn emit(s: &ServeSummary) -> String {
     out
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// Parses a file produced by [`emit`]. Unknown keys are ignored, so
 /// future writers can add fields without breaking old readers.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first missing or malformed field.
+/// Returns a message naming the line of the first JSON error, or the
+/// first missing or malformed field.
 pub fn parse(text: &str) -> Result<ServeSummary, String> {
-    let mut top = ServeSummary {
-        processor: String::new(),
-        tenants: 0,
-        requests: 0,
-        mean_interarrival: 0,
-        seed: 0,
-        slot_cycles: 0,
-        compile_workers: 0,
-        cache_capacity_instrs: 0,
-        modes: Vec::new(),
-        chaos: Vec::new(),
+    let doc = json::parse(text)?;
+    let top = ServeSummary {
+        processor: doc.str("processor")?.to_string(),
+        tenants: doc.opt_num("tenants", 0)?,
+        requests: doc.opt_num("requests", 0)?,
+        mean_interarrival: doc.opt_num("mean_interarrival", 0)?,
+        seed: doc.opt_num("seed", 0)?,
+        slot_cycles: doc.opt_num("slot_cycles", 0)?,
+        compile_workers: doc.opt_num("compile_workers", 0)?,
+        cache_capacity_instrs: doc.opt_num("cache_capacity_instrs", 0)?,
+        modes: json::each("modes", doc.arr("modes")?, mode_row)?,
+        // Absent from fault-free files.
+        chaos: json::each("chaos", doc.opt_arr("chaos")?, chaos_row)?,
     };
-    let mut seen_processor = false;
-    for line in text.lines() {
-        let line = line.trim();
-        // Chaos rows also carry a "mode" key, so test for their
-        // distinctive field before the mode-row branch.
-        if line.contains("\"post_p99_ratio_milli\"") {
-            let get = |key: &str| {
-                field(line, key).ok_or_else(|| format!("missing field {key} in line: {line}"))
-            };
-            let num = |key: &str| -> Result<u64, String> {
-                get(key)?
-                    .parse()
-                    .map_err(|e| format!("bad {key} in {line}: {e}"))
-            };
-            top.chaos.push(ChaosRow {
-                mode: get("mode")?.to_string(),
-                faults: num("faults")?,
-                shed: num("shed")?,
-                retries: num("retries")?,
-                rearms: num("rearms")?,
-                stranded_final: num("stranded_final")?,
-                completed: num("completed")?,
-                p99: num("p99")?,
-                recovery_at: num("recovery_at")?,
-                post_requests: num("post_requests")?,
-                post_p99_ratio_milli: num("post_p99_ratio_milli")?,
-            });
-            continue;
-        }
-        if line.contains("\"mode\"") {
-            let get = |key: &str| {
-                field(line, key).ok_or_else(|| format!("missing field {key} in line: {line}"))
-            };
-            let num = |key: &str| -> Result<u64, String> {
-                get(key)?
-                    .parse()
-                    .map_err(|e| format!("bad {key} in {line}: {e}"))
-            };
-            top.modes.push(ModeReport {
-                mode: get("mode")?.to_string(),
-                completed: num("completed")?,
-                p50: num("p50")?,
-                p99: num("p99")?,
-                p999: num("p999")?,
-                max: num("max")?,
-                mean: num("mean")?,
-                queue_depth_max: num("queue_depth_max")? as u32,
-                queue_depth_mean_milli: num("queue_depth_mean_milli")?,
-                compiles: num("compiles")?,
-                evictions: num("evictions")?,
-                deopts: num("deopts")?,
-                recompiles: num("recompiles")?,
-                // The loop_* and stranded fields are absent from older
-                // files; default 0 so old artifacts still parse.
-                loop_deopts: match field(line, "loop_deopts") {
-                    Some(v) => v
-                        .parse()
-                        .map_err(|e| format!("bad loop_deopts in {line}: {e}"))?,
-                    None => 0,
-                },
-                loop_repatches: match field(line, "loop_repatches") {
-                    Some(v) => v
-                        .parse()
-                        .map_err(|e| format!("bad loop_repatches in {line}: {e}"))?,
-                    None => 0,
-                },
-                stranded: match field(line, "stranded") {
-                    Some(v) => v
-                        .parse()
-                        .map_err(|e| format!("bad stranded in {line}: {e}"))?,
-                    None => 0,
-                },
-                checksum: get("checksum")?
-                    .parse()
-                    .map_err(|e| format!("bad checksum in {line}: {e}"))?,
-            });
-            continue;
-        }
-        let tnum = |key: &str, dst: &mut u64| -> Result<(), String> {
-            if let Some(v) = field(line, key) {
-                *dst = v.parse().map_err(|e| format!("bad {key}: {e}"))?;
-            }
-            Ok(())
-        };
-        if let Some(p) = field(line, "processor") {
-            top.processor = p.to_string();
-            seen_processor = true;
-        }
-        tnum("tenants", &mut top.tenants)?;
-        tnum("requests", &mut top.requests)?;
-        tnum("mean_interarrival", &mut top.mean_interarrival)?;
-        tnum("seed", &mut top.seed)?;
-        tnum("slot_cycles", &mut top.slot_cycles)?;
-        tnum("compile_workers", &mut top.compile_workers)?;
-        tnum("cache_capacity_instrs", &mut top.cache_capacity_instrs)?;
-    }
-    if !seen_processor {
-        return Err("not a SERVE_summary.json: no processor field".to_string());
-    }
     if top.modes.is_empty() {
         return Err("not a SERVE_summary.json: no mode rows".to_string());
     }
     Ok(top)
+}
+
+fn mode_row(m: &Value) -> Result<ModeReport, String> {
+    Ok(ModeReport {
+        mode: m.str("mode")?.to_string(),
+        completed: m.num("completed")?,
+        p50: m.num("p50")?,
+        p99: m.num("p99")?,
+        p999: m.num("p999")?,
+        max: m.num("max")?,
+        mean: m.num("mean")?,
+        queue_depth_max: m.num("queue_depth_max")?,
+        queue_depth_mean_milli: m.num("queue_depth_mean_milli")?,
+        compiles: m.num("compiles")?,
+        evictions: m.num("evictions")?,
+        deopts: m.num("deopts")?,
+        recompiles: m.num("recompiles")?,
+        // Absent from files written before invalidation went per-loop
+        // (`loop_*`) or before the chaos harness (`stranded`).
+        loop_deopts: m.opt_num("loop_deopts", 0)?,
+        loop_repatches: m.opt_num("loop_repatches", 0)?,
+        stranded: m.opt_num("stranded", 0)?,
+        checksum: m.num("checksum")?,
+    })
+}
+
+fn chaos_row(c: &Value) -> Result<ChaosRow, String> {
+    Ok(ChaosRow {
+        mode: c.str("mode")?.to_string(),
+        faults: c.num("faults")?,
+        shed: c.num("shed")?,
+        retries: c.num("retries")?,
+        rearms: c.num("rearms")?,
+        stranded_final: c.num("stranded_final")?,
+        completed: c.num("completed")?,
+        p99: c.num("p99")?,
+        recovery_at: c.num("recovery_at")?,
+        post_requests: c.num("post_requests")?,
+        post_p99_ratio_milli: c.num("post_p99_ratio_milli")?,
+    })
 }
 
 /// Renders the human-readable latency table.

@@ -107,10 +107,6 @@ pub struct Attribution {
     pub gc_slides: u64,
     /// Compile-time suppression events observed.
     pub suppressions: u64,
-    /// Adaptive staleness verdicts observed.
-    pub site_stales: u64,
-    /// Adaptive deoptimizations observed.
-    pub deopts: u64,
     /// Adaptive recompilations observed.
     pub recompiles: u64,
     /// Per-loop invalidations observed (stale loops patched to no-ops).
@@ -180,8 +176,6 @@ pub fn attribute(events: &[TraceEvent]) -> Attribution {
             TraceEvent::HwPrefetchFill { .. } => out.hw_prefetch_fills += 1,
             TraceEvent::GcSlide { .. } => out.gc_slides += 1,
             TraceEvent::Suppressed { .. } => out.suppressions += 1,
-            TraceEvent::SiteStale { .. } => out.site_stales += 1,
-            TraceEvent::Deopt { .. } => out.deopts += 1,
             TraceEvent::Recompile { .. } => out.recompiles += 1,
             TraceEvent::LoopInvalidated { .. } => out.loop_invalidated += 1,
             TraceEvent::LoopRepatched { .. } => out.loop_repatched += 1,
@@ -406,16 +400,18 @@ mod tests {
     #[test]
     fn adaptive_events_count_at_run_level() {
         let evs = vec![
-            TraceEvent::SiteStale {
+            TraceEvent::LoopInvalidated {
                 method: 3,
+                loop_header: 4,
                 generation: 0,
                 reason: crate::event::StaleReason::GcMoved,
                 now: 100,
             },
-            TraceEvent::Deopt {
+            TraceEvent::LoopRepatched {
                 method: 3,
-                generation: 0,
-                now: 100,
+                loop_header: 4,
+                generation: 1,
+                now: 200,
             },
             TraceEvent::Recompile {
                 method: 3,
@@ -424,8 +420,8 @@ mod tests {
             },
         ];
         let a = attribute(&evs);
-        assert_eq!(a.site_stales, 1);
-        assert_eq!(a.deopts, 1);
+        assert_eq!(a.loop_invalidated, 1);
+        assert_eq!(a.loop_repatched, 1);
         assert_eq!(a.recompiles, 1);
         assert!(a.per_site.is_empty(), "adaptive events are run-level");
     }

@@ -4,7 +4,6 @@
 //! cargo run -p spf-trace --bin spf-trace-report -- TRACE_summary.jsonl
 //! cargo run -p spf-trace --bin spf-trace-report -- OLD.jsonl NEW.jsonl
 //! cargo run -p spf-trace --bin spf-trace-report -- deopt-summary DEOPT_events.jsonl
-//! cargo run -p spf-trace --bin spf-trace-report -- deopt-summary DEOPT.jsonl SERVE_summary.json
 //! ```
 //!
 //! With one file, prints the per-site effectiveness table. With two,
@@ -12,12 +11,8 @@
 //! if any site's classification changed, 0 otherwise — the same
 //! conventions as `bench_diff`. `deopt-summary` aggregates the per-loop
 //! invalidation/repatch events of a `DEOPT_events.jsonl` (written by
-//! `figures --trace`; legacy Deopt/Recompile/SiteStale rows still count)
-//! per cell — the diagnostic entry point for adaptive-mode cycle
-//! blow-ups such as db/ADAPTIVE. An optional `SERVE_summary.json` after
-//! the events file reconciles the trace-derived stranded-loop counts
-//! against the serving report's per-mode `stranded` field, exiting 1 on
-//! any mismatch.
+//! `figures --trace`) per cell — the diagnostic entry point for
+//! adaptive-mode cycle blow-ups such as db/ADAPTIVE.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -35,8 +30,7 @@ fn main() -> ExitCode {
     // Render into a buffer and write it in one shot, ignoring EPIPE, so
     // `spf-trace-report ... | head` still yields the right exit code.
     let (out, code) = match args.as_slice() {
-        [cmd, rest @ ..] if cmd == "deopt-summary" && matches!(rest.len(), 1 | 2) => {
-            let path = &rest[0];
+        [cmd, path] if cmd == "deopt-summary" => {
             let rows = std::fs::read_to_string(path)
                 .map_err(|e| format!("{path}: {e}"))
                 .and_then(|text| deopt::parse(&text).map_err(|e| format!("{path}: {e}")));
@@ -47,30 +41,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let mut text = deopt::render(&sums);
-            let mut code = ExitCode::SUCCESS;
-            // Optional second path: a SERVE_summary.json whose per-mode
-            // stranded field must agree with the trace-derived counts.
-            if let Some(serve_path) = rest.get(1) {
-                let reconciled = std::fs::read_to_string(serve_path)
-                    .map_err(|e| format!("{serve_path}: {e}"))
-                    .and_then(|serve| {
-                        deopt::reconcile(&sums, &serve).map_err(|e| format!("{serve_path}: {e}"))
-                    });
-                match reconciled {
-                    Ok((section, mismatches)) => {
-                        text.push_str(&section);
-                        if mismatches > 0 {
-                            code = ExitCode::FAILURE;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("spf-trace-report: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            (text, code)
+            (deopt::render(&sums), ExitCode::SUCCESS)
         }
         [path] => match load(path) {
             Ok(rows) => (summary::render(&rows), ExitCode::SUCCESS),
@@ -97,7 +68,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: spf-trace-report SUMMARY.jsonl [NEW.jsonl]\n\
-                 \x20      spf-trace-report deopt-summary DEOPT_events.jsonl [SERVE_summary.json]"
+                 \x20      spf-trace-report deopt-summary DEOPT_events.jsonl"
             );
             return ExitCode::FAILURE;
         }

@@ -1,45 +1,37 @@
 //! `DEOPT_events.jsonl` — the per-cell adaptive-reprofiling event record,
 //! and the aggregation behind `spf-trace-report deopt-summary`.
 //!
-//! ROADMAP open item 1 was a diagnosis problem: db/ADAPTIVE blew up to
-//! ~16.5M cycles because a single deopt with zero recompiles stranded the
-//! cell in the interpreter. The raw evidence is in the trace stream
-//! ([`TraceEvent::SiteStale`], [`TraceEvent::Deopt`],
-//! [`TraceEvent::Recompile`], and — since deopt went per-loop —
-//! [`TraceEvent::LoopInvalidated`] / [`TraceEvent::LoopRepatched`]), but
-//! scattered across per-run JSONL dumps. This module extracts those
-//! events per cell, round-trips them through a JSONL file, and aggregates
-//! them into one row per cell with a `stranded` column counting *loops*
-//! (not methods) that were invalidated more often than they were
-//! repatched, i.e. loops currently running with their prefetch sites
-//! patched out. Legacy whole-method deopt/recompile events participate as
-//! the pseudo-loop `-` of their method, so old dumps still aggregate.
-//!
-//! Emitter and parser are hand-rolled like `summary` (no serde in this
-//! build environment) and only promise to round-trip each other's output.
+//! Which loops lost their prefetch sites, and whether they got them back,
+//! is in the trace stream ([`TraceEvent::LoopInvalidated`],
+//! [`TraceEvent::LoopRepatched`], [`TraceEvent::Recompile`]) but scattered
+//! across per-run dumps. This module extracts those events per cell,
+//! round-trips them through a JSONL file (read back through
+//! [`crate::json`]), and aggregates them into one row per cell with a
+//! `stranded` column counting loops that were invalidated more often than
+//! they were repatched, i.e. loops currently running with their prefetch
+//! sites patched out.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
+use crate::json::{self, Str};
 
 /// One adaptive-reprofiling event of one cell (run).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DeoptRow {
     /// The run key, `workload/mode/processor`.
     pub run: String,
-    /// Event tag: `site_stale`, `deopt`, `recompile`, `loop_invalidated`,
-    /// or `loop_repatched`.
+    /// Event tag: `recompile`, `loop_invalidated`, or `loop_repatched`.
     pub tag: String,
     /// Method index in the program.
     pub method: u32,
-    /// Loop header block index for per-loop rows, `-` for method-level
-    /// rows (and for the straight-line pseudo-loop, rendered as `*`).
+    /// Loop header block index for per-loop rows (`*` for the
+    /// straight-line pseudo-loop), `-` for `recompile` rows.
     pub loop_header: String,
     /// Compilation generation the event refers to.
     pub generation: u32,
-    /// Staleness reason for `site_stale`/`loop_invalidated` rows, `-`
-    /// otherwise.
+    /// Staleness reason for `loop_invalidated` rows, `-` otherwise.
     pub reason: String,
     /// Simulated cycle of the event.
     pub now: u64,
@@ -59,44 +51,12 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
     events
         .iter()
         .filter_map(|ev| {
-            let (tag, method, lp, generation, reason, now) = match *ev {
-                TraceEvent::SiteStale {
-                    method,
-                    generation,
-                    reason,
-                    now,
-                } => (
-                    "site_stale",
-                    method,
-                    "-".to_string(),
-                    generation,
-                    reason.to_string(),
-                    now,
-                ),
-                TraceEvent::Deopt {
-                    method,
-                    generation,
-                    now,
-                } => (
-                    "deopt",
-                    method,
-                    "-".to_string(),
-                    generation,
-                    "-".to_string(),
-                    now,
-                ),
+            let (method, lp, generation, reason, now) = match *ev {
                 TraceEvent::Recompile {
                     method,
                     generation,
                     now,
-                } => (
-                    "recompile",
-                    method,
-                    "-".to_string(),
-                    generation,
-                    "-".to_string(),
-                    now,
-                ),
+                } => (method, "-".to_string(), generation, "-".to_string(), now),
                 TraceEvent::LoopInvalidated {
                     method,
                     loop_header,
@@ -104,7 +64,6 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
                     reason,
                     now,
                 } => (
-                    "loop_invalidated",
                     method,
                     loop_key(loop_header),
                     generation,
@@ -117,7 +76,6 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
                     generation,
                     now,
                 } => (
-                    "loop_repatched",
                     method,
                     loop_key(loop_header),
                     generation,
@@ -128,7 +86,7 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
             };
             Some(DeoptRow {
                 run: run.to_string(),
-                tag: tag.to_string(),
+                tag: ev.tag().to_string(),
                 method,
                 loop_header: lp,
                 generation,
@@ -139,80 +97,50 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
         .collect()
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders rows as `DEOPT_events.jsonl` (one object per line).
 pub fn emit(rows: &[DeoptRow]) -> String {
     let mut s = String::new();
     for r in rows {
         let _ = writeln!(
             s,
-            "{{\"run\": \"{}\", \"tag\": \"{}\", \"method\": {}, \"loop\": \"{}\", \
-             \"generation\": {}, \"reason\": \"{}\", \"now\": {}}}",
-            escape(&r.run),
-            escape(&r.tag),
+            "{{\"run\": {}, \"tag\": {}, \"method\": {}, \"loop\": {}, \
+             \"generation\": {}, \"reason\": {}, \"now\": {}}}",
+            Str(&r.run),
+            Str(&r.tag),
             r.method,
-            escape(&r.loop_header),
+            Str(&r.loop_header),
             r.generation,
-            escape(&r.reason),
+            Str(&r.reason),
             r.now,
         );
     }
     s
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// Parses a file produced by [`emit`] back into its rows. Lines whose tag
 /// is not an adaptive-reprofiling event are skipped, so a full
-/// `events.jsonl` dump also parses (its rows get run key `-`). Rows from
-/// pre-per-loop dumps have no `loop` field and get `-`.
+/// `events.jsonl` dump also parses: its rows have no `run` or `loop`
+/// field and get `-`.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse(text: &str) -> Result<Vec<DeoptRow>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.contains("\"tag\"")) {
-            continue;
+    json::lines(text, |v| {
+        let tag = v.str("tag")?;
+        if !matches!(tag, "recompile" | "loop_invalidated" | "loop_repatched") {
+            return Ok(None);
         }
-        let tag = field(line, "tag").ok_or_else(|| format!("missing tag in line: {line}"))?;
-        if !matches!(
-            tag,
-            "site_stale" | "deopt" | "recompile" | "loop_invalidated" | "loop_repatched"
-        ) {
-            continue;
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            field(line, key)
-                .ok_or_else(|| format!("missing field {key} in line: {line}"))?
-                .parse()
-                .map_err(|e| format!("bad {key} in {line}: {e}"))
-        };
-        out.push(DeoptRow {
-            run: field(line, "run").unwrap_or("-").to_string(),
+        Ok(Some(DeoptRow {
+            run: v.opt_str("run", "-")?.to_string(),
             tag: tag.to_string(),
-            method: num("method")? as u32,
-            loop_header: field(line, "loop").unwrap_or("-").to_string(),
-            generation: num("generation")? as u32,
-            reason: field(line, "reason").unwrap_or("-").to_string(),
-            now: num("now")?,
-        });
-    }
-    Ok(out)
+            method: v.num("method")?,
+            loop_header: v.opt_str("loop", "-")?.to_string(),
+            generation: v.num("generation")?,
+            reason: v.opt_str("reason", "-")?.to_string(),
+            now: v.num("now")?,
+        }))
+    })
 }
 
 /// One cell's aggregated adaptive-reprofiling activity.
@@ -220,16 +148,11 @@ pub fn parse(text: &str) -> Result<Vec<DeoptRow>, String> {
 pub struct DeoptSummary {
     /// The run key, `workload/mode/processor`.
     pub run: String,
-    /// `SiteStale` verdicts observed (legacy whole-method staleness).
-    pub site_stale: u64,
-    /// Staleness verdicts (method- or loop-level) caused by a GC moving
-    /// objects.
+    /// Loop invalidations caused by a GC moving objects.
     pub gc_moved: u64,
-    /// Staleness verdicts caused by the useless-prefetch ratio.
+    /// Loop invalidations caused by the useless-prefetch ratio.
     pub useless_ratio: u64,
-    /// Whole-method deoptimizations (compiled body discarded).
-    pub deopts: u64,
-    /// Whole-method recompilations after re-inspection.
+    /// Whole-method recompilations.
     pub recompiles: u64,
     /// Per-loop invalidations (prefetch sites patched to no-ops, body
     /// kept live).
@@ -238,11 +161,9 @@ pub struct DeoptSummary {
     pub loop_repatched: u64,
     /// Distinct methods with at least one event.
     pub methods: u64,
-    /// Loops (keyed method+loop; whole-method events count as the `-`
-    /// pseudo-loop of their method) invalidated more often than
-    /// repatched — currently running with their prefetch sites patched
-    /// out. A nonzero count on a slow ADAPTIVE cell is the db-blow-up
-    /// signature.
+    /// Loops (keyed method+loop) invalidated more often than repatched —
+    /// currently running with their prefetch sites patched out. A nonzero
+    /// count on a slow ADAPTIVE cell is the db-blow-up signature.
     pub stranded: u64,
     /// Simulated cycle of the cell's first event.
     pub first_now: u64,
@@ -266,10 +187,8 @@ pub fn aggregate(rows: &[DeoptRow]) -> Vec<DeoptSummary> {
             let rs = &by_run[&run];
             let mut s = DeoptSummary {
                 run,
-                site_stale: 0,
                 gc_moved: 0,
                 useless_ratio: 0,
-                deopts: 0,
                 recompiles: 0,
                 loop_invalidated: 0,
                 loop_repatched: 0,
@@ -279,41 +198,27 @@ pub fn aggregate(rows: &[DeoptRow]) -> Vec<DeoptSummary> {
                 last_now: 0,
             };
             // (invalidations, repatches) per (method, loop), in key order.
-            // Whole-method deopt/recompile rows land on pseudo-loop `-`.
             let mut per_loop: BTreeMap<(u32, String), (u64, u64)> = BTreeMap::new();
             let mut methods: BTreeMap<u32, ()> = BTreeMap::new();
             for r in rs {
                 methods.insert(r.method, ());
                 let key = (r.method, r.loop_header.clone());
                 match r.tag.as_str() {
-                    "site_stale" => {
-                        s.site_stale += 1;
-                        per_loop.entry(key).or_default();
-                    }
-                    "deopt" => {
-                        s.deopts += 1;
-                        per_loop.entry(key).or_default().0 += 1;
-                    }
-                    "recompile" => {
-                        s.recompiles += 1;
-                        per_loop.entry(key).or_default().1 += 1;
-                    }
+                    "recompile" => s.recompiles += 1,
                     "loop_invalidated" => {
                         s.loop_invalidated += 1;
                         per_loop.entry(key).or_default().0 += 1;
+                        match r.reason.as_str() {
+                            "gc-moved" => s.gc_moved += 1,
+                            "useless-ratio" => s.useless_ratio += 1,
+                            _ => {}
+                        }
                     }
                     "loop_repatched" => {
                         s.loop_repatched += 1;
                         per_loop.entry(key).or_default().1 += 1;
                     }
                     _ => {}
-                }
-                if matches!(r.tag.as_str(), "site_stale" | "loop_invalidated") {
-                    match r.reason.as_str() {
-                        "gc-moved" => s.gc_moved += 1,
-                        "useless-ratio" => s.useless_ratio += 1,
-                        _ => {}
-                    }
                 }
                 s.first_now = s.first_now.min(r.now);
                 s.last_now = s.last_now.max(r.now);
@@ -333,28 +238,17 @@ pub fn render(summaries: &[DeoptSummary]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<36} {:>6} {:>9} {:>8} {:>7} {:>10} {:>9} {:>9} {:>8} {:>9}",
-        "run",
-        "stale",
-        "gc-moved",
-        "useless",
-        "deopts",
-        "recompiles",
-        "loop-inv",
-        "loop-rep",
-        "methods",
-        "stranded"
+        "{:<36} {:>9} {:>8} {:>10} {:>9} {:>9} {:>8} {:>9}",
+        "run", "gc-moved", "useless", "recompiles", "loop-inv", "loop-rep", "methods", "stranded"
     );
-    let mut t = [0u64; 8];
+    let mut t = [0u64; 6];
     for s in summaries {
         let _ = writeln!(
             out,
-            "{:<36} {:>6} {:>9} {:>8} {:>7} {:>10} {:>9} {:>9} {:>8} {:>9}{}",
+            "{:<36} {:>9} {:>8} {:>10} {:>9} {:>9} {:>8} {:>9}{}",
             s.run,
-            s.site_stale,
             s.gc_moved,
             s.useless_ratio,
-            s.deopts,
             s.recompiles,
             s.loop_invalidated,
             s.loop_repatched,
@@ -362,91 +256,26 @@ pub fn render(summaries: &[DeoptSummary]) -> String {
             s.stranded,
             if s.stranded > 0 { "  <- stranded" } else { "" },
         );
-        t[0] += s.site_stale;
-        t[1] += s.gc_moved;
-        t[2] += s.useless_ratio;
-        t[3] += s.deopts;
-        t[4] += s.recompiles;
-        t[5] += s.loop_invalidated;
-        t[6] += s.loop_repatched;
-        t[7] += s.stranded;
+        t[0] += s.gc_moved;
+        t[1] += s.useless_ratio;
+        t[2] += s.recompiles;
+        t[3] += s.loop_invalidated;
+        t[4] += s.loop_repatched;
+        t[5] += s.stranded;
     }
     let _ = writeln!(
         out,
-        "\ntotal: {} cell(s), {} stale ({} gc-moved, {} useless-ratio), \
-         {} deopt(s), {} recompile(s), {} loop invalidation(s), \
-         {} loop repatch(es), {} stranded loop(s)",
+        "\ntotal: {} cell(s), {} loop invalidation(s) ({} gc-moved, {} useless-ratio), \
+         {} loop repatch(es), {} recompile(s), {} stranded loop(s)",
         summaries.len(),
+        t[3],
         t[0],
         t[1],
-        t[2],
-        t[3],
         t[4],
+        t[2],
         t[5],
-        t[6],
-        t[7],
     );
     out
-}
-
-/// Reconciles the per-loop stranding counts of a `DEOPT_events.jsonl`
-/// aggregation against the per-mode `stranded` field of a
-/// `SERVE_summary.json`. The deopt run key is `workload/mode/processor`,
-/// so runs are bucketed by their middle component and each bucket's
-/// stranded-loop total is compared with the serve row of the same mode.
-/// Chaos rows (which carry `stranded_final`, not `stranded`) are ignored.
-/// Returns the report text and the number of mismatching modes.
-///
-/// # Errors
-///
-/// Returns a message when `serve_text` contains no mode rows (wrong
-/// file), or a row's `stranded` field is malformed.
-pub fn reconcile(summaries: &[DeoptSummary], serve_text: &str) -> Result<(String, u64), String> {
-    let mut serve: Vec<(String, u64)> = Vec::new();
-    for line in serve_text.lines() {
-        let line = line.trim();
-        // Mode rows carry `stranded`; chaos rows carry `stranded_final`
-        // and `post_p99_ratio_milli` instead.
-        if !line.contains("\"mode\"") || line.contains("\"post_p99_ratio_milli\"") {
-            continue;
-        }
-        let Some(mode) = field(line, "mode") else {
-            continue;
-        };
-        let Some(stranded) = field(line, "stranded") else {
-            continue;
-        };
-        let stranded: u64 = stranded
-            .parse()
-            .map_err(|e| format!("bad stranded in {line}: {e}"))?;
-        serve.push((mode.to_string(), stranded));
-    }
-    if serve.is_empty() {
-        return Err("not a SERVE_summary.json: no mode rows with a stranded field".to_string());
-    }
-    let mut out = String::new();
-    let mut mismatches = 0u64;
-    let _ = writeln!(out, "\nreconciliation against SERVE_summary.json:");
-    for (mode, serve_stranded) in &serve {
-        let trace_stranded: u64 = summaries
-            .iter()
-            .filter(|s| s.run.split('/').nth(1) == Some(mode))
-            .map(|s| s.stranded)
-            .sum();
-        let ok = trace_stranded == *serve_stranded;
-        if !ok {
-            mismatches += 1;
-        }
-        let _ = writeln!(
-            out,
-            "  {:<14} serve stranded {:>3}, trace stranded {:>3}  {}",
-            mode,
-            serve_stranded,
-            trace_stranded,
-            if ok { "OK" } else { "MISMATCH" },
-        );
-    }
-    Ok((out, mismatches))
 }
 
 #[cfg(test)]
@@ -476,6 +305,11 @@ mod tests {
                 reason: StaleReason::UselessRatio,
                 now: 900,
             },
+            TraceEvent::Recompile {
+                method: 5,
+                generation: 1,
+                now: 940,
+            },
             // An unrelated runtime event that must be filtered out.
             TraceEvent::SwpfIssued {
                 site: SiteId(0),
@@ -485,41 +319,17 @@ mod tests {
         ]
     }
 
-    fn legacy_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::SiteStale {
-                method: 2,
-                generation: 0,
-                reason: StaleReason::GcMoved,
-                now: 100,
-            },
-            TraceEvent::Deopt {
-                method: 2,
-                generation: 0,
-                now: 101,
-            },
-            TraceEvent::Recompile {
-                method: 2,
-                generation: 1,
-                now: 500,
-            },
-            TraceEvent::Deopt {
-                method: 5,
-                generation: 0,
-                now: 901,
-            },
-        ]
-    }
-
     #[test]
     fn rows_filter_the_adaptive_events() {
         let rs = rows("db/ADAPTIVE/Pentium 4", &sample_events());
-        assert_eq!(rs.len(), 3);
+        assert_eq!(rs.len(), 4);
         assert_eq!(rs[0].tag, "loop_invalidated");
         assert_eq!(rs[0].loop_header, "4");
         assert_eq!(rs[0].reason, "gc-moved");
         assert_eq!(rs[1].tag, "loop_repatched");
         assert_eq!(rs[1].generation, 1);
+        assert_eq!(rs[3].tag, "recompile");
+        assert_eq!(rs[3].loop_header, "-");
     }
 
     #[test]
@@ -539,8 +349,7 @@ mod tests {
 
     #[test]
     fn emit_parse_round_trip() {
-        let mut rs = rows("db/ADAPTIVE/Athlon MP", &sample_events());
-        rs.extend(rows("db/ADAPTIVE/Athlon MP", &legacy_events()));
+        let rs = rows("db/ADAPTIVE/Athlon MP", &sample_events());
         let parsed = parse(&emit(&rs)).unwrap();
         assert_eq!(parsed, rs);
     }
@@ -548,12 +357,15 @@ mod tests {
     #[test]
     fn parse_skips_foreign_tags_and_flags_bad_rows() {
         let text = "{\"tag\": \"swpf_issued\", \"site\": 0, \"line\": 64, \"now\": 1}\n\
-                    {\"tag\": \"deopt\", \"method\": 1, \"generation\": 0, \"now\": 9}\n";
+                    {\"tag\": \"recompile\", \"method\": 1, \"generation\": 1, \"now\": 9}\n";
         let rs = parse(text).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].run, "-", "events.jsonl rows have no run key");
-        assert_eq!(rs[0].loop_header, "-", "legacy rows have no loop field");
-        assert!(parse("{\"tag\": \"deopt\", \"method\": 1}").is_err());
+        assert_eq!(
+            rs[0].loop_header, "-",
+            "events.jsonl rows have no loop field"
+        );
+        assert!(parse("{\"tag\": \"recompile\", \"method\": 1}").is_err());
     }
 
     #[test]
@@ -564,21 +376,13 @@ mod tests {
         let s = &sums[0];
         assert_eq!(s.loop_invalidated, 2);
         assert_eq!(s.loop_repatched, 1);
+        assert_eq!(s.recompiles, 1);
         assert_eq!(s.gc_moved, 1);
         assert_eq!(s.useless_ratio, 1);
         assert_eq!(s.methods, 2);
         assert_eq!(s.stranded, 1, "loop 7 of method 5 never came back");
         assert_eq!(s.first_now, 100);
-        assert_eq!(s.last_now, 900);
-    }
-
-    #[test]
-    fn legacy_method_events_strand_on_the_pseudo_loop() {
-        let rs = rows("db/ADAPTIVE/Pentium 4", &legacy_events());
-        let s = &aggregate(&rs)[0];
-        assert_eq!(s.deopts, 2);
-        assert_eq!(s.recompiles, 1);
-        assert_eq!(s.stranded, 1, "method 5 deopted and never came back");
+        assert_eq!(s.last_now, 940);
     }
 
     #[test]
@@ -620,27 +424,6 @@ mod tests {
         let sums = aggregate(&rs);
         assert_eq!(sums[0].run, "b");
         assert_eq!(sums[1].run, "a");
-    }
-
-    #[test]
-    fn reconcile_matches_serve_stranded_by_mode() {
-        let rs = rows("db/ADAPTIVE/Pentium 4", &sample_events());
-        let sums = aggregate(&rs); // 1 stranded loop on ADAPTIVE
-        let serve = "{\"mode\": \"BASELINE\", \"stranded\": 0, \"checksum\": 1}\n\
-                     {\"mode\": \"ADAPTIVE\", \"stranded\": 1, \"checksum\": 1}\n\
-                     {\"mode\": \"ADAPTIVE\", \"stranded_final\": 9, \
-                      \"post_p99_ratio_milli\": 1000}\n";
-        let (text, mismatches) = reconcile(&sums, serve).unwrap();
-        assert_eq!(mismatches, 0, "{text}");
-        assert!(text.contains("ADAPTIVE"));
-        assert!(text.contains("OK"));
-
-        let bad = serve.replace("\"stranded\": 1", "\"stranded\": 5");
-        let (text, mismatches) = reconcile(&sums, &bad).unwrap();
-        assert_eq!(mismatches, 1);
-        assert!(text.contains("MISMATCH"), "{text}");
-
-        assert!(reconcile(&sums, "not json").is_err());
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl std::fmt::Display for SuppressReason {
     }
 }
 
-/// Why the adaptive-reprofiling guards declared a compiled method's
-/// prefetch sites stale.
+/// Why the adaptive-reprofiling guards declared a loop's prefetch sites
+/// stale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StaleReason {
     /// A sliding compaction moved objects since the method was compiled,
@@ -320,28 +320,7 @@ pub enum TraceEvent {
         now: u64,
     },
     // ---- adaptive reprofiling -----------------------------------------
-    /// The guards of a compiled method declared its prefetch sites stale.
-    SiteStale {
-        /// Method index in the program.
-        method: u32,
-        /// Generation that went stale.
-        generation: u32,
-        /// Why.
-        reason: StaleReason,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// The VM deoptimized a stale method back to the unprefetched
-    /// (interpreted) body.
-    Deopt {
-        /// Method index in the program.
-        method: u32,
-        /// Generation that was discarded.
-        generation: u32,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// A previously deoptimized method was recompiled after re-inspection.
+    /// A method whose compiled body was discarded was compiled again.
     Recompile {
         /// Method index in the program.
         method: u32,
@@ -513,8 +492,6 @@ impl TraceEvent {
             TraceEvent::HwPrefetchFill { .. } => "hw_prefetch_fill",
             TraceEvent::PrefetchUsed { .. } => "prefetch_used",
             TraceEvent::PrefetchEvicted { .. } => "prefetch_evicted",
-            TraceEvent::SiteStale { .. } => "site_stale",
-            TraceEvent::Deopt { .. } => "deopt",
             TraceEvent::Recompile { .. } => "recompile",
             TraceEvent::LoopInvalidated { .. } => "loop_invalidated",
             TraceEvent::LoopRepatched { .. } => "loop_repatched",
@@ -544,8 +521,6 @@ impl TraceEvent {
             | TraceEvent::HwPrefetchFill { now, .. }
             | TraceEvent::PrefetchUsed { now, .. }
             | TraceEvent::PrefetchEvicted { now, .. }
-            | TraceEvent::SiteStale { now, .. }
-            | TraceEvent::Deopt { now, .. }
             | TraceEvent::Recompile { now, .. }
             | TraceEvent::LoopInvalidated { now, .. }
             | TraceEvent::LoopRepatched { now, .. }

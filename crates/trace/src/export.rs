@@ -1,9 +1,5 @@
 //! Trace exporters: JSONL and Chrome `trace_event`.
 //!
-//! Both are hand-rolled (the build environment has no registry access, so
-//! serde is not available) and only promise to produce valid output for
-//! the event vocabulary of this crate.
-//!
 //! * [`events_jsonl`] writes one JSON object per event per line — the
 //!   archival format, trivially greppable and `jq`-able.
 //! * [`chrome_trace`] writes a JSON array in the Chrome `trace_event`
@@ -15,11 +11,8 @@
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
+use crate::json::Str;
 use crate::site::SiteTable;
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Appends the variant-specific fields of `ev` as `"key": value` pairs.
 fn fields(out: &mut String, ev: &TraceEvent) {
@@ -166,24 +159,7 @@ fn fields(out: &mut String, ev: &TraceEvent) {
                 site.0
             );
         }
-        TraceEvent::SiteStale {
-            method,
-            generation,
-            reason,
-            now,
-        } => {
-            let _ = write!(
-                out,
-                "\"method\": {method}, \"generation\": {generation}, \"reason\": \"{reason}\", \
-                 \"now\": {now}"
-            );
-        }
-        TraceEvent::Deopt {
-            method,
-            generation,
-            now,
-        }
-        | TraceEvent::Recompile {
+        TraceEvent::Recompile {
             method,
             generation,
             now,
@@ -349,7 +325,7 @@ pub fn events_jsonl(events: &[TraceEvent], sites: Option<&SiteTable>) -> String 
         let _ = write!(out, "{{\"tag\": \"{}\", ", ev.tag());
         fields(&mut out, ev);
         if let Some(at) = site_location(ev, sites) {
-            let _ = write!(out, ", \"at\": \"{}\"", escape(&at));
+            let _ = write!(out, ", \"at\": {}", Str(&at));
         }
         out.push_str("}\n");
     }
@@ -382,8 +358,8 @@ pub fn chrome_trace(events: &[TraceEvent], sites: Option<&SiteTable>) -> String 
         };
         let _ = write!(
             out,
-            "  {{\"name\": \"{}\", \"ph\": \"{ph}\", \"ts\": {ts}, ",
-            escape(&name)
+            "  {{\"name\": {}, \"ph\": \"{ph}\", \"ts\": {ts}, ",
+            Str(&name)
         );
         if let Some(dur) = dur {
             let _ = write!(out, "\"dur\": {dur}, ");

@@ -31,9 +31,11 @@
 //! * [`summary`] — a per-site summary record that round-trips through a
 //!   JSONL file, with a renderer and a differ (the `spf-trace-report`
 //!   CLI).
-//! * [`deopt`] — the per-cell Deopt/Recompile/SiteStale aggregation
+//! * [`deopt`] — the per-cell loop-invalidation/repatch aggregation
 //!   (`spf-trace-report deopt-summary`), the diagnostic entry point for
 //!   adaptive-mode cycle blow-ups.
+//! * [`json`] — the one JSON reader and string-literal writer every
+//!   artifact format of the workspace goes through.
 //!
 //! The crate is dependency-free on purpose: it sits below `spf-memsim` in
 //! the workspace graph, so events name IR entities by their raw indices.
@@ -42,6 +44,7 @@ pub mod attribution;
 pub mod deopt;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod sink;
 pub mod site;
 pub mod summary;

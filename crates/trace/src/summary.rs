@@ -1,13 +1,13 @@
 //! `TRACE_summary.jsonl` — the per-site effectiveness record of a traced
 //! run, and the rendering/diffing behind the `spf-trace-report` CLI.
 //!
-//! One JSON object per prefetch site per line. Emitter and parser are
-//! hand-rolled like `BENCH_matrix.json` and only promise to round-trip
-//! each other's output.
+//! One JSON object per prefetch site per line, read back through
+//! [`crate::json`].
 
 use std::fmt::Write as _;
 
 use crate::attribution::Attribution;
+use crate::json::{self, Str};
 use crate::site::{SiteKind, SiteTable};
 
 /// One prefetch site's effectiveness in one run.
@@ -118,28 +118,24 @@ pub fn rows(run: &str, attr: &Attribution, sites: &SiteTable) -> Vec<SummaryRow>
     out
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders rows as `TRACE_summary.jsonl` (one object per line).
 pub fn emit(rows: &[SummaryRow]) -> String {
     let mut s = String::new();
     for r in rows {
         let _ = writeln!(
             s,
-            "{{\"run\": \"{}\", \"site\": {}, \"method\": \"{}\", \"block\": {}, \
-             \"index\": {}, \"loop_header\": {}, \"kind\": \"{}\", \"generation\": {}, \
+            "{{\"run\": {}, \"site\": {}, \"method\": {}, \"block\": {}, \
+             \"index\": {}, \"loop_header\": {}, \"kind\": {}, \"generation\": {}, \
              \"issued\": {}, \
              \"useful\": {}, \"too_early\": {}, \"too_late\": {}, \"dropped\": {}, \
              \"guarded_issued\": {}, \"guarded_tlb_primed\": {}}}",
-            escape(&r.run),
+            Str(&r.run),
             r.site,
-            escape(&r.method),
+            Str(&r.method),
             r.block,
             r.index,
             r.loop_header,
-            escape(&r.kind),
+            Str(&r.kind),
             r.generation,
             r.issued,
             r.useful,
@@ -153,61 +149,32 @@ pub fn emit(rows: &[SummaryRow]) -> String {
     s
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// Parses a file produced by [`emit`] back into its rows.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse(text: &str) -> Result<Vec<SummaryRow>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.contains("\"run\"")) {
-            continue;
-        }
-        let get = |key: &str| {
-            field(line, key).ok_or_else(|| format!("missing field {key} in line: {line}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("bad {key} in {line}: {e}"))
-        };
-        out.push(SummaryRow {
-            run: get("run")?.to_string(),
-            site: num("site")? as u32,
-            method: get("method")?.to_string(),
-            block: num("block")? as u32,
-            index: num("index")? as u32,
-            loop_header: get("loop_header")?
-                .parse()
-                .map_err(|e| format!("bad loop_header in {line}: {e}"))?,
-            kind: get("kind")?.to_string(),
+    json::lines(text, |v| {
+        Ok(Some(SummaryRow {
+            run: v.str("run")?.to_string(),
+            site: v.num("site")?,
+            method: v.str("method")?.to_string(),
+            block: v.num("block")?,
+            index: v.num("index")?,
+            loop_header: v.num("loop_header")?,
+            kind: v.str("kind")?.to_string(),
             // Absent in summaries written before adaptive reprofiling.
-            generation: field(line, "generation")
-                .map_or(Ok(0), |v| v.parse())
-                .map_err(|e| format!("bad generation in {line}: {e}"))?,
-            issued: num("issued")?,
-            useful: num("useful")?,
-            too_early: num("too_early")?,
-            too_late: num("too_late")?,
-            dropped: num("dropped")?,
-            guarded_issued: num("guarded_issued")?,
-            guarded_tlb_primed: num("guarded_tlb_primed")?,
-        });
-    }
-    Ok(out)
+            generation: v.opt_num("generation", 0)?,
+            issued: v.num("issued")?,
+            useful: v.num("useful")?,
+            too_early: v.num("too_early")?,
+            too_late: v.num("too_late")?,
+            dropped: v.num("dropped")?,
+            guarded_issued: v.num("guarded_issued")?,
+            guarded_tlb_primed: v.num("guarded_tlb_primed")?,
+        }))
+    })
 }
 
 fn pct(part: u64, whole: u64) -> String {

@@ -258,16 +258,10 @@ fn adaptive_counters_reconcile_with_trace_events() {
 
     let events = vm.sink().snapshot();
     let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
-    let deopts = count(|e| matches!(e, TraceEvent::Deopt { .. }));
     let recompiles = count(|e| matches!(e, TraceEvent::Recompile { .. }));
     let invalidated = count(|e| matches!(e, TraceEvent::LoopInvalidated { .. }));
     let repatched = count(|e| matches!(e, TraceEvent::LoopRepatched { .. }));
-    assert_eq!(
-        deopts,
-        vm.stats().deopts,
-        "one Deopt event per counted deopt"
-    );
-    assert_eq!(deopts, 0, "whole-method deopts are gone");
+    assert_eq!(vm.stats().deopts, 0, "whole-method deopts are gone");
     assert_eq!(
         recompiles,
         vm.stats().recompiles,

@@ -57,10 +57,6 @@ fn fault_runs_degrade_then_recover() {
     let recovery = faults::verify_recovery(&plan, &chaos, cfg.slot_cycles, &base, &fault, &nofault)
         .expect("recovery invariants");
     assert_eq!(recovery.stranded_final, 0);
-
-    // The plan itself round-trips through its JSON artifact.
-    let reparsed = faults::parse(&faults::emit(&plan)).expect("plan round trip");
-    assert_eq!(reparsed, plan);
 }
 
 #[test]
