@@ -16,7 +16,7 @@ use crate::Finding;
 
 /// Flags every use of a register that is not definitely assigned on all
 /// paths reaching it. Unreachable blocks are skipped: the VM never executes
-/// them, and inliner/unroller leftovers routinely contain dangling code.
+/// them.
 pub fn check(func: &Function, cfg: &Cfg) -> Vec<Finding> {
     let bits = func.reg_count();
     let mut entry = BitSet::new(bits);

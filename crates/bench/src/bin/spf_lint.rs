@@ -12,8 +12,8 @@
 //! against the structural verifier ([`spf_ir::verify::verify_all`]) and the
 //! full static lint. Then, for every prefetch mode × simulated processor,
 //! the workload is warmed up so the JIT compiles its hot methods, and each
-//! *compiled* body — after inlining, unrolling, DCE, and prefetch insertion
-//! — is linted again with the guarded-policy discipline resolved for that
+//! *compiled* body — after folding, DCE, and prefetch insertion — is
+//! linted again with the guarded-policy discipline resolved for that
 //! processor. Under the modes that carry adaptive guards (ADAPTIVE,
 //! STATIC-FIRST) every compilation *generation* is linted
 //! (deoptimized-and-recompiled bodies included), not just the bodies still

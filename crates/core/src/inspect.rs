@@ -21,12 +21,11 @@
 use std::collections::{HashMap, HashSet};
 
 use spf_heap::{
-    static_addr, Addr, Heap, HeapRead, Value, ARRAY_DATA_OFFSET, NULL, PRIVATE_HEAP_BASE,
+    apply_bin, apply_cmp, apply_conv, apply_un, static_addr, Addr, Heap, HeapRead, Value,
+    ARRAY_DATA_OFFSET, NULL, PRIVATE_HEAP_BASE,
 };
 use spf_ir::loops::{LoopForest, LoopId};
-use spf_ir::{
-    BinOp, BlockId, CmpOp, Conv, ElemTy, Function, Instr, InstrRef, Program, Terminator, UnOp,
-};
+use spf_ir::{BlockId, ElemTy, Function, Instr, InstrRef, Program, Terminator};
 
 use crate::options::PrefetchOptions;
 
@@ -191,7 +190,6 @@ impl<'a> Inspector<'a> {
                     &mut shadow,
                     &mut private,
                     &mut result,
-                    0,
                 );
             }
 
@@ -234,7 +232,6 @@ impl<'a> Inspector<'a> {
         shadow: &mut HashMap<Addr, Option<Value>>,
         private: &mut Heap,
         result: &mut InspectionResult,
-        depth: u32,
     ) {
         let record_addr = |addr: Addr, result: &mut InspectionResult| {
             if in_target && record.contains(&site) {
@@ -244,31 +241,26 @@ impl<'a> Inspector<'a> {
         };
         match instr {
             Instr::Const { dst, value } => {
-                regs[dst.index()] = Some(match value {
-                    spf_ir::Const::I32(v) => Value::I32(*v),
-                    spf_ir::Const::I64(v) => Value::I64(*v),
-                    spf_ir::Const::F64(v) => Value::F64(*v),
-                    spf_ir::Const::Null => Value::Ref(NULL),
-                });
+                regs[dst.index()] = Some(Value::from(*value));
             }
             Instr::Move { dst, src } => regs[dst.index()] = regs[src.index()],
             Instr::Bin { dst, op, a, b } => {
                 regs[dst.index()] = match (regs[a.index()], regs[b.index()]) {
-                    (Some(x), Some(y)) => eval_bin(*op, x, y),
+                    (Some(x), Some(y)) => apply_bin(*op, x, y),
                     _ => None,
                 };
             }
             Instr::Un { dst, op, src } => {
-                regs[dst.index()] = regs[src.index()].and_then(|v| eval_un(*op, v));
+                regs[dst.index()] = regs[src.index()].and_then(|v| apply_un(*op, v));
             }
             Instr::Cmp { dst, op, a, b } => {
                 regs[dst.index()] = match (regs[a.index()], regs[b.index()]) {
-                    (Some(x), Some(y)) => eval_cmp(*op, x, y).map(Value::I32),
+                    (Some(x), Some(y)) => apply_cmp(*op, x, y).map(Value::I32),
                     _ => None,
                 };
             }
             Instr::Convert { dst, conv, src } => {
-                regs[dst.index()] = regs[src.index()].map(|v| eval_conv(*conv, v));
+                regs[dst.index()] = regs[src.index()].and_then(|v| apply_conv(*conv, v));
             }
             Instr::GetField { dst, obj, field } => {
                 regs[dst.index()] = match regs[obj.index()] {
@@ -356,81 +348,15 @@ impl<'a> Inspector<'a> {
                     _ => None,
                 };
             }
-            Instr::Call { dst, callee, args } => {
+            Instr::Call { dst, .. } => {
                 // §3.2: "we interpret a method invocation by simply skipping
                 // it and assuming that the return value, if any, is unknown".
-                // With `inspect_calls` (the inter-procedural variant the
-                // paper discusses as a trade-off) we step into the callee
-                // instead, still side-effect-free and budget-bounded.
-                let mut ret = None;
-                if self.options.inspect_calls && depth < self.options.max_call_depth {
-                    let argv: Vec<Option<Value>> = args.iter().map(|r| regs[r.index()]).collect();
-                    ret = self.run_callee(*callee, argv, shadow, private, result, depth + 1);
-                }
                 if let Some(d) = dst {
-                    regs[d.index()] = ret;
+                    regs[d.index()] = None;
                 }
             }
             Instr::Prefetch { .. } => {}
             Instr::SpecLoad { dst, .. } => regs[dst.index()] = None,
-        }
-    }
-
-    /// Interprets a callee to completion (inter-procedural inspection).
-    /// Shares the shadow table and private heap with the caller; records
-    /// nothing (instruction sites are function-local). Returns the callee's
-    /// return value when known.
-    fn run_callee(
-        &self,
-        callee: spf_ir::MethodId,
-        args: Vec<Option<Value>>,
-        shadow: &mut HashMap<Addr, Option<Value>>,
-        private: &mut Heap,
-        result: &mut InspectionResult,
-        depth: u32,
-    ) -> Option<Value> {
-        let func = self.program.method(callee).func();
-        if func.param_count() != args.len() {
-            return None;
-        }
-        let mut regs: Vec<Option<Value>> = vec![None; func.reg_count()];
-        regs[..args.len()].copy_from_slice(&args);
-        let empty = HashSet::new();
-        let mut cur = func.entry();
-        loop {
-            let block = func.block(cur);
-            for (i, instr) in block.instrs.iter().enumerate() {
-                result.steps += 1;
-                if result.steps > self.options.max_inspect_steps {
-                    result.hit_step_budget = true;
-                    return None;
-                }
-                let site = InstrRef::new(cur, i);
-                self.step(
-                    instr, site, false, &empty, &mut regs, shadow, private, result, depth,
-                );
-            }
-            match &block.term {
-                Terminator::Jump(t) => cur = *t,
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    cur = match regs[cond.index()] {
-                        Some(Value::I32(v)) => {
-                            if v != 0 {
-                                *then_bb
-                            } else {
-                                *else_bb
-                            }
-                        }
-                        _ => *then_bb,
-                    };
-                }
-                Terminator::Return(v) => return v.and_then(|r| regs[r.index()]),
-                Terminator::Unreachable => return None,
-            }
         }
     }
 
@@ -510,107 +436,6 @@ impl<'a> Inspector<'a> {
                 }
             }
         }
-    }
-}
-
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Option<Value> {
-    Some(match (a, b) {
-        (Value::I32(x), Value::I32(y)) => Value::I32(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u32).wrapping_shr(y as u32)) as i32,
-        }),
-        (Value::I64(x), Value::I64(y)) => Value::I64(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u64).wrapping_shr(y as u32)) as i64,
-        }),
-        (Value::F64(x), Value::F64(y)) => Value::F64(match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            _ => return None,
-        }),
-        _ => return None,
-    })
-}
-
-fn eval_un(op: UnOp, v: Value) -> Option<Value> {
-    Some(match (op, v) {
-        (UnOp::Neg, Value::I32(x)) => Value::I32(x.wrapping_neg()),
-        (UnOp::Neg, Value::I64(x)) => Value::I64(x.wrapping_neg()),
-        (UnOp::Neg, Value::F64(x)) => Value::F64(-x),
-        (UnOp::Not, Value::I32(x)) => Value::I32(!x),
-        (UnOp::Not, Value::I64(x)) => Value::I64(!x),
-        _ => return None,
-    })
-}
-
-fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Option<i32> {
-    let ord = match (a, b) {
-        (Value::I32(x), Value::I32(y)) => x.partial_cmp(&y),
-        (Value::I64(x), Value::I64(y)) => x.partial_cmp(&y),
-        (Value::F64(x), Value::F64(y)) => x.partial_cmp(&y),
-        (Value::Ref(x), Value::Ref(y)) => x.partial_cmp(&y),
-        _ => None,
-    }?;
-    let r = match op {
-        CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-        CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-        CmpOp::Lt => ord == std::cmp::Ordering::Less,
-        CmpOp::Le => ord != std::cmp::Ordering::Greater,
-        CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-        CmpOp::Ge => ord != std::cmp::Ordering::Less,
-    };
-    Some(r as i32)
-}
-
-fn eval_conv(conv: Conv, v: Value) -> Value {
-    match (conv, v) {
-        (Conv::I32ToI64, Value::I32(x)) => Value::I64(x as i64),
-        (Conv::I64ToI32, Value::I64(x)) => Value::I32(x as i32),
-        (Conv::I32ToF64, Value::I32(x)) => Value::F64(x as f64),
-        (Conv::F64ToI32, Value::F64(x)) => Value::I32(x as i32),
-        (Conv::I64ToF64, Value::I64(x)) => Value::F64(x as f64),
-        (Conv::F64ToI64, Value::F64(x)) => Value::I64(x as i64),
-        _ => v,
     }
 }
 
@@ -992,10 +817,8 @@ mod interprocedural_tests {
     use spf_ir::{CmpOp, ProgramBuilder, Ty};
 
     /// A loop whose element loads go through a helper call:
-    /// `node = get(arr, i); v = node.data`. Without inter-procedural
-    /// inspection the node reference is unknown and no addresses are
-    /// recorded; with `inspect_calls` the helper is interpreted and the
-    /// getfield's stride is visible.
+    /// `node = get(arr, i); v = node.data`. The call is skipped, so the
+    /// node reference is unknown and no addresses are recorded.
     fn fixture() -> (Program, spf_ir::MethodId, Heap, Addr) {
         let mut pb = ProgramBuilder::new();
         let (ncls, nf) = pb.add_class("N", &[("data", ElemTy::I32), ("pad", ElemTy::I64)]);
@@ -1061,67 +884,5 @@ mod interprocedural_tests {
             !res.traces.contains_key(&gf.unwrap()),
             "call result unknown -> no addresses recorded"
         );
-    }
-
-    #[test]
-    fn stepping_into_calls_reveals_strides() {
-        let opts = PrefetchOptions {
-            inspect_calls: true,
-            ..PrefetchOptions::default()
-        };
-        let (res, gf) = inspect(&opts);
-        let trace = res.traces.get(&gf.unwrap()).expect("addresses recorded");
-        assert_eq!(trace.len(), 20);
-        let node_size = 32; // header 16 + i32 (pad to 8) + i64
-        for w in trace.windows(2) {
-            assert_eq!(w[1].1 - w[0].1, node_size, "constant stride visible");
-        }
-    }
-
-    #[test]
-    fn recursion_is_depth_bounded() {
-        // A recursive callee: inspection must terminate within budget.
-        let mut pb = ProgramBuilder::new();
-        let rec = pb.declare("rec", &[Ty::I32], Some(Ty::I32));
-        {
-            let mut b = pb.define(rec);
-            let n = b.param(0);
-            let z = b.const_i32(0);
-            let stop = b.le(n, z);
-            b.if_(stop, |b| b.ret(Some(n)));
-            let one = b.const_i32(1);
-            let n1 = b.sub(n, one);
-            let r = b.call(rec, &[n1]);
-            b.ret(Some(r));
-            b.finish();
-        }
-        let mut b = pb.function("driver", &[Ty::I32], None);
-        let n = b.param(0);
-        b.for_i32(
-            0,
-            1,
-            CmpOp::Lt,
-            |_| n,
-            |b, i| {
-                let _ = b.call(rec, &[i]);
-            },
-        );
-        let driver = b.finish();
-        let program = pb.finish();
-        let layout = Layout::compute(&program);
-        let heap = Heap::new(layout, 1 << 12);
-        let func = program.method(driver).func();
-        let cfg = Cfg::compute(func);
-        let dom = DomTree::compute(func, &cfg);
-        let forest = LoopForest::compute(func, &cfg, &dom);
-        let opts = PrefetchOptions {
-            inspect_calls: true,
-            max_call_depth: 3,
-            ..PrefetchOptions::default()
-        };
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, &opts);
-        let res = insp.run(&[Value::I32(1000)], forest.roots()[0], &HashSet::new());
-        assert!(res.steps <= opts.max_inspect_steps + 1);
-        assert_eq!(res.iterations, 20, "driver loop still inspected");
     }
 }

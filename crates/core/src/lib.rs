@@ -72,15 +72,10 @@
 //! );
 //! assert!(outcome.report.total_prefetches > 0);
 //! ```
-//!
-//! [`offline`] implements the off-line stride-profiling discovery of Wu et
-//! al. as an ablation: the same code generator driven by an instrumented
-//! address trace instead of object inspection.
 
 pub mod codegen;
 pub mod inspect;
 pub mod ldg;
-pub mod offline;
 pub mod options;
 pub mod pipeline;
 pub mod profit;

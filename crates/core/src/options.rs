@@ -92,14 +92,6 @@ pub struct PrefetchOptions {
     pub small_trip_threshold: f64,
     /// How prefetches are mapped to hardware instructions (§3.3).
     pub guarded_policy: GuardedPolicy,
-    /// Inter-procedural object inspection: step into directly called
-    /// methods instead of skipping them (§3.2 discusses this as a
-    /// trade-off: "it would increase the compilation time, requiring the
-    /// trade-off to be carefully assessed"). Off by default, as in the
-    /// paper.
-    pub inspect_calls: bool,
-    /// Recursion-depth cap when `inspect_calls` is enabled.
-    pub max_call_depth: u32,
     /// Whether the profitability analysis runs (ablation knob; the paper
     /// always enables it).
     pub profitability: bool,
@@ -116,8 +108,6 @@ impl Default for PrefetchOptions {
             max_inspect_steps: 50_000,
             small_trip_threshold: 16.0,
             guarded_policy: GuardedPolicy::Auto,
-            inspect_calls: false,
-            max_call_depth: 4,
             profitability: true,
         }
     }

@@ -52,4 +52,4 @@ pub use heap::{
     STATICS_BASE,
 };
 pub use layout::{Layout, ARRAY_DATA_OFFSET, OBJECT_HEADER_SIZE};
-pub use value::{Addr, Value, NULL};
+pub use value::{apply_bin, apply_cmp, apply_conv, apply_un, Addr, Value, NULL};

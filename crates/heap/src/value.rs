@@ -1,4 +1,7 @@
-//! Runtime values and simulated addresses.
+//! Runtime values, simulated addresses, and the scalar semantics of the
+//! IR's arithmetic, comparison and conversion instructions.
+
+use spf_ir::{BinOp, CmpOp, Const, Conv, UnOp};
 
 /// A simulated 64-bit address. `0` is the null reference ([`NULL`]).
 pub type Addr = u64;
@@ -87,6 +90,132 @@ impl Value {
             other => panic!("expected ref, got {other:?}"),
         }
     }
+}
+
+impl From<Const> for Value {
+    fn from(c: Const) -> Value {
+        match c {
+            Const::I32(v) => Value::I32(v),
+            Const::I64(v) => Value::I64(v),
+            Const::F64(v) => Value::F64(v),
+            Const::Null => Value::Ref(NULL),
+        }
+    }
+}
+
+impl Value {
+    /// The constant that spells this value; a non-null reference has none.
+    pub fn as_const(self) -> Option<Const> {
+        match self {
+            Value::I32(v) => Some(Const::I32(v)),
+            Value::I64(v) => Some(Const::I64(v)),
+            Value::F64(v) => Some(Const::F64(v)),
+            Value::Ref(NULL) => Some(Const::Null),
+            Value::Ref(_) => None,
+        }
+    }
+}
+
+// The four evaluators below are the only statement of what `Bin`, `Un`,
+// `Cmp` and `Convert` compute: the interpreter's handlers, object
+// inspection and the constant folder all call them. Integer arithmetic
+// wraps as in Java (`MIN / -1 == MIN`, `MIN % -1 == 0`, shift counts are
+// taken modulo the width). Each returns `None` only for a zero integer
+// divisor or for operand types the verifier rejects.
+
+/// `a op b`.
+#[inline(always)]
+pub fn apply_bin(op: BinOp, a: Value, b: Value) -> Option<Value> {
+    Some(match (a, b) {
+        (Value::I32(x), Value::I32(y)) => Value::I32(match op {
+            BinOp::Div | BinOp::Rem if y == 0 => return None,
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem => x.wrapping_rem(y),
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::Shr => x.wrapping_shr(y as u32),
+            BinOp::UShr => ((x as u32).wrapping_shr(y as u32)) as i32,
+        }),
+        (Value::I64(x), Value::I64(y)) => Value::I64(match op {
+            BinOp::Div | BinOp::Rem if y == 0 => return None,
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem => x.wrapping_rem(y),
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::Shr => x.wrapping_shr(y as u32),
+            BinOp::UShr => ((x as u64).wrapping_shr(y as u32)) as i64,
+        }),
+        (Value::F64(x), Value::F64(y)) => Value::F64(match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+            _ => return None,
+        }),
+        _ => return None,
+    })
+}
+
+/// `op v`.
+#[inline(always)]
+pub fn apply_un(op: UnOp, v: Value) -> Option<Value> {
+    Some(match (op, v) {
+        (UnOp::Neg, Value::I32(x)) => Value::I32(x.wrapping_neg()),
+        (UnOp::Neg, Value::I64(x)) => Value::I64(x.wrapping_neg()),
+        (UnOp::Neg, Value::F64(x)) => Value::F64(-x),
+        (UnOp::Not, Value::I32(x)) => Value::I32(!x),
+        (UnOp::Not, Value::I64(x)) => Value::I64(!x),
+        _ => return None,
+    })
+}
+
+/// `a op b` as the 0/1 flag a `Cmp` writes. A comparison with a NaN
+/// operand is unordered: false for every operator except `Ne`.
+#[inline(always)]
+pub fn apply_cmp(op: CmpOp, a: Value, b: Value) -> Option<i32> {
+    let ord = match (a, b) {
+        (Value::I32(x), Value::I32(y)) => x.partial_cmp(&y),
+        (Value::I64(x), Value::I64(y)) => x.partial_cmp(&y),
+        (Value::F64(x), Value::F64(y)) => x.partial_cmp(&y),
+        (Value::Ref(x), Value::Ref(y)) => x.partial_cmp(&y),
+        _ => return None,
+    };
+    let Some(ord) = ord else {
+        return Some(matches!(op, CmpOp::Ne) as i32);
+    };
+    use std::cmp::Ordering::*;
+    Some(match op {
+        CmpOp::Eq => ord == Equal,
+        CmpOp::Ne => ord != Equal,
+        CmpOp::Lt => ord == Less,
+        CmpOp::Le => ord != Greater,
+        CmpOp::Gt => ord == Greater,
+        CmpOp::Ge => ord != Less,
+    } as i32)
+}
+
+/// `v` converted by `conv` (float to integer saturates, NaN becomes 0).
+#[inline(always)]
+pub fn apply_conv(conv: Conv, v: Value) -> Option<Value> {
+    Some(match (conv, v) {
+        (Conv::I32ToI64, Value::I32(x)) => Value::I64(x as i64),
+        (Conv::I64ToI32, Value::I64(x)) => Value::I32(x as i32),
+        (Conv::I32ToF64, Value::I32(x)) => Value::F64(x as f64),
+        (Conv::F64ToI32, Value::F64(x)) => Value::I32(x as i32),
+        (Conv::I64ToF64, Value::I64(x)) => Value::F64(x as f64),
+        (Conv::F64ToI64, Value::F64(x)) => Value::I64(x as i64),
+        _ => return None,
+    })
 }
 
 impl std::fmt::Display for Value {

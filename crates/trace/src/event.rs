@@ -506,36 +506,6 @@ impl TraceEvent {
             TraceEvent::GcSlide { .. } => "gc_slide",
         }
     }
-
-    /// The simulated cycle of a runtime event (`None` for compile-time
-    /// events, which are not on the simulated clock).
-    pub fn now(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::DemandMiss { now, .. }
-            | TraceEvent::SwpfIssued { now, .. }
-            | TraceEvent::SwpfDropped { now, .. }
-            | TraceEvent::SwpfFill { now, .. }
-            | TraceEvent::SwpfRedundant { now, .. }
-            | TraceEvent::GuardedIssued { now, .. }
-            | TraceEvent::GuardedFill { now, .. }
-            | TraceEvent::HwPrefetchFill { now, .. }
-            | TraceEvent::PrefetchUsed { now, .. }
-            | TraceEvent::PrefetchEvicted { now, .. }
-            | TraceEvent::Recompile { now, .. }
-            | TraceEvent::LoopInvalidated { now, .. }
-            | TraceEvent::LoopRepatched { now, .. }
-            | TraceEvent::CompileEnqueued { now, .. }
-            | TraceEvent::CompileInstalled { now, .. }
-            | TraceEvent::CodeCacheEvicted { now, .. }
-            | TraceEvent::RequestCompleted { now, .. }
-            | TraceEvent::FaultInjected { now, .. }
-            | TraceEvent::RequestShed { now, .. }
-            | TraceEvent::CompileRetried { now, .. }
-            | TraceEvent::GuardRearmed { now, .. }
-            | TraceEvent::GcSlide { now, .. } => Some(now),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -552,19 +522,5 @@ mod tests {
     fn events_stay_small() {
         // The ring buffer stores events by value; keep them cache-friendly.
         const { assert!(std::mem::size_of::<TraceEvent>() <= 40) };
-    }
-
-    #[test]
-    fn now_distinguishes_compile_and_runtime() {
-        assert_eq!(TraceEvent::JitBegin { method: 0 }.now(), None);
-        assert_eq!(
-            TraceEvent::SwpfIssued {
-                site: SiteId(0),
-                line: 0,
-                now: 7
-            }
-            .now(),
-            Some(7)
-        );
     }
 }

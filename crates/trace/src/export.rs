@@ -1,12 +1,5 @@
-//! Trace exporters: JSONL and Chrome `trace_event`.
-//!
-//! * [`events_jsonl`] writes one JSON object per event per line — the
-//!   archival format, trivially greppable and `jq`-able.
-//! * [`chrome_trace`] writes a JSON array in the Chrome `trace_event`
-//!   format (load `chrome://tracing` or Perfetto and drop the file in).
-//!   Runtime events become instant events on the simulated-cycle
-//!   timeline; fills become duration events spanning issue→ready;
-//!   compile-time events sit on their own track at timestamp 0.
+//! The trace exporter: [`events_jsonl`] writes one JSON object per event
+//! per line — the archival format, trivially greppable and `jq`-able.
 
 use std::fmt::Write as _;
 
@@ -332,50 +325,6 @@ pub fn events_jsonl(events: &[TraceEvent], sites: Option<&SiteTable>) -> String 
     out
 }
 
-/// Renders events in the Chrome `trace_event` JSON array format.
-///
-/// Simulated cycles are mapped 1:1 to trace microseconds. Fill events get
-/// a duration (`ph: "X"`) spanning issue to completion; other runtime
-/// events are instants (`ph: "i"`); compile-time events are instants at
-/// timestamp 0 on a separate "compile" thread.
-pub fn chrome_trace(events: &[TraceEvent], sites: Option<&SiteTable>) -> String {
-    let mut out = String::from("[\n");
-    for (i, ev) in events.iter().enumerate() {
-        let name = match site_location(ev, sites) {
-            Some(at) => format!("{} {}", ev.tag(), at),
-            None => ev.tag().to_string(),
-        };
-        let (ph, ts, dur, tid) = match *ev {
-            TraceEvent::SwpfFill { now, ready_at, .. }
-            | TraceEvent::GuardedFill { now, ready_at, .. }
-            | TraceEvent::HwPrefetchFill { now, ready_at, .. } => {
-                ("X", now, Some(ready_at.saturating_sub(now)), 0)
-            }
-            _ => match ev.now() {
-                Some(now) => ("i", now, None, 0),
-                None => ("i", 0, None, 1),
-            },
-        };
-        let _ = write!(
-            out,
-            "  {{\"name\": {}, \"ph\": \"{ph}\", \"ts\": {ts}, ",
-            Str(&name)
-        );
-        if let Some(dur) = dur {
-            let _ = write!(out, "\"dur\": {dur}, ");
-        }
-        if ph == "i" {
-            out.push_str("\"s\": \"t\", ");
-        }
-        let _ = write!(out, "\"pid\": 0, \"tid\": {tid}, \"args\": {{");
-        fields(&mut out, ev);
-        out.push_str("}}");
-        out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,19 +385,5 @@ mod tests {
         ));
         let text = events_jsonl(&sample(), Some(&sites));
         assert!(text.contains("\"at\": \"findInMemory@b4.1\""));
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let text = chrome_trace(&sample(), None);
-        assert!(text.starts_with("[\n") && text.ends_with("]\n"));
-        assert!(text.contains("\"ph\": \"X\""), "fills become durations");
-        assert!(text.contains("\"dur\": 200"));
-        assert!(text.contains("\"tid\": 1"), "compile events on own track");
-        // Every event line but the last must end with a comma.
-        let body: Vec<&str> = text.lines().filter(|l| l.contains("\"ph\"")).collect();
-        assert_eq!(body.len(), 5);
-        assert!(body[..4].iter().all(|l| l.ends_with(',')));
-        assert!(!body[4].ends_with(','));
     }
 }

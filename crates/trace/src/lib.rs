@@ -27,7 +27,7 @@
 //!   prefetch into exactly one of **useful / too-early / too-late /
 //!   dropped**, per site — the paper's Figure 8 breakdown, but per
 //!   prefetch site instead of per run.
-//! * [`export`] — JSONL and Chrome `trace_event` exporters.
+//! * [`export`] — the JSONL event exporter.
 //! * [`summary`] — a per-site summary record that round-trips through a
 //!   JSONL file, with a renderer and a differ (the `spf-trace-report`
 //!   CLI).

@@ -178,8 +178,11 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.total(), 5);
         assert_eq!(r.overwritten(), 2);
-        let nows: Vec<u64> = r.events().iter().filter_map(|e| e.now()).collect();
-        assert_eq!(nows, vec![2, 3, 4], "oldest events were overwritten");
+        assert_eq!(
+            r.events(),
+            [ev(2), ev(3), ev(4)],
+            "oldest events were overwritten"
+        );
     }
 
     #[test]
@@ -188,8 +191,7 @@ mod tests {
         for n in 0..3 {
             r.emit(ev(n));
         }
-        let nows: Vec<u64> = r.events().iter().filter_map(|e| e.now()).collect();
-        assert_eq!(nows, vec![0, 1, 2]);
+        assert_eq!(r.events(), [ev(0), ev(1), ev(2)]);
         assert_eq!(r.overwritten(), 0);
     }
 

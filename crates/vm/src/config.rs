@@ -49,19 +49,8 @@ pub struct VmConfig {
     pub interp_cost_multiplier: u64,
     /// The prefetching configuration used at JIT compilation.
     pub prefetch: PrefetchOptions,
-    /// Record an off-line address profile of every load (Wu et al.
-    /// ablation). Expensive; off by default.
-    pub collect_offline_profile: bool,
     /// Maximum call-stack depth.
     pub max_stack_depth: usize,
-    /// Inline small non-recursive callees before optimizing (the paper's
-    /// JIT inlines; off by default so the figure experiments match the
-    /// documented workload structure).
-    pub inline_small_methods: bool,
-    /// Unroll innermost loops this many times before optimizing (1 = off).
-    /// The paper's §3.3 suggests unrolling to stretch the effective
-    /// prefetch scheduling distance; an ablation knob here.
-    pub unroll_factor: u32,
     /// Adaptive-reprofiling thresholds (only consulted when
     /// `prefetch.mode` is [`spf_core::PrefetchMode::Adaptive`]).
     pub adapt: AdaptConfig,
@@ -94,10 +83,7 @@ impl Default for VmConfig {
             compile_threshold: 2,
             interp_cost_multiplier: 10,
             prefetch: PrefetchOptions::default(),
-            collect_offline_profile: false,
             max_stack_depth: 4096,
-            inline_small_methods: false,
-            unroll_factor: 1,
             adapt: AdaptConfig::default(),
             fuse_superinstructions: true,
             async_compile: false,

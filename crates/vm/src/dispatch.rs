@@ -9,7 +9,7 @@
 //! bit-identical to executing the two ops singly. The only thing that
 //! changes is host-side work per simulated instruction.
 
-use spf_heap::{Value, ARRAY_DATA_OFFSET, NULL};
+use spf_heap::{apply_bin, apply_cmp, apply_conv, apply_un, Value, ARRAY_DATA_OFFSET, NULL};
 use spf_ir::{
     packed::{self as packed, unpack_reg_pair},
     BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, UnOp,
@@ -193,11 +193,13 @@ fn do_bin<S: TraceSink>(
     site: u64,
 ) -> bool {
     let (x, y) = (ctx.reg(ra), ctx.reg(rb));
-    match exec_bin(BinOp::from_code(code), x, y) {
+    match apply_bin(BinOp::from_code(code), x, y) {
         Some(v) => {
             ctx.set_reg(dst, v);
             true
         }
+        // Bodies are verified, so operand types agree and `None` can only
+        // be a zero divisor.
         None => fail(
             vm,
             ctx,
@@ -211,7 +213,8 @@ fn do_bin<S: TraceSink>(
 #[inline(always)]
 fn do_cmp(ctx: &mut Ctx, dst: u32, code: u8, ra: u32, rb: u32) -> i32 {
     let (x, y) = (ctx.reg(ra), ctx.reg(rb));
-    let flag = exec_cmp(CmpOp::from_code(code), x, y);
+    let flag =
+        apply_cmp(CmpOp::from_code(code), x, y).expect("verifier rejects mixed-type compares");
     ctx.set_reg(dst, Value::I32(flag));
     flag
 }
@@ -250,12 +253,6 @@ fn do_getfield<S: TraceSink>(
     let addr = a + off;
     let lat = vm.mem.load(addr, ctx.cycles);
     ctx.cycles += lat;
-    if vm.config.collect_offline_profile {
-        vm.offline
-            .entry(ctx.cur_mid)
-            .or_default()
-            .record(InstrRef::unpack(site), addr);
-    }
     let v = match vm.heap.read(addr, ty) {
         Ok(v) => v,
         Err(_) => return fail(vm, ctx, VmError::BadAccess { addr }),
@@ -300,12 +297,6 @@ fn do_aload<S: TraceSink>(
     let addr = a + ARRAY_DATA_OFFSET + i as u64 * elem.size();
     let lat = vm.mem.load(addr, ctx.cycles);
     ctx.cycles += lat;
-    if vm.config.collect_offline_profile {
-        vm.offline
-            .entry(ctx.cur_mid)
-            .or_default()
-            .record(InstrRef::unpack(site), addr);
-    }
     let v = match vm.heap.read(addr, elem) {
         Ok(v) => v,
         Err(_) => return fail(vm, ctx, VmError::BadAccess { addr }),
@@ -477,7 +468,7 @@ pub(crate) fn h_un<S: TraceSink, const U: u8>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v = exec_un(UnOp::from_code(U), ctx.reg(op.b));
+    let v = apply_un(UnOp::from_code(U), ctx.reg(op.b)).expect("verifier rejects other unops");
     ctx.set_reg(op.a, v);
     Step::Next
 }
@@ -500,7 +491,8 @@ pub(crate) fn h_convert<S: TraceSink, const C: u8>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v = exec_conv(Conv::from_code(C), ctx.reg(op.b));
+    let v =
+        apply_conv(Conv::from_code(C), ctx.reg(op.b)).expect("verifier rejects other conversions");
     ctx.set_reg(op.a, v);
     Step::Next
 }
@@ -673,12 +665,6 @@ pub(crate) fn h_arraylen<S: TraceSink>(
     }
     let lat = vm.mem.load(a + 8, ctx.cycles);
     ctx.cycles += lat;
-    if vm.config.collect_offline_profile {
-        vm.offline
-            .entry(ctx.cur_mid)
-            .or_default()
-            .record(InstrRef::unpack(op.site), a + 8);
-    }
     ctx.set_reg(op.a, Value::I32(vm.heap.array_len(a) as i32));
     Step::Next
 }
@@ -1388,93 +1374,4 @@ pub(crate) fn bin_move_jump_handler<S: TraceSink>(bop: u8) -> Handler<S> {
 #[inline(always)]
 pub(crate) fn coerce_store(v: Value, _ty: ElemTy) -> Value {
     v
-}
-
-#[inline(always)]
-pub(crate) fn exec_bin(op: BinOp, a: Value, b: Value) -> Option<Value> {
-    Some(match (a, b) {
-        (Value::I32(x), Value::I32(y)) => Value::I32(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => x.checked_div(y)?,
-            BinOp::Rem => x.checked_rem(y)?,
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u32).wrapping_shr(y as u32)) as i32,
-        }),
-        (Value::I64(x), Value::I64(y)) => Value::I64(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => x.checked_div(y)?,
-            BinOp::Rem => x.checked_rem(y)?,
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u64).wrapping_shr(y as u32)) as i64,
-        }),
-        (Value::F64(x), Value::F64(y)) => Value::F64(match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            _ => unreachable!("verifier rejects float bit-ops"),
-        }),
-        _ => unreachable!("verifier rejects mixed-type binops"),
-    })
-}
-
-#[inline(always)]
-pub(crate) fn exec_un(op: UnOp, v: Value) -> Value {
-    match (op, v) {
-        (UnOp::Neg, Value::I32(x)) => Value::I32(x.wrapping_neg()),
-        (UnOp::Neg, Value::I64(x)) => Value::I64(x.wrapping_neg()),
-        (UnOp::Neg, Value::F64(x)) => Value::F64(-x),
-        (UnOp::Not, Value::I32(x)) => Value::I32(!x),
-        (UnOp::Not, Value::I64(x)) => Value::I64(!x),
-        _ => unreachable!("verifier rejects other unops"),
-    }
-}
-
-#[inline(always)]
-pub(crate) fn exec_cmp(op: CmpOp, a: Value, b: Value) -> i32 {
-    let ord = match (a, b) {
-        (Value::I32(x), Value::I32(y)) => x.partial_cmp(&y),
-        (Value::I64(x), Value::I64(y)) => x.partial_cmp(&y),
-        (Value::F64(x), Value::F64(y)) => x.partial_cmp(&y),
-        (Value::Ref(x), Value::Ref(y)) => x.partial_cmp(&y),
-        _ => unreachable!("verifier rejects mixed-type compares"),
-    };
-    let Some(ord) = ord else {
-        // NaN comparisons are all false except Ne.
-        return matches!(op, CmpOp::Ne) as i32;
-    };
-    use std::cmp::Ordering::*;
-    (match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }) as i32
-}
-
-#[inline(always)]
-pub(crate) fn exec_conv(conv: Conv, v: Value) -> Value {
-    match (conv, v) {
-        (Conv::I32ToI64, Value::I32(x)) => Value::I64(x as i64),
-        (Conv::I64ToI32, Value::I64(x)) => Value::I32(x as i32),
-        (Conv::I32ToF64, Value::I32(x)) => Value::F64(x as f64),
-        (Conv::F64ToI32, Value::F64(x)) => Value::I32(x as i32),
-        (Conv::I64ToF64, Value::I64(x)) => Value::F64(x as f64),
-        (Conv::F64ToI64, Value::F64(x)) => Value::I64(x as i64),
-        _ => unreachable!("verifier rejects other conversions"),
-    }
 }

@@ -14,21 +14,17 @@
 //! * triggers the mark-sweep-compact GC when allocation fails, forwarding
 //!   every root in its frames and statics;
 //! * counts retired instructions and per-method cycle attribution (the
-//!   paper's Table 3 "% of time in compiled code");
-//! * optionally records the off-line address profile used by the Wu et al.
-//!   ablation.
+//!   paper's Table 3 "% of time in compiled code").
 
 pub mod config;
 pub(crate) mod decode;
 pub(crate) mod dispatch;
 pub mod error;
 pub(crate) mod fuse;
-pub mod inline;
 pub mod passes;
 pub mod pic;
 pub mod predecode;
 pub mod stats;
-pub mod unroll;
 pub mod vm;
 
 pub use config::VmConfig;

@@ -19,7 +19,8 @@
 
 use std::collections::HashMap;
 
-use spf_ir::{BinOp, CmpOp, Conv, Function, Instr, Program, Reg, UnOp};
+use spf_heap::{apply_bin, apply_cmp, apply_conv, apply_un, Value};
+use spf_ir::{Function, Instr, Program, Reg};
 
 /// Runs the baseline pass pipeline on a clone of `func`.
 pub fn optimize(program: &Program, func: &Function) -> Function {
@@ -40,134 +41,45 @@ pub fn optimize(program: &Program, func: &Function) -> Function {
 pub fn fold_constants(f: &mut Function) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
-        // Block-local constant environment.
-        let mut consts: HashMap<Reg, spf_ir::Const> = HashMap::new();
+        // Block-local constant environment, held as the `Value`s the
+        // shared evaluator works on.
+        let mut consts: HashMap<Reg, Value> = HashMap::new();
         let block = f.block_mut(b);
         for instr in &mut block.instrs {
-            let folded: Option<(Reg, spf_ir::Const)> = match &*instr {
+            let folded = match &*instr {
                 Instr::Const { dst, value } => {
-                    consts.insert(*dst, *value);
-                    None
+                    consts.insert(*dst, Value::from(*value));
+                    continue;
                 }
-                Instr::Bin { dst, op, a, b } => match (consts.get(a), consts.get(b)) {
-                    (Some(&x), Some(&y)) => fold_bin(*op, x, y).map(|v| (*dst, v)),
+                Instr::Bin { op, a, b, .. } => match (consts.get(a), consts.get(b)) {
+                    (Some(&x), Some(&y)) => apply_bin(*op, x, y),
                     _ => None,
                 },
-                Instr::Cmp { dst, op, a, b } => match (consts.get(a), consts.get(b)) {
-                    (Some(&x), Some(&y)) => fold_cmp(*op, x, y).map(|v| (*dst, v)),
+                Instr::Cmp { op, a, b, .. } => match (consts.get(a), consts.get(b)) {
+                    (Some(&x), Some(&y)) => apply_cmp(*op, x, y).map(Value::I32),
                     _ => None,
                 },
-                Instr::Un { dst, op, src } => consts
-                    .get(src)
-                    .and_then(|&x| fold_un(*op, x))
-                    .map(|v| (*dst, v)),
-                Instr::Convert { dst, conv, src } => {
-                    consts.get(src).map(|&x| (*dst, fold_conv(*conv, x)))
+                Instr::Un { op, src, .. } => consts.get(src).and_then(|&x| apply_un(*op, x)),
+                Instr::Convert { conv, src, .. } => {
+                    consts.get(src).and_then(|&x| apply_conv(*conv, x))
                 }
-                other => {
-                    if let Some(d) = other.dst() {
-                        consts.remove(&d);
-                    }
-                    None
+                _ => None,
+            }
+            .and_then(Value::as_const);
+            let Some(dst) = instr.dst() else { continue };
+            match folded {
+                Some(value) => {
+                    *instr = Instr::Const { dst, value };
+                    consts.insert(dst, value.into());
+                    changed = true;
                 }
-            };
-            if let Some((dst, value)) = folded {
-                *instr = Instr::Const { dst, value };
-                consts.insert(dst, value);
-                changed = true;
-            } else if let Some(d) = instr.dst() {
-                if !matches!(instr, Instr::Const { .. }) {
-                    consts.remove(&d);
+                None => {
+                    consts.remove(&dst);
                 }
             }
         }
     }
     changed
-}
-
-fn fold_bin(op: BinOp, a: spf_ir::Const, b: spf_ir::Const) -> Option<spf_ir::Const> {
-    use spf_ir::Const::*;
-    Some(match (a, b) {
-        (I32(x), I32(y)) => I32(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => x.checked_div(y)?,
-            BinOp::Rem => x.checked_rem(y)?,
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u32).wrapping_shr(y as u32)) as i32,
-        }),
-        (I64(x), I64(y)) => I64(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => x.checked_div(y)?,
-            BinOp::Rem => x.checked_rem(y)?,
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::UShr => ((x as u64).wrapping_shr(y as u32)) as i64,
-        }),
-        (F64(x), F64(y)) => F64(match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            _ => return None,
-        }),
-        _ => return None,
-    })
-}
-
-fn fold_cmp(op: CmpOp, a: spf_ir::Const, b: spf_ir::Const) -> Option<spf_ir::Const> {
-    use spf_ir::Const::*;
-    let ord = match (a, b) {
-        (I32(x), I32(y)) => x.partial_cmp(&y),
-        (I64(x), I64(y)) => x.partial_cmp(&y),
-        (F64(x), F64(y)) => x.partial_cmp(&y),
-        _ => None,
-    }?;
-    use std::cmp::Ordering::*;
-    let v = match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    };
-    Some(I32(v as i32))
-}
-
-fn fold_un(op: UnOp, v: spf_ir::Const) -> Option<spf_ir::Const> {
-    use spf_ir::Const::*;
-    Some(match (op, v) {
-        (UnOp::Neg, I32(x)) => I32(x.wrapping_neg()),
-        (UnOp::Neg, I64(x)) => I64(x.wrapping_neg()),
-        (UnOp::Neg, F64(x)) => F64(-x),
-        (UnOp::Not, I32(x)) => I32(!x),
-        (UnOp::Not, I64(x)) => I64(!x),
-        _ => return None,
-    })
-}
-
-fn fold_conv(conv: Conv, v: spf_ir::Const) -> spf_ir::Const {
-    use spf_ir::Const::*;
-    match (conv, v) {
-        (Conv::I32ToI64, I32(x)) => I64(x as i64),
-        (Conv::I64ToI32, I64(x)) => I32(x as i32),
-        (Conv::I32ToF64, I32(x)) => F64(x as f64),
-        (Conv::F64ToI32, F64(x)) => I32(x as i32),
-        (Conv::I64ToF64, I64(x)) => F64(x as f64),
-        (Conv::F64ToI64, F64(x)) => I64(x as i64),
-        (_, other) => other,
-    }
 }
 
 /// Block-local copy propagation; returns whether anything changed.
@@ -306,7 +218,7 @@ pub fn eliminate_dead_code(f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_ir::{ProgramBuilder, Ty};
+    use spf_ir::{BinOp, ProgramBuilder, Ty};
 
     fn build_arith() -> (Program, spf_ir::MethodId) {
         let mut pb = ProgramBuilder::new();
@@ -386,15 +298,35 @@ mod tests {
     }
 
     #[test]
-    fn fold_cmp_and_div_by_zero_safe() {
-        assert_eq!(
-            fold_bin(BinOp::Div, spf_ir::Const::I32(1), spf_ir::Const::I32(0)),
-            None
+    fn folder_folds_cmp_and_leaves_div_by_zero() {
+        let mut pb = ProgramBuilder::new();
+        let mut b = pb.function("f", &[], Some(Ty::I32));
+        let zero = b.const_i32(0);
+        let one = b.const_i32(1);
+        let two = b.const_i32(2);
+        let q = b.div(one, zero);
+        let lt = b.lt(one, two);
+        let out = b.add(q, lt);
+        b.ret(Some(out));
+        let m = b.finish();
+        let p = pb.finish();
+        let mut f = p.method(m).func().clone();
+        assert!(fold_constants(&mut f));
+        let at = |r: Reg| {
+            let s = f.instr_sites().find(|&s| f.instr(s).dst() == Some(r));
+            f.instr(s.unwrap()).clone()
+        };
+        assert!(
+            matches!(at(q), Instr::Bin { op: BinOp::Div, .. }),
+            "1/0 must stay for the interpreter to fault on"
         );
-        assert_eq!(
-            fold_cmp(CmpOp::Lt, spf_ir::Const::I32(1), spf_ir::Const::I32(2)),
-            Some(spf_ir::Const::I32(1))
-        );
+        assert!(matches!(
+            at(lt),
+            Instr::Const {
+                value: spf_ir::Const::I32(1),
+                ..
+            }
+        ));
     }
 }
 

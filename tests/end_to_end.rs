@@ -126,67 +126,3 @@ fn reports_are_consistent_with_generated_code() {
         }
     }
 }
-
-#[test]
-fn inlining_preserves_every_workload_checksum() {
-    // The paper's JIT inlines (jess's findInMemory "is inlined into" the
-    // hottest method); enabling our inliner must not change any result.
-    for spec in workloads::all() {
-        let reference = checksum(
-            &spec,
-            PrefetchOptions::inter_intra(),
-            ProcessorConfig::pentium4(),
-        );
-        let built = (spec.build)(Size::Tiny);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                compile_threshold: built.compile_threshold,
-                inline_small_methods: true,
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
-        );
-        let c1 = vm.call(built.entry, &[]).unwrap().unwrap().as_i32();
-        let c2 = vm.call(built.entry, &[]).unwrap().unwrap().as_i32();
-        assert_eq!(
-            (c1, c2),
-            reference,
-            "{}: inlining changed the result",
-            spec.name
-        );
-    }
-}
-
-#[test]
-fn unrolling_preserves_every_workload_checksum() {
-    // §3.3: unrolling stretches the effective prefetch distance; it must
-    // never change results, for any workload, combined with prefetching.
-    for spec in workloads::all() {
-        let reference = checksum(
-            &spec,
-            PrefetchOptions::inter_intra(),
-            ProcessorConfig::pentium4(),
-        );
-        let built = (spec.build)(Size::Tiny);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                compile_threshold: built.compile_threshold,
-                unroll_factor: 4,
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
-        );
-        let c1 = vm.call(built.entry, &[]).unwrap().unwrap().as_i32();
-        let c2 = vm.call(built.entry, &[]).unwrap().unwrap().as_i32();
-        assert_eq!(
-            (c1, c2),
-            reference,
-            "{}: unrolling changed the result",
-            spec.name
-        );
-    }
-}

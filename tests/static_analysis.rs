@@ -1,8 +1,8 @@
 //! Cross-crate tests for the static-analysis layer (`spf-analysis`).
 //!
 //! Two directions: every method body the JIT produces — after lowering,
-//! inlining, unrolling, DCE, and prefetch insertion — must pass the
-//! structural verifier and the full lint under the policy discipline of the
+//! folding, DCE, and prefetch insertion — must pass the structural
+//! verifier and the full lint under the policy discipline of the
 //! simulated processor; and deliberately broken IR (use-before-def,
 //! speculation leaking into a store) must be caught, including shapes the
 //! structural verifier alone cannot see.
@@ -42,7 +42,7 @@ fn lint_compiled(vm: &Vm, policy: PolicyCheck, label: &str) -> usize {
 
 /// Builds, warms up (so the JIT runs), and checks one workload
 /// configuration end to end.
-fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions, config: VmConfig) {
+fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions) {
     for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
         let built = (spec.build)(Size::Tiny);
         let policy = options
@@ -55,7 +55,7 @@ fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions, config
                 heap_bytes: built.heap_bytes,
                 prefetch: options.clone(),
                 compile_threshold: built.compile_threshold,
-                ..config.clone()
+                ..VmConfig::default()
             },
             proc,
         );
@@ -76,28 +76,20 @@ fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions, config
 }
 
 // -------------------------------------------------------------------
-// Every registry workload, with the whole optimizer enabled (inline +
-// unroll + DCE + prefetch insertion), produces lint-clean compiled code.
+// Every registry workload, through the whole optimizer (folding + DCE +
+// prefetch insertion), produces lint-clean compiled code.
 // -------------------------------------------------------------------
 
 #[test]
 fn optimized_workloads_pass_lint_and_verifier() {
     for spec in workloads::all() {
-        run_and_lint(
-            &spec,
-            PrefetchOptions::inter_intra(),
-            VmConfig {
-                inline_small_methods: true,
-                unroll_factor: 2,
-                ..VmConfig::default()
-            },
-        );
+        run_and_lint(&spec, PrefetchOptions::inter_intra());
     }
 }
 
 // -------------------------------------------------------------------
-// Randomized configurations: mode, guarded policy, inline, and unroll
-// factor never produce a compiled body the lint rejects.
+// Randomized configurations: mode, guarded policy, inspected iterations
+// and distance never produce a compiled body the lint rejects.
 // -------------------------------------------------------------------
 
 #[test]
@@ -120,15 +112,7 @@ fn random_jit_configs_pass_lint() {
             distance: rng.u64_in(1, 3) as u32,
             ..PrefetchOptions::default()
         };
-        run_and_lint(
-            spec,
-            options,
-            VmConfig {
-                inline_small_methods: rng.bool(),
-                unroll_factor: rng.u64_in(1, 3) as u32,
-                ..VmConfig::default()
-            },
-        );
+        run_and_lint(spec, options);
     });
 }
 
