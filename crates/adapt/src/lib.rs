@@ -259,7 +259,9 @@ impl MethodGuard {
 #[derive(Clone, Debug, Default)]
 pub struct AdaptState {
     cfg: AdaptConfig,
-    guards: HashMap<usize, MethodGuard>,
+    /// Indexed by method; `None` (or past the end) until the method's
+    /// first compile. Dense because the VM probes it on every call.
+    guards: Vec<Option<MethodGuard>>,
     /// Total re-arms granted (budget credits from stable epochs).
     rearms: u64,
     /// `(method, loop generation)` of re-arms since the last
@@ -272,7 +274,7 @@ impl AdaptState {
     pub fn new(cfg: AdaptConfig) -> Self {
         AdaptState {
             cfg,
-            guards: HashMap::new(),
+            guards: Vec::new(),
             rearms: 0,
             rearmed_log: Vec::new(),
         }
@@ -285,7 +287,11 @@ impl AdaptState {
 
     /// The guard of `method`, if it was ever compiled under guards.
     pub fn guard(&self, method: usize) -> Option<&MethodGuard> {
-        self.guards.get(&method)
+        self.guards.get(method)?.as_ref()
+    }
+
+    fn guard_mut(&mut self, method: usize) -> Option<&mut MethodGuard> {
+        self.guards.get_mut(method)?.as_mut()
     }
 
     /// Records a full (re)compilation of `method` at GC epoch `epoch`
@@ -300,78 +306,61 @@ impl AdaptState {
     /// ([`AdaptState::on_evicted`]), each carried loop is credited one
     /// eviction repatch so capacity churn does not burn staleness budget.
     pub fn on_compile(&mut self, method: usize, epoch: u64, loops: &[LoopSites]) -> u32 {
-        match self.guards.get_mut(&method) {
-            // A guard already exists, so a compile already happened: this
-            // install is a recompile of the whole body.
-            Some(g) => {
-                g.generation += 1;
-                g.compiled = true;
-                let credit = g.pending_evict;
-                g.pending_evict = false;
-                let old = std::mem::take(&mut g.loops);
-                g.site_owner.clear();
-                for ls in loops {
-                    let mut lg = match old.get(&ls.header) {
-                        Some(prev) => {
-                            let mut l = prev.clone();
-                            l.generation += 1;
-                            l.epoch_at_compile = epoch;
-                            l.sites.clear();
-                            l.issued = 0;
-                            l.useless = 0;
-                            l.stale = false;
-                            l.resume_at = 0;
-                            if credit {
-                                // This recompile was forced by a cache
-                                // eviction, not by a staleness verdict:
-                                // credit it back now — and only now, so an
-                                // eviction whose forced recompile never
-                                // happens cannot refund the budget.
-                                l.cache_evictions += 1;
-                            }
-                            l
-                        }
-                        None => LoopGuard::fresh(epoch),
-                    };
-                    for &s in &ls.sites {
-                        lg.sites.insert(s, SiteCounters::default());
-                        g.site_owner.insert(s, ls.header);
-                    }
-                    g.loops.insert(ls.header, lg);
-                }
-                g.generation
-            }
-            None => {
-                let mut loops_map = BTreeMap::new();
-                let mut site_owner = HashMap::new();
-                for ls in loops {
-                    let mut lg = LoopGuard::fresh(epoch);
-                    for &s in &ls.sites {
-                        lg.sites.insert(s, SiteCounters::default());
-                        site_owner.insert(s, ls.header);
-                    }
-                    loops_map.insert(ls.header, lg);
-                }
-                self.guards.insert(
-                    method,
-                    MethodGuard {
-                        generation: 0,
-                        loops: loops_map,
-                        site_owner,
-                        compiled: true,
-                        pending_evict: false,
-                    },
-                );
-                0
-            }
+        if self.guards.len() <= method {
+            self.guards.resize_with(method + 1, || None);
         }
+        let slot = &mut self.guards[method];
+        // A guard already exists exactly when a compile already happened:
+        // this install is then a recompile of the whole body.
+        let recompile = slot.is_some();
+        let g = slot.get_or_insert_with(|| MethodGuard {
+            generation: 0,
+            loops: BTreeMap::new(),
+            site_owner: HashMap::new(),
+            compiled: true,
+            pending_evict: false,
+        });
+        g.generation += u32::from(recompile);
+        g.compiled = true;
+        let credit = std::mem::take(&mut g.pending_evict);
+        let old = std::mem::take(&mut g.loops);
+        g.site_owner.clear();
+        for ls in loops {
+            let mut lg = match old.get(&ls.header) {
+                Some(prev) => {
+                    let mut l = prev.clone();
+                    l.generation += 1;
+                    l.epoch_at_compile = epoch;
+                    l.sites.clear();
+                    l.issued = 0;
+                    l.useless = 0;
+                    l.stale = false;
+                    l.resume_at = 0;
+                    if credit {
+                        // This recompile was forced by a cache eviction,
+                        // not by a staleness verdict: credit it back now —
+                        // and only now, so an eviction whose forced
+                        // recompile never happens cannot refund the budget.
+                        l.cache_evictions += 1;
+                    }
+                    l
+                }
+                None => LoopGuard::fresh(epoch),
+            };
+            for &s in &ls.sites {
+                lg.sites.insert(s, SiteCounters::default());
+                g.site_owner.insert(s, ls.header);
+            }
+            g.loops.insert(ls.header, lg);
+        }
+        g.generation
     }
 
     /// Records one prefetch issue from `method` at site `(block, index)`;
     /// `useless` means the line was already resident when issued. The
     /// issue is attributed to the loop that owns the site.
     pub fn record_issue(&mut self, method: usize, site: (u32, u32), useless: bool) {
-        if let Some(g) = self.guards.get_mut(&method) {
+        if let Some(g) = self.guard_mut(method) {
             let Some(&owner) = g.site_owner.get(&site) else {
                 return;
             };
@@ -393,7 +382,8 @@ impl AdaptState {
     /// stale.
     pub fn check_stale(&mut self, method: usize, epoch: u64) -> Vec<StaleLoop> {
         let cfg = self.cfg;
-        let Some(g) = self.guards.get_mut(&method) else {
+        // Not `guard_mut`: a re-arm below also writes `self.rearms`.
+        let Some(g) = self.guards.get_mut(method).and_then(Option::as_mut) else {
             return Vec::new();
         };
         if !g.compiled {
@@ -462,7 +452,7 @@ impl AdaptState {
         epoch: u64,
     ) -> u32 {
         let cfg = self.cfg;
-        let Some(g) = self.guards.get_mut(&method) else {
+        let Some(g) = self.guard_mut(method) else {
             return 0;
         };
         for &header in headers {
@@ -487,7 +477,7 @@ impl AdaptState {
     /// invalidation), ascending by header. Empty for unguarded or
     /// uncompiled methods.
     pub fn loops_due(&self, method: usize, invocations: u64, epoch: u64) -> Vec<u32> {
-        let Some(g) = self.guards.get(&method) else {
+        let Some(g) = self.guard(method) else {
             return Vec::new();
         };
         if !g.compiled {
@@ -517,7 +507,7 @@ impl AdaptState {
         epoch: u64,
         sites: &[(u32, u32)],
     ) -> u32 {
-        let Some(g) = self.guards.get_mut(&method) else {
+        let Some(g) = self.guard_mut(method) else {
             return 0;
         };
         let Some(l) = g.loops.get_mut(&header) else {
@@ -541,13 +531,10 @@ impl AdaptState {
     /// installed a new body (one bump per body, however many loops it
     /// repatched).
     pub fn on_repatch_install(&mut self, method: usize) -> u32 {
-        match self.guards.get_mut(&method) {
-            Some(g) => {
-                g.generation += 1;
-                g.generation
-            }
-            None => 0,
-        }
+        self.guard_mut(method).map_or(0, |g| {
+            g.generation += 1;
+            g.generation
+        })
     }
 
     /// Records that the shared code cache evicted `method`'s compiled
@@ -559,7 +546,7 @@ impl AdaptState {
     /// most the one recompile they forced. No backoff applies — the body
     /// was healthy, just cold.
     pub fn on_evicted(&mut self, method: usize) {
-        if let Some(g) = self.guards.get_mut(&method) {
+        if let Some(g) = self.guard_mut(method) {
             if g.compiled {
                 g.compiled = false;
                 g.pending_evict = true;
@@ -585,24 +572,19 @@ impl AdaptState {
     /// repatches per loop), read directly off the guard state.
     pub fn stranded(&self) -> u64 {
         self.guards
-            .values()
+            .iter()
+            .flatten()
             .flat_map(|g| g.loops.values())
             .filter(|l| l.stale)
             .count() as u64
     }
 
-    /// The ids of methods with at least one stranded loop, ascending
-    /// (sorted so callers that walk them stay deterministic — the backing
-    /// map has no stable order).
+    /// The ids of methods with at least one stranded loop, ascending.
     pub fn stranded_methods(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self
-            .guards
-            .iter()
-            .filter(|(_, g)| g.loops.values().any(|l| l.stale))
-            .map(|(&m, _)| m)
-            .collect();
-        ids.sort_unstable();
-        ids
+        let stranded = |g: &MethodGuard| g.loops.values().any(|l| l.stale);
+        (0..self.guards.len())
+            .filter(|&m| self.guards[m].as_ref().is_some_and(stranded))
+            .collect()
     }
 }
 

@@ -20,7 +20,7 @@ use spf_trace::{SiteId, TraceSink};
 use crate::config::{CALL_OVERHEAD, COMPILED_INSTR_COST};
 use crate::decode::{Op, ThreadedCode};
 use crate::error::VmError;
-use crate::vm::Vm;
+use crate::vm::{body, Vm};
 
 /// What the main loop does after a handler returns.
 pub(crate) enum Step {
@@ -38,8 +38,8 @@ pub(crate) enum Step {
 pub(crate) type Handler<S> = fn(&mut Vm<S>, &mut Ctx, &Op<S>, &ThreadedCode<S>) -> Step;
 
 /// Register-resident interpreter state: the live counters the old loop kept
-/// in locals, plus the top frame's registers (taken out of the frame while
-/// it is topmost so the hot path never chases `frames.last_mut()`).
+/// in locals, plus a pointer to the top frame's register window (so the hot
+/// path never chases `frames.last()` and the stack's base).
 pub(crate) struct Ctx {
     /// Index of the next op in the current threaded code.
     pub pc: usize,
@@ -74,8 +74,11 @@ pub(crate) struct Ctx {
     pub cur_mid: MethodId,
     /// First global PIC slot of the current frame's code.
     pub cur_pic_base: u32,
-    /// The current frame's registers (owned here while the frame is on top).
-    pub regs: Vec<Value>,
+    /// The current frame's register window: the last `nregs` slots of
+    /// `Vm::stack`. Re-derived by [`enter_window`] whenever the stack may
+    /// have been resized or borrowed as a whole (see [`Ctx::reg`]).
+    pub regs: *mut Value,
+    pub nregs: usize,
     /// Set when execution halts (normal return from the entry frame or a
     /// fault).
     pub halt: Option<Result<Option<Value>, VmError>>,
@@ -86,22 +89,37 @@ impl Ctx {
     ///
     /// SAFETY: every register operand packed into an op is validated
     /// against the function's register count by `decode::lower`, and every
-    /// frame's register file is allocated at exactly
-    /// `reg_template.len() == reg_count`, so a decoded operand can never be
-    /// out of range. The debug assertion re-checks the contract in debug
-    /// builds.
+    /// frame's window is pushed at exactly `reg_template.len() ==
+    /// reg_count` slots, so a decoded operand can never be out of range
+    /// (the debug assertion re-checks that). `regs` points into
+    /// `Vm::stack`, which only two operations resize: a call (`h_call`
+    /// pushes the arguments and `Vm::activate` the rest of the callee's
+    /// window; either may reallocate) and a return (`h_ret` truncates the
+    /// returning window). Both, like the allocator (whose GC forwards the
+    /// stack in place), are followed by [`enter_window`] before the next
+    /// register access, and nothing else touches the stack while the run
+    /// loop is live.
     #[inline(always)]
     pub(crate) fn reg(&self, i: u32) -> Value {
-        debug_assert!((i as usize) < self.regs.len());
-        unsafe { *self.regs.get_unchecked(i as usize) }
+        debug_assert!((i as usize) < self.nregs);
+        unsafe { *self.regs.add(i as usize) }
     }
 
     /// Writes a register without a bounds check (safety as for [`Ctx::reg`]).
     #[inline(always)]
     pub(crate) fn set_reg(&mut self, i: u32, v: Value) {
-        debug_assert!((i as usize) < self.regs.len());
-        unsafe { *self.regs.get_unchecked_mut(i as usize) = v }
+        debug_assert!((i as usize) < self.nregs);
+        unsafe { *self.regs.add(i as usize) = v }
     }
+}
+
+/// Points `ctx` at the top frame's register window, which starts at
+/// `base` and runs to the top of the stack.
+#[inline(always)]
+fn enter_window<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx, base: usize) {
+    let window = &mut vm.stack[base..];
+    ctx.nregs = window.len();
+    ctx.regs = window.as_mut_ptr();
 }
 
 /// Charges one instruction: clock, frame attribution, retired counters.
@@ -156,23 +174,23 @@ fn fail<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx, e: VmError) -> bool {
     false
 }
 
-/// Refreshes `ctx` from the (new) top frame after a push or pop, taking
-/// ownership of its registers (the old `reload!`).
+/// Refreshes `ctx` from the (new) top frame after a push or pop (the old
+/// `reload!`).
 #[inline]
 pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
-    let interp_mult = vm.config.interp_cost_multiplier;
-    let f = vm.frames.last_mut().expect("frame");
-    ctx.regs = std::mem::take(&mut f.regs);
+    let f = *vm.frames.last().expect("frame");
+    let code = body(&vm.codes, f.code);
     ctx.pc = f.pc;
     ctx.frame_start = ctx.cycles;
     ctx.cur_mid = f.method;
-    ctx.cur_compiled = f.code.compiled;
-    ctx.cur_pic_base = f.code.pic_base;
-    ctx.cur_cost = if f.code.compiled {
+    ctx.cur_compiled = code.compiled;
+    ctx.cur_pic_base = code.pic_base;
+    ctx.cur_cost = if code.compiled {
         COMPILED_INSTR_COST
     } else {
-        COMPILED_INSTR_COST * interp_mult
+        COMPILED_INSTR_COST * vm.config.interp_cost_multiplier
     };
+    enter_window(vm, ctx, f.base);
 }
 
 // ---------------------------------------------------------------------------
@@ -669,13 +687,11 @@ pub(crate) fn h_arraylen<S: TraceSink>(
     Step::Next
 }
 
-/// Syncs the live clock and the top frame's registers back into the VM so
-/// the allocator (which may GC: roots, forwarding, clock charges) sees
-/// consistent state; inverse of `unsync_for_alloc`.
+/// Syncs the live clock back into the VM so the allocator (which may GC:
+/// clock charges; the registers it roots and forwards are already in the
+/// VM's stack) sees consistent state; inverse of `unsync_for_alloc`.
 #[inline(always)]
-fn sync_for_alloc<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
-    let f = vm.frames.last_mut().expect("frame");
-    f.regs = std::mem::take(&mut ctx.regs);
+fn sync_for_alloc<S: TraceSink>(vm: &mut Vm<S>, ctx: &Ctx) {
     vm.stats.cycles = ctx.cycles;
 }
 
@@ -686,8 +702,8 @@ fn unsync_for_alloc<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
     // allocator advanced the clock.
     ctx.frame_start += vm.stats.cycles - ctx.cycles;
     ctx.cycles = vm.stats.cycles;
-    let f = vm.frames.last_mut().expect("frame");
-    ctx.regs = std::mem::take(&mut f.regs);
+    let base = vm.frames.last().expect("frame").base;
+    enter_window(vm, ctx, base);
 }
 
 pub(crate) fn h_new<S: TraceSink>(
@@ -757,20 +773,18 @@ pub(crate) fn h_call<S: TraceSink>(
 ) -> Step {
     charge_instr(ctx);
     ctx.cycles += CALL_OVERHEAD;
-    let mut argv = std::mem::take(&mut vm.argv_scratch);
-    argv.clear();
-    argv.extend(
-        tc.arg_pool[op.c as usize..(op.c + op.d) as usize]
-            .iter()
-            .map(|&r| ctx.reg(r)),
-    );
     flush_frame_acc(vm, ctx);
-    {
-        // Persist the cursor (and registers) so the callee's return resumes
-        // after this call.
-        let f = vm.frames.last_mut().expect("frame");
-        f.pc = ctx.pc;
-        f.regs = std::mem::take(&mut ctx.regs);
+    // Persist the cursor so the callee's return resumes after this call.
+    let f = vm.frames.last_mut().expect("frame");
+    f.pc = ctx.pc;
+    let base = f.base;
+    // The arguments go straight from this window to the top of the stack,
+    // where the callee's window will start. A push may reallocate the
+    // stack, so they are read by index and `ctx.regs` is dead from here
+    // until `reload_ctx`.
+    for &r in &tc.arg_pool[op.c as usize..(op.c + op.d) as usize] {
+        let v = vm.stack[base + r as usize];
+        vm.stack.push(v);
     }
     // `call_into` may JIT-compile, which charges the clock.
     vm.stats.cycles = ctx.cycles;
@@ -781,9 +795,7 @@ pub(crate) fn h_call<S: TraceSink>(
         Some(Reg::new((op.a - 1) as usize))
     };
     let slot = ctx.cur_pic_base + op.ext;
-    let res = vm.call_into(callee, &argv, ret_dst, Some(slot));
-    vm.argv_scratch = argv;
-    match res {
+    match vm.call_into(callee, op.d as usize, ret_dst, Some(slot)) {
         Ok(()) => {
             ctx.cycles = vm.stats.cycles;
             reload_ctx(vm, ctx);
@@ -899,15 +911,11 @@ pub(crate) fn h_ret<S: TraceSink>(
     } else {
         Some(ctx.reg(op.a - 1))
     };
-    // Recycle the returning frame's register buffer.
-    let buf = std::mem::take(&mut ctx.regs);
-    if buf.capacity() > 0 {
-        vm.reg_pool.push(buf);
-    }
-    match vm.frames.last_mut() {
+    vm.stack.truncate(f.base);
+    match vm.frames.last() {
         Some(caller) => {
             if let (Some(dst), Some(val)) = (f.ret_dst, value) {
-                caller.regs[dst.index()] = val;
+                vm.stack[caller.base + dst.index()] = val;
             }
         }
         None => {

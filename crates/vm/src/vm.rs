@@ -35,29 +35,27 @@ use crate::predecode::Predecoded;
 use crate::stats::{MethodCycles, VmStats};
 
 /// An installed, executable body: shared threaded code plus this VM's PIC
-/// slot allocation for its call sites.
+/// slot allocation for its call sites. Lives in the [`Vm::codes`] arena
+/// and is named by index, so frames and PIC ways copy a `u32` instead of
+/// counting references.
 pub(crate) struct Installed<S: TraceSink> {
     pub tcode: Arc<ThreadedCode<S>>,
     pub pic_base: u32,
     pub compiled: bool,
 }
 
-impl<S: TraceSink> Clone for Installed<S> {
-    fn clone(&self) -> Self {
-        Installed {
-            tcode: Arc::clone(&self.tcode),
-            pic_base: self.pic_base,
-            compiled: self.compiled,
-        }
-    }
-}
+/// Index of a body in the [`Vm::codes`] arena.
+pub(crate) type CodeId = u32;
 
-pub(crate) struct Frame<S: TraceSink> {
+/// An activation record: plain data naming the body it runs and the
+/// window of [`Vm::stack`] that holds its registers.
+#[derive(Clone, Copy)]
+pub(crate) struct Frame {
     pub method: MethodId,
-    pub code: Installed<S>,
-    /// Registers; empty while the frame is topmost (the run loop owns them
-    /// in its [`Ctx`], and syncs them back at call/alloc boundaries).
-    pub regs: Vec<Value>,
+    pub code: CodeId,
+    /// First slot of this frame's register window in [`Vm::stack`]; the
+    /// window is as long as the body's `reg_template`.
+    pub base: usize,
     pub pc: usize,
     pub ret_dst: Option<Reg>,
 }
@@ -87,8 +85,16 @@ pub struct Vm<S: TraceSink = NoopSink> {
     pub(crate) heap: Heap,
     pub(crate) statics: Vec<Value>,
     pub(crate) mem: MemorySystem<S>,
-    originals: Vec<Installed<S>>,
-    compiled: Vec<Option<Installed<S>>>,
+    /// Every body this VM can run. Slots `0..method_count` are the
+    /// interpreted originals, indexed by method and never freed; JIT
+    /// installs append. A replaced or evicted body's slot is emptied as
+    /// soon as no frame can name it (see [`Vm::retire`]).
+    pub(crate) codes: Vec<Option<Installed<S>>>,
+    /// The compiled body of each method, if one is installed.
+    compiled: Vec<Option<CodeId>>,
+    /// Bodies replaced or evicted while frames were live; emptied when
+    /// the outermost [`Vm::call`] finishes.
+    retired: Vec<CodeId>,
     /// Per-method code revision; bumped on every mutation of the installed
     /// body (JIT install, external install, deopt). PIC ways are keyed by
     /// it, so stale cache entries miss by construction.
@@ -98,19 +104,20 @@ pub struct Vm<S: TraceSink = NoopSink> {
     pub(crate) stats: VmStats,
     sites: SiteTable,
     pub(crate) site_ids: HashMap<(MethodId, InstrRef), SiteId>,
-    pub(crate) frames: Vec<Frame<S>>,
+    pub(crate) frames: Vec<Frame>,
+    /// The one register stack: each frame owns the window
+    /// `base..base + reg_count` (see [`Frame::base`]). Grown only by a
+    /// call (the arguments, then [`Vm::activate`]), shrunk only by the
+    /// return handler, and emptied when [`Vm::call`] finishes.
+    pub(crate) stack: Vec<Value>,
     pub(crate) adapt: AdaptState,
     pub(crate) adaptive: bool,
     history: Vec<(MethodId, u32, Arc<Function>)>,
     /// Whether installed bodies are decoded with superinstruction fusion.
     fuse: bool,
-    pics: Vec<CallPic<S>>,
+    pics: Vec<CallPic>,
     pic_hits: u64,
     pic_misses: u64,
-    /// Recycled register buffers (frame pop → next frame push).
-    pub(crate) reg_pool: Vec<Vec<Value>>,
-    /// Reused call-argument buffer for the call handler.
-    pub(crate) argv_scratch: Vec<Value>,
     /// Async-compile mode: methods awaiting background compilation, with
     /// the arguments of the invocation that crossed the threshold (the
     /// inspector will run with them). Args may hold heap references, so
@@ -127,6 +134,13 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// `pending`, entries may hold heap references: [`Vm::gc`] roots and
     /// forwards them. Insertion-ordered for determinism.
     deopt_args: Vec<(MethodId, Vec<Value>)>,
+}
+
+/// The live body named `code`. Panics on a freed slot: only bodies no
+/// frame and no current-revision PIC way can name are ever freed.
+#[inline(always)]
+pub(crate) fn body<S: TraceSink>(codes: &[Option<Installed<S>>], code: CodeId) -> &Installed<S> {
+    codes[code as usize].as_ref().expect("live body")
 }
 
 impl<S: TraceSink> std::fmt::Debug for Vm<S> {
@@ -184,18 +198,18 @@ impl<S: TraceSink> Vm<S> {
         // affine sites instead of re-running the inspector on them.
         let adaptive = config.prefetch.mode.adaptive_guards();
         let adapt = AdaptState::new(config.adapt);
-        let mut pics: Vec<CallPic<S>> = Vec::new();
-        let originals = pre
+        let mut pics: Vec<CallPic> = Vec::new();
+        let codes = pre
             .bodies()
             .iter()
             .map(|t| {
                 let pic_base = pics.len() as u32;
                 pics.extend((0..t.call_sites).map(|_| CallPic::default()));
-                Installed {
+                Some(Installed {
                     tcode: Arc::clone(t),
                     pic_base,
                     compiled: false,
-                }
+                })
             })
             .collect();
         Vm {
@@ -203,8 +217,9 @@ impl<S: TraceSink> Vm<S> {
             heap,
             statics,
             mem: MemorySystem::with_sink(proc, sink),
-            originals,
-            compiled: (0..n).map(|_| None).collect(),
+            codes,
+            compiled: vec![None; n],
+            retired: Vec::new(),
             code_rev: vec![0; n],
             invocations: vec![0; n],
             reports: Vec::new(),
@@ -212,6 +227,7 @@ impl<S: TraceSink> Vm<S> {
             sites: SiteTable::new(),
             site_ids: HashMap::new(),
             frames: Vec::new(),
+            stack: Vec::new(),
             adapt,
             adaptive,
             history: Vec::new(),
@@ -219,8 +235,6 @@ impl<S: TraceSink> Vm<S> {
             pics,
             pic_hits: 0,
             pic_misses: 0,
-            reg_pool: Vec::new(),
-            argv_scratch: Vec::new(),
             pending: Vec::new(),
             fresh_requests: Vec::new(),
             deopt_args: Vec::new(),
@@ -295,13 +309,35 @@ impl<S: TraceSink> Vm<S> {
             .extend((0..tcode.call_sites).map(|_| CallPic::default()));
         let instrs = func.instr_sites().count() as u64;
         self.history.push((mid, generation, func));
-        self.compiled[mid.index()] = Some(Installed {
+        let code = self.codes.len() as CodeId;
+        self.codes.push(Some(Installed {
             tcode,
             pic_base,
             compiled: true,
-        });
+        }));
+        if let Some(old) = self.compiled[mid.index()].replace(code) {
+            self.retire(old);
+        }
         self.code_rev[mid.index()] = self.code_rev[mid.index()].wrapping_add(1);
         instrs
+    }
+
+    /// Frees a replaced or evicted body once no frame can name it: at
+    /// once when nothing is executing, else when the outermost
+    /// [`Vm::call`] finishes (an older frame of a recursion may still be
+    /// running it). PIC ways may keep the id, but only under a revision
+    /// the bump that retired the body has already killed.
+    fn retire(&mut self, code: CodeId) {
+        if self.frames.is_empty() {
+            self.codes[code as usize] = None;
+        } else {
+            self.retired.push(code);
+        }
+    }
+
+    /// The interpreted original of `mid` (arena slots `0..method_count`).
+    fn original(&self, mid: MethodId) -> &Installed<S> {
+        body(&self.codes, mid.index() as CodeId)
     }
 
     /// The owning loop of every block of `func`, indexed by block: the
@@ -391,18 +427,11 @@ impl<S: TraceSink> Vm<S> {
     /// Total superinstructions across all currently installed bodies
     /// (host-side statistic, for tests and diagnostics).
     pub fn fused_op_count(&self) -> u64 {
-        let originals: u64 = self
-            .originals
-            .iter()
-            .map(|i| u64::from(i.tcode.fused))
-            .sum();
-        let compiled: u64 = self
-            .compiled
+        self.codes
             .iter()
             .flatten()
             .map(|i| u64::from(i.tcode.fused))
-            .sum();
-        originals + compiled
+            .sum()
     }
 
     /// Registers every `Prefetch`/`SpecLoad` instruction of a freshly
@@ -454,9 +483,7 @@ impl<S: TraceSink> Vm<S> {
     /// The installed compiled body of `mid`, if any (for external analyses
     /// such as the `spf-lint` tool).
     pub fn compiled_body(&self, mid: MethodId) -> Option<&Function> {
-        self.compiled[mid.index()]
-            .as_ref()
-            .map(|c| c.tcode.src.as_ref())
+        self.compiled[mid.index()].map(|c| body(&self.codes, c).tcode.src.as_ref())
     }
 
     /// Clears the memory system and measurement counters while keeping
@@ -496,22 +523,30 @@ impl<S: TraceSink> Vm<S> {
     /// [`VmError`] on runtime faults.
     pub fn call(&mut self, mid: MethodId, args: &[Value]) -> Result<Option<Value>, VmError> {
         assert!(self.frames.is_empty(), "vm is not reentrant");
-        self.call_into(mid, args, None, None)?;
-        let result = self.run();
-        if result.is_err() {
-            self.frames.clear();
+        self.stack.extend_from_slice(args);
+        let result = self
+            .call_into(mid, args.len(), None, None)
+            .and_then(|()| self.run());
+        // A fault leaves its frames and their windows behind; a normal
+        // return has already popped them all.
+        self.frames.clear();
+        self.stack.clear();
+        for code in self.retired.drain(..) {
+            self.codes[code as usize] = None;
         }
         result
     }
 
-    /// Invokes `mid`: depth check, invocation accounting, body resolution
-    /// (through the call site's PIC when `pic` names a slot), frame push.
-    /// The check/JIT/resolve order matches the old `push_frame` exactly;
-    /// PIC hits resolve to the identical body the slow path would pick.
+    /// Invokes `mid` on the `argc` arguments its caller left on top of
+    /// the register stack: depth check, invocation accounting, body
+    /// resolution (through the call site's PIC when `pic` names a slot),
+    /// frame push. The check/JIT/resolve order matches the old
+    /// `push_frame` exactly; PIC hits resolve to the identical body the
+    /// slow path would pick.
     pub(crate) fn call_into(
         &mut self,
         mid: MethodId,
-        args: &[Value],
+        argc: usize,
         ret_dst: Option<Reg>,
         pic: Option<u32>,
     ) -> Result<(), VmError> {
@@ -523,34 +558,40 @@ impl<S: TraceSink> Vm<S> {
         if let Some(slot) = pic {
             let rev = self.code_rev[mid.index()];
             if let Some(target) = self.pics[slot as usize].lookup(rev) {
-                if target.compiled {
+                if body(&self.codes, target).compiled {
                     // Cached compiled body. In adaptive mode the per-loop
                     // staleness check still runs on every invocation,
                     // exactly as the slow path does; a loop patch or
                     // repatch bumps the revision, so the way dies and
                     // resolution falls through (with the stale check
                     // already consumed).
-                    if !self.adaptive || !self.maybe_patch(mid, args) {
+                    if !self.adaptive || !self.maybe_patch(mid, argc) {
                         self.pic_hits += 1;
-                        self.activate(target, mid, args, ret_dst);
+                        self.activate(target, mid, argc, ret_dst);
                         return Ok(());
                     }
                     self.pic_misses += 1;
-                    return self.resolve_and_push(mid, args, ret_dst, Some(slot), true);
+                    return self.resolve_and_push(mid, argc, ret_dst, Some(slot), true);
                 }
                 // Cached interpreted body: only valid while the method
                 // stays under the compile threshold (adaptive backoff can
                 // hold it there arbitrarily long, so re-check per call).
                 if self.invocations[mid.index()] < self.config.compile_threshold {
                     self.pic_hits += 1;
-                    self.activate(target, mid, args, ret_dst);
+                    self.activate(target, mid, argc, ret_dst);
                     return Ok(());
                 }
             }
             self.pic_misses += 1;
-            return self.resolve_and_push(mid, args, ret_dst, Some(slot), false);
+            return self.resolve_and_push(mid, argc, ret_dst, Some(slot), false);
         }
-        self.resolve_and_push(mid, args, ret_dst, None, false)
+        self.resolve_and_push(mid, argc, ret_dst, None, false)
+    }
+
+    /// The pending call's arguments (the top `argc` stack slots), copied
+    /// out for the cold paths that inspect or retain them.
+    fn top_args(&self, argc: usize) -> Vec<Value> {
+        self.stack[self.stack.len() - argc..].to_vec()
     }
 
     /// Slow-path resolution: adaptive staleness check (unless the caller
@@ -558,13 +599,13 @@ impl<S: TraceSink> Vm<S> {
     fn resolve_and_push(
         &mut self,
         mid: MethodId,
-        args: &[Value],
+        argc: usize,
         ret_dst: Option<Reg>,
         pic: Option<u32>,
         deopt_checked: bool,
     ) -> Result<(), VmError> {
         if !deopt_checked && self.adaptive && self.compiled[mid.index()].is_some() {
-            self.maybe_patch(mid, args);
+            self.maybe_patch(mid, argc);
         }
         if self.compiled[mid.index()].is_none()
             && self.invocations[mid.index()] >= self.config.compile_threshold
@@ -572,19 +613,17 @@ impl<S: TraceSink> Vm<S> {
             if self.config.async_compile {
                 // Production-JVM style: request a background compile and
                 // keep interpreting until the driver installs it.
-                self.enqueue_compile(mid, args);
+                self.enqueue_compile(mid, argc);
             } else {
-                self.jit_compile(mid, args, false);
+                self.jit_compile(mid, &self.top_args(argc), false);
             }
         }
-        let installed = match &self.compiled[mid.index()] {
-            Some(c) => c.clone(),
-            None => self.originals[mid.index()].clone(),
-        };
+        // Uncompiled methods run their original: arena slot == method index.
+        let code = self.compiled[mid.index()].unwrap_or(mid.index() as CodeId);
         if let Some(slot) = pic {
-            self.pics[slot as usize].insert(self.code_rev[mid.index()], installed.clone());
+            self.pics[slot as usize].insert(self.code_rev[mid.index()], code);
         }
-        self.activate(installed, mid, args, ret_dst);
+        self.activate(code, mid, argc, ret_dst);
         Ok(())
     }
 
@@ -593,17 +632,18 @@ impl<S: TraceSink> Vm<S> {
     /// whose backoff has been served (tier-2 re-entry), then checks the
     /// loop guards and patches newly stale loops' prefetch sites to
     /// no-ops (tier-1 invalidation). Returns whether the installed body
-    /// changed (the caller's PIC way is then dead). `args` are the
-    /// current invocation's arguments: the repatch re-inspects with them,
-    /// and a patch retains them under [`VmConfig::retain_deopt_args`] so
-    /// the serving recovery sweep can repatch the method later.
-    fn maybe_patch(&mut self, mid: MethodId, args: &[Value]) -> bool {
+    /// changed (the caller's PIC way is then dead). The current
+    /// invocation's `argc` arguments are on top of the stack: the repatch
+    /// re-inspects with them, and a patch retains them under
+    /// [`VmConfig::retain_deopt_args`] so the serving recovery sweep can
+    /// repatch the method later.
+    fn maybe_patch(&mut self, mid: MethodId, argc: usize) -> bool {
         let epoch = self.heap.gc_epoch();
         let invocations = u64::from(self.invocations[mid.index()]);
         let mut changed = false;
         let due = self.adapt.loops_due(mid.index(), invocations, epoch);
         if !due.is_empty() {
-            self.repatch_loops(mid, args, &due, false);
+            self.repatch_loops(mid, &self.top_args(argc), &due, false);
             changed = true;
         }
         let stale = self.adapt.check_stale(mid.index(), epoch);
@@ -623,7 +663,7 @@ impl<S: TraceSink> Vm<S> {
         if stale.is_empty() {
             return changed;
         }
-        self.patch_loops(mid, args, &stale);
+        self.patch_loops(mid, &self.top_args(argc), &stale);
         true
     }
 
@@ -633,13 +673,8 @@ impl<S: TraceSink> Vm<S> {
     /// compiled; only the stale loops drop to plain (unprefetched)
     /// compiled code until their repatch is due.
     fn patch_loops(&mut self, mid: MethodId, args: &[Value], stale: &[spf_adapt::StaleLoop]) {
-        let src = Arc::clone(
-            &self.compiled[mid.index()]
-                .as_ref()
-                .expect("staleness requires a compiled body")
-                .tcode
-                .src,
-        );
+        let code = self.compiled[mid.index()].expect("staleness requires a compiled body");
+        let src = Arc::clone(&body(&self.codes, code).tcode.src);
         let owners = Self::loop_owners(&src);
         let stale_headers: std::collections::HashSet<u32> =
             stale.iter().map(|s| s.header).collect();
@@ -704,13 +739,8 @@ impl<S: TraceSink> Vm<S> {
         background: bool,
     ) -> u64 {
         let t0 = Instant::now();
-        let src = Arc::clone(
-            &self.compiled[mid.index()]
-                .as_ref()
-                .expect("repatch requires a compiled body")
-                .tcode
-                .src,
-        );
+        let code = self.compiled[mid.index()].expect("repatch requires a compiled body");
+        let src = Arc::clone(&body(&self.codes, code).tcode.src);
         let due_set: std::collections::HashSet<u32> = due.iter().copied().collect();
         let prefetcher = StridePrefetcher::new(self.config.prefetch.clone());
         let proc = self.mem.config().clone();
@@ -813,25 +843,18 @@ impl<S: TraceSink> Vm<S> {
             .collect()
     }
 
-    /// Pushes a frame executing `code`, copying `args` over the zeroed
-    /// register template.
-    fn activate(
-        &mut self,
-        code: Installed<S>,
-        mid: MethodId,
-        args: &[Value],
-        ret_dst: Option<Reg>,
-    ) {
-        let mut regs = self.reg_pool.pop().unwrap_or_default();
-        regs.clear();
-        regs.extend_from_slice(&code.tcode.reg_template);
-        regs[..args.len()].copy_from_slice(args);
-        let pc = code.tcode.entry_pc as usize;
+    /// Pushes a frame executing `code`: its window starts at the `argc`
+    /// arguments already on top of the stack and is completed from the
+    /// zeroed register template.
+    fn activate(&mut self, code: CodeId, mid: MethodId, argc: usize, ret_dst: Option<Reg>) {
+        let tcode = &body(&self.codes, code).tcode;
+        let base = self.stack.len() - argc;
+        self.stack.extend_from_slice(&tcode.reg_template[argc..]);
         self.frames.push(Frame {
             method: mid,
             code,
-            regs,
-            pc,
+            base,
+            pc: tcode.entry_pc as usize,
             ret_dst,
         });
     }
@@ -839,11 +862,11 @@ impl<S: TraceSink> Vm<S> {
     /// Records a background-compile request for `mid` (at most one
     /// outstanding per method), remembering the triggering invocation's
     /// arguments for the eventual inspection.
-    fn enqueue_compile(&mut self, mid: MethodId, args: &[Value]) {
+    fn enqueue_compile(&mut self, mid: MethodId, argc: usize) {
         if self.pending.iter().any(|(m, _)| *m == mid) {
             return;
         }
-        self.pending.push((mid, args.to_vec()));
+        self.pending.push((mid, self.top_args(argc)));
         self.fresh_requests.push(mid);
     }
 
@@ -915,7 +938,7 @@ impl<S: TraceSink> Vm<S> {
     /// inspection estimate — known before the compile runs, so a
     /// compilation queue can schedule the job's completion time up front.
     pub fn compile_cost_estimate(&self, mid: MethodId) -> u64 {
-        let src = Arc::clone(&self.originals[mid.index()].tcode.src);
+        let src = Arc::clone(&self.original(mid).tcode.src);
         let instrs = src.instr_sites().count() as u64;
         RECOMPILE_BASE_CYCLES
             + RECOMPILE_CYCLES_PER_INSTR * instrs
@@ -1003,8 +1026,9 @@ impl<S: TraceSink> Vm<S> {
     /// was installed. In adaptive mode the guard earns an eviction credit
     /// so the forced recompile does not burn the staleness budget.
     pub fn evict_compiled(&mut self, mid: MethodId) -> Option<u64> {
-        let installed = self.compiled[mid.index()].take()?;
-        let instrs = installed.tcode.src.instr_sites().count() as u64;
+        let code = self.compiled[mid.index()].take()?;
+        let instrs = body(&self.codes, code).tcode.src.instr_sites().count() as u64;
+        self.retire(code);
         self.code_rev[mid.index()] = self.code_rev[mid.index()].wrapping_add(1);
         self.stats.code_evictions += 1;
         if self.adaptive {
@@ -1025,7 +1049,7 @@ impl<S: TraceSink> Vm<S> {
                 method: mid.index() as u32,
             });
         }
-        let original = Arc::clone(&self.originals[mid.index()].tcode.src);
+        let original = Arc::clone(&self.original(mid).tcode.src);
         let base = passes::optimize(&self.program, &original);
         let prefetcher = StridePrefetcher::new(self.config.prefetch.clone());
         // Clone the processor description so the optimizer can borrow the
@@ -1114,45 +1138,30 @@ impl<S: TraceSink> Vm<S> {
 
     fn gc(&mut self) {
         let mut roots: Vec<Addr> = Vec::new();
+        let heap = &self.heap;
+        let mut root = |v: &Value| {
+            if let Value::Ref(a) = *v {
+                if a != NULL && heap.contains(a) {
+                    roots.push(a);
+                }
+            }
+        };
+        // Each frame's window is scanned through the `ref_regs` of the
+        // body that frame runs (a recursion can have frames of one method
+        // on different bodies).
         for f in &self.frames {
-            for &i in f.code.tcode.ref_regs.iter() {
-                if let Value::Ref(a) = f.regs[i as usize] {
-                    if a != NULL && self.heap.contains(a) {
-                        roots.push(a);
-                    }
-                }
+            for &i in body(&self.codes, f.code).tcode.ref_regs.iter() {
+                root(&self.stack[f.base + i as usize]);
             }
         }
-        for v in &self.statics {
-            if let Value::Ref(a) = v {
-                if *a != NULL && self.heap.contains(*a) {
-                    roots.push(*a);
-                }
-            }
-        }
+        self.statics.iter().for_each(&mut root);
         // Arguments held for pending background compiles stay live until
-        // the compile runs (the inspector dereferences them).
-        for (_, args) in &self.pending {
-            for v in args {
-                if let Value::Ref(a) = v {
-                    if *a != NULL && self.heap.contains(*a) {
-                        roots.push(*a);
-                    }
-                }
-            }
-        }
-        // Retained deopt arguments (recovery-sweep inputs) likewise stay
-        // live until the method is recompiled. Empty unless
-        // `retain_deopt_args` is set, so legacy GC liveness is untouched.
-        for (_, args) in &self.deopt_args {
-            for v in args {
-                if let Value::Ref(a) = v {
-                    if *a != NULL && self.heap.contains(*a) {
-                        roots.push(*a);
-                    }
-                }
-            }
-        }
+        // the compile runs (the inspector dereferences them). Retained
+        // deopt arguments (recovery-sweep inputs) likewise stay live until
+        // the method is recompiled; empty unless `retain_deopt_args` is
+        // set, so legacy GC liveness is untouched.
+        let held = self.pending.iter().chain(&self.deopt_args);
+        held.flat_map(|(_, args)| args).for_each(&mut root);
         let (cstats, fwd) = self.heap.collect(&roots);
         if S::ENABLED {
             self.mem.sink_mut().emit(TraceEvent::GcSlide {
@@ -1162,30 +1171,13 @@ impl<S: TraceSink> Vm<S> {
                 moved_objects: cstats.moved_objects,
             });
         }
-        for f in &mut self.frames {
-            for v in f.regs.iter_mut() {
-                if let Value::Ref(a) = v {
-                    *a = fwd.forward(*a);
-                }
-            }
-        }
-        for v in &mut self.statics {
+        let held = self.pending.iter_mut().chain(&mut self.deopt_args);
+        for v in (self.stack.iter_mut())
+            .chain(&mut self.statics)
+            .chain(held.flat_map(|(_, args)| args))
+        {
             if let Value::Ref(a) = v {
                 *a = fwd.forward(*a);
-            }
-        }
-        for (_, args) in &mut self.pending {
-            for v in args.iter_mut() {
-                if let Value::Ref(a) = v {
-                    *a = fwd.forward(*a);
-                }
-            }
-        }
-        for (_, args) in &mut self.deopt_args {
-            for v in args.iter_mut() {
-                if let Value::Ref(a) = v {
-                    *a = fwd.forward(*a);
-                }
             }
         }
         let cost = 200 + cstats.live_bytes / 4 + cstats.freed_bytes / 16;
@@ -1216,11 +1208,16 @@ impl<S: TraceSink> Vm<S> {
             })
     }
 
+    /// The threaded code of the top frame's body.
+    fn top_tcode(&self) -> *const ThreadedCode<S> {
+        Arc::as_ptr(&body(&self.codes, self.frames.last().expect("frame").code).tcode)
+    }
+
     /// The dispatch loop: fetch the op at `pc`, advance, indirect-call the
     /// handler. Counters live in the [`Ctx`] (register-resident, flushed
     /// to [`VmStats`] at frame switches and on halt, exactly as the old
-    /// loop's locals were), and the top frame's registers are owned by the
-    /// `Ctx` while it runs.
+    /// loop's locals were), which also points at the top frame's register
+    /// window.
     fn run(&mut self) -> Result<Option<Value>, VmError> {
         let mut ctx = Ctx {
             pc: 0,
@@ -1234,21 +1231,21 @@ impl<S: TraceSink> Vm<S> {
             cur_compiled: false,
             cur_mid: MethodId::new(0),
             cur_pic_base: 0,
-            regs: Vec::new(),
+            regs: std::ptr::null_mut(),
+            nregs: 0,
             halt: None,
         };
         dispatch::reload_ctx(self, &mut ctx);
         // The threaded code is accessed through a raw pointer instead of
         // cloning the `Arc` on every frame switch (two atomic RMWs per
         // call/return otherwise). SAFETY: the pointer is only dereferenced
-        // while the frame it was fetched from is the top frame, and that
-        // frame's own `Installed.tcode` Arc keeps the allocation alive
-        // (pushing frames may reallocate the frame vec, but never moves the
-        // Arc'd `ThreadedCode`); every handler that pushes or pops a frame
-        // returns `Step::Switch`, which re-fetches the pointer before the
-        // next dereference. `ThreadedCode` is immutable once built.
-        let mut tcode_ptr: *const ThreadedCode<S> =
-            Arc::as_ptr(&self.frames.last().expect("frame").code.tcode);
+        // while the frame it was fetched from is the top frame, and the
+        // arena keeps that frame's body until the outermost call finishes
+        // (`retire`; an install may reallocate the arena, but never moves
+        // the Arc'd `ThreadedCode`); every handler that pushes or pops a
+        // frame returns `Step::Switch`, which re-fetches the pointer before
+        // the next dereference. `ThreadedCode` is immutable once built.
+        let mut tcode_ptr = self.top_tcode();
         loop {
             let step = {
                 let tcode = unsafe { &*tcode_ptr };
@@ -1263,9 +1260,7 @@ impl<S: TraceSink> Vm<S> {
             };
             match step {
                 Step::Next => {}
-                Step::Switch => {
-                    tcode_ptr = Arc::as_ptr(&self.frames.last().expect("frame").code.tcode);
-                }
+                Step::Switch => tcode_ptr = self.top_tcode(),
                 Step::Halt => {
                     self.stats.cycles = ctx.cycles;
                     // `halt`/`flush_frame_acc` has folded the last segment,
@@ -1275,10 +1270,6 @@ impl<S: TraceSink> Vm<S> {
                         ctx.interp_retired + ctx.comp_retired + ctx.term_retired;
                     self.stats.interpreted_instructions += ctx.interp_retired;
                     self.stats.compiled_instructions += ctx.comp_retired;
-                    let buf = std::mem::take(&mut ctx.regs);
-                    if buf.capacity() > 0 {
-                        self.reg_pool.push(buf);
-                    }
                     return ctx.halt.take().expect("halt result");
                 }
             }
@@ -1657,6 +1648,142 @@ mod tests {
         ));
         // The VM is usable again after the fault.
         assert!(vm.call(inf, &[Value::I32(0)]).is_err());
+    }
+
+    /// `down(n, d)`: recurses `n` frames deep, then divides by `d`.
+    fn countdown(pb: &mut ProgramBuilder) -> MethodId {
+        let down = pb.declare("down", &[Ty::I32, Ty::I32], Some(Ty::I32));
+        let mut b = pb.define(down);
+        let (n, d) = (b.param(0), b.param(1));
+        let out = b.new_reg(Ty::I32);
+        let zero = b.const_i32(0);
+        let bottom = b.le(n, zero);
+        b.if_else(
+            bottom,
+            |b| {
+                let hundred = b.const_i32(100);
+                let q = b.div(hundred, d);
+                b.move_(out, q);
+            },
+            |b| {
+                let one = b.const_i32(1);
+                let m = b.sub(n, one);
+                let r = b.call(down, &[m, d]);
+                let s = b.add(r, one);
+                b.move_(out, s);
+            },
+        );
+        b.ret(Some(out));
+        b.finish()
+    }
+
+    #[test]
+    fn a_faulting_call_leaves_nothing_behind() {
+        let fresh = || {
+            let mut pb = ProgramBuilder::new();
+            let down = countdown(&mut pb);
+            let config = VmConfig {
+                max_stack_depth: 16,
+                compile_threshold: u32::MAX, // no JIT: every stat is simulated
+                ..VmConfig::default()
+            };
+            (
+                Vm::new(pb.finish(), config, ProcessorConfig::pentium4()),
+                down,
+            )
+        };
+        let normal = [Value::I32(5), Value::I32(2)];
+        let (mut clean, down) = fresh();
+        let expected = clean.call(down, &normal).unwrap();
+        assert_eq!(expected, Some(Value::I32(55)));
+
+        let (mut vm, down) = fresh();
+        assert!(matches!(
+            vm.call(down, &[Value::I32(40), Value::I32(2)]),
+            Err(VmError::StackOverflow)
+        ));
+        assert!(vm.frames.is_empty() && vm.stack.is_empty());
+        assert!(matches!(
+            vm.call(down, &[Value::I32(7), Value::I32(0)]),
+            Err(VmError::DivisionByZero { .. })
+        ));
+        assert!(vm.frames.is_empty() && vm.stack.is_empty());
+        vm.reset_measurement();
+        assert_eq!(vm.call(down, &normal).unwrap(), expected);
+        assert_eq!(vm.stats(), clean.stats());
+    }
+
+    /// Bodies the arena currently holds.
+    fn retained(vm: &Vm) -> usize {
+        vm.codes.iter().flatten().count()
+    }
+
+    #[test]
+    fn the_body_arena_is_bounded() {
+        let mut pb = ProgramBuilder::new();
+        let down = countdown(&mut pb);
+        let program = pb.finish();
+        let methods = program.method_count();
+        let body_of_down = program.method(down).func().clone();
+        let mut vm = Vm::new(
+            program,
+            VmConfig {
+                compile_threshold: u32::MAX,
+                ..VmConfig::default()
+            },
+            ProcessorConfig::pentium4(),
+        );
+        // The serving pattern: install and evict with no frame live.
+        for round in 0..50 {
+            vm.install_compiled(down, body_of_down.clone());
+            assert_eq!(retained(&vm), methods + 1, "round {round}: installed");
+            if round % 2 == 0 {
+                // Replacing an installed body frees the replaced one too.
+                vm.install_compiled(down, body_of_down.clone());
+                assert_eq!(retained(&vm), methods + 1, "round {round}: replaced");
+            }
+            vm.call(down, &[Value::I32(3), Value::I32(1)]).unwrap();
+            assert!(vm.evict_compiled(down).is_some());
+            assert_eq!(retained(&vm), methods, "round {round}: evicted");
+        }
+    }
+
+    #[test]
+    fn an_install_mid_recursion_leaves_older_frames_on_the_old_body() {
+        let mut pb = ProgramBuilder::new();
+        let down = countdown(&mut pb);
+        let program = pb.finish();
+        let methods = program.method_count();
+        // The third invocation — three frames into the recursion — crosses
+        // the threshold: the deeper frames run the compiled body while the
+        // first two finish on the interpreted original.
+        let mut vm = Vm::new(
+            program,
+            VmConfig {
+                compile_threshold: 3,
+                ..VmConfig::default()
+            },
+            ProcessorConfig::pentium4(),
+        );
+        let out = vm.call(down, &[Value::I32(9), Value::I32(4)]).unwrap();
+        assert_eq!(out, Some(Value::I32(25 + 9)));
+        assert!(vm.is_compiled(down));
+        let pm = &vm.stats().per_method[down.index()];
+        assert!(pm.interpreted > 0 && pm.compiled > 0, "{pm:?}");
+        assert!(vm.stats().interpreted_instructions > 0);
+
+        // Replace the compiled body while a frame is running it (what an
+        // adaptive patch deep in a recursion does), by driving the two
+        // halves of `Vm::call` by hand around an install.
+        let compiled = vm.compiled_body(down).unwrap().clone();
+        vm.stack.extend_from_slice(&[Value::I32(2), Value::I32(1)]);
+        vm.call_into(down, 2, None, None).unwrap();
+        vm.install_compiled(down, compiled);
+        assert_eq!(retained(&vm), methods + 2, "kept while a frame names it");
+        assert_eq!(vm.run().unwrap(), Some(Value::I32(100 + 2)));
+        // ... and freed once the next outermost call is over.
+        vm.call(down, &[Value::I32(1), Value::I32(1)]).unwrap();
+        assert_eq!(retained(&vm), methods + 1);
     }
 
     #[test]

@@ -120,3 +120,139 @@ fn gc_under_prefetching_is_correct_and_strides_survive() {
     assert_eq!(outs[0], outs[1], "GC + prefetching preserve semantics");
     assert_eq!(outs[0], Some(Value::I32(6 * 2 * (0..2000).sum::<i32>())));
 }
+
+// ---------------------------------------------------------------------
+// GC over register windows: every frame of a deep recursion keeps a live
+// reference in its window of the VM's one register stack; a collection at
+// the deepest level must root exactly those (through the `ref_regs` of the
+// body each frame runs) and forward them in place.
+// ---------------------------------------------------------------------
+
+const DEPTH: i32 = 40;
+const JUNK: i32 = 4000;
+
+/// `ping(n, stale)` and `pong(n, stale)` recurse into each other `n` deep,
+/// each frame holding its own `Cell`; the deepest frame calls `junk`, which
+/// allocates `JUNK` unreachable cells. The two bodies keep their reference
+/// in different registers, and both carry `stale` — an `i64` that the test
+/// sets to the address of a dead object.
+fn build_recursion() -> (
+    stride_prefetch::ir::Program,
+    [stride_prefetch::ir::MethodId; 2],
+    stride_prefetch::ir::ClassId,
+) {
+    let mut pb = ProgramBuilder::new();
+    let (cell, cf) = pb.add_class("Cell", &[("v", ElemTy::I32), ("pad", ElemTy::I64)]);
+    let make = {
+        let mut b = pb.function("make", &[], Some(Ty::Ref));
+        let c = b.new_object(cell);
+        b.ret(Some(c));
+        b.finish()
+    };
+    let junk = {
+        let mut b = pb.function("junk", &[Ty::I32], Some(Ty::I32));
+        let k = b.param(0);
+        b.for_i32(
+            0,
+            1,
+            CmpOp::Lt,
+            |_| k,
+            |b, i| {
+                let t = b.new_object(cell);
+                b.putfield(t, cf[0], i);
+            },
+        );
+        let zero = b.const_i32(0);
+        b.ret(Some(zero));
+        b.finish()
+    };
+    let ping = pb.declare("ping", &[Ty::I32, Ty::I64], Some(Ty::I32));
+    let pong = pb.declare("pong", &[Ty::I32, Ty::I64], Some(Ty::I32));
+    for (me, other, scratch) in [(ping, pong, 0), (pong, ping, 3)] {
+        let mut b = pb.define(me);
+        let (n, stale) = (b.param(0), b.param(1));
+        // Non-reference temporaries ahead of the reference (so it sits at
+        // a different index in each body), all holding the stale pattern.
+        for _ in 0..scratch {
+            b.add(stale, stale);
+            b.sub(stale, stale);
+        }
+        let mine = b.new_object(cell);
+        b.putfield(mine, cf[0], n);
+        let below = b.new_reg(Ty::I32);
+        let zero = b.const_i32(0);
+        let bottom = b.le(n, zero);
+        b.if_else(
+            bottom,
+            |b| {
+                let k = b.const_i32(JUNK);
+                let r = b.call(junk, &[k]);
+                b.move_(below, r);
+            },
+            |b| {
+                let one = b.const_i32(1);
+                let m = b.sub(n, one);
+                let r = b.call(other, &[m, stale]);
+                b.move_(below, r);
+            },
+        );
+        // Read back through the (possibly moved) reference.
+        let v = b.getfield(mine, cf[0]);
+        let sum = b.add(below, v);
+        b.ret(Some(sum));
+        b.finish();
+    }
+    (pb.finish(), [make, ping], cell)
+}
+
+#[test]
+fn gc_mid_recursion_roots_and_forwards_every_register_window() {
+    use stride_prefetch::trace::{RingSink, TraceEvent, TraceSink};
+    let run = |heap_bytes: usize| {
+        let (program, [make, ping], cell) = build_recursion();
+        let mut vm = Vm::with_sink(
+            program,
+            VmConfig {
+                heap_bytes,
+                ..VmConfig::default()
+            },
+            ProcessorConfig::pentium4(),
+            RingSink::with_capacity(1 << 12),
+        );
+        // A dead object whose address every frame then carries as an i64.
+        let Some(Value::Ref(dead)) = vm.call(make, &[]).unwrap() else {
+            panic!("make returns a reference");
+        };
+        let args = [Value::I32(DEPTH), Value::I64(dead as i64)];
+        let out = vm.call(ping, &args).expect("recursion completes");
+        let cell_bytes = vm.heap().layout_tables().class_size(cell);
+        let slides: Vec<(u64, u64)> = (vm.sink().snapshot().iter())
+            .filter_map(|e| match *e {
+                TraceEvent::GcSlide {
+                    live_bytes,
+                    moved_objects,
+                    ..
+                } => Some((live_bytes, moved_objects)),
+                _ => None,
+            })
+            .collect();
+        (out, vm.stats().gc_count, cell_bytes, slides)
+    };
+    let (small, small_gcs, cell_bytes, slides) = run(48 << 10);
+    let (large, large_gcs, ..) = run(16 << 20);
+    assert_eq!(large_gcs, 0, "the reference run never collects");
+    assert!(small_gcs > 0, "the small heap must collect mid-recursion");
+    assert_eq!(small, large, "checksum survives the collections");
+    assert_eq!(small, Some(Value::I32((0..=DEPTH).sum())));
+
+    // Every collection ran inside `junk` under DEPTH + 1 live frames: the
+    // roots are one cell per frame plus the one `junk` holds — not the dead
+    // object the `stale` slots name, and nothing a wrong body's register
+    // map would have picked up or missed.
+    assert_eq!(slides.len() as u64, small_gcs);
+    let live = (DEPTH as u64 + 2) * cell_bytes;
+    for (i, &(live_bytes, _)) in slides.iter().enumerate() {
+        assert_eq!(live_bytes, live, "collection {i}");
+    }
+    assert!(slides[0].1 > 0, "the first collection slid the live cells");
+}

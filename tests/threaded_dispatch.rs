@@ -188,8 +188,12 @@ fn fusion_actually_fires_on_the_random_kernels() {
 // the program must keep computing the same answer through the slow path.
 // ---------------------------------------------------------------------
 
-#[test]
-fn call_site_overflows_to_megamorphic_after_many_revisions() {
+/// `main(n)` sums `sq(i)` over `0..n` through one call site.
+fn sq_loop() -> (
+    stride_prefetch::ir::Program,
+    stride_prefetch::ir::MethodId,
+    stride_prefetch::ir::MethodId,
+) {
     let mut pb = ProgramBuilder::new();
     let sq = {
         let mut b = pb.function("sq", &[Ty::I32], Some(Ty::I32));
@@ -216,7 +220,12 @@ fn call_site_overflows_to_megamorphic_after_many_revisions() {
     );
     b.ret(Some(acc));
     let main = b.finish();
-    let program = pb.finish();
+    (pb.finish(), sq, main)
+}
+
+#[test]
+fn call_site_overflows_to_megamorphic_after_many_revisions() {
+    let (program, sq, main) = sq_loop();
     let sq_body = program.method(sq).func().clone();
 
     let mut vm = Vm::new(
@@ -256,4 +265,38 @@ fn call_site_overflows_to_megamorphic_after_many_revisions() {
     // The megamorphic slow path still resolves calls (the loop above kept
     // returning the right answer), and the warm hits were not forgotten.
     assert!(churned.hits >= warm.hits);
+}
+
+/// One body, one revision: a callee past the compile threshold whose async
+/// compile is still queued is re-resolved on every call, and used to spend
+/// a PIC way each time — the third call turned the site megamorphic for
+/// the life of the VM, compiled or not.
+#[test]
+fn a_pending_async_compile_does_not_turn_its_call_site_megamorphic() {
+    let (program, sq, main) = sq_loop();
+    let mut vm = Vm::new(
+        program,
+        VmConfig {
+            compile_threshold: 5,
+            async_compile: true,
+            ..VmConfig::default()
+        },
+        ProcessorConfig::pentium4(),
+    );
+    // The queue is never drained, so `sq` stays interpreted throughout.
+    let expected = vm.call(main, &[Value::I32(50)]).unwrap();
+    assert!(vm.take_compile_requests().contains(&sq));
+    assert!(!vm.is_compiled(sq));
+    assert_eq!(vm.pic_stats().megamorphic_sites, 0, "{:?}", vm.pic_stats());
+
+    // Once the compile lands the site caches the new revision and hits.
+    vm.compile_pending(sq).expect("pending request");
+    let before = vm.pic_stats();
+    assert_eq!(vm.call(main, &[Value::I32(50)]).unwrap(), expected);
+    let after = vm.pic_stats();
+    assert_eq!(after.megamorphic_sites, 0);
+    assert!(
+        after.hits - before.hits >= 49,
+        "the compiled callee must be served from the cache: {before:?} -> {after:?}"
+    );
 }
