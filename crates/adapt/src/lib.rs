@@ -13,7 +13,7 @@
 //! Staleness belongs to *loops*, not methods: the strides the inspector
 //! learned are per-loop facts, so when they rot only that loop's prefetch
 //! sites need to go. Every compiled method gets a [`MethodGuard`] holding
-//! one [`LoopGuard`] per loop that owns prefetch sites (plus a
+//! one loop guard per loop that owns prefetch sites (plus a
 //! straight-line pseudo-loop, [`NO_LOOP`]); each loop guard stamps the GC
 //! epoch at compile time and counts useless-prefetch issues attributed to
 //! the sites it owns:
@@ -34,7 +34,7 @@
 //! runs are bit-identical across hosts and across traced/untraced
 //! execution.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use spf_trace::StaleReason;
 
@@ -82,29 +82,6 @@ impl Default for AdaptConfig {
     }
 }
 
-/// Per-site issue counters, keyed by the site's (block, index) position —
-/// stable across repatches of *other* loops (patching a loop only
-/// rewrites that loop's own blocks).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SiteCounters {
-    /// Prefetches issued from this site in the current loop generation.
-    pub issued: u64,
-    /// Issues that found the line already resident (useless work).
-    pub useless: u64,
-}
-
-/// The prefetch sites one loop owns in a freshly installed body: the
-/// loop's header block index ([`NO_LOOP`] for straight-line sites) and
-/// the (block, index) positions of its `Prefetch`/`SpecLoad`
-/// instructions.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LoopSites {
-    /// Innermost-loop header block index, or [`NO_LOOP`].
-    pub header: u32,
-    /// Site positions owned by this loop.
-    pub sites: Vec<(u32, u32)>,
-}
-
 /// One stale-loop verdict from [`AdaptState::check_stale`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StaleLoop {
@@ -118,19 +95,18 @@ pub struct StaleLoop {
 
 /// Guard state of one loop of a compiled method.
 #[derive(Clone, Debug)]
-pub struct LoopGuard {
+struct LoopGuard {
     /// GC epoch stamped when this loop's sites were last (re)emitted.
-    pub epoch_at_compile: u64,
+    epoch_at_compile: u64,
     /// Loop generation: 0 when the method body it was born in was
     /// installed, +1 per repatch (and per full-body recompile, which
     /// re-inspects this loop too).
-    pub generation: u32,
-    /// Per-site counters for the current loop generation.
-    pub sites: HashMap<(u32, u32), SiteCounters>,
-    /// Aggregate issues across the loop's sites (current generation).
-    pub issued: u64,
-    /// Aggregate useless issues (current generation).
-    pub useless: u64,
+    generation: u32,
+    /// Issues across the loop's sites (current generation).
+    issued: u64,
+    /// Useless issues — the line was already resident (current
+    /// generation).
+    useless: u64,
     /// Invocation count before which a repatch is not allowed (backoff).
     resume_at: u64,
     /// Whether the loop is invalidated (sites patched to no-ops) and not
@@ -155,7 +131,6 @@ impl LoopGuard {
         LoopGuard {
             epoch_at_compile: epoch,
             generation: 0,
-            sites: HashMap::new(),
             issued: 0,
             useless: 0,
             resume_at: 0,
@@ -168,30 +143,9 @@ impl LoopGuard {
         }
     }
 
-    /// Whether the loop is invalidated and not yet repatched.
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Whether the guard is currently disarmed (budget spent and not yet
-    /// re-armed).
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
-    /// Eviction-forced recompiles credited back against the budget.
-    pub fn cache_evictions(&self) -> u32 {
-        self.cache_evictions
-    }
-
-    /// Budget credits granted by re-arming so far.
-    pub fn rearm_credits(&self) -> u32 {
-        self.rearm_credits
-    }
-
     /// The useless-prefetch ratio of the current generation (0 when
     /// nothing was issued).
-    pub fn useless_ratio(&self) -> f64 {
+    fn useless_ratio(&self) -> f64 {
         if self.issued == 0 {
             0.0
         } else {
@@ -201,18 +155,21 @@ impl LoopGuard {
 }
 
 /// Guard state of one compiled method: an install counter plus one
-/// [`LoopGuard`] per site-owning loop.
+/// loop guard per site-owning loop.
 #[derive(Clone, Debug)]
 pub struct MethodGuard {
     /// Install generation of the method body: 0 for the first JIT, +1
     /// per installed body (full recompile, per-loop patch, or repatch).
     /// Keys the compiled-generation history `spf-lint` walks.
-    pub generation: u32,
+    generation: u32,
     /// Per-loop guards, keyed by loop header ([`NO_LOOP`] last). Ordered
     /// so every walk over loops is deterministic.
     loops: BTreeMap<u32, LoopGuard>,
-    /// Site position → owning loop header, for issue attribution.
-    site_owner: HashMap<(u32, u32), u32>,
+    /// The owning loop header of every block of the compiled body
+    /// ([`NO_LOOP`] outside any loop), for issue attribution. Patches and
+    /// repatches only add or remove instructions, so one compile's
+    /// ownership holds for every body installed until the next.
+    block_owner: Vec<u32>,
     /// Whether the method currently has an installed compiled body.
     compiled: bool,
     /// Set by [`AdaptState::on_evicted`], consumed by the next
@@ -222,22 +179,6 @@ pub struct MethodGuard {
 }
 
 impl MethodGuard {
-    /// Whether the method currently has an installed compiled body.
-    pub fn is_compiled(&self) -> bool {
-        self.compiled
-    }
-
-    /// The guard of the loop with header block `header`, if that loop
-    /// owns prefetch sites.
-    pub fn loop_guard(&self, header: u32) -> Option<&LoopGuard> {
-        self.loops.get(&header)
-    }
-
-    /// All loop guards, ascending by header ([`NO_LOOP`] last).
-    pub fn loops(&self) -> impl Iterator<Item = (u32, &LoopGuard)> {
-        self.loops.iter().map(|(&h, g)| (h, g))
-    }
-
     /// Headers of the loops currently invalidated and not repatched,
     /// ascending.
     pub fn stale_loops(&self) -> Vec<u32> {
@@ -246,11 +187,6 @@ impl MethodGuard {
             .filter(|(_, l)| l.stale)
             .map(|(&h, _)| h)
             .collect()
-    }
-
-    /// The owning loop header of a site position, if registered.
-    pub fn site_owner(&self, site: (u32, u32)) -> Option<u32> {
-        self.site_owner.get(&site).copied()
     }
 }
 
@@ -262,8 +198,6 @@ pub struct AdaptState {
     /// Indexed by method; `None` (or past the end) until the method's
     /// first compile. Dense because the VM probes it on every call.
     guards: Vec<Option<MethodGuard>>,
-    /// Total re-arms granted (budget credits from stable epochs).
-    rearms: u64,
     /// `(method, loop generation)` of re-arms since the last
     /// [`AdaptState::take_rearmed`] drain, in re-arm order.
     rearmed_log: Vec<(u32, u32)>,
@@ -275,14 +209,8 @@ impl AdaptState {
         AdaptState {
             cfg,
             guards: Vec::new(),
-            rearms: 0,
             rearmed_log: Vec::new(),
         }
-    }
-
-    /// The policy in effect.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.cfg
     }
 
     /// The guard of `method`, if it was ever compiled under guards.
@@ -294,9 +222,12 @@ impl AdaptState {
         self.guards.get_mut(method)?.as_mut()
     }
 
-    /// Records a full (re)compilation of `method` at GC epoch `epoch`
-    /// with the given per-loop site ownership, and returns the new
-    /// install generation: 0 for the first compile, +1 per install.
+    /// Records a full (re)compilation of `method` at GC epoch `epoch`:
+    /// `block_owner` names the owning loop header of every block of the
+    /// new body and `site_blocks` the blocks that carry a prefetch site
+    /// (repeats allowed), so the loops owning those blocks get guards.
+    /// Returns the new install generation: 0 for the first compile, +1
+    /// per install.
     ///
     /// Loop guards carry their budget state (generation, eviction and
     /// re-arm credits, disarm state) across full recompiles keyed by
@@ -305,7 +236,13 @@ impl AdaptState {
     /// stamps reset. When the recompile was forced by a cache eviction
     /// ([`AdaptState::on_evicted`]), each carried loop is credited one
     /// eviction repatch so capacity churn does not burn staleness budget.
-    pub fn on_compile(&mut self, method: usize, epoch: u64, loops: &[LoopSites]) -> u32 {
+    pub fn on_compile(
+        &mut self,
+        method: usize,
+        epoch: u64,
+        block_owner: Vec<u32>,
+        site_blocks: impl IntoIterator<Item = u32>,
+    ) -> u32 {
         if self.guards.len() <= method {
             self.guards.resize_with(method + 1, || None);
         }
@@ -316,7 +253,7 @@ impl AdaptState {
         let g = slot.get_or_insert_with(|| MethodGuard {
             generation: 0,
             loops: BTreeMap::new(),
-            site_owner: HashMap::new(),
+            block_owner: Vec::new(),
             compiled: true,
             pending_evict: false,
         });
@@ -324,50 +261,41 @@ impl AdaptState {
         g.compiled = true;
         let credit = std::mem::take(&mut g.pending_evict);
         let old = std::mem::take(&mut g.loops);
-        g.site_owner.clear();
-        for ls in loops {
-            let mut lg = match old.get(&ls.header) {
-                Some(prev) => {
-                    let mut l = prev.clone();
-                    l.generation += 1;
-                    l.epoch_at_compile = epoch;
-                    l.sites.clear();
-                    l.issued = 0;
-                    l.useless = 0;
-                    l.stale = false;
-                    l.resume_at = 0;
-                    if credit {
-                        // This recompile was forced by a cache eviction,
-                        // not by a staleness verdict: credit it back now —
-                        // and only now, so an eviction whose forced
-                        // recompile never happens cannot refund the budget.
-                        l.cache_evictions += 1;
-                    }
-                    l
-                }
-                None => LoopGuard::fresh(epoch),
-            };
-            for &s in &ls.sites {
-                lg.sites.insert(s, SiteCounters::default());
-                g.site_owner.insert(s, ls.header);
-            }
-            g.loops.insert(ls.header, lg);
+        for block in site_blocks {
+            let header = block_owner[block as usize];
+            g.loops
+                .entry(header)
+                .or_insert_with(|| match old.get(&header) {
+                    Some(prev) => LoopGuard {
+                        generation: prev.generation + 1,
+                        epoch_at_compile: epoch,
+                        issued: 0,
+                        useless: 0,
+                        stale: false,
+                        resume_at: 0,
+                        // A recompile forced by a cache eviction, not by a
+                        // staleness verdict, is credited back now — and only
+                        // now, so an eviction whose forced recompile never
+                        // happens cannot refund the budget.
+                        cache_evictions: prev.cache_evictions + u32::from(credit),
+                        ..prev.clone()
+                    },
+                    None => LoopGuard::fresh(epoch),
+                });
         }
+        g.block_owner = block_owner;
         g.generation
     }
 
-    /// Records one prefetch issue from `method` at site `(block, index)`;
-    /// `useless` means the line was already resident when issued. The
-    /// issue is attributed to the loop that owns the site.
-    pub fn record_issue(&mut self, method: usize, site: (u32, u32), useless: bool) {
+    /// Records one prefetch issue from a site in block `block` of
+    /// `method`; `useless` means the line was already resident when
+    /// issued. The issue is attributed to the loop that owns the block.
+    pub fn record_issue(&mut self, method: usize, block: u32, useless: bool) {
         if let Some(g) = self.guard_mut(method) {
-            let Some(&owner) = g.site_owner.get(&site) else {
+            let Some(owner) = g.block_owner.get(block as usize) else {
                 return;
             };
-            if let Some(l) = g.loops.get_mut(&owner) {
-                let s = l.sites.entry(site).or_default();
-                s.issued += 1;
-                s.useless += u64::from(useless);
+            if let Some(l) = g.loops.get_mut(owner) {
                 l.issued += 1;
                 l.useless += u64::from(useless);
             }
@@ -382,7 +310,7 @@ impl AdaptState {
     /// stale.
     pub fn check_stale(&mut self, method: usize, epoch: u64) -> Vec<StaleLoop> {
         let cfg = self.cfg;
-        // Not `guard_mut`: a re-arm below also writes `self.rearms`.
+        // Not `guard_mut`: a re-arm below also writes `self.rearmed_log`.
         let Some(g) = self.guards.get_mut(method).and_then(Option::as_mut) else {
             return Vec::new();
         };
@@ -408,7 +336,6 @@ impl AdaptState {
                 // one repatch per horizon.
                 l.disabled = false;
                 l.rearm_credits += 1;
-                self.rearms += 1;
                 self.rearmed_log.push((method as u32, l.generation));
             }
             let reason = if l.epoch_at_compile != epoch {
@@ -441,9 +368,9 @@ impl AdaptState {
     /// to no-ops at `invocations` total invocations and GC `epoch`: each
     /// loop's repatch is gated behind an exponentially growing backoff
     /// window (waivable by epoch-based re-arm, see
-    /// [`AdaptConfig::rearm_stable_epochs`]), its counters reset, and its
-    /// sites drop out of issue attribution. Returns the method's new
-    /// install generation (the patched body is a new installed body).
+    /// [`AdaptConfig::rearm_stable_epochs`]) and its counters reset.
+    /// Returns the method's new install generation (the patched body is
+    /// a new installed body).
     pub fn on_patch(
         &mut self,
         method: usize,
@@ -461,11 +388,9 @@ impl AdaptState {
                 l.stale_epoch = epoch;
                 let backoff = cfg.backoff_base << l.generation.min(32);
                 l.resume_at = invocations + backoff;
-                l.sites.clear();
                 l.issued = 0;
                 l.useless = 0;
             }
-            g.site_owner.retain(|_, &mut h| h != header);
         }
         g.generation += 1;
         g.generation
@@ -495,35 +420,24 @@ impl AdaptState {
             .collect()
     }
 
-    /// Records a repatch of one loop of `method` at GC `epoch`: the
-    /// loop's new sites are registered for attribution and its generation
-    /// bumps (burning one budget slot). Returns the loop's new
-    /// generation. The caller bumps the method install generation once
-    /// per repatched *body* via [`AdaptState::on_repatch_install`].
-    pub fn on_repatch(
-        &mut self,
-        method: usize,
-        header: u32,
-        epoch: u64,
-        sites: &[(u32, u32)],
-    ) -> u32 {
-        let Some(g) = self.guard_mut(method) else {
-            return 0;
-        };
-        let Some(l) = g.loops.get_mut(&header) else {
+    /// Records a repatch of one loop of `method` at GC `epoch`: its
+    /// counters restart and its generation bumps (burning one budget
+    /// slot). Returns the loop's new generation. The caller bumps the
+    /// method install generation once per repatched *body* via
+    /// [`AdaptState::on_repatch_install`].
+    pub fn on_repatch(&mut self, method: usize, header: u32, epoch: u64) -> u32 {
+        let Some(l) = self
+            .guard_mut(method)
+            .and_then(|g| g.loops.get_mut(&header))
+        else {
             return 0;
         };
         l.generation += 1;
         l.epoch_at_compile = epoch;
         l.stale = false;
         l.resume_at = 0;
-        l.sites.clear();
         l.issued = 0;
         l.useless = 0;
-        for &s in sites {
-            l.sites.insert(s, SiteCounters::default());
-            g.site_owner.insert(s, header);
-        }
         l.generation
     }
 
@@ -552,11 +466,6 @@ impl AdaptState {
                 g.pending_evict = true;
             }
         }
-    }
-
-    /// Total budget re-arms granted so far.
-    pub fn rearms(&self) -> u64 {
-        self.rearms
     }
 
     /// Drains the `(method, loop generation)` re-arm log accumulated
@@ -592,24 +501,29 @@ impl AdaptState {
 mod tests {
     use super::*;
 
-    fn one_loop(header: u32) -> Vec<LoopSites> {
-        vec![LoopSites {
-            header,
-            sites: vec![(header, 1)],
-        }]
+    /// One loop with one site, in its header block.
+    fn one_loop(header: u32) -> Vec<(u32, u32)> {
+        vec![(header, header)]
     }
 
-    fn two_loops() -> Vec<LoopSites> {
-        vec![
-            LoopSites {
-                header: 2,
-                sites: vec![(2, 1), (3, 0)],
-            },
-            LoopSites {
-                header: 6,
-                sites: vec![(6, 2)],
-            },
-        ]
+    /// Loop 2 owns sites in blocks 2 and 3, loop 6 one in block 6.
+    fn two_loops() -> Vec<(u32, u32)> {
+        vec![(2, 2), (3, 2), (6, 6)]
+    }
+
+    /// Compiles a body given as `(block, header)` for every site-bearing
+    /// block; every other block is straight-line code.
+    fn compile(a: &mut AdaptState, method: usize, epoch: u64, body: &[(u32, u32)]) -> u32 {
+        let blocks = body.iter().map(|&(b, _)| b + 1).max().unwrap_or(0);
+        let mut owners = vec![NO_LOOP; blocks as usize];
+        for &(b, h) in body {
+            owners[b as usize] = h;
+        }
+        a.on_compile(method, epoch, owners, body.iter().map(|&(b, _)| b))
+    }
+
+    fn loop_guard(a: &AdaptState, method: usize, header: u32) -> &LoopGuard {
+        &a.guard(method).unwrap().loops[&header]
     }
 
     fn headers(stale: &[StaleLoop]) -> Vec<u32> {
@@ -619,17 +533,16 @@ mod tests {
     #[test]
     fn first_compile_is_generation_zero() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        assert_eq!(a.on_compile(3, 0, &one_loop(4)), 0);
-        let g = a.guard(3).unwrap();
-        assert_eq!(g.generation, 0);
-        assert_eq!(g.loop_guard(4).unwrap().generation, 0);
-        assert_eq!(g.site_owner((4, 1)), Some(4));
+        assert_eq!(compile(&mut a, 3, 0, &one_loop(4)), 0);
+        assert_eq!(a.guard(3).unwrap().generation, 0);
+        assert_eq!(loop_guard(&a, 3, 4).generation, 0);
+        assert_eq!(a.guard(3).unwrap().block_owner[4], 4);
     }
 
     #[test]
     fn epoch_bump_marks_every_sited_loop_stale_once() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(0, 0, &two_loops());
+        compile(&mut a, 0, 0, &two_loops());
         assert!(a.check_stale(0, 0).is_empty(), "same epoch is fresh");
         let stale = a.check_stale(0, 1);
         assert_eq!(headers(&stale), vec![2, 6]);
@@ -639,7 +552,7 @@ mod tests {
             a.check_stale(0, 1).is_empty(),
             "invalidated loops are not re-reported"
         );
-        assert_eq!(a.on_repatch(0, 2, 1, &[(2, 1)]), 1);
+        assert_eq!(a.on_repatch(0, 2, 1), 1);
         a.on_repatch_install(0);
         assert!(
             a.check_stale(0, 1).is_empty(),
@@ -656,21 +569,21 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &two_loops());
-        // All useless traffic lands on loop 2's site (2, 1).
-        a.record_issue(0, (2, 1), true);
-        a.record_issue(0, (2, 1), true);
+        compile(&mut a, 0, 0, &two_loops());
+        // All useless traffic lands on loop 2's blocks.
+        a.record_issue(0, 2, true);
+        a.record_issue(0, 3, true);
         assert!(a.check_stale(0, 0).is_empty(), "below min_samples");
-        a.record_issue(0, (2, 1), true);
-        a.record_issue(0, (2, 1), false);
+        a.record_issue(0, 2, true);
+        a.record_issue(0, 2, false);
         // Loop 6 stays healthy even while loop 2 crosses the threshold.
-        a.record_issue(0, (6, 2), false);
+        a.record_issue(0, 6, false);
         let stale = a.check_stale(0, 0);
         assert_eq!(headers(&stale), vec![2]);
         assert_eq!(stale[0].reason, StaleReason::UselessRatio);
-        let l = a.guard(0).unwrap().loop_guard(2).unwrap();
-        assert_eq!(l.sites[&(2, 1)].issued, 4);
-        assert_eq!(l.sites[&(2, 1)].useless, 3);
+        let l = loop_guard(&a, 0, 2);
+        assert_eq!((l.issued, l.useless), (4, 3));
+        assert_eq!(loop_guard(&a, 0, 6).issued, 1);
     }
 
     #[test]
@@ -681,18 +594,19 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(0));
-        a.record_issue(0, (0, 1), true);
-        a.record_issue(0, (0, 1), false);
+        compile(&mut a, 0, 0, &one_loop(0));
+        a.record_issue(0, 0, true);
+        a.record_issue(0, 0, false);
         assert!(a.check_stale(0, 0).is_empty(), "threshold is strict");
     }
 
     #[test]
     fn unowned_site_issues_are_ignored() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(0, 0, &one_loop(2));
-        a.record_issue(0, (9, 9), true);
-        assert_eq!(a.guard(0).unwrap().loop_guard(2).unwrap().issued, 0);
+        compile(&mut a, 0, 0, &one_loop(2));
+        a.record_issue(0, 9, true); // past the body's last block
+        a.record_issue(0, 1, true); // straight-line block, no guard owns it
+        assert_eq!(loop_guard(&a, 0, 2).issued, 0);
     }
 
     #[test]
@@ -703,11 +617,11 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         a.on_patch(0, &[4], 100, 1);
         assert!(a.loops_due(0, 101, 1).is_empty());
         assert_eq!(a.loops_due(0, 102, 1), vec![4], "gen 0 waits backoff_base");
-        a.on_repatch(0, 4, 1, &[(4, 1)]);
+        a.on_repatch(0, 4, 1);
         a.on_repatch_install(0);
         a.on_patch(0, &[4], 200, 2);
         assert!(a.loops_due(0, 203, 2).is_empty());
@@ -727,23 +641,22 @@ mod tests {
         };
         let mut a = AdaptState::new(cfg);
         let mut epoch = 0;
-        a.on_compile(0, epoch, &one_loop(4));
+        compile(&mut a, 0, epoch, &one_loop(4));
         for expect_gen in 1..=2 {
             epoch += 1;
             assert_eq!(headers(&a.check_stale(0, epoch)), vec![4]);
             a.on_patch(0, &[4], 0, epoch);
             assert_eq!(a.loops_due(0, 0, epoch), vec![4]);
-            assert_eq!(a.on_repatch(0, 4, epoch, &[(4, 1)]), expect_gen);
+            assert_eq!(a.on_repatch(0, 4, epoch), expect_gen);
             a.on_repatch_install(0);
         }
         // Budget (2 repatches) spent: a further epoch bump disarms.
         epoch += 1;
         assert!(a.check_stale(0, epoch).is_empty());
         assert!(a.check_stale(0, epoch + 1).is_empty(), "stays disarmed");
-        let g = a.guard(0).unwrap();
-        assert_eq!(g.loop_guard(4).unwrap().generation, 2);
-        assert!(g.loop_guard(4).unwrap().is_disabled());
-        assert!(g.is_compiled(), "the body never left");
+        assert_eq!(loop_guard(&a, 0, 4).generation, 2);
+        assert!(loop_guard(&a, 0, 4).disabled);
+        assert!(a.guard(0).unwrap().compiled, "the body never left");
     }
 
     #[test]
@@ -754,19 +667,19 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &two_loops());
+        compile(&mut a, 0, 0, &two_loops());
         // Burn loop 2's budget; loop 6 stays untouched (its guard also
         // fires each epoch but is repatched along with loop 2 here).
         assert_eq!(headers(&a.check_stale(0, 1)), vec![2, 6]);
         a.on_patch(0, &[2], 0, 1);
-        a.on_repatch(0, 2, 1, &[(2, 1)]);
+        a.on_repatch(0, 2, 1);
         a.on_repatch_install(0);
         // Epoch 2: loop 2's budget (1 repatch) is spent and disarms; loop
         // 6 — never repatched — still reports.
         let stale = a.check_stale(0, 2);
         assert_eq!(headers(&stale), vec![6]);
-        assert!(a.guard(0).unwrap().loop_guard(2).unwrap().is_disabled());
-        assert!(!a.guard(0).unwrap().loop_guard(6).unwrap().is_disabled());
+        assert!(loop_guard(&a, 0, 2).disabled);
+        assert!(!loop_guard(&a, 0, 6).disabled);
     }
 
     #[test]
@@ -777,16 +690,16 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         // Two cache evictions, each followed by the forced recompile.
         for _ in 0..2 {
             a.on_evicted(0);
             assert!(a.check_stale(0, 0).is_empty(), "no body to guard");
-            a.on_compile(0, 0, &one_loop(4));
+            compile(&mut a, 0, 0, &one_loop(4));
         }
-        let l = a.guard(0).unwrap().loop_guard(4).unwrap();
+        let l = loop_guard(&a, 0, 4);
         assert_eq!(l.generation, 2);
-        assert_eq!(l.cache_evictions(), 2);
+        assert_eq!(l.cache_evictions, 2);
         // The full adaptive budget (2) is still available: two GC-staleness
         // repatches fire before the guard disarms.
         let mut epoch = 0;
@@ -794,7 +707,7 @@ mod tests {
             epoch += 1;
             assert_eq!(headers(&a.check_stale(0, epoch)), vec![4]);
             a.on_patch(0, &[4], 0, epoch);
-            assert_eq!(a.on_repatch(0, 4, epoch, &[(4, 1)]), expect_gen);
+            assert_eq!(a.on_repatch(0, 4, epoch), expect_gen);
             a.on_repatch_install(0);
         }
         epoch += 1;
@@ -804,14 +717,14 @@ mod tests {
     #[test]
     fn evicted_method_is_not_checked_until_recompiled() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(3, 0, &one_loop(2));
+        compile(&mut a, 3, 0, &one_loop(2));
         a.on_evicted(3);
         assert!(
             a.check_stale(3, 99).is_empty(),
             "evicted body cannot be stale: there is nothing installed"
         );
         assert!(a.loops_due(3, 1_000, 99).is_empty());
-        a.on_compile(3, 99, &one_loop(2));
+        compile(&mut a, 3, 99, &one_loop(2));
         assert_eq!(headers(&a.check_stale(3, 100)), vec![2]);
     }
 
@@ -832,7 +745,7 @@ mod tests {
     #[test]
     fn methods_without_sites_never_go_stale() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(0, 0, &[]);
+        compile(&mut a, 0, 0, &[]);
         assert!(
             a.check_stale(0, 50).is_empty(),
             "no sites, nothing to invalidate"
@@ -848,42 +761,30 @@ mod tests {
         // credit must be counted when the eviction-forced recompile
         // actually installs.
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         a.on_evicted(0);
         a.on_evicted(0); // churn: evicted again before any recompile
+        assert_eq!(loop_guard(&a, 0, 4).cache_evictions, 0);
+        compile(&mut a, 0, 0, &one_loop(4));
         assert_eq!(
-            a.guard(0).unwrap().loop_guard(4).unwrap().cache_evictions(),
-            0
-        );
-        a.on_compile(0, 0, &one_loop(4));
-        assert_eq!(
-            a.guard(0).unwrap().loop_guard(4).unwrap().cache_evictions(),
+            loop_guard(&a, 0, 4).cache_evictions,
             1,
             "two raw evictions, one forced recompile, one credit"
         );
         a.on_evicted(0);
-        assert_eq!(
-            a.guard(0).unwrap().loop_guard(4).unwrap().cache_evictions(),
-            1
-        );
-        a.on_compile(0, 0, &one_loop(4));
-        assert_eq!(
-            a.guard(0).unwrap().loop_guard(4).unwrap().cache_evictions(),
-            2
-        );
+        assert_eq!(loop_guard(&a, 0, 4).cache_evictions, 1);
+        compile(&mut a, 0, 0, &one_loop(4));
+        assert_eq!(loop_guard(&a, 0, 4).cache_evictions, 2);
     }
 
     #[test]
     fn staleness_repatch_consumes_no_evict_credit() {
         let mut a = AdaptState::new(AdaptConfig::default());
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         a.on_patch(0, &[4], 10, 1);
-        a.on_repatch(0, 4, 1, &[(4, 1)]);
+        a.on_repatch(0, 4, 1);
         a.on_repatch_install(0);
-        assert_eq!(
-            a.guard(0).unwrap().loop_guard(4).unwrap().cache_evictions(),
-            0
-        );
+        assert_eq!(loop_guard(&a, 0, 4).cache_evictions, 0);
     }
 
     #[test]
@@ -895,15 +796,15 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         // Spend the 1-repatch budget.
         assert_eq!(headers(&a.check_stale(0, 1)), vec![4]);
         a.on_patch(0, &[4], 0, 1);
-        a.on_repatch(0, 4, 1, &[(4, 1)]);
+        a.on_repatch(0, 4, 1);
         a.on_repatch_install(0);
         // Budget spent: the next epoch bump disarms instead of firing.
         assert!(a.check_stale(0, 2).is_empty());
-        assert!(a.guard(0).unwrap().loop_guard(4).unwrap().is_disabled());
+        assert!(loop_guard(&a, 0, 4).disabled);
         // Still disarmed while fewer than `rearm_stable_epochs` have
         // passed since the disarm point.
         assert!(a.check_stale(0, 3).is_empty());
@@ -911,21 +812,20 @@ mod tests {
         // Epoch 5 = disarm(2) + 3: re-arms with one credit and the
         // staleness verdict fires again in the same call.
         assert_eq!(headers(&a.check_stale(0, 5)), vec![4]);
-        let l = a.guard(0).unwrap().loop_guard(4).unwrap();
-        assert!(!l.is_disabled());
-        assert_eq!(l.rearm_credits(), 1);
-        assert_eq!(a.rearms(), 1);
+        let l = loop_guard(&a, 0, 4);
+        assert!(!l.disabled);
+        assert_eq!(l.rearm_credits, 1);
         assert_eq!(a.take_rearmed(), vec![(0, 1)]);
         assert_eq!(a.take_rearmed(), vec![], "drain is destructive");
         // The credit funds exactly one more repatch, then the guard
         // disarms again and a second stable window re-arms it again.
         a.on_patch(0, &[4], 0, 5);
-        a.on_repatch(0, 4, 5, &[(4, 1)]);
+        a.on_repatch(0, 4, 5);
         a.on_repatch_install(0);
         assert!(a.check_stale(0, 6).is_empty());
-        assert!(a.guard(0).unwrap().loop_guard(4).unwrap().is_disabled());
+        assert!(loop_guard(&a, 0, 4).disabled);
         assert_eq!(headers(&a.check_stale(0, 9)), vec![4]);
-        assert_eq!(a.rearms(), 2);
+        assert_eq!(a.take_rearmed(), vec![(0, 2)]);
     }
 
     #[test]
@@ -936,14 +836,14 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         assert_eq!(headers(&a.check_stale(0, 1)), vec![4]);
         a.on_patch(0, &[4], 0, 1);
-        a.on_repatch(0, 4, 1, &[(4, 1)]);
+        a.on_repatch(0, 4, 1);
         a.on_repatch_install(0);
         assert!(a.check_stale(0, 2).is_empty());
         assert!(a.check_stale(0, 1_000_000).is_empty(), "no re-arm at 0");
-        assert_eq!(a.rearms(), 0);
+        assert_eq!(a.take_rearmed(), vec![]);
     }
 
     #[test]
@@ -954,7 +854,7 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         a.on_patch(0, &[4], 100, 5);
         assert!(a.loops_due(0, 101, 5).is_empty(), "inside backoff");
         assert!(a.loops_due(0, 101, 6).is_empty(), "one epoch is not enough");
@@ -970,23 +870,23 @@ mod tests {
     fn stranded_counts_stale_loops_and_sorts_methods() {
         let mut a = AdaptState::new(AdaptConfig::default());
         for m in [9usize, 2, 5] {
-            a.on_compile(m, 0, &one_loop(3));
+            compile(&mut a, m, 0, &one_loop(3));
             a.on_patch(m, &[3], 0, 1);
         }
         assert_eq!(a.stranded(), 3);
         assert_eq!(a.stranded_methods(), vec![2, 5, 9]);
-        a.on_repatch(5, 3, 1, &[(3, 1)]);
+        a.on_repatch(5, 3, 1);
         a.on_repatch_install(5);
         assert_eq!(a.stranded(), 2);
         assert_eq!(a.stranded_methods(), vec![2, 9]);
         // Two stale loops of one method count twice but list the method
         // once.
-        a.on_compile(7, 0, &two_loops());
+        compile(&mut a, 7, 0, &two_loops());
         a.on_patch(7, &[2, 6], 0, 1);
         assert_eq!(a.stranded(), 4);
         assert_eq!(a.stranded_methods(), vec![2, 7, 9]);
         // An eviction alone does not strand: nothing was invalidated.
-        a.on_compile(8, 1, &one_loop(0));
+        compile(&mut a, 8, 1, &one_loop(0));
         a.on_evicted(8);
         assert_eq!(a.stranded(), 4);
     }
@@ -999,17 +899,17 @@ mod tests {
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        a.on_compile(0, 0, &one_loop(4));
+        compile(&mut a, 0, 0, &one_loop(4));
         a.on_patch(0, &[4], 0, 1);
         assert_eq!(a.stranded(), 1);
         // The serving sweep may full-recompile a stranded method (e.g.
         // after an eviction): the fresh body clears staleness but the
         // loop's generation advanced, so the budget is not reset.
         a.on_evicted(0);
-        a.on_compile(0, 1, &one_loop(4));
+        compile(&mut a, 0, 1, &one_loop(4));
         assert_eq!(a.stranded(), 0);
-        let l = a.guard(0).unwrap().loop_guard(4).unwrap();
+        let l = loop_guard(&a, 0, 4);
         assert_eq!(l.generation, 1);
-        assert_eq!(l.cache_evictions(), 1, "eviction-forced install credits");
+        assert_eq!(l.cache_evictions, 1, "eviction-forced install credits");
     }
 }

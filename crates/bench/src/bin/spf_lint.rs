@@ -91,11 +91,7 @@ fn parse_args() -> Result<Args, String> {
             .map(|p| spf_bench::out_dir::join(dir, &p));
     }
     if let Some(s) = positional.first() {
-        args.size = match s.as_str() {
-            "tiny" => Size::Tiny,
-            "small" => Size::Small,
-            _ => Size::Full,
-        };
+        args.size = s.parse()?;
     }
     args.only = positional.get(1).cloned();
     if let Some(only) = &args.only {
@@ -262,6 +258,10 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
+            eprintln!(
+                "usage: spf-lint [tiny|small|full [WORKLOAD]] [--agreement-out PATH|-] \
+                 [--provenance] [--provenance-out PATH|-] [--out-dir DIR]"
+            );
             return ExitCode::FAILURE;
         }
     };

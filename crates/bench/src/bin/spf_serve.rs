@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p spf-bench --bin spf-serve
 //! cargo run --release -p spf-bench --bin spf-serve -- --tenants 200 --requests 1000
-//! cargo run --release -p spf-bench --bin spf-serve -- --jobs 1 --verify-jobs 4
+//! cargo run --release -p spf-bench --bin spf-serve -- --jobs 4 --chaos
 //! ```
 //!
 //! Runs the `spf-serve` fleet simulation — hundreds of tenant VMs over
@@ -14,11 +14,8 @@
 //! queue estimates: statically proved sites skip object inspection, so
 //! its scheduled compile latencies come in below the legacy modes'.
 //!
-//! The simulation is bit-identical across `--jobs` values; passing
-//! `--verify-jobs N` re-runs the whole sweep with `N` host workers and
-//! fails (exit 1) if any number differs — the serving analogue of the
-//! matrix's `--verify-serial`. CI additionally byte-compares the emitted
-//! file across two `--jobs` runs with `cmp`.
+//! The simulation is bit-identical across `--jobs` values; CI
+//! byte-compares the emitted files across two `--jobs` runs with `cmp`.
 //!
 //! `--chaos` additionally runs each mode a second time under the seeded
 //! fault plan (GC storms, compile stalls, cache squeezes, traffic
@@ -37,13 +34,11 @@ use spf_serve::{
     TrafficConfig,
 };
 use spf_trace::{export, TraceEvent};
-use spf_workloads::Size;
 
 struct Args {
     cfg: ServeConfig,
     proc: ProcessorConfig,
     jobs: usize,
-    verify_jobs: Option<usize>,
     out: Option<String>,
     events_out: Option<String>,
     chaos: Option<ChaosConfig>,
@@ -55,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
         cfg: ServeConfig::default(),
         proc: ProcessorConfig::pentium4(),
         jobs: matrix::default_jobs(),
-        verify_jobs: None,
         out: Some("SERVE_summary.json".to_string()),
         events_out: None,
         chaos: None,
@@ -80,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cache-instrs" => args.cfg.cache_capacity_instrs = num("--cache-instrs")?,
             "--jobs" => args.jobs = num("--jobs")?.max(1) as usize,
-            "--verify-jobs" => args.verify_jobs = Some(num("--verify-jobs")?.max(1) as usize),
             "--processor" => {
                 let v = it.next().ok_or("--processor needs a name")?;
                 args.proc = match v.as_str() {
@@ -108,10 +101,11 @@ fn parse_args() -> Result<Args, String> {
             "--out-dir" => {
                 dir_flag = Some(it.next().ok_or("--out-dir needs a directory")?);
             }
-            "tiny" => args.cfg.size = Size::Tiny,
-            "small" => args.cfg.size = Size::Small,
-            "full" => args.cfg.size = Size::Full,
-            other => return Err(format!("unknown argument {other:?}")),
+            word => {
+                args.cfg.size = word
+                    .parse()
+                    .map_err(|_| format!("unknown argument {word:?}"))?;
+            }
         }
     }
     if let Some(dir) = &dir_flag {
@@ -153,7 +147,7 @@ fn chaos_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
         .collect()
 }
 
-fn sweep(args: &Args, jobs: usize) -> Result<(ServeSummary, String, String), String> {
+fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
     let mut rows = Vec::new();
     let mut chaos_rows = Vec::new();
     let mut events_text = String::new();
@@ -170,9 +164,9 @@ fn sweep(args: &Args, jobs: usize) -> Result<(ServeSummary, String, String), Str
     for opts in modes() {
         eprintln!(
             "serve: {} tenants x {} requests, mode {}, {} job(s)...",
-            args.cfg.tenants, args.cfg.requests, opts.mode, jobs
+            args.cfg.tenants, args.cfg.requests, opts.mode, args.jobs
         );
-        let out = sim::run(&args.cfg, &opts, &args.proc, jobs);
+        let out = sim::run(&args.cfg, &opts, &args.proc, args.jobs);
         if args.events_out.is_some() {
             events_text.push_str(&export::events_jsonl(&out.events, None));
         }
@@ -183,7 +177,7 @@ fn sweep(args: &Args, jobs: usize) -> Result<(ServeSummary, String, String), Str
                 chaos: Some(*chaos),
                 ..args.cfg
             };
-            let fault = sim::run(&chaos_cfg, &opts, &args.proc, jobs);
+            let fault = sim::run(&chaos_cfg, &opts, &args.proc, args.jobs);
             if args.fault_events_out.is_some() {
                 fault_events_text
                     .push_str(&export::events_jsonl(&chaos_events(&fault.events), None));
@@ -232,13 +226,13 @@ fn main() -> ExitCode {
                 "usage: spf-serve [tiny|small|full] [--tenants N] [--requests N] \
                  [--mean-interarrival CYCLES] [--seed N] [--slot-cycles N] \
                  [--compile-workers N] [--cache-instrs N] [--processor pentium4|athlonmp] \
-                 [--jobs N] [--verify-jobs N] [--out PATH|-] [--events-out PATH] \
+                 [--jobs N] [--out PATH|-] [--events-out PATH] \
                  [--chaos] [--chaos-seed N] [--fault-events-out PATH] [--out-dir DIR]"
             );
             return ExitCode::FAILURE;
         }
     };
-    let (summary, events_text, fault_events_text) = match sweep(&args, args.jobs) {
+    let (summary, events_text, fault_events_text) = match sweep(&args) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve: {e}");
@@ -253,40 +247,6 @@ fn main() -> ExitCode {
     if summary.modes.iter().any(|m| Some(m.checksum) != first) {
         eprintln!("serve: FLEET CHECKSUM DIVERGED ACROSS MODES");
         return ExitCode::FAILURE;
-    }
-
-    if let Some(verify_jobs) = args.verify_jobs {
-        eprintln!("serve: verifying determinism with {verify_jobs} job(s)...");
-        let (again, _, fault_events_again) = match sweep(&args, verify_jobs) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if fault_events_again != fault_events_text {
-            eprintln!(
-                "serve: FAULT EVENT STREAM differs between --jobs {} and --jobs {verify_jobs}",
-                args.jobs
-            );
-            return ExitCode::FAILURE;
-        }
-        if again != summary {
-            eprintln!(
-                "serve: MISMATCH between --jobs {} and --jobs {verify_jobs}:",
-                args.jobs
-            );
-            for (a, b) in summary.modes.iter().zip(&again.modes) {
-                if a != b {
-                    eprintln!("  {}: {a:?}\n  != {b:?}", a.mode);
-                }
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "serve: bit-identical across jobs ({} == {verify_jobs})",
-            args.jobs
-        );
     }
 
     if let Some(path) = &args.out {

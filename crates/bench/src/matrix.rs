@@ -83,16 +83,8 @@ pub fn cells(keep: impl Fn(&str) -> bool) -> Vec<Cell> {
     out
 }
 
-/// The default worker count: `$SPF_JOBS` when set to a positive integer,
-/// otherwise the host's available parallelism.
+/// The default worker count: the host's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("SPF_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use spf_core::{PrefetchMode, PrefetchOptions, StrideCrossCheck};
 use spf_ir::MethodId;
 use spf_memsim::{MemStats, ProcessorConfig};
-use spf_trace::{attribute, Attribution, NoopSink, RingSink, SiteTable, TraceEvent, TraceSink};
+use spf_trace::{Attribution, NoopSink, RingSink, SiteTable, TraceEvent, TraceSink};
 use spf_vm::{Predecoded, Vm, VmConfig};
 use spf_workloads::{Size, WorkloadSpec};
 
@@ -54,7 +54,8 @@ pub struct Measurement {
     pub mem: MemStats,
     /// Fraction of execution cycles in compiled code (Table 3).
     pub compiled_fraction: f64,
-    /// JIT time / total time during the warm-up phase (Figure 11, right).
+    /// JIT cycles / total cycles of the simulated clock during the
+    /// warm-up phase (Figure 11, right).
     pub jit_fraction: f64,
     /// Prefetch-pass time / JIT time (Figure 11, left).
     pub prefetch_pass_fraction: f64,
@@ -100,11 +101,11 @@ impl Measurement {
     /// Compares every *simulation-determined* field against `other`,
     /// returning a description of each difference (empty = identical).
     ///
-    /// `jit_fraction` and `prefetch_pass_fraction` are excluded on
-    /// purpose: they are ratios of host wall-clock times, which vary from
-    /// run to run even when the simulation is bit-identical. Everything
-    /// the simulator itself computes — cycles, instruction counts, memory
-    /// counters, checksums — must match exactly.
+    /// `prefetch_pass_fraction` is excluded on purpose: it is a ratio of
+    /// host wall-clock times, which vary from run to run even when the
+    /// simulation is bit-identical. Everything the simulator itself
+    /// computes — cycles, instruction counts, memory counters, the JIT's
+    /// share of the simulated clock, checksums — must match exactly.
     pub fn simulated_diff(&self, other: &Measurement) -> Vec<String> {
         let mut diff = Vec::new();
         macro_rules! cmp {
@@ -126,6 +127,7 @@ impl Measurement {
         cmp!(retired);
         cmp!(mem);
         cmp!(compiled_fraction);
+        cmp!(jit_fraction);
         cmp!(prefetches_inserted);
         cmp!(stride_check);
         cmp!(deopts);
@@ -151,10 +153,11 @@ pub struct WorkloadTrace {
     pub events: Vec<TraceEvent>,
     /// The prefetch-site table the JIT registered during warm-up.
     pub sites: SiteTable,
-    /// Per-site effectiveness derived from [`events`](Self::events).
+    /// Per-site effectiveness of the best run, folded by the sink as the
+    /// events were emitted: exact whatever [`lost`](Self::lost) says.
     pub attribution: Attribution,
     /// Events the sink dropped for capacity in the best run (non-zero
-    /// means the attribution undercounts).
+    /// means [`events`](Self::events) is truncated).
     pub lost: u64,
     /// Events the sink dropped during the warm-up phase (non-zero means
     /// [`compile_events`](Self::compile_events) is incomplete).
@@ -317,6 +320,7 @@ fn run_prepared_sink<S: TraceSink>(
     }
     let mut best: Option<BestRun> = None;
     let mut best_events: Vec<TraceEvent> = Vec::new();
+    let mut best_attribution = Attribution::default();
     let mut best_lost = 0u64;
     for _ in 0..plan.measured_runs {
         // Clears counters, caches, and the trace sink: the captured events
@@ -345,13 +349,14 @@ fn run_prepared_sink<S: TraceSink>(
             });
             if S::ENABLED {
                 best_events = vm.sink().snapshot();
+                best_attribution = vm.sink().attribution();
                 best_lost = vm.sink().lost();
             }
         }
     }
     let best = best.expect("at least one measured run");
     let trace = S::ENABLED.then(|| WorkloadTrace {
-        attribution: attribute(&best_events),
+        attribution: best_attribution,
         compile_events,
         events: best_events,
         sites: vm.sites().clone(),

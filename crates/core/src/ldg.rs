@@ -202,33 +202,6 @@ impl Ldg {
         }
     }
 
-    /// Renders the graph as a Graphviz digraph (the paper's Figure 5 as an
-    /// artifact). Nodes carry their instruction text; edges are annotated
-    /// with discovered intra-iteration strides.
-    pub fn to_dot(&self, program: &Program, func: &Function) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("digraph ldg {\n  node [shape=box, fontname=\"monospace\"];\n");
-        for id in self.node_ids() {
-            let n = self.node(id);
-            let text = spf_ir::display::instr_to_string(program, func, func.instr(n.site))
-                .replace('\"', "'");
-            let stride = match n.inter_stride {
-                Some(d) => format!("\\nd={d}"),
-                None => String::new(),
-            };
-            let _ = writeln!(s, "  {} [label=\"{id}: {text}{stride}\"];", id.index());
-        }
-        for e in &self.edges {
-            let label = match e.intra_stride {
-                Some(v) => format!(" [label=\"S={v}\"]"),
-                None => String::new(),
-            };
-            let _ = writeln!(s, "  {} -> {}{label};", e.from.index(), e.to.index());
-        }
-        s.push_str("}\n");
-        s
-    }
-
     /// Renders the graph like the paper's Figure 5: one line per node with
     /// its instruction, then the edge list.
     pub fn render(&self, program: &Program, func: &Function) -> String {
@@ -406,52 +379,5 @@ mod tests {
         assert_eq!(ldg.len(), 2);
         // getstatic -> arraylength edge exists.
         assert_eq!(ldg.edges().len(), 1);
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use spf_ir::cfg::Cfg;
-    use spf_ir::defuse::UseDef;
-    use spf_ir::dom::DomTree;
-    use spf_ir::{CmpOp, ElemTy, ProgramBuilder, Ty};
-
-    #[test]
-    fn dot_renders_nodes_edges_and_strides() {
-        let mut pb = ProgramBuilder::new();
-        let (_c, fs) = pb.add_class("N", &[("next", ElemTy::Ref)]);
-        let mut b = pb.function("walk", &[Ty::Ref, Ty::I32], None);
-        let arr = b.param(0);
-        let n = b.param(1);
-        b.for_i32(
-            0,
-            1,
-            CmpOp::Lt,
-            |_| n,
-            |b, i| {
-                let node = b.aload(arr, i, ElemTy::Ref);
-                let _next = b.getfield(node, fs[0]);
-            },
-        );
-        let m = b.finish();
-        let p = pb.finish();
-        let f = p.method(m).func();
-        let cfg = Cfg::compute(f);
-        let dom = DomTree::compute(f, &cfg);
-        let forest = spf_ir::loops::LoopForest::compute(f, &cfg, &dom);
-        let ud = UseDef::compute(f, &cfg);
-        let mut ldg = Ldg::build(f, &ud, &forest, forest.roots()[0]);
-        // Annotate something so the labels show strides.
-        let first = ldg.node_ids().next().unwrap();
-        ldg.node_mut(first).inter_stride = Some(8);
-        if !ldg.edges().is_empty() {
-            ldg.edges_mut()[0].intra_stride = Some(48);
-        }
-        let dot = ldg.to_dot(&p, f);
-        assert!(dot.starts_with("digraph ldg"), "{dot}");
-        assert!(dot.contains("d=8"), "{dot}");
-        assert!(dot.contains("S=48"), "{dot}");
-        assert!(dot.contains("->"), "{dot}");
     }
 }

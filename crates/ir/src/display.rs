@@ -1,43 +1,8 @@
-//! Human-readable printing of functions (used by reports and debugging).
+//! Human-readable printing of instructions (used by reports and debugging).
 
 use crate::func::Function;
-use crate::instr::{Instr, PrefetchAddr, Terminator};
+use crate::instr::{Instr, PrefetchAddr};
 use crate::program::Program;
-
-/// Renders `func` as text, resolving field/method/class names via `program`.
-pub fn function_to_string(program: &Program, func: &Function) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let params: Vec<String> = func
-        .params()
-        .map(|r| format!("{r}: {}", func.reg_ty(r)))
-        .collect();
-    let ret = func
-        .ret_ty()
-        .map(|t| format!(" -> {t}"))
-        .unwrap_or_default();
-    let _ = writeln!(s, "fn {}({}){ret} {{", func.name(), params.join(", "));
-    for b in func.block_ids() {
-        let _ = writeln!(s, "{b}:");
-        for instr in &func.block(b).instrs {
-            let _ = writeln!(s, "    {}", instr_to_string(program, func, instr));
-        }
-        let t = match &func.block(b).term {
-            Terminator::Jump(t) => format!("jump {t}"),
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => format!("br {cond} ? {then_bb} : {else_bb}"),
-            Terminator::Return(Some(r)) => format!("ret {r}"),
-            Terminator::Return(None) => "ret".to_string(),
-            Terminator::Unreachable => "unreachable".to_string(),
-        };
-        let _ = writeln!(s, "    {t}");
-    }
-    let _ = writeln!(s, "}}");
-    s
-}
 
 /// Renders one instruction as text.
 pub fn instr_to_string(program: &Program, _func: &Function, instr: &Instr) -> String {
@@ -123,12 +88,15 @@ mod tests {
         b.ret(Some(len));
         let m = b.finish();
         let p = pb.finish();
-        let text = function_to_string(&p, p.method(m).func());
+        let f = p.method(m).func();
+        let lines: Vec<String> = (f.instr_sites())
+            .map(|s| instr_to_string(&p, f, f.instr(s)))
+            .collect();
+        let text = lines.join("\n");
         assert!(text.contains("getfield r0.size"), "{text}");
         assert!(text.contains("new Token"), "{text}");
         assert!(text.contains("newarray ref"), "{text}");
         assert!(text.contains("arraylength"), "{text}");
         assert!(text.contains("putstatic g"), "{text}");
-        assert!(text.contains("ret"), "{text}");
     }
 }

@@ -36,7 +36,6 @@ pub mod cfg;
 pub mod defuse;
 pub mod display;
 pub mod dom;
-pub mod dot;
 pub mod entities;
 pub mod func;
 pub mod instr;

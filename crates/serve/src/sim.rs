@@ -28,7 +28,7 @@ use spf_trace::{FaultKind, NoopSink, TraceEvent};
 use spf_vm::{Predecoded, Vm, VmConfig};
 use spf_workloads::{all, Size};
 
-use crate::cache::CodeCache;
+use crate::cache::{CacheEntry, CodeCache};
 use crate::faults::{self, ChaosConfig, FaultPlan};
 use crate::traffic::{self, Request, TrafficConfig};
 
@@ -166,6 +166,157 @@ struct CompileJob {
     not_before: u64,
 }
 
+/// The shared state every barrier step works on. Each step is a method
+/// written once; the epoch loop and the chaos cooldown of [`run`] differ
+/// only in which steps they call.
+struct Fleet {
+    tenants: Vec<Mutex<Tenant>>,
+    cache: CodeCache,
+    queue: VecDeque<CompileJob>,
+    /// `workers[w]` holds the job worker `w` finishes at `finish_at`.
+    workers: Vec<Option<(u64, CompileJob)>>,
+    out: ServeOutcome,
+}
+
+impl Fleet {
+    fn tenant(&mut self, i: usize) -> &mut Tenant {
+        self.tenants[i].get_mut().unwrap()
+    }
+
+    /// Evicts code-cache `victims` from their VMs.
+    fn evict(&mut self, victims: Vec<CacheEntry>, now: u64) {
+        for victim in victims {
+            self.tenant(victim.tenant as usize)
+                .vm
+                .evict_compiled(MethodId::new(victim.method as usize));
+            self.out.evictions += 1;
+            self.out.events.push(TraceEvent::CodeCacheEvicted {
+                tenant: victim.tenant,
+                method: victim.method,
+                instrs: victim.instrs as u32,
+                now,
+            });
+        }
+    }
+
+    /// Completes finished background compiles, in worker order: install
+    /// into the owning VM, charge the shared code cache, and evict LRU
+    /// victims from their VMs.
+    fn complete_compiles(&mut self, now: u64) {
+        for w in 0..self.workers.len() {
+            let Some((finish_at, job)) = self.workers[w] else {
+                continue;
+            };
+            if finish_at > now {
+                continue;
+            }
+            self.workers[w] = None;
+            let installed = self
+                .tenant(job.tenant as usize)
+                .vm
+                .compile_pending(job.method);
+            let Some(instrs) = installed else {
+                continue; // request withdrawn (method no longer pending)
+            };
+            let method = job.method.index() as u32;
+            self.out.compiles += 1;
+            self.out.events.push(TraceEvent::CompileInstalled {
+                tenant: job.tenant,
+                method,
+                wait: now - job.enqueued_at,
+                now,
+            });
+            // A per-loop repatch refreshes a body that never left the
+            // cache; drop the stale entry so the insert below re-accounts
+            // the new size instead of double-counting.
+            self.cache.remove(job.tenant, method);
+            let victims = self.cache.insert(job.tenant, method, instrs, now);
+            self.evict(victims, now);
+        }
+    }
+
+    /// Hands waiting jobs to idle compiler workers: the first eligible
+    /// job in queue order (exact FIFO without chaos, since every
+    /// `not_before` is then 0). A compile-stall window (`stalled`) parks
+    /// the workers; in-flight compiles still finish.
+    fn assign_workers(&mut self, now: u64, stalled: bool) {
+        for slot in self.workers.iter_mut() {
+            if slot.is_none() && !stalled {
+                if let Some(i) = self.queue.iter().position(|j| j.not_before <= now) {
+                    let job = self.queue.remove(i).expect("index from position");
+                    *slot = Some((now + job.cost, job));
+                }
+            }
+        }
+    }
+
+    /// Moves tenant `ti`'s fresh compile requests onto the shared queue,
+    /// recording a `CompileEnqueued` event for each when `announce`.
+    fn enqueue_requests(&mut self, ti: usize, now: u64, announce: bool) {
+        let vm = &mut self.tenant(ti).vm;
+        let requests = vm.take_compile_requests();
+        let costs: Vec<u64> = (requests.iter())
+            .map(|&mid| vm.compile_cost_estimate(mid))
+            .collect();
+        for (method, cost) in requests.into_iter().zip(costs) {
+            self.queue.push_back(CompileJob {
+                tenant: ti as u32,
+                method,
+                cost,
+                enqueued_at: now,
+                attempts: 0,
+                not_before: 0,
+            });
+            if announce {
+                let depth = self.queue_depth();
+                self.out.events.push(TraceEvent::CompileEnqueued {
+                    tenant: ti as u32,
+                    method: method.index() as u32,
+                    depth,
+                    now,
+                });
+            }
+        }
+    }
+
+    /// Chaos: the recovery sweep. Methods with stranded (invalidated,
+    /// never repatched) loops are re-enqueued from their retained
+    /// invalidation arguments — the degradation pairing for GC storms,
+    /// and the mechanism that drives the stranded count back to zero.
+    fn recovery_sweep(&mut self, now: u64, announce: bool) {
+        for ti in 0..self.tenants.len() {
+            self.tenant(ti).vm.reenqueue_stranded();
+            self.enqueue_requests(ti, now, announce);
+        }
+    }
+
+    /// Loops stranded across the fleet right now.
+    fn stranded(&mut self) -> u64 {
+        let count = |s: &mut Mutex<Tenant>| s.get_mut().unwrap().vm.stranded_count();
+        self.tenants.iter_mut().map(count).sum()
+    }
+
+    /// Compilation-queue depth: waiting plus in service.
+    fn queue_depth(&self) -> u32 {
+        let busy = self.workers.iter().filter(|w| w.is_some()).count();
+        (self.queue.len() + busy) as u32
+    }
+
+    /// The earliest future cycle at which the compile machinery needs a
+    /// barrier: a worker finishing, or a backed-off job becoming
+    /// eligible (chaos only — `not_before` is 0 otherwise). Without the
+    /// latter a queue of backed-off jobs plus an otherwise idle fleet
+    /// would stall. `u64::MAX` when there is none.
+    fn next_compile_event(&self, now: u64) -> u64 {
+        let finishes = self.workers.iter().flatten().map(|w| w.0);
+        let backoffs = self.queue.iter().map(|j| j.not_before);
+        finishes
+            .chain(backoffs.filter(|&t| t > now))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+}
+
 /// Runs the serving simulation: `cfg.requests` requests over
 /// `cfg.tenants` VMs under `options`, with `jobs` host worker threads.
 ///
@@ -212,7 +363,7 @@ pub fn run(
         .collect();
 
     let chaos = cfg.chaos;
-    let mut tenants: Vec<Mutex<Tenant>> = (0..cfg.tenants)
+    let tenants: Vec<Mutex<Tenant>> = (0..cfg.tenants)
         .map(|i| {
             let b = &blueprints[i % blueprints.len()];
             // Chaos runs harden the adaptive policy: a deliberately tight
@@ -274,33 +425,34 @@ pub fn run(
         None => base_requests,
     };
 
-    let mut cache = CodeCache::with_quota(
-        cfg.cache_capacity_instrs,
-        chaos.map_or(0, |c| c.tenant_quota_instrs),
-    );
-    let mut queue: VecDeque<CompileJob> = VecDeque::new();
-    // `workers[w]` holds the job worker `w` finishes at `finish_at`.
-    let mut workers: Vec<Option<(u64, CompileJob)>> = vec![None; cfg.compile_workers];
-
-    let mut out = ServeOutcome {
-        latencies: vec![0; requests.len()],
-        queue_depth_samples: Vec::new(),
-        events: Vec::new(),
-        compiles: 0,
-        evictions: 0,
-        deopts: 0,
-        recompiles: 0,
-        loop_deopts: 0,
-        loop_repatches: 0,
-        checksum: 0,
-        epochs: 0,
-        shed: Vec::new(),
-        shed_times: Vec::new(),
-        retries: 0,
-        rearms: 0,
-        faults: 0,
-        stranded_final: 0,
-        stranded_samples: Vec::new(),
+    let mut fleet = Fleet {
+        tenants,
+        cache: CodeCache::with_quota(
+            cfg.cache_capacity_instrs,
+            chaos.map_or(0, |c| c.tenant_quota_instrs),
+        ),
+        queue: VecDeque::new(),
+        workers: vec![None; cfg.compile_workers],
+        out: ServeOutcome {
+            latencies: vec![0; requests.len()],
+            queue_depth_samples: Vec::new(),
+            events: Vec::new(),
+            compiles: 0,
+            evictions: 0,
+            deopts: 0,
+            recompiles: 0,
+            loop_deopts: 0,
+            loop_repatches: 0,
+            checksum: 0,
+            epochs: 0,
+            shed: Vec::new(),
+            shed_times: Vec::new(),
+            retries: 0,
+            rearms: 0,
+            faults: 0,
+            stranded_final: 0,
+            stranded_samples: Vec::new(),
+        },
     };
 
     let mut now = 0u64;
@@ -310,7 +462,7 @@ pub fn run(
     // start-sorted schedule).
     let mut next_fault = 0usize;
     while completed < requests.len() {
-        out.epochs += 1;
+        fleet.out.epochs += 1;
 
         // 0. Chaos: announce newly active fault windows, apply the cache
         //    squeeze, and drive GC storms — all serially at the barrier.
@@ -318,8 +470,8 @@ pub fn run(
             while next_fault < plan.windows.len() && plan.windows[next_fault].start <= now {
                 let w = plan.windows[next_fault];
                 next_fault += 1;
-                out.faults += 1;
-                out.events.push(TraceEvent::FaultInjected {
+                fleet.out.faults += 1;
+                fleet.out.events.push(TraceEvent::FaultInjected {
                     kind: w.kind,
                     tenant: w.tenant,
                     now,
@@ -331,22 +483,13 @@ pub fn run(
             } else {
                 cfg.cache_capacity_instrs
             };
-            if cache.capacity() != desired {
-                for victim in cache.set_capacity(desired) {
-                    let vt = tenants[victim.tenant as usize].get_mut().unwrap();
-                    vt.vm.evict_compiled(MethodId::new(victim.method as usize));
-                    out.evictions += 1;
-                    out.events.push(TraceEvent::CodeCacheEvicted {
-                        tenant: victim.tenant,
-                        method: victim.method,
-                        instrs: victim.instrs as u32,
-                        now,
-                    });
-                }
+            if fleet.cache.capacity() != desired {
+                let victims = fleet.cache.set_capacity(desired);
+                fleet.evict(victims, now);
             }
             if plan.is_active(FaultKind::GcStorm, now) {
-                for slot in tenants.iter_mut() {
-                    slot.get_mut().unwrap().vm.inject_heap_move();
+                for ti in 0..cfg.tenants {
+                    fleet.tenant(ti).vm.inject_heap_move();
                 }
             }
         }
@@ -361,74 +504,38 @@ pub fn run(
         while next_arrival < requests.len() && requests[next_arrival].arrival <= now {
             let r = requests[next_arrival];
             next_arrival += 1;
-            let t = tenants[r.tenant as usize].get_mut().unwrap();
+            let depth = fleet.tenant(r.tenant as usize).queue.len();
             if let Some(c) = &chaos {
-                if r.id >= base_len && t.queue.len() >= c.admission_max_depth as usize {
+                if r.id >= base_len && depth >= c.admission_max_depth as usize {
                     completed += 1;
-                    out.shed.push(r.id);
-                    out.shed_times.push(now);
-                    out.events.push(TraceEvent::RequestShed {
+                    fleet.out.shed.push(r.id);
+                    fleet.out.shed_times.push(now);
+                    fleet.out.events.push(TraceEvent::RequestShed {
                         tenant: r.tenant,
                         request: r.id,
-                        depth: t.queue.len() as u32,
+                        depth: depth as u32,
                         now,
                     });
                     continue;
                 }
             }
-            t.queue.push_back(r);
+            fleet.tenant(r.tenant as usize).queue.push_back(r);
         }
 
-        // 2. Complete finished background compiles, in worker order:
-        //    install into the owning VM, charge the shared code cache, and
-        //    evict LRU victims from their VMs.
-        for slot in workers.iter_mut() {
-            let Some((finish_at, job)) = *slot else {
-                continue;
-            };
-            if finish_at > now {
-                continue;
-            }
-            *slot = None;
-            let t = tenants[job.tenant as usize].get_mut().unwrap();
-            let Some(instrs) = t.vm.compile_pending(job.method) else {
-                continue; // request withdrawn (method no longer pending)
-            };
-            out.compiles += 1;
-            out.events.push(TraceEvent::CompileInstalled {
-                tenant: job.tenant,
-                method: job.method.index() as u32,
-                wait: now - job.enqueued_at,
-                now,
-            });
-            // A per-loop repatch refreshes a body that never left the
-            // cache; drop the stale entry so the insert below re-accounts
-            // the new size instead of double-counting.
-            cache.remove(job.tenant, job.method.index() as u32);
-            for victim in cache.insert(job.tenant, job.method.index() as u32, instrs, now) {
-                let vt = tenants[victim.tenant as usize].get_mut().unwrap();
-                vt.vm.evict_compiled(MethodId::new(victim.method as usize));
-                out.evictions += 1;
-                out.events.push(TraceEvent::CodeCacheEvicted {
-                    tenant: victim.tenant,
-                    method: victim.method,
-                    instrs: victim.instrs as u32,
-                    now,
-                });
-            }
-        }
+        // 2. Complete finished background compiles.
+        fleet.complete_compiles(now);
 
         // 2b. Chaos: jobs that waited past the compile deadline re-enter
         //     the queue with exponential backoff (and count as retries) —
         //     the degradation pairing for compile-stall windows.
         if let Some(c) = &chaos {
-            for job in queue.iter_mut() {
+            for job in fleet.queue.iter_mut() {
                 if job.not_before <= now && now - job.enqueued_at >= c.compile_deadline_cycles {
                     job.attempts += 1;
                     job.not_before = now + (c.retry_backoff_base << job.attempts.min(10));
                     job.enqueued_at = now;
-                    out.retries += 1;
-                    out.events.push(TraceEvent::CompileRetried {
+                    fleet.out.retries += 1;
+                    fleet.out.events.push(TraceEvent::CompileRetried {
                         tenant: job.tenant,
                         method: job.method.index() as u32,
                         attempt: job.attempts,
@@ -438,27 +545,16 @@ pub fn run(
             }
         }
 
-        // 3. Hand waiting jobs to idle compiler workers: the first
-        //    eligible job in queue order (exact FIFO without chaos, since
-        //    every `not_before` is then 0). A compile-stall window parks
-        //    the workers; in-flight compiles still finish.
-        let stalled = chaos.is_some() && plan.is_active(FaultKind::CompileStall, now);
-        for slot in workers.iter_mut() {
-            if slot.is_none() && !stalled {
-                if let Some(i) = queue.iter().position(|j| j.not_before <= now) {
-                    let job = queue.remove(i).expect("index from position");
-                    *slot = Some((now + job.cost, job));
-                }
-            }
-        }
+        // 3. Hand waiting jobs to idle compiler workers.
+        fleet.assign_workers(now, plan.is_active(FaultKind::CompileStall, now));
 
         // 4. Dispatch one queued request per idle tenant, in tenant order.
         let mut dispatched: Vec<(usize, Request)> = Vec::new();
-        for (i, slot) in tenants.iter_mut().enumerate() {
-            let t = slot.get_mut().unwrap();
+        for ti in 0..cfg.tenants {
+            let t = fleet.tenant(ti);
             if t.free_at <= now {
                 if let Some(r) = t.queue.pop_front() {
-                    dispatched.push((i, r));
+                    dispatched.push((ti, r));
                 }
             }
         }
@@ -466,23 +562,22 @@ pub fn run(
         // 5. Execute dispatched requests host-parallel. Each closure owns
         //    exactly one tenant VM (distinct indices), so the lock is
         //    uncontended and the work is embarrassingly parallel.
-        let results: Vec<(u64, i32, Vec<MethodId>)> = run_each(jobs, dispatched.len(), |k| {
+        let results: Vec<(u64, i32)> = run_each(jobs, dispatched.len(), |k| {
             let (ti, _) = dispatched[k];
-            let t = &mut *tenants[ti].lock().unwrap();
+            let t = &mut *fleet.tenants[ti].lock().unwrap();
             let before = t.vm.stats().cycles;
             let value =
                 t.vm.call(t.entry, &[])
                     .unwrap_or_else(|e| panic!("tenant {ti} ({}) faulted: {e}", t.name))
                     .expect("entry returns a checksum")
                     .as_i32();
-            let service = t.vm.stats().cycles - before;
-            (service, value, t.vm.take_compile_requests())
+            (t.vm.stats().cycles - before, value)
         });
 
         // 6. Barrier: fold results back into shared state, in tenant
         //    order.
-        for (&(ti, req), (service, value, compile_reqs)) in dispatched.iter().zip(results) {
-            let t = tenants[ti].get_mut().unwrap();
+        for (&(ti, req), (service, value)) in dispatched.iter().zip(results) {
+            let t = fleet.tenant(ti);
             match t.checksum {
                 None => {
                     if let Some(exp) = t.expected {
@@ -498,36 +593,19 @@ pub fn run(
             }
             let completion = now + service;
             t.free_at = completion;
-            out.latencies[req.id as usize] = completion - req.arrival;
+            fleet.out.latencies[req.id as usize] = completion - req.arrival;
             completed += 1;
-            out.events.push(TraceEvent::RequestCompleted {
+            fleet.out.events.push(TraceEvent::RequestCompleted {
                 tenant: ti as u32,
                 request: req.id,
                 latency: completion - req.arrival,
                 now,
             });
-            for mid in compile_reqs {
-                let cost = t.vm.compile_cost_estimate(mid);
-                queue.push_back(CompileJob {
-                    tenant: ti as u32,
-                    method: mid,
-                    cost,
-                    enqueued_at: now,
-                    attempts: 0,
-                    not_before: 0,
-                });
-                let busy = workers.iter().filter(|w| w.is_some()).count();
-                out.events.push(TraceEvent::CompileEnqueued {
-                    tenant: ti as u32,
-                    method: mid.index() as u32,
-                    depth: (queue.len() + busy) as u32,
-                    now,
-                });
-            }
+            fleet.enqueue_requests(ti, now, true);
             if chaos.is_some() {
-                for (method, generation) in t.vm.take_rearmed() {
-                    out.rearms += 1;
-                    out.events.push(TraceEvent::GuardRearmed {
+                for (method, generation) in fleet.tenant(ti).vm.take_rearmed() {
+                    fleet.out.rearms += 1;
+                    fleet.out.events.push(TraceEvent::GuardRearmed {
                         tenant: ti as u32,
                         method,
                         generation,
@@ -537,90 +615,52 @@ pub fn run(
             }
             // The tenant just ran: refresh its cache entries' recency and
             // drop entries whose body the VM deopted away on its own.
-            cache.touch_tenant(ti as u32, now);
-            let dead: Vec<u32> = cache
+            fleet.cache.touch_tenant(ti as u32, now);
+            let vm = &fleet.tenants[ti].get_mut().unwrap().vm;
+            let dead: Vec<u32> = fleet
+                .cache
                 .tenant_entries(ti as u32)
-                .filter(|e| !t.vm.is_compiled(MethodId::new(e.method as usize)))
+                .filter(|e| !vm.is_compiled(MethodId::new(e.method as usize)))
                 .map(|e| e.method)
                 .collect();
             for m in dead {
-                cache.remove(ti as u32, m);
+                fleet.cache.remove(ti as u32, m);
             }
         }
 
-        // 6b. Chaos: the recovery sweep. Stranded methods (deopted,
-        //     uncompiled) are re-enqueued from their retained deopt
-        //     arguments — the degradation pairing for GC storms, and the
-        //     mechanism that drives the stranded count back to zero.
+        // 6b. Chaos: the recovery sweep.
         if chaos.is_some() {
-            for (ti, slot) in tenants.iter_mut().enumerate() {
-                let t = slot.get_mut().unwrap();
-                t.vm.reenqueue_stranded();
-                for mid in t.vm.take_compile_requests() {
-                    let cost = t.vm.compile_cost_estimate(mid);
-                    queue.push_back(CompileJob {
-                        tenant: ti as u32,
-                        method: mid,
-                        cost,
-                        enqueued_at: now,
-                        attempts: 0,
-                        not_before: 0,
-                    });
-                    let busy = workers.iter().filter(|w| w.is_some()).count();
-                    out.events.push(TraceEvent::CompileEnqueued {
-                        tenant: ti as u32,
-                        method: mid.index() as u32,
-                        depth: (queue.len() + busy) as u32,
-                        now,
-                    });
-                }
-            }
+            fleet.recovery_sweep(now, true);
         }
 
         // 7. Sample the compilation-queue depth (and, under chaos, the
         //    fleet stranded-method count).
-        let busy = workers.iter().filter(|w| w.is_some()).count();
-        out.queue_depth_samples.push((queue.len() + busy) as u32);
+        let depth = fleet.queue_depth();
+        fleet.out.queue_depth_samples.push(depth);
         if chaos.is_some() {
-            let stranded: u64 = tenants
-                .iter_mut()
-                .map(|s| s.get_mut().unwrap().vm.stranded_count())
-                .sum();
-            out.stranded_samples.push(stranded);
+            let stranded = fleet.stranded();
+            fleet.out.stranded_samples.push(stranded);
         }
 
         // 8. Advance to the next epoch barrier: at least one slot, or
         //    straight to the next interesting time (rounded up to a slot
-        //    multiple) when the fleet is idle.
+        //    multiple) when the fleet is idle. Fault edges are events too
+        //    (activation must land on its exact barrier).
         if completed == requests.len() {
             break;
         }
-        let mut next_event = u64::MAX;
+        let mut next_event = fleet.next_compile_event(now);
         if next_arrival < requests.len() {
             next_event = next_event.min(requests[next_arrival].arrival);
         }
-        for w in workers.iter().flatten() {
-            next_event = next_event.min(w.0);
-        }
-        for slot in tenants.iter_mut() {
-            let t = slot.get_mut().unwrap();
+        for ti in 0..cfg.tenants {
+            let t = fleet.tenant(ti);
             if !t.queue.is_empty() {
                 next_event = next_event.min(t.free_at);
             }
         }
-        if chaos.is_some() {
-            // Fault edges are events (activation must land on its exact
-            // barrier), and so are retry-backoff expiries — without them
-            // a queue of backed-off jobs plus an otherwise idle fleet
-            // would trip the stall assertion below.
-            if let Some(b) = plan.next_boundary_after(now) {
-                next_event = next_event.min(b);
-            }
-            for job in &queue {
-                if job.not_before > now {
-                    next_event = next_event.min(job.not_before);
-                }
-            }
+        if let Some(b) = plan.next_boundary_after(now) {
+            next_event = next_event.min(b);
         }
         assert!(
             next_event != u64::MAX,
@@ -632,96 +672,31 @@ pub fn run(
 
     // Chaos cooldown: the last request may complete mid-window, leaving
     // methods stranded and compiles queued. Keep running barrier-only
-    // epochs (no requests left to dispatch) until the recovery sweep has
-    // drained every stranded method and the compile queue is empty —
-    // this is what makes `stranded_final == 0` a guarantee rather than a
-    // race against the traffic tail.
+    // epochs — recovery sweep, steps 2 and 3, advance; no requests are
+    // left to dispatch, no new fault is announced, no job is retried and
+    // enqueues go unannounced — until the sweep has drained every
+    // stranded method and the compile queue is empty. This is what makes
+    // `stranded_final == 0` a guarantee rather than a race against the
+    // traffic tail.
     if chaos.is_some() {
         let mut spins = 0u32;
         loop {
-            for (ti, slot) in tenants.iter_mut().enumerate() {
-                let t = slot.get_mut().unwrap();
-                t.vm.reenqueue_stranded();
-                for mid in t.vm.take_compile_requests() {
-                    let cost = t.vm.compile_cost_estimate(mid);
-                    queue.push_back(CompileJob {
-                        tenant: ti as u32,
-                        method: mid,
-                        cost,
-                        enqueued_at: now,
-                        attempts: 0,
-                        not_before: 0,
-                    });
-                }
-            }
-            let stranded: u64 = tenants
-                .iter_mut()
-                .map(|s| s.get_mut().unwrap().vm.stranded_count())
-                .sum();
-            if stranded == 0 && queue.is_empty() && workers.iter().all(|w| w.is_none()) {
+            fleet.recovery_sweep(now, false);
+            let stranded = fleet.stranded();
+            if stranded == 0 && fleet.queue_depth() == 0 {
                 break;
             }
             spins += 1;
             assert!(
                 spins < 10_000,
                 "chaos cooldown failed to converge: {stranded} stranded, {} queued",
-                queue.len()
+                fleet.queue.len()
             );
-            out.epochs += 1;
-            out.stranded_samples.push(stranded);
-            // Complete finished compiles (same as step 2 of the main
-            // loop, cache accounting included).
-            for slot in workers.iter_mut() {
-                let Some((finish_at, job)) = *slot else {
-                    continue;
-                };
-                if finish_at > now {
-                    continue;
-                }
-                *slot = None;
-                let t = tenants[job.tenant as usize].get_mut().unwrap();
-                let Some(instrs) = t.vm.compile_pending(job.method) else {
-                    continue;
-                };
-                out.compiles += 1;
-                out.events.push(TraceEvent::CompileInstalled {
-                    tenant: job.tenant,
-                    method: job.method.index() as u32,
-                    wait: now - job.enqueued_at,
-                    now,
-                });
-                // Same repatch-refresh rule as step 2 of the main loop.
-                cache.remove(job.tenant, job.method.index() as u32);
-                for victim in cache.insert(job.tenant, job.method.index() as u32, instrs, now) {
-                    let vt = tenants[victim.tenant as usize].get_mut().unwrap();
-                    vt.vm.evict_compiled(MethodId::new(victim.method as usize));
-                    out.evictions += 1;
-                    out.events.push(TraceEvent::CodeCacheEvicted {
-                        tenant: victim.tenant,
-                        method: victim.method,
-                        instrs: victim.instrs as u32,
-                        now,
-                    });
-                }
-            }
-            let stalled = plan.is_active(FaultKind::CompileStall, now);
-            for slot in workers.iter_mut() {
-                if slot.is_none() && !stalled {
-                    if let Some(i) = queue.iter().position(|j| j.not_before <= now) {
-                        let job = queue.remove(i).expect("index from position");
-                        *slot = Some((now + job.cost, job));
-                    }
-                }
-            }
-            let mut next_event = u64::MAX;
-            for w in workers.iter().flatten() {
-                next_event = next_event.min(w.0);
-            }
-            for job in &queue {
-                if job.not_before > now {
-                    next_event = next_event.min(job.not_before);
-                }
-            }
+            fleet.out.epochs += 1;
+            fleet.out.stranded_samples.push(stranded);
+            fleet.complete_compiles(now);
+            fleet.assign_workers(now, plan.is_active(FaultKind::CompileStall, now));
+            let mut next_event = fleet.next_compile_event(now);
             if let Some(b) = plan.next_boundary_after(now) {
                 next_event = next_event.min(b);
             }
@@ -733,6 +708,11 @@ pub fn run(
         }
     }
 
+    let Fleet {
+        mut tenants,
+        mut out,
+        ..
+    } = fleet;
     for slot in tenants.iter_mut() {
         let t = slot.get_mut().unwrap();
         let s = t.vm.stats();

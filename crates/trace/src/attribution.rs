@@ -20,8 +20,6 @@
 //! sites the totals equal the `MemStats` aggregate counters — the
 //! cross-check the integration tests enforce.
 
-use std::collections::HashMap;
-
 use crate::event::{SiteId, TraceEvent};
 
 /// Per-site counters accumulated from the event stream.
@@ -131,54 +129,62 @@ impl Attribution {
     }
 }
 
-/// Aggregates an event stream (oldest first) into per-site effects.
-///
-/// Classification is exact when the stream is complete; if the producing
-/// ring overwrote events, fills whose issue event was lost are still
-/// attributed via the site carried by the use/eviction event itself.
-pub fn attribute(events: &[TraceEvent]) -> Attribution {
-    let mut sites: HashMap<SiteId, SiteEffect> = HashMap::new();
-    let mut out = Attribution::default();
-    for ev in events {
+impl Attribution {
+    /// The effect slot of `site`, created on first use. `per_site` stays
+    /// sorted by site id (so [`SiteId::UNKNOWN`] stays last): a binary
+    /// search over a few dozen entries, cheap enough to run on every
+    /// emitted event.
+    fn effect(&mut self, site: SiteId) -> &mut SiteEffect {
+        let i = match self.per_site.binary_search_by_key(&site, |(s, _)| *s) {
+            Ok(i) => i,
+            Err(i) => {
+                self.per_site.insert(i, (site, SiteEffect::default()));
+                i
+            }
+        };
+        &mut self.per_site[i].1
+    }
+
+    /// Folds one more event of the stream into the aggregate. A pure
+    /// fold: [`attribute`] runs it over a recorded stream, [`RingSink`]
+    /// on every `emit`, so the streamed aggregate is exact even when the
+    /// ring has long overwritten the events themselves.
+    ///
+    /// [`RingSink`]: crate::RingSink
+    pub(crate) fn fold(&mut self, ev: &TraceEvent) {
         match *ev {
-            TraceEvent::SwpfIssued { site, .. } => sites.entry(site).or_default().swpf_issued += 1,
-            TraceEvent::SwpfDropped { site, .. } => {
-                sites.entry(site).or_default().swpf_dropped += 1;
-            }
-            TraceEvent::SwpfFill { site, .. } => sites.entry(site).or_default().swpf_fills += 1,
-            TraceEvent::SwpfRedundant { site, .. } => {
-                sites.entry(site).or_default().swpf_redundant += 1;
-            }
+            TraceEvent::SwpfIssued { site, .. } => self.effect(site).swpf_issued += 1,
+            TraceEvent::SwpfDropped { site, .. } => self.effect(site).swpf_dropped += 1,
+            TraceEvent::SwpfFill { site, .. } => self.effect(site).swpf_fills += 1,
+            TraceEvent::SwpfRedundant { site, .. } => self.effect(site).swpf_redundant += 1,
             TraceEvent::GuardedIssued {
                 site, tlb_primed, ..
             } => {
-                let e = sites.entry(site).or_default();
+                let e = self.effect(site);
                 e.guarded_issued += 1;
                 e.guarded_tlb_primed += u64::from(tlb_primed);
             }
-            TraceEvent::GuardedFill { site, .. } => {
-                sites.entry(site).or_default().guarded_fills += 1;
-            }
+            TraceEvent::GuardedFill { site, .. } => self.effect(site).guarded_fills += 1,
             TraceEvent::PrefetchUsed { site, wait, .. } => {
-                let e = sites.entry(site).or_default();
+                let e = self.effect(site);
                 if wait > 0 {
                     e.used_waited += 1;
                 } else {
                     e.used_settled += 1;
                 }
             }
-            TraceEvent::PrefetchEvicted { site, .. } => sites.entry(site).or_default().evicted += 1,
+            TraceEvent::PrefetchEvicted { site, .. } => self.effect(site).evicted += 1,
             TraceEvent::DemandMiss { level, .. } => match level {
-                crate::event::MissLevel::L1 => out.l1_misses += 1,
-                crate::event::MissLevel::L2 => out.l2_misses += 1,
-                crate::event::MissLevel::Dtlb => out.dtlb_misses += 1,
+                crate::event::MissLevel::L1 => self.l1_misses += 1,
+                crate::event::MissLevel::L2 => self.l2_misses += 1,
+                crate::event::MissLevel::Dtlb => self.dtlb_misses += 1,
             },
-            TraceEvent::HwPrefetchFill { .. } => out.hw_prefetch_fills += 1,
-            TraceEvent::GcSlide { .. } => out.gc_slides += 1,
-            TraceEvent::Suppressed { .. } => out.suppressions += 1,
-            TraceEvent::Recompile { .. } => out.recompiles += 1,
-            TraceEvent::LoopInvalidated { .. } => out.loop_invalidated += 1,
-            TraceEvent::LoopRepatched { .. } => out.loop_repatched += 1,
+            TraceEvent::HwPrefetchFill { .. } => self.hw_prefetch_fills += 1,
+            TraceEvent::GcSlide { .. } => self.gc_slides += 1,
+            TraceEvent::Suppressed { .. } => self.suppressions += 1,
+            TraceEvent::Recompile { .. } => self.recompiles += 1,
+            TraceEvent::LoopInvalidated { .. } => self.loop_invalidated += 1,
+            TraceEvent::LoopRepatched { .. } => self.loop_repatched += 1,
             TraceEvent::JitBegin { .. }
             | TraceEvent::LdgBuilt { .. }
             | TraceEvent::Inspected { .. }
@@ -194,9 +200,18 @@ pub fn attribute(events: &[TraceEvent]) -> Attribution {
             | TraceEvent::GuardRearmed { .. } => {}
         }
     }
-    let mut per_site: Vec<(SiteId, SiteEffect)> = sites.into_iter().collect();
-    per_site.sort_by_key(|(s, _)| *s);
-    out.per_site = per_site;
+}
+
+/// Aggregates an event stream (oldest first) into per-site effects.
+///
+/// Classification is exact when the stream is complete; if the producing
+/// ring overwrote events, use the aggregate the sink folded at emit
+/// ([`TraceSink::attribution`](crate::TraceSink::attribution)) instead.
+pub fn attribute(events: &[TraceEvent]) -> Attribution {
+    let mut out = Attribution::default();
+    for ev in events {
+        out.fold(ev);
+    }
     out
 }
 

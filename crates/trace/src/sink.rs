@@ -8,6 +8,7 @@
 //! costs literally zero instructions — the hard invariant the bench
 //! harness asserts by diffing traced against untraced simulated numbers.
 
+use crate::attribution::Attribution;
 use crate::event::TraceEvent;
 
 /// Receives trace events.
@@ -36,6 +37,13 @@ pub trait TraceSink {
     fn lost(&self) -> u64 {
         0
     }
+
+    /// The per-site aggregate of *every* event emitted since the last
+    /// [`clear`](Self::clear), lost ones included. Empty for sinks that
+    /// keep nothing.
+    fn attribution(&self) -> Attribution {
+        Attribution::default()
+    }
 }
 
 /// The default sink: drops everything, compiles to nothing.
@@ -55,7 +63,9 @@ impl TraceSink for NoopSink {
 /// A fixed-capacity flight recorder: keeps the most recent `capacity`
 /// events, overwriting the oldest once full. [`RingSink::overwritten`]
 /// reports how many were lost, so consumers can tell a complete trace
-/// from a truncated one.
+/// from a truncated one. Every event is also folded into a running
+/// [`Attribution`] as it arrives, so the per-site numbers never depend
+/// on the capacity.
 #[derive(Clone, Debug)]
 pub struct RingSink {
     buf: Vec<TraceEvent>,
@@ -64,13 +74,16 @@ pub struct RingSink {
     head: usize,
     /// Total events ever emitted (including overwritten ones).
     total: u64,
+    /// Aggregate of all `total` events.
+    folded: Attribution,
 }
 
 /// Default ring capacity (~10 MB of events), sized for the tiny experiment
 /// size. It is *not* enough at small — the benchmark's traced run of
 /// `matrix-memsim` lost 347 794 events to overwrites — so a consumer that
-/// needs the whole stream must check [`TraceSink::lost`] or size its own
-/// ring with [`RingSink::with_capacity`].
+/// needs the whole *stream* must check [`TraceSink::lost`] or size its own
+/// ring with [`RingSink::with_capacity`]; [`TraceSink::attribution`] is
+/// exact regardless.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 18;
 
 impl Default for RingSink {
@@ -92,6 +105,7 @@ impl RingSink {
             capacity,
             head: 0,
             total: 0,
+            folded: Attribution::default(),
         }
     }
 
@@ -133,6 +147,7 @@ impl TraceSink for RingSink {
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         self.total += 1;
+        self.folded.fold(&event);
         if self.buf.len() < self.capacity {
             self.buf.push(event);
         } else {
@@ -145,6 +160,7 @@ impl TraceSink for RingSink {
         self.buf.clear();
         self.head = 0;
         self.total = 0;
+        self.folded = Attribution::default();
     }
 
     fn snapshot(&self) -> Vec<TraceEvent> {
@@ -153,6 +169,10 @@ impl TraceSink for RingSink {
 
     fn lost(&self) -> u64 {
         self.overwritten()
+    }
+
+    fn attribution(&self) -> Attribution {
+        self.folded.clone()
     }
 }
 
@@ -196,6 +216,38 @@ mod tests {
     }
 
     #[test]
+    fn attribution_survives_overwrites_and_matches_the_batch_fold() {
+        let mut small = RingSink::with_capacity(3);
+        let mut big = RingSink::with_capacity(64);
+        for n in 0..20 {
+            for r in [&mut small, &mut big] {
+                // Sites first seen out of order, the unknown one included.
+                r.emit(TraceEvent::SwpfIssued {
+                    site: [SiteId(2), SiteId::UNKNOWN, SiteId(0)][n as usize % 3],
+                    line: n,
+                    now: n,
+                });
+                r.emit(TraceEvent::HwPrefetchFill {
+                    line: n,
+                    now: n,
+                    ready_at: n,
+                });
+            }
+        }
+        assert_eq!(small.overwritten(), 37);
+        let exact = crate::attribute(&big.events());
+        assert_eq!(exact.total(|e| e.swpf_issued), 20);
+        let ids: Vec<SiteId> = exact.per_site.iter().map(|(s, _)| *s).collect();
+        assert_eq!(ids, [SiteId(0), SiteId(2), SiteId::UNKNOWN]);
+        assert_eq!(small.attribution().per_site, exact.per_site);
+        assert_eq!(small.attribution().hw_prefetch_fills, 20);
+        assert!(
+            crate::attribute(&small.events()).total(|e| e.swpf_issued) < 20,
+            "the surviving events alone undercount"
+        );
+    }
+
+    #[test]
     fn clear_resets_everything() {
         let mut r = RingSink::with_capacity(2);
         for n in 0..5 {
@@ -204,6 +256,7 @@ mod tests {
         r.clear();
         assert!(r.is_empty());
         assert_eq!(r.total(), 0);
+        assert!(r.attribution().per_site.is_empty());
         r.emit(ev(9));
         assert_eq!(r.events().len(), 1);
     }

@@ -10,20 +10,14 @@ pub const COMPILED_INSTR_COST: u64 = 1;
 /// Extra cycle cost of a method call/return pair (frame setup).
 pub const CALL_OVERHEAD: u64 = 5;
 
-/// Approximate cycles per wall-clock nanosecond used to charge JIT
-/// compilation time to the simulated clock (a 2 GHz machine, like the
-/// paper's Pentium 4).
-pub const CYCLES_PER_NANO: f64 = 2.0;
-
-/// Base cycle cost charged for an adaptive recompilation (generation at
-/// least 1). Unlike first-time JIT compilations — which happen during
-/// warm-up, outside the measurement window — recompilations occur during
-/// measured steady-state runs, so their cost must be a deterministic
-/// function of the simulation, never of host wall-clock time.
+/// Base cycle cost charged for a synchronous JIT compilation, first-time
+/// or adaptive recompilation alike. The cost is a deterministic function
+/// of the simulation, never of host wall-clock time, so the simulated
+/// clock is the same on every host and every run.
 pub const RECOMPILE_BASE_CYCLES: u64 = 1_000;
 
-/// Per-instruction cycle cost added to [`RECOMPILE_BASE_CYCLES`] for an
-/// adaptive recompilation.
+/// Per-instruction cycle cost added to [`RECOMPILE_BASE_CYCLES`], counted
+/// over the compiled body.
 pub const RECOMPILE_CYCLES_PER_INSTR: u64 = 20;
 
 /// Cycle cost of patching one stale loop's prefetch sites to no-ops

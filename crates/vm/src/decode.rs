@@ -84,8 +84,6 @@ pub(crate) enum Kind {
     CmpBranch,
     /// Fused Bin+Move (second-round fusion input; no patching).
     BinMove,
-    /// Fused Bin+Jump; the flattener patches `d`.
-    BinJump,
     /// Fused Bin+Move+Jump; the flattener patches `imm`.
     BinMoveJump,
 }
@@ -182,7 +180,6 @@ pub(crate) fn decode<S: TraceSink>(
                     op.b = block_entry[op.b as usize];
                     op.d = block_entry[op.d as usize];
                 }
-                Kind::BinJump => op.d = block_entry[op.d as usize],
                 Kind::BinMoveJump => {
                     op.imm = block_entry[op.imm as usize] as i64;
                 }

@@ -347,12 +347,8 @@ fn prefetch_issue<S: TraceSink>(
             PrefetchKind::GuardedLoad => CacheLevel::L1,
         };
         let useless = vm.mem.line_present(level, target);
-        let s = InstrRef::unpack(site);
-        vm.adapt.record_issue(
-            ctx.cur_mid.index(),
-            (s.block.index() as u32, s.index),
-            useless,
-        );
+        let block = InstrRef::unpack(site).block.index() as u32;
+        vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
     }
     let cost = match kind {
         PrefetchKind::Hardware => vm.mem.software_prefetch(target, ctx.cycles),
@@ -1124,24 +1120,6 @@ pub(crate) fn h_aload_bin<S: TraceSink, const TY: u8, const B: u8>(
     }
 }
 
-/// Fused Bin + Jump terminator: a=bin dst, b=bin lhs, c=bin rhs,
-/// ext=binop, d=jump target (block id until patched — `Kind::BinJump`),
-/// site=bin's.
-pub(crate) fn h_bin_jump<S: TraceSink, const B: u8>(
-    vm: &mut Vm<S>,
-    ctx: &mut Ctx,
-    op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
-    charge_instr(ctx);
-    if !do_bin(vm, ctx, op.a, B, op.b, op.c, op.site) {
-        return Step::Halt;
-    }
-    charge_term(ctx);
-    ctx.pc = op.d as usize;
-    Step::Next
-}
-
 /// Fused Move + ALoad: c=pack(move dst, move src), a=aload dst,
 /// b=pack(arr, idx), ext=elem, site=move's, site2=aload's.
 pub(crate) fn h_move_aload<S: TraceSink, const TY: u8>(
@@ -1360,11 +1338,6 @@ pub(crate) fn aload_bin_handler<S: TraceSink>(elem: u8, bop: u8) -> Handler<S> {
         3 => bin_select!(bop, h_aload_bin, 3),
         _ => bin_select!(bop, h_aload_bin, 4),
     }
-}
-
-/// Selects the [`h_bin_jump`] instance for a `BinOp` code.
-pub(crate) fn bin_jump_handler<S: TraceSink>(bop: u8) -> Handler<S> {
-    bin_select!(bop, h_bin_jump)
 }
 
 /// Selects the [`h_move_aload`] instance for an `ElemTy` code.

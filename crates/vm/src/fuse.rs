@@ -197,21 +197,6 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
                 kind: Kind::Plain,
             })
         }
-        // Bin (a=dst, b=lhs, c=rhs, ext=binop) + Jump terminator  →
-        // BinJump: bin operands unchanged, d=target (patched).
-        (Kind::Bin, Kind::Jump) => {
-            let mut op = Op::new(h::bin_jump_handler::<S>(first.op.ext as u8));
-            op.a = first.op.a;
-            op.b = first.op.b;
-            op.c = first.op.c;
-            op.ext = first.op.ext;
-            op.d = second.op.a;
-            op.site = first.op.site;
-            Some(DecOp {
-                op,
-                kind: Kind::BinJump,
-            })
-        }
         // Move (a=dst, b=src) + ALoad (a=dst, b=arr, c=idx, ext=elem)  →
         // MoveALoad: c=pack(move dst, src), a=aload dst, b=pack(arr, idx),
         // ext=elem.

@@ -13,10 +13,10 @@ pub struct MethodCycles {
 
 /// Counters accumulated by a [`crate::Vm`] run.
 ///
-/// `PartialEq` compares every field, including the host-time fields
-/// (`jit_nanos`, `prefetch_pass_nanos`); differential tests that only care
-/// about simulated numbers should compare after `reset_measurement`, where
-/// both are zero.
+/// `PartialEq` compares every field, including the two host-time fields
+/// (`jit_nanos`, `prefetch_pass_nanos`) — the only ones that vary between
+/// runs of one program; differential tests zero those two and compare
+/// the rest from the first call.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct VmStats {
     /// Simulated cycles elapsed (execution + memory stalls + GC + charged

@@ -23,8 +23,8 @@ use spf_memsim::{MemorySystem, ProcessorConfig};
 use spf_trace::{NoopSink, SiteId, SiteInfo, SiteKind, SiteTable, TraceEvent, TraceSink};
 
 use crate::config::{
-    VmConfig, CYCLES_PER_NANO, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES,
-    RECOMPILE_BASE_CYCLES, RECOMPILE_CYCLES_PER_INSTR,
+    VmConfig, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES, RECOMPILE_BASE_CYCLES,
+    RECOMPILE_CYCLES_PER_INSTR,
 };
 use crate::decode::{decode, ThreadedCode};
 use crate::dispatch::{self, Ctx, Step};
@@ -343,8 +343,10 @@ impl<S: TraceSink> Vm<S> {
     /// The owning loop of every block of `func`, indexed by block: the
     /// innermost enclosing loop's header block index, or
     /// [`spf_adapt::NO_LOOP`] outside any loop — the ownership key of
-    /// the per-loop guards. Host-side analysis only; never charged to
-    /// the simulated clock.
+    /// the per-loop guards. The pipeline only inserts instructions, so
+    /// every body compiled from one method has the same blocks and the
+    /// same owners. Host-side analysis only; never charged to the
+    /// simulated clock.
     fn loop_owners(func: &Function) -> Vec<u32> {
         let cfg = spf_ir::cfg::Cfg::compute(func);
         let dom = spf_ir::dom::DomTree::compute(func, &cfg);
@@ -366,15 +368,14 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Books one finished run of the prefetch pipeline started at `t0`:
-    /// host time and the deterministic compile-time cost counters, which
-    /// are never added onto `cycles`. Returns the elapsed host nanos.
-    fn book_pipeline(&mut self, t0: Instant, report: &MethodReport) -> u128 {
-        let total_nanos = t0.elapsed().as_nanos();
-        self.stats.jit_nanos += total_nanos;
+    /// host time (the only place it is read, and it stays in the `_nanos`
+    /// fields) and the deterministic compile-time cost counters, which
+    /// are never added onto `cycles`.
+    fn book_pipeline(&mut self, t0: Instant, report: &MethodReport) {
+        self.stats.jit_nanos += t0.elapsed().as_nanos();
         self.stats.prefetch_pass_nanos += report.pass_nanos;
         self.stats.inspection_cycles += report.inspection_cycles();
         self.stats.static_sites += report.static_sites() as u64;
-        total_nanos
     }
 
     /// Debug builds run the static lint over every body the pipeline
@@ -394,13 +395,6 @@ impl<S: TraceSink> Vm<S> {
             "JIT output for {} fails the static lint: {findings:?}",
             func.name()
         );
-    }
-
-    /// The adaptive-reprofiling guard state (per-method generations,
-    /// per-site useless counters). Inert unless the VM runs in
-    /// [`PrefetchMode::Adaptive`].
-    pub fn adapt_state(&self) -> &AdaptState {
-        &self.adapt
     }
 
     /// Every compiled body installed so far, as `(method, generation,
@@ -784,13 +778,8 @@ impl<S: TraceSink> Vm<S> {
         #[cfg(debug_assertions)]
         self.assert_lint_clean(&outcome.func);
         let epoch = self.heap.gc_epoch();
-        let new_sites = Self::loop_sites_of(&outcome.func);
         for &h in due {
-            let sites = new_sites
-                .iter()
-                .find(|ls| ls.header == h)
-                .map_or(&[][..], |ls| ls.sites.as_slice());
-            let loop_generation = self.adapt.on_repatch(mid.index(), h, epoch, sites);
+            let loop_generation = self.adapt.on_repatch(mid.index(), h, epoch);
             self.stats.loop_repatches += 1;
             if S::ENABLED {
                 let now = self.stats.cycles;
@@ -817,30 +806,6 @@ impl<S: TraceSink> Vm<S> {
             self.deopt_args.retain(|(m, _)| *m != mid);
         }
         instrs
-    }
-
-    /// Groups the `Prefetch`/`SpecLoad` sites of a freshly built body by
-    /// the loop owning their block (see [`Self::loop_owners`]).
-    fn loop_sites_of(func: &Function) -> Vec<spf_adapt::LoopSites> {
-        let owners = Self::loop_owners(func);
-        let mut by_loop: std::collections::BTreeMap<u32, Vec<(u32, u32)>> =
-            std::collections::BTreeMap::new();
-        for site in func.instr_sites() {
-            if !matches!(
-                func.instr(site),
-                Instr::Prefetch { .. } | Instr::SpecLoad { .. }
-            ) {
-                continue;
-            }
-            by_loop
-                .entry(owners[site.block.index()])
-                .or_default()
-                .push((site.block.index() as u32, site.index));
-        }
-        by_loop
-            .into_iter()
-            .map(|(header, sites)| spf_adapt::LoopSites { header, sites })
-            .collect()
     }
 
     /// Pushes a frame executing `code`: its window starts at the `argc`
@@ -1069,45 +1034,31 @@ impl<S: TraceSink> Vm<S> {
         // epoch read here is the one inspection saw). The per-loop guards
         // key off which loop owns each emitted site.
         let generation = if self.adaptive {
-            let loops = Self::loop_sites_of(&outcome.func);
-            self.adapt
-                .on_compile(mid.index(), self.heap.gc_epoch(), &loops)
+            let f = &outcome.func;
+            let site_blocks = f
+                .instr_sites()
+                .filter(|&s| matches!(f.instr(s), Instr::Prefetch { .. } | Instr::SpecLoad { .. }))
+                .map(|s| s.block.index() as u32);
+            self.adapt.on_compile(
+                mid.index(),
+                self.heap.gc_epoch(),
+                Self::loop_owners(f),
+                site_blocks,
+            )
         } else {
             0
         };
         outcome.report.generation = generation;
         #[cfg(debug_assertions)]
-        {
-            self.assert_lint_clean(&outcome.func);
-            // The provenance lint runs on every compilation generation:
-            // a statically-proved site may not also burn inspection
-            // budget, a proof may not disagree with the installed stride,
-            // and static-first address computations must be taint-free.
-            let records: Vec<spf_analysis::SiteProvenance> =
-                outcome.report.provenance_records().cloned().collect();
-            let pcfg = spf_analysis::ProvenanceConfig {
-                static_first: self.config.prefetch.mode.static_first(),
-            };
-            let findings = spf_analysis::provenance::check(&outcome.func, &pcfg, &records);
-            assert!(
-                findings.is_empty(),
-                "JIT output for {} (generation {generation}) fails the provenance lint: \
-                 {findings:?}",
-                outcome.func.name()
-            );
-        }
-        let total_nanos = self.book_pipeline(t0, &outcome.report);
+        self.assert_lint_clean(&outcome.func);
+        self.book_pipeline(t0, &outcome.report);
         if !background {
-            let jit_cycles = if generation > 0 {
-                // Adaptive recompilations run inside measured steady-state
-                // windows; charge a size-proportional deterministic cost so
-                // the simulated clock never depends on host wall-clock time.
+            // One size-proportional cost model for every generation: the
+            // simulated clock never depends on host wall-clock time.
+            self.charge_jit(
                 RECOMPILE_BASE_CYCLES
-                    + RECOMPILE_CYCLES_PER_INSTR * outcome.func.instr_sites().count() as u64
-            } else {
-                (total_nanos as f64 * CYCLES_PER_NANO) as u64
-            };
-            self.charge_jit(jit_cycles);
+                    + RECOMPILE_CYCLES_PER_INSTR * outcome.func.instr_sites().count() as u64,
+            );
         }
         self.stats.methods_compiled += 1;
         if generation > 0 {
@@ -1124,9 +1075,6 @@ impl<S: TraceSink> Vm<S> {
                 });
             }
         }
-        // Install (and so decode) strictly after the elapsed-time capture:
-        // generation-0 compilations charge host nanos to the simulated
-        // clock, and decode time must not leak into simulated numbers.
         let instrs = self.install(mid, outcome.func, generation);
         self.reports.push(outcome.report);
         // A successful compile ends the method's stranding; the retained

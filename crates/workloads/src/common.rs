@@ -26,6 +26,20 @@ impl Size {
     }
 }
 
+impl std::str::FromStr for Size {
+    type Err = String;
+
+    /// The one spelling of a size word every binary accepts.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "tiny" => Ok(Size::Tiny),
+            "small" => Ok(Size::Small),
+            "full" => Ok(Size::Full),
+            _ => Err(format!("unknown size {s:?}; expected tiny, small or full")),
+        }
+    }
+}
+
 /// Which suite the original benchmark belongs to (Table 3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Suite {
@@ -150,6 +164,19 @@ mod tests {
         assert_eq!(Size::Small.scale(1600), 400);
         assert_eq!(Size::Tiny.scale(1600), 100);
         assert_eq!(Size::Tiny.scale(8), 4);
+    }
+
+    #[test]
+    fn size_words_parse_strictly() {
+        assert_eq!("tiny".parse(), Ok(Size::Tiny));
+        assert_eq!("small".parse(), Ok(Size::Small));
+        assert_eq!("full".parse(), Ok(Size::Full));
+        for bad in ["", "tinny", "Tiny", " tiny", "db", "--jobs", "1"] {
+            let err = bad.parse::<Size>().unwrap_err();
+            for word in ["tiny", "small", "full"] {
+                assert!(err.contains(word), "{bad:?}: {err}");
+            }
+        }
     }
 
     #[test]

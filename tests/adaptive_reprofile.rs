@@ -438,3 +438,32 @@ fn single_epoch_staleness_patches_loops_but_keeps_the_body_compiled() {
          backoff is served"
     );
 }
+
+/// db is the workload whole-method deopt used to strand in the
+/// interpreter (~7x BASELINE cycles). Per-loop invalidation keeps the
+/// body compiled, so ADAPTIVE must stay within 2x BASELINE on both
+/// processors; a blow-up past that means the recovery path regressed.
+#[test]
+fn adaptive_db_stays_within_twice_baseline() {
+    use stride_prefetch::bench::{run_workload, RunPlan};
+    let db = stride_prefetch::workloads::all()
+        .into_iter()
+        .find(|s| s.name == "db")
+        .expect("db workload exists");
+    let plan = RunPlan {
+        size: stride_prefetch::workloads::Size::Tiny,
+        ..RunPlan::default()
+    };
+    for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
+        let cycles = |options| run_workload(&db, &options, &proc, &plan).best_cycles;
+        let (base, adapt) = (
+            cycles(PrefetchOptions::off()),
+            cycles(PrefetchOptions::adaptive()),
+        );
+        assert!(
+            adapt <= 2 * base,
+            "db/{}: ADAPTIVE {adapt} > 2x BASELINE {base}",
+            proc.name
+        );
+    }
+}

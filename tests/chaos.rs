@@ -124,3 +124,77 @@ fn sample_summary(
         chaos,
     }
 }
+
+/// `fault_runs_degrade_then_recover` proves recovery at one seed on a
+/// fleet whose traffic ends before the recovery point (last window end
+/// plus 40 slots of grace), so its p99 bound is checked over no request
+/// at all. This stream is sparse and long enough — windows start within
+/// the first 70 % of it — that every mode keeps at least ten base
+/// requests past the recovery point, and the invariants must hold for
+/// every plan seed. One thread per mode: a run is ~4 s unoptimised.
+#[test]
+fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
+    let cfg = ServeConfig {
+        tenants: 8,
+        requests: 64,
+        mean_interarrival: 600_000,
+        ..ServeConfig::default()
+    };
+    let proc = ProcessorConfig::pentium4();
+    let base = traffic::generate(&TrafficConfig {
+        tenants: cfg.tenants,
+        requests: cfg.requests,
+        mean_interarrival: cfg.mean_interarrival,
+        seed: cfg.seed,
+    });
+    let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
+    // The worst `(post_p99_ratio_milli, cell)` over the seeds of one mode.
+    let sweep = |opts: PrefetchOptions| {
+        let nofault = sim::run(&cfg, &opts, &proc, 1);
+        let seeds = (1..=6).map(|seed| {
+            let chaos = ChaosConfig {
+                seed,
+                ..ChaosConfig::default()
+            };
+            let fault_cfg = ServeConfig {
+                chaos: Some(chaos),
+                ..cfg
+            };
+            let fault = sim::run(&fault_cfg, &opts, &proc, 1);
+            let cell = format!("{} / chaos seed {seed}", opts.mode);
+            let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
+            let r =
+                faults::verify_recovery(&plan, &chaos, cfg.slot_cycles, &base, &fault, &nofault)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(fault.faults > 0, "{cell}: no fault window activated");
+            assert_eq!(r.stranded_final, 0, "{cell}");
+            assert!(
+                r.post_requests >= 10,
+                "{cell}: the p99 bound was checked on {} request(s)",
+                r.post_requests
+            );
+            (r.post_p99_ratio_milli, cell)
+        });
+        seeds.max().expect("six seeds")
+    };
+    let worst = std::thread::scope(|s| {
+        let modes = [
+            PrefetchOptions::off(),
+            PrefetchOptions::inter(),
+            PrefetchOptions::inter_intra(),
+            PrefetchOptions::adaptive(),
+            PrefetchOptions::static_first(),
+        ];
+        let threads: Vec<_> = modes.map(|opts| s.spawn(|| sweep(opts))).into();
+        let per_mode = threads.into_iter().map(|t| t.join().expect("mode sweep"));
+        per_mode.max().expect("five modes")
+    });
+    println!(
+        "worst post-recovery p99 ratio: {}.{:03}x ({}); bound {}.{:03}x + 4 slots",
+        worst.0 / 1000,
+        worst.0 % 1000,
+        worst.1,
+        faults::RECOVERY_P99_RATIO_MILLI / 1000,
+        faults::RECOVERY_P99_RATIO_MILLI % 1000
+    );
+}
