@@ -26,109 +26,13 @@
 
 use std::process::ExitCode;
 
-use spf_bench::{matrix, out_dir};
-use spf_core::PrefetchOptions;
+use spf_bench::cli::{self, Serve};
+use spf_bench::{matrix, write_artifact};
 use spf_memsim::ProcessorConfig;
 use spf_serve::{
-    faults, report, sim, traffic, ChaosConfig, ChaosRow, ModeReport, ServeConfig, ServeSummary,
-    TrafficConfig,
+    faults, report, sim, traffic, ChaosRow, ModeReport, ServeConfig, ServeSummary, TrafficConfig,
 };
 use spf_trace::{export, TraceEvent};
-
-struct Args {
-    cfg: ServeConfig,
-    proc: ProcessorConfig,
-    jobs: usize,
-    out: Option<String>,
-    events_out: Option<String>,
-    chaos: Option<ChaosConfig>,
-    fault_events_out: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        cfg: ServeConfig::default(),
-        proc: ProcessorConfig::pentium4(),
-        jobs: matrix::default_jobs(),
-        out: Some("SERVE_summary.json".to_string()),
-        events_out: None,
-        chaos: None,
-        fault_events_out: None,
-    };
-    let mut dir_flag: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{name} needs a value"))?;
-            v.parse()
-                .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}"))
-        };
-        match a.as_str() {
-            "--tenants" => args.cfg.tenants = num("--tenants")?.max(1) as usize,
-            "--requests" => args.cfg.requests = num("--requests")?.max(1) as u32,
-            "--mean-interarrival" => args.cfg.mean_interarrival = num("--mean-interarrival")?,
-            "--seed" => args.cfg.seed = num("--seed")?,
-            "--slot-cycles" => args.cfg.slot_cycles = num("--slot-cycles")?.max(1),
-            "--compile-workers" => {
-                args.cfg.compile_workers = num("--compile-workers")?.max(1) as usize;
-            }
-            "--cache-instrs" => args.cfg.cache_capacity_instrs = num("--cache-instrs")?,
-            "--jobs" => args.jobs = num("--jobs")?.max(1) as usize,
-            "--processor" => {
-                let v = it.next().ok_or("--processor needs a name")?;
-                args.proc = match v.as_str() {
-                    "pentium4" | "p4" => ProcessorConfig::pentium4(),
-                    "athlon" | "athlonmp" => ProcessorConfig::athlon_mp(),
-                    other => return Err(format!("unknown processor {other:?}")),
-                };
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a path (or - to disable)")?;
-                args.out = if v == "-" { None } else { Some(v) };
-            }
-            "--events-out" => {
-                args.events_out = Some(it.next().ok_or("--events-out needs a path")?);
-            }
-            "--chaos" => {
-                args.chaos.get_or_insert_with(ChaosConfig::default);
-            }
-            "--chaos-seed" => {
-                args.chaos.get_or_insert_with(ChaosConfig::default).seed = num("--chaos-seed")?;
-            }
-            "--fault-events-out" => {
-                args.fault_events_out = Some(it.next().ok_or("--fault-events-out needs a path")?);
-            }
-            "--out-dir" => {
-                dir_flag = Some(it.next().ok_or("--out-dir needs a directory")?);
-            }
-            word => {
-                args.cfg.size = word
-                    .parse()
-                    .map_err(|_| format!("unknown argument {word:?}"))?;
-            }
-        }
-    }
-    if let Some(dir) = &dir_flag {
-        args.out = args.out.map(|p| out_dir::join(dir, &p));
-        args.events_out = args.events_out.map(|p| out_dir::join(dir, &p));
-        args.fault_events_out = args.fault_events_out.map(|p| out_dir::join(dir, &p));
-    }
-    if args.fault_events_out.is_some() && args.chaos.is_none() {
-        return Err("--fault-events-out requires --chaos".to_string());
-    }
-    Ok(args)
-}
-
-/// The five matrix modes, in the matrix's canonical order.
-fn modes() -> [PrefetchOptions; 5] {
-    [
-        PrefetchOptions::off(),
-        PrefetchOptions::inter(),
-        PrefetchOptions::inter_intra(),
-        PrefetchOptions::adaptive(),
-        PrefetchOptions::static_first(),
-    ]
-}
 
 /// Events emitted only by the chaos machinery, for `FAULT_events.jsonl`.
 fn chaos_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
@@ -147,7 +51,8 @@ fn chaos_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
         .collect()
 }
 
-fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
+fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
+    let proc = ProcessorConfig::pentium4();
     let mut rows = Vec::new();
     let mut chaos_rows = Vec::new();
     let mut events_text = String::new();
@@ -161,12 +66,12 @@ fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
         seed: args.cfg.seed,
     });
     let horizon = base.last().map_or(args.cfg.slot_cycles, |r| r.arrival);
-    for opts in modes() {
+    for opts in matrix::modes() {
         eprintln!(
             "serve: {} tenants x {} requests, mode {}, {} job(s)...",
             args.cfg.tenants, args.cfg.requests, opts.mode, args.jobs
         );
-        let out = sim::run(&args.cfg, &opts, &args.proc, args.jobs);
+        let out = sim::run(&args.cfg, &opts, &proc, args.jobs);
         if args.events_out.is_some() {
             events_text.push_str(&export::events_jsonl(&out.events, None));
         }
@@ -177,14 +82,14 @@ fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
                 chaos: Some(*chaos),
                 ..args.cfg
             };
-            let fault = sim::run(&chaos_cfg, &opts, &args.proc, args.jobs);
+            let fault = sim::run(&chaos_cfg, &opts, &proc, args.jobs);
             if args.fault_events_out.is_some() {
                 fault_events_text
                     .push_str(&export::events_jsonl(&chaos_events(&fault.events), None));
             }
             let plan = faults::generate(chaos, args.cfg.tenants, horizon, args.cfg.slot_cycles);
             let recovery =
-                faults::verify_recovery(&plan, chaos, args.cfg.slot_cycles, &base, &fault, &out)
+                faults::verify_recovery(&plan, args.cfg.slot_cycles, &base, &fault, &out)
                     .map_err(|e| format!("mode {}: recovery invariant failed: {e}", opts.mode))?;
             let served = ModeReport::from_outcome(&opts.mode.to_string(), &fault);
             chaos_rows.push(ChaosRow {
@@ -203,7 +108,7 @@ fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
         }
     }
     let summary = ServeSummary {
-        processor: args.proc.name.clone(),
+        processor: proc.name,
         tenants: args.cfg.tenants as u64,
         requests: u64::from(args.cfg.requests),
         mean_interarrival: args.cfg.mean_interarrival,
@@ -218,20 +123,7 @@ fn sweep(args: &Args) -> Result<(ServeSummary, String, String), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: spf-serve [tiny|small|full] [--tenants N] [--requests N] \
-                 [--mean-interarrival CYCLES] [--seed N] [--slot-cycles N] \
-                 [--compile-workers N] [--cache-instrs N] [--processor pentium4|athlonmp] \
-                 [--jobs N] [--out PATH|-] [--events-out PATH] \
-                 [--chaos] [--chaos-seed N] [--fault-events-out PATH] [--out-dir DIR]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = cli::from_env(cli::serve);
     let (summary, events_text, fault_events_text) = match sweep(&args) {
         Ok(r) => r,
         Err(e) => {
@@ -249,35 +141,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if let Some(path) = &args.out {
-        out_dir::ensure_parent(path);
-        match std::fs::write(path, report::emit(&summary)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let mut ok = true;
+    for (path, text) in [
+        (&args.out, report::emit(&summary)),
+        (&args.events_out, events_text),
+        (&args.fault_events_out, fault_events_text),
+    ] {
+        if let Some(Err(e)) = path.as_deref().map(|p| write_artifact(p, &text)) {
+            ok = false;
+            eprintln!("error: {e}");
         }
     }
-    if let Some(path) = &args.events_out {
-        out_dir::ensure_parent(path);
-        match std::fs::write(path, events_text) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.fault_events_out {
-        out_dir::ensure_parent(path);
-        match std::fs::write(path, fault_events_text) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    ExitCode::from(u8::from(!ok))
 }

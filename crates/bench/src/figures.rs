@@ -14,43 +14,18 @@
 
 use std::fmt::Write as _;
 
-use spf_core::PrefetchMode;
+use spf_core::{PrefetchMode, PrefetchOptions};
 use spf_memsim::ProcessorConfig;
-use spf_vm::{Vm, VmConfig};
+use spf_trace::NoopSink;
 use spf_workloads::Size;
 
-use crate::runner::{Measurement, RunPlan};
+use crate::runner::Measurement;
 
 /// All measurements needed for Tables 3 and Figures 6–11.
 #[derive(Clone, Debug)]
 pub struct ExperimentData {
     measurements: Vec<Measurement>,
     suites: Vec<(String, String, String)>, // name, description, suite
-}
-
-/// Runs the full experiment grid: every workload × {BASELINE, INTER,
-/// INTER+INTRA, ADAPTIVE, STATIC-FIRST} × {Pentium 4, Athlon MP},
-/// sequentially.
-pub fn collect(plan: &RunPlan) -> ExperimentData {
-    collect_filtered(plan, |_| true)
-}
-
-/// Like [`collect`] but restricted to workloads accepted by `keep` (used by
-/// tests and quick runs).
-pub fn collect_filtered(plan: &RunPlan, keep: impl Fn(&str) -> bool) -> ExperimentData {
-    collect_filtered_jobs(plan, 1, keep)
-}
-
-/// Like [`collect_filtered`] but sharded across up to `jobs` worker
-/// threads ([`crate::matrix::run_cells`]); results are identical to the
-/// sequential sweep for any worker count.
-pub fn collect_filtered_jobs(
-    plan: &RunPlan,
-    jobs: usize,
-    keep: impl Fn(&str) -> bool,
-) -> ExperimentData {
-    let results = crate::matrix::run_matrix(plan, jobs, keep);
-    from_measurements(results.into_iter().map(|r| r.measurement).collect())
 }
 
 /// Assembles [`ExperimentData`] from already-collected measurements (e.g.
@@ -385,7 +360,7 @@ pub fn table2() -> String {
         "{:<12} {:>8} {:>13} {:>8} {:>13} {:>13}",
         "Processor", "L1 (KB)", "L1 line (B)", "L2 (KB)", "L2 line (B)", "#DTLB entries"
     );
-    for cfg in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
+    for cfg in crate::matrix::processors() {
         let _ = writeln!(s, "{}", cfg.table2_row());
     }
     s
@@ -399,17 +374,10 @@ pub fn table1_and_fig5() -> String {
         .into_iter()
         .find(|s| s.name == "jess")
         .expect("jess workload");
-    let built = (spec.build)(Size::Tiny);
-    let mut vm = Vm::new(
-        built.program,
-        VmConfig {
-            heap_bytes: built.heap_bytes,
-            ..VmConfig::default()
-        },
-        ProcessorConfig::pentium4(),
-    );
-    vm.call(built.entry, &[]).expect("jess runs");
-    vm.call(built.entry, &[]).expect("jess runs");
+    let jess = spec.prepare(Size::Tiny);
+    let config = jess.vm_config(&PrefetchOptions::inter_intra());
+    let mut vm = jess.vm(config, &ProcessorConfig::pentium4(), NoopSink);
+    jess.warm(&mut vm, 2);
     let report = vm
         .reports()
         .iter()
@@ -437,6 +405,7 @@ pub fn table1_and_fig5() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunPlan;
 
     #[test]
     fn table2_matches_paper() {
@@ -466,7 +435,8 @@ mod tests {
             measured_runs: 1,
             timing_runs: 1,
         };
-        let data = collect_filtered(&plan, |n| n == "db" || n == "compress");
+        let results = crate::matrix::run_matrix(&plan, 1, |n| n == "db" || n == "compress");
+        let data = from_measurements(results.into_iter().map(|r| r.measurement).collect());
         let f6 = data.fig6();
         assert!(f6.contains("db"), "{f6}");
         assert!(f6.contains("compress"), "{f6}");

@@ -18,11 +18,9 @@ use std::time::Instant;
 use spf_core::PrefetchOptions;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{NoopSink, RingSink, TraceSink};
-use spf_workloads::{Size, WorkloadSpec};
+use spf_workloads::{Prepared, Size, WorkloadSpec};
 
-use crate::runner::{
-    run_prepared, run_prepared_traced, Measurement, PreparedWorkload, RunPlan, WorkloadTrace,
-};
+use crate::runner::{run_prepared, Measurement, RunPlan, WorkloadTrace};
 
 /// One matrix cell: a workload under one prefetch configuration on one
 /// simulated processor.
@@ -52,26 +50,37 @@ pub struct CellResult {
     pub host_wall_ns: u128,
 }
 
+/// The prefetch-mode axis in canonical order: BASELINE, INTER,
+/// INTER+INTRA, ADAPTIVE, STATIC-FIRST. STATIC-FIRST is appended after
+/// the four pre-existing modes so their cells keep their positions (and
+/// their bit-identical numbers) in every artifact derived from this
+/// order.
+pub fn modes() -> [PrefetchOptions; 5] {
+    [
+        PrefetchOptions::off(),
+        PrefetchOptions::inter(),
+        PrefetchOptions::inter_intra(),
+        PrefetchOptions::adaptive(),
+        PrefetchOptions::static_first(),
+    ]
+}
+
+/// The processor axis in canonical order: Pentium 4, Athlon MP (Table 2).
+pub fn processors() -> [ProcessorConfig; 2] {
+    [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()]
+}
+
 /// Enumerates the matrix in canonical order — workloads in Table 3
-/// (registry) order × {Pentium 4, Athlon MP} × {BASELINE, INTER,
-/// INTER+INTRA, ADAPTIVE, STATIC-FIRST} — restricted to workloads
-/// accepted by `keep`. STATIC-FIRST is appended after the four
-/// pre-existing modes so their cells keep their positions (and their
-/// bit-identical numbers) in every artifact derived from this order.
+/// (registry) order × [`processors`] × [`modes`] — restricted to
+/// workloads accepted by `keep`.
 pub fn cells(keep: impl Fn(&str) -> bool) -> Vec<Cell> {
     let mut out = Vec::new();
     for spec in spf_workloads::all() {
         if !keep(spec.name) {
             continue;
         }
-        for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
-            for options in [
-                PrefetchOptions::off(),
-                PrefetchOptions::inter(),
-                PrefetchOptions::inter_intra(),
-                PrefetchOptions::adaptive(),
-                PrefetchOptions::static_first(),
-            ] {
+        for proc in processors() {
+            for options in modes() {
                 out.push(Cell {
                     spec: spec.clone(),
                     proc: proc.clone(),
@@ -99,14 +108,15 @@ pub struct TracedCellResult {
     pub wall_nanos: u128,
 }
 
-fn run_cell(plan: &RunPlan, cell: &Cell, prep: &PreparedWorkload) -> CellResult {
+fn run_cell(plan: &RunPlan, cell: &Cell, prep: &Prepared) -> CellResult {
+    let run = || run_prepared(prep, &cell.options, &cell.proc, plan, NoopSink).0;
     let t0 = Instant::now();
-    let measurement = run_prepared(prep, &cell.options, &cell.proc, plan);
+    let measurement = run();
     let wall_nanos = t0.elapsed().as_nanos();
     let mut times = vec![wall_nanos];
     for _ in 1..plan.timing_runs.max(1) {
         let t = Instant::now();
-        let repeat = run_prepared(prep, &cell.options, &cell.proc, plan);
+        let repeat = run();
         times.push(t.elapsed().as_nanos());
         let diff = measurement.simulated_diff(&repeat);
         assert!(
@@ -125,31 +135,28 @@ fn run_cell(plan: &RunPlan, cell: &Cell, prep: &PreparedWorkload) -> CellResult 
     }
 }
 
-fn run_cell_traced(
-    plan: &RunPlan,
-    cell: &Cell,
-    prep: &PreparedWorkload<RingSink>,
-) -> TracedCellResult {
+fn run_cell_traced(plan: &RunPlan, cell: &Cell, prep: &Prepared<RingSink>) -> TracedCellResult {
     let t0 = Instant::now();
-    let (measurement, trace) = run_prepared_traced(prep, &cell.options, &cell.proc, plan);
+    let ring = RingSink::default();
+    let (measurement, trace) = run_prepared(prep, &cell.options, &cell.proc, plan, ring);
     TracedCellResult {
         measurement,
-        trace,
+        trace: trace.expect("ring sink is enabled"),
         wall_nanos: t0.elapsed().as_nanos(),
     }
 }
 
-/// Builds one [`PreparedWorkload`] per distinct workload in `cells` and
-/// hands every cell an `Arc` to its workload's instance, so the pool
-/// decodes each program once instead of once per cell.
-fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<PreparedWorkload<S>>> {
-    let mut by_name: Vec<Arc<PreparedWorkload<S>>> = Vec::new();
+/// Builds one [`Prepared`] per distinct workload in `cells` and hands
+/// every cell an `Arc` to its workload's instance, so the pool decodes
+/// each program once instead of once per cell.
+fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S>>> {
+    let mut by_name: Vec<Arc<Prepared<S>>> = Vec::new();
     cells
         .iter()
         .map(|c| match by_name.iter().find(|p| p.name() == c.spec.name) {
             Some(p) => Arc::clone(p),
             None => {
-                let p = Arc::new(PreparedWorkload::new(&c.spec, size));
+                let p = Arc::new(c.spec.prepare(size));
                 by_name.push(Arc::clone(&p));
                 p
             }

@@ -1,13 +1,10 @@
 //! Workload runner: warm-up, steady-state measurement, counter capture.
 
-use std::sync::Arc;
-
 use spf_core::{PrefetchMode, PrefetchOptions, StrideCrossCheck};
-use spf_ir::MethodId;
 use spf_memsim::{MemStats, ProcessorConfig};
 use spf_trace::{Attribution, NoopSink, RingSink, SiteTable, TraceEvent, TraceSink};
-use spf_vm::{Predecoded, Vm, VmConfig};
-use spf_workloads::{Size, WorkloadSpec};
+use spf_vm::VmStats;
+use spf_workloads::{Prepared, Size, WorkloadSpec};
 
 /// How a workload is run.
 #[derive(Clone, Debug)]
@@ -164,40 +161,6 @@ pub struct WorkloadTrace {
     pub warm_lost: u64,
 }
 
-/// A workload built and pre-decoded once, sharable (via `Arc`) by every
-/// matrix cell — each (processor × mode) configuration — that runs it.
-/// Cells construct their VMs with [`Vm::from_predecoded`], so the
-/// program's method bodies are decoded into threaded code exactly once
-/// per workload instead of once per cell.
-pub struct PreparedWorkload<S: TraceSink = NoopSink> {
-    name: &'static str,
-    pre: Arc<Predecoded<S>>,
-    entry: MethodId,
-    heap_bytes: usize,
-    expected: Option<i32>,
-    compile_threshold: u32,
-}
-
-impl<S: TraceSink> PreparedWorkload<S> {
-    /// Builds `spec` at `size` and pre-decodes its method bodies.
-    pub fn new(spec: &WorkloadSpec, size: Size) -> Self {
-        let built = (spec.build)(size);
-        PreparedWorkload {
-            name: spec.name,
-            pre: Arc::new(Predecoded::new(built.program)),
-            entry: built.entry,
-            heap_bytes: built.heap_bytes,
-            expected: built.expected,
-            compile_threshold: built.compile_threshold,
-        }
-    }
-
-    /// The workload's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 /// Runs `spec` under `options` on `proc` according to `plan`.
 ///
 /// # Panics
@@ -211,21 +174,7 @@ pub fn run_workload(
     proc: &ProcessorConfig,
     plan: &RunPlan,
 ) -> Measurement {
-    run_prepared(&PreparedWorkload::new(spec, plan.size), options, proc, plan)
-}
-
-/// [`run_workload`] against an already [`PreparedWorkload`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_workload`].
-pub fn run_prepared(
-    prep: &PreparedWorkload,
-    options: &PrefetchOptions,
-    proc: &ProcessorConfig,
-    plan: &RunPlan,
-) -> Measurement {
-    run_prepared_sink(prep, options, proc, plan, NoopSink).0
+    run_prepared(&spec.prepare(plan.size), options, proc, plan, NoopSink).0
 }
 
 /// [`run_workload`] with event tracing into a default-capacity
@@ -241,55 +190,27 @@ pub fn run_workload_traced(
     proc: &ProcessorConfig,
     plan: &RunPlan,
 ) -> (Measurement, WorkloadTrace) {
-    run_prepared_traced(&PreparedWorkload::new(spec, plan.size), options, proc, plan)
+    let ring = RingSink::default();
+    let (m, t) = run_prepared(&spec.prepare(plan.size), options, proc, plan, ring);
+    (m, t.expect("ring sink is enabled"))
 }
 
-/// [`run_workload_traced`] against an already [`PreparedWorkload`].
+/// The measurement protocol against an already [`Prepared`] workload,
+/// generic over the trace sink so traced and untraced runs cannot drift
+/// apart. The trace is `Some` iff the sink records.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run_workload`].
-pub fn run_prepared_traced(
-    prep: &PreparedWorkload<RingSink>,
-    options: &PrefetchOptions,
-    proc: &ProcessorConfig,
-    plan: &RunPlan,
-) -> (Measurement, WorkloadTrace) {
-    let (m, t) = run_prepared_sink(prep, options, proc, plan, RingSink::default());
-    (m, t.expect("ring sink is enabled"))
-}
-
-/// The shared measurement protocol, generic over the trace sink so the
-/// traced and untraced entry points cannot drift apart.
-fn run_prepared_sink<S: TraceSink>(
-    prep: &PreparedWorkload<S>,
+pub fn run_prepared<S: TraceSink>(
+    prep: &Prepared<S>,
     options: &PrefetchOptions,
     proc: &ProcessorConfig,
     plan: &RunPlan,
     sink: S,
 ) -> (Measurement, Option<WorkloadTrace>) {
-    let mut vm = Vm::from_predecoded(
-        &prep.pre,
-        VmConfig {
-            heap_bytes: prep.heap_bytes,
-            prefetch: options.clone(),
-            compile_threshold: prep.compile_threshold,
-            ..VmConfig::default()
-        },
-        proc.clone(),
-        sink,
-    );
-    let mut checksum = 0;
-    for _ in 0..plan.warmup_runs {
-        checksum = vm
-            .call(prep.entry, &[])
-            .unwrap_or_else(|e| panic!("{} faulted: {e}", prep.name))
-            .expect("entry returns a checksum")
-            .as_i32();
-    }
-    if let Some(expected) = prep.expected {
-        assert_eq!(checksum, expected, "{} checksum", prep.name);
-    }
+    let mut vm = prep.vm(prep.vm_config(options), proc, sink);
+    let checksum = prep.warm(&mut vm, plan.warmup_runs);
     let warm_stats = vm.stats().clone();
     let prefetches_inserted = vm.reports().iter().map(|r| r.total_prefetches).sum();
     let stride_check = {
@@ -305,20 +226,8 @@ fn run_prepared_sink<S: TraceSink>(
         (Vec::new(), 0)
     };
 
-    struct BestRun {
-        cycles: u64,
-        retired: u64,
-        mem: MemStats,
-        compiled_fraction: f64,
-        deopts: u64,
-        recompiles: u64,
-        loop_deopts: u64,
-        loop_repatches: u64,
-        reagreed: u64,
-        inspection_cycles: u64,
-        static_sites: u64,
-    }
-    let mut best: Option<BestRun> = None;
+    // Stats and memory counters of the best (fewest cycles) run.
+    let mut best: Option<(VmStats, MemStats)> = None;
     let mut best_events: Vec<TraceEvent> = Vec::new();
     let mut best_attribution = Attribution::default();
     let mut best_lost = 0u64;
@@ -326,27 +235,16 @@ fn run_prepared_sink<S: TraceSink>(
         // Clears counters, caches, and the trace sink: the captured events
         // are exactly the reported run's.
         vm.reset_measurement();
-        let out = vm
-            .call(prep.entry, &[])
-            .unwrap_or_else(|e| panic!("{} faulted: {e}", prep.name))
-            .expect("entry returns a checksum")
-            .as_i32();
-        assert_eq!(out, checksum, "{} is deterministic across runs", prep.name);
+        let out = prep.warm(&mut vm, 1);
+        assert_eq!(
+            out,
+            checksum,
+            "{} is deterministic across runs",
+            prep.name()
+        );
         let s = vm.stats();
-        if best.as_ref().is_none_or(|b| s.cycles < b.cycles) {
-            best = Some(BestRun {
-                cycles: s.cycles,
-                retired: s.retired_instructions,
-                mem: *vm.mem_stats(),
-                compiled_fraction: s.compiled_code_fraction(),
-                deopts: s.deopts,
-                recompiles: s.recompiles,
-                loop_deopts: s.loop_deopts,
-                loop_repatches: s.loop_repatches,
-                reagreed: s.reagreed,
-                inspection_cycles: s.inspection_cycles,
-                static_sites: s.static_sites,
-            });
+        if best.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
+            best = Some((s.clone(), *vm.mem_stats()));
             if S::ENABLED {
                 best_events = vm.sink().snapshot();
                 best_attribution = vm.sink().attribution();
@@ -354,7 +252,7 @@ fn run_prepared_sink<S: TraceSink>(
             }
         }
     }
-    let best = best.expect("at least one measured run");
+    let (best, mem) = best.expect("at least one measured run");
     let trace = S::ENABLED.then(|| WorkloadTrace {
         attribution: best_attribution,
         compile_events,
@@ -364,13 +262,13 @@ fn run_prepared_sink<S: TraceSink>(
         warm_lost,
     });
     let measurement = Measurement {
-        name: prep.name.to_string(),
+        name: prep.name().to_string(),
         mode: options.mode,
         processor: proc.name.clone(),
         best_cycles: best.cycles,
-        retired: best.retired,
-        mem: best.mem,
-        compiled_fraction: best.compiled_fraction,
+        retired: best.retired_instructions,
+        mem,
+        compiled_fraction: best.compiled_code_fraction(),
         jit_fraction: warm_stats.jit_time_fraction(),
         prefetch_pass_fraction: warm_stats.prefetch_pass_fraction(),
         prefetches_inserted,

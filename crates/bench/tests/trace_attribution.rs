@@ -10,7 +10,7 @@
 //!    the attribution table, and every runtime event resolves to a
 //!    registered site.
 
-use spf_bench::{run_workload, run_workload_traced, Measurement, RunPlan, WorkloadTrace};
+use spf_bench::{checks, run_workload, run_workload_traced, Measurement, RunPlan, WorkloadTrace};
 use spf_core::PrefetchOptions;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{summary, TraceEvent};
@@ -64,33 +64,9 @@ fn tracing_never_changes_the_measurement() {
 /// The partition and the reconciliations with the aggregate `MemStats`
 /// counters, for one traced cell.
 fn assert_classified_exactly_once(m: &Measurement, t: &WorkloadTrace) {
+    let violations = checks::attribution(&m.mem, &t.attribution);
     let cell = format!("{}/{}", m.mode, m.processor);
-    let attr = &t.attribution;
-    let issued = m.mem.swpf_issued + m.mem.guarded_loads;
-    let classified = attr.total(|e| e.useful() + e.too_early() + e.too_late() + e.dropped());
-    assert_eq!(
-        classified, issued,
-        "{cell}: classification must partition issued prefetches"
-    );
-    assert_eq!(
-        attr.total(|e| e.issued()),
-        issued,
-        "{cell}: per-site issue counts must sum to the aggregate"
-    );
-    assert_eq!(
-        attr.total(|e| e.dropped()),
-        m.mem.swpf_dropped_tlb,
-        "{cell}: dropped bucket equals the DTLB-cancel counter"
-    );
-    assert_eq!(
-        attr.total(|e| e.guarded_issued),
-        m.mem.guarded_loads,
-        "{cell}: guarded issues must sum to the aggregate"
-    );
-    assert_eq!(
-        attr.hw_prefetch_fills, m.mem.hw_prefetch_fills,
-        "{cell}: hardware prefetch fills must agree"
-    );
+    assert_eq!(violations, Vec::<String>::new(), "{cell}");
 }
 
 #[test]
@@ -105,6 +81,37 @@ fn every_issued_prefetch_is_classified_exactly_once() {
         nonvacuous |= m.mem.swpf_issued + m.mem.guarded_loads > 0;
     }
     assert!(nonvacuous, "no cell issued any prefetch — test is vacuous");
+}
+
+/// The shared check must not go vacuous: drop one site's row and every
+/// equality that site took part in is reported.
+#[test]
+fn attribution_check_reports_each_equality_a_missing_site_breaks() {
+    let (m, t) = run_workload_traced(
+        &db_spec(),
+        &PrefetchOptions::inter_intra(),
+        &ProcessorConfig::pentium4(),
+        &tiny_plan(),
+    );
+    let mut attr = t.attribution.clone();
+    let busiest = (0..attr.per_site.len())
+        .max_by_key(|&i| attr.per_site[i].1.issued())
+        .expect("db compiles prefetch sites");
+    let (_, gone) = attr.per_site.remove(busiest);
+    assert!(gone.issued() > 0, "the removed site must have issued");
+    let violations = checks::attribution(&m.mem, &attr);
+    let reported = |prefix: &str| violations.iter().any(|v| v.starts_with(prefix));
+    assert!(reported("classified vs issued"), "{violations:?}");
+    assert!(reported("per-site issued vs issued"), "{violations:?}");
+    assert_eq!(reported("dropped vs "), gone.dropped() > 0);
+    assert_eq!(reported("guarded vs "), gone.guarded_issued > 0);
+    assert!(!reported("hw fills vs "), "not a per-site quantity");
+    // ... and a lost hardware-fill event breaks the fifth.
+    attr = t.attribution;
+    attr.hw_prefetch_fills += 1;
+    let violations = checks::attribution(&m.mem, &attr);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].starts_with("hw fills vs hw_prefetch_fills: "));
 }
 
 #[test]

@@ -87,9 +87,6 @@ pub struct PrefetchOptions {
     /// Hard budget on interpreted instructions per inspection, keeping the
     /// profile "ultra-lightweight".
     pub max_inspect_steps: u64,
-    /// A nested loop whose average trip count (per target-loop iteration)
-    /// is at most this is treated as part of the parent loop (§3).
-    pub small_trip_threshold: f64,
     /// How prefetches are mapped to hardware instructions (§3.3).
     pub guarded_policy: GuardedPolicy,
     /// Whether the profitability analysis runs (ablation knob; the paper
@@ -106,7 +103,6 @@ impl Default for PrefetchOptions {
             min_samples: 4,
             distance: 1,
             max_inspect_steps: 50_000,
-            small_trip_threshold: 16.0,
             guarded_policy: GuardedPolicy::Auto,
             profitability: true,
         }

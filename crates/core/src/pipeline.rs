@@ -30,6 +30,10 @@ pub const INSPECT_CYCLES_PER_STEP: u64 = 4;
 /// inspector records for a candidate load.
 pub const INSPECT_CYCLES_PER_SAMPLE: u64 = 2;
 
+/// A nested loop whose average trip count (per target-loop iteration) is
+/// at most this is treated as part of the parent loop (§3).
+const SMALL_TRIP_THRESHOLD: f64 = 16.0;
+
 /// Result of optimizing one method.
 #[derive(Clone, Debug)]
 pub struct OptimizeOutcome {
@@ -298,9 +302,7 @@ impl StridePrefetcher {
                 if let Some(inner) = ldg.node(id).innermost {
                     if inner != target {
                         let nested_header = forest.info(inner).header;
-                        if inspection.avg_nested_trips(nested_header)
-                            > self.options.small_trip_threshold
-                        {
+                        if inspection.avg_nested_trips(nested_header) > SMALL_TRIP_THRESHOLD {
                             exclude.insert(id);
                             if S::ENABLED {
                                 let site = ldg.node(id).site;

@@ -419,22 +419,6 @@ impl Instr {
                 | Instr::ArrayLen { .. }
         )
     }
-
-    /// Whether this load can be a *non-leaf* LDG node, i.e. loads a
-    /// reference another load can chase (paper §3.1: `getfield`,
-    /// `getstatic` yielding references, and `aaload`).
-    pub fn is_ldg_interior(
-        &self,
-        field_ty: impl Fn(FieldId) -> ElemTy,
-        static_ty: impl Fn(StaticId) -> ElemTy,
-    ) -> bool {
-        match self {
-            Instr::GetField { field, .. } => field_ty(*field) == ElemTy::Ref,
-            Instr::GetStatic { sid, .. } => static_ty(*sid) == ElemTy::Ref,
-            Instr::ALoad { elem, .. } => *elem == ElemTy::Ref,
-            _ => false,
-        }
-    }
 }
 
 /// Block terminators.

@@ -22,7 +22,7 @@
 //!   deadlines: a job waiting past the deadline re-enters the queue with
 //!   exponential backoff instead of wedging the FIFO.
 //! * **Cache squeeze** — the shared code cache shrinks mid-run to
-//!   [`ChaosConfig::squeeze_capacity_instrs`], evicting down to the new
+//!   `SQUEEZE_CAPACITY_INSTRS`, evicting down to the new
 //!   capacity; per-tenant quotas keep one tenant from monopolizing what
 //!   is left.
 //! * **Traffic burst** — extra requests for one tenant inside the window.
@@ -44,9 +44,10 @@ use spf_trace::FaultKind;
 use crate::sim::ServeOutcome;
 use crate::traffic::Request;
 
-/// Chaos-mode configuration: the fault mix plus every degradation knob.
-/// Lives on [`crate::ServeConfig::chaos`] as `Option` — `None` takes the
-/// exact legacy code paths, so fault-free runs stay byte-identical.
+/// Chaos-mode configuration: the fault mix plus the degradation knobs
+/// some caller sets (the rest are constants of this module). Lives on
+/// [`crate::ServeConfig::chaos`] as `Option` — `None` takes the exact
+/// legacy code paths, so fault-free runs stay byte-identical.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// Fault-plan seed (independent of the traffic seed).
@@ -61,29 +62,12 @@ pub struct ChaosConfig {
     pub traffic_bursts: u32,
     /// Extra requests injected per burst window.
     pub burst_requests: u32,
-    /// Code-cache capacity while a squeeze window is active.
-    pub squeeze_capacity_instrs: u64,
     /// A compile job waiting longer than this re-enters the queue with
     /// backoff (and counts as a retry).
     pub compile_deadline_cycles: u64,
-    /// Base retry delay; doubles per attempt (`base << attempts`).
-    pub retry_backoff_base: u64,
     /// Surge (burst-injected) arrivals beyond this per-tenant queue
     /// depth are shed; base traffic always queues.
     pub admission_max_depth: u32,
-    /// Per-tenant code-cache quota in instructions (0 disables quotas).
-    pub tenant_quota_instrs: u64,
-    /// Plumbed into [`spf_adapt::AdaptConfig::rearm_stable_epochs`] for
-    /// every tenant VM: disarmed guards re-arm after this many stable GC
-    /// epochs.
-    pub rearm_stable_epochs: u64,
-    /// Plumbed into [`spf_adapt::AdaptConfig::max_recompiles`]: kept low
-    /// in chaos runs so GC storms actually exhaust budgets and the
-    /// re-arm path is exercised, not just available.
-    pub adapt_max_recompiles: u32,
-    /// Grace period after the last fault window, in epoch slots, before
-    /// the recovery invariants must hold.
-    pub recovery_grace_slots: u64,
 }
 
 impl Default for ChaosConfig {
@@ -95,14 +79,8 @@ impl Default for ChaosConfig {
             cache_squeezes: 1,
             traffic_bursts: 2,
             burst_requests: 30,
-            squeeze_capacity_instrs: 1_024,
             compile_deadline_cycles: 400_000,
-            retry_backoff_base: 50_000,
             admission_max_depth: 4,
-            tenant_quota_instrs: 2_048,
-            rearm_stable_epochs: 2,
-            adapt_max_recompiles: 1,
-            recovery_grace_slots: 40,
         }
     }
 }
@@ -249,6 +227,29 @@ pub fn inject_bursts(base: &[Request], plan: &FaultPlan, chaos: &ChaosConfig) ->
     out
 }
 
+/// Code-cache capacity, in instructions, while a squeeze window is active.
+pub(crate) const SQUEEZE_CAPACITY_INSTRS: u64 = 1_024;
+
+/// Base delay of a compile job's deadline retry; doubles per attempt
+/// (`base << attempts`).
+pub(crate) const RETRY_BACKOFF_BASE: u64 = 50_000;
+
+/// Per-tenant code-cache quota of a chaos run, in instructions.
+pub(crate) const TENANT_QUOTA_INSTRS: u64 = 2_048;
+
+/// [`spf_adapt::AdaptConfig::rearm_stable_epochs`] of every chaos tenant:
+/// disarmed guards re-arm after this many stable GC epochs.
+pub(crate) const REARM_STABLE_EPOCHS: u64 = 2;
+
+/// [`spf_adapt::AdaptConfig::max_recompiles`] of every chaos tenant: low,
+/// so GC storms actually exhaust budgets and the re-arm path is
+/// exercised, not just available.
+pub(crate) const ADAPT_MAX_RECOMPILES: u32 = 1;
+
+/// Grace period after the last fault window, in epoch slots, before the
+/// recovery invariants must hold.
+pub(crate) const RECOVERY_GRACE_SLOTS: u64 = 40;
+
 /// Upper bound on post-recovery p99 as a ratio of the fault-free run's
 /// p99, in milli (2000 = 2.0×). The absolute slack of a few epoch slots
 /// in [`verify_recovery`] covers tiny-denominator cases.
@@ -286,13 +287,12 @@ pub struct RecoveryReport {
 /// Returns a message describing the first violated invariant.
 pub fn verify_recovery(
     plan: &FaultPlan,
-    chaos: &ChaosConfig,
     slot: u64,
     base: &[Request],
     fault: &ServeOutcome,
     nofault: &ServeOutcome,
 ) -> Result<RecoveryReport, String> {
-    let recovery_at = plan.last_end() + chaos.recovery_grace_slots * slot;
+    let recovery_at = plan.last_end() + RECOVERY_GRACE_SLOTS * slot;
     let mut report = RecoveryReport {
         stranded_final: fault.stranded_final,
         shed: fault.shed.len() as u64,

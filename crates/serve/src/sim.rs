@@ -25,8 +25,8 @@ use spf_heap::shard_bytes;
 use spf_ir::MethodId;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{FaultKind, NoopSink, TraceEvent};
-use spf_vm::{Predecoded, Vm, VmConfig};
-use spf_workloads::{all, Size};
+use spf_vm::{Vm, VmConfig};
+use spf_workloads::{all, Prepared, Size};
 
 use crate::cache::{CacheEntry, CodeCache};
 use crate::faults::{self, ChaosConfig, FaultPlan};
@@ -140,11 +140,10 @@ pub struct ServeOutcome {
 /// One tenant: a VM plus its request queue and serving clock.
 struct Tenant {
     vm: Vm,
-    entry: MethodId,
-    expected: Option<i32>,
+    /// The workload the tenant serves (shared with its `i % 12` peers).
+    prep: Arc<Prepared>,
     /// First observed checksum; later requests must reproduce it.
     checksum: Option<i32>,
-    name: &'static str,
     queue: VecDeque<Request>,
     /// Serving-clock cycle at which the tenant finishes its current
     /// request (idle when `<= now`).
@@ -338,67 +337,40 @@ pub fn run(
     let specs = all();
     // Build and pre-decode each distinct workload once; tenants share the
     // decoded bodies via `Arc` exactly like the benchmark matrix does.
-    struct Blueprint {
-        pre: Arc<Predecoded>,
-        entry: MethodId,
-        heap: usize,
-        expected: Option<i32>,
-        threshold: u32,
-        name: &'static str,
-    }
-    let blueprints: Vec<Blueprint> = specs
+    let workloads: Vec<Arc<Prepared>> = specs
         .iter()
         .take(cfg.tenants.min(specs.len()))
-        .map(|spec| {
-            let built = (spec.build)(cfg.size);
-            Blueprint {
-                pre: Arc::new(Predecoded::new(built.program)),
-                entry: built.entry,
-                heap: shard_bytes(built.heap_bytes, cfg.heap_shard_div, cfg.heap_floor_bytes),
-                expected: built.expected,
-                threshold: built.compile_threshold,
-                name: spec.name,
-            }
-        })
+        .map(|spec| Arc::new(spec.prepare(cfg.size)))
         .collect();
 
     let chaos = cfg.chaos;
     let tenants: Vec<Mutex<Tenant>> = (0..cfg.tenants)
         .map(|i| {
-            let b = &blueprints[i % blueprints.len()];
+            let prep = &workloads[i % workloads.len()];
+            let base = prep.vm_config(options);
             // Chaos runs harden the adaptive policy: a deliberately tight
             // recompile budget (so GC storms exhaust it and exercise the
             // re-arm path) and retained deopt arguments (so the recovery
             // sweep can recompile stranded methods). Fault-free runs keep
             // the exact legacy configuration.
-            let adapt = match &chaos {
-                Some(c) => AdaptConfig {
-                    max_recompiles: c.adapt_max_recompiles,
-                    rearm_stable_epochs: c.rearm_stable_epochs,
-                    ..AdaptConfig::default()
-                },
-                None => AdaptConfig::default(),
+            let mut adapt = AdaptConfig::default();
+            if chaos.is_some() {
+                adapt.max_recompiles = faults::ADAPT_MAX_RECOMPILES;
+                adapt.rearm_stable_epochs = faults::REARM_STABLE_EPOCHS;
+            }
+            // A tenant gets a shard of the standalone heap and compiles
+            // in the background; the rest is the workload's own config.
+            let config = VmConfig {
+                heap_bytes: shard_bytes(base.heap_bytes, cfg.heap_shard_div, cfg.heap_floor_bytes),
+                async_compile: true,
+                retain_deopt_args: chaos.is_some(),
+                adapt,
+                ..base
             };
-            let vm = Vm::from_predecoded(
-                &b.pre,
-                VmConfig {
-                    heap_bytes: b.heap,
-                    prefetch: options.clone(),
-                    compile_threshold: b.threshold,
-                    async_compile: true,
-                    retain_deopt_args: chaos.is_some(),
-                    adapt,
-                    ..VmConfig::default()
-                },
-                proc.clone(),
-                NoopSink,
-            );
             Mutex::new(Tenant {
-                vm,
-                entry: b.entry,
-                expected: b.expected,
+                vm: prep.vm(config, proc, NoopSink),
+                prep: Arc::clone(prep),
                 checksum: None,
-                name: b.name,
                 queue: VecDeque::new(),
                 free_at: 0,
             })
@@ -429,7 +401,7 @@ pub fn run(
         tenants,
         cache: CodeCache::with_quota(
             cfg.cache_capacity_instrs,
-            chaos.map_or(0, |c| c.tenant_quota_instrs),
+            chaos.map_or(0, |_| faults::TENANT_QUOTA_INSTRS),
         ),
         queue: VecDeque::new(),
         workers: vec![None; cfg.compile_workers],
@@ -466,7 +438,7 @@ pub fn run(
 
         // 0. Chaos: announce newly active fault windows, apply the cache
         //    squeeze, and drive GC storms — all serially at the barrier.
-        if let Some(c) = &chaos {
+        if chaos.is_some() {
             while next_fault < plan.windows.len() && plan.windows[next_fault].start <= now {
                 let w = plan.windows[next_fault];
                 next_fault += 1;
@@ -479,7 +451,7 @@ pub fn run(
                 });
             }
             let desired = if plan.is_active(FaultKind::CacheSqueeze, now) {
-                c.squeeze_capacity_instrs
+                faults::SQUEEZE_CAPACITY_INSTRS
             } else {
                 cfg.cache_capacity_instrs
             };
@@ -532,7 +504,7 @@ pub fn run(
             for job in fleet.queue.iter_mut() {
                 if job.not_before <= now && now - job.enqueued_at >= c.compile_deadline_cycles {
                     job.attempts += 1;
-                    job.not_before = now + (c.retry_backoff_base << job.attempts.min(10));
+                    job.not_before = now + (faults::RETRY_BACKOFF_BASE << job.attempts.min(10));
                     job.enqueued_at = now;
                     fleet.out.retries += 1;
                     fleet.out.events.push(TraceEvent::CompileRetried {
@@ -566,11 +538,7 @@ pub fn run(
             let (ti, _) = dispatched[k];
             let t = &mut *fleet.tenants[ti].lock().unwrap();
             let before = t.vm.stats().cycles;
-            let value =
-                t.vm.call(t.entry, &[])
-                    .unwrap_or_else(|e| panic!("tenant {ti} ({}) faulted: {e}", t.name))
-                    .expect("entry returns a checksum")
-                    .as_i32();
+            let value = t.prep.warm(&mut t.vm, 1);
             (t.vm.stats().cycles - before, value)
         });
 
@@ -578,19 +546,13 @@ pub fn run(
         //    order.
         for (&(ti, req), (service, value)) in dispatched.iter().zip(results) {
             let t = fleet.tenant(ti);
-            match t.checksum {
-                None => {
-                    if let Some(exp) = t.expected {
-                        assert_eq!(value, exp, "tenant {ti} ({}) checksum", t.name);
-                    }
-                    t.checksum = Some(value);
-                }
-                Some(c) => assert_eq!(
-                    value, c,
-                    "tenant {ti} ({}) diverged between requests",
-                    t.name
-                ),
-            }
+            let first = *t.checksum.get_or_insert(value);
+            assert_eq!(
+                value,
+                first,
+                "tenant {ti} ({}) diverged between requests",
+                t.prep.name()
+            );
             let completion = now + service;
             t.free_at = completion;
             fleet.out.latencies[req.id as usize] = completion - req.arrival;
@@ -922,9 +884,8 @@ mod tests {
         });
         let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
         let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
-        let report =
-            faults::verify_recovery(&plan, &chaos, cfg.slot_cycles, &base, &fault, &nofault)
-                .expect("recovery invariants must hold");
+        let report = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
+            .expect("recovery invariants must hold");
         assert_eq!(report.stranded_final, 0);
     }
 

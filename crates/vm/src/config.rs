@@ -86,16 +86,6 @@ impl Default for VmConfig {
     }
 }
 
-impl VmConfig {
-    /// Baseline configuration: prefetching off.
-    pub fn baseline() -> Self {
-        VmConfig {
-            prefetch: PrefetchOptions::off(),
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +96,5 @@ mod tests {
         let c = VmConfig::default();
         assert!(c.heap_bytes > 0);
         assert_eq!(c.prefetch.mode, PrefetchMode::InterIntra);
-        assert_eq!(VmConfig::baseline().prefetch.mode, PrefetchMode::Off);
     }
 }

@@ -247,7 +247,6 @@ fn lower<S: TraceSink>(
             (op, Kind::Const)
         }
         // a=dst, b=src.
-        // a=dst, b=src.
         Instr::Move { dst, src } => {
             let mut op = Op::new(h::h_move as Handler<S>);
             op.a = r(dst);

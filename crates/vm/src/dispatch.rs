@@ -554,7 +554,7 @@ pub(crate) fn h_putfield<S: TraceSink, const TY: u8>(
     let addr = a + op.imm as u64;
     let lat = vm.mem.store(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = coerce_store(ctx.reg(op.b), ty);
+    let v = ctx.reg(op.b);
     if vm.heap.write(addr, ty, v).is_err() {
         return halt(vm, ctx, Err(VmError::BadAccess { addr }));
     }
@@ -639,7 +639,7 @@ fn do_astore<S: TraceSink>(
     let addr = a + ARRAY_DATA_OFFSET + i as u64 * elem.size();
     let lat = vm.mem.store(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = coerce_store(ctx.reg(src), elem);
+    let v = ctx.reg(src);
     if vm.heap.write(addr, elem, v).is_err() {
         return fail(vm, ctx, VmError::BadAccess { addr });
     }
@@ -1348,11 +1348,4 @@ pub(crate) fn move_aload_handler<S: TraceSink>(elem: u8) -> Handler<S> {
 /// Selects the [`h_bin_move_jump`] instance for a `BinOp` code.
 pub(crate) fn bin_move_jump_handler<S: TraceSink>(bop: u8) -> Handler<S> {
     bin_select!(bop, h_bin_move_jump)
-}
-
-// ------------------------------- Pure helpers ------------------------------
-
-#[inline(always)]
-pub(crate) fn coerce_store(v: Value, _ty: ElemTy) -> Value {
-    v
 }

@@ -31,5 +31,8 @@ pub use config::VmConfig;
 pub use error::VmError;
 pub use pic::PicStats;
 pub use predecode::Predecoded;
+/// The sink parameter of [`Vm`] and [`Predecoded`], re-exported so a crate
+/// that builds VMs generically need not depend on `spf-trace`.
+pub use spf_trace::{NoopSink, TraceSink};
 pub use stats::VmStats;
 pub use vm::Vm;

@@ -15,8 +15,8 @@ pub struct MethodCycles {
 ///
 /// `PartialEq` compares every field, including the two host-time fields
 /// (`jit_nanos`, `prefetch_pass_nanos`) — the only ones that vary between
-/// runs of one program; differential tests zero those two and compare
-/// the rest from the first call.
+/// runs of one program; differential tests compare
+/// [`simulated`](Self::simulated) copies from the first call.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct VmStats {
     /// Simulated cycles elapsed (execution + memory stalls + GC + charged
@@ -74,6 +74,16 @@ pub struct VmStats {
 }
 
 impl VmStats {
+    /// A copy with the two host-time fields zeroed: everything the
+    /// simulation itself determines.
+    pub fn simulated(&self) -> VmStats {
+        VmStats {
+            jit_nanos: 0,
+            prefetch_pass_nanos: 0,
+            ..self.clone()
+        }
+    }
+
     /// Fraction of execution cycles spent in compiled code (Table 3's last
     /// column). GC and JIT cycles are excluded from the denominator.
     pub fn compiled_code_fraction(&self) -> f64 {

@@ -493,23 +493,6 @@ impl<S: TraceSink> Vm<S> {
         };
     }
 
-    /// Calls method `name` with `args`.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError`] on runtime faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no method has that name.
-    pub fn call_by_name(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, VmError> {
-        let mid = self
-            .program
-            .method_by_name(name)
-            .unwrap_or_else(|| panic!("no method named {name}"));
-        self.call(mid, args)
-    }
-
     /// Calls method `mid` with `args` and runs to completion.
     ///
     /// # Errors

@@ -1,7 +1,12 @@
 //! Shared workload infrastructure: sizes, the registry entry type, and IR
 //! helpers (a deterministic LCG and a Fisher–Yates shuffle emitted as IR).
 
-use spf_ir::{CmpOp, ElemTy, FunctionBuilder, MethodId, Program, Reg, StaticId, Ty};
+use std::sync::Arc;
+
+use spf_core::PrefetchOptions;
+use spf_ir::{CmpOp, ElemTy, FunctionBuilder, MethodId, Program, Reg, StaticId};
+use spf_memsim::ProcessorConfig;
+use spf_vm::{NoopSink, Predecoded, TraceSink, Vm, VmConfig};
 
 /// Problem size, analogous to SPEC's problem-size knob (the paper uses 100
 /// for SPECjvm98 and "Size A" for JavaGrande).
@@ -89,6 +94,79 @@ pub struct WorkloadSpec {
     pub build: fn(Size) -> BuiltWorkload,
 }
 
+impl WorkloadSpec {
+    /// Builds the workload at `size` and pre-decodes its method bodies.
+    pub fn prepare<S: TraceSink>(&self, size: Size) -> Prepared<S> {
+        let built = (self.build)(size);
+        Prepared {
+            name: self.name,
+            pre: Arc::new(Predecoded::new(built.program)),
+            entry: built.entry,
+            heap_bytes: built.heap_bytes,
+            expected: built.expected,
+            compile_threshold: built.compile_threshold,
+        }
+    }
+}
+
+/// A registry workload built and pre-decoded once: the one road from a
+/// [`WorkloadSpec`] to a warm [`Vm`]. Every VM made from it shares the
+/// decoded method bodies, so a matrix sweep or a tenant fleet decodes
+/// each program once instead of once per VM.
+pub struct Prepared<S: TraceSink = NoopSink> {
+    name: &'static str,
+    pre: Arc<Predecoded<S>>,
+    entry: MethodId,
+    heap_bytes: usize,
+    expected: Option<i32>,
+    compile_threshold: u32,
+}
+
+impl<S: TraceSink> Prepared<S> {
+    /// The workload's registry name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The configuration a VM of this workload runs under: its heap size
+    /// and compile threshold, `options`, and the defaults for the rest.
+    pub fn vm_config(&self, options: &PrefetchOptions) -> VmConfig {
+        VmConfig {
+            heap_bytes: self.heap_bytes,
+            prefetch: options.clone(),
+            compile_threshold: self.compile_threshold,
+            ..VmConfig::default()
+        }
+    }
+
+    /// A fresh VM over the shared bodies. `config` is
+    /// [`vm_config`](Self::vm_config), as is or with fields overridden.
+    pub fn vm(&self, config: VmConfig, proc: &ProcessorConfig, sink: S) -> Vm<S> {
+        Vm::from_predecoded(&self.pre, config, proc.clone(), sink)
+    }
+
+    /// Calls the entry method `runs` times and returns the last checksum.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the workload, if a call faults or the checksum is
+    /// not the one the workload declares.
+    pub fn warm(&self, vm: &mut Vm<S>, runs: u32) -> i32 {
+        let mut checksum = 0;
+        for _ in 0..runs {
+            checksum = vm
+                .call(self.entry, &[])
+                .unwrap_or_else(|e| panic!("{} faulted: {e}", self.name))
+                .expect("entry returns a checksum")
+                .as_i32();
+        }
+        if let Some(expected) = self.expected {
+            assert_eq!(checksum, expected, "{} checksum", self.name);
+        }
+        checksum
+    }
+}
+
 /// Emits `seed = seed * 1103515245 + 12345; value = (seed >>> 16) & 0x7fff`
 /// against a static seed slot; returns the non-negative pseudo-random
 /// `I32`.
@@ -146,17 +224,11 @@ pub fn emit_set_seed(b: &mut FunctionBuilder<'_>, seed: StaticId, value: i32) {
     b.putstatic(seed, v);
 }
 
-/// Standard entry signature helper: a `"main"` function returning `I32`.
-pub fn main_builder<'a>(pb: &'a mut spf_ir::ProgramBuilder) -> FunctionBuilder<'a> {
-    pb.function("main", &[], Some(Ty::I32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spf_heap::Value;
-    use spf_memsim::ProcessorConfig;
-    use spf_vm::{Vm, VmConfig};
+    use spf_ir::Ty;
 
     #[test]
     fn size_scaling() {

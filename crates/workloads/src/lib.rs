@@ -26,5 +26,5 @@ pub mod raytracer;
 pub mod registry;
 pub mod search;
 
-pub use common::{BuiltWorkload, Size, Suite, WorkloadSpec};
+pub use common::{BuiltWorkload, Prepared, Size, Suite, WorkloadSpec};
 pub use registry::all;

@@ -16,7 +16,7 @@
 
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
-use stride_prefetch::vm::{Vm, VmConfig};
+use stride_prefetch::trace::NoopSink;
 use stride_prefetch::workloads::{self, Size};
 
 fn main() {
@@ -26,17 +26,12 @@ fn main() {
         .expect("jess workload");
 
     println!("== Figure 4/5: what the JIT generates for findInMemory ==\n");
-    let built = (spec.build)(Size::Tiny);
-    let mut vm = Vm::new(
-        built.program,
-        VmConfig {
-            heap_bytes: built.heap_bytes,
-            ..VmConfig::default()
-        },
-        ProcessorConfig::athlon_mp(),
-    );
-    vm.call(built.entry, &[]).expect("warm-up");
-    vm.call(built.entry, &[]).expect("compile with live data");
+    let jess = spec.prepare(Size::Tiny);
+    let config = jess.vm_config(&PrefetchOptions::inter_intra());
+    let mut vm = jess.vm(config, &ProcessorConfig::athlon_mp(), NoopSink);
+    // The second call crosses the compile threshold: the JIT inspects
+    // the live heap the first call built.
+    jess.warm(&mut vm, 2);
     let report = vm
         .reports()
         .iter()
@@ -51,6 +46,7 @@ fn main() {
     }
 
     println!("== speedups (Size::Small, steady state) ==\n");
+    let jess = spec.prepare(Size::Small);
     for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
         let mut cycles = Vec::new();
         for options in [
@@ -58,20 +54,10 @@ fn main() {
             PrefetchOptions::inter(),
             PrefetchOptions::inter_intra(),
         ] {
-            let built = (spec.build)(Size::Small);
-            let mut vm = Vm::new(
-                built.program,
-                VmConfig {
-                    heap_bytes: built.heap_bytes,
-                    prefetch: options,
-                    ..VmConfig::default()
-                },
-                proc.clone(),
-            );
-            vm.call(built.entry, &[]).expect("runs");
-            vm.call(built.entry, &[]).expect("runs");
+            let mut vm = jess.vm(jess.vm_config(&options), &proc, NoopSink);
+            jess.warm(&mut vm, 2);
             vm.reset_measurement();
-            vm.call(built.entry, &[]).expect("runs");
+            jess.warm(&mut vm, 1);
             cycles.push(vm.stats().cycles);
         }
         println!(

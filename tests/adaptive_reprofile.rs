@@ -7,12 +7,12 @@
 //! and the trace events reconciling exactly with the VM's counters.
 //! Whole-method deopts never happen anymore: `stats.deopts` stays 0.
 
-use stride_prefetch::analysis::{lint, LintConfig};
+use stride_prefetch::bench::checks;
 use stride_prefetch::heap::Value;
 use stride_prefetch::ir::{CmpOp, ElemTy, FieldId, MethodId, Program, ProgramBuilder, Ty};
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
-use stride_prefetch::trace::{RingSink, TraceEvent, TraceSink};
+use stride_prefetch::trace::{attribute, RingSink, TraceEvent, TraceSink};
 use stride_prefetch::vm::{Vm, VmConfig};
 
 const ELEMS: i32 = 1500;
@@ -211,31 +211,13 @@ fn gc_slide_invalidates_loops_and_repatches_without_deopt() {
 
     // Every compilation generation — including the patched (prefetches
     // stripped from stale loops) and repatched ones — passes the
-    // structural verifier and the full static lint.
-    let policy = vm
-        .config()
-        .prefetch
-        .guarded_policy
-        .lint_check(ProcessorConfig::athlon_mp().swpf_drops_on_tlb_miss);
-    let lint_config = LintConfig { policy };
-    let mut walk_generations = 0;
-    for (_mid, generation, func) in vm.compiled_generations() {
-        if func.name() == "walk" {
-            walk_generations += 1;
-        }
-        let errors = stride_prefetch::ir::verify::verify_all(vm.program(), func);
-        assert!(
-            errors.is_empty(),
-            "{} g{generation} fails verify: {errors:?}",
-            func.name()
-        );
-        let findings = lint(func, &lint_config);
-        assert!(
-            findings.is_empty(),
-            "{} g{generation} fails lint: {findings:?}",
-            func.name()
-        );
-    }
+    // structural verifier, the full static lint and the provenance lint.
+    let found = checks::generations(&vm, &ProcessorConfig::athlon_mp());
+    assert_eq!(found.violations, Vec::<String>::new());
+    let walk_generations = vm
+        .compiled_generations()
+        .filter(|(_, _, func)| func.name() == "walk")
+        .count();
     assert!(
         walk_generations >= 3,
         "walk must have a generation-0 body, a patched body, and a \
@@ -257,27 +239,16 @@ fn adaptive_counters_reconcile_with_trace_events() {
     assert_eq!(vm.sink().lost(), 0, "ring must hold the complete trace");
 
     let events = vm.sink().snapshot();
-    let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
-    let recompiles = count(|e| matches!(e, TraceEvent::Recompile { .. }));
-    let invalidated = count(|e| matches!(e, TraceEvent::LoopInvalidated { .. }));
-    let repatched = count(|e| matches!(e, TraceEvent::LoopRepatched { .. }));
-    assert_eq!(vm.stats().deopts, 0, "whole-method deopts are gone");
+    let seen = attribute(&events);
+    let s = vm.stats();
+    assert_eq!(s.deopts, 0, "whole-method deopts are gone");
+    // One Recompile / LoopInvalidated / LoopRepatched event per counted
+    // recompile / loop invalidation / loop repatch.
     assert_eq!(
-        recompiles,
-        vm.stats().recompiles,
-        "one Recompile event per counted recompile"
+        checks::adaptive_counters(s.recompiles, s.loop_deopts, s.loop_repatches, &[&seen]),
+        Vec::<String>::new()
     );
-    assert_eq!(
-        invalidated,
-        vm.stats().loop_deopts,
-        "one LoopInvalidated event per counted loop invalidation"
-    );
-    assert_eq!(
-        repatched,
-        vm.stats().loop_repatches,
-        "one LoopRepatched event per counted loop repatch"
-    );
-    assert!(invalidated >= 1 && repatched >= 1);
+    assert!(seen.loop_invalidated >= 1 && seen.loop_repatched >= 1);
 
     // Patched and repatched generations register fresh sites tagged with
     // their generation, so later runtime events attribute to the newest

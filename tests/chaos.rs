@@ -54,7 +54,7 @@ fn fault_runs_degrade_then_recover() {
     let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
     let chaos = cfg.chaos.unwrap();
     let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
-    let recovery = faults::verify_recovery(&plan, &chaos, cfg.slot_cycles, &base, &fault, &nofault)
+    let recovery = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
         .expect("recovery invariants");
     assert_eq!(recovery.stranded_final, 0);
 }
@@ -163,9 +163,8 @@ fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
             let fault = sim::run(&fault_cfg, &opts, &proc, 1);
             let cell = format!("{} / chaos seed {seed}", opts.mode);
             let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
-            let r =
-                faults::verify_recovery(&plan, &chaos, cfg.slot_cycles, &base, &fault, &nofault)
-                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let r = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert!(fault.faults > 0, "{cell}: no fault window activated");
             assert_eq!(r.stranded_final, 0, "{cell}");
             assert!(

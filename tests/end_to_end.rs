@@ -4,36 +4,23 @@
 
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
-use stride_prefetch::vm::{Vm, VmConfig};
-use stride_prefetch::workloads::{self, Size};
+use stride_prefetch::trace::NoopSink;
+use stride_prefetch::vm::Vm;
+use stride_prefetch::workloads::{self, Prepared, Size};
+
+/// A fresh VM of `prep` under `options` on `proc`.
+fn vm_of(prep: &Prepared, options: &PrefetchOptions, proc: &ProcessorConfig) -> Vm {
+    prep.vm(prep.vm_config(options), proc, NoopSink)
+}
 
 fn checksum(
     spec: &workloads::WorkloadSpec,
     options: PrefetchOptions,
     proc: ProcessorConfig,
 ) -> (i32, i32) {
-    let built = (spec.build)(Size::Tiny);
-    let mut vm = Vm::new(
-        built.program,
-        VmConfig {
-            heap_bytes: built.heap_bytes,
-            prefetch: options,
-            compile_threshold: built.compile_threshold,
-            ..VmConfig::default()
-        },
-        proc,
-    );
-    let first = vm
-        .call(built.entry, &[])
-        .unwrap_or_else(|e| panic!("{} faulted: {e}", spec.name))
-        .expect("returns checksum")
-        .as_i32();
-    let second = vm
-        .call(built.entry, &[])
-        .unwrap_or_else(|e| panic!("{} faulted on 2nd run: {e}", spec.name))
-        .expect("returns checksum")
-        .as_i32();
-    (first, second)
+    let prep = spec.prepare(Size::Tiny);
+    let mut vm = vm_of(&prep, &options, &proc);
+    (prep.warm(&mut vm, 1), prep.warm(&mut vm, 1))
 }
 
 #[test]
@@ -64,19 +51,13 @@ fn all_workloads_agree_across_configurations() {
 #[test]
 fn compiled_code_runs_after_warmup() {
     for spec in workloads::all() {
-        let built = (spec.build)(Size::Tiny);
-        let entry = built.entry;
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                compile_threshold: built.compile_threshold,
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
+        let prep = spec.prepare(Size::Tiny);
+        let mut vm = vm_of(
+            &prep,
+            &PrefetchOptions::inter_intra(),
+            &ProcessorConfig::pentium4(),
         );
-        vm.call(entry, &[]).unwrap();
-        vm.call(entry, &[]).unwrap();
+        prep.warm(&mut vm, 2);
         assert!(
             vm.stats().methods_compiled > 0,
             "{}: nothing was JIT-compiled",
@@ -85,7 +66,7 @@ fn compiled_code_runs_after_warmup() {
         // Measurement protocol: steady-state run attributes most cycles to
         // compiled code for the compute-heavy workloads.
         vm.reset_measurement();
-        vm.call(entry, &[]).unwrap();
+        prep.warm(&mut vm, 1);
         let frac = vm.stats().compiled_code_fraction();
         // jack and MonteCarlo are interpreter-heavy by design (Table 3);
         // everything must at least execute *some* compiled code.
@@ -102,19 +83,13 @@ fn reports_are_consistent_with_generated_code() {
     // For each workload, the number of prefetch/spec-load instructions in
     // the compiled bodies must equal what the reports claim.
     for spec in workloads::all() {
-        let built = (spec.build)(Size::Tiny);
-        let entry = built.entry;
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                compile_threshold: built.compile_threshold,
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
+        let prep = spec.prepare(Size::Tiny);
+        let mut vm = vm_of(
+            &prep,
+            &PrefetchOptions::inter_intra(),
+            &ProcessorConfig::pentium4(),
         );
-        vm.call(entry, &[]).unwrap();
-        vm.call(entry, &[]).unwrap();
+        prep.warm(&mut vm, 2);
         let reported: usize = vm.reports().iter().map(|r| r.total_prefetches).sum();
         let issued = vm.mem_stats().swpf_issued + vm.mem_stats().guarded_loads;
         if reported == 0 {

@@ -9,7 +9,7 @@ use stride_prefetch::bench::{run_workload_traced, RunPlan};
 use stride_prefetch::memsim::{MemStats, ProcessorConfig};
 use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::trace::{RingSink, TraceEvent, TraceSink};
-use stride_prefetch::vm::{Vm, VmConfig, VmStats};
+use stride_prefetch::vm::VmStats;
 use stride_prefetch::workloads::{Size, WorkloadSpec};
 
 /// A ring that makes every JIT compilation take `delay` longer on the
@@ -62,24 +62,14 @@ fn assert_same_events(a: &[TraceEvent], b: &[TraceEvent]) {
 /// Two warm-up calls of Euler / ADAPTIVE / Pentium 4 with every compile
 /// slowed by `delay`.
 fn warm_up(delay: Duration) -> (VmStats, MemStats, Vec<TraceEvent>) {
-    let built = (euler().build)(Size::Tiny);
-    let mut vm = Vm::with_sink(
-        built.program,
-        VmConfig {
-            heap_bytes: built.heap_bytes,
-            prefetch: PrefetchOptions::adaptive(),
-            compile_threshold: built.compile_threshold,
-            ..VmConfig::default()
-        },
-        ProcessorConfig::pentium4(),
-        SlowJit {
-            ring: RingSink::default(),
-            delay,
-        },
-    );
-    for _ in 0..2 {
-        vm.call(built.entry, &[]).expect("Euler runs");
-    }
+    let euler = euler().prepare(Size::Tiny);
+    let sink = SlowJit {
+        ring: RingSink::default(),
+        delay,
+    };
+    let config = euler.vm_config(&PrefetchOptions::adaptive());
+    let mut vm = euler.vm(config, &ProcessorConfig::pentium4(), sink);
+    euler.warm(&mut vm, 2);
     assert_eq!(vm.sink().lost(), 0, "the ring holds a tiny warm-up");
     (vm.stats().clone(), *vm.mem_stats(), vm.sink().snapshot())
 }
@@ -94,12 +84,7 @@ fn a_slowed_pipeline_changes_only_the_host_time_fields() {
         slow.jit_nanos >= delay.as_nanos() * u128::from(slow.methods_compiled),
         "the slowdown must land inside the JIT's timed window"
     );
-    let simulated = |s: &VmStats| VmStats {
-        jit_nanos: 0,
-        prefetch_pass_nanos: 0,
-        ..s.clone()
-    };
-    assert_eq!(simulated(&fast), simulated(&slow));
+    assert_eq!(fast.simulated(), slow.simulated());
     assert_eq!(fast_mem, slow_mem);
     assert!(
         fast_events

@@ -146,22 +146,16 @@ fn moldyn_target_level_contrast() {
 /// milliseconds per method.
 #[test]
 fn prefetch_pass_is_ultra_lightweight() {
-    use stride_prefetch::vm::{Vm, VmConfig};
+    use stride_prefetch::trace::NoopSink;
     let p4 = ProcessorConfig::pentium4();
     for name in ["db", "jess", "Euler", "compress"] {
-        let s = spec(name);
-        let built = (s.build)(Size::Tiny);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                compile_threshold: built.compile_threshold,
-                ..VmConfig::default()
-            },
-            p4.clone(),
+        let prep = spec(name).prepare(Size::Tiny);
+        let mut vm = prep.vm(
+            prep.vm_config(&PrefetchOptions::inter_intra()),
+            &p4,
+            NoopSink,
         );
-        vm.call(built.entry, &[]).unwrap();
-        vm.call(built.entry, &[]).unwrap();
+        prep.warm(&mut vm, 2);
         for report in vm.reports() {
             assert!(
                 report.pass_nanos < 200_000_000,

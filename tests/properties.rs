@@ -13,6 +13,7 @@ use stride_prefetch::ir::{
 };
 use stride_prefetch::memsim::{MemorySystem, ProcessorConfig};
 use stride_prefetch::prefetch::{Inspector, PrefetchOptions};
+use stride_prefetch::trace::NoopSink;
 use stride_prefetch::vm::{passes, Vm, VmConfig, VmError};
 use stride_prefetch::workloads::{self, Size};
 
@@ -154,18 +155,11 @@ fn random_options_preserve_semantics() {
         .into_iter()
         .find(|s| s.name == "db")
         .unwrap();
+    let db = spec.prepare(Size::Tiny);
+    let p4 = ProcessorConfig::pentium4();
     let reference = {
-        let built = (spec.build)(Size::Tiny);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                prefetch: PrefetchOptions::off(),
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
-        );
-        vm.call(built.entry, &[]).unwrap()
+        let mut vm = db.vm(db.vm_config(&PrefetchOptions::off()), &p4, NoopSink);
+        db.warm(&mut vm, 1)
     };
     cases(8, "random options preserve semantics", |rng| {
         let options = PrefetchOptions {
@@ -176,20 +170,9 @@ fn random_options_preserve_semantics() {
             profitability: rng.bool(),
             ..PrefetchOptions::inter_intra()
         };
-        let built = (spec.build)(Size::Tiny);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                prefetch: options,
-                ..VmConfig::default()
-            },
-            ProcessorConfig::pentium4(),
-        );
-        let out1 = vm.call(built.entry, &[]).unwrap();
-        let out2 = vm.call(built.entry, &[]).unwrap();
-        assert_eq!(out1, reference);
-        assert_eq!(out2, reference);
+        let mut vm = db.vm(db.vm_config(&options), &p4, NoopSink);
+        assert_eq!(db.warm(&mut vm, 1), reference);
+        assert_eq!(db.warm(&mut vm, 1), reference);
     });
 }
 

@@ -8,70 +8,30 @@
 //! structural verifier alone cannot see.
 
 use spf_testkit::cases;
-use stride_prefetch::analysis::{self, LintConfig, PolicyCheck};
+use stride_prefetch::analysis::{self, LintConfig};
+use stride_prefetch::bench::{checks, matrix};
 use stride_prefetch::ir::verify::verify_all;
 use stride_prefetch::ir::{
     BinOp, CmpOp, Const, ElemTy, Function, Instr, PrefetchAddr, ProgramBuilder, Terminator, Ty,
 };
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::{GuardedPolicy, PrefetchMode, PrefetchOptions};
+use stride_prefetch::trace::NoopSink;
 use stride_prefetch::vm::{Vm, VmConfig};
 use stride_prefetch::workloads::{self, Size};
 
-/// Verifies and lints every compiled body in `vm`, returning how many
-/// methods were compiled.
-fn lint_compiled(vm: &Vm, policy: PolicyCheck, label: &str) -> usize {
-    let config = LintConfig { policy };
-    let mut compiled = 0;
-    for mid in vm.program().method_ids() {
-        let Some(func) = vm.compiled_body(mid) else {
-            continue;
-        };
-        compiled += 1;
-        let errors = verify_all(vm.program(), func);
-        assert!(errors.is_empty(), "{label}: {}: {errors:?}", func.name());
-        let findings = analysis::lint(func, &config);
-        assert!(
-            findings.is_empty(),
-            "{label}: {}: {findings:?}",
-            func.name()
-        );
-    }
-    compiled
-}
-
 /// Builds, warms up (so the JIT runs), and checks one workload
-/// configuration end to end.
+/// configuration end to end: every compiled generation passes the
+/// verifier, the lint and the provenance lint on both processors.
 fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions) {
-    for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
-        let built = (spec.build)(Size::Tiny);
-        let policy = options
-            .guarded_policy
-            .lint_check(proc.swpf_drops_on_tlb_miss);
+    let prep = spec.prepare(Size::Tiny);
+    for proc in matrix::processors() {
         let label = format!("{}/{}/{}", spec.name, options.mode, proc.name);
-        let mut vm = Vm::new(
-            built.program,
-            VmConfig {
-                heap_bytes: built.heap_bytes,
-                prefetch: options.clone(),
-                compile_threshold: built.compile_threshold,
-                ..VmConfig::default()
-            },
-            proc,
-        );
-        let mut checksum = 0;
-        for _ in 0..2 {
-            checksum = vm
-                .call(built.entry, &[])
-                .unwrap_or_else(|e| panic!("{label} faulted: {e}"))
-                .expect("entry returns a checksum")
-                .as_i32();
-        }
-        if let Some(expected) = built.expected {
-            assert_eq!(checksum, expected, "{label} checksum");
-        }
-        let compiled = lint_compiled(&vm, policy, &label);
-        assert!(compiled > 0, "{label}: the JIT compiled no methods");
+        let mut vm = prep.vm(prep.vm_config(&options), &proc, NoopSink);
+        prep.warm(&mut vm, 2);
+        let found = checks::generations(&vm, &proc);
+        assert_eq!(found.violations, Vec::<String>::new(), "{label}");
+        assert!(found.compiled > 0, "{label}: the JIT compiled no methods");
     }
 }
 
@@ -143,10 +103,9 @@ fn mutation_one_armed_initialization_is_caught() {
     assert!(findings[0].message.contains("before definite assignment"));
 }
 
-#[test]
-fn mutation_speculative_store_is_caught() {
-    // A counted loop whose body spec-loads a link and then *stores* through
-    // the speculative reference — the leak the codegen discipline forbids.
+/// A counted loop whose body spec-loads a link and then *stores* through
+/// the speculative reference — the leak the codegen discipline forbids.
+fn speculative_store_mutant() -> Function {
     let mut f = Function::with_signature("mutant", &[Ty::Ref, Ty::I32], None);
     let head = f.params().next().unwrap();
     let n = f.params().nth(1).unwrap();
@@ -208,10 +167,37 @@ fn mutation_speculative_store_is_caught() {
         blk.term = Terminator::Jump(header);
     }
     f.block_mut(exit).term = Terminator::Return(None);
+    f
+}
 
-    let findings = analysis::lint(&f, &LintConfig::default());
+#[test]
+fn mutation_speculative_store_is_caught() {
+    let findings = analysis::lint(&speculative_store_mutant(), &LintConfig::default());
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0]
         .message
         .contains("leaks into non-speculative use"));
+}
+
+/// The shared check must not go vacuous: a leaking body that reaches a VM
+/// out of band is reported, with its method and generation.
+#[test]
+fn generations_check_reports_an_installed_leak() {
+    let mut pb = ProgramBuilder::new();
+    let mut b = pb.function("mutant", &[Ty::Ref, Ty::I32], None);
+    b.ret(None);
+    let mutant = b.finish();
+    let proc = ProcessorConfig::pentium4();
+    let mut vm = Vm::new(pb.finish(), VmConfig::default(), proc.clone());
+    assert_eq!(
+        checks::generations(&vm, &proc),
+        checks::Generations::default()
+    );
+    vm.install_compiled(mutant, speculative_store_mutant());
+    let found = checks::generations(&vm, &proc);
+    assert_eq!(found.compiled, 1);
+    assert_eq!(found.violations.len(), 1, "{found:?}");
+    let v = &found.violations[0];
+    assert!(v.starts_with("mutant g0: lint: "), "{v}");
+    assert!(v.contains("leaks into non-speculative use"), "{v}");
 }
