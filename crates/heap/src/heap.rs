@@ -95,6 +95,14 @@ pub fn shard_bytes(full: usize, shards: usize, floor: usize) -> usize {
     per.clamp(floor.min(full), full).next_multiple_of(8)
 }
 
+/// The panic of the header accessors, kept out of line so the inlined
+/// copies carry only a call.
+#[cold]
+#[inline(never)]
+fn bad_access(what: &str, addr: Addr) -> ! {
+    panic!("bad heap {what} at {addr:#x}")
+}
+
 impl Heap {
     /// Creates a heap of `capacity` bytes at the default base address.
     pub fn new(layout: Layout, capacity: usize) -> Self {
@@ -204,30 +212,58 @@ impl Heap {
         Some(addr)
     }
 
+    /// The one bounds rule: the offset of `addr` in `data` when all of
+    /// `[addr, addr + size)` is allocated memory, `data[..top]`. An address
+    /// below `base` wraps to an offset past any `top`, so it fails the same
+    /// compare as an address beyond it.
+    #[inline(always)]
     fn offset_of(&self, addr: Addr, size: u64) -> Option<usize> {
-        if addr < self.base {
-            return None;
-        }
-        let off = addr - self.base;
-        if off + size <= self.top as u64 {
-            Some(off as usize)
-        } else {
-            None
-        }
+        let off = usize::try_from(addr.wrapping_sub(self.base)).ok()?;
+        let room = self.data.get(..self.top)?.get(off..)?.len();
+        (room as u64 >= size).then_some(off)
     }
 
+    /// Loads the element of type `ty` at `addr` as the word a register
+    /// slot holds for it ([`Value::to_bits`]: an `I8` sign-extends to its
+    /// `I32`), or `None` outside allocated memory. The interpreter's
+    /// handlers inline this; [`Heap::read`] is the same access as a
+    /// [`Value`].
+    #[inline(always)]
+    pub fn load_bits(&self, addr: Addr, ty: ElemTy) -> Option<u64> {
+        let at = &self.data[self.offset_of(addr, ty.size())?..];
+        Some(match ty {
+            ElemTy::I8 => *at.first()? as i8 as i32 as u32 as u64,
+            ElemTy::I32 => u32::from_le_bytes(*at.first_chunk()?) as u64,
+            ElemTy::I64 | ElemTy::F64 | ElemTy::Ref => u64::from_le_bytes(*at.first_chunk()?),
+        })
+    }
+
+    /// Stores the low `ty.size()` bytes of a register word at `addr`;
+    /// `false` (and nothing written) outside allocated memory.
+    #[inline(always)]
+    pub fn store_bits(&mut self, addr: Addr, ty: ElemTy, bits: u64) -> bool {
+        let Some(off) = self.offset_of(addr, ty.size()) else {
+            return false;
+        };
+        let Some(at) = self.data[off..].get_mut(..ty.size() as usize) else {
+            return false;
+        };
+        at.copy_from_slice(&bits.to_le_bytes()[..at.len()]);
+        true
+    }
+
+    #[inline(always)]
     pub(crate) fn read_u64(&self, addr: Addr) -> u64 {
-        let off = self
-            .offset_of(addr, 8)
-            .unwrap_or_else(|| panic!("bad heap read at {addr:#x}"));
-        u64::from_le_bytes(self.data[off..off + 8].try_into().unwrap())
+        match self.load_bits(addr, ElemTy::I64) {
+            Some(w) => w,
+            None => bad_access("read", addr),
+        }
     }
 
     pub(crate) fn write_u64(&mut self, addr: Addr, v: u64) {
-        let off = self
-            .offset_of(addr, 8)
-            .unwrap_or_else(|| panic!("bad heap write at {addr:#x}"));
-        self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        if !self.store_bits(addr, ElemTy::I64, v) {
+            bad_access("write", addr);
+        }
     }
 
     /// Reads a typed value.
@@ -236,24 +272,9 @@ impl Heap {
     ///
     /// Returns [`HeapError::BadAccess`] outside allocated memory.
     pub fn read(&self, addr: Addr, ty: ElemTy) -> Result<Value, HeapError> {
-        let off = self
-            .offset_of(addr, ty.size())
-            .ok_or(HeapError::BadAccess { addr })?;
-        Ok(match ty {
-            ElemTy::I8 => Value::I32(self.data[off] as i8 as i32),
-            ElemTy::I32 => Value::I32(i32::from_le_bytes(
-                self.data[off..off + 4].try_into().unwrap(),
-            )),
-            ElemTy::I64 => Value::I64(i64::from_le_bytes(
-                self.data[off..off + 8].try_into().unwrap(),
-            )),
-            ElemTy::F64 => Value::F64(f64::from_le_bytes(
-                self.data[off..off + 8].try_into().unwrap(),
-            )),
-            ElemTy::Ref => Value::Ref(u64::from_le_bytes(
-                self.data[off..off + 8].try_into().unwrap(),
-            )),
-        })
+        self.load_bits(addr, ty)
+            .map(|bits| Value::from_bits(ty.reg_ty(), bits))
+            .ok_or(HeapError::BadAccess { addr })
     }
 
     /// Writes a typed value.
@@ -267,26 +288,15 @@ impl Heap {
     /// Panics if `value` does not match `ty` (verified programs never do
     /// this).
     pub fn write(&mut self, addr: Addr, ty: ElemTy, value: Value) -> Result<(), HeapError> {
-        let off = self
-            .offset_of(addr, ty.size())
-            .ok_or(HeapError::BadAccess { addr })?;
-        match (ty, value) {
-            (ElemTy::I8, Value::I32(v)) => self.data[off] = v as u8,
-            (ElemTy::I32, Value::I32(v)) => {
-                self.data[off..off + 4].copy_from_slice(&v.to_le_bytes())
-            }
-            (ElemTy::I64, Value::I64(v)) => {
-                self.data[off..off + 8].copy_from_slice(&v.to_le_bytes())
-            }
-            (ElemTy::F64, Value::F64(v)) => {
-                self.data[off..off + 8].copy_from_slice(&v.to_le_bytes())
-            }
-            (ElemTy::Ref, Value::Ref(v)) => {
-                self.data[off..off + 8].copy_from_slice(&v.to_le_bytes())
-            }
-            (ty, v) => panic!("type mismatch writing {v:?} as {ty}"),
+        assert!(
+            value.ty() == ty.reg_ty(),
+            "type mismatch writing {value:?} as {ty}"
+        );
+        if self.store_bits(addr, ty, value.to_bits()) {
+            Ok(())
+        } else {
+            Err(HeapError::BadAccess { addr })
         }
-        Ok(())
     }
 
     /// Whether `addr` is the address of a live allocation's header (i.e.
@@ -324,6 +334,7 @@ impl Heap {
     }
 
     /// Length of the array whose header is at `addr`.
+    #[inline(always)]
     pub fn array_len(&self, addr: Addr) -> u64 {
         self.read_u64(addr + ARRAY_LENGTH_OFFSET)
     }
@@ -470,6 +481,80 @@ mod tests {
         ));
         assert_eq!(h.try_read(12, ElemTy::I32), None);
         assert_eq!(h.try_read(NULL, ElemTy::Ref), None);
+    }
+
+    const ELEMS: [ElemTy; 5] = [
+        ElemTy::I8,
+        ElemTy::I32,
+        ElemTy::I64,
+        ElemTy::F64,
+        ElemTy::Ref,
+    ];
+
+    #[test]
+    fn word_and_value_accessors_share_one_bounds_rule() {
+        let (p, _, _) = token_program();
+        spf_testkit::cases(64, "load_bits/store_bits agree with read/write", |rng| {
+            // Half the backing store allocated, so `top` and `capacity`
+            // are different edges.
+            let mut h = Heap::new(Layout::compute(&p), 512);
+            let len = rng.u64_in(1, 20);
+            h.alloc_array(ElemTy::I64, len).unwrap();
+            for w in 0..h.used() / 8 {
+                h.write_u64(h.base() + 8 * w, rng.u64());
+            }
+            let (base, top, cap) = (h.base(), h.base() + h.used(), h.base() + h.capacity());
+            let near = |rng: &mut spf_testkit::Rng, edge: Addr| {
+                edge.wrapping_add(rng.u64_in(0, 16)).wrapping_sub(8)
+            };
+            for _ in 0..64 {
+                let addr = match rng.index(7) {
+                    0 => rng.u64_in(0, base - 1),
+                    1 => near(rng, base),
+                    2 => rng.u64_in(base, top - 1),
+                    3 => near(rng, top),
+                    4 => near(rng, cap),
+                    5 => rng.u64_in(cap, cap + (1 << 40)),
+                    _ => u64::MAX - rng.u64_in(0, 8),
+                };
+                let ty = *rng.pick(&ELEMS);
+                let inside = addr >= base && addr <= top - ty.size();
+                let read = h.read(addr, ty);
+                assert_eq!(read.is_ok(), inside, "{ty} at {addr:#x}");
+                assert_eq!(
+                    h.load_bits(addr, ty),
+                    read.ok().map(Value::to_bits),
+                    "{ty} at {addr:#x}"
+                );
+                assert_eq!(h.is_valid_range(addr, ty.size()), inside);
+                // A store succeeds exactly when the write does, changes
+                // nothing when it fails, and is read back by `read`.
+                let bits = Value::from_bits(ty.reg_ty(), rng.u64()).to_bits();
+                let value = Value::from_bits(ty.reg_ty(), bits);
+                let mut by_value = h.clone();
+                assert_eq!(by_value.write(addr, ty, value).is_ok(), inside);
+                assert_eq!(h.store_bits(addr, ty, bits), inside);
+                assert_eq!(h.data, by_value.data, "{ty} at {addr:#x}");
+                if inside {
+                    let stored = h.read(addr, ty).unwrap();
+                    if ty == ElemTy::I8 {
+                        // Only the low byte is stored; it loads sign-extended.
+                        assert_eq!(stored, Value::I32(bits as i8 as i32));
+                        assert_eq!(h.load_bits(addr, ty), Some(bits as i8 as i32 as u32 as u64));
+                    } else {
+                        assert_eq!(stored.to_bits(), bits);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bad heap read at 0x100ff8")]
+    fn array_len_of_a_bad_header_panics() {
+        let (p, _, _) = token_program();
+        let h = Heap::new(Layout::compute(&p), 64);
+        h.array_len(DEFAULT_HEAP_BASE + 0xff0);
     }
 
     #[test]

@@ -43,6 +43,32 @@ impl Value {
         }
     }
 
+    /// The untagged 8-byte word a register slot holds for this value: an
+    /// `I32` zero-extended into the low half, an `I64` as is, an `F64` as
+    /// its bit pattern, a `Ref` as its address. Every type's zero value is
+    /// the zero word.
+    #[inline(always)]
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Value::I32(v) => v as u32 as u64,
+            Value::I64(v) => v as u64,
+            Value::F64(v) => v.to_bits(),
+            Value::Ref(a) => a,
+        }
+    }
+
+    /// Inverse of [`Value::to_bits`] for a slot of type `ty` (an `I32`
+    /// reads the low half only).
+    #[inline(always)]
+    pub fn from_bits(ty: spf_ir::Ty, bits: u64) -> Value {
+        match ty {
+            spf_ir::Ty::I32 => Value::I32(bits as i32),
+            spf_ir::Ty::I64 => Value::I64(bits as i64),
+            spf_ir::Ty::F64 => Value::F64(f64::from_bits(bits)),
+            spf_ir::Ty::Ref => Value::Ref(bits),
+        }
+    }
+
     /// Extracts an `i32`.
     ///
     /// # Panics
@@ -252,6 +278,48 @@ mod tests {
     #[should_panic(expected = "expected i32")]
     fn wrong_accessor_panics() {
         Value::F64(0.0).as_i32();
+    }
+
+    #[test]
+    fn slot_words_round_trip_every_type() {
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let values = [
+            Value::I32(0),
+            Value::I32(-1),
+            Value::I32(i32::MIN),
+            Value::I32(i32::MAX),
+            Value::I64(-1),
+            Value::I64(i64::MIN),
+            Value::F64(-0.0),
+            Value::F64(nan),
+            Value::F64(f64::NEG_INFINITY),
+            Value::Ref(NULL),
+            Value::Ref(0x10_0040),
+        ];
+        for v in values {
+            let back = Value::from_bits(v.ty(), v.to_bits());
+            // Compared as words: `NaN != NaN` and `-0.0 == 0.0` as values.
+            assert_eq!(back.ty(), v.ty());
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        }
+        // An `I32` occupies the low half only, and reads back from it only.
+        assert_eq!(Value::I32(-1).to_bits(), 0xffff_ffff);
+        assert_eq!(Value::I32(i32::MIN).to_bits(), 0x8000_0000);
+        assert_eq!(
+            Value::from_bits(spf_ir::Ty::I32, 0xdead_beef_ffff_fffe),
+            Value::I32(-2)
+        );
+        assert_eq!(Value::F64(-0.0).to_bits(), 1 << 63);
+        assert_eq!(Value::F64(nan).to_bits(), 0x7ff8_dead_beef_0001);
+        // Every type's zero value is the zero word.
+        for ty in [
+            spf_ir::Ty::I32,
+            spf_ir::Ty::I64,
+            spf_ir::Ty::F64,
+            spf_ir::Ty::Ref,
+        ] {
+            assert_eq!(Value::zero_of(ty).to_bits(), 0);
+        }
     }
 
     #[test]

@@ -15,10 +15,7 @@
 use std::sync::Arc;
 
 use spf_heap::{static_addr, Layout, Value};
-use spf_ir::{
-    packed, Const, Function, Instr, InstrRef, PrefetchAddr, PrefetchKind, Program, Reg, Terminator,
-    Ty,
-};
+use spf_ir::{Function, Instr, InstrRef, PrefetchAddr, PrefetchKind, Program, Reg, Terminator, Ty};
 use spf_trace::TraceSink;
 
 use crate::dispatch::{self as h, Handler};
@@ -99,16 +96,18 @@ pub(crate) struct DecOp<S: TraceSink> {
 /// every frame executing the body, across the whole VM, and — through
 /// [`crate::Predecoded`] — across VMs on worker threads.
 pub(crate) struct ThreadedCode<S: TraceSink> {
-    /// The source IR (kept for site registration, GC reg typing via
-    /// `reg_template`, external analyses, and re-decoding).
+    /// The source IR (kept for site registration, the types of the words
+    /// that leave the VM as `Value`s, external analyses, and re-decoding).
     pub src: Arc<Function>,
     /// The flat op array; block entries are op indices ("pcs").
     pub ops: Box<[Op<S>]>,
     /// Flat pc of the function's entry block.
     pub entry_pc: u32,
-    /// Zero values per register, copied into each new frame.
-    pub reg_template: Box<[Value]>,
-    /// Indices of `Ref`-typed registers (GC root scan set).
+    /// Length of a frame's register window. A new window is zero-filled:
+    /// every type's zero value is the zero word.
+    pub reg_count: usize,
+    /// Indices of `Ref`-typed registers: the slots the GC roots and
+    /// forwards (a slot does not say what it holds).
     pub ref_regs: Box<[u32]>,
     /// Flattened call argument lists; each call op holds a (start, len)
     /// window.
@@ -122,6 +121,11 @@ pub(crate) struct ThreadedCode<S: TraceSink> {
 
 /// Decodes `src` into threaded code. `fuse` enables superinstruction
 /// fusion; either way the simulated semantics are identical.
+///
+/// # Panics
+///
+/// Panics with the verifier's message if `src` does not verify against
+/// `program`.
 pub(crate) fn decode<S: TraceSink>(
     program: &Program,
     layout: &Layout,
@@ -129,7 +133,18 @@ pub(crate) fn decode<S: TraceSink>(
     fuse: bool,
 ) -> ThreadedCode<S> {
     let func = src.as_ref();
-    let reg_count = func.reg_count();
+    // SAFETY CONTRACT: this is the one type check, made once per body at
+    // install time. Handlers index registers unchecked
+    // ([`crate::dispatch::Ctx::reg`]) in a window of exactly `reg_count`
+    // slots, and read each untagged slot as the type the instruction's
+    // rule gives its operand; the verifier states every rule they rely
+    // on — register and block ranges, operand and result types of all 18
+    // instructions, call signatures, terminators. A pass emitting an
+    // ill-typed or out-of-range operand is caught here instead of
+    // becoming UB or a silently reinterpreted word on the hot path.
+    if let Err(violation) = spf_ir::verify::verify(program, func) {
+        panic!("decode: {violation}");
+    }
     let mut arg_pool: Vec<u32> = Vec::new();
     let mut call_sites: u32 = 0;
     let mut blocks: Vec<Vec<DecOp<S>>> = Vec::new();
@@ -141,15 +156,15 @@ pub(crate) fn decode<S: TraceSink>(
             let d = lower(
                 program,
                 layout,
+                func,
                 instr,
                 site,
-                reg_count,
                 &mut arg_pool,
                 &mut call_sites,
             );
             ops.push(d);
         }
-        ops.push(lower_term(&block.term, reg_count));
+        ops.push(lower_term(&block.term));
         blocks.push(ops);
     }
     let mut fused = 0;
@@ -188,9 +203,6 @@ pub(crate) fn decode<S: TraceSink>(
             op
         })
         .collect();
-    let reg_template: Box<[Value]> = (0..func.reg_count())
-        .map(|i| Value::zero_of(func.reg_ty(Reg::new(i))))
-        .collect();
     let ref_regs: Box<[u32]> = (0..func.reg_count())
         .filter(|&i| func.reg_ty(Reg::new(i)) == Ty::Ref)
         .map(|i| i as u32)
@@ -199,7 +211,7 @@ pub(crate) fn decode<S: TraceSink>(
         src: Arc::clone(src),
         entry_pc: block_entry[func.entry().index()],
         ops: ops.into_boxed_slice(),
-        reg_template,
+        reg_count: func.reg_count(),
         ref_regs,
         arg_pool: arg_pool.into_boxed_slice(),
         call_sites,
@@ -207,43 +219,29 @@ pub(crate) fn decode<S: TraceSink>(
     }
 }
 
+/// The operand word of a (verified, so in-range) register.
+fn r(reg: Reg) -> u32 {
+    reg.index() as u32
+}
+
 fn lower<S: TraceSink>(
     program: &Program,
     layout: &Layout,
+    func: &Function,
     instr: &Instr,
     site: u64,
-    reg_count: usize,
     arg_pool: &mut Vec<u32>,
     call_sites: &mut u32,
 ) -> DecOp<S> {
-    // SAFETY CONTRACT: every register operand packed into an op goes
-    // through this validator. Frames allocate their register file at
-    // exactly `reg_template.len() == reg_count`, so handlers may index
-    // registers unchecked ([`crate::dispatch::Ctx::reg`]). A pass emitting
-    // an out-of-range register is caught here, at install time, instead of
-    // becoming UB on the hot path.
-    let r = move |reg: Reg| -> u32 {
-        assert!(
-            reg.index() < reg_count,
-            "decode: register r{} out of range (function has {reg_count})",
-            reg.index()
-        );
-        reg.index() as u32
-    };
+    // An operator's handler instance is chosen by the declared type of its
+    // operands, which the verifier has checked agree.
+    let typed = |op: u8, operand: Reg| h::typed(op, func.reg_ty(operand));
     let (mut op, kind) = match *instr {
-        // a=dst, imm=payload, ext=const kind (ext is only read by the fused
-        // Const+Bin handler; singletons are specialized per kind).
+        // a=dst, imm=the constant as a slot word.
         Instr::Const { dst, value } => {
-            let (handler, imm, kind_code): (Handler<S>, i64, u8) = match value {
-                Const::I32(x) => (h::h_const_i32, x as i64, packed::CONST_I32),
-                Const::I64(x) => (h::h_const_i64, x, packed::CONST_I64),
-                Const::F64(x) => (h::h_const_f64, x.to_bits() as i64, packed::CONST_F64),
-                Const::Null => (h::h_const_null, 0, packed::CONST_NULL),
-            };
-            let mut op = Op::new(handler);
+            let mut op = Op::new(h::h_const as Handler<S>);
             op.a = r(dst);
-            op.imm = imm;
-            op.ext = kind_code as u32;
+            op.imm = Value::from(value).to_bits() as i64;
             (op, Kind::Const)
         }
         // a=dst, b=src.
@@ -253,30 +251,33 @@ fn lower<S: TraceSink>(
             op.b = r(src);
             (op, Kind::Move)
         }
-        // a=dst, b=lhs, c=rhs, ext=binop.
+        // a=dst, b=lhs, c=rhs, ext=typed binop.
         Instr::Bin { dst, op: bop, a, b } => {
-            let mut op = Op::new(h::bin_handler::<S>(bop.code()));
+            let code = typed(bop.code(), a);
+            let mut op = Op::new(h::bin_handler::<S>(code));
             op.a = r(dst);
             op.b = r(a);
             op.c = r(b);
-            op.ext = bop.code() as u32;
+            op.ext = code as u32;
             (op, Kind::Bin)
         }
-        // a=dst, b=src, ext=unop.
+        // a=dst, b=src, ext=typed unop.
         Instr::Un { dst, op: uop, src } => {
-            let mut op = Op::new(h::un_handler::<S>(uop.code()));
+            let code = typed(uop.code(), src);
+            let mut op = Op::new(h::un_handler::<S>(code));
             op.a = r(dst);
             op.b = r(src);
-            op.ext = uop.code() as u32;
+            op.ext = code as u32;
             (op, Kind::Plain)
         }
-        // a=dst, b=lhs, c=rhs, ext=cmpop.
+        // a=dst, b=lhs, c=rhs, ext=typed cmpop.
         Instr::Cmp { dst, op: cop, a, b } => {
-            let mut op = Op::new(h::cmp_handler::<S>(cop.code()));
+            let code = typed(cop.code(), a);
+            let mut op = Op::new(h::cmp_handler::<S>(code));
             op.a = r(dst);
             op.b = r(a);
             op.c = r(b);
-            op.ext = cop.code() as u32;
+            op.ext = code as u32;
             (op, Kind::Cmp)
         }
         // a=dst, b=src, ext=conv.
@@ -315,12 +316,13 @@ fn lower<S: TraceSink>(
             op.imm = static_addr(sid) as i64;
             (op, Kind::Plain)
         }
-        // a=src, b=static index, imm=static address.
+        // a=src, b=static index, imm=static address, ext=elem type.
         Instr::PutStatic { sid, src } => {
             let mut op = Op::new(h::h_putstatic as Handler<S>);
             op.a = r(src);
             op.b = sid.index() as u32;
             op.imm = static_addr(sid) as i64;
+            op.ext = program.static_def(sid).ty.code() as u32;
             (op, Kind::Plain)
         }
         // a=dst, b=arr, c=idx, ext=elem type.
@@ -411,7 +413,7 @@ fn lower<S: TraceSink>(
                     }
                 }
             };
-            pack_prefetch_addr(&mut op, addr, reg_count);
+            pack_prefetch_addr(&mut op, addr);
             (op, Kind::Plain)
         }
         // a=dst, address operands as for Prefetch.
@@ -421,7 +423,7 @@ fn lower<S: TraceSink>(
                 PrefetchAddr::ArrayElem { .. } => Op::new(h::h_specload_elem as Handler<S>),
             };
             op.a = r(dst);
-            pack_prefetch_addr(&mut op, addr, reg_count);
+            pack_prefetch_addr(&mut op, addr);
             (op, Kind::Plain)
         }
     };
@@ -429,11 +431,7 @@ fn lower<S: TraceSink>(
     DecOp { op, kind }
 }
 
-fn pack_prefetch_addr<S: TraceSink>(op: &mut Op<S>, addr: PrefetchAddr, reg_count: usize) {
-    let r = |reg: Reg| -> u32 {
-        assert!(reg.index() < reg_count, "decode: register out of range");
-        reg.index() as u32
-    };
+fn pack_prefetch_addr<S: TraceSink>(op: &mut Op<S>, addr: PrefetchAddr) {
     match addr {
         PrefetchAddr::FieldOf { base, delta } => {
             op.b = r(base);
@@ -453,11 +451,7 @@ fn pack_prefetch_addr<S: TraceSink>(op: &mut Op<S>, addr: PrefetchAddr, reg_coun
     }
 }
 
-fn lower_term<S: TraceSink>(term: &Terminator, reg_count: usize) -> DecOp<S> {
-    let r = |reg: Reg| -> u32 {
-        assert!(reg.index() < reg_count, "decode: register out of range");
-        reg.index() as u32
-    };
+fn lower_term<S: TraceSink>(term: &Terminator) -> DecOp<S> {
     match *term {
         // a=target block (patched to a pc).
         Terminator::Jump(t) => {

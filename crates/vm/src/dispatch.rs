@@ -11,8 +11,8 @@
 
 use spf_heap::{apply_bin, apply_cmp, apply_conv, apply_un, Value, ARRAY_DATA_OFFSET, NULL};
 use spf_ir::{
-    packed::{self as packed, unpack_reg_pair},
-    BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, UnOp,
+    packed::unpack_reg_pair, BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, Ty,
+    UnOp,
 };
 use spf_memsim::CacheLevel;
 use spf_trace::{SiteId, TraceSink};
@@ -40,12 +40,38 @@ pub(crate) type Handler<S> = fn(&mut Vm<S>, &mut Ctx, &Op<S>, &ThreadedCode<S>) 
 /// Register-resident interpreter state: the live counters the old loop kept
 /// in locals, plus a pointer to the top frame's register window (so the hot
 /// path never chases `frames.last()` and the stack's base).
+///
+/// `#[repr(C)]` pins the field order, which is chosen for the host's store
+/// buffer: what every handler touches sits in the first cache line, and
+/// `seg_retired` and `term_retired` are kept apart. Side by side, LLVM
+/// merges the two `+= 1` of a terminator-fused handler into one 16-byte
+/// load/add/store, which cannot be forwarded from the 8-byte `seg_retired`
+/// store the previous handler has just made and stalls on it.
+#[repr(C)]
 pub(crate) struct Ctx {
     /// Index of the next op in the current threaded code.
     pub pc: usize,
     /// Live simulated clock (authoritative; `stats.cycles` is synchronized
     /// at call/alloc boundaries exactly as the old loop did).
     pub cycles: u64,
+    /// Cycle cost per instruction in the current frame.
+    pub cur_cost: u64,
+    /// Non-terminator instructions retired since the last per-method
+    /// flush; folded into `comp_retired`/`interp_retired` there (the
+    /// compiled/interpreted split is constant between frame switches, so
+    /// the hot path skips the per-instruction branch).
+    pub seg_retired: u64,
+    /// The current frame's register window: the last `nregs` slots of
+    /// `Vm::stack`, one untagged word each ([`Value::to_bits`]; the
+    /// handler the decoder chose knows each operand's type). Re-derived by
+    /// [`enter_window`] whenever the stack may have been resized or
+    /// borrowed as a whole (see [`Ctx::reg`]).
+    pub regs: *mut u64,
+    pub nregs: usize,
+    /// Terminators retired (instructions are counted via `seg_retired`;
+    /// the total retired count is derived as interpreted + compiled +
+    /// terminators when the counters are written back at halt).
+    pub term_retired: u64,
     /// Value of `cycles` at the last per-method flush; the cycles accrued
     /// by the current frame segment are `cycles - frame_start` (every
     /// charge adds to `cycles`, so the delta needs no second accumulator
@@ -53,63 +79,54 @@ pub(crate) struct Ctx {
     /// out of the frame attribution, advance `frame_start` in lockstep
     /// (`unsync_for_alloc`).
     pub frame_start: u64,
-    /// Terminators retired (instructions are counted via `seg_retired`;
-    /// the total retired count is derived as interpreted + compiled +
-    /// terminators when the counters are written back at halt).
-    pub term_retired: u64,
-    /// Non-terminator instructions retired since the last per-method
-    /// flush; folded into `comp_retired`/`interp_retired` there (the
-    /// compiled/interpreted split is constant between frame switches, so
-    /// the hot path skips the per-instruction branch).
-    pub seg_retired: u64,
     /// Instructions retired while interpreting (terminators excluded).
     pub interp_retired: u64,
     /// Instructions retired in compiled code (terminators excluded).
     pub comp_retired: u64,
-    /// Cycle cost per instruction in the current frame.
-    pub cur_cost: u64,
     /// Whether the current frame runs compiled code.
     pub cur_compiled: bool,
     /// Method of the current frame.
     pub cur_mid: MethodId,
     /// First global PIC slot of the current frame's code.
     pub cur_pic_base: u32,
-    /// The current frame's register window: the last `nregs` slots of
-    /// `Vm::stack`. Re-derived by [`enter_window`] whenever the stack may
-    /// have been resized or borrowed as a whole (see [`Ctx::reg`]).
-    pub regs: *mut Value,
-    pub nregs: usize,
     /// Set when execution halts (normal return from the entry frame or a
     /// fault).
     pub halt: Option<Result<Option<Value>, VmError>>,
 }
 
 impl Ctx {
-    /// Reads a register without a bounds check.
+    /// Reads a register without a bounds check and without a type check.
     ///
-    /// SAFETY: every register operand packed into an op is validated
-    /// against the function's register count by `decode::lower`, and every
-    /// frame's window is pushed at exactly `reg_template.len() ==
-    /// reg_count` slots, so a decoded operand can never be out of range
-    /// (the debug assertion re-checks that). `regs` points into
-    /// `Vm::stack`, which only two operations resize: a call (`h_call`
-    /// pushes the arguments and `Vm::activate` the rest of the callee's
-    /// window; either may reallocate) and a return (`h_ret` truncates the
-    /// returning window). Both, like the allocator (whose GC forwards the
-    /// stack in place), are followed by [`enter_window`] before the next
-    /// register access, and nothing else touches the stack while the run
-    /// loop is live.
+    /// SAFETY: `decode::decode` runs `spf_ir::verify` over every body
+    /// before lowering it, which rejects any register operand at or past
+    /// the function's register count (and any operand whose declared type
+    /// is not the one the chosen handler reads it as), and every frame's
+    /// window is pushed at exactly `reg_count` slots, so a decoded operand
+    /// can never be out of range (the debug assertion re-checks that).
+    /// `regs` points into `Vm::stack`, which only two operations resize: a
+    /// call (`h_call` pushes the arguments and `Vm::activate` the rest of
+    /// the callee's window; either may reallocate) and a return (`h_ret`
+    /// truncates the returning window). Both, like the allocator (whose GC
+    /// forwards the stack in place), are followed by [`enter_window`]
+    /// before the next register access, and nothing else touches the stack
+    /// while the run loop is live.
     #[inline(always)]
-    pub(crate) fn reg(&self, i: u32) -> Value {
+    pub(crate) fn reg(&self, i: u32) -> u64 {
         debug_assert!((i as usize) < self.nregs);
         unsafe { *self.regs.add(i as usize) }
     }
 
     /// Writes a register without a bounds check (safety as for [`Ctx::reg`]).
     #[inline(always)]
-    pub(crate) fn set_reg(&mut self, i: u32, v: Value) {
+    pub(crate) fn set_reg(&mut self, i: u32, bits: u64) {
         debug_assert!((i as usize) < self.nregs);
-        unsafe { *self.regs.add(i as usize) = v }
+        unsafe { *self.regs.add(i as usize) = bits }
+    }
+
+    /// Reads a register as the value of type `ty` it holds.
+    #[inline(always)]
+    fn value(&self, i: u32, ty: Ty) -> Value {
+        Value::from_bits(ty, self.reg(i))
     }
 }
 
@@ -200,6 +217,32 @@ pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
 // includes it.
 // ---------------------------------------------------------------------------
 
+/// A typed operator code, as `decode::lower` packs it into `op.ext` and
+/// the selectors below bake it into a handler instance: the operator's
+/// packed code in the low nibble, the type of its operands above it. The
+/// IR is statically typed and verified at decode, so the handler builds
+/// the evaluator's `Value`s from untagged words with the type a constant,
+/// and the evaluator's `match` on it folds away.
+pub(crate) fn typed(op: u8, ty: Ty) -> u8 {
+    op | match ty {
+        Ty::I32 => 0x00,
+        Ty::I64 => 0x10,
+        Ty::F64 => 0x20,
+        Ty::Ref => 0x30,
+    }
+}
+
+/// The operand type of a [`typed`] code.
+#[inline(always)]
+fn ty_of(code: u8) -> Ty {
+    match code >> 4 {
+        0 => Ty::I32,
+        1 => Ty::I64,
+        2 => Ty::F64,
+        _ => Ty::Ref,
+    }
+}
+
 #[inline(always)]
 fn do_bin<S: TraceSink>(
     vm: &mut Vm<S>,
@@ -210,10 +253,11 @@ fn do_bin<S: TraceSink>(
     rb: u32,
     site: u64,
 ) -> bool {
-    let (x, y) = (ctx.reg(ra), ctx.reg(rb));
-    match apply_bin(BinOp::from_code(code), x, y) {
+    let ty = ty_of(code);
+    let (x, y) = (ctx.value(ra, ty), ctx.value(rb, ty));
+    match apply_bin(BinOp::from_code(code & 0xf), x, y) {
         Some(v) => {
-            ctx.set_reg(dst, v);
+            ctx.set_reg(dst, v.to_bits());
             true
         }
         // Bodies are verified, so operand types agree and `None` can only
@@ -230,22 +274,36 @@ fn do_bin<S: TraceSink>(
 
 #[inline(always)]
 fn do_cmp(ctx: &mut Ctx, dst: u32, code: u8, ra: u32, rb: u32) -> i32 {
-    let (x, y) = (ctx.reg(ra), ctx.reg(rb));
-    let flag =
-        apply_cmp(CmpOp::from_code(code), x, y).expect("verifier rejects mixed-type compares");
-    ctx.set_reg(dst, Value::I32(flag));
+    let ty = ty_of(code);
+    let (x, y) = (ctx.value(ra, ty), ctx.value(rb, ty));
+    let flag = apply_cmp(CmpOp::from_code(code & 0xf), x, y)
+        .expect("verifier rejects mixed-type compares");
+    ctx.set_reg(dst, flag as u32 as u64);
     flag
 }
 
-/// Materializes a constant from its packed kind code and payload.
 #[inline(always)]
-fn const_value(kind: u8, imm: i64) -> Value {
-    match kind {
-        packed::CONST_I32 => Value::I32(imm as i32),
-        packed::CONST_I64 => Value::I64(imm),
-        packed::CONST_F64 => Value::F64(f64::from_bits(imm as u64)),
-        _ => Value::Ref(NULL),
+fn do_move(ctx: &mut Ctx, dst: u32, src: u32) {
+    let bits = ctx.reg(src);
+    ctx.set_reg(dst, bits);
+}
+
+/// The null check every dereference starts with: the address in `reg`, or
+/// the halted `NullPointer` fault.
+#[inline(always)]
+fn non_null<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx, reg: u32, site: u64) -> Option<u64> {
+    let a = ctx.reg(reg);
+    if a == NULL {
+        fail(
+            vm,
+            ctx,
+            VmError::NullPointer {
+                at: InstrRef::unpack(site),
+            },
+        );
+        return None;
     }
+    Some(a)
 }
 
 #[inline(always)]
@@ -258,25 +316,48 @@ fn do_getfield<S: TraceSink>(
     ty: ElemTy,
     site: u64,
 ) -> bool {
-    let a = ctx.reg(obj).as_ref_addr();
-    if a == NULL {
-        return fail(
-            vm,
-            ctx,
-            VmError::NullPointer {
-                at: InstrRef::unpack(site),
-            },
-        );
-    }
+    let Some(a) = non_null(vm, ctx, obj, site) else {
+        return false;
+    };
     let addr = a + off;
     let lat = vm.mem.load(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = match vm.heap.read(addr, ty) {
-        Ok(v) => v,
-        Err(_) => return fail(vm, ctx, VmError::BadAccess { addr }),
-    };
-    ctx.set_reg(dst, v);
-    true
+    match vm.heap.load_bits(addr, ty) {
+        Some(bits) => {
+            ctx.set_reg(dst, bits);
+            true
+        }
+        None => fail(vm, ctx, VmError::BadAccess { addr }),
+    }
+}
+
+/// The address of element `idx` of the array in `arr`, after the null and
+/// bounds checks `ALoad` and `AStore` share.
+#[inline(always)]
+fn elem_slot<S: TraceSink>(
+    vm: &mut Vm<S>,
+    ctx: &mut Ctx,
+    arr: u32,
+    idx: u32,
+    elem: ElemTy,
+    site: u64,
+) -> Option<u64> {
+    let a = non_null(vm, ctx, arr, site)?;
+    let i = ctx.reg(idx) as i32;
+    let len = vm.heap.array_len(a);
+    if i < 0 || i as u64 >= len {
+        fail(
+            vm,
+            ctx,
+            VmError::IndexOutOfBounds {
+                at: InstrRef::unpack(site),
+                index: i,
+                len,
+            },
+        );
+        return None;
+    }
+    Some(a + ARRAY_DATA_OFFSET + i as u64 * elem.size())
 }
 
 #[inline(always)]
@@ -289,38 +370,18 @@ fn do_aload<S: TraceSink>(
     elem: ElemTy,
     site: u64,
 ) -> bool {
-    let a = ctx.reg(arr).as_ref_addr();
-    if a == NULL {
-        return fail(
-            vm,
-            ctx,
-            VmError::NullPointer {
-                at: InstrRef::unpack(site),
-            },
-        );
-    }
-    let i = ctx.reg(idx).as_i32();
-    let len = vm.heap.array_len(a);
-    if i < 0 || i as u64 >= len {
-        return fail(
-            vm,
-            ctx,
-            VmError::IndexOutOfBounds {
-                at: InstrRef::unpack(site),
-                index: i,
-                len,
-            },
-        );
-    }
-    let addr = a + ARRAY_DATA_OFFSET + i as u64 * elem.size();
+    let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
+        return false;
+    };
     let lat = vm.mem.load(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = match vm.heap.read(addr, elem) {
-        Ok(v) => v,
-        Err(_) => return fail(vm, ctx, VmError::BadAccess { addr }),
-    };
-    ctx.set_reg(dst, v);
-    true
+    match vm.heap.load_bits(addr, elem) {
+        Some(bits) => {
+            ctx.set_reg(dst, bits);
+            true
+        }
+        None => fail(vm, ctx, VmError::BadAccess { addr }),
+    }
 }
 
 /// Shared prefetch-issue tail: site attribution for tracing, adaptive
@@ -358,25 +419,21 @@ fn prefetch_issue<S: TraceSink>(
 }
 
 /// `FieldOf { base, delta }` address computation; `None` when the base is
-/// not a non-null reference (the prefetch is then silently skipped).
+/// null (the prefetch is then silently skipped).
 #[inline(always)]
 fn field_addr(ctx: &Ctx, base: u32, delta: i64) -> Option<spf_heap::Addr> {
-    match ctx.reg(base) {
-        Value::Ref(a) if a != NULL => Some(a.wrapping_add(delta as u64)),
-        _ => None,
-    }
+    let a = ctx.reg(base);
+    (a != NULL).then(|| a.wrapping_add(delta as u64))
 }
 
 /// `ArrayElem { arr, idx, scale, delta }` address computation.
 #[inline(always)]
 fn elem_addr(ctx: &Ctx, arr: u32, idx: u32, scale: u32, delta: i64) -> Option<spf_heap::Addr> {
-    match (ctx.reg(arr), ctx.reg(idx)) {
-        (Value::Ref(a), Value::I32(i)) if a != NULL => Some(
-            a.wrapping_add((i as i64).wrapping_mul(scale as i64) as u64)
-                .wrapping_add(delta as u64),
-        ),
-        _ => None,
-    }
+    let (a, i) = (ctx.reg(arr), ctx.reg(idx) as i32);
+    (a != NULL).then(|| {
+        a.wrapping_add((i as i64).wrapping_mul(scale as i64) as u64)
+            .wrapping_add(delta as u64)
+    })
 }
 
 #[inline(always)]
@@ -390,12 +447,10 @@ fn do_specload<S: TraceSink>(
     let v = match target {
         Some(target) => {
             prefetch_issue(vm, ctx, site, target, PrefetchKind::GuardedLoad);
-            match spf_heap::HeapRead::try_read(&vm.heap, target, ElemTy::Ref) {
-                Some(Value::Ref(a)) => Value::Ref(a),
-                _ => Value::Ref(NULL),
-            }
+            // A speculative load never faults: an invalid address reads null.
+            vm.heap.load_bits(target, ElemTy::Ref).unwrap_or(NULL)
         }
-        None => Value::Ref(NULL),
+        None => NULL,
     };
     ctx.set_reg(dst, v);
 }
@@ -405,47 +460,15 @@ fn do_specload<S: TraceSink>(
 // Operand packing per handler is documented in `decode::lower`.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn h_const_i32<S: TraceSink>(
+/// Every constant kind is one handler: `imm` holds the slot word.
+pub(crate) fn h_const<S: TraceSink>(
     _vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    ctx.set_reg(op.a, Value::I32(op.imm as i32));
-    Step::Next
-}
-
-pub(crate) fn h_const_i64<S: TraceSink>(
-    _vm: &mut Vm<S>,
-    ctx: &mut Ctx,
-    op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
-    charge_instr(ctx);
-    ctx.set_reg(op.a, Value::I64(op.imm));
-    Step::Next
-}
-
-pub(crate) fn h_const_f64<S: TraceSink>(
-    _vm: &mut Vm<S>,
-    ctx: &mut Ctx,
-    op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
-    charge_instr(ctx);
-    ctx.set_reg(op.a, Value::F64(f64::from_bits(op.imm as u64)));
-    Step::Next
-}
-
-pub(crate) fn h_const_null<S: TraceSink>(
-    _vm: &mut Vm<S>,
-    ctx: &mut Ctx,
-    op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
-    charge_instr(ctx);
-    ctx.set_reg(op.a, Value::Ref(NULL));
+    ctx.set_reg(op.a, op.imm as u64);
     Step::Next
 }
 
@@ -456,8 +479,7 @@ pub(crate) fn h_move<S: TraceSink>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v = ctx.reg(op.b);
-    ctx.set_reg(op.a, v);
+    do_move(ctx, op.a, op.b);
     Step::Next
 }
 
@@ -482,8 +504,9 @@ pub(crate) fn h_un<S: TraceSink, const U: u8>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v = apply_un(UnOp::from_code(U), ctx.reg(op.b)).expect("verifier rejects other unops");
-    ctx.set_reg(op.a, v);
+    let v = apply_un(UnOp::from_code(U & 0xf), ctx.value(op.b, ty_of(U)))
+        .expect("verifier rejects other unops");
+    ctx.set_reg(op.a, v.to_bits());
     Step::Next
 }
 
@@ -505,9 +528,10 @@ pub(crate) fn h_convert<S: TraceSink, const C: u8>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v =
-        apply_conv(Conv::from_code(C), ctx.reg(op.b)).expect("verifier rejects other conversions");
-    ctx.set_reg(op.a, v);
+    let conv = Conv::from_code(C);
+    let v = apply_conv(conv, ctx.value(op.b, conv.signature().0))
+        .expect("verifier rejects other conversions");
+    ctx.set_reg(op.a, v.to_bits());
     Step::Next
 }
 
@@ -540,22 +564,16 @@ pub(crate) fn h_putfield<S: TraceSink, const TY: u8>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let a = ctx.reg(op.a).as_ref_addr();
-    if a == NULL {
-        return halt(
-            vm,
-            ctx,
-            Err(VmError::NullPointer {
-                at: InstrRef::unpack(op.site),
-            }),
-        );
-    }
-    let ty = ElemTy::from_code(TY);
+    let Some(a) = non_null(vm, ctx, op.a, op.site) else {
+        return Step::Halt;
+    };
     let addr = a + op.imm as u64;
     let lat = vm.mem.store(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = ctx.reg(op.b);
-    if vm.heap.write(addr, ty, v).is_err() {
+    if !vm
+        .heap
+        .store_bits(addr, ElemTy::from_code(TY), ctx.reg(op.b))
+    {
         return halt(vm, ctx, Err(VmError::BadAccess { addr }));
     }
     Step::Next
@@ -570,7 +588,7 @@ pub(crate) fn h_getstatic<S: TraceSink>(
     charge_instr(ctx);
     let lat = vm.mem.load(op.imm as u64, ctx.cycles);
     ctx.cycles += lat;
-    ctx.set_reg(op.a, vm.statics[op.b as usize]);
+    ctx.set_reg(op.a, vm.statics[op.b as usize].to_bits());
     Step::Next
 }
 
@@ -583,7 +601,10 @@ pub(crate) fn h_putstatic<S: TraceSink>(
     charge_instr(ctx);
     let lat = vm.mem.store(op.imm as u64, ctx.cycles);
     ctx.cycles += lat;
-    vm.statics[op.b as usize] = ctx.reg(op.a);
+    // Statics stay `Value`s (the inspector and the GC read them as such):
+    // the word is typed by the static's declared type, carried in `ext`.
+    let ty = ElemTy::from_code(op.ext as u8).reg_ty();
+    vm.statics[op.b as usize] = ctx.value(op.a, ty);
     Step::Next
 }
 
@@ -613,34 +634,12 @@ fn do_astore<S: TraceSink>(
     elem: ElemTy,
     site: u64,
 ) -> bool {
-    let a = ctx.reg(arr).as_ref_addr();
-    if a == NULL {
-        return fail(
-            vm,
-            ctx,
-            VmError::NullPointer {
-                at: InstrRef::unpack(site),
-            },
-        );
-    }
-    let i = ctx.reg(idx).as_i32();
-    let len = vm.heap.array_len(a);
-    if i < 0 || i as u64 >= len {
-        return fail(
-            vm,
-            ctx,
-            VmError::IndexOutOfBounds {
-                at: InstrRef::unpack(site),
-                index: i,
-                len,
-            },
-        );
-    }
-    let addr = a + ARRAY_DATA_OFFSET + i as u64 * elem.size();
+    let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
+        return false;
+    };
     let lat = vm.mem.store(addr, ctx.cycles);
     ctx.cycles += lat;
-    let v = ctx.reg(src);
-    if vm.heap.write(addr, elem, v).is_err() {
+    if !vm.heap.store_bits(addr, elem, ctx.reg(src)) {
         return fail(vm, ctx, VmError::BadAccess { addr });
     }
     true
@@ -667,19 +666,13 @@ pub(crate) fn h_arraylen<S: TraceSink>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let a = ctx.reg(op.b).as_ref_addr();
-    if a == NULL {
-        return halt(
-            vm,
-            ctx,
-            Err(VmError::NullPointer {
-                at: InstrRef::unpack(op.site),
-            }),
-        );
-    }
+    let Some(a) = non_null(vm, ctx, op.b, op.site) else {
+        return Step::Halt;
+    };
     let lat = vm.mem.load(a + 8, ctx.cycles);
     ctx.cycles += lat;
-    ctx.set_reg(op.a, Value::I32(vm.heap.array_len(a) as i32));
+    // The `I32` result is the length's low half, as a slot word.
+    ctx.set_reg(op.a, vm.heap.array_len(a) as u32 as u64);
     Step::Next
 }
 
@@ -721,7 +714,7 @@ pub(crate) fn h_new<S: TraceSink>(
     let lat = vm.mem.store(a, ctx.cycles);
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
-    ctx.set_reg(op.a, Value::Ref(a));
+    ctx.set_reg(op.a, a);
     Step::Next
 }
 
@@ -732,7 +725,7 @@ pub(crate) fn h_newarray<S: TraceSink>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let n = ctx.reg(op.b).as_i32();
+    let n = ctx.reg(op.b) as i32;
     if n < 0 {
         return halt(
             vm,
@@ -757,7 +750,7 @@ pub(crate) fn h_newarray<S: TraceSink>(
     let lat = vm.mem.store(a, ctx.cycles);
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
-    ctx.set_reg(op.a, Value::Ref(a));
+    ctx.set_reg(op.a, a);
     Step::Next
 }
 
@@ -888,7 +881,7 @@ pub(crate) fn h_branch<S: TraceSink>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_term(ctx);
-    let taken = ctx.reg(op.a).as_i32() != 0;
+    let taken = ctx.reg(op.a) as i32 != 0;
     ctx.pc = (if taken { op.b } else { op.c }) as usize;
     Step::Next
 }
@@ -897,7 +890,7 @@ pub(crate) fn h_ret<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
+    tc: &ThreadedCode<S>,
 ) -> Step {
     charge_term(ctx);
     flush_frame_acc(vm, ctx);
@@ -915,7 +908,12 @@ pub(crate) fn h_ret<S: TraceSink>(
             }
         }
         None => {
-            ctx.halt = Some(Ok(value));
+            // The entry frame's result leaves the VM as a `Value`, typed
+            // by the body's declared return type.
+            let ty = tc.src.ret_ty();
+            ctx.halt = Some(Ok(value.map(|bits| {
+                Value::from_bits(ty.expect("verified: only a typed body returns"), bits)
+            })));
             return Step::Halt;
         }
     }
@@ -956,14 +954,14 @@ pub(crate) fn h_cmp_branch<S: TraceSink, const C: u8>(
 }
 
 /// `Const` + `Bin` (constant-operand arithmetic).
-pub(crate) fn h_const_bin<S: TraceSink, const K: u8, const B: u8>(
+pub(crate) fn h_const_bin<S: TraceSink, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    ctx.set_reg(op.a, const_value(K, op.imm));
+    ctx.set_reg(op.a, op.imm as u64);
     charge_instr(ctx);
     if do_bin(vm, ctx, op.b, B, op.c, op.d, op.site2) {
         Step::Next
@@ -1059,8 +1057,7 @@ pub(crate) fn h_bin_move<S: TraceSink, const B: u8>(
     }
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.d);
-    let v = ctx.reg(src.index() as u32);
-    ctx.set_reg(dst.index() as u32, v);
+    do_move(ctx, dst.index() as u32, src.index() as u32);
     Step::Next
 }
 
@@ -1074,8 +1071,7 @@ pub(crate) fn h_move_jump<S: TraceSink>(
     _tc: &ThreadedCode<S>,
 ) -> Step {
     charge_instr(ctx);
-    let v = ctx.reg(op.c);
-    ctx.set_reg(op.b, v);
+    do_move(ctx, op.b, op.c);
     charge_term(ctx);
     ctx.pc = op.a as usize;
     Step::Next
@@ -1130,8 +1126,7 @@ pub(crate) fn h_move_aload<S: TraceSink, const TY: u8>(
 ) -> Step {
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.c);
-    let v = ctx.reg(src.index() as u32);
-    ctx.set_reg(dst.index() as u32, v);
+    do_move(ctx, dst.index() as u32, src.index() as u32);
     charge_instr(ctx);
     let (arr, idx) = unpack_reg_pair(op.b);
     if do_aload(
@@ -1164,8 +1159,7 @@ pub(crate) fn h_bin_move_jump<S: TraceSink, const B: u8>(
     }
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.d);
-    let v = ctx.reg(src.index() as u32);
-    ctx.set_reg(dst.index() as u32, v);
+    do_move(ctx, dst.index() as u32, src.index() as u32);
     charge_term(ctx);
     ctx.pc = op.imm as usize;
     Step::Next
@@ -1173,72 +1167,87 @@ pub(crate) fn h_bin_move_jump<S: TraceSink, const B: u8>(
 
 // ------------------------ Decode-time specialization ------------------------
 //
-// The decoder picks a handler instance with the operation / element-type
-// code baked in as a const generic, so `from_code` and the operation match
-// const-fold into straight-line code per opcode. The generic bodies above
-// remain the single source of semantics; these selectors only enumerate
-// the (small, closed) code spaces.
+// The decoder picks a handler instance with the typed operator /
+// element-type code baked in as a const generic, so `from_code`, the
+// operation match and the operand-type match const-fold into straight-line
+// code per (operator, type). The generic bodies above remain the single
+// source of semantics; these selectors only enumerate the (small, closed)
+// code spaces. A code outside a table is one `spf_ir::verify` rejects, so
+// decode never asks for it.
 
-/// Selects the [`h_bin`] instance for a `BinOp` code.
+/// Expands a `match` on `$code` over the listed literal codes, selecting
+/// `$h::<S, code>` (or `$h::<S, $pre, code>`).
+macro_rules! select {
+    ([$($c:literal)*], $code:expr, $h:ident) => {
+        match $code {
+            $($c => $h::<S, $c>,)*
+            c => panic!("decode: no {} instance for code {c:#x}", stringify!($h)),
+        }
+    };
+    ([$($c:literal)*], $code:expr, $h:ident, $pre:literal) => {
+        match $code {
+            $($c => $h::<S, $pre, $c>,)*
+            c => panic!("decode: no {} instance for code {c:#x}", stringify!($h)),
+        }
+    };
+}
+
+/// The 26 valid [`typed`] `BinOp` codes: all 11 on `I32` and on `I64`,
+/// the four arithmetic ones on `F64`.
+macro_rules! bin_select {
+    ($($args:tt)*) => {
+        select!([0x00 0x01 0x02 0x03 0x04 0x05 0x06 0x07 0x08 0x09 0x0a
+                 0x10 0x11 0x12 0x13 0x14 0x15 0x16 0x17 0x18 0x19 0x1a
+                 0x20 0x21 0x22 0x23], $($args)*)
+    };
+}
+
+/// The 24 [`typed`] `CmpOp` codes: six operators on each register type.
+macro_rules! cmp_select {
+    ($($args:tt)*) => {
+        select!([0x00 0x01 0x02 0x03 0x04 0x05 0x10 0x11 0x12 0x13 0x14 0x15
+                 0x20 0x21 0x22 0x23 0x24 0x25 0x30 0x31 0x32 0x33 0x34 0x35], $($args)*)
+    };
+}
+
+/// The five `ElemTy` codes.
+macro_rules! elem_select {
+    ($($args:tt)*) => { select!([0 1 2 3 4], $($args)*) };
+}
+
+/// Selects `$h::<S, ELEM, BIN>` for an `ElemTy` code and a typed `BinOp`
+/// code.
+macro_rules! elem_bin_select {
+    ($elem:expr, $bop:expr, $h:ident) => {
+        match $elem {
+            0 => bin_select!($bop, $h, 0),
+            1 => bin_select!($bop, $h, 1),
+            2 => bin_select!($bop, $h, 2),
+            3 => bin_select!($bop, $h, 3),
+            _ => bin_select!($bop, $h, 4),
+        }
+    };
+}
+
+/// Selects the [`h_bin`] instance for a typed `BinOp` code.
 pub(crate) fn bin_handler<S: TraceSink>(code: u8) -> Handler<S> {
-    match code {
-        0 => h_bin::<S, 0>,
-        1 => h_bin::<S, 1>,
-        2 => h_bin::<S, 2>,
-        3 => h_bin::<S, 3>,
-        4 => h_bin::<S, 4>,
-        5 => h_bin::<S, 5>,
-        6 => h_bin::<S, 6>,
-        7 => h_bin::<S, 7>,
-        8 => h_bin::<S, 8>,
-        9 => h_bin::<S, 9>,
-        _ => h_bin::<S, 10>,
-    }
+    bin_select!(code, h_bin)
 }
 
-/// Selects the [`h_cmp`] instance for a `CmpOp` code.
+/// Selects the [`h_cmp`] instance for a typed `CmpOp` code.
 pub(crate) fn cmp_handler<S: TraceSink>(code: u8) -> Handler<S> {
-    match code {
-        0 => h_cmp::<S, 0>,
-        1 => h_cmp::<S, 1>,
-        2 => h_cmp::<S, 2>,
-        3 => h_cmp::<S, 3>,
-        4 => h_cmp::<S, 4>,
-        _ => h_cmp::<S, 5>,
-    }
+    cmp_select!(code, h_cmp)
 }
 
-/// Selects the [`h_un`] instance for a `UnOp` code.
+/// Selects the [`h_un`] instance for a typed `UnOp` code: `Neg` on the
+/// three numeric types, `Not` on the two integer ones.
 pub(crate) fn un_handler<S: TraceSink>(code: u8) -> Handler<S> {
-    match code {
-        0 => h_un::<S, 0>,
-        _ => h_un::<S, 1>,
-    }
+    select!([0x00 0x01 0x10 0x11 0x20], code, h_un)
 }
 
 /// Selects the [`h_convert`] instance for a `Conv` code.
 pub(crate) fn conv_handler<S: TraceSink>(code: u8) -> Handler<S> {
-    match code {
-        0 => h_convert::<S, 0>,
-        1 => h_convert::<S, 1>,
-        2 => h_convert::<S, 2>,
-        3 => h_convert::<S, 3>,
-        4 => h_convert::<S, 4>,
-        _ => h_convert::<S, 5>,
-    }
-}
-
-/// Expands a 5-way `ElemTy`-code match selecting `$h::<S, TY>`.
-macro_rules! elem_select {
-    ($code:expr, $h:ident) => {
-        match $code {
-            0 => $h::<S, 0>,
-            1 => $h::<S, 1>,
-            2 => $h::<S, 2>,
-            3 => $h::<S, 3>,
-            _ => $h::<S, 4>,
-        }
-    };
+    select!([0 1 2 3 4 5], code, h_convert)
 }
 
 /// Selects the [`h_getfield`] instance for an `ElemTy` code.
@@ -1261,83 +1270,37 @@ pub(crate) fn astore_handler<S: TraceSink>(code: u8) -> Handler<S> {
     elem_select!(code, h_astore)
 }
 
-/// Selects the [`h_cmp_branch`] instance for a `CmpOp` code.
+/// Selects the [`h_cmp_branch`] instance for a typed `CmpOp` code.
 pub(crate) fn cmp_branch_handler<S: TraceSink>(code: u8) -> Handler<S> {
-    match code {
-        0 => h_cmp_branch::<S, 0>,
-        1 => h_cmp_branch::<S, 1>,
-        2 => h_cmp_branch::<S, 2>,
-        3 => h_cmp_branch::<S, 3>,
-        4 => h_cmp_branch::<S, 4>,
-        _ => h_cmp_branch::<S, 5>,
-    }
+    cmp_select!(code, h_cmp_branch)
 }
 
-/// Expands an 11-way `BinOp`-code match selecting `$h::<S, $($pre,)* B>`.
-macro_rules! bin_select {
-    ($code:expr, $h:ident $(, $pre:literal)*) => {
-        match $code {
-            0 => $h::<S, $($pre,)* 0>,
-            1 => $h::<S, $($pre,)* 1>,
-            2 => $h::<S, $($pre,)* 2>,
-            3 => $h::<S, $($pre,)* 3>,
-            4 => $h::<S, $($pre,)* 4>,
-            5 => $h::<S, $($pre,)* 5>,
-            6 => $h::<S, $($pre,)* 6>,
-            7 => $h::<S, $($pre,)* 7>,
-            8 => $h::<S, $($pre,)* 8>,
-            9 => $h::<S, $($pre,)* 9>,
-            _ => $h::<S, $($pre,)* 10>,
-        }
-    };
+/// Selects the [`h_const_bin`] instance for a typed `BinOp` code.
+pub(crate) fn const_bin_handler<S: TraceSink>(bop: u8) -> Handler<S> {
+    bin_select!(bop, h_const_bin)
 }
 
-/// Selects the [`h_const_bin`] instance for a const-kind and `BinOp` code.
-pub(crate) fn const_bin_handler<S: TraceSink>(kind: u8, bop: u8) -> Handler<S> {
-    match kind {
-        0 => bin_select!(bop, h_const_bin, 0),
-        1 => bin_select!(bop, h_const_bin, 1),
-        2 => bin_select!(bop, h_const_bin, 2),
-        _ => bin_select!(bop, h_const_bin, 3),
-    }
-}
-
-/// Selects the [`h_getfield_bin`] instance for an `ElemTy` and `BinOp` code.
+/// Selects the [`h_getfield_bin`] instance for an `ElemTy` and a typed
+/// `BinOp` code.
 pub(crate) fn getfield_bin_handler<S: TraceSink>(elem: u8, bop: u8) -> Handler<S> {
-    match elem {
-        0 => bin_select!(bop, h_getfield_bin, 0),
-        1 => bin_select!(bop, h_getfield_bin, 1),
-        2 => bin_select!(bop, h_getfield_bin, 2),
-        3 => bin_select!(bop, h_getfield_bin, 3),
-        _ => bin_select!(bop, h_getfield_bin, 4),
-    }
+    elem_bin_select!(elem, bop, h_getfield_bin)
 }
 
-/// Selects the [`h_bin_aload`] instance for an `ElemTy` and `BinOp` code.
+/// Selects the [`h_bin_aload`] instance for an `ElemTy` and a typed
+/// `BinOp` code.
 pub(crate) fn bin_aload_handler<S: TraceSink>(elem: u8, bop: u8) -> Handler<S> {
-    match elem {
-        0 => bin_select!(bop, h_bin_aload, 0),
-        1 => bin_select!(bop, h_bin_aload, 1),
-        2 => bin_select!(bop, h_bin_aload, 2),
-        3 => bin_select!(bop, h_bin_aload, 3),
-        _ => bin_select!(bop, h_bin_aload, 4),
-    }
+    elem_bin_select!(elem, bop, h_bin_aload)
 }
 
-/// Selects the [`h_bin_move`] instance for a `BinOp` code.
+/// Selects the [`h_bin_move`] instance for a typed `BinOp` code.
 pub(crate) fn bin_move_handler<S: TraceSink>(bop: u8) -> Handler<S> {
     bin_select!(bop, h_bin_move)
 }
 
-/// Selects the [`h_aload_bin`] instance for an `ElemTy` and `BinOp` code.
+/// Selects the [`h_aload_bin`] instance for an `ElemTy` and a typed
+/// `BinOp` code.
 pub(crate) fn aload_bin_handler<S: TraceSink>(elem: u8, bop: u8) -> Handler<S> {
-    match elem {
-        0 => bin_select!(bop, h_aload_bin, 0),
-        1 => bin_select!(bop, h_aload_bin, 1),
-        2 => bin_select!(bop, h_aload_bin, 2),
-        3 => bin_select!(bop, h_aload_bin, 3),
-        _ => bin_select!(bop, h_aload_bin, 4),
-    }
+    elem_bin_select!(elem, bop, h_aload_bin)
 }
 
 /// Selects the [`h_move_aload`] instance for an `ElemTy` code.
@@ -1345,7 +1308,7 @@ pub(crate) fn move_aload_handler<S: TraceSink>(elem: u8) -> Handler<S> {
     elem_select!(elem, h_move_aload)
 }
 
-/// Selects the [`h_bin_move_jump`] instance for a `BinOp` code.
+/// Selects the [`h_bin_move_jump`] instance for a typed `BinOp` code.
 pub(crate) fn bin_move_jump_handler<S: TraceSink>(bop: u8) -> Handler<S> {
     bin_select!(bop, h_bin_move_jump)
 }

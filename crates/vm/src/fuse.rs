@@ -8,7 +8,9 @@
 //!
 //! Fused handlers run the exact component sequences of their unfused forms
 //! (see `dispatch`), so fusion never changes a simulated number — only how
-//! many host-side dispatches a simulated instruction costs.
+//! many host-side dispatches a simulated instruction costs. The `binop` and
+//! `cmpop` below are the typed codes `decode::lower` left in `ext`
+//! (operator and operand type), passed on to the fused handler's selector.
 
 use spf_ir::{pack_reg_pair, Reg};
 use spf_trace::TraceSink;
@@ -78,18 +80,15 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
                 kind: Kind::CmpBranch,
             })
         }
-        // Const (a=dst, imm=payload, ext=kind) + Bin (a=dst, b=lhs, c=rhs,
+        // Const (a=dst, imm=slot word) + Bin (a=dst, b=lhs, c=rhs,
         // ext=binop)  →  ConstBin:
-        //   a=const dst, imm=payload, ext=kind | binop<<8,
+        //   a=const dst, imm=slot word, ext=binop,
         //   b=bin dst, c=bin lhs, d=bin rhs, site2=bin's site.
         (Kind::Const, Kind::Bin) => {
-            let mut op = Op::new(h::const_bin_handler::<S>(
-                first.op.ext as u8,
-                second.op.ext as u8,
-            ));
+            let mut op = Op::new(h::const_bin_handler::<S>(second.op.ext as u8));
             op.a = first.op.a;
             op.imm = first.op.imm;
-            op.ext = first.op.ext | (second.op.ext << 8);
+            op.ext = second.op.ext;
             op.b = second.op.a;
             op.c = second.op.b;
             op.d = second.op.c;

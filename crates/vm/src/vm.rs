@@ -54,7 +54,7 @@ pub(crate) struct Frame {
     pub method: MethodId,
     pub code: CodeId,
     /// First slot of this frame's register window in [`Vm::stack`]; the
-    /// window is as long as the body's `reg_template`.
+    /// window is as long as the body's `reg_count`.
     pub base: usize,
     pub pc: usize,
     pub ret_dst: Option<Reg>,
@@ -108,8 +108,11 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// The one register stack: each frame owns the window
     /// `base..base + reg_count` (see [`Frame::base`]). Grown only by a
     /// call (the arguments, then [`Vm::activate`]), shrunk only by the
-    /// return handler, and emptied when [`Vm::call`] finishes.
-    pub(crate) stack: Vec<Value>,
+    /// return handler, and emptied when [`Vm::call`] finishes. A slot is
+    /// an untagged word ([`Value::to_bits`]): the body a frame runs says
+    /// what each of its slots holds, and a `Value` exists only where one
+    /// enters or leaves the VM.
+    pub(crate) stack: Vec<u64>,
     pub(crate) adapt: AdaptState,
     pub(crate) adaptive: bool,
     history: Vec<(MethodId, u32, Arc<Function>)>,
@@ -295,15 +298,17 @@ impl<S: TraceSink> Vm<S> {
     /// instruction count (its code-cache footprint).
     fn install(&mut self, mid: MethodId, func: Function, generation: u32) -> u64 {
         let func = Arc::new(func);
-        if S::ENABLED {
-            self.register_sites(mid, &func, generation);
-        }
+        // Decoding verifies the body and panics on a violation, so it
+        // comes before anything of the VM is touched.
         let tcode = Arc::new(decode(
             &self.program,
             self.heap.layout_tables(),
             &func,
             self.fuse,
         ));
+        if S::ENABLED {
+            self.register_sites(mid, &func, generation);
+        }
         let pic_base = self.pics.len() as u32;
         self.pics
             .extend((0..tcode.call_sites).map(|_| CallPic::default()));
@@ -498,9 +503,32 @@ impl<S: TraceSink> Vm<S> {
     /// # Errors
     ///
     /// [`VmError`] on runtime faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `args` does not match the method's parameters in number
+    /// and type: registers are untagged, so this boundary is where an
+    /// argument's type is checked.
     pub fn call(&mut self, mid: MethodId, args: &[Value]) -> Result<Option<Value>, VmError> {
         assert!(self.frames.is_empty(), "vm is not reentrant");
-        self.stack.extend_from_slice(args);
+        let entry = self.program.method(mid).func();
+        assert_eq!(
+            args.len(),
+            entry.param_count(),
+            "call to {} with {} args, expected {}",
+            entry.name(),
+            args.len(),
+            entry.param_count()
+        );
+        for (i, (arg, param)) in args.iter().zip(entry.params()).enumerate() {
+            assert_eq!(
+                arg.ty(),
+                entry.reg_ty(param),
+                "call to {}: arg {i} type mismatch",
+                entry.name()
+            );
+        }
+        self.stack.extend(args.iter().map(|v| v.to_bits()));
         let result = self
             .call_into(mid, args.len(), None, None)
             .and_then(|()| self.run());
@@ -566,9 +594,14 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// The pending call's arguments (the top `argc` stack slots), copied
-    /// out for the cold paths that inspect or retain them.
-    fn top_args(&self, argc: usize) -> Vec<Value> {
-        self.stack[self.stack.len() - argc..].to_vec()
+    /// out as values — typed by `mid`'s parameters — for the cold paths
+    /// that inspect or retain them.
+    fn top_args(&self, mid: MethodId, argc: usize) -> Vec<Value> {
+        let callee = self.program.method(mid).func();
+        let words = &self.stack[self.stack.len() - argc..];
+        (callee.params().zip(words))
+            .map(|(p, &bits)| Value::from_bits(callee.reg_ty(p), bits))
+            .collect()
     }
 
     /// Slow-path resolution: adaptive staleness check (unless the caller
@@ -592,7 +625,7 @@ impl<S: TraceSink> Vm<S> {
                 // keep interpreting until the driver installs it.
                 self.enqueue_compile(mid, argc);
             } else {
-                self.jit_compile(mid, &self.top_args(argc), false);
+                self.jit_compile(mid, &self.top_args(mid, argc), false);
             }
         }
         // Uncompiled methods run their original: arena slot == method index.
@@ -620,7 +653,7 @@ impl<S: TraceSink> Vm<S> {
         let mut changed = false;
         let due = self.adapt.loops_due(mid.index(), invocations, epoch);
         if !due.is_empty() {
-            self.repatch_loops(mid, &self.top_args(argc), &due, false);
+            self.repatch_loops(mid, &self.top_args(mid, argc), &due, false);
             changed = true;
         }
         let stale = self.adapt.check_stale(mid.index(), epoch);
@@ -640,7 +673,7 @@ impl<S: TraceSink> Vm<S> {
         if stale.is_empty() {
             return changed;
         }
-        self.patch_loops(mid, &self.top_args(argc), &stale);
+        self.patch_loops(mid, &self.top_args(mid, argc), &stale);
         true
     }
 
@@ -792,12 +825,12 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Pushes a frame executing `code`: its window starts at the `argc`
-    /// arguments already on top of the stack and is completed from the
-    /// zeroed register template.
+    /// arguments already on top of the stack and is completed with zero
+    /// words, the zero value of every type.
     fn activate(&mut self, code: CodeId, mid: MethodId, argc: usize, ret_dst: Option<Reg>) {
         let tcode = &body(&self.codes, code).tcode;
         let base = self.stack.len() - argc;
-        self.stack.extend_from_slice(&tcode.reg_template[argc..]);
+        self.stack.resize(base + tcode.reg_count, 0);
         self.frames.push(Frame {
             method: mid,
             code,
@@ -814,7 +847,7 @@ impl<S: TraceSink> Vm<S> {
         if self.pending.iter().any(|(m, _)| *m == mid) {
             return;
         }
-        self.pending.push((mid, self.top_args(argc)));
+        self.pending.push((mid, self.top_args(mid, argc)));
         self.fresh_requests.push(mid);
     }
 
@@ -1067,32 +1100,44 @@ impl<S: TraceSink> Vm<S> {
         instrs
     }
 
+    /// Collects. Only [`Vm::alloc_object`] / [`Vm::alloc_array`] get here,
+    /// from `h_new` / `h_newarray`, so every stack slot belongs to a
+    /// frame's window when a collection runs: between `h_call` pushing the
+    /// arguments and [`Vm::activate`] pushing the frame that owns them
+    /// nothing allocates (the JIT and the patch / repatch paths borrow the
+    /// heap immutably).
     fn gc(&mut self) {
         let mut roots: Vec<Addr> = Vec::new();
         let heap = &self.heap;
-        let mut root = |v: &Value| {
-            if let Value::Ref(a) = *v {
-                if a != NULL && heap.contains(a) {
-                    roots.push(a);
-                }
+        let mut root = |a: Addr| {
+            if a != NULL && heap.contains(a) {
+                roots.push(a);
             }
         };
-        // Each frame's window is scanned through the `ref_regs` of the
-        // body that frame runs (a recursion can have frames of one method
-        // on different bodies).
-        for f in &self.frames {
-            for &i in body(&self.codes, f.code).tcode.ref_regs.iter() {
-                root(&self.stack[f.base + i as usize]);
-            }
+        // A slot does not say whether it holds a reference, so each
+        // frame's window is scanned — and, below, forwarded — through the
+        // `ref_regs` of the body that frame runs (a recursion can have
+        // frames of one method on different bodies).
+        let ref_slots: Vec<usize> = (self.frames.iter())
+            .flat_map(|f| {
+                let regs = body(&self.codes, f.code).tcode.ref_regs.iter();
+                regs.map(move |&i| f.base + i as usize)
+            })
+            .collect();
+        for &slot in &ref_slots {
+            root(self.stack[slot]);
         }
-        self.statics.iter().for_each(&mut root);
         // Arguments held for pending background compiles stay live until
         // the compile runs (the inspector dereferences them). Retained
         // deopt arguments (recovery-sweep inputs) likewise stay live until
         // the method is recompiled; empty unless `retain_deopt_args` is
         // set, so legacy GC liveness is untouched.
         let held = self.pending.iter().chain(&self.deopt_args);
-        held.flat_map(|(_, args)| args).for_each(&mut root);
+        for v in (self.statics.iter()).chain(held.flat_map(|(_, args)| args)) {
+            if let Value::Ref(a) = *v {
+                root(a);
+            }
+        }
         let (cstats, fwd) = self.heap.collect(&roots);
         if S::ENABLED {
             self.mem.sink_mut().emit(TraceEvent::GcSlide {
@@ -1102,11 +1147,11 @@ impl<S: TraceSink> Vm<S> {
                 moved_objects: cstats.moved_objects,
             });
         }
+        for slot in ref_slots {
+            self.stack[slot] = fwd.forward(self.stack[slot]);
+        }
         let held = self.pending.iter_mut().chain(&mut self.deopt_args);
-        for v in (self.stack.iter_mut())
-            .chain(&mut self.statics)
-            .chain(held.flat_map(|(_, args)| args))
-        {
+        for v in (self.statics.iter_mut()).chain(held.flat_map(|(_, args)| args)) {
             if let Value::Ref(a) = v {
                 *a = fwd.forward(*a);
             }
@@ -1707,7 +1752,7 @@ mod tests {
         // adaptive patch deep in a recursion does), by driving the two
         // halves of `Vm::call` by hand around an install.
         let compiled = vm.compiled_body(down).unwrap().clone();
-        vm.stack.extend_from_slice(&[Value::I32(2), Value::I32(1)]);
+        vm.stack.extend_from_slice(&[2, 1]);
         vm.call_into(down, 2, None, None).unwrap();
         vm.install_compiled(down, compiled);
         assert_eq!(retained(&vm), methods + 2, "kept while a frame names it");

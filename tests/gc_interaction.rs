@@ -4,7 +4,7 @@
 //! strides the prefetches rely on.
 
 use stride_prefetch::heap::Value;
-use stride_prefetch::ir::{CmpOp, ElemTy, ProgramBuilder, Ty};
+use stride_prefetch::ir::{CmpOp, Conv, ElemTy, ProgramBuilder, Ty};
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::vm::{Vm, VmConfig};
@@ -131,11 +131,15 @@ fn gc_under_prefetching_is_correct_and_strides_survive() {
 const DEPTH: i32 = 40;
 const JUNK: i32 = 4000;
 
-/// `ping(n, stale)` and `pong(n, stale)` recurse into each other `n` deep,
-/// each frame holding its own `Cell`; the deepest frame calls `junk`, which
-/// allocates `JUNK` unreachable cells. The two bodies keep their reference
-/// in different registers, and both carry `stale` — an `i64` that the test
-/// sets to the address of a dead object.
+/// `ping(n, stale, moved)` and `pong(n, stale, moved)` recurse into each
+/// other `n` deep, each frame holding its own `Cell`; the deepest frame
+/// calls `junk`, which allocates `JUNK` unreachable cells. The two bodies
+/// keep their reference in different registers, and both carry two `i64`s
+/// that the test sets to addresses: `stale` names a dead object, `moved`
+/// the live cell of the outermost frame, which the collection slides.
+/// Registers are untagged, so only the body's register map tells the
+/// collector that these two words are not references; each frame adds the
+/// low half of `moved` to the checksum after the collection.
 fn build_recursion() -> (
     stride_prefetch::ir::Program,
     [stride_prefetch::ir::MethodId; 2],
@@ -166,11 +170,11 @@ fn build_recursion() -> (
         b.ret(Some(zero));
         b.finish()
     };
-    let ping = pb.declare("ping", &[Ty::I32, Ty::I64], Some(Ty::I32));
-    let pong = pb.declare("pong", &[Ty::I32, Ty::I64], Some(Ty::I32));
+    let ping = pb.declare("ping", &[Ty::I32, Ty::I64, Ty::I64], Some(Ty::I32));
+    let pong = pb.declare("pong", &[Ty::I32, Ty::I64, Ty::I64], Some(Ty::I32));
     for (me, other, scratch) in [(ping, pong, 0), (pong, ping, 3)] {
         let mut b = pb.define(me);
-        let (n, stale) = (b.param(0), b.param(1));
+        let (n, stale, moved) = (b.param(0), b.param(1), b.param(2));
         // Non-reference temporaries ahead of the reference (so it sits at
         // a different index in each body), all holding the stale pattern.
         for _ in 0..scratch {
@@ -192,13 +196,15 @@ fn build_recursion() -> (
             |b| {
                 let one = b.const_i32(1);
                 let m = b.sub(n, one);
-                let r = b.call(other, &[m, stale]);
+                let r = b.call(other, &[m, stale, moved]);
                 b.move_(below, r);
             },
         );
         // Read back through the (possibly moved) reference.
         let v = b.getfield(mine, cf[0]);
         let sum = b.add(below, v);
+        let low = b.convert(Conv::I64ToI32, moved);
+        let sum = b.add(sum, low);
         b.ret(Some(sum));
         b.finish();
     }
@@ -219,13 +225,28 @@ fn gc_mid_recursion_roots_and_forwards_every_register_window() {
             ProcessorConfig::pentium4(),
             RingSink::with_capacity(1 << 12),
         );
-        // A dead object whose address every frame then carries as an i64.
+        // A dead object whose address every frame then carries as an i64,
+        // beside the address the outermost frame's cell is about to get:
+        // the next allocation. The first collection frees the dead object
+        // below it, so that cell slides down onto `dead`.
         let Some(Value::Ref(dead)) = vm.call(make, &[]).unwrap() else {
             panic!("make returns a reference");
         };
-        let args = [Value::I32(DEPTH), Value::I64(dead as i64)];
-        let out = vm.call(ping, &args).expect("recursion completes");
         let cell_bytes = vm.heap().layout_tables().class_size(cell);
+        let moved = dead + cell_bytes;
+        let args = [
+            Value::I32(DEPTH),
+            Value::I64(dead as i64),
+            Value::I64(moved as i64),
+        ];
+        let out = vm.call(ping, &args).expect("recursion completes");
+        if vm.stats().gc_count == 0 {
+            // Nothing moved: `moved` is still the outermost frame's cell,
+            // whose first field holds that frame's `n`.
+            assert_eq!(vm.heap().walk().nth(1), Some(moved));
+            let v = moved + stride_prefetch::heap::OBJECT_HEADER_SIZE;
+            assert_eq!(vm.heap().read(v, ElemTy::I32), Ok(Value::I32(DEPTH)));
+        }
         let slides: Vec<(u64, u64)> = (vm.sink().snapshot().iter())
             .filter_map(|e| match *e {
                 TraceEvent::GcSlide {
@@ -236,14 +257,19 @@ fn gc_mid_recursion_roots_and_forwards_every_register_window() {
                 _ => None,
             })
             .collect();
-        (out, vm.stats().gc_count, cell_bytes, slides)
+        (out, vm.stats().gc_count, cell_bytes, slides, moved)
     };
-    let (small, small_gcs, cell_bytes, slides) = run(48 << 10);
+    let (small, small_gcs, cell_bytes, slides, moved) = run(48 << 10);
     let (large, large_gcs, ..) = run(16 << 20);
     assert_eq!(large_gcs, 0, "the reference run never collects");
     assert!(small_gcs > 0, "the small heap must collect mid-recursion");
+    // Every frame read its own cell back through a forwarded reference and
+    // found the `i64` beside it unchanged: forwarding that word too would
+    // have turned `moved` into `moved - cell_bytes` in every frame.
     assert_eq!(small, large, "checksum survives the collections");
-    assert_eq!(small, Some(Value::I32((0..=DEPTH).sum())));
+    let carried = (moved as i32).wrapping_mul(DEPTH + 1);
+    let expected = (0..=DEPTH).sum::<i32>().wrapping_add(carried);
+    assert_eq!(small, Some(Value::I32(expected)));
 
     // Every collection ran inside `junk` under DEPTH + 1 live frames: the
     // roots are one cell per frame plus the one `junk` holds — not the dead
@@ -254,5 +280,7 @@ fn gc_mid_recursion_roots_and_forwards_every_register_window() {
     for (i, &(live_bytes, _)) in slides.iter().enumerate() {
         assert_eq!(live_bytes, live, "collection {i}");
     }
-    assert!(slides[0].1 > 0, "the first collection slid the live cells");
+    // The dead object sat below every live cell, so the first collection
+    // slid them all — the one `moved` names included.
+    assert_eq!(slides[0].1, DEPTH as u64 + 2, "the first collection");
 }

@@ -6,7 +6,7 @@
 
 use spf_testkit::{cases, Rng};
 use stride_prefetch::heap::Value;
-use stride_prefetch::ir::{CmpOp, ProgramBuilder, Ty};
+use stride_prefetch::ir::{CmpOp, Conv, ElemTy, Instr, ProgramBuilder, Ty};
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::vm::{Vm, VmConfig, VmStats};
@@ -14,8 +14,11 @@ use stride_prefetch::vm::{Vm, VmConfig, VmStats};
 // ---------------------------------------------------------------------
 // Fusion equivalence: random programs exercising every fusable pattern
 // (const/bin/move chains, array stores and loads, field access, statics,
-// compare-and-branch back edges) must produce the same values and the
-// same simulated counters with `fuse_superinstructions` on and off.
+// compare-and-branch back edges) and every typed handler family (`long`,
+// `double` and reference compares, NaN operands included, alone and
+// branched on; `byte` arrays; all six conversions) must produce the same
+// values and the same simulated counters with `fuse_superinstructions` on
+// and off.
 // ---------------------------------------------------------------------
 
 /// A random arithmetic expression over the in-scope `int` variables.
@@ -44,11 +47,34 @@ fn arb_expr(rng: &mut Rng, vars: &[&str], fuel: u32) -> String {
     }
 }
 
+/// A random comparison operator.
+fn arb_cmp(rng: &mut Rng) -> &'static str {
+    const OPS: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+    OPS[rng.index(OPS.len())]
+}
+
 /// A random kernel touching arrays (astore/aload), object fields
 /// (getfield/putfield), statics, and both loop shapes, parameterized on
-/// `x` so the interpreted and compiled activations see live input.
+/// `x` so the interpreted and compiled activations see live input. Its
+/// second loop runs the same accumulator through `long`, `double`, `byte`
+/// and reference values.
 fn arb_kernel(rng: &mut Rng) -> String {
     let n = rng.usize_in(4, 24);
+    let byte_store = arb_expr(rng, &["i", "acc", "x"], 2);
+    let wide_step = arb_expr(rng, &["acc", "i"], 1);
+    let wide_bound = rng.i32_in(-2000, 2000);
+    let real_bound = rng.f64_in(-50.0, 50.0);
+    // Half the kernels compare against a NaN made at run time.
+    let nan_or_one = if rng.bool() { "real - real" } else { "1.0" };
+    let other = if rng.bool() { "p" } else { "q" };
+    let (c1, c2, c3, c4, c5) = (
+        arb_cmp(rng),
+        arb_cmp(rng),
+        arb_cmp(rng),
+        arb_cmp(rng),
+        arb_cmp(rng),
+    );
+    let ref_cmp = if rng.bool() { "==" } else { "!=" };
     let body_stores = arb_expr(rng, &["i", "acc", "x"], 2);
     let body_acc = arb_expr(rng, &["acc", "x", "t"], 2);
     let body_field = arb_expr(rng, &["i", "acc"], 1);
@@ -74,6 +100,26 @@ fn arb_kernel(rng: &mut Rng) -> String {
              while (t < {tail_bound}) {{
                  t = t + {tail_step};
                  acc = acc + arr[t % {n}];
+             }}
+             byte[] bytes = new byte[{n}];
+             P q = new P();
+             P r = {other};
+             long wide = (long) x * 1000003;
+             double real = (double) x / 3.0;
+             double odd = (real - real) / ({nan_or_one});
+             for (int i = 0; i < {n}; i = i + 1) {{
+                 bytes[i] = {byte_store};
+                 acc = acc + bytes[i];
+                 wide = wide * 31 + (long) ({wide_step});
+                 if (wide {c1} (long) {wide_bound}) {{ acc = acc + 1; }}
+                 acc = acc + 2 * (wide {c2} (long) acc);
+                 real = real * 0.5 + (double) wide + (double) i;
+                 if (real {c3} {real_bound:.3}) {{ acc = acc + 4; }}
+                 if (odd {c4} real) {{ acc = acc + 8; }}
+                 acc = acc + 16 * (real {c5} odd);
+                 if (r {ref_cmp} p) {{ acc = acc + 32; }}
+                 acc = acc + (int) wide + (int) real;
+                 wide = wide + (long) real;
              }}
              return acc + t + p.b + g + {body_acc};
          }}",
@@ -139,6 +185,25 @@ fn fusion_actually_fires_on_the_random_kernels() {
     cases(16, "fusion fires on the random kernels", |rng| {
         let src = arb_kernel(rng);
         let program = stride_prefetch::lang::compile(&src).unwrap();
+        // ... and an instruction of every typed handler family.
+        let f = program.method(program.method_by_name("f").unwrap()).func();
+        let has = |p: &dyn Fn(&Instr) -> bool| f.instr_sites().any(|s| p(f.instr(s)));
+        for ty in [Ty::I32, Ty::I64, Ty::F64, Ty::Ref] {
+            let cmp = |i: &Instr| matches!(i, Instr::Cmp { a, .. } if f.reg_ty(*a) == ty);
+            assert!(has(&cmp), "no {ty} compare in {src}");
+        }
+        for code in 0..6 {
+            let conv = Conv::from_code(code);
+            let convert = |i: &Instr| matches!(i, Instr::Convert { conv: c, .. } if *c == conv);
+            assert!(has(&convert), "no {conv:?} in {src}");
+        }
+        let byte = ElemTy::I8;
+        assert!(has(
+            &|i| matches!(i, Instr::ALoad { elem, .. } if *elem == byte)
+        ));
+        assert!(has(
+            &|i| matches!(i, Instr::AStore { elem, .. } if *elem == byte)
+        ));
         let vm: Vm = Vm::new(program, VmConfig::default(), ProcessorConfig::pentium4());
         assert!(vm.fused_op_count() > 0, "no superinstructions in {src}");
     });
