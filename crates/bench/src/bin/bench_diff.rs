@@ -6,11 +6,11 @@
 //!
 //! For every (workload, mode, processor) cell present in both files it
 //! prints the wall-clock speedup and flags any drift in the *simulated*
-//! numbers (cycles, retired instructions, adaptive deopt/recompile and
-//! per-loop invalidation/repatch counters, compile-time inspection cost,
-//! static-site counts, checksum),
+//! numbers — every member of [`CellSummary`] except the two host clocks —
 //! which must be invariant across hosts, worker counts, and host-side
-//! optimisations.
+//! optimisations; the drifting members are listed under the cell's row.
+//! Cells of OLD that NEW lacks are counted, not failed: a filtered sweep
+//! (`figures tiny db`) against the full baseline is a supported use.
 //! Exit code: 0 if no simulated number drifted, 1 otherwise (or on usage
 //! and parse errors).
 
@@ -62,22 +62,14 @@ fn main() -> ExitCode {
         matched += 1;
         old_total += o.wall_nanos;
         new_total += n.wall_nanos;
-        let cycles_note = if o.best_cycles == n.best_cycles
-            && o.retired == n.retired
-            && o.deopts == n.deopts
-            && o.recompiles == n.recompiles
-            && o.loop_deopts == n.loop_deopts
-            && o.loop_repatches == n.loop_repatches
-            && o.reagreed == n.reagreed
-            && o.inspection_cycles == n.inspection_cycles
-            && o.static_sites == n.static_sites
-            && o.checksum == n.checksum
-        {
-            "same"
-        } else {
-            drift += 1;
-            "DRIFT"
-        };
+        // Every declared member is simulated except the two host clocks.
+        let drifted: Vec<String> = std::iter::zip(o.members(), n.members())
+            .filter(|((key, was), (_, is))| {
+                !matches!(*key, "wall_nanos" | "host_wall_ns") && was != is
+            })
+            .map(|((key, was), (_, is))| format!("  {key}: {was} -> {is}\n"))
+            .collect();
+        drift += usize::from(!drifted.is_empty());
         let _ = writeln!(
             out,
             "{:<12} {:<12} {:<10} {:>14.2} {:>14.2} {:>8.2}x {:>8}",
@@ -87,8 +79,9 @@ fn main() -> ExitCode {
             o.wall_nanos as f64 / 1e6,
             n.wall_nanos as f64 / 1e6,
             o.wall_nanos as f64 / n.wall_nanos.max(1) as f64,
-            cycles_note
+            if drifted.is_empty() { "same" } else { "DRIFT" }
         );
+        out.push_str(&drifted.concat());
     }
     if matched == 0 {
         eprintln!("bench_diff: no common cells between {old_path} and {new_path}");
@@ -96,10 +89,12 @@ fn main() -> ExitCode {
     }
     let _ = writeln!(
         out,
-        "total: {matched} cells, {:.2} ms -> {:.2} ms ({:.2}x wall-clock)",
+        "total: {matched} cells, {:.2} ms -> {:.2} ms ({:.2}x wall-clock), \
+         {} cell(s) of OLD absent from NEW",
         old_total as f64 / 1e6,
         new_total as f64 / 1e6,
-        old_total as f64 / new_total.max(1) as f64
+        old_total as f64 / new_total.max(1) as f64,
+        old.len() - matched
     );
     if drift > 0 {
         let _ = writeln!(

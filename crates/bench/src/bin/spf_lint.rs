@@ -22,13 +22,43 @@
 //! as JSON lines to `STRIDE_agreement.jsonl`. With `--provenance`, per-cell
 //! provenance tallies are additionally written to `STRIDE_provenance.jsonl`.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use spf_bench::cli::emit;
 use spf_bench::{checks, cli, matrix, write_artifact};
 use spf_core::StrideCrossCheck;
 use spf_trace::NoopSink;
+
+spf_trace::record! {
+    /// One cell's line of `STRIDE_agreement.jsonl`: its
+    /// [`StrideCrossCheck`] totals over the cell's compiled methods.
+    pub struct AgreementRow {
+        pub name: String,
+        pub mode: String,
+        pub processor: String,
+        pub agree: usize,
+        pub disagree: usize,
+        pub static_only: usize,
+        pub dynamic_only: usize,
+    }
+}
+
+spf_trace::record! {
+    /// One cell's line of `STRIDE_provenance.jsonl`: its emitted prefetch
+    /// sites by provenance tag, over every compiled generation
+    /// ([`checks::Generations`]).
+    pub struct ProvenanceRow {
+        pub name: String,
+        pub mode: String,
+        pub processor: String,
+        #[key = "static"]
+        pub static_sites: usize,
+        #[key = "dynamic"]
+        pub dynamic_sites: usize,
+        #[key = "hybrid"]
+        pub hybrid_sites: usize,
+    }
+}
 
 fn main() -> ExitCode {
     let args = cli::from_env(cli::lint);
@@ -70,23 +100,27 @@ fn main() -> ExitCode {
                 strides.add(&r.stride_check_totals());
             }
             grand.add(&strides);
-            let _ = writeln!(
-                agreement,
-                "{{\"name\": \"{name}\", \"mode\": \"{mode}\", \"processor\": \"{}\", \
-                 \"agree\": {}, \"disagree\": {}, \"static_only\": {}, \
-                 \"dynamic_only\": {}}}",
-                proc.name,
-                strides.agree,
-                strides.disagree,
-                strides.static_only,
-                strides.dynamic_only
-            );
-            let _ = writeln!(
-                provenance,
-                "{{\"name\": \"{name}\", \"mode\": \"{mode}\", \"processor\": \"{}\", \
-                 \"static\": {}, \"dynamic\": {}, \"hybrid\": {}}}",
-                proc.name, found.static_sites, found.dynamic_sites, found.hybrid_sites
-            );
+            AgreementRow {
+                name: name.to_string(),
+                mode: mode.to_string(),
+                processor: proc.name.clone(),
+                agree: strides.agree,
+                disagree: strides.disagree,
+                static_only: strides.static_only,
+                dynamic_only: strides.dynamic_only,
+            }
+            .write(&mut agreement);
+            agreement.push('\n');
+            ProvenanceRow {
+                name: name.to_string(),
+                mode: mode.to_string(),
+                processor: proc.name.clone(),
+                static_sites: found.static_sites,
+                dynamic_sites: found.dynamic_sites,
+                hybrid_sites: found.hybrid_sites,
+            }
+            .write(&mut provenance);
+            provenance.push('\n');
         }
     }
 

@@ -2,57 +2,92 @@
 //!
 //! The emitter writes one JSON object per cell on its own line (so shell
 //! gates can `grep` a cell); the parser reads any JSON document of that
-//! schema through [`spf_trace::json`].
+//! schema through [`spf_trace::json`]. A cell's schema is [`CellSummary`]'s
+//! declaration ([`spf_trace::record`]).
 
-use spf_trace::json::{self, Str, Value};
+use spf_trace::json;
 use spf_workloads::Size;
 
 use crate::matrix::CellResult;
 
-/// The per-cell numbers recorded in `BENCH_matrix.json`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellSummary {
-    /// Workload name.
-    pub name: String,
-    /// Prefetch mode (display form, e.g. `INTER+INTRA`).
-    pub mode: String,
-    /// Processor name.
-    pub processor: String,
-    /// Best steady-state simulated cycles.
-    pub best_cycles: u64,
-    /// Retired instructions in the best run.
-    pub retired: u64,
-    /// Host wall-clock nanoseconds spent simulating the cell.
-    pub wall_nanos: u128,
-    /// Median host wall-clock nanoseconds over the plan's timing
-    /// repetitions (equals `wall_nanos` in files emitted before the field
-    /// existed, or when `timing_runs` was 1).
-    pub host_wall_ns: u128,
-    /// Whole-method adaptive deoptimizations (always 0 since invalidation
-    /// went per-loop; kept so old readers keep their column).
-    pub deopts: u64,
-    /// Full adaptive recompilations (zero outside the adaptive modes).
-    pub recompiles: u64,
-    /// Per-loop invalidations (zero outside the adaptive modes).
-    pub loop_deopts: u64,
-    /// Per-loop repatches (zero outside the adaptive modes).
-    pub loop_repatches: u64,
-    /// Recompilations that re-agreed on prefetchable strides.
-    pub reagreed: u64,
-    /// Deterministic inspection cycles charged by the compile-time cost
-    /// model (zero under BASELINE, lower under STATIC-FIRST).
-    pub inspection_cycles: u64,
-    /// Statically proved sites excluded from inspection (STATIC-FIRST
-    /// only).
-    pub static_sites: u64,
-    /// The workload's checksum.
-    pub checksum: i32,
+spf_trace::record! {
+    /// The per-cell numbers recorded in `BENCH_matrix.json`. The members
+    /// with a default are absent from files older than the counter.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct CellSummary {
+        /// Workload name.
+        pub name: String,
+        /// Prefetch mode (display form, e.g. `INTER+INTRA`).
+        pub mode: String,
+        /// Processor name.
+        pub processor: String,
+        /// Best steady-state simulated cycles.
+        pub best_cycles: u64,
+        /// Retired instructions in the best run.
+        pub retired: u64,
+        /// Host wall-clock nanoseconds spent simulating the cell.
+        pub wall_nanos: u128,
+        /// Median host wall-clock nanoseconds over the plan's timing
+        /// repetitions (equals `wall_nanos` in files emitted before the field
+        /// existed, or when `timing_runs` was 1).
+        #[default = wall_nanos]
+        pub host_wall_ns: u128,
+        /// Whole-method adaptive deoptimizations (always 0 since invalidation
+        /// went per-loop; kept so old readers keep their column).
+        #[default = 0]
+        pub deopts: u64,
+        /// Full adaptive recompilations (zero outside the adaptive modes).
+        #[default = 0]
+        pub recompiles: u64,
+        /// Per-loop invalidations (zero outside the adaptive modes).
+        #[default = 0]
+        pub loop_deopts: u64,
+        /// Per-loop repatches (zero outside the adaptive modes).
+        #[default = 0]
+        pub loop_repatches: u64,
+        /// Recompilations that re-agreed on prefetchable strides.
+        #[default = 0]
+        pub reagreed: u64,
+        /// Deterministic inspection cycles charged by the compile-time cost
+        /// model (zero under BASELINE, lower under STATIC-FIRST).
+        #[default = 0]
+        pub inspection_cycles: u64,
+        /// Statically proved sites excluded from inspection (STATIC-FIRST
+        /// only).
+        #[default = 0]
+        pub static_sites: u64,
+        /// The workload's checksum.
+        pub checksum: i32,
+    }
 }
 
 impl CellSummary {
     /// The (workload, mode, processor) key identifying this cell.
     pub fn key(&self) -> (String, String, String) {
         (self.name.clone(), self.mode.clone(), self.processor.clone())
+    }
+}
+
+impl From<&CellResult> for CellSummary {
+    fn from(r: &CellResult) -> Self {
+        let m = &r.measurement;
+        CellSummary {
+            name: m.name.clone(),
+            mode: m.mode.to_string(),
+            processor: m.processor.clone(),
+            best_cycles: m.best_cycles,
+            retired: m.retired,
+            wall_nanos: r.wall_nanos,
+            host_wall_ns: r.host_wall_ns,
+            deopts: m.deopts,
+            recompiles: m.recompiles,
+            loop_deopts: m.loop_deopts,
+            loop_repatches: m.loop_repatches,
+            reagreed: m.reagreed,
+            inspection_cycles: m.inspection_cycles,
+            static_sites: m.static_sites,
+            checksum: m.checksum,
+        }
     }
 }
 
@@ -65,31 +100,9 @@ pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u
     s.push_str(&format!("  \"total_wall_nanos\": {total_wall_nanos},\n"));
     s.push_str("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let m = &r.measurement;
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"mode\": {}, \"processor\": {}, \
-             \"best_cycles\": {}, \"retired\": {}, \"wall_nanos\": {}, \
-             \"host_wall_ns\": {}, \
-             \"deopts\": {}, \"recompiles\": {}, \"loop_deopts\": {}, \
-             \"loop_repatches\": {}, \"reagreed\": {}, \
-             \"inspection_cycles\": {}, \"static_sites\": {}, \"checksum\": {}}}{}\n",
-            Str(&m.name),
-            Str(&m.mode.to_string()),
-            Str(&m.processor),
-            m.best_cycles,
-            m.retired,
-            r.wall_nanos,
-            r.host_wall_ns,
-            m.deopts,
-            m.recompiles,
-            m.loop_deopts,
-            m.loop_repatches,
-            m.reagreed,
-            m.inspection_cycles,
-            m.static_sites,
-            m.checksum,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
+        s.push_str("    ");
+        CellSummary::from(r).write(&mut s);
+        s.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
     }
     s.push_str("  ]\n}\n");
     s
@@ -117,39 +130,13 @@ pub fn parse(text: &str) -> Result<Vec<CellSummary>, String> {
 pub fn parse_with_warnings(text: &str) -> Result<(Vec<CellSummary>, Vec<String>), String> {
     const KNOWN_TOP_LEVEL: [&str; 4] = ["size", "jobs", "total_wall_nanos", "cells"];
     let doc = json::parse(text)?;
-    let cells = json::each("cells", doc.arr("cells")?, cell)?;
+    let cells = json::each("cells", doc.arr("cells")?, CellSummary::read)?;
     let warnings = doc
         .keys()
         .filter(|key| !KNOWN_TOP_LEVEL.contains(key))
         .map(|key| format!("ignoring unknown top-level field \"{key}\""))
         .collect();
     Ok((cells, warnings))
-}
-
-fn cell(c: &Value) -> Result<CellSummary, String> {
-    let wall_nanos = c.num("wall_nanos")?;
-    Ok(CellSummary {
-        name: c.str("name")?.to_string(),
-        mode: c.str("mode")?.to_string(),
-        processor: c.str("processor")?.to_string(),
-        best_cycles: c.num("best_cycles")?,
-        retired: c.num("retired")?,
-        wall_nanos,
-        // Files emitted before host timing repetitions existed carry the
-        // single wall-clock sample only.
-        host_wall_ns: c.opt_num("host_wall_ns", wall_nanos)?,
-        // Absent before the adaptive counters existed.
-        deopts: c.opt_num("deopts", 0)?,
-        recompiles: c.opt_num("recompiles", 0)?,
-        reagreed: c.opt_num("reagreed", 0)?,
-        // Absent before invalidation went per-loop.
-        loop_deopts: c.opt_num("loop_deopts", 0)?,
-        loop_repatches: c.opt_num("loop_repatches", 0)?,
-        // Absent before the compile-time cost model.
-        inspection_cycles: c.opt_num("inspection_cycles", 0)?,
-        static_sites: c.opt_num("static_sites", 0)?,
-        checksum: c.num("checksum")?,
-    })
 }
 
 #[cfg(test)]

@@ -64,6 +64,34 @@ impl GuardedPolicy {
     }
 }
 
+/// `A(L)`: the address the load or store `instr` uses, as the address form
+/// the IR's prefetches take; `None` for instructions without a register
+/// base (statics) and for everything that is not a memory access. The one
+/// definition the code generator plans from and the inspector records by.
+pub(crate) fn access_addr(layout: &Layout, instr: &Instr) -> Option<PrefetchAddr> {
+    Some(match *instr {
+        Instr::GetField { obj, field, .. } | Instr::PutField { obj, field, .. } => {
+            PrefetchAddr::FieldOf {
+                base: obj,
+                delta: layout.field_offset(field) as i64,
+            }
+        }
+        Instr::ALoad { arr, idx, elem, .. } | Instr::AStore { arr, idx, elem, .. } => {
+            PrefetchAddr::ArrayElem {
+                arr,
+                idx,
+                scale: elem.size() as u8,
+                delta: spf_heap::ARRAY_DATA_OFFSET as i64,
+            }
+        }
+        Instr::ArrayLen { arr, .. } => PrefetchAddr::FieldOf {
+            base: arr,
+            delta: spf_heap::ARRAY_LENGTH_OFFSET as i64,
+        },
+        _ => return None,
+    })
+}
+
 fn suppressed(site: InstrRef, reason: SuppressReason) -> TraceEvent {
     TraceEvent::Suppressed {
         block: site.block.index() as u32,
@@ -122,23 +150,7 @@ impl<'a> PrefetchCodegen<'a> {
     /// displaced by `extra` bytes; `None` for loads without a register base
     /// (statics).
     fn addr_of(&self, func: &Function, site: InstrRef, extra: i64) -> Option<PrefetchAddr> {
-        Some(match func.instr(site) {
-            Instr::GetField { obj, field, .. } => PrefetchAddr::FieldOf {
-                base: *obj,
-                delta: self.layout.field_offset(*field) as i64 + extra,
-            },
-            Instr::ALoad { arr, idx, elem, .. } => PrefetchAddr::ArrayElem {
-                arr: *arr,
-                idx: *idx,
-                scale: elem.size() as u8,
-                delta: spf_heap::ARRAY_DATA_OFFSET as i64 + extra,
-            },
-            Instr::ArrayLen { arr, .. } => PrefetchAddr::FieldOf {
-                base: *arr,
-                delta: 8 + extra, // array length word
-            },
-            _ => return None,
-        })
+        access_addr(self.layout, func.instr(site)).map(|addr| addr.with_extra_delta(extra))
     }
 
     /// Provenance tag for a prefetch covering `node`, reached through an
@@ -159,14 +171,12 @@ impl<'a> PrefetchCodegen<'a> {
     }
 
     /// The constant offset `F[Lx,Ly]`: maps the value loaded by `Lx` (a
-    /// reference) to the address used by `Ly`; `None` when `Ly`'s address
-    /// is not a constant offset from that reference.
+    /// reference) to the address used by `Ly` (element 0 for an array
+    /// load); `None` when `Ly`'s address is not a constant offset from that
+    /// reference.
     fn f_offset(&self, func: &Function, ly: InstrRef) -> Option<i64> {
-        Some(match func.instr(ly) {
-            Instr::GetField { field, .. } => self.layout.field_offset(*field) as i64,
-            Instr::ALoad { .. } => spf_heap::ARRAY_DATA_OFFSET as i64, // element 0
-            Instr::ArrayLen { .. } => 8,
-            _ => return None,
+        access_addr(self.layout, func.instr(ly)).map(|addr| match addr {
+            PrefetchAddr::FieldOf { delta, .. } | PrefetchAddr::ArrayElem { delta, .. } => delta,
         })
     }
 
@@ -249,17 +259,11 @@ impl<'a> PrefetchCodegen<'a> {
                 // register* of the address: several field loads off the
                 // same object apparently share its cache line, so only the
                 // first gets a prefetch.
-                let (claim_key, claim_off) = match work.instr(node.site) {
-                    Instr::GetField { obj, field, .. } => (
-                        0x8000_0000 | obj.index() as u32,
-                        self.layout.field_offset(*field) as i64 + d * c,
-                    ),
-                    Instr::ALoad { arr, .. } => (
-                        0x8000_0000 | arr.index() as u32,
-                        spf_heap::ARRAY_DATA_OFFSET as i64 + d * c,
-                    ),
-                    Instr::ArrayLen { arr, .. } => (0x8000_0000 | arr.index() as u32, 8 + d * c),
-                    _ => (lx.index() as u32, 0),
+                let (claim_key, claim_off) = match anchor_addr {
+                    PrefetchAddr::FieldOf { base, delta }
+                    | PrefetchAddr::ArrayElem {
+                        arr: base, delta, ..
+                    } => (0x8000_0000 | base.index() as u32, delta),
                 };
                 if self.options.profitability {
                     if !stride_is_profitable(d, line) {

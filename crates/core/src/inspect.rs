@@ -21,21 +21,19 @@
 use std::collections::{HashMap, HashSet};
 
 use spf_heap::{
-    apply_bin, apply_cmp, apply_conv, apply_un, static_addr, Addr, Heap, HeapRead, Value,
-    ARRAY_DATA_OFFSET, NULL, PRIVATE_HEAP_BASE,
+    apply_bin, apply_cmp, apply_conv, apply_un, static_addr, Addr, Heap, HeapRead, Value, NULL,
+    PRIVATE_HEAP_BASE,
 };
 use spf_ir::loops::{LoopForest, LoopId};
-use spf_ir::{BlockId, ElemTy, Function, Instr, InstrRef, Program, Terminator};
+use spf_ir::{BlockId, ElemTy, Function, Instr, InstrRef, PrefetchAddr, Program, Terminator};
 
+use crate::codegen::access_addr;
 use crate::options::PrefetchOptions;
 
 /// Cap on visits of a loop header *nested inside the target loop* per
 /// target-loop iteration, protecting the step budget from large inner
 /// loops.
 const NESTED_HEADER_CAP: u32 = 64;
-
-/// Offset of the array-length word, re-exported for address recording.
-const ARRAY_LENGTH_OFFSET: u64 = 8;
 
 /// The address trace gathered by one inspection.
 #[derive(Clone, Debug, Default)]
@@ -262,23 +260,15 @@ impl<'a> Inspector<'a> {
             Instr::Convert { dst, conv, src } => {
                 regs[dst.index()] = regs[src.index()].and_then(|v| apply_conv(*conv, v));
             }
-            Instr::GetField { dst, obj, field } => {
-                regs[dst.index()] = match regs[obj.index()] {
-                    Some(Value::Ref(a)) if a != NULL => {
-                        let off = self.heap.layout().field_offset(*field);
-                        let addr = a.wrapping_add(off);
-                        record_addr(addr, result);
-                        self.read_mem(shadow, private, addr, self.program.field(*field).ty)
-                    }
-                    _ => None,
-                };
+            Instr::GetField { dst, field, .. } => {
+                regs[dst.index()] = self.addr_in(instr, regs).and_then(|addr| {
+                    record_addr(addr, result);
+                    self.read_mem(shadow, private, addr, self.program.field(*field).ty)
+                });
             }
-            Instr::PutField { obj, field, src } => {
-                if let Some(Value::Ref(a)) = regs[obj.index()] {
-                    if a != NULL {
-                        let addr = a.wrapping_add(self.heap.layout().field_offset(*field));
-                        shadow.insert(addr, regs[src.index()]);
-                    }
+            Instr::PutField { src, .. } | Instr::AStore { src, .. } => {
+                if let Some(addr) = self.addr_in(instr, regs) {
+                    shadow.insert(addr, regs[src.index()]);
                 }
             }
             Instr::GetStatic { dst, sid } => {
@@ -292,50 +282,18 @@ impl<'a> Inspector<'a> {
             Instr::PutStatic { sid, src } => {
                 shadow.insert(static_addr(*sid), regs[src.index()]);
             }
-            Instr::ALoad {
-                dst,
-                arr,
-                idx,
-                elem,
-            } => {
-                regs[dst.index()] = match (regs[arr.index()], regs[idx.index()]) {
-                    (Some(Value::Ref(a)), Some(Value::I32(i))) if a != NULL => {
-                        let addr = a
-                            .wrapping_add(ARRAY_DATA_OFFSET)
-                            .wrapping_add((i as i64).wrapping_mul(elem.size() as i64) as u64);
-                        record_addr(addr, result);
-                        self.read_mem(shadow, private, addr, *elem)
-                    }
-                    _ => None,
-                };
+            Instr::ALoad { dst, elem, .. } => {
+                regs[dst.index()] = self.addr_in(instr, regs).and_then(|addr| {
+                    record_addr(addr, result);
+                    self.read_mem(shadow, private, addr, *elem)
+                });
             }
-            Instr::AStore {
-                arr,
-                idx,
-                src,
-                elem,
-            } => {
-                if let (Some(Value::Ref(a)), Some(Value::I32(i))) =
-                    (regs[arr.index()], regs[idx.index()])
-                {
-                    if a != NULL {
-                        let addr = a
-                            .wrapping_add(ARRAY_DATA_OFFSET)
-                            .wrapping_add((i as i64).wrapping_mul(elem.size() as i64) as u64);
-                        shadow.insert(addr, regs[src.index()]);
-                    }
-                }
-            }
-            Instr::ArrayLen { dst, arr } => {
-                regs[dst.index()] = match regs[arr.index()] {
-                    Some(Value::Ref(a)) if a != NULL => {
-                        let addr = a.wrapping_add(ARRAY_LENGTH_OFFSET);
-                        record_addr(addr, result);
-                        self.read_mem(shadow, private, addr, ElemTy::I64)
-                            .map(|v| Value::I32(v.as_i64() as i32))
-                    }
-                    _ => None,
-                };
+            Instr::ArrayLen { dst, .. } => {
+                regs[dst.index()] = self.addr_in(instr, regs).and_then(|addr| {
+                    record_addr(addr, result);
+                    self.read_mem(shadow, private, addr, ElemTy::I64)
+                        .map(|v| Value::I32(v.as_i64() as i32))
+                });
             }
             Instr::New { dst, class } => {
                 regs[dst.index()] = private.alloc_object(*class).map(Value::Ref);
@@ -357,6 +315,33 @@ impl<'a> Inspector<'a> {
             }
             Instr::Prefetch { .. } => {}
             Instr::SpecLoad { dst, .. } => regs[dst.index()] = None,
+        }
+    }
+
+    /// The address the heap access `instr` uses under `regs`: its `A(L)`
+    /// ([`access_addr`]) evaluated the way the VM evaluates a prefetch's.
+    /// `None` when the base is unknown or null, or the index unknown.
+    fn addr_in(&self, instr: &Instr, regs: &[Option<Value>]) -> Option<Addr> {
+        let base_of = |reg: spf_ir::Reg| match regs[reg.index()] {
+            Some(Value::Ref(a)) if a != NULL => Some(a),
+            _ => None,
+        };
+        match access_addr(self.heap.layout(), instr)? {
+            PrefetchAddr::FieldOf { base, delta } => {
+                Some(base_of(base)?.wrapping_add(delta as u64))
+            }
+            PrefetchAddr::ArrayElem {
+                arr,
+                idx,
+                scale,
+                delta,
+            } => {
+                let Some(Value::I32(i)) = regs[idx.index()] else {
+                    return None;
+                };
+                let offset = (i as i64).wrapping_mul(scale as i64).wrapping_add(delta);
+                Some(base_of(arr)?.wrapping_add(offset as u64))
+            }
         }
     }
 
@@ -442,7 +427,7 @@ impl<'a> Inspector<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_heap::Layout;
+    use spf_heap::{Layout, ARRAY_DATA_OFFSET};
     use spf_ir::cfg::Cfg;
     use spf_ir::dom::DomTree;
     use spf_ir::{MethodId, ProgramBuilder, Ty};
@@ -811,7 +796,7 @@ mod tests {
 #[cfg(test)]
 mod interprocedural_tests {
     use super::*;
-    use spf_heap::Layout;
+    use spf_heap::{Layout, ARRAY_DATA_OFFSET};
     use spf_ir::cfg::Cfg;
     use spf_ir::dom::DomTree;
     use spf_ir::{CmpOp, ProgramBuilder, Ty};

@@ -51,5 +51,5 @@ pub use heap::{
     shard_bytes, static_addr, Heap, HeapError, HeapRead, DEFAULT_HEAP_BASE, PRIVATE_HEAP_BASE,
     STATICS_BASE,
 };
-pub use layout::{Layout, ARRAY_DATA_OFFSET, OBJECT_HEADER_SIZE};
+pub use layout::{Layout, ARRAY_DATA_OFFSET, ARRAY_LENGTH_OFFSET, OBJECT_HEADER_SIZE};
 pub use value::{apply_bin, apply_cmp, apply_conv, apply_un, Addr, Value, NULL};

@@ -4,57 +4,65 @@
 //! Every statistic is an integer computed from simulated quantities
 //! (nearest-rank percentiles, floored means, milli-scaled queue depth), so
 //! the emitted file is byte-identical for byte-identical simulations —
-//! CI compares two `--jobs` runs with `cmp`, no tolerance needed. Read
-//! back through [`spf_trace::json`].
+//! CI compares two `--jobs` runs with `cmp`, no tolerance needed. The two
+//! row types' declarations are their schemas ([`spf_trace::record`]); the
+//! document envelope is written and read here.
 
 use std::fmt::Write as _;
 
-use spf_trace::json::{self, Str, Value};
+use spf_trace::json::{self, Str};
 
 use crate::sim::ServeOutcome;
 
-/// One prefetch mode's serving statistics. All latency fields are in
-/// simulated cycles.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ModeReport {
-    /// Prefetch mode (display form, e.g. `BASELINE` or `ADAPTIVE`).
-    pub mode: String,
-    /// Requests served.
-    pub completed: u64,
-    /// Median request latency.
-    pub p50: u64,
-    /// 99th-percentile request latency.
-    pub p99: u64,
-    /// 99.9th-percentile request latency.
-    pub p999: u64,
-    /// Worst request latency.
-    pub max: u64,
-    /// Mean request latency, floored.
-    pub mean: u64,
-    /// Deepest compilation queue observed at any epoch.
-    pub queue_depth_max: u32,
-    /// Mean compilation-queue depth × 1000, floored (integer so the file
-    /// stays byte-comparable).
-    pub queue_depth_mean_milli: u64,
-    /// Background compilations installed.
-    pub compiles: u64,
-    /// Code-cache capacity evictions.
-    pub evictions: u64,
-    /// Whole-method adaptive deoptimizations across the fleet (always 0
-    /// since invalidation went per-loop; kept for old readers).
-    pub deopts: u64,
-    /// Full adaptive recompilations across the fleet.
-    pub recompiles: u64,
-    /// Per-loop invalidations across the fleet.
-    pub loop_deopts: u64,
-    /// Per-loop repatches (tier-2 re-entries) across the fleet.
-    pub loop_repatches: u64,
-    /// Loops still stranded (invalidated, never repatched) at run end —
-    /// the `deopt-summary` stranding diagnostic made machine-checkable.
-    /// Nonzero on a fault-free ADAPTIVE row is the db-blow-up signature.
-    pub stranded: u64,
-    /// Fleet checksum (must agree across modes).
-    pub checksum: i64,
+spf_trace::record! {
+    /// One prefetch mode's serving statistics. All latency fields are in
+    /// simulated cycles. The members with a default are absent from files
+    /// written before invalidation went per-loop (`loop_*`) or before the
+    /// chaos harness (`stranded`).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ModeReport {
+        /// Prefetch mode (display form, e.g. `BASELINE` or `ADAPTIVE`).
+        pub mode: String,
+        /// Requests served.
+        pub completed: u64,
+        /// Median request latency.
+        pub p50: u64,
+        /// 99th-percentile request latency.
+        pub p99: u64,
+        /// 99.9th-percentile request latency.
+        pub p999: u64,
+        /// Worst request latency.
+        pub max: u64,
+        /// Mean request latency, floored.
+        pub mean: u64,
+        /// Deepest compilation queue observed at any epoch.
+        pub queue_depth_max: u32,
+        /// Mean compilation-queue depth × 1000, floored (integer so the file
+        /// stays byte-comparable).
+        pub queue_depth_mean_milli: u64,
+        /// Background compilations installed.
+        pub compiles: u64,
+        /// Code-cache capacity evictions.
+        pub evictions: u64,
+        /// Whole-method adaptive deoptimizations across the fleet (always 0
+        /// since invalidation went per-loop; kept for old readers).
+        pub deopts: u64,
+        /// Full adaptive recompilations across the fleet.
+        pub recompiles: u64,
+        /// Per-loop invalidations across the fleet.
+        #[default = 0]
+        pub loop_deopts: u64,
+        /// Per-loop repatches (tier-2 re-entries) across the fleet.
+        #[default = 0]
+        pub loop_repatches: u64,
+        /// Loops still stranded (invalidated, never repatched) at run end —
+        /// the `deopt-summary` stranding diagnostic made machine-checkable.
+        /// Nonzero on a fault-free ADAPTIVE row is the db-blow-up signature.
+        #[default = 0]
+        pub stranded: u64,
+        /// Fleet checksum (must agree across modes).
+        pub checksum: i64,
+    }
 }
 
 /// Nearest-rank percentile: the smallest element with at least
@@ -114,34 +122,36 @@ impl ModeReport {
     }
 }
 
-/// One prefetch mode's chaos-run statistics: the fault mix that fired,
-/// the degradation it triggered, and what [`crate::verify_recovery`]
-/// measured. Only present when the run injected faults.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ChaosRow {
-    /// Prefetch mode (display form).
-    pub mode: String,
-    /// Fault windows that activated.
-    pub faults: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Compile jobs re-queued after missing their deadline.
-    pub retries: u64,
-    /// Adaptive guard re-arms across the fleet.
-    pub rearms: u64,
-    /// Methods still stranded at run end (must be 0 after recovery).
-    pub stranded_final: u64,
-    /// Requests served (non-shed) in the fault run.
-    pub completed: u64,
-    /// Served-request p99 in the fault run.
-    pub p99: u64,
-    /// Cycle at which the recovery invariants were checked.
-    pub recovery_at: u64,
-    /// Base requests arriving after the recovery point.
-    pub post_requests: u64,
-    /// Post-recovery p99 as milli-ratio of the fault-free run's (1000 =
-    /// parity; bounded by [`crate::faults::RECOVERY_P99_RATIO_MILLI`]).
-    pub post_p99_ratio_milli: u64,
+spf_trace::record! {
+    /// One prefetch mode's chaos-run statistics: the fault mix that fired,
+    /// the degradation it triggered, and what [`crate::verify_recovery`]
+    /// measured. Only present when the run injected faults.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ChaosRow {
+        /// Prefetch mode (display form).
+        pub mode: String,
+        /// Fault windows that activated.
+        pub faults: u64,
+        /// Requests shed by admission control.
+        pub shed: u64,
+        /// Compile jobs re-queued after missing their deadline.
+        pub retries: u64,
+        /// Adaptive guard re-arms across the fleet.
+        pub rearms: u64,
+        /// Methods still stranded at run end (must be 0 after recovery).
+        pub stranded_final: u64,
+        /// Requests served (non-shed) in the fault run.
+        pub completed: u64,
+        /// Served-request p99 in the fault run.
+        pub p99: u64,
+        /// Cycle at which the recovery invariants were checked.
+        pub recovery_at: u64,
+        /// Base requests arriving after the recovery point.
+        pub post_requests: u64,
+        /// Post-recovery p99 as milli-ratio of the fault-free run's (1000 =
+        /// parity; bounded by [`crate::faults::RECOVERY_P99_RATIO_MILLI`]).
+        pub post_p99_ratio_milli: u64,
+    }
 }
 
 /// The full `SERVE_summary.json`: the configuration that produced the
@@ -191,63 +201,23 @@ pub fn emit(s: &ServeSummary) -> String {
         s.cache_capacity_instrs
     );
     out.push_str("  \"modes\": [\n");
-    for (i, m) in s.modes.iter().enumerate() {
-        let comma = if i + 1 == s.modes.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": {}, \"completed\": {}, \"p50\": {}, \"p99\": {}, \
-             \"p999\": {}, \"max\": {}, \"mean\": {}, \"queue_depth_max\": {}, \
-             \"queue_depth_mean_milli\": {}, \"compiles\": {}, \"evictions\": {}, \
-             \"deopts\": {}, \"recompiles\": {}, \"loop_deopts\": {}, \
-             \"loop_repatches\": {}, \"stranded\": {}, \"checksum\": {}}}{comma}",
-            Str(&m.mode),
-            m.completed,
-            m.p50,
-            m.p99,
-            m.p999,
-            m.max,
-            m.mean,
-            m.queue_depth_max,
-            m.queue_depth_mean_milli,
-            m.compiles,
-            m.evictions,
-            m.deopts,
-            m.recompiles,
-            m.loop_deopts,
-            m.loop_repatches,
-            m.stranded,
-            m.checksum,
-        );
+    rows(&mut out, &s.modes, ModeReport::write);
+    if !s.chaos.is_empty() {
+        out.push_str(",\n  \"chaos\": [\n");
+        rows(&mut out, &s.chaos, ChaosRow::write);
+    }
+    out.push_str("\n}\n");
+    out
+}
+
+/// Appends one row per line, comma-separated, and the closing bracket.
+fn rows<T>(out: &mut String, rows: &[T], write: fn(&T, &mut String)) {
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str("    ");
+        write(row, out);
+        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]");
-    if s.chaos.is_empty() {
-        out.push_str("\n}\n");
-        return out;
-    }
-    out.push_str(",\n  \"chaos\": [\n");
-    for (i, c) in s.chaos.iter().enumerate() {
-        let comma = if i + 1 == s.chaos.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": {}, \"faults\": {}, \"shed\": {}, \"retries\": {}, \
-             \"rearms\": {}, \"stranded_final\": {}, \"completed\": {}, \"p99\": {}, \
-             \"recovery_at\": {}, \"post_requests\": {}, \
-             \"post_p99_ratio_milli\": {}}}{comma}",
-            Str(&c.mode),
-            c.faults,
-            c.shed,
-            c.retries,
-            c.rearms,
-            c.stranded_final,
-            c.completed,
-            c.p99,
-            c.recovery_at,
-            c.post_requests,
-            c.post_p99_ratio_milli,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Parses a file produced by [`emit`]. Unknown keys are ignored, so
@@ -268,54 +238,14 @@ pub fn parse(text: &str) -> Result<ServeSummary, String> {
         slot_cycles: doc.opt_num("slot_cycles", 0)?,
         compile_workers: doc.opt_num("compile_workers", 0)?,
         cache_capacity_instrs: doc.opt_num("cache_capacity_instrs", 0)?,
-        modes: json::each("modes", doc.arr("modes")?, mode_row)?,
+        modes: json::each("modes", doc.arr("modes")?, ModeReport::read)?,
         // Absent from fault-free files.
-        chaos: json::each("chaos", doc.opt_arr("chaos")?, chaos_row)?,
+        chaos: json::each("chaos", doc.opt_arr("chaos")?, ChaosRow::read)?,
     };
     if top.modes.is_empty() {
         return Err("not a SERVE_summary.json: no mode rows".to_string());
     }
     Ok(top)
-}
-
-fn mode_row(m: &Value) -> Result<ModeReport, String> {
-    Ok(ModeReport {
-        mode: m.str("mode")?.to_string(),
-        completed: m.num("completed")?,
-        p50: m.num("p50")?,
-        p99: m.num("p99")?,
-        p999: m.num("p999")?,
-        max: m.num("max")?,
-        mean: m.num("mean")?,
-        queue_depth_max: m.num("queue_depth_max")?,
-        queue_depth_mean_milli: m.num("queue_depth_mean_milli")?,
-        compiles: m.num("compiles")?,
-        evictions: m.num("evictions")?,
-        deopts: m.num("deopts")?,
-        recompiles: m.num("recompiles")?,
-        // Absent from files written before invalidation went per-loop
-        // (`loop_*`) or before the chaos harness (`stranded`).
-        loop_deopts: m.opt_num("loop_deopts", 0)?,
-        loop_repatches: m.opt_num("loop_repatches", 0)?,
-        stranded: m.opt_num("stranded", 0)?,
-        checksum: m.num("checksum")?,
-    })
-}
-
-fn chaos_row(c: &Value) -> Result<ChaosRow, String> {
-    Ok(ChaosRow {
-        mode: c.str("mode")?.to_string(),
-        faults: c.num("faults")?,
-        shed: c.num("shed")?,
-        retries: c.num("retries")?,
-        rearms: c.num("rearms")?,
-        stranded_final: c.num("stranded_final")?,
-        completed: c.num("completed")?,
-        p99: c.num("p99")?,
-        recovery_at: c.num("recovery_at")?,
-        post_requests: c.num("post_requests")?,
-        post_p99_ratio_milli: c.num("post_p99_ratio_milli")?,
-    })
 }
 
 /// Renders the human-readable latency table.

@@ -5,36 +5,43 @@
 //! is in the trace stream ([`TraceEvent::LoopInvalidated`],
 //! [`TraceEvent::LoopRepatched`], [`TraceEvent::Recompile`]) but scattered
 //! across per-run dumps. This module extracts those events per cell,
-//! round-trips them through a JSONL file (read back through
-//! [`crate::json`]), and aggregates them into one row per cell with a
-//! `stranded` column counting loops that were invalidated more often than
-//! they were repatched, i.e. loops currently running with their prefetch
-//! sites patched out.
+//! round-trips them through a JSONL file ([`DeoptRow`]'s declaration is
+//! its schema, see [`crate::record`]), and aggregates them into one row
+//! per cell with a `stranded` column counting loops that were invalidated
+//! more often than they were repatched, i.e. loops currently running with
+//! their prefetch sites patched out.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
-use crate::json::{self, Str};
+use crate::json;
 
-/// One adaptive-reprofiling event of one cell (run).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DeoptRow {
-    /// The run key, `workload/mode/processor`.
-    pub run: String,
-    /// Event tag: `recompile`, `loop_invalidated`, or `loop_repatched`.
-    pub tag: String,
-    /// Method index in the program.
-    pub method: u32,
-    /// Loop header block index for per-loop rows (`*` for the
-    /// straight-line pseudo-loop), `-` for `recompile` rows.
-    pub loop_header: String,
-    /// Compilation generation the event refers to.
-    pub generation: u32,
-    /// Staleness reason for `loop_invalidated` rows, `-` otherwise.
-    pub reason: String,
-    /// Simulated cycle of the event.
-    pub now: u64,
+crate::record! {
+    /// One adaptive-reprofiling event of one cell (run). The members an
+    /// `events_jsonl` line lacks default to `-`.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct DeoptRow {
+        /// The run key, `workload/mode/processor`.
+        #[default = "-".to_string()]
+        pub run: String,
+        /// Event tag: `recompile`, `loop_invalidated`, or `loop_repatched`.
+        pub tag: String,
+        /// Method index in the program.
+        pub method: u32,
+        /// Loop header block index for per-loop rows (`*` for the
+        /// straight-line pseudo-loop), `-` for `recompile` rows.
+        #[key = "loop"]
+        #[default = "-".to_string()]
+        pub loop_header: String,
+        /// Compilation generation the event refers to.
+        pub generation: u32,
+        /// Staleness reason for `loop_invalidated` rows, `-` otherwise.
+        #[default = "-".to_string()]
+        pub reason: String,
+        /// Simulated cycle of the event.
+        pub now: u64,
+    }
 }
 
 fn loop_key(header: u32) -> String {
@@ -101,18 +108,8 @@ pub fn rows(run: &str, events: &[TraceEvent]) -> Vec<DeoptRow> {
 pub fn emit(rows: &[DeoptRow]) -> String {
     let mut s = String::new();
     for r in rows {
-        let _ = writeln!(
-            s,
-            "{{\"run\": {}, \"tag\": {}, \"method\": {}, \"loop\": {}, \
-             \"generation\": {}, \"reason\": {}, \"now\": {}}}",
-            Str(&r.run),
-            Str(&r.tag),
-            r.method,
-            Str(&r.loop_header),
-            r.generation,
-            Str(&r.reason),
-            r.now,
-        );
+        r.write(&mut s);
+        s.push('\n');
     }
     s
 }
@@ -127,19 +124,13 @@ pub fn emit(rows: &[DeoptRow]) -> String {
 /// Returns a message naming the first malformed line.
 pub fn parse(text: &str) -> Result<Vec<DeoptRow>, String> {
     json::lines(text, |v| {
-        let tag = v.str("tag")?;
-        if !matches!(tag, "recompile" | "loop_invalidated" | "loop_repatched") {
+        if !matches!(
+            v.str("tag")?,
+            "recompile" | "loop_invalidated" | "loop_repatched"
+        ) {
             return Ok(None);
         }
-        Ok(Some(DeoptRow {
-            run: v.opt_str("run", "-")?.to_string(),
-            tag: tag.to_string(),
-            method: v.num("method")?,
-            loop_header: v.opt_str("loop", "-")?.to_string(),
-            generation: v.num("generation")?,
-            reason: v.opt_str("reason", "-")?.to_string(),
-            now: v.num("now")?,
-        }))
+        DeoptRow::read(v).map(Some)
     })
 }
 

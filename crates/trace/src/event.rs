@@ -5,6 +5,10 @@
 //! respect to the [`TraceEvent::JitBegin`] of the method they belong to;
 //! runtime events carry the simulated cycle at which they occurred.
 
+use std::fmt::Write as _;
+
+use crate::json::{events, Member, Str, Value};
+
 /// Identifies one prefetch site: a `Prefetch` or `SpecLoad` instruction in
 /// a compiled method body. Allocated by [`crate::SiteTable`]; ties every
 /// runtime event back to the IR instruction (and loop) that generated it.
@@ -24,6 +28,15 @@ impl std::fmt::Display for SiteId {
         } else {
             write!(f, "s{}", self.0)
         }
+    }
+}
+
+impl Member for SiteId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+    fn read(v: &Value<'_>, key: &str) -> Result<Self, String> {
+        u32::read(v, key).map(SiteId)
     }
 }
 
@@ -56,18 +69,6 @@ pub enum SuppressReason {
     NestedTripCount,
 }
 
-impl std::fmt::Display for SuppressReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SuppressReason::ZeroStride => "zero-stride",
-            SuppressReason::NoDependent => "no-dependent",
-            SuppressReason::StrideTooSmall => "stride-too-small",
-            SuppressReason::LineShared => "line-shared",
-            SuppressReason::NestedTripCount => "nested-trip-count",
-        })
-    }
-}
-
 /// Why the adaptive-reprofiling guards declared a loop's prefetch sites
 /// stale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,15 +79,6 @@ pub enum StaleReason {
     /// The method's useless-prefetch ratio (issues finding the line
     /// already resident) crossed the staleness threshold.
     UselessRatio,
-}
-
-impl std::fmt::Display for StaleReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StaleReason::GcMoved => "gc-moved",
-            StaleReason::UselessRatio => "useless-ratio",
-        })
-    }
 }
 
 /// The kind of a fault injected by the serving chaos harness
@@ -108,17 +100,6 @@ pub enum FaultKind {
     TrafficBurst,
 }
 
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FaultKind::GcStorm => "gc-storm",
-            FaultKind::CompileStall => "compile-stall",
-            FaultKind::CacheSqueeze => "cache-squeeze",
-            FaultKind::TrafficBurst => "traffic-burst",
-        })
-    }
-}
-
 /// The code shape of a planned prefetch (mirrors the report's
 /// `GeneratedKind` without depending on `spf-core`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -133,378 +114,391 @@ pub enum PlannedShape {
     IntraStride,
 }
 
-impl std::fmt::Display for PlannedShape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PlannedShape::InterStride => "inter-stride",
-            PlannedShape::SpeculativeLoad => "spec-load",
-            PlannedShape::Dereference => "dereference",
-            PlannedShape::IntraStride => "intra-stride",
-        })
+/// Declares each enum's wire names once: `Display` prints the name, and as
+/// a [`Member`] the enum is written as that name, quoted, and read back by
+/// it.
+macro_rules! wire_names {
+    ($($ty:ident { $($variant:ident = $name:literal,)+ })+) => {$(
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(match self {$(
+                    $ty::$variant => $name,
+                )+})
+            }
+        }
+
+        impl Member for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "\"{self}\"");
+            }
+            fn read(v: &Value<'_>, key: &str) -> Result<Self, String> {
+                match v.as_str(key)? {
+                    $($name => Ok($ty::$variant),)+
+                    other => Err(format!("field \"{key}\": unknown name {}", Str(other))),
+                }
+            }
+        }
+    )+};
+}
+
+wire_names! {
+    MissLevel {
+        L1 = "L1",
+        L2 = "L2",
+        Dtlb = "Dtlb",
+    }
+    SuppressReason {
+        ZeroStride = "zero-stride",
+        NoDependent = "no-dependent",
+        StrideTooSmall = "stride-too-small",
+        LineShared = "line-shared",
+        NestedTripCount = "nested-trip-count",
+    }
+    StaleReason {
+        GcMoved = "gc-moved",
+        UselessRatio = "useless-ratio",
+    }
+    FaultKind {
+        GcStorm = "gc-storm",
+        CompileStall = "compile-stall",
+        CacheSqueeze = "cache-squeeze",
+        TrafficBurst = "traffic-burst",
+    }
+    PlannedShape {
+        InterStride = "inter-stride",
+        SpeculativeLoad = "spec-load",
+        Dereference = "dereference",
+        IntraStride = "intra-stride",
     }
 }
 
-/// One trace event. `line` fields are line-aligned simulated addresses;
-/// `now` is the simulated cycle of the event; `ready_at` the cycle an
-/// initiated fill completes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceEvent {
-    // ---- compile time -------------------------------------------------
-    /// JIT compilation of a method begins; subsequent compile-time events
-    /// belong to it until the next `JitBegin`.
-    JitBegin {
-        /// Method index in the program.
-        method: u32,
-    },
-    /// A load dependence graph was built for one loop.
-    LdgBuilt {
-        /// The loop's header block index.
-        loop_header: u32,
-        /// LDG node count.
-        nodes: u32,
-        /// LDG edge count.
-        edges: u32,
-    },
-    /// Object inspection ran for one loop.
-    Inspected {
-        /// The loop's header block index.
-        loop_header: u32,
-        /// Target-loop iterations interpreted.
-        iterations: u32,
-        /// Instructions interpreted.
-        steps: u64,
-        /// Nodes with an inter-iteration stride pattern.
-        inter_patterns: u32,
-        /// Edges with an intra-iteration stride pattern.
-        intra_patterns: u32,
-    },
-    /// The profitability analysis suppressed a candidate prefetch.
-    Suppressed {
-        /// Anchor load's block index.
-        block: u32,
-        /// Anchor load's instruction index within the block.
-        index: u32,
-        /// Why it was suppressed.
-        reason: SuppressReason,
-    },
-    /// The code generator planned one prefetch (or speculative load).
-    Planned {
-        /// Anchor load's block index.
-        block: u32,
-        /// Anchor load's instruction index within the block.
-        index: u32,
-        /// Code shape.
-        shape: PlannedShape,
-        /// Shape parameter: the stride `d`, offset `F`, or accumulated
-        /// intra stride `S`.
-        param: i64,
-    },
-    /// A prefetch site in a freshly compiled body was assigned an ID.
-    SiteRegistered {
-        /// The new site ID.
-        site: SiteId,
-        /// Method index in the program.
-        method: u32,
-        /// Block index of the site.
-        block: u32,
-        /// Instruction index within the block.
-        index: u32,
-        /// Compilation generation of the body containing the site (0 for
-        /// the first compilation, +1 per adaptive recompilation).
-        generation: u32,
-    },
+events! {
+    /// One trace event. `line` fields are line-aligned simulated addresses;
+    /// `now` is the simulated cycle of the event; `ready_at` the cycle an
+    /// initiated fill completes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum TraceEvent {
+        // ---- compile time -------------------------------------------------
+        /// JIT compilation of a method begins; subsequent compile-time events
+        /// belong to it until the next `JitBegin`.
+        JitBegin = "jit_begin" {
+            /// Method index in the program.
+            method: u32,
+        },
+        /// A load dependence graph was built for one loop.
+        LdgBuilt = "ldg_built" {
+            /// The loop's header block index.
+            loop_header: u32,
+            /// LDG node count.
+            nodes: u32,
+            /// LDG edge count.
+            edges: u32,
+        },
+        /// Object inspection ran for one loop.
+        Inspected = "inspected" {
+            /// The loop's header block index.
+            loop_header: u32,
+            /// Target-loop iterations interpreted.
+            iterations: u32,
+            /// Instructions interpreted.
+            steps: u64,
+            /// Nodes with an inter-iteration stride pattern.
+            inter_patterns: u32,
+            /// Edges with an intra-iteration stride pattern.
+            intra_patterns: u32,
+        },
+        /// The profitability analysis suppressed a candidate prefetch.
+        Suppressed = "suppressed" {
+            /// Anchor load's block index.
+            block: u32,
+            /// Anchor load's instruction index within the block.
+            index: u32,
+            /// Why it was suppressed.
+            reason: SuppressReason,
+        },
+        /// The code generator planned one prefetch (or speculative load).
+        Planned = "planned" {
+            /// Anchor load's block index.
+            block: u32,
+            /// Anchor load's instruction index within the block.
+            index: u32,
+            /// Code shape.
+            shape: PlannedShape,
+            /// Shape parameter: the stride `d`, offset `F`, or accumulated
+            /// intra stride `S`.
+            param: i64,
+        },
+        /// A prefetch site in a freshly compiled body was assigned an ID.
+        SiteRegistered = "site_registered" {
+            /// The new site ID.
+            site: SiteId,
+            /// Method index in the program.
+            method: u32,
+            /// Block index of the site.
+            block: u32,
+            /// Instruction index within the block.
+            index: u32,
+            /// Compilation generation of the body containing the site (0 for
+            /// the first compilation, +1 per adaptive recompilation).
+            generation: u32,
+        },
 
-    // ---- runtime ------------------------------------------------------
-    /// A demand access missed in `level`.
-    DemandMiss {
-        /// Which structure missed.
-        level: MissLevel,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-        /// Whether the access was a store.
-        store: bool,
-    },
-    /// A software prefetch instruction was issued.
-    SwpfIssued {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// A software prefetch was cancelled by a DTLB miss (Pentium 4).
-    SwpfDropped {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// A software prefetch initiated a fill of its target level.
-    SwpfFill {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-        /// Cycle at which the fill completes.
-        ready_at: u64,
-    },
-    /// A software prefetch found its line already resident (no fill).
-    SwpfRedundant {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// A guarded prefetch load was issued.
-    GuardedIssued {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-        /// Whether it primed a missing DTLB entry (§3.3 "TLB priming").
-        tlb_primed: bool,
-    },
-    /// A guarded prefetch load initiated a fill.
-    GuardedFill {
-        /// Issuing site.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-        /// Cycle at which the fill completes.
-        ready_at: u64,
-    },
-    /// The hardware next-line prefetcher filled a line.
-    HwPrefetchFill {
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle.
-        now: u64,
-        /// Cycle at which the fill completes.
-        ready_at: u64,
-    },
-    /// A demand access used a line that a software prefetch or guarded
-    /// load had filled (first use only).
-    PrefetchUsed {
-        /// The site whose fill was used.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle of the demand access.
-        now: u64,
-        /// Cycles the demand access still had to wait for the in-flight
-        /// fill: 0 means the prefetch was timely (useful), >0 means it
-        /// was issued too late.
-        wait: u64,
-    },
-    /// A prefetched line was evicted from its target level before any
-    /// demand access used it — the prefetch was issued too early.
-    PrefetchEvicted {
-        /// The site whose fill was evicted.
-        site: SiteId,
-        /// Line-aligned address.
-        line: u64,
-        /// Simulated cycle of the eviction.
-        now: u64,
-    },
-    // ---- adaptive reprofiling -----------------------------------------
-    /// A method whose compiled body was discarded was compiled again.
-    Recompile {
-        /// Method index in the program.
-        method: u32,
-        /// The new generation (≥ 1).
-        generation: u32,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// One loop of a compiled method went stale and its prefetch sites
-    /// were patched to no-ops; the rest of the body stays live.
-    LoopInvalidated {
-        /// Method index in the program.
-        method: u32,
-        /// The stale loop's header block index (`u32::MAX` for the
-        /// pseudo-loop holding straight-line sites).
-        loop_header: u32,
-        /// The loop's generation that went stale.
-        generation: u32,
-        /// Why.
-        reason: StaleReason,
-        /// Simulated cycle.
-        now: u64,
-    },
-    /// A previously invalidated loop was re-inspected through the normal
-    /// pipeline and its prefetch sites re-emitted into the live body.
-    LoopRepatched {
-        /// Method index in the program.
-        method: u32,
-        /// The repatched loop's header block index.
-        loop_header: u32,
-        /// The loop's new generation (≥ 1).
-        generation: u32,
-        /// Simulated cycle.
-        now: u64,
-    },
+        // ---- runtime ------------------------------------------------------
+        /// A demand access missed in `level`.
+        DemandMiss = "demand_miss" {
+            /// Which structure missed.
+            level: MissLevel,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+            /// Whether the access was a store.
+            store: bool,
+        },
+        /// A software prefetch instruction was issued.
+        SwpfIssued = "swpf_issued" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+        },
+        /// A software prefetch was cancelled by a DTLB miss (Pentium 4).
+        SwpfDropped = "swpf_dropped" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+        },
+        /// A software prefetch initiated a fill of its target level.
+        SwpfFill = "swpf_fill" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+            /// Cycle at which the fill completes.
+            ready_at: u64,
+        },
+        /// A software prefetch found its line already resident (no fill).
+        SwpfRedundant = "swpf_redundant" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+        },
+        /// A guarded prefetch load was issued.
+        GuardedIssued = "guarded_issued" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+            /// Whether it primed a missing DTLB entry (§3.3 "TLB priming").
+            tlb_primed: bool,
+        },
+        /// A guarded prefetch load initiated a fill.
+        GuardedFill = "guarded_fill" {
+            /// Issuing site.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+            /// Cycle at which the fill completes.
+            ready_at: u64,
+        },
+        /// The hardware next-line prefetcher filled a line.
+        HwPrefetchFill = "hw_prefetch_fill" {
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle.
+            now: u64,
+            /// Cycle at which the fill completes.
+            ready_at: u64,
+        },
+        /// A demand access used a line that a software prefetch or guarded
+        /// load had filled (first use only).
+        PrefetchUsed = "prefetch_used" {
+            /// The site whose fill was used.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle of the demand access.
+            now: u64,
+            /// Cycles the demand access still had to wait for the in-flight
+            /// fill: 0 means the prefetch was timely (useful), >0 means it
+            /// was issued too late.
+            wait: u64,
+        },
+        /// A prefetched line was evicted from its target level before any
+        /// demand access used it — the prefetch was issued too early.
+        PrefetchEvicted = "prefetch_evicted" {
+            /// The site whose fill was evicted.
+            site: SiteId,
+            /// Line-aligned address.
+            line: u64,
+            /// Simulated cycle of the eviction.
+            now: u64,
+        },
+        // ---- adaptive reprofiling -----------------------------------------
+        /// A method whose compiled body was discarded was compiled again.
+        Recompile = "recompile" {
+            /// Method index in the program.
+            method: u32,
+            /// The new generation (≥ 1).
+            generation: u32,
+            /// Simulated cycle.
+            now: u64,
+        },
+        /// One loop of a compiled method went stale and its prefetch sites
+        /// were patched to no-ops; the rest of the body stays live.
+        LoopInvalidated = "loop_invalidated" {
+            /// Method index in the program.
+            method: u32,
+            /// The stale loop's header block index (`u32::MAX` for the
+            /// pseudo-loop holding straight-line sites).
+            loop_header: u32,
+            /// The loop's generation that went stale.
+            generation: u32,
+            /// Why.
+            reason: StaleReason,
+            /// Simulated cycle.
+            now: u64,
+        },
+        /// A previously invalidated loop was re-inspected through the normal
+        /// pipeline and its prefetch sites re-emitted into the live body.
+        LoopRepatched = "loop_repatched" {
+            /// Method index in the program.
+            method: u32,
+            /// The repatched loop's header block index.
+            loop_header: u32,
+            /// The loop's new generation (≥ 1).
+            generation: u32,
+            /// Simulated cycle.
+            now: u64,
+        },
 
-    // ---- serving ------------------------------------------------------
-    /// The serving layer enqueued a background compilation request for a
-    /// tenant's hot method (the tenant keeps interpreting meanwhile).
-    CompileEnqueued {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Method index in the tenant's program.
-        method: u32,
-        /// Compilation-queue depth *after* this enqueue.
-        depth: u32,
-        /// Simulated serving-clock cycle.
-        now: u64,
-    },
-    /// A background compilation finished and its body was installed into
-    /// the tenant's VM (and the shared code cache).
-    CompileInstalled {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Method index in the tenant's program.
-        method: u32,
-        /// Simulated cycles between enqueue and install.
-        wait: u64,
-        /// Simulated serving-clock cycle.
-        now: u64,
-    },
-    /// The bounded shared code cache evicted a tenant's compiled body to
-    /// make room; the tenant falls back to the interpreter until a forced
-    /// recompile lands.
-    CodeCacheEvicted {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Method index in the tenant's program.
-        method: u32,
-        /// Compiled-body size (instruction count) released.
-        instrs: u32,
-        /// Simulated serving-clock cycle.
-        now: u64,
-    },
-    /// A served request (one workload invocation on a tenant's VM)
-    /// completed.
-    RequestCompleted {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Request sequence number in arrival order.
-        request: u32,
-        /// Simulated cycles from arrival to completion (queueing +
-        /// service).
-        latency: u64,
-        /// Simulated serving-clock cycle of completion.
-        now: u64,
-    },
+        // ---- serving ------------------------------------------------------
+        /// The serving layer enqueued a background compilation request for a
+        /// tenant's hot method (the tenant keeps interpreting meanwhile).
+        CompileEnqueued = "compile_enqueued" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Method index in the tenant's program.
+            method: u32,
+            /// Compilation-queue depth *after* this enqueue.
+            depth: u32,
+            /// Simulated serving-clock cycle.
+            now: u64,
+        },
+        /// A background compilation finished and its body was installed into
+        /// the tenant's VM (and the shared code cache).
+        CompileInstalled = "compile_installed" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Method index in the tenant's program.
+            method: u32,
+            /// Simulated cycles between enqueue and install.
+            wait: u64,
+            /// Simulated serving-clock cycle.
+            now: u64,
+        },
+        /// The bounded shared code cache evicted a tenant's compiled body to
+        /// make room; the tenant falls back to the interpreter until a forced
+        /// recompile lands.
+        CodeCacheEvicted = "code_cache_evicted" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Method index in the tenant's program.
+            method: u32,
+            /// Compiled-body size (instruction count) released.
+            instrs: u32,
+            /// Simulated serving-clock cycle.
+            now: u64,
+        },
+        /// A served request (one workload invocation on a tenant's VM)
+        /// completed.
+        RequestCompleted = "request_completed" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Request sequence number in arrival order.
+            request: u32,
+            /// Simulated cycles from arrival to completion (queueing +
+            /// service).
+            latency: u64,
+            /// Simulated serving-clock cycle of completion.
+            now: u64,
+        },
 
-    // ---- chaos / degradation ------------------------------------------
-    /// The chaos harness activated a scheduled fault window.
-    FaultInjected {
-        /// What was injected.
-        kind: FaultKind,
-        /// Target tenant, or `u32::MAX` for a fleet-wide fault.
-        tenant: u32,
-        /// Simulated serving-clock cycle the window opened.
-        now: u64,
-        /// Simulated serving-clock cycle the window closes.
-        until: u64,
-    },
-    /// Admission control shed an arriving request because the target
-    /// tenant's queue was at its depth limit — a typed outcome instead of
-    /// unbounded queueing latency.
-    RequestShed {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Request sequence number in arrival order.
-        request: u32,
-        /// The tenant's queue depth at the shed decision.
-        depth: u32,
-        /// Simulated serving-clock cycle.
-        now: u64,
-    },
-    /// A queued background compile exceeded its waiting deadline and was
-    /// re-enqueued with exponential backoff instead of running stale.
-    CompileRetried {
-        /// Tenant (VM instance) index in the serving fleet.
-        tenant: u32,
-        /// Method index in the tenant's program.
-        method: u32,
-        /// Retry attempt number (1 for the first retry).
-        attempt: u32,
-        /// Simulated serving-clock cycle.
-        now: u64,
-    },
-    /// A guard whose recompile budget was exhausted regained one credit
-    /// after the configured number of stable GC epochs and re-armed.
-    GuardRearmed {
-        /// Tenant index, or `u32::MAX` when emitted by a standalone VM.
-        tenant: u32,
-        /// Method index in the program.
-        method: u32,
-        /// The guard's generation at re-arm time.
-        generation: u32,
-        /// Simulated serving-clock cycle (barrier time in serve runs).
-        now: u64,
-    },
+        // ---- chaos / degradation ------------------------------------------
+        /// The chaos harness activated a scheduled fault window.
+        FaultInjected = "fault_injected" {
+            /// What was injected.
+            kind: FaultKind,
+            /// Target tenant, or `u32::MAX` for a fleet-wide fault.
+            tenant: u32,
+            /// Simulated serving-clock cycle the window opened.
+            now: u64,
+            /// Simulated serving-clock cycle the window closes.
+            until: u64,
+        },
+        /// Admission control shed an arriving request because the target
+        /// tenant's queue was at its depth limit — a typed outcome instead of
+        /// unbounded queueing latency.
+        RequestShed = "request_shed" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Request sequence number in arrival order.
+            request: u32,
+            /// The tenant's queue depth at the shed decision.
+            depth: u32,
+            /// Simulated serving-clock cycle.
+            now: u64,
+        },
+        /// A queued background compile exceeded its waiting deadline and was
+        /// re-enqueued with exponential backoff instead of running stale.
+        CompileRetried = "compile_retried" {
+            /// Tenant (VM instance) index in the serving fleet.
+            tenant: u32,
+            /// Method index in the tenant's program.
+            method: u32,
+            /// Retry attempt number (1 for the first retry).
+            attempt: u32,
+            /// Simulated serving-clock cycle.
+            now: u64,
+        },
+        /// A guard whose recompile budget was exhausted regained one credit
+        /// after the configured number of stable GC epochs and re-armed.
+        GuardRearmed = "guard_rearmed" {
+            /// Tenant index, or `u32::MAX` when emitted by a standalone VM.
+            tenant: u32,
+            /// Method index in the program.
+            method: u32,
+            /// The guard's generation at re-arm time.
+            generation: u32,
+            /// Simulated serving-clock cycle (barrier time in serve runs).
+            now: u64,
+        },
 
-    /// The garbage collector ran a sliding compaction.
-    GcSlide {
-        /// Simulated cycle.
-        now: u64,
-        /// Bytes live after compaction.
-        live_bytes: u64,
-        /// Bytes reclaimed.
-        freed_bytes: u64,
-        /// Live allocations whose address changed.
-        moved_objects: u64,
-    },
-}
-
-impl TraceEvent {
-    /// A short machine-friendly tag naming the variant.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::JitBegin { .. } => "jit_begin",
-            TraceEvent::LdgBuilt { .. } => "ldg_built",
-            TraceEvent::Inspected { .. } => "inspected",
-            TraceEvent::Suppressed { .. } => "suppressed",
-            TraceEvent::Planned { .. } => "planned",
-            TraceEvent::SiteRegistered { .. } => "site_registered",
-            TraceEvent::DemandMiss { .. } => "demand_miss",
-            TraceEvent::SwpfIssued { .. } => "swpf_issued",
-            TraceEvent::SwpfDropped { .. } => "swpf_dropped",
-            TraceEvent::SwpfFill { .. } => "swpf_fill",
-            TraceEvent::SwpfRedundant { .. } => "swpf_redundant",
-            TraceEvent::GuardedIssued { .. } => "guarded_issued",
-            TraceEvent::GuardedFill { .. } => "guarded_fill",
-            TraceEvent::HwPrefetchFill { .. } => "hw_prefetch_fill",
-            TraceEvent::PrefetchUsed { .. } => "prefetch_used",
-            TraceEvent::PrefetchEvicted { .. } => "prefetch_evicted",
-            TraceEvent::Recompile { .. } => "recompile",
-            TraceEvent::LoopInvalidated { .. } => "loop_invalidated",
-            TraceEvent::LoopRepatched { .. } => "loop_repatched",
-            TraceEvent::CompileEnqueued { .. } => "compile_enqueued",
-            TraceEvent::CompileInstalled { .. } => "compile_installed",
-            TraceEvent::CodeCacheEvicted { .. } => "code_cache_evicted",
-            TraceEvent::RequestCompleted { .. } => "request_completed",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::RequestShed { .. } => "request_shed",
-            TraceEvent::CompileRetried { .. } => "compile_retried",
-            TraceEvent::GuardRearmed { .. } => "guard_rearmed",
-            TraceEvent::GcSlide { .. } => "gc_slide",
-        }
+        /// The garbage collector ran a sliding compaction.
+        GcSlide = "gc_slide" {
+            /// Simulated cycle.
+            now: u64,
+            /// Bytes live after compaction.
+            live_bytes: u64,
+            /// Bytes reclaimed.
+            freed_bytes: u64,
+            /// Live allocations whose address changed.
+            moved_objects: u64,
+        },
     }
 }
 
@@ -516,6 +510,38 @@ mod tests {
     fn site_id_display() {
         assert_eq!(SiteId(3).to_string(), "s3");
         assert_eq!(SiteId::UNKNOWN.to_string(), "?");
+    }
+
+    #[test]
+    fn wire_names_and_site_ids_read_back_as_written() {
+        fn check<T: Member + PartialEq + std::fmt::Debug>(values: &[T], written: &[&str]) {
+            for (value, want) in values.iter().zip(written) {
+                let mut text = String::new();
+                value.write(&mut text);
+                assert_eq!(text, *want);
+                let parsed = crate::json::parse(&text).expect("a JSON value");
+                assert_eq!(T::read(&parsed, "k").as_ref(), Ok(value));
+            }
+        }
+        check(
+            &[MissLevel::L1, MissLevel::L2, MissLevel::Dtlb],
+            &["\"L1\"", "\"L2\"", "\"Dtlb\""],
+        );
+        check(
+            &[StaleReason::GcMoved, StaleReason::UselessRatio],
+            &["\"gc-moved\"", "\"useless-ratio\""],
+        );
+        check(&[PlannedShape::SpeculativeLoad], &["\"spec-load\""]);
+        check(&[SiteId(7), SiteId::UNKNOWN], &["7", "4294967295"]);
+
+        let unknown = crate::json::parse("\"L3\"").expect("a JSON value");
+        assert_eq!(
+            MissLevel::read(&unknown, "level"),
+            Err("field \"level\": unknown name \"L3\"".to_string())
+        );
+        let number = crate::json::parse("1").expect("a JSON value");
+        assert!(FaultKind::read(&number, "kind").is_err());
+        assert!(SiteId::read(&unknown, "site").is_err());
     }
 
     #[test]

@@ -2,19 +2,25 @@
 //! reads back (`BENCH_matrix.json`, `SERVE_summary.json`,
 //! `TRACE_summary.jsonl`, `DEOPT_events.jsonl`, the event dumps).
 //!
-//! Writing stays with each artifact's `emit`, whose format string fixes
-//! the field order and spacing; the only shared piece is [`Str`], the one
-//! spelling of a string literal. Reading is [`parse`] / [`lines`]: a strict
-//! reader (RFC 8259 grammar, duplicate keys and trailing text rejected,
-//! nesting capped at [`MAX_DEPTH`]) producing a borrowed [`Value`], plus
-//! typed accessors that hold the tolerant-field rule in one place: a
-//! *required* accessor ([`Value::str`], [`Value::num`], [`Value::arr`])
-//! fails on an absent key, an *optional* one ([`Value::opt_str`],
-//! [`Value::opt_num`], [`Value::opt_arr`]) returns the caller's default for
-//! an absent key, and both fail on a key that is present with the wrong
-//! type or out of the target type's range. Numbers are kept as source text
-//! and converted by the target type's `FromStr`, so `4294967297` is not a
-//! `u32` and `1.5` is not a `u64`. See DESIGN.md "Artifact formats".
+//! A row's declaration is its schema: [`record!`](crate::record) derives a
+//! struct's `write`, `read` and `members` from it, `events!` derives
+//! [`TraceEvent`](crate::TraceEvent)'s `tag` and member writer. Both spell
+//! a member `"key": value` in declaration order, joined by `", "`; the key
+//! is the field's name unless `#[key = "…"]` renames it, the value what
+//! [`Member`] writes for the field's type. An artifact's `emit` / `parse`
+//! is left with its document envelope and a loop over the rows.
+//!
+//! Reading is [`parse`] / [`lines`]: a strict reader (RFC 8259 grammar,
+//! duplicate keys and trailing text rejected, nesting capped at
+//! [`MAX_DEPTH`]) producing a borrowed [`Value`]. The tolerant-field rule
+//! is held here too: a *required* member or accessor ([`Value::str`],
+//! [`Value::num`], [`Value::arr`]) fails on an absent key, an *optional*
+//! one (a member declared `#[default = …]`; [`Value::opt_num`] and
+//! [`Value::opt_arr`] for the envelopes) takes its default, and both fail
+//! on a key that is present with the wrong type or out of the target
+//! type's range. Numbers are kept as source text and converted by the
+//! target type's `FromStr`, so `4294967297` is not a `u32` and `1.5` is
+//! not a `u64`. See DESIGN.md "Artifact formats".
 
 use std::borrow::Cow;
 use std::fmt::{self, Display, Write as _};
@@ -377,7 +383,7 @@ impl<'a> Value<'a> {
             .ok_or_else(|| format!("missing field \"{key}\""))
     }
 
-    fn as_str(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn as_str(&self, key: &str) -> Result<&str, String> {
         match self {
             Value::Str(s) => Ok(s),
             _ => Err(format!("field \"{key}\" is not a string")),
@@ -414,11 +420,6 @@ impl<'a> Value<'a> {
         self.need(key)?.as_str(key)
     }
 
-    /// The string under `key`, or `default`.
-    pub fn opt_str<'s>(&'s self, key: &str, default: &'s str) -> Result<&'s str, String> {
-        self.get(key)?.map_or(Ok(default), |v| v.as_str(key))
-    }
-
     /// The number under `key`, converted and range-checked by `T`.
     pub fn num<T: FromStr<Err: Display>>(&self, key: &str) -> Result<T, String> {
         self.need(key)?.as_num(key)
@@ -439,6 +440,190 @@ impl<'a> Value<'a> {
         self.get(key)?.map_or(Ok(&[]), |v| v.as_arr(key))
     }
 }
+
+/// How one member of a record or event is spelled. Implemented for the
+/// integer types and `bool` (plain), for `String` (through [`Str`]), and
+/// beside their declarations for [`SiteId`](crate::SiteId) (its number) and
+/// the wire-named enums (their `Display` name, quoted).
+pub trait Member: Sized {
+    /// Appends `self` as a JSON value.
+    fn write(&self, out: &mut String);
+
+    /// Reads `self` back from `v`, the value found under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when `v` has the wrong type or is out of range.
+    fn read(v: &Value<'_>, key: &str) -> Result<Self, String>;
+
+    /// Appends `"key": self, ` — the one spelling of a member. Whoever
+    /// closes the object truncates the last member's `", "`.
+    fn put(&self, key: &str, out: &mut String) {
+        let _ = write!(out, "\"{key}\": ");
+        self.write(out);
+        out.push_str(", ");
+    }
+
+    /// The member of the object `obj` under `key`, or `default` if absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Member::read`]; also when `key` is absent and has no default.
+    fn find(obj: &Value<'_>, key: &str, default: Option<Self>) -> Result<Self, String> {
+        match default {
+            None => Self::read(obj.need(key)?, key),
+            Some(default) => obj.get(key)?.map_or(Ok(default), |v| Self::read(v, key)),
+        }
+    }
+}
+
+macro_rules! plain_members {
+    ($($ty:ty)+) => {$(
+        impl Member for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &Value<'_>, key: &str) -> Result<Self, String> {
+                v.as_num(key)
+            }
+        }
+    )+};
+}
+plain_members!(u32 u64 u128 usize i32 i64);
+
+impl Member for bool {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &Value<'_>, key: &str) -> Result<Self, String> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("field \"{key}\" is not a boolean")),
+        }
+    }
+}
+
+impl Member for String {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{}", Str(self));
+    }
+    fn read(v: &Value<'_>, key: &str) -> Result<Self, String> {
+        v.as_str(key).map(str::to_string)
+    }
+}
+
+/// Declares a row type and derives its codec. Wraps a `pub struct` of `pub`
+/// fields as it stands and generates `write`, `read` and `members`. After a
+/// field's doc comment, `#[key = "…"]` names its key (the field's name
+/// otherwise) and `#[default = …]` makes it optional on input; `read` binds
+/// the members in order, so a default may name an earlier one.
+#[macro_export]
+macro_rules! record {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@default) => { None };
+    (@default $default:expr) => { Some($default) };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {$(
+            $(#[doc = $doc:literal])*
+            $(#[key = $key:literal])?
+            $(#[default = $default:expr])?
+            pub $field:ident: $ty:ty,
+        )+}
+    ) => {
+        $(#[$meta])*
+        pub struct $name {$(
+            $(#[doc = $doc])*
+            pub $field: $ty,
+        )+}
+
+        #[allow(dead_code)] // a row that is only ever written never calls `read`
+        impl $name {
+            /// Appends the row as one JSON object, members in declaration
+            /// order.
+            pub fn write(&self, out: &mut String) {
+                out.push('{');
+                $($crate::json::Member::put(
+                    &self.$field,
+                    $crate::record!(@key $field $($key)?),
+                    out,
+                );)+
+                out.truncate(out.len() - 2);
+                out.push('}');
+            }
+
+            /// Reads the row back from a parsed object. Unknown keys are
+            /// ignored; a member that is absent without a declared default,
+            /// of the wrong type or out of range is an error naming its key.
+            pub fn read(v: &$crate::json::Value<'_>) -> Result<Self, String> {
+                $(let $field: $ty = $crate::json::Member::find(
+                    v,
+                    $crate::record!(@key $field $($key)?),
+                    $crate::record!(@default $($default)?),
+                )?;)+
+                Ok(Self { $($field),+ })
+            }
+
+            /// Every member as `(key, written value)`, in declaration order.
+            pub fn members(&self) -> Vec<(&'static str, String)> {
+                let mut all = Vec::new();
+                $(
+                    let mut value = String::new();
+                    $crate::json::Member::write(&self.$field, &mut value);
+                    all.push(($crate::record!(@key $field $($key)?), value));
+                )+
+                all
+            }
+        }
+    };
+}
+
+/// Declares the event vocabulary and derives its write side. Wraps the enum
+/// as it stands, each variant followed by `= "tag"`, and generates `tag()`
+/// and the member writer behind `events_jsonl`.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {$(
+            $(#[$vmeta:meta])*
+            $variant:ident = $tag:literal {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty,
+            )+},
+        )+}
+    ) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$vmeta])*
+            $variant {$(
+                $(#[$fmeta])*
+                $field: $ty,
+            )+},
+        )+}
+
+        impl $name {
+            /// A short machine-friendly tag naming the variant.
+            pub fn tag(&self) -> &'static str {
+                match self {$(
+                    Self::$variant { .. } => $tag,
+                )+}
+            }
+
+            /// Appends the variant's fields the way a record's members are
+            /// spelled: `"key": value`, joined by `", "`, in declaration order.
+            pub(crate) fn write_members(&self, out: &mut String) {
+                match self {$(
+                    Self::$variant { $($field),+ } => {
+                        $($crate::json::Member::put($field, stringify!($field), out);)+
+                    }
+                )+}
+                out.truncate(out.len() - 2);
+            }
+        }
+    };
+}
+pub(crate) use events;
 
 #[cfg(test)]
 mod tests {
@@ -490,8 +675,6 @@ mod tests {
             v.opt_num("s", 7u64).is_err(),
             "present but wrong is an error"
         );
-        assert_eq!(v.opt_str("absent", "-").unwrap(), "-");
-        assert_eq!(v.opt_str("s", "-").unwrap(), "x");
         assert!(Value::Null.str("s").unwrap_err().contains("object"));
     }
 

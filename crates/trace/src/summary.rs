@@ -1,49 +1,53 @@
 //! `TRACE_summary.jsonl` — the per-site effectiveness record of a traced
 //! run, and the rendering/diffing behind the `spf-trace-report` CLI.
 //!
-//! One JSON object per prefetch site per line, read back through
-//! [`crate::json`].
+//! One JSON object per prefetch site per line: [`SummaryRow`]'s
+//! declaration is the schema ([`crate::record`]).
 
 use std::fmt::Write as _;
 
 use crate::attribution::Attribution;
-use crate::json::{self, Str};
-use crate::site::{SiteKind, SiteTable};
+use crate::json;
+use crate::site::{SiteInfo, SiteKind, SiteTable};
 
-/// One prefetch site's effectiveness in one run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SummaryRow {
-    /// The run key, `workload/mode/processor`.
-    pub run: String,
-    /// Site ID within the run.
-    pub site: u32,
-    /// Method name of the site.
-    pub method: String,
-    /// Block index of the site.
-    pub block: u32,
-    /// Instruction index within the block.
-    pub index: u32,
-    /// Innermost loop header block, or -1 if the site is not in a loop.
-    pub loop_header: i64,
-    /// Site kind (display form of [`SiteKind`]).
-    pub kind: String,
-    /// Compilation generation of the body containing the site (0 unless
-    /// adaptive reprofiling recompiled the method).
-    pub generation: u32,
-    /// Prefetches issued (software + guarded).
-    pub issued: u64,
-    /// Useful: settled before first use, or line already resident.
-    pub useful: u64,
-    /// Too early: evicted before use, or never demanded.
-    pub too_early: u64,
-    /// Too late: first use waited on the in-flight fill.
-    pub too_late: u64,
-    /// Dropped on a DTLB miss.
-    pub dropped: u64,
-    /// Guarded loads issued from this site.
-    pub guarded_issued: u64,
-    /// Guarded loads that primed a missing DTLB entry.
-    pub guarded_tlb_primed: u64,
+crate::record! {
+    /// One prefetch site's effectiveness in one run.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct SummaryRow {
+        /// The run key, `workload/mode/processor`.
+        pub run: String,
+        /// Site ID within the run.
+        pub site: u32,
+        /// Method name of the site.
+        pub method: String,
+        /// Block index of the site.
+        pub block: u32,
+        /// Instruction index within the block.
+        pub index: u32,
+        /// Innermost loop header block, or -1 if the site is not in a loop.
+        pub loop_header: i64,
+        /// Site kind (display form of [`SiteKind`]).
+        pub kind: String,
+        /// Compilation generation of the body containing the site (0 unless
+        /// adaptive reprofiling recompiled the method; absent in summaries
+        /// written before it existed).
+        #[default = 0]
+        pub generation: u32,
+        /// Prefetches issued (software + guarded).
+        pub issued: u64,
+        /// Useful: settled before first use, or line already resident.
+        pub useful: u64,
+        /// Too early: evicted before use, or never demanded.
+        pub too_early: u64,
+        /// Too late: first use waited on the in-flight fill.
+        pub too_late: u64,
+        /// Dropped on a DTLB miss.
+        pub dropped: u64,
+        /// Guarded loads issued from this site.
+        pub guarded_issued: u64,
+        /// Guarded loads that primed a missing DTLB entry.
+        pub guarded_tlb_primed: u64,
+    }
 }
 
 impl SummaryRow {
@@ -71,48 +75,31 @@ impl SummaryRow {
 /// report shows planned-but-idle sites; events attributed to
 /// [`SiteId::UNKNOWN`](crate::SiteId::UNKNOWN) get a synthetic `?` row.
 pub fn rows(run: &str, attr: &Attribution, sites: &SiteTable) -> Vec<SummaryRow> {
-    let mut out: Vec<SummaryRow> = sites
-        .iter()
-        .map(|info| {
-            let e = attr.site(info.id);
-            SummaryRow {
-                run: run.to_string(),
-                site: info.id.0,
-                method: info.method.clone(),
-                block: info.block,
-                index: info.index,
-                loop_header: info.loop_header.map_or(-1, i64::from),
-                kind: info.kind.to_string(),
-                generation: info.generation,
-                issued: e.issued(),
-                useful: e.useful(),
-                too_early: e.too_early(),
-                too_late: e.too_late(),
-                dropped: e.dropped(),
-                guarded_issued: e.guarded_issued,
-                guarded_tlb_primed: e.guarded_tlb_primed,
-            }
-        })
-        .collect();
+    let row = |info: &SiteInfo| {
+        let e = attr.site(info.id);
+        SummaryRow {
+            run: run.to_string(),
+            site: info.id.0,
+            method: info.method.clone(),
+            block: info.block,
+            index: info.index,
+            loop_header: info.loop_header.map_or(-1, i64::from),
+            kind: info.kind.to_string(),
+            generation: info.generation,
+            issued: e.issued(),
+            useful: e.useful(),
+            too_early: e.too_early(),
+            too_late: e.too_late(),
+            dropped: e.dropped(),
+            guarded_issued: e.guarded_issued,
+            guarded_tlb_primed: e.guarded_tlb_primed,
+        }
+    };
+    let mut out: Vec<SummaryRow> = sites.iter().map(row).collect();
     for (id, e) in &attr.per_site {
         if sites.get(*id).is_none() && e.issued() > 0 {
-            out.push(SummaryRow {
-                run: run.to_string(),
-                site: id.0,
-                method: "?".to_string(),
-                block: 0,
-                index: 0,
-                loop_header: -1,
-                kind: SiteKind::Unknown.to_string(),
-                generation: 0,
-                issued: e.issued(),
-                useful: e.useful(),
-                too_early: e.too_early(),
-                too_late: e.too_late(),
-                dropped: e.dropped(),
-                guarded_issued: e.guarded_issued,
-                guarded_tlb_primed: e.guarded_tlb_primed,
-            });
+            let unknown = SiteInfo::new("?", 0, 0, 0, None, SiteKind::Unknown, 0);
+            out.push(row(&SiteInfo { id: *id, ..unknown }));
         }
     }
     out
@@ -122,29 +109,8 @@ pub fn rows(run: &str, attr: &Attribution, sites: &SiteTable) -> Vec<SummaryRow>
 pub fn emit(rows: &[SummaryRow]) -> String {
     let mut s = String::new();
     for r in rows {
-        let _ = writeln!(
-            s,
-            "{{\"run\": {}, \"site\": {}, \"method\": {}, \"block\": {}, \
-             \"index\": {}, \"loop_header\": {}, \"kind\": {}, \"generation\": {}, \
-             \"issued\": {}, \
-             \"useful\": {}, \"too_early\": {}, \"too_late\": {}, \"dropped\": {}, \
-             \"guarded_issued\": {}, \"guarded_tlb_primed\": {}}}",
-            Str(&r.run),
-            r.site,
-            Str(&r.method),
-            r.block,
-            r.index,
-            r.loop_header,
-            Str(&r.kind),
-            r.generation,
-            r.issued,
-            r.useful,
-            r.too_early,
-            r.too_late,
-            r.dropped,
-            r.guarded_issued,
-            r.guarded_tlb_primed,
-        );
+        r.write(&mut s);
+        s.push('\n');
     }
     s
 }
@@ -155,26 +121,7 @@ pub fn emit(rows: &[SummaryRow]) -> String {
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse(text: &str) -> Result<Vec<SummaryRow>, String> {
-    json::lines(text, |v| {
-        Ok(Some(SummaryRow {
-            run: v.str("run")?.to_string(),
-            site: v.num("site")?,
-            method: v.str("method")?.to_string(),
-            block: v.num("block")?,
-            index: v.num("index")?,
-            loop_header: v.num("loop_header")?,
-            kind: v.str("kind")?.to_string(),
-            // Absent in summaries written before adaptive reprofiling.
-            generation: v.opt_num("generation", 0)?,
-            issued: v.num("issued")?,
-            useful: v.num("useful")?,
-            too_early: v.num("too_early")?,
-            too_late: v.num("too_late")?,
-            dropped: v.num("dropped")?,
-            guarded_issued: v.num("guarded_issued")?,
-            guarded_tlb_primed: v.num("guarded_tlb_primed")?,
-        }))
-    })
+    json::lines(text, |v| SummaryRow::read(v).map(Some))
 }
 
 fn pct(part: u64, whole: u64) -> String {
@@ -311,7 +258,6 @@ mod tests {
     use super::*;
     use crate::attribution::attribute;
     use crate::event::{SiteId, TraceEvent};
-    use crate::site::SiteInfo;
 
     fn sample_rows() -> Vec<SummaryRow> {
         let mut sites = SiteTable::new();

@@ -3,16 +3,23 @@
 //! hostile strings round-trip in all four record types, out-of-range
 //! numbers are rejected instead of narrowed, no mutation of an emitted
 //! file makes a reader panic, a document cut at a line boundary is an
-//! error, and every committed artifact still parses.
+//! error, and every committed artifact still parses. The bytes are pinned
+//! too: the committed artifacts re-emit from their parsed rows byte for
+//! byte, and the event and serve writers reproduce two goldens written by
+//! the hand-aligned format strings they replaced. What `record!` and
+//! `events!` derive is checked per declaration: every row reads back what
+//! it wrote, exactly the declared defaults are optional, `#[key]` renames
+//! in both directions, and a tag is its variant's name in snake case.
 
 use stride_prefetch::bench::matrix::CellResult;
-use stride_prefetch::bench::{matrix_json, Measurement};
+use stride_prefetch::bench::matrix_json::{self, CellSummary};
+use stride_prefetch::bench::Measurement;
 use stride_prefetch::prefetch::PrefetchMode;
 use stride_prefetch::serve::{report, ChaosRow, ModeReport, ServeSummary};
 use stride_prefetch::trace::deopt::{self, DeoptRow};
 use stride_prefetch::trace::export::events_jsonl;
 use stride_prefetch::trace::summary::{self, SummaryRow};
-use stride_prefetch::trace::{json, StaleReason, TraceEvent};
+use stride_prefetch::trace::{json, SiteInfo, SiteKind, SiteTable, StaleReason, TraceEvent};
 use stride_prefetch::workloads::Size;
 
 use spf_testkit::{cases, Rng};
@@ -338,4 +345,433 @@ fn committed_artifacts_parse_through_their_readers() {
     let manifest = json::parse(&manifest).expect("BENCHMARK.json");
     assert_eq!(manifest.arr("workloads").expect("workloads").len(), 4);
     json::parse(&committed("benchmark/baseline.json")).expect("benchmark/baseline.json");
+}
+
+/// One event of every `TraceEvent` variant, in declaration order. Site 0 is
+/// the one the golden's `SiteTable` resolves; site 7 stays unresolved.
+fn every_event() -> Vec<TraceEvent> {
+    use stride_prefetch::trace::{FaultKind, MissLevel, PlannedShape, SiteId, SuppressReason};
+    let (site, line, now) = (SiteId(0), 0x1c0, 1_000);
+    vec![
+        TraceEvent::JitBegin { method: 2 },
+        TraceEvent::LdgBuilt {
+            loop_header: 4,
+            nodes: 5,
+            edges: 6,
+        },
+        TraceEvent::Inspected {
+            loop_header: 4,
+            iterations: 20,
+            steps: u64::MAX,
+            inter_patterns: 2,
+            intra_patterns: 1,
+        },
+        TraceEvent::Suppressed {
+            block: 4,
+            index: 1,
+            reason: SuppressReason::StrideTooSmall,
+        },
+        TraceEvent::Planned {
+            block: 4,
+            index: 2,
+            shape: PlannedShape::IntraStride,
+            param: i64::MIN,
+        },
+        TraceEvent::SiteRegistered {
+            site,
+            method: 2,
+            block: 4,
+            index: 3,
+            generation: 1,
+        },
+        TraceEvent::DemandMiss {
+            level: MissLevel::Dtlb,
+            line,
+            now,
+            store: true,
+        },
+        TraceEvent::SwpfIssued { site, line, now },
+        TraceEvent::SwpfDropped {
+            site: SiteId(7),
+            line,
+            now,
+        },
+        TraceEvent::SwpfFill {
+            site,
+            line,
+            now,
+            ready_at: 1_200,
+        },
+        TraceEvent::SwpfRedundant { site, line, now },
+        TraceEvent::GuardedIssued {
+            site,
+            line,
+            now,
+            tlb_primed: false,
+        },
+        TraceEvent::GuardedFill {
+            site: SiteId::UNKNOWN,
+            line,
+            now,
+            ready_at: 1_200,
+        },
+        TraceEvent::HwPrefetchFill {
+            line,
+            now,
+            ready_at: 1_200,
+        },
+        TraceEvent::PrefetchUsed {
+            site,
+            line,
+            now,
+            wait: 17,
+        },
+        TraceEvent::PrefetchEvicted { site, line, now },
+        TraceEvent::Recompile {
+            method: 2,
+            generation: 1,
+            now,
+        },
+        TraceEvent::LoopInvalidated {
+            method: 2,
+            loop_header: u32::MAX,
+            generation: 0,
+            reason: StaleReason::GcMoved,
+            now,
+        },
+        TraceEvent::LoopRepatched {
+            method: 2,
+            loop_header: 4,
+            generation: 1,
+            now,
+        },
+        TraceEvent::CompileEnqueued {
+            tenant: 3,
+            method: 2,
+            depth: 9,
+            now,
+        },
+        TraceEvent::CompileInstalled {
+            tenant: 3,
+            method: 2,
+            wait: 800,
+            now,
+        },
+        TraceEvent::CodeCacheEvicted {
+            tenant: 3,
+            method: 2,
+            instrs: 64,
+            now,
+        },
+        TraceEvent::RequestCompleted {
+            tenant: 3,
+            request: 11,
+            latency: 5_000,
+            now,
+        },
+        TraceEvent::FaultInjected {
+            kind: FaultKind::CacheSqueeze,
+            tenant: u32::MAX,
+            now,
+            until: 2_000,
+        },
+        TraceEvent::RequestShed {
+            tenant: 3,
+            request: 12,
+            depth: 8,
+            now,
+        },
+        TraceEvent::CompileRetried {
+            tenant: 3,
+            method: 2,
+            attempt: 1,
+            now,
+        },
+        TraceEvent::GuardRearmed {
+            tenant: u32::MAX,
+            method: 2,
+            generation: 3,
+            now,
+        },
+        TraceEvent::GcSlide {
+            now,
+            live_bytes: 4_096,
+            freed_bytes: 512,
+            moved_objects: 31,
+        },
+    ]
+}
+
+/// The variant's name, from its `Debug` rendering.
+fn variant_name(ev: &TraceEvent) -> String {
+    let debug = format!("{ev:?}");
+    debug.split(' ').next().expect("a name").to_string()
+}
+
+#[test]
+fn committed_artifacts_re_emit_byte_for_byte() {
+    let text = committed("TRACE_summary.jsonl");
+    let rows = summary::parse(&text).expect("TRACE_summary.jsonl");
+    assert_eq!(summary::emit(&rows), text);
+    let text = committed("DEOPT_events.jsonl");
+    let rows = deopt::parse(&text).expect("DEOPT_events.jsonl");
+    assert_eq!(deopt::emit(&rows), text);
+
+    let text = committed("BENCH_baseline.json");
+    let cells = matrix_json::parse(&text).expect("BENCH_baseline.json");
+    let lines: Vec<&str> = text.lines().filter(|l| l.contains("\"name\"")).collect();
+    assert_eq!(lines.len(), cells.len());
+    for (line, cell) in lines.iter().zip(&cells) {
+        let mut again = String::new();
+        cell.write(&mut again);
+        assert_eq!(again, line.trim_start().trim_end_matches(','));
+    }
+}
+
+#[test]
+fn the_event_and_serve_writers_match_their_goldens() {
+    // Both files were written by the hand-aligned format strings the
+    // declared writers replaced; the codec must keep reproducing them.
+    let events = every_event();
+    let names: std::collections::BTreeSet<String> = events.iter().map(variant_name).collect();
+    assert_eq!(names.len(), 28, "one event of every variant");
+    let mut sites = SiteTable::new();
+    sites.register(SiteInfo::new(
+        "find\"In\\Memory",
+        2,
+        4,
+        1,
+        Some(4),
+        SiteKind::Swpf,
+        0,
+    ));
+    let text = events_jsonl(&events, None) + &events_jsonl(&events, Some(&sites));
+    assert_eq!(text, committed("tests/golden/events.jsonl"));
+    assert_eq!(
+        text.matches("\"at\": \"find\\\"In\\\\Memory@b4.1\"")
+            .count(),
+        6
+    );
+
+    let serve = report::emit(&serve_summary(HOSTILE[0], HOSTILE[2]));
+    assert!(serve.contains("\"chaos\": ["));
+    assert_eq!(serve, committed("tests/golden/serve_summary.json"));
+}
+
+/// A hostile string.
+fn text(r: &mut Rng) -> String {
+    r.pick(&HOSTILE).to_string()
+}
+
+/// An extreme of the integer type, or anything in between.
+macro_rules! int {
+    ($r:expr, $ty:ty) => {{
+        let any = $r.u64() as $ty;
+        *$r.pick(&[<$ty>::MIN, <$ty>::MAX, 0, any])
+    }};
+}
+
+/// `$row` written, parsed as a document, and read back as a `$ty`.
+macro_rules! read_back {
+    ($ty:ty, $row:expr) => {{
+        let mut text = String::new();
+        $row.write(&mut text);
+        <$ty>::read(&json::parse(&text).expect(&text)).expect(&text)
+    }};
+}
+
+#[test]
+fn every_record_reads_back_what_it_wrote() {
+    cases(256, "record round trip", |r| {
+        let row = SummaryRow {
+            run: text(r),
+            site: int!(r, u32),
+            method: text(r),
+            block: int!(r, u32),
+            index: int!(r, u32),
+            loop_header: int!(r, i64),
+            kind: text(r),
+            generation: int!(r, u32),
+            issued: int!(r, u64),
+            useful: int!(r, u64),
+            too_early: int!(r, u64),
+            too_late: int!(r, u64),
+            dropped: int!(r, u64),
+            guarded_issued: int!(r, u64),
+            guarded_tlb_primed: int!(r, u64),
+        };
+        assert_eq!(read_back!(SummaryRow, row), row);
+
+        let row = DeoptRow {
+            run: text(r),
+            tag: text(r),
+            method: int!(r, u32),
+            loop_header: text(r),
+            generation: int!(r, u32),
+            reason: text(r),
+            now: int!(r, u64),
+        };
+        assert_eq!(read_back!(DeoptRow, row), row);
+
+        let row = CellSummary {
+            name: text(r),
+            mode: text(r),
+            processor: text(r),
+            best_cycles: int!(r, u64),
+            retired: int!(r, u64),
+            wall_nanos: int!(r, u128),
+            host_wall_ns: int!(r, u128),
+            deopts: int!(r, u64),
+            recompiles: int!(r, u64),
+            loop_deopts: int!(r, u64),
+            loop_repatches: int!(r, u64),
+            reagreed: int!(r, u64),
+            inspection_cycles: int!(r, u64),
+            static_sites: int!(r, u64),
+            checksum: int!(r, i32),
+        };
+        assert_eq!(read_back!(CellSummary, row), row);
+
+        let row = ModeReport {
+            mode: text(r),
+            completed: int!(r, u64),
+            p50: int!(r, u64),
+            p99: int!(r, u64),
+            p999: int!(r, u64),
+            max: int!(r, u64),
+            mean: int!(r, u64),
+            queue_depth_max: int!(r, u32),
+            queue_depth_mean_milli: int!(r, u64),
+            compiles: int!(r, u64),
+            evictions: int!(r, u64),
+            deopts: int!(r, u64),
+            recompiles: int!(r, u64),
+            loop_deopts: int!(r, u64),
+            loop_repatches: int!(r, u64),
+            stranded: int!(r, u64),
+            checksum: int!(r, i64),
+        };
+        assert_eq!(read_back!(ModeReport, row), row);
+
+        let row = ChaosRow {
+            mode: text(r),
+            faults: int!(r, u64),
+            shed: int!(r, u64),
+            retries: int!(r, u64),
+            rearms: int!(r, u64),
+            stranded_final: int!(r, u64),
+            completed: int!(r, u64),
+            p99: int!(r, u64),
+            recovery_at: int!(r, u64),
+            post_requests: int!(r, u64),
+            post_p99_ratio_milli: int!(r, u64),
+        };
+        assert_eq!(read_back!(ChaosRow, row), row);
+    });
+}
+
+type Members = Vec<(&'static str, String)>;
+
+/// Reads `members` back with each one left out in turn. A member listed in
+/// `optional` must come back as the value written beside it there; leaving
+/// out any other must be an error naming its key.
+fn leave_each_member_out(
+    members: Members,
+    optional: &[(&str, &str)],
+    read: impl Fn(&json::Value) -> Result<Members, String>,
+) {
+    for (left_out, _) in &members {
+        let rest: Vec<String> = members
+            .iter()
+            .filter(|(key, _)| key != left_out)
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        let text = format!("{{{}}}", rest.join(", "));
+        let got = read(&json::parse(&text).expect(&text));
+        match optional.iter().find(|(key, _)| key == left_out) {
+            Some((_, default)) => {
+                let got = got.expect(left_out);
+                let (_, value) = got.iter().find(|(key, _)| key == left_out).expect("kept");
+                assert_eq!(value, default, "default of {left_out}");
+            }
+            None => {
+                let err = got.expect_err(left_out);
+                assert_eq!(err, format!("missing field \"{left_out}\""));
+            }
+        }
+    }
+}
+
+#[test]
+fn exactly_the_declared_defaults_are_optional() {
+    let zero = |keys: &[&'static str]| -> Vec<(&str, &str)> {
+        keys.iter().map(|&key| (key, "0")).collect()
+    };
+    leave_each_member_out(
+        summary_rows("r", "m")[0].members(),
+        &zero(&["generation"]),
+        |v| SummaryRow::read(v).map(|row| row.members()),
+    );
+    let dash = "\"-\"";
+    leave_each_member_out(
+        deopt_rows("r", "7")[0].members(),
+        &[("run", dash), ("loop", dash), ("reason", dash)],
+        |v| DeoptRow::read(v).map(|row| row.members()),
+    );
+    let cell = &matrix_json::parse(&matrix_text("db", "P4")).expect("matrix")[0];
+    let mut optional = zero(&[
+        "deopts",
+        "recompiles",
+        "loop_deopts",
+        "loop_repatches",
+        "reagreed",
+        "inspection_cycles",
+        "static_sites",
+    ]);
+    optional.push(("host_wall_ns", "12345")); // the cell's `wall_nanos`
+    leave_each_member_out(cell.members(), &optional, |v| {
+        CellSummary::read(v).map(|row| row.members())
+    });
+    let serve = serve_summary("p", "m");
+    leave_each_member_out(
+        serve.modes[0].members(),
+        &zero(&["loop_deopts", "loop_repatches", "stranded"]),
+        |v| ModeReport::read(v).map(|row| row.members()),
+    );
+    leave_each_member_out(serve.chaos[0].members(), &[], |v| {
+        ChaosRow::read(v).map(|row| row.members())
+    });
+}
+
+#[test]
+fn a_renamed_key_is_honoured_in_both_directions() {
+    let row = &deopt_rows("r", "7")[1];
+    assert_eq!(row.loop_header, "7");
+    let mut text = String::new();
+    row.write(&mut text);
+    assert!(text.contains("\"loop\": \"7\"") && !text.contains("loop_header"));
+    assert!(row.members().contains(&("loop", "\"7\"".to_string())));
+    assert_eq!(read_back!(DeoptRow, row), *row);
+    // The field's own name is not a key of the format: it is ignored like
+    // any unknown one, and the member takes its default.
+    let text = text.replace("\"loop\"", "\"loop_header\"");
+    let read = DeoptRow::read(&json::parse(&text).expect("json")).expect("row");
+    assert_eq!(read.loop_header, "-");
+}
+
+#[test]
+fn every_tag_is_unique_and_is_its_variants_name_in_snake_case() {
+    let events = every_event();
+    let tags: std::collections::BTreeSet<&str> = events.iter().map(TraceEvent::tag).collect();
+    assert_eq!(tags.len(), events.len());
+    for ev in &events {
+        let mut snake = String::new();
+        for c in variant_name(ev).chars() {
+            if c.is_ascii_uppercase() && !snake.is_empty() {
+                snake.push('_');
+            }
+            snake.push(c.to_ascii_lowercase());
+        }
+        assert_eq!(ev.tag(), snake);
+    }
 }
