@@ -112,6 +112,15 @@ impl Cache {
         }
     }
 
+    /// Whether the line containing `addr` is its set's most recent way and
+    /// its fill is complete at `now`: the case in which [`Self::lookup`]
+    /// returns `Hit { wait: 0 }` and moves nothing.
+    #[inline(always)]
+    pub(crate) fn front_settled(&self, addr: u64, now: u64) -> bool {
+        let (base, tag) = self.set_base_and_tag(addr);
+        self.tags[base] == tag && self.ready_at[base] <= now
+    }
+
     /// Whether the line containing `addr` is present (no LRU update).
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
@@ -183,6 +192,19 @@ mod tests {
         c.install(0x2000, 150);
         assert_eq!(c.lookup(0x2000, 100), Lookup::Hit { wait: 50 });
         assert_eq!(c.lookup(0x2000, 200), Lookup::Hit { wait: 0 });
+    }
+
+    #[test]
+    fn the_front_probe_sees_what_a_lookup_would_not_move() {
+        let mut c = small();
+        c.install(0x0000, 150);
+        c.install(0x0100, 0); // same set, now in front
+        assert!(c.front_settled(0x013f, 0) && !c.front_settled(0x0000, 200));
+        let _ = c.lookup(0x0000, 100);
+        // In front, but its fill completes at 150.
+        assert!(!c.front_settled(0x0000, 149) && c.front_settled(0x0000, 150));
+        c.flush();
+        assert!(!c.front_settled(0x0000, 150));
     }
 
     #[test]

@@ -192,13 +192,32 @@ impl<S: TraceSink> MemorySystem<S> {
         });
     }
 
-    /// The demand-access fast path: a DTLB hit followed by a settled L1
-    /// hit — the overwhelmingly common case — takes exactly one
-    /// branch-predictable path with one stall-counter add. Everything else
-    /// (TLB walks, L1/L2 misses, in-flight fills) falls through to the
-    /// outlined [`Self::demand_slow`].
-    #[inline]
+    /// A demand access, probed inline in the caller: when the page is the
+    /// DTLB's most recent and the line its L1 set's most recent with the
+    /// fill complete, the general path below would find both in their
+    /// first slot, move nothing and charge one settled hit — so that is
+    /// all this does, reading the same two slots and keeping no state of
+    /// its own. Everything else is [`Self::demand_general`].
+    #[inline(always)]
     fn demand_access(&mut self, addr: u64, now: u64, is_load: bool) -> u64 {
+        if self.tlb.is_front(addr) && self.l1.front_settled(addr, now) {
+            if S::ENABLED && !self.pending_l1.is_empty() {
+                self.note_use(CacheLevel::L1, addr, now, 0);
+            }
+            let latency = self.cfg.l1.hit_latency;
+            self.stats.stall_cycles += latency;
+            return latency;
+        }
+        self.demand_general(addr, now, is_load)
+    }
+
+    /// The demand access in general: a DTLB hit followed by a settled L1
+    /// hit takes exactly one branch-predictable path with one
+    /// stall-counter add. Everything else (TLB walks, L1/L2 misses,
+    /// in-flight fills) falls through to the outlined
+    /// [`Self::demand_slow`].
+    #[inline(never)]
+    fn demand_general(&mut self, addr: u64, now: u64, is_load: bool) -> u64 {
         let tlb_hit = self.tlb.lookup(addr);
         if !tlb_hit {
             self.tlb.insert(addr);
@@ -314,14 +333,14 @@ impl<S: TraceSink> MemorySystem<S> {
     }
 
     /// A demand load of any width within one line; returns its latency.
-    #[inline]
+    #[inline(always)]
     pub fn load(&mut self, addr: u64, now: u64) -> u64 {
         self.stats.loads += 1;
         self.demand_access(addr, now, true)
     }
 
     /// A demand store (write-allocate, treated like a read for fills).
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, addr: u64, now: u64) -> u64 {
         self.stats.stores += 1;
         self.demand_access(addr, now, false)

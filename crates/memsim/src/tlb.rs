@@ -59,6 +59,13 @@ impl Tlb {
         }
     }
 
+    /// Whether the page of `addr` is the most recently used one: the case
+    /// in which [`Self::lookup`] hits and moves nothing.
+    #[inline(always)]
+    pub(crate) fn is_front(&self, addr: u64) -> bool {
+        self.pages[..self.len].first() == Some(&self.page(addr))
+    }
+
     /// Whether the page of `addr` is resident (no LRU update).
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
@@ -115,6 +122,19 @@ mod tests {
         t.insert(0x0000);
         t.flush();
         assert!(!t.contains(0x0000));
+    }
+
+    #[test]
+    fn only_a_live_first_slot_is_the_front() {
+        let mut t = Tlb::new(2, 4096);
+        // An empty TLB's storage reads as page 0, which is not resident.
+        assert!(!t.is_front(0x0000));
+        t.insert(0x1000);
+        t.insert(0x2000);
+        assert!(t.is_front(0x2fff) && !t.is_front(0x1000));
+        assert!(t.lookup(0x1000) && t.is_front(0x1000));
+        t.flush();
+        assert!(!t.is_front(0x1000));
     }
 
     #[test]

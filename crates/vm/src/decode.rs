@@ -20,11 +20,10 @@ use spf_trace::TraceSink;
 
 use crate::dispatch::{self as h, Handler};
 
-/// One threaded op: a handler plus packed operands.
+/// One threaded op: a handler plus packed operands, and nothing a handler
+/// reads only when it faults (those are [`ThreadedCode::sites`]).
 ///
-/// Operand meaning is per-handler (documented at each `lower` arm); `site`
-/// and `site2` carry packed [`InstrRef`]s for error/profile attribution of
-/// the op's first and (when fused) second component.
+/// Operand meaning is per-handler (documented at each `lower` arm).
 pub(crate) struct Op<S: TraceSink> {
     pub handler: Handler<S>,
     pub a: u32,
@@ -33,9 +32,10 @@ pub(crate) struct Op<S: TraceSink> {
     pub d: u32,
     pub ext: u32,
     pub imm: i64,
-    pub site: u64,
-    pub site2: u64,
 }
+
+// Five words: the run loop's fetch scales the pc with two `lea`, no multiply.
+const _: () = assert!(std::mem::size_of::<Op<spf_trace::NoopSink>>() == 40);
 
 impl<S: TraceSink> Clone for Op<S> {
     fn clone(&self) -> Self {
@@ -54,8 +54,6 @@ impl<S: TraceSink> Op<S> {
             d: 0,
             ext: 0,
             imm: 0,
-            site: 0,
-            site2: 0,
         }
     }
 }
@@ -85,11 +83,13 @@ pub(crate) enum Kind {
     BinMoveJump,
 }
 
-/// A decoded op plus its kind; the kind is dropped once targets are
-/// patched.
+/// A decoded op plus its kind (dropped once targets are patched) and the
+/// packed [`InstrRef`]s of its first and, when fused, second component
+/// (0 where there is none: a terminator never faults).
 pub(crate) struct DecOp<S: TraceSink> {
     pub op: Op<S>,
     pub kind: Kind,
+    pub sites: [u64; 2],
 }
 
 /// A function body lowered to threaded code. Shared (via `Arc`) between
@@ -101,6 +101,9 @@ pub(crate) struct ThreadedCode<S: TraceSink> {
     pub src: Arc<Function>,
     /// The flat op array; block entries are op indices ("pcs").
     pub ops: Box<[Op<S>]>,
+    /// Parallel to `ops`: each op's [`DecOp::sites`], for error and profile
+    /// attribution (read through a [`crate::dispatch::SiteOf`]).
+    pub sites: Box<[[u64; 2]]>,
     /// Flat pc of the function's entry block.
     pub entry_pc: u32,
     /// Length of a frame's register window. A new window is zero-filled:
@@ -181,6 +184,8 @@ pub(crate) fn decode<S: TraceSink>(
         block_entry[b] = flat.len() as u32;
         flat.extend(ops);
     }
+    check_len(flat.len());
+    let sites = flat.iter().map(|d| d.sites).collect();
     let ops: Vec<Op<S>> = flat
         .into_iter()
         .map(|d| {
@@ -211,12 +216,22 @@ pub(crate) fn decode<S: TraceSink>(
         src: Arc::clone(src),
         entry_pc: block_entry[func.entry().index()],
         ops: ops.into_boxed_slice(),
+        sites,
         reg_count: func.reg_count(),
         ref_regs,
         arg_pool: arg_pool.into_boxed_slice(),
         call_sites,
         fused,
     }
+}
+
+/// A body's ops must be numbered below the two values handlers return in
+/// place of a pc.
+fn check_len(ops: usize) {
+    assert!(
+        ops < h::SWITCH,
+        "decode: {ops} ops leave no room for the loop's sentinels"
+    );
 }
 
 /// The operand word of a (verified, so in-range) register.
@@ -236,7 +251,7 @@ fn lower<S: TraceSink>(
     // An operator's handler instance is chosen by the declared type of its
     // operands, which the verifier has checked agree.
     let typed = |op: u8, operand: Reg| h::typed(op, func.reg_ty(operand));
-    let (mut op, kind) = match *instr {
+    let (op, kind) = match *instr {
         // a=dst, imm=the constant as a slot word.
         Instr::Const { dst, value } => {
             let mut op = Op::new(h::h_const as Handler<S>);
@@ -427,8 +442,11 @@ fn lower<S: TraceSink>(
             (op, Kind::Plain)
         }
     };
-    op.site = site;
-    DecOp { op, kind }
+    DecOp {
+        op,
+        kind,
+        sites: [site, 0],
+    }
 }
 
 fn pack_prefetch_addr<S: TraceSink>(op: &mut Op<S>, addr: PrefetchAddr) {
@@ -452,15 +470,12 @@ fn pack_prefetch_addr<S: TraceSink>(op: &mut Op<S>, addr: PrefetchAddr) {
 }
 
 fn lower_term<S: TraceSink>(term: &Terminator) -> DecOp<S> {
-    match *term {
+    let (op, kind) = match *term {
         // a=target block (patched to a pc).
         Terminator::Jump(t) => {
             let mut op = Op::new(h::h_jump as Handler<S>);
             op.a = t.index() as u32;
-            DecOp {
-                op,
-                kind: Kind::Jump,
-            }
+            (op, Kind::Jump)
         }
         // a=cond, b=then block, c=else block (both patched to pcs).
         Terminator::Branch {
@@ -472,23 +487,37 @@ fn lower_term<S: TraceSink>(term: &Terminator) -> DecOp<S> {
             op.a = r(cond);
             op.b = then_bb.index() as u32;
             op.c = else_bb.index() as u32;
-            DecOp {
-                op,
-                kind: Kind::Branch,
-            }
+            (op, Kind::Branch)
         }
         // a=ret reg+1 (0 = none).
         Terminator::Return(v) => {
             let mut op = Op::new(h::h_ret as Handler<S>);
             op.a = v.map_or(0, |x| r(x) + 1);
-            DecOp {
-                op,
-                kind: Kind::Plain,
-            }
+            (op, Kind::Plain)
         }
-        Terminator::Unreachable => DecOp {
-            op: Op::new(h::h_unreachable as Handler<S>),
-            kind: Kind::Plain,
-        },
+        Terminator::Unreachable => (Op::new(h::h_unreachable as Handler<S>), Kind::Plain),
+    };
+    // A terminator never faults: it has no site.
+    DecOp {
+        op,
+        kind,
+        sites: [0; 2],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_body_stays_below_the_sentinels() {
+        check_len(0);
+        check_len(h::SWITCH - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "leave no room for the loop's sentinels")]
+    fn a_body_as_long_as_a_sentinel_is_refused() {
+        check_len(h::SWITCH);
     }
 }

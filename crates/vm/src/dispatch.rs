@@ -9,7 +9,9 @@
 //! bit-identical to executing the two ops singly. The only thing that
 //! changes is host-side work per simulated instruction.
 
-use spf_heap::{apply_bin, apply_cmp, apply_conv, apply_un, Value, ARRAY_DATA_OFFSET, NULL};
+use spf_heap::{
+    apply_bin, apply_cmp, apply_conv, apply_un, Value, ARRAY_DATA_OFFSET, ARRAY_LENGTH_OFFSET, NULL,
+};
 use spf_ir::{
     packed::unpack_reg_pair, BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, Ty,
     UnOp,
@@ -22,20 +24,22 @@ use crate::decode::{Op, ThreadedCode};
 use crate::error::VmError;
 use crate::vm::{body, Vm};
 
-/// What the main loop does after a handler returns.
-pub(crate) enum Step {
-    /// Keep dispatching from the (already advanced or redirected) `pc`.
-    Next,
-    /// The top frame changed (call or return): re-fetch the threaded code.
-    Switch,
-    /// Execution finished; the result is in [`Ctx::halt`].
-    Halt,
-}
-
-/// Handler signature: the op is a borrow into the current frame's threaded
+/// Handler signature. The op is a borrow into the current frame's threaded
 /// code, passed alongside so variable-length operands (call argument lists)
-/// can live in the code's side pool.
-pub(crate) type Handler<S> = fn(&mut Vm<S>, &mut Ctx, &Op<S>, &ThreadedCode<S>) -> Step;
+/// and the cold fault sites can live in the code's side tables. The last
+/// argument is the pc of the following op and the result the pc to run
+/// next — a fall-through returns its argument, a jump its target — so the
+/// run loop's cursor never leaves its register. Two values no pc can take
+/// (`decode::check_len`) end the inner loop instead.
+pub(crate) type Handler<S> = fn(&mut Vm<S>, &mut Ctx, &Op<S>, &ThreadedCode<S>, usize) -> usize;
+
+/// Returned in place of a pc: the top frame changed (call or return), so
+/// re-fetch the threaded code and resume at [`Ctx::pc`].
+pub(crate) const SWITCH: usize = usize::MAX - 1;
+
+/// Returned in place of a pc: execution finished; the result is in
+/// [`Ctx::halt`].
+pub(crate) const HALT: usize = usize::MAX;
 
 /// Register-resident interpreter state: the live counters the old loop kept
 /// in locals, plus a pointer to the top frame's register window (so the hot
@@ -49,7 +53,9 @@ pub(crate) type Handler<S> = fn(&mut Vm<S>, &mut Ctx, &Op<S>, &ThreadedCode<S>) 
 /// store the previous handler has just made and stalls on it.
 #[repr(C)]
 pub(crate) struct Ctx {
-    /// Index of the next op in the current threaded code.
+    /// Where the new top frame resumes: written by [`reload_ctx`] and read
+    /// by the run loop once per [`SWITCH`]. Between switches the cursor is
+    /// the handlers' argument and result, not this field.
     pub pc: usize,
     /// Live simulated clock (authoritative; `stats.cycles` is synchronized
     /// at call/alloc boundaries exactly as the old loop did).
@@ -172,16 +178,16 @@ pub(crate) fn flush_frame_acc<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
 }
 
 /// Halts execution with `res`, flushing the pending frame attribution (the
-/// old `finish!`; the run loop writes the global counters on `Step::Halt`).
+/// old `finish!`; the run loop writes the global counters on [`HALT`]).
 #[cold]
 pub(crate) fn halt<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     res: Result<Option<Value>, VmError>,
-) -> Step {
+) -> usize {
     flush_frame_acc(vm, ctx);
     ctx.halt = Some(res);
-    Step::Halt
+    HALT
 }
 
 /// Faulting component exit: records the error and reports failure.
@@ -208,6 +214,18 @@ pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
         COMPILED_INSTR_COST * vm.config.interp_cost_multiplier
     };
     enter_window(vm, ctx, f.base);
+}
+
+/// Names the IR position of component 0 or 1 of the op before `next`
+/// without reading it: the packed [`InstrRef`]s live in
+/// [`ThreadedCode::sites`], which only the fault, traced and adaptive
+/// branches ever load. Components take this handle instead of the site, so
+/// the straight path carries no load for it.
+pub(crate) type SiteOf<'a, S> = (&'a ThreadedCode<S>, usize, usize);
+
+#[inline(always)]
+fn site_at<S: TraceSink>((tc, next, component): SiteOf<'_, S>) -> InstrRef {
+    InstrRef::unpack(tc.sites[next - 1][component])
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +269,7 @@ fn do_bin<S: TraceSink>(
     code: u8,
     ra: u32,
     rb: u32,
-    site: u64,
+    site: SiteOf<'_, S>,
 ) -> bool {
     let ty = ty_of(code);
     let (x, y) = (ctx.value(ra, ty), ctx.value(rb, ty));
@@ -262,13 +280,7 @@ fn do_bin<S: TraceSink>(
         }
         // Bodies are verified, so operand types agree and `None` can only
         // be a zero divisor.
-        None => fail(
-            vm,
-            ctx,
-            VmError::DivisionByZero {
-                at: InstrRef::unpack(site),
-            },
-        ),
+        None => fail(vm, ctx, VmError::DivisionByZero { at: site_at(site) }),
     }
 }
 
@@ -291,16 +303,15 @@ fn do_move(ctx: &mut Ctx, dst: u32, src: u32) {
 /// The null check every dereference starts with: the address in `reg`, or
 /// the halted `NullPointer` fault.
 #[inline(always)]
-fn non_null<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx, reg: u32, site: u64) -> Option<u64> {
+fn non_null<S: TraceSink>(
+    vm: &mut Vm<S>,
+    ctx: &mut Ctx,
+    reg: u32,
+    site: SiteOf<'_, S>,
+) -> Option<u64> {
     let a = ctx.reg(reg);
     if a == NULL {
-        fail(
-            vm,
-            ctx,
-            VmError::NullPointer {
-                at: InstrRef::unpack(site),
-            },
-        );
+        fail(vm, ctx, VmError::NullPointer { at: site_at(site) });
         return None;
     }
     Some(a)
@@ -314,7 +325,7 @@ fn do_getfield<S: TraceSink>(
     obj: u32,
     off: u64,
     ty: ElemTy,
-    site: u64,
+    site: SiteOf<'_, S>,
 ) -> bool {
     let Some(a) = non_null(vm, ctx, obj, site) else {
         return false;
@@ -340,7 +351,7 @@ fn elem_slot<S: TraceSink>(
     arr: u32,
     idx: u32,
     elem: ElemTy,
-    site: u64,
+    site: SiteOf<'_, S>,
 ) -> Option<u64> {
     let a = non_null(vm, ctx, arr, site)?;
     let i = ctx.reg(idx) as i32;
@@ -350,7 +361,7 @@ fn elem_slot<S: TraceSink>(
             vm,
             ctx,
             VmError::IndexOutOfBounds {
-                at: InstrRef::unpack(site),
+                at: site_at(site),
                 index: i,
                 len,
             },
@@ -368,7 +379,7 @@ fn do_aload<S: TraceSink>(
     arr: u32,
     idx: u32,
     elem: ElemTy,
-    site: u64,
+    site: SiteOf<'_, S>,
 ) -> bool {
     let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
         return false;
@@ -390,12 +401,12 @@ fn do_aload<S: TraceSink>(
 fn prefetch_issue<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
-    site: u64,
+    site: SiteOf<'_, S>,
     target: spf_heap::Addr,
     kind: PrefetchKind,
 ) {
     if S::ENABLED {
-        let site_ref = InstrRef::unpack(site);
+        let site_ref = site_at(site);
         let id = vm.site_ids.get(&(ctx.cur_mid, site_ref));
         vm.mem.set_site(id.copied().unwrap_or(SiteId::UNKNOWN));
     }
@@ -408,7 +419,7 @@ fn prefetch_issue<S: TraceSink>(
             PrefetchKind::GuardedLoad => CacheLevel::L1,
         };
         let useless = vm.mem.line_present(level, target);
-        let block = InstrRef::unpack(site).block.index() as u32;
+        let block = site_at(site).block.index() as u32;
         vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
     }
     let cost = match kind {
@@ -441,7 +452,7 @@ fn do_specload<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     dst: u32,
-    site: u64,
+    site: SiteOf<'_, S>,
     target: Option<spf_heap::Addr>,
 ) {
     let v = match target {
@@ -466,10 +477,11 @@ pub(crate) fn h_const<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     ctx.set_reg(op.a, op.imm as u64);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_move<S: TraceSink>(
@@ -477,23 +489,25 @@ pub(crate) fn h_move<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     do_move(ctx, op.a, op.b);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_bin<S: TraceSink, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    if do_bin(vm, ctx, op.a, B, op.b, op.c, op.site) {
-        Step::Next
+    if do_bin(vm, ctx, op.a, B, op.b, op.c, (tc, next, 0)) {
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -502,12 +516,13 @@ pub(crate) fn h_un<S: TraceSink, const U: u8>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let v = apply_un(UnOp::from_code(U & 0xf), ctx.value(op.b, ty_of(U)))
         .expect("verifier rejects other unops");
     ctx.set_reg(op.a, v.to_bits());
-    Step::Next
+    next
 }
 
 pub(crate) fn h_cmp<S: TraceSink, const C: u8>(
@@ -515,10 +530,11 @@ pub(crate) fn h_cmp<S: TraceSink, const C: u8>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     do_cmp(ctx, op.a, C, op.b, op.c);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_convert<S: TraceSink, const C: u8>(
@@ -526,21 +542,23 @@ pub(crate) fn h_convert<S: TraceSink, const C: u8>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let conv = Conv::from_code(C);
     let v = apply_conv(conv, ctx.value(op.b, conv.signature().0))
         .expect("verifier rejects other conversions");
     ctx.set_reg(op.a, v.to_bits());
-    Step::Next
+    next
 }
 
 pub(crate) fn h_getfield<S: TraceSink, const TY: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     if do_getfield(
         vm,
@@ -549,11 +567,11 @@ pub(crate) fn h_getfield<S: TraceSink, const TY: u8>(
         op.b,
         op.imm as u64,
         ElemTy::from_code(TY),
-        op.site,
+        (tc, next, 0),
     ) {
-        Step::Next
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -561,11 +579,12 @@ pub(crate) fn h_putfield<S: TraceSink, const TY: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    let Some(a) = non_null(vm, ctx, op.a, op.site) else {
-        return Step::Halt;
+    let Some(a) = non_null(vm, ctx, op.a, (tc, next, 0)) else {
+        return HALT;
     };
     let addr = a + op.imm as u64;
     let lat = vm.mem.store(addr, ctx.cycles);
@@ -576,7 +595,7 @@ pub(crate) fn h_putfield<S: TraceSink, const TY: u8>(
     {
         return halt(vm, ctx, Err(VmError::BadAccess { addr }));
     }
-    Step::Next
+    next
 }
 
 pub(crate) fn h_getstatic<S: TraceSink>(
@@ -584,12 +603,13 @@ pub(crate) fn h_getstatic<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let lat = vm.mem.load(op.imm as u64, ctx.cycles);
     ctx.cycles += lat;
     ctx.set_reg(op.a, vm.statics[op.b as usize].to_bits());
-    Step::Next
+    next
 }
 
 pub(crate) fn h_putstatic<S: TraceSink>(
@@ -597,7 +617,8 @@ pub(crate) fn h_putstatic<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let lat = vm.mem.store(op.imm as u64, ctx.cycles);
     ctx.cycles += lat;
@@ -605,20 +626,22 @@ pub(crate) fn h_putstatic<S: TraceSink>(
     // the word is typed by the static's declared type, carried in `ext`.
     let ty = ElemTy::from_code(op.ext as u8).reg_ty();
     vm.statics[op.b as usize] = ctx.value(op.a, ty);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_aload<S: TraceSink, const TY: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    if do_aload(vm, ctx, op.a, op.b, op.c, ElemTy::from_code(TY), op.site) {
-        Step::Next
+    let site = (tc, next, 0);
+    if do_aload(vm, ctx, op.a, op.b, op.c, ElemTy::from_code(TY), site) {
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -632,7 +655,7 @@ fn do_astore<S: TraceSink>(
     idx: u32,
     src: u32,
     elem: ElemTy,
-    site: u64,
+    site: SiteOf<'_, S>,
 ) -> bool {
     let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
         return false;
@@ -649,13 +672,15 @@ pub(crate) fn h_astore<S: TraceSink, const TY: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    if do_astore(vm, ctx, op.a, op.b, op.c, ElemTy::from_code(TY), op.site) {
-        Step::Next
+    let site = (tc, next, 0);
+    if do_astore(vm, ctx, op.a, op.b, op.c, ElemTy::from_code(TY), site) {
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -663,17 +688,18 @@ pub(crate) fn h_arraylen<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    let Some(a) = non_null(vm, ctx, op.b, op.site) else {
-        return Step::Halt;
+    let Some(a) = non_null(vm, ctx, op.b, (tc, next, 0)) else {
+        return HALT;
     };
-    let lat = vm.mem.load(a + 8, ctx.cycles);
+    let lat = vm.mem.load(a + ARRAY_LENGTH_OFFSET, ctx.cycles);
     ctx.cycles += lat;
     // The `I32` result is the length's low half, as a slot word.
     ctx.set_reg(op.a, vm.heap.array_len(a) as u32 as u64);
-    Step::Next
+    next
 }
 
 /// Syncs the live clock back into the VM so the allocator (which may GC:
@@ -700,7 +726,8 @@ pub(crate) fn h_new<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     // The allocator may GC, which charges the clock and moves objects.
     sync_for_alloc(vm, ctx);
@@ -715,15 +742,16 @@ pub(crate) fn h_new<S: TraceSink>(
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
     ctx.set_reg(op.a, a);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_newarray<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let n = ctx.reg(op.b) as i32;
     if n < 0 {
@@ -731,7 +759,7 @@ pub(crate) fn h_newarray<S: TraceSink>(
             vm,
             ctx,
             Err(VmError::IndexOutOfBounds {
-                at: InstrRef::unpack(op.site),
+                at: site_at((tc, next, 0)),
                 index: n,
                 len: 0,
             }),
@@ -751,7 +779,7 @@ pub(crate) fn h_newarray<S: TraceSink>(
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
     ctx.set_reg(op.a, a);
-    Step::Next
+    next
 }
 
 pub(crate) fn h_call<S: TraceSink>(
@@ -759,13 +787,14 @@ pub(crate) fn h_call<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     tc: &ThreadedCode<S>,
-) -> Step {
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     ctx.cycles += CALL_OVERHEAD;
     flush_frame_acc(vm, ctx);
     // Persist the cursor so the callee's return resumes after this call.
     let f = vm.frames.last_mut().expect("frame");
-    f.pc = ctx.pc;
+    f.pc = next;
     let base = f.base;
     // The arguments go straight from this window to the top of the stack,
     // where the callee's window will start. A push may reallocate the
@@ -788,7 +817,7 @@ pub(crate) fn h_call<S: TraceSink>(
         Ok(()) => {
             ctx.cycles = vm.stats.cycles;
             reload_ctx(vm, ctx);
-            Step::Switch
+            SWITCH
         }
         Err(e) => {
             // The clock grew by the (failed) resolution's charges after the
@@ -805,8 +834,9 @@ pub(crate) fn h_prefetch_field<S: TraceSink, const GUARDED: bool>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     if let Some(target) = field_addr(ctx, op.b, op.imm) {
         let kind = if GUARDED {
@@ -814,17 +844,18 @@ pub(crate) fn h_prefetch_field<S: TraceSink, const GUARDED: bool>(
         } else {
             PrefetchKind::Hardware
         };
-        prefetch_issue(vm, ctx, op.site, target, kind);
+        prefetch_issue(vm, ctx, (tc, next, 0), target, kind);
     }
-    Step::Next
+    next
 }
 
 pub(crate) fn h_prefetch_elem<S: TraceSink, const GUARDED: bool>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     if let Some(target) = elem_addr(ctx, op.b, op.c, op.d, op.imm) {
         let kind = if GUARDED {
@@ -832,33 +863,35 @@ pub(crate) fn h_prefetch_elem<S: TraceSink, const GUARDED: bool>(
         } else {
             PrefetchKind::Hardware
         };
-        prefetch_issue(vm, ctx, op.site, target, kind);
+        prefetch_issue(vm, ctx, (tc, next, 0), target, kind);
     }
-    Step::Next
+    next
 }
 
 pub(crate) fn h_specload_field<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let target = field_addr(ctx, op.b, op.imm);
-    do_specload(vm, ctx, op.a, op.site, target);
-    Step::Next
+    do_specload(vm, ctx, op.a, (tc, next, 0), target);
+    next
 }
 
 pub(crate) fn h_specload_elem<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let target = elem_addr(ctx, op.b, op.c, op.d, op.imm);
-    do_specload(vm, ctx, op.a, op.site, target);
-    Step::Next
+    do_specload(vm, ctx, op.a, (tc, next, 0), target);
+    next
 }
 
 // --------------------------------- Terminators -----------------------------
@@ -868,10 +901,10 @@ pub(crate) fn h_jump<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_term(ctx);
-    ctx.pc = op.a as usize;
-    Step::Next
+    op.a as usize
 }
 
 pub(crate) fn h_branch<S: TraceSink>(
@@ -879,11 +912,11 @@ pub(crate) fn h_branch<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_term(ctx);
     let taken = ctx.reg(op.a) as i32 != 0;
-    ctx.pc = (if taken { op.b } else { op.c }) as usize;
-    Step::Next
+    (if taken { op.b } else { op.c }) as usize
 }
 
 pub(crate) fn h_ret<S: TraceSink>(
@@ -891,7 +924,8 @@ pub(crate) fn h_ret<S: TraceSink>(
     ctx: &mut Ctx,
     op: &Op<S>,
     tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_term(ctx);
     flush_frame_acc(vm, ctx);
     let f = vm.frames.pop().expect("frame");
@@ -914,11 +948,11 @@ pub(crate) fn h_ret<S: TraceSink>(
             ctx.halt = Some(Ok(value.map(|bits| {
                 Value::from_bits(ty.expect("verified: only a typed body returns"), bits)
             })));
-            return Step::Halt;
+            return HALT;
         }
     }
     reload_ctx(vm, ctx);
-    Step::Switch
+    SWITCH
 }
 
 pub(crate) fn h_unreachable<S: TraceSink>(
@@ -926,7 +960,8 @@ pub(crate) fn h_unreachable<S: TraceSink>(
     ctx: &mut Ctx,
     _op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_term(ctx);
     halt(vm, ctx, Err(VmError::UnreachableExecuted))
 }
@@ -944,13 +979,13 @@ pub(crate) fn h_cmp_branch<S: TraceSink, const C: u8>(
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_instr(ctx);
     let (ra, rb) = unpack_reg_pair(op.c);
     let flag = do_cmp(ctx, op.a, C, ra.index() as u32, rb.index() as u32);
     charge_term(ctx);
-    ctx.pc = (if flag != 0 { op.b } else { op.d }) as usize;
-    Step::Next
+    (if flag != 0 { op.b } else { op.d }) as usize
 }
 
 /// `Const` + `Bin` (constant-operand arithmetic).
@@ -958,15 +993,16 @@ pub(crate) fn h_const_bin<S: TraceSink, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     ctx.set_reg(op.a, op.imm as u64);
     charge_instr(ctx);
-    if do_bin(vm, ctx, op.b, B, op.c, op.d, op.site2) {
-        Step::Next
+    if do_bin(vm, ctx, op.b, B, op.c, op.d, (tc, next, 1)) {
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -975,8 +1011,9 @@ pub(crate) fn h_getfield_bin<S: TraceSink, const TY: u8, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     if !do_getfield(
         vm,
@@ -985,9 +1022,9 @@ pub(crate) fn h_getfield_bin<S: TraceSink, const TY: u8, const B: u8>(
         op.b,
         op.imm as u64,
         ElemTy::from_code(TY),
-        op.site,
+        (tc, next, 0),
     ) {
-        return Step::Halt;
+        return HALT;
     }
     charge_instr(ctx);
     let (ra, rb) = unpack_reg_pair(op.d);
@@ -998,11 +1035,11 @@ pub(crate) fn h_getfield_bin<S: TraceSink, const TY: u8, const B: u8>(
         B,
         ra.index() as u32,
         rb.index() as u32,
-        op.site2,
+        (tc, next, 1),
     ) {
-        Step::Next
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -1011,8 +1048,9 @@ pub(crate) fn h_bin_aload<S: TraceSink, const TY: u8, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let (ra, rb) = unpack_reg_pair(op.d);
     if !do_bin(
@@ -1022,9 +1060,9 @@ pub(crate) fn h_bin_aload<S: TraceSink, const TY: u8, const B: u8>(
         B,
         ra.index() as u32,
         rb.index() as u32,
-        op.site,
+        (tc, next, 0),
     ) {
-        return Step::Halt;
+        return HALT;
     }
     charge_instr(ctx);
     let (dst, arr) = unpack_reg_pair(op.b);
@@ -1035,57 +1073,58 @@ pub(crate) fn h_bin_aload<S: TraceSink, const TY: u8, const B: u8>(
         arr.index() as u32,
         op.c,
         ElemTy::from_code(TY),
-        op.site2,
+        (tc, next, 1),
     ) {
-        Step::Next
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
 /// Fused Bin + Move: a=bin dst, b=bin lhs, c=bin rhs, ext=binop,
-/// d=pack(move dst, move src), site=bin's, site2=move's.
+/// d=pack(move dst, move src).
 pub(crate) fn h_bin_move<S: TraceSink, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    if !do_bin(vm, ctx, op.a, B, op.b, op.c, op.site) {
-        return Step::Halt;
+    if !do_bin(vm, ctx, op.a, B, op.b, op.c, (tc, next, 0)) {
+        return HALT;
     }
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.d);
     do_move(ctx, dst.index() as u32, src.index() as u32);
-    Step::Next
+    next
 }
 
 /// Fused Move + Jump terminator: b=move dst, c=move src, a=jump target
 /// (block id until the flattener patches it — the merged op keeps
-/// `Kind::Jump`), site=move's.
+/// `Kind::Jump`).
 pub(crate) fn h_move_jump<S: TraceSink>(
     _vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
     _tc: &ThreadedCode<S>,
-) -> Step {
+    _next: usize,
+) -> usize {
     charge_instr(ctx);
     do_move(ctx, op.b, op.c);
     charge_term(ctx);
-    ctx.pc = op.a as usize;
-    Step::Next
+    op.a as usize
 }
 
 /// Fused ALoad + Bin: a=aload dst, b=pack(arr, idx), c=bin dst,
-/// d=pack(bin lhs, bin rhs), ext=elem | binop<<8, site=aload's,
-/// site2=bin's.
+/// d=pack(bin lhs, bin rhs), ext=elem | binop<<8.
 pub(crate) fn h_aload_bin<S: TraceSink, const TY: u8, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let (arr, idx) = unpack_reg_pair(op.b);
     if !do_aload(
@@ -1095,9 +1134,9 @@ pub(crate) fn h_aload_bin<S: TraceSink, const TY: u8, const B: u8>(
         arr.index() as u32,
         idx.index() as u32,
         ElemTy::from_code(TY),
-        op.site,
+        (tc, next, 0),
     ) {
-        return Step::Halt;
+        return HALT;
     }
     charge_instr(ctx);
     let (ra, rb) = unpack_reg_pair(op.d);
@@ -1108,22 +1147,23 @@ pub(crate) fn h_aload_bin<S: TraceSink, const TY: u8, const B: u8>(
         B,
         ra.index() as u32,
         rb.index() as u32,
-        op.site2,
+        (tc, next, 1),
     ) {
-        Step::Next
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
 /// Fused Move + ALoad: c=pack(move dst, move src), a=aload dst,
-/// b=pack(arr, idx), ext=elem, site=move's, site2=aload's.
+/// b=pack(arr, idx), ext=elem.
 pub(crate) fn h_move_aload<S: TraceSink, const TY: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.c);
     do_move(ctx, dst.index() as u32, src.index() as u32);
@@ -1136,11 +1176,11 @@ pub(crate) fn h_move_aload<S: TraceSink, const TY: u8>(
         arr.index() as u32,
         idx.index() as u32,
         ElemTy::from_code(TY),
-        op.site2,
+        (tc, next, 1),
     ) {
-        Step::Next
+        next
     } else {
-        Step::Halt
+        HALT
     }
 }
 
@@ -1151,18 +1191,18 @@ pub(crate) fn h_bin_move_jump<S: TraceSink, const B: u8>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     op: &Op<S>,
-    _tc: &ThreadedCode<S>,
-) -> Step {
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
     charge_instr(ctx);
-    if !do_bin(vm, ctx, op.a, B, op.b, op.c, op.site) {
-        return Step::Halt;
+    if !do_bin(vm, ctx, op.a, B, op.b, op.c, (tc, next, 0)) {
+        return HALT;
     }
     charge_instr(ctx);
     let (dst, src) = unpack_reg_pair(op.d);
     do_move(ctx, dst.index() as u32, src.index() as u32);
     charge_term(ctx);
-    ctx.pc = op.imm as usize;
-    Step::Next
+    op.imm as usize
 }
 
 // ------------------------ Decode-time specialization ------------------------

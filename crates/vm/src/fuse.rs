@@ -48,6 +48,7 @@ fn scan<S: TraceSink>(
         out.push(DecOp {
             op: ops[i].op,
             kind: ops[i].kind,
+            sites: ops[i].sites,
         });
         i += 1;
     }
@@ -63,7 +64,7 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
     match (first.kind, second.kind) {
         // Cmp (a=dst, b=lhs, c=rhs, ext=cmpop) + Branch on that dst
         // (a=cond, b=then, c=else)  →  CmpBranch:
-        //   a=dst, c=pack(lhs,rhs), ext=cmpop, b=then, d=else, site=cmp's.
+        //   a=dst, c=pack(lhs,rhs), ext=cmpop, b=then, d=else.
         // Branch targets stay block ids here; the flattener patches
         // Kind::CmpBranch's b/d.
         (Kind::Cmp, Kind::Branch) if second.op.a == first.op.a => {
@@ -74,16 +75,16 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.ext = first.op.ext;
             op.b = second.op.b;
             op.d = second.op.c;
-            op.site = first.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::CmpBranch,
+                sites: [first.sites[0], 0],
             })
         }
         // Const (a=dst, imm=slot word) + Bin (a=dst, b=lhs, c=rhs,
         // ext=binop)  →  ConstBin:
         //   a=const dst, imm=slot word, ext=binop,
-        //   b=bin dst, c=bin lhs, d=bin rhs, site2=bin's site.
+        //   b=bin dst, c=bin lhs, d=bin rhs.
         (Kind::Const, Kind::Bin) => {
             let mut op = Op::new(h::const_bin_handler::<S>(second.op.ext as u8));
             op.a = first.op.a;
@@ -92,11 +93,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.b = second.op.a;
             op.c = second.op.b;
             op.d = second.op.c;
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::Plain,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         // GetField (a=dst, b=obj, imm=offset, ext=elem) + Bin  →
@@ -114,11 +114,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.ext = first.op.ext | (second.op.ext << 8);
             op.c = second.op.a;
             op.d = operands;
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::Plain,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         // Bin + ALoad (a=dst, b=arr, c=idx, ext=elem)  →  BinALoad:
@@ -136,16 +135,15 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.ext = second.op.ext | (first.op.ext << 8);
             op.b = dst_arr;
             op.c = second.op.c;
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::Plain,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         // Bin (a=dst, b=lhs, c=rhs, ext=binop) + Move (a=dst, b=src)  →
         // BinMove: a=bin dst, b=bin lhs, c=bin rhs, ext=binop,
-        //   d=pack(move dst, move src), site2=move's site.
+        //   d=pack(move dst, move src).
         (Kind::Bin, Kind::Move) => {
             let mv = pack_reg_pair(reg(second.op.a), reg(second.op.b))?;
             let mut op = Op::new(h::bin_move_handler::<S>(first.op.ext as u8));
@@ -154,11 +152,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.c = first.op.c;
             op.ext = first.op.ext;
             op.d = mv;
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::BinMove,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         // Move (a=dst, b=src) + Jump terminator (a=target block id)  →
@@ -168,10 +165,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.b = first.op.a;
             op.c = first.op.b;
             op.a = second.op.a;
-            op.site = first.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::MoveJump,
+                sites: [first.sites[0], 0],
             })
         }
         // ALoad (a=dst, b=arr, c=idx, ext=elem) + Bin  →  ALoadBin:
@@ -189,11 +186,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.c = second.op.a;
             op.d = bin_operands;
             op.ext = first.op.ext | (second.op.ext << 8);
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::Plain,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         // Move (a=dst, b=src) + ALoad (a=dst, b=arr, c=idx, ext=elem)  →
@@ -207,11 +203,10 @@ fn try_fuse<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<S
             op.a = second.op.a;
             op.b = arr_idx;
             op.ext = second.op.ext;
-            op.site = first.op.site;
-            op.site2 = second.op.site;
             Some(DecOp {
                 op,
                 kind: Kind::Plain,
+                sites: [first.sites[0], second.sites[0]],
             })
         }
         _ => None,
@@ -231,6 +226,7 @@ fn try_fuse2<S: TraceSink>(first: &DecOp<S>, second: &DecOp<S>) -> Option<DecOp<
             Some(DecOp {
                 op,
                 kind: Kind::BinMoveJump,
+                sites: first.sites,
             })
         }
         _ => None,

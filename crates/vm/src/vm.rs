@@ -27,7 +27,7 @@ use crate::config::{
     RECOMPILE_CYCLES_PER_INSTR,
 };
 use crate::decode::{decode, ThreadedCode};
-use crate::dispatch::{self, Ctx, Step};
+use crate::dispatch::{self, Ctx, HALT, SWITCH};
 use crate::error::VmError;
 use crate::passes;
 use crate::pic::{CallPic, PicStats};
@@ -1189,11 +1189,11 @@ impl<S: TraceSink> Vm<S> {
         Arc::as_ptr(&body(&self.codes, self.frames.last().expect("frame").code).tcode)
     }
 
-    /// The dispatch loop: fetch the op at `pc`, advance, indirect-call the
-    /// handler. Counters live in the [`Ctx`] (register-resident, flushed
-    /// to [`VmStats`] at frame switches and on halt, exactly as the old
-    /// loop's locals were), which also points at the top frame's register
-    /// window.
+    /// The dispatch loop: fetch the op at `pc`, indirect-call the handler
+    /// with the pc after it, continue at the pc it returns. Counters live
+    /// in the [`Ctx`] (register-resident, flushed to [`VmStats`] at frame
+    /// switches and on halt, exactly as the old loop's locals were), which
+    /// also points at the top frame's register window.
     fn run(&mut self) -> Result<Option<Value>, VmError> {
         let mut ctx = Ctx {
             pc: 0,
@@ -1212,42 +1212,43 @@ impl<S: TraceSink> Vm<S> {
             halt: None,
         };
         dispatch::reload_ctx(self, &mut ctx);
-        // The threaded code is accessed through a raw pointer instead of
-        // cloning the `Arc` on every frame switch (two atomic RMWs per
-        // call/return otherwise). SAFETY: the pointer is only dereferenced
-        // while the frame it was fetched from is the top frame, and the
-        // arena keeps that frame's body until the outermost call finishes
-        // (`retire`; an install may reallocate the arena, but never moves
-        // the Arc'd `ThreadedCode`); every handler that pushes or pops a
-        // frame returns `Step::Switch`, which re-fetches the pointer before
-        // the next dereference. `ThreadedCode` is immutable once built.
-        let mut tcode_ptr = self.top_tcode();
         loop {
-            let step = {
-                let tcode = unsafe { &*tcode_ptr };
-                // SAFETY: `pc` is always in range: decode guarantees every
-                // block ends in a terminator whose handler either redirects
-                // `pc` to a patched (valid) block entry or leaves the frame,
-                // so sequential `pc + 1` never walks past the last op.
-                debug_assert!(ctx.pc < tcode.ops.len());
-                let op = unsafe { tcode.ops.get_unchecked(ctx.pc) };
-                ctx.pc += 1;
-                (op.handler)(self, &mut ctx, op, tcode)
-            };
-            match step {
-                Step::Next => {}
-                Step::Switch => tcode_ptr = self.top_tcode(),
-                Step::Halt => {
-                    self.stats.cycles = ctx.cycles;
-                    // `halt`/`flush_frame_acc` has folded the last segment,
-                    // so the split counters are complete and the total is
-                    // their sum plus terminators.
-                    self.stats.retired_instructions +=
-                        ctx.interp_retired + ctx.comp_retired + ctx.term_retired;
-                    self.stats.interpreted_instructions += ctx.interp_retired;
-                    self.stats.compiled_instructions += ctx.comp_retired;
-                    return ctx.halt.take().expect("halt result");
-                }
+            // The threaded code is accessed through a raw pointer instead
+            // of cloning the `Arc` on every frame switch (two atomic RMWs
+            // per call/return otherwise). SAFETY: the pointer is only
+            // dereferenced while the frame it was fetched from is the top
+            // frame, and the arena keeps that frame's body until the
+            // outermost call finishes (`retire`; an install may reallocate
+            // the arena, but never moves the Arc'd `ThreadedCode`); every
+            // handler that pushes or pops a frame returns `SWITCH`, which
+            // leaves the inner loop and re-fetches the pointer before the
+            // next dereference. `ThreadedCode` is immutable once built.
+            let tcode = unsafe { &*self.top_tcode() };
+            let mut pc = ctx.pc;
+            while pc < SWITCH {
+                // SAFETY: `pc` is always in range. It is the frame's entry
+                // or resume point (`ctx.pc`: a block entry, or the op after
+                // a call), or what the last handler returned: its argument
+                // `pc + 1` — and decode guarantees every block ends in a
+                // terminator, whose handler never falls through, so that
+                // never walks past the last op — or a patched (valid)
+                // block entry, or a sentinel, which the loop condition has
+                // just excluded (`decode::check_len`: no op is numbered
+                // that high).
+                debug_assert!(pc < tcode.ops.len());
+                let op = unsafe { tcode.ops.get_unchecked(pc) };
+                pc = (op.handler)(self, &mut ctx, op, tcode, pc + 1);
+            }
+            if pc == HALT {
+                self.stats.cycles = ctx.cycles;
+                // `halt`/`flush_frame_acc` has folded the last segment, so
+                // the split counters are complete and the total is their
+                // sum plus terminators.
+                self.stats.retired_instructions +=
+                    ctx.interp_retired + ctx.comp_retired + ctx.term_retired;
+                self.stats.interpreted_instructions += ctx.interp_retired;
+                self.stats.compiled_instructions += ctx.comp_retired;
+                return ctx.halt.take().expect("halt result");
             }
         }
     }
