@@ -5,12 +5,13 @@
 //! ```
 //!
 //! For every (workload, mode, processor) cell present in both files it
-//! prints the wall-clock speedup and flags any drift in the *simulated*
-//! numbers — every member of [`CellSummary`] except the two host clocks —
-//! which must be invariant across hosts, worker counts, and host-side
-//! optimisations; the drifting members are listed under the cell's row.
-//! Cells of OLD that NEW lacks are counted, not failed: a filtered sweep
-//! (`figures tiny db`) against the full baseline is a supported use.
+//! flags any drift in the cell's members — every member of
+//! [`CellSummary`] is simulated, so each must be invariant across hosts,
+//! worker counts, and host-side optimisations; the drifting members are
+//! listed under the cell's row. Cells of OLD that NEW lacks are counted,
+//! not failed: a filtered sweep (`figures tiny db`) against the full
+//! baseline is a supported use. A host-speed comparison is
+//! `benchmark/run.sh`'s, not this tool's.
 //! Exit code: 0 if no simulated number drifted, 1 otherwise (or on usage
 //! and parse errors).
 
@@ -49,36 +50,27 @@ fn main() -> ExitCode {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:<12} {:<10} {:>14} {:>14} {:>9} {:>8}",
-        "program", "mode", "processor", "old wall (ms)", "new wall (ms)", "speedup", "cycles"
+        "{:<12} {:<12} {:<10} {:>9}",
+        "program", "mode", "processor", "simulated"
     );
     let mut drift = 0usize;
     let mut matched = 0usize;
-    let (mut old_total, mut new_total) = (0u128, 0u128);
     for o in &old {
         let Some(n) = new.iter().find(|n| n.key() == o.key()) else {
             continue;
         };
         matched += 1;
-        old_total += o.wall_nanos;
-        new_total += n.wall_nanos;
-        // Every declared member is simulated except the two host clocks.
         let drifted: Vec<String> = std::iter::zip(o.members(), n.members())
-            .filter(|((key, was), (_, is))| {
-                !matches!(*key, "wall_nanos" | "host_wall_ns") && was != is
-            })
+            .filter(|((_, was), (_, is))| was != is)
             .map(|((key, was), (_, is))| format!("  {key}: {was} -> {is}\n"))
             .collect();
         drift += usize::from(!drifted.is_empty());
         let _ = writeln!(
             out,
-            "{:<12} {:<12} {:<10} {:>14.2} {:>14.2} {:>8.2}x {:>8}",
+            "{:<12} {:<12} {:<10} {:>9}",
             o.name,
             o.mode,
             o.processor,
-            o.wall_nanos as f64 / 1e6,
-            n.wall_nanos as f64 / 1e6,
-            o.wall_nanos as f64 / n.wall_nanos.max(1) as f64,
             if drifted.is_empty() { "same" } else { "DRIFT" }
         );
         out.push_str(&drifted.concat());
@@ -89,11 +81,7 @@ fn main() -> ExitCode {
     }
     let _ = writeln!(
         out,
-        "total: {matched} cells, {:.2} ms -> {:.2} ms ({:.2}x wall-clock), \
-         {} cell(s) of OLD absent from NEW",
-        old_total as f64 / 1e6,
-        new_total as f64 / 1e6,
-        old_total as f64 / new_total.max(1) as f64,
+        "total: {matched} cells, {} cell(s) of OLD absent from NEW",
         old.len() - matched
     );
     if drift > 0 {

@@ -7,18 +7,16 @@
 //! cargo run --release -p spf-bench --bin figures -- small --jobs 8
 //! cargo run --release -p spf-bench --bin figures -- tiny --verify-serial
 //! cargo run --release -p spf-bench --bin figures -- tiny --trace
-//! cargo run --release -p spf-bench --bin figures -- tiny --timing-runs 3
 //! ```
 //!
 //! The experiment matrix is sharded across worker threads (`--jobs N`,
 //! default: available parallelism); parallelism never alters the
-//! simulated results. Each sweep also writes `BENCH_matrix.json`
-//! (override the path with `--matrix-out PATH`, disable with
-//! `--matrix-out -`) recording per-cell wall-clock and simulated cycles;
-//! compare two such files with the `bench_diff` binary (simulated
-//! numbers) or the `host_check` binary (host throughput).
-//! `--timing-runs N` re-runs each cell N times (asserted bit-identical)
-//! and records the median host wall-clock as the cell's `host_wall_ns`.
+//! simulated results. Stdout depends on nothing but the simulation, so
+//! `figures tiny > FIGURES_tiny.txt` rewrites the committed copy byte for
+//! byte on any host and at any `--jobs`. Each sweep also writes
+//! `BENCH_matrix.json` (override the path with `--matrix-out PATH`,
+//! disable with `--matrix-out -`) recording every cell's simulated
+//! numbers; compare two such files with the `bench_diff` binary.
 //! An argument the grammar does not know is an error
 //! ([`spf_bench::cli::figures`]), and so is an artifact that could not be
 //! written.
@@ -155,7 +153,6 @@ fn main() -> ExitCode {
     let args = cli::from_env(cli::figures);
     let plan = RunPlan {
         size: args.size,
-        timing_runs: args.timing_runs,
         ..RunPlan::default()
     };
     let keep = |n: &str| args.only.as_deref().is_none_or(|o| o == n);
@@ -176,15 +173,10 @@ fn main() -> ExitCode {
     let results = matrix::run_cells(&plan, args.jobs, &cells);
     matrix::assert_checksums_agree(&results);
     let total_wall = t0.elapsed().as_nanos();
-    let host_total: u128 = results.iter().map(|r| r.host_wall_ns).sum();
     eprintln!(
-        "grid done: {} cells in {:.2}s \
-         (host throughput: {:.1} ms summed per-cell median wall-clock, \
-         {} timing run(s) per cell)",
+        "grid done: {} cells in {:.2}s",
         results.len(),
-        total_wall as f64 / 1e9,
-        host_total as f64 / 1e6,
-        plan.timing_runs.max(1),
+        total_wall as f64 / 1e9
     );
 
     let mut ok = true;

@@ -160,8 +160,6 @@ pub struct Figures {
     pub only: Option<String>,
     /// Worker threads for the sweep.
     pub jobs: usize,
-    /// Timed repetitions of each cell.
-    pub timing_runs: u32,
     /// Run one cell pooled and directly, diff, exit.
     pub verify_serial: bool,
     /// Where `BENCH_matrix.json` goes; `None` disables it.
@@ -176,9 +174,6 @@ const FIGURES: Grammar<Figures> = Grammar {
     workload: Some(|a, w| a.only = Some(w)),
     flags: &[
         Flag("--jobs", "N", |a, v| positive(v).map(|n| a.jobs = n)),
-        Flag("--timing-runs", "N", |a, v| {
-            positive(v).map(|n| a.timing_runs = n)
-        }),
         Flag("--verify-serial", "", |a, _| on(&mut a.verify_serial)),
         Flag("--matrix-out", "PATH|-", |a, v| {
             path_or_dash(v).map(|p| a.matrix_out = p)
@@ -194,7 +189,6 @@ pub fn figures(argv: &[String]) -> Result<Figures, String> {
         size: Size::Full,
         only: None,
         jobs: default_jobs(),
-        timing_runs: 1,
         verify_serial: false,
         matrix_out: Some("BENCH_matrix.json".to_string()),
         trace: false,

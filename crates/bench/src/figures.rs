@@ -161,7 +161,10 @@ impl ExperimentData {
 
     /// Figure 11: prefetch-pass compile time relative to total JIT
     /// compilation time, and JIT time relative to total execution (Pentium
-    /// 4, INTER+INTRA, warm-up phase).
+    /// 4, INTER+INTRA, warm-up phase). Both columns are read from the
+    /// simulation's cost model ([`spf_vm::VmStats::prefetch_pass_fraction`],
+    /// [`spf_vm::VmStats::jit_time_fraction`]), so the figure is the same
+    /// on every host.
     pub fn fig11(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -431,9 +434,8 @@ mod tests {
     fn figures_render_for_a_small_grid() {
         let plan = RunPlan {
             size: Size::Tiny,
-            warmup_runs: 2,
             measured_runs: 1,
-            timing_runs: 1,
+            ..RunPlan::default()
         };
         let results = crate::matrix::run_matrix(&plan, 1, |n| n == "db" || n == "compress");
         let data = from_measurements(results.into_iter().map(|r| r.measurement).collect());

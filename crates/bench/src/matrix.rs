@@ -11,14 +11,13 @@
 //! other half of the invariant: a workload computes the same answer in
 //! all ten of its configurations.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use spf_core::PrefetchOptions;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{NoopSink, RingSink, TraceSink};
-use spf_workloads::{Prepared, Size, WorkloadSpec};
+use spf_workloads::{run_pool, Prepared, Size, WorkloadSpec};
 
 use crate::runner::{run_prepared, Measurement, RunPlan, WorkloadTrace};
 
@@ -39,15 +38,8 @@ pub struct Cell {
 pub struct CellResult {
     /// The simulated measurement (independent of scheduling).
     pub measurement: Measurement,
-    /// Host wall-clock nanoseconds of the run that produced
-    /// [`measurement`](Self::measurement).
+    /// Host nanoseconds of the run; pinned by `benchmark/src/matrix.rs:609`, `:749` until ROADMAP 1(B).
     pub wall_nanos: u128,
-    /// Median host wall-clock nanoseconds over
-    /// [`RunPlan::timing_runs`] complete, bit-identical runs of the cell
-    /// (equal to [`wall_nanos`](Self::wall_nanos) when `timing_runs` is 1).
-    /// This is the number host-throughput comparisons should use: the
-    /// median suppresses scheduler noise a single sample is exposed to.
-    pub host_wall_ns: u128,
 }
 
 /// The prefetch-mode axis in canonical order: BASELINE, INTER,
@@ -104,34 +96,16 @@ pub struct TracedCellResult {
     pub measurement: Measurement,
     /// Events, site table, and per-site attribution of the best run.
     pub trace: WorkloadTrace,
-    /// Host wall-clock nanoseconds spent simulating this cell.
+    /// Host nanoseconds of the run; pinned by `benchmark/src/matrix.rs:622` until ROADMAP 1(B).
     pub wall_nanos: u128,
 }
 
 fn run_cell(plan: &RunPlan, cell: &Cell, prep: &Prepared) -> CellResult {
-    let run = || run_prepared(prep, &cell.options, &cell.proc, plan, NoopSink).0;
     let t0 = Instant::now();
-    let measurement = run();
-    let wall_nanos = t0.elapsed().as_nanos();
-    let mut times = vec![wall_nanos];
-    for _ in 1..plan.timing_runs.max(1) {
-        let t = Instant::now();
-        let repeat = run();
-        times.push(t.elapsed().as_nanos());
-        let diff = measurement.simulated_diff(&repeat);
-        assert!(
-            diff.is_empty(),
-            "{}/{}/{}: timing repetition diverged from the first run: {diff:?}",
-            measurement.name,
-            measurement.mode,
-            measurement.processor
-        );
-    }
-    times.sort_unstable();
+    let measurement = run_prepared(prep, &cell.options, &cell.proc, plan, NoopSink).0;
     CellResult {
         measurement,
-        wall_nanos,
-        host_wall_ns: times[times.len() / 2],
+        wall_nanos: t0.elapsed().as_nanos(),
     }
 }
 
@@ -161,52 +135,6 @@ fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S
                 p
             }
         })
-        .collect()
-}
-
-/// Runs `count` independent tasks on up to `jobs` worker threads through
-/// an atomic cursor, returning results in task order regardless of
-/// scheduling. Worker panics are propagated.
-fn run_pool<R: Send>(jobs: usize, count: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let jobs = jobs.clamp(1, count.max(1));
-    if jobs == 1 {
-        return (0..count).map(task).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    // Claim tasks through the shared cursor; keep results
-                    // local until the join to avoid any lock on the hot
-                    // path.
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        done.push((i, task(i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for w in workers {
-            match w.join() {
-                Ok(done) => {
-                    for (i, r) in done {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every task was claimed by a worker"))
         .collect()
 }
 
@@ -277,9 +205,8 @@ mod tests {
     fn tiny_plan() -> RunPlan {
         RunPlan {
             size: Size::Tiny,
-            warmup_runs: 2,
             measured_runs: 1,
-            timing_runs: 1,
+            ..RunPlan::default()
         }
     }
 

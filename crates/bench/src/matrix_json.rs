@@ -25,13 +25,6 @@ spf_trace::record! {
         pub best_cycles: u64,
         /// Retired instructions in the best run.
         pub retired: u64,
-        /// Host wall-clock nanoseconds spent simulating the cell.
-        pub wall_nanos: u128,
-        /// Median host wall-clock nanoseconds over the plan's timing
-        /// repetitions (equals `wall_nanos` in files emitted before the field
-        /// existed, or when `timing_runs` was 1).
-        #[default = wall_nanos]
-        pub host_wall_ns: u128,
         /// Whole-method adaptive deoptimizations (always 0 since invalidation
         /// went per-loop; kept so old readers keep their column).
         #[default = 0]
@@ -77,8 +70,6 @@ impl From<&CellResult> for CellSummary {
             processor: m.processor.clone(),
             best_cycles: m.best_cycles,
             retired: m.retired,
-            wall_nanos: r.wall_nanos,
-            host_wall_ns: r.host_wall_ns,
             deopts: m.deopts,
             recompiles: m.recompiles,
             loop_deopts: m.loop_deopts,
@@ -91,7 +82,10 @@ impl From<&CellResult> for CellSummary {
     }
 }
 
-/// Renders a sweep as `BENCH_matrix.json`.
+/// Renders a sweep as `BENCH_matrix.json`: simulated cell rows in a
+/// `size` / `jobs` / `total_wall_nanos` envelope.
+///
+/// `total_wall_nanos` is pinned by `benchmark/src/matrix.rs:774` until ROADMAP 1(B).
 pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u128) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -170,7 +164,6 @@ mod tests {
                 checksum: 42,
             },
             wall_nanos: 12_345,
-            host_wall_ns: 23_456,
         }
     }
 
@@ -187,8 +180,6 @@ mod tests {
         assert_eq!(cells[0].mode, "BASELINE");
         assert_eq!(cells[1].mode, "INTER+INTRA");
         assert_eq!(cells[1].best_cycles, 80);
-        assert_eq!(cells[0].wall_nanos, 12_345);
-        assert_eq!(cells[0].host_wall_ns, 23_456);
         assert_eq!(cells[0].inspection_cycles, 160);
         assert_eq!(cells[0].static_sites, 0);
         assert_eq!(cells[0].checksum, 42);
@@ -212,15 +203,6 @@ mod tests {
         let cells = parse(&text).unwrap();
         assert_eq!(cells[0].loop_deopts, 0);
         assert_eq!(cells[0].loop_repatches, 0);
-    }
-
-    #[test]
-    fn parse_defaults_host_wall_ns_to_wall_nanos() {
-        // A file emitted before the field existed.
-        let text = emit(&[sample("db", PrefetchMode::Off, 100)], Size::Tiny, 1, 9)
-            .replace(", \"host_wall_ns\": 23456", "");
-        let cells = parse(&text).unwrap();
-        assert_eq!(cells[0].host_wall_ns, 12_345);
     }
 
     #[test]

@@ -15,11 +15,7 @@ pub struct RunPlan {
     pub warmup_runs: u32,
     /// Measured invocations; the best (fewest cycles) is reported.
     pub measured_runs: u32,
-    /// Timed repetitions of each matrix cell; a cell's `host_wall_ns` is
-    /// the median over this many complete runs (1 = time the single run).
-    /// Every repetition is asserted bit-identical to the first, so the
-    /// extra runs only tighten host timing, never change a simulated
-    /// number.
+    /// Read by nothing; pinned by `benchmark/src/matrix.rs:32` until ROADMAP 1(B) deletes it.
     pub timing_runs: u32,
 }
 
@@ -54,7 +50,8 @@ pub struct Measurement {
     /// JIT cycles / total cycles of the simulated clock during the
     /// warm-up phase (Figure 11, right).
     pub jit_fraction: f64,
-    /// Prefetch-pass time / JIT time (Figure 11, left).
+    /// Inspection cycles / (JIT + inspection cycles) of the cost model
+    /// during the warm-up phase (Figure 11, left).
     pub prefetch_pass_fraction: f64,
     /// Total prefetches the JIT inserted across all methods.
     pub prefetches_inserted: usize,
@@ -95,14 +92,9 @@ impl Measurement {
         baseline.best_cycles as f64 / self.best_cycles as f64
     }
 
-    /// Compares every *simulation-determined* field against `other`,
-    /// returning a description of each difference (empty = identical).
-    ///
-    /// `prefetch_pass_fraction` is excluded on purpose: it is a ratio of
-    /// host wall-clock times, which vary from run to run even when the
-    /// simulation is bit-identical. Everything the simulator itself
-    /// computes — cycles, instruction counts, memory counters, the JIT's
-    /// share of the simulated clock, checksums — must match exactly.
+    /// Compares every field against `other`, returning a description of
+    /// each difference (empty = identical). Every field is
+    /// simulation-determined, so two runs of one cell must match exactly.
     pub fn simulated_diff(&self, other: &Measurement) -> Vec<String> {
         let mut diff = Vec::new();
         macro_rules! cmp {
@@ -125,6 +117,7 @@ impl Measurement {
         cmp!(mem);
         cmp!(compiled_fraction);
         cmp!(jit_fraction);
+        cmp!(prefetch_pass_fraction);
         cmp!(prefetches_inserted);
         cmp!(stride_check);
         cmp!(deopts);
@@ -283,4 +276,43 @@ pub fn run_prepared<S: TraceSink>(
         checksum,
     };
     (measurement, trace)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn simulated_diff_reports_a_moved_prefetch_pass_fraction() {
+        let a = Measurement {
+            name: "db".to_string(),
+            mode: PrefetchMode::InterIntra,
+            processor: "Pentium 4".to_string(),
+            best_cycles: 100,
+            retired: 10,
+            mem: MemStats::default(),
+            compiled_fraction: 0.5,
+            jit_fraction: 0.1,
+            prefetch_pass_fraction: 0.2,
+            prefetches_inserted: 3,
+            stride_check: StrideCrossCheck::default(),
+            deopts: 0,
+            recompiles: 0,
+            loop_deopts: 0,
+            loop_repatches: 0,
+            reagreed: 0,
+            inspection_cycles: 160,
+            static_sites: 0,
+            checksum: 42,
+        };
+        let b = Measurement {
+            prefetch_pass_fraction: 0.25,
+            ..a.clone()
+        };
+        assert!(a.simulated_diff(&a.clone()).is_empty());
+        assert_eq!(
+            a.simulated_diff(&b),
+            ["prefetch_pass_fraction: 0.2 != 0.25"]
+        );
+    }
 }

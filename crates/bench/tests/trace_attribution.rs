@@ -19,9 +19,7 @@ use spf_workloads::Size;
 fn tiny_plan() -> RunPlan {
     RunPlan {
         size: Size::Tiny,
-        warmup_runs: 2,
-        measured_runs: 2,
-        timing_runs: 1,
+        ..RunPlan::default()
     }
 }
 

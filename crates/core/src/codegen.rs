@@ -31,6 +31,7 @@ use spf_trace::{PlannedShape, SuppressReason, TraceEvent, TraceSink};
 
 use crate::ldg::{Ldg, LdgNodeId};
 use crate::options::{PrefetchMode, PrefetchOptions};
+use crate::pipeline::MIN_SAMPLES;
 use crate::profit::{has_dependent, stride_is_profitable, IssuedLines};
 use crate::report::{GeneratedKind, GeneratedPrefetch};
 
@@ -243,7 +244,7 @@ impl<'a> PrefetchCodegen<'a> {
             // rarely runs (e.g. inside a rarely taken branch) is waste.
             let deref_worthy = |e: &&crate::ldg::LdgEdge| {
                 let to = ldg.node(e.to);
-                to.inter_stride.is_none() && to.samples >= self.options.min_samples
+                to.inter_stride.is_none() && to.samples >= MIN_SAMPLES
             };
             let needs_deref =
                 self.options.mode.intra_patterns() && successors.iter().any(deref_worthy);

@@ -21,7 +21,7 @@
 use std::collections::{HashMap, HashSet};
 
 use spf_heap::{
-    apply_bin, apply_cmp, apply_conv, apply_un, static_addr, Addr, Heap, HeapRead, Value, NULL,
+    apply_bin, apply_cmp, apply_conv, apply_un, static_addr, Addr, Heap, Value, NULL,
     PRIVATE_HEAP_BASE,
 };
 use spf_ir::loops::{LoopForest, LoopId};
@@ -29,6 +29,7 @@ use spf_ir::{BlockId, ElemTy, Function, Instr, InstrRef, PrefetchAddr, Program, 
 
 use crate::codegen::access_addr;
 use crate::options::PrefetchOptions;
+use crate::pipeline::MAX_INSPECT_STEPS;
 
 /// Cap on visits of a loop header *nested inside the target loop* per
 /// target-loop iteration, protecting the step budget from large inner
@@ -67,7 +68,7 @@ impl InspectionResult {
 pub struct Inspector<'a> {
     program: &'a Program,
     func: &'a Function,
-    heap: &'a dyn HeapRead,
+    heap: &'a Heap,
     statics: &'a [Value],
     forest: &'a LoopForest,
     options: &'a PrefetchOptions,
@@ -92,7 +93,7 @@ impl<'a> Inspector<'a> {
     pub fn new(
         program: &'a Program,
         func: &'a Function,
-        heap: &'a dyn HeapRead,
+        heap: &'a Heap,
         statics: &'a [Value],
         forest: &'a LoopForest,
         options: &'a PrefetchOptions,
@@ -142,7 +143,11 @@ impl<'a> Inspector<'a> {
             regs[i] = Some(*a);
         }
         let mut shadow: HashMap<Addr, Option<Value>> = HashMap::new();
-        let mut private = Heap::with_base(self.heap.layout().clone(), 1 << 20, PRIVATE_HEAP_BASE);
+        let mut private = Heap::with_base(
+            self.heap.layout_tables().clone(),
+            1 << 20,
+            PRIVATE_HEAP_BASE,
+        );
         let mut result = InspectionResult::default();
         let mut entries: HashMap<BlockId, u32> = HashMap::new(); // outside loops
         let mut entries_this_iter: HashMap<BlockId, u32> = HashMap::new(); // nested loops
@@ -174,7 +179,7 @@ impl<'a> Inspector<'a> {
             let block = self.func.block(cur);
             for (i, instr) in block.instrs.iter().enumerate() {
                 result.steps += 1;
-                if result.steps > self.options.max_inspect_steps {
+                if result.steps > MAX_INSPECT_STEPS {
                     result.hit_step_budget = true;
                     break 'outer;
                 }
@@ -326,7 +331,7 @@ impl<'a> Inspector<'a> {
             Some(Value::Ref(a)) if a != NULL => Some(a),
             _ => None,
         };
-        match access_addr(self.heap.layout(), instr)? {
+        match access_addr(self.heap.layout_tables(), instr)? {
             PrefetchAddr::FieldOf { base, delta } => {
                 Some(base_of(base)?.wrapping_add(delta as u64))
             }
@@ -780,14 +785,17 @@ mod tests {
 
     #[test]
     fn step_budget_is_respected() {
-        let fx = fixture(100);
+        // A loop far longer than the budget, inspected without an
+        // iteration cap.
+        let fx = fixture(20_000);
         let opts = PrefetchOptions {
-            max_inspect_steps: 30,
+            inspect_iterations: u32::MAX,
             ..PrefetchOptions::default()
         };
         let (res, _) = inspect(&fx, &opts);
         assert!(res.hit_step_budget);
-        assert!(res.steps <= 31);
+        assert!(res.steps <= MAX_INSPECT_STEPS + 1);
+        assert!(res.iterations < 20_000);
     }
 
     use spf_ir::CmpOp;

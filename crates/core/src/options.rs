@@ -79,14 +79,9 @@ pub struct PrefetchOptions {
     /// Fraction of identical strides required to accept a pattern ("it
     /// matches 75% of the all collected strides", §4).
     pub majority: f64,
-    /// Minimum number of stride samples before a pattern is considered.
-    pub min_samples: usize,
     /// Scheduling distance in iterations ("We fixed the scheduling distance
     /// as one iteration", §4).
     pub distance: u32,
-    /// Hard budget on interpreted instructions per inspection, keeping the
-    /// profile "ultra-lightweight".
-    pub max_inspect_steps: u64,
     /// How prefetches are mapped to hardware instructions (§3.3).
     pub guarded_policy: GuardedPolicy,
     /// Whether the profitability analysis runs (ablation knob; the paper
@@ -100,9 +95,7 @@ impl Default for PrefetchOptions {
             mode: PrefetchMode::InterIntra,
             inspect_iterations: 20,
             majority: 0.75,
-            min_samples: 4,
             distance: 1,
-            max_inspect_steps: 50_000,
             guarded_policy: GuardedPolicy::Auto,
             profitability: true,
         }

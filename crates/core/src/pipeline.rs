@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use spf_heap::{HeapRead, Value};
+use spf_heap::{Heap, Value};
 use spf_ir::cfg::Cfg;
 use spf_ir::defuse::UseDef;
 use spf_ir::dom::DomTree;
@@ -33,6 +33,13 @@ pub const INSPECT_CYCLES_PER_SAMPLE: u64 = 2;
 /// A nested loop whose average trip count (per target-loop iteration) is
 /// at most this is treated as part of the parent loop (§3).
 const SMALL_TRIP_THRESHOLD: f64 = 16.0;
+
+/// Minimum number of stride samples before a pattern is considered.
+pub const MIN_SAMPLES: usize = 4;
+
+/// Hard budget on interpreted instructions per inspection, keeping the
+/// profile "ultra-lightweight".
+pub const MAX_INSPECT_STEPS: u64 = 50_000;
 
 /// Result of optimizing one method.
 #[derive(Clone, Debug)]
@@ -75,7 +82,7 @@ impl StridePrefetcher {
         &self,
         program: &Program,
         func: &Function,
-        heap: &dyn HeapRead,
+        heap: &Heap,
         statics: &[Value],
         args: &[Value],
         proc: &ProcessorConfig,
@@ -92,7 +99,7 @@ impl StridePrefetcher {
         &self,
         program: &Program,
         func: &Function,
-        heap: &dyn HeapRead,
+        heap: &Heap,
         statics: &[Value],
         args: &[Value],
         proc: &ProcessorConfig,
@@ -115,7 +122,7 @@ impl StridePrefetcher {
         &self,
         program: &Program,
         func: &Function,
-        heap: &dyn HeapRead,
+        heap: &Heap,
         statics: &[Value],
         args: &[Value],
         proc: &ProcessorConfig,
@@ -139,7 +146,7 @@ impl StridePrefetcher {
         &self,
         program: &Program,
         func: &Function,
-        heap: &dyn HeapRead,
+        heap: &Heap,
         statics: &[Value],
         args: &[Value],
         proc: &ProcessorConfig,
@@ -169,7 +176,7 @@ impl StridePrefetcher {
             };
         }
         let ud = UseDef::compute(func, &cfg);
-        let codegen = PrefetchCodegen::new(heap.layout(), proc, &self.options);
+        let codegen = PrefetchCodegen::new(heap.layout_tables(), proc, &self.options);
 
         let mut work = func.clone();
         let mut merged: HashMap<InstrRef, Vec<spf_ir::Instr>> = HashMap::new();
@@ -830,7 +837,7 @@ mod tests {
                 PrefetchOptions::inter_intra()
             };
             let proc = ProcessorConfig::athlon_mp();
-            let codegen = PrefetchCodegen::new(heap.layout(), &proc, &opts);
+            let codegen = PrefetchCodegen::new(heap.layout_tables(), &proc, &opts);
             let mut work = func.clone();
             let (_, prefetches) = codegen.plan(
                 &mut work,

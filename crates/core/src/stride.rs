@@ -15,6 +15,7 @@ use spf_ir::InstrRef;
 
 use crate::ldg::Ldg;
 use crate::options::PrefetchOptions;
+use crate::pipeline::MIN_SAMPLES;
 
 /// Returns the dominant value of `samples` if it reaches the `majority`
 /// fraction and there are at least `min_samples` samples.
@@ -109,7 +110,7 @@ pub fn annotate_ldg(
             let samples = inter_iteration_samples(trace);
             let node = ldg.node_mut(id);
             node.samples = trace.len();
-            node.inter_stride = dominant_stride(&samples, options.majority, options.min_samples);
+            node.inter_stride = dominant_stride(&samples, options.majority, MIN_SAMPLES);
         }
     }
     let sites: Vec<(InstrRef, InstrRef)> = ldg
@@ -123,7 +124,7 @@ pub fn annotate_ldg(
         };
         let samples = intra_iteration_samples(from, to);
         ldg.edges_mut()[edge].intra_stride =
-            dominant_stride(&samples, options.majority, options.min_samples);
+            dominant_stride(&samples, options.majority, MIN_SAMPLES);
     }
 }
 

@@ -54,19 +54,6 @@ impl std::fmt::Display for HeapError {
 
 impl std::error::Error for HeapError {}
 
-/// Read-only view of a heap, as needed by object inspection and guarded
-/// loads: reads either succeed or report invalidity — they never fault.
-pub trait HeapRead {
-    /// Reads a typed value, or `None` when the access is invalid.
-    fn try_read(&self, addr: Addr, ty: ElemTy) -> Option<Value>;
-
-    /// Whether `[addr, addr+size)` lies within allocated memory.
-    fn is_valid_range(&self, addr: Addr, size: u64) -> bool;
-
-    /// The layout tables of the program this heap runs.
-    fn layout(&self) -> &Layout;
-}
-
 /// The simulated heap.
 ///
 /// Objects and arrays are allocated with a bump pointer, so back-to-back
@@ -277,6 +264,21 @@ impl Heap {
             .ok_or(HeapError::BadAccess { addr })
     }
 
+    /// Reads a typed value, or `None` when the access is invalid or
+    /// `addr` is null: the read object inspection and guarded loads need,
+    /// which never faults.
+    pub fn try_read(&self, addr: Addr, ty: ElemTy) -> Option<Value> {
+        if addr == NULL {
+            return None;
+        }
+        self.read(addr, ty).ok()
+    }
+
+    /// Whether `[addr, addr+size)` lies within allocated memory.
+    pub fn is_valid_range(&self, addr: Addr, size: u64) -> bool {
+        self.offset_of(addr, size).is_some()
+    }
+
     /// Writes a typed value.
     ///
     /// # Errors
@@ -386,23 +388,6 @@ impl Iterator for HeapWalk<'_> {
         let addr = self.cursor;
         self.cursor += self.heap.alloc_size(addr).next_multiple_of(8);
         Some(addr)
-    }
-}
-
-impl HeapRead for Heap {
-    fn try_read(&self, addr: Addr, ty: ElemTy) -> Option<Value> {
-        if addr == NULL {
-            return None;
-        }
-        self.read(addr, ty).ok()
-    }
-
-    fn is_valid_range(&self, addr: Addr, size: u64) -> bool {
-        self.offset_of(addr, size).is_some()
-    }
-
-    fn layout(&self) -> &Layout {
-        &self.layout
     }
 }
 

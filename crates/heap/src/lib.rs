@@ -48,8 +48,7 @@ pub mod value;
 
 pub use gc::{CollectStats, Forwarding};
 pub use heap::{
-    shard_bytes, static_addr, Heap, HeapError, HeapRead, DEFAULT_HEAP_BASE, PRIVATE_HEAP_BASE,
-    STATICS_BASE,
+    shard_bytes, static_addr, Heap, HeapError, DEFAULT_HEAP_BASE, PRIVATE_HEAP_BASE, STATICS_BASE,
 };
 pub use layout::{Layout, ARRAY_DATA_OFFSET, ARRAY_LENGTH_OFFSET, OBJECT_HEADER_SIZE};
 pub use value::{apply_bin, apply_cmp, apply_conv, apply_un, Addr, Value, NULL};

@@ -16,7 +16,6 @@
 //! numbers the same way `bench_diff` gates the matrix.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use spf_adapt::AdaptConfig;
@@ -26,7 +25,7 @@ use spf_ir::MethodId;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{FaultKind, NoopSink, TraceEvent};
 use spf_vm::{Vm, VmConfig};
-use spf_workloads::{all, Prepared, Size};
+use spf_workloads::{all, run_pool, Prepared, Size};
 
 use crate::cache::{CacheEntry, CodeCache};
 use crate::faults::{self, ChaosConfig, FaultPlan};
@@ -534,7 +533,7 @@ pub fn run(
         // 5. Execute dispatched requests host-parallel. Each closure owns
         //    exactly one tenant VM (distinct indices), so the lock is
         //    uncontended and the work is embarrassingly parallel.
-        let results: Vec<(u64, i32)> = run_each(jobs, dispatched.len(), |k| {
+        let results: Vec<(u64, i32)> = run_pool(jobs, dispatched.len(), |k| {
             let (ti, _) = dispatched[k];
             let t = &mut *fleet.tenants[ti].lock().unwrap();
             let before = t.vm.stats().cycles;
@@ -691,33 +690,6 @@ pub fn run(
     out
 }
 
-/// Runs `f(0..n)` with up to `jobs` worker threads, returning results in
-/// index order. The work-stealing cursor only affects which host thread
-/// computes which index, never the result — `f` must be index-pure.
-fn run_each<R: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,14 +700,6 @@ mod tests {
             requests: 40,
             mean_interarrival: 50_000,
             ..ServeConfig::default()
-        }
-    }
-
-    #[test]
-    fn run_each_preserves_order() {
-        for jobs in [1, 2, 7] {
-            let r = run_each(jobs, 20, |i| i * i);
-            assert_eq!(r, (0..20).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
         }
     }
 

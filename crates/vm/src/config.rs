@@ -7,6 +7,12 @@ use spf_core::PrefetchOptions;
 /// latencies come on top, from the memory simulator).
 pub const COMPILED_INSTR_COST: u64 = 1;
 
+/// Cycle multiplier for interpreted (not yet compiled) code.
+pub const INTERP_COST_MULTIPLIER: u64 = 10;
+
+/// Maximum call-stack depth.
+pub const MAX_STACK_DEPTH: usize = 4096;
+
 /// Extra cycle cost of a method call/return pair (frame setup).
 pub const CALL_OVERHEAD: u64 = 5;
 
@@ -39,12 +45,8 @@ pub struct VmConfig {
     pub heap_bytes: usize,
     /// Invocation count at which a method is JIT-compiled (mixed mode).
     pub compile_threshold: u32,
-    /// Cycle multiplier for interpreted (not yet compiled) code.
-    pub interp_cost_multiplier: u64,
     /// The prefetching configuration used at JIT compilation.
     pub prefetch: PrefetchOptions,
-    /// Maximum call-stack depth.
-    pub max_stack_depth: usize,
     /// Adaptive-reprofiling thresholds (only consulted when
     /// `prefetch.mode` is [`spf_core::PrefetchMode::Adaptive`]).
     pub adapt: AdaptConfig,
@@ -75,9 +77,7 @@ impl Default for VmConfig {
         VmConfig {
             heap_bytes: 64 << 20,
             compile_threshold: 2,
-            interp_cost_multiplier: 10,
             prefetch: PrefetchOptions::default(),
-            max_stack_depth: 4096,
             adapt: AdaptConfig::default(),
             fuse_superinstructions: true,
             async_compile: false,

@@ -19,7 +19,7 @@ use spf_ir::{
 use spf_memsim::CacheLevel;
 use spf_trace::{SiteId, TraceSink};
 
-use crate::config::{CALL_OVERHEAD, COMPILED_INSTR_COST};
+use crate::config::{CALL_OVERHEAD, COMPILED_INSTR_COST, INTERP_COST_MULTIPLIER};
 use crate::decode::{Op, ThreadedCode};
 use crate::error::VmError;
 use crate::vm::{body, Vm};
@@ -211,7 +211,7 @@ pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
     ctx.cur_cost = if code.compiled {
         COMPILED_INSTR_COST
     } else {
-        COMPILED_INSTR_COST * vm.config.interp_cost_multiplier
+        COMPILED_INSTR_COST * INTERP_COST_MULTIPLIER
     };
     enter_window(vm, ctx, f.base);
 }

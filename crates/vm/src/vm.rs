@@ -23,8 +23,8 @@ use spf_memsim::{MemorySystem, ProcessorConfig};
 use spf_trace::{NoopSink, SiteId, SiteInfo, SiteKind, SiteTable, TraceEvent, TraceSink};
 
 use crate::config::{
-    VmConfig, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES, RECOMPILE_BASE_CYCLES,
-    RECOMPILE_CYCLES_PER_INSTR,
+    VmConfig, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES, MAX_STACK_DEPTH,
+    RECOMPILE_BASE_CYCLES, RECOMPILE_CYCLES_PER_INSTR,
 };
 use crate::decode::{decode, ThreadedCode};
 use crate::dispatch::{self, Ctx, HALT, SWITCH};
@@ -555,7 +555,7 @@ impl<S: TraceSink> Vm<S> {
         ret_dst: Option<Reg>,
         pic: Option<u32>,
     ) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.max_stack_depth {
+        if self.frames.len() >= MAX_STACK_DEPTH {
             return Err(VmError::StackOverflow);
         }
         self.invocations[mid.index()] += 1;
@@ -1613,10 +1613,7 @@ mod tests {
         }
         let mut vm = Vm::new(
             pb.finish(),
-            VmConfig {
-                max_stack_depth: 64,
-                ..VmConfig::default()
-            },
+            VmConfig::default(),
             ProcessorConfig::pentium4(),
         );
         assert!(matches!(
@@ -1660,7 +1657,6 @@ mod tests {
             let mut pb = ProgramBuilder::new();
             let down = countdown(&mut pb);
             let config = VmConfig {
-                max_stack_depth: 16,
                 compile_threshold: u32::MAX, // no JIT: every stat is simulated
                 ..VmConfig::default()
             };
@@ -1676,7 +1672,7 @@ mod tests {
 
         let (mut vm, down) = fresh();
         assert!(matches!(
-            vm.call(down, &[Value::I32(40), Value::I32(2)]),
+            vm.call(down, &[Value::I32(MAX_STACK_DEPTH as i32), Value::I32(2)]),
             Err(VmError::StackOverflow)
         ));
         assert!(vm.frames.is_empty() && vm.stack.is_empty());

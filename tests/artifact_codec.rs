@@ -59,7 +59,6 @@ fn cell(name: &str, processor: &str) -> CellResult {
             checksum: -42,
         },
         wall_nanos: 12_345,
-        host_wall_ns: 23_456,
     }
 }
 
@@ -330,11 +329,10 @@ fn committed(name: &str) -> String {
 
 #[test]
 fn committed_artifacts_parse_through_their_readers() {
-    for name in ["BENCH_baseline.json", "HOST_baseline.json"] {
-        let (cells, warnings) = matrix_json::parse_with_warnings(&committed(name)).expect(name);
-        assert_eq!(cells.len(), 120, "{name}");
-        assert!(warnings.is_empty(), "{name}: {warnings:?}");
-    }
+    let (cells, warnings) = matrix_json::parse_with_warnings(&committed("BENCH_baseline.json"))
+        .expect("BENCH_baseline.json");
+    assert_eq!(cells.len(), 120);
+    assert!(warnings.is_empty(), "{warnings:?}");
     let sites = summary::parse(&committed("TRACE_summary.jsonl")).expect("TRACE_summary.jsonl");
     assert_eq!(sites.len(), 67);
     let events = deopt::parse(&committed("DEOPT_events.jsonl")).expect("DEOPT_events.jsonl");
@@ -619,8 +617,6 @@ fn every_record_reads_back_what_it_wrote() {
             processor: text(r),
             best_cycles: int!(r, u64),
             retired: int!(r, u64),
-            wall_nanos: int!(r, u128),
-            host_wall_ns: int!(r, u128),
             deopts: int!(r, u64),
             recompiles: int!(r, u64),
             loop_deopts: int!(r, u64),
@@ -719,7 +715,7 @@ fn exactly_the_declared_defaults_are_optional() {
         |v| DeoptRow::read(v).map(|row| row.members()),
     );
     let cell = &matrix_json::parse(&matrix_text("db", "P4")).expect("matrix")[0];
-    let mut optional = zero(&[
+    let optional = zero(&[
         "deopts",
         "recompiles",
         "loop_deopts",
@@ -728,7 +724,6 @@ fn exactly_the_declared_defaults_are_optional() {
         "inspection_cycles",
         "static_sites",
     ]);
-    optional.push(("host_wall_ns", "12345")); // the cell's `wall_nanos`
     leave_each_member_out(cell.members(), &optional, |v| {
         CellSummary::read(v).map(|row| row.members())
     });

@@ -124,7 +124,6 @@ fn accepted_argv_round_trips_the_values_it_set() {
             size: size.unwrap_or(Size::Full),
             only: only.clone(),
             jobs: num(&argv, "--jobs", defaults.jobs),
-            timing_runs: num(&argv, "--timing-runs", 1),
             verify_serial: has(&argv, "--verify-serial"),
             matrix_out: path_or_dash(&argv, "--matrix-out", "BENCH_matrix.json"),
             trace: has(&argv, "--trace"),
@@ -251,7 +250,6 @@ fn one_hostile_word_is_rejected_by_name() {
 fn a_positive_count_of_zero_or_beyond_its_type_is_rejected() {
     for (bin, parse, flag, bad) in [
         ("figures", PARSERS[0].1, "--jobs", "0"),
-        ("figures", PARSERS[0].1, "--timing-runs", "4294967296"),
         ("spf-serve", PARSERS[2].1, "--tenants", "0"),
         ("spf-serve", PARSERS[2].1, "--requests", "4294967297"),
         ("spf-serve", PARSERS[2].1, "--jobs", "18446744073709551616"),

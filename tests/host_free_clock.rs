@@ -1,7 +1,7 @@
 //! The simulated clock is a pure function of the program: no value read
 //! from the host's clock reaches `stats.cycles`, `jit_cycles` or the `now`
-//! of any event. Host time survives only in `jit_nanos` /
-//! `prefetch_pass_nanos`.
+//! of any event, nor Figure 11's prefetch-pass share. Host time survives
+//! only in `jit_nanos` / `prefetch_pass_nanos`.
 
 use std::time::Duration;
 
@@ -85,6 +85,9 @@ fn a_slowed_pipeline_changes_only_the_host_time_fields() {
         "the slowdown must land inside the JIT's timed window"
     );
     assert_eq!(fast.simulated(), slow.simulated());
+    // Figure 11(a) is read from the cost model, not the host clock.
+    assert!(fast.prefetch_pass_fraction() > 0.0);
+    assert_eq!(fast.prefetch_pass_fraction(), slow.prefetch_pass_fraction());
     assert_eq!(fast_mem, slow_mem);
     assert!(
         fast_events

@@ -17,9 +17,8 @@ fn spec(name: &str) -> workloads::WorkloadSpec {
 fn plan(size: Size) -> RunPlan {
     RunPlan {
         size,
-        warmup_runs: 2,
         measured_runs: 1,
-        timing_runs: 1,
+        ..RunPlan::default()
     }
 }
 
@@ -165,8 +164,7 @@ fn prefetch_pass_is_ultra_lightweight() {
             );
             for lr in &report.loops {
                 assert!(
-                    lr.inspected_steps
-                        <= stride_prefetch::prefetch::PrefetchOptions::default().max_inspect_steps,
+                    lr.inspected_steps <= stride_prefetch::prefetch::pipeline::MAX_INSPECT_STEPS,
                     "{name}/{}: inspection exceeded its step budget",
                     report.method
                 );

@@ -166,7 +166,6 @@ fn random_options_preserve_semantics() {
             inspect_iterations: rng.u64_in(2, 39) as u32,
             majority: rng.f64_in(0.3, 1.0),
             distance: rng.u64_in(1, 4) as u32,
-            min_samples: rng.usize_in(2, 7),
             profitability: rng.bool(),
             ..PrefetchOptions::inter_intra()
         };
