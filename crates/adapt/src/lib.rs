@@ -42,21 +42,24 @@ use spf_trace::StaleReason;
 /// loop (straight-line code).
 pub const NO_LOOP: u32 = u32::MAX;
 
-/// Tuning knobs of the adaptive-reprofiling policy.
+/// A loop is stale when `useless / issued` exceeds this fraction (with at
+/// least [`MIN_ISSUES`] issues observed).
+pub const USELESS_THRESHOLD: f64 = 0.5;
+
+/// Minimum prefetch issues before a loop's useless ratio is trusted.
+pub const MIN_ISSUES: u64 = 64;
+
+/// Invocations to wait before the first repatch after an invalidation;
+/// doubles with every repatch already used (exponential backoff).
+pub const BACKOFF_BASE: u64 = 2;
+
+/// The knobs of the adaptive-reprofiling policy that chaos runs harden;
+/// the rest of the policy is the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptConfig {
-    /// A loop is stale when `useless / issued` exceeds this fraction
-    /// (with at least [`AdaptConfig::min_samples`] issues observed).
-    pub useless_threshold: f64,
-    /// Minimum prefetch issues before the useless ratio is trusted.
-    pub min_samples: u64,
     /// Total adaptive repatches allowed per loop; once spent, that loop's
     /// guard disarms and its current (patched or live) state is kept.
     pub max_recompiles: u32,
-    /// Invocations to wait before the first repatch after an
-    /// invalidation; doubles with every repatch already used (exponential
-    /// backoff).
-    pub backoff_base: u64,
     /// Re-arm horizon in GC epochs; 0 disables re-arming (disarmed loop
     /// guards stay disarmed forever). When non-zero:
     ///
@@ -73,10 +76,7 @@ pub struct AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
-            useless_threshold: 0.5,
-            min_samples: 64,
             max_recompiles: 4,
-            backoff_base: 2,
             rearm_stable_epochs: 0,
         }
     }
@@ -340,7 +340,7 @@ impl AdaptState {
             }
             let reason = if l.epoch_at_compile != epoch {
                 StaleReason::GcMoved
-            } else if l.issued >= cfg.min_samples && l.useless_ratio() > cfg.useless_threshold {
+            } else if l.issued >= MIN_ISSUES && l.useless_ratio() > USELESS_THRESHOLD {
                 StaleReason::UselessRatio
             } else {
                 continue;
@@ -378,7 +378,6 @@ impl AdaptState {
         invocations: u64,
         epoch: u64,
     ) -> u32 {
-        let cfg = self.cfg;
         let Some(g) = self.guard_mut(method) else {
             return 0;
         };
@@ -386,7 +385,7 @@ impl AdaptState {
             if let Some(l) = g.loops.get_mut(&header) {
                 l.stale = true;
                 l.stale_epoch = epoch;
-                let backoff = cfg.backoff_base << l.generation.min(32);
+                let backoff = BACKOFF_BASE << l.generation.min(32);
                 l.resume_at = invocations + backoff;
                 l.issued = 0;
                 l.useless = 0;
@@ -563,18 +562,13 @@ mod tests {
 
     #[test]
     fn useless_ratio_is_attributed_to_the_owning_loop() {
-        let cfg = AdaptConfig {
-            useless_threshold: 0.5,
-            min_samples: 4,
-            ..AdaptConfig::default()
-        };
-        let mut a = AdaptState::new(cfg);
+        let mut a = AdaptState::new(AdaptConfig::default());
         compile(&mut a, 0, 0, &two_loops());
         // All useless traffic lands on loop 2's blocks.
-        a.record_issue(0, 2, true);
-        a.record_issue(0, 3, true);
-        assert!(a.check_stale(0, 0).is_empty(), "below min_samples");
-        a.record_issue(0, 2, true);
+        for k in 1..MIN_ISSUES {
+            a.record_issue(0, 2 + (k % 2) as u32, true);
+        }
+        assert!(a.check_stale(0, 0).is_empty(), "below MIN_ISSUES");
         a.record_issue(0, 2, false);
         // Loop 6 stays healthy even while loop 2 crosses the threshold.
         a.record_issue(0, 6, false);
@@ -582,21 +576,19 @@ mod tests {
         assert_eq!(headers(&stale), vec![2]);
         assert_eq!(stale[0].reason, StaleReason::UselessRatio);
         let l = loop_guard(&a, 0, 2);
-        assert_eq!((l.issued, l.useless), (4, 3));
+        assert_eq!((l.issued, l.useless), (MIN_ISSUES, MIN_ISSUES - 1));
         assert_eq!(loop_guard(&a, 0, 6).issued, 1);
     }
 
     #[test]
     fn exactly_half_useless_is_not_stale() {
-        let cfg = AdaptConfig {
-            useless_threshold: 0.5,
-            min_samples: 2,
-            ..AdaptConfig::default()
-        };
-        let mut a = AdaptState::new(cfg);
+        let mut a = AdaptState::new(AdaptConfig::default());
         compile(&mut a, 0, 0, &one_loop(0));
-        a.record_issue(0, 0, true);
-        a.record_issue(0, 0, false);
+        for _ in 0..MIN_ISSUES / 2 {
+            a.record_issue(0, 0, true);
+            a.record_issue(0, 0, false);
+        }
+        assert_eq!(loop_guard(&a, 0, 0).issued, MIN_ISSUES, "ratio is trusted");
         assert!(a.check_stale(0, 0).is_empty(), "threshold is strict");
     }
 
@@ -612,23 +604,26 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially_per_loop() {
         let cfg = AdaptConfig {
-            backoff_base: 2,
             max_recompiles: 8,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
         compile(&mut a, 0, 0, &one_loop(4));
         a.on_patch(0, &[4], 100, 1);
-        assert!(a.loops_due(0, 101, 1).is_empty());
-        assert_eq!(a.loops_due(0, 102, 1), vec![4], "gen 0 waits backoff_base");
+        assert!(a.loops_due(0, 100 + BACKOFF_BASE - 1, 1).is_empty());
+        assert_eq!(
+            a.loops_due(0, 100 + BACKOFF_BASE, 1),
+            vec![4],
+            "gen 0 waits BACKOFF_BASE"
+        );
         a.on_repatch(0, 4, 1);
         a.on_repatch_install(0);
         a.on_patch(0, &[4], 200, 2);
-        assert!(a.loops_due(0, 203, 2).is_empty());
+        assert!(a.loops_due(0, 200 + 2 * BACKOFF_BASE - 1, 2).is_empty());
         assert_eq!(
-            a.loops_due(0, 204, 2),
+            a.loops_due(0, 200 + 2 * BACKOFF_BASE, 2),
             vec![4],
-            "gen 1 waits 2*backoff_base"
+            "gen 1 waits 2*BACKOFF_BASE"
         );
     }
 
@@ -636,17 +631,17 @@ mod tests {
     fn budget_disarms_loop_guards_instead_of_looping() {
         let cfg = AdaptConfig {
             max_recompiles: 2,
-            backoff_base: 0,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
-        let mut epoch = 0;
+        let (mut epoch, mut invocations) = (0, 0);
         compile(&mut a, 0, epoch, &one_loop(4));
         for expect_gen in 1..=2 {
             epoch += 1;
             assert_eq!(headers(&a.check_stale(0, epoch)), vec![4]);
-            a.on_patch(0, &[4], 0, epoch);
-            assert_eq!(a.loops_due(0, 0, epoch), vec![4]);
+            a.on_patch(0, &[4], invocations, epoch);
+            invocations += BACKOFF_BASE << (expect_gen - 1);
+            assert_eq!(a.loops_due(0, invocations, epoch), vec![4]);
             assert_eq!(a.on_repatch(0, 4, epoch), expect_gen);
             a.on_repatch_install(0);
         }
@@ -663,7 +658,6 @@ mod tests {
     fn budgets_are_independent_across_loops() {
         let cfg = AdaptConfig {
             max_recompiles: 1,
-            backoff_base: 0,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
@@ -686,7 +680,6 @@ mod tests {
     fn eviction_recompiles_do_not_burn_the_staleness_budget() {
         let cfg = AdaptConfig {
             max_recompiles: 2,
-            backoff_base: 0,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
@@ -792,8 +785,6 @@ mod tests {
         let cfg = AdaptConfig {
             max_recompiles: 1,
             rearm_stable_epochs: 3,
-            backoff_base: 0,
-            ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
         compile(&mut a, 0, 0, &one_loop(4));
@@ -832,7 +823,6 @@ mod tests {
     fn rearm_disabled_by_default_keeps_legacy_disarm_forever() {
         let cfg = AdaptConfig {
             max_recompiles: 1,
-            backoff_base: 0,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);
@@ -849,7 +839,6 @@ mod tests {
     #[test]
     fn stable_epochs_waive_invalidation_backoff() {
         let cfg = AdaptConfig {
-            backoff_base: 1_000,
             rearm_stable_epochs: 2,
             ..AdaptConfig::default()
         };
@@ -895,7 +884,6 @@ mod tests {
     fn full_recompile_clears_staleness_and_carries_budget() {
         let cfg = AdaptConfig {
             max_recompiles: 2,
-            backoff_base: 0,
             ..AdaptConfig::default()
         };
         let mut a = AdaptState::new(cfg);

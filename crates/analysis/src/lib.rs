@@ -11,7 +11,7 @@
 //!   assigned on all paths (the structural verifier only checks ranges);
 //! - [`speclint`] — a taint analysis proving `SpecLoad` speculation never
 //!   leaks into architectural state, plus prefetch-placement and
-//!   guarded-policy conformance checks;
+//!   guarded-load checks;
 //! - [`scev`] — SCEV-lite induction-variable and affine-recurrence
 //!   analysis producing statically-proven inter-iteration strides, which
 //!   the pipeline cross-checks against object inspection — and, in
@@ -67,38 +67,14 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// The prefetch-kind discipline the speculation lint checks generated code
-/// against. Mirrors `spf-core`'s `GuardedPolicy` resolved against the
-/// simulated processor (this crate cannot depend on `spf-core` without a
-/// cycle, so the caller maps policy + processor to one of these).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PolicyCheck {
-    /// Every `Prefetch` must map to the hardware instruction.
-    AllHardware,
-    /// Every `Prefetch` must be a guarded load.
-    AllGuarded,
-    /// Auto policy on a processor that drops prefetches on TLB misses
-    /// (paper §3.3, Pentium 4): dereference-based prefetches — those whose
-    /// address comes from a speculative load — must be guarded.
-    AutoDrops,
-    /// Auto policy on a processor that keeps prefetches on TLB misses
-    /// (Athlon MP): no static constraint on the chosen kind.
-    AutoKeeps,
-}
-
 /// Configuration for [`lint`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LintConfig {
-    /// Prefetch-kind discipline to enforce.
-    pub policy: PolicyCheck,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            policy: PolicyCheck::AutoKeeps,
-        }
-    }
+    /// Whether dereference-based prefetches (those whose address comes
+    /// from a speculative load) must be guarded loads: the paper's rule on
+    /// a processor whose prefetch instruction is dropped on a DTLB miss
+    /// (§3.3, the Pentium 4). Callers set it from the simulated processor.
+    pub guard_derefs: bool,
 }
 
 /// Runs the full lint over one function: definite initialization plus the

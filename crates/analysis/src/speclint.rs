@@ -6,8 +6,8 @@
 //! into `PrefetchAddr` operands and further `SpecLoad` chains (paper §3.3's
 //! dereference-based prefetch shapes); this lint proves that discipline
 //! survives every later rewrite. It also checks placement — a prefetch with
-//! no enclosing loop can never be stride-driven — and conformance with the
-//! configured guarded-load policy.
+//! no enclosing loop can never be stride-driven — and that dereference-based
+//! prefetches are guarded loads where the processor requires it.
 
 use spf_ir::bitset::BitSet;
 use spf_ir::cfg::Cfg;
@@ -16,7 +16,7 @@ use spf_ir::loops::LoopForest;
 use spf_ir::{Instr, PrefetchAddr, PrefetchKind};
 
 use crate::dataflow::{forward, Join};
-use crate::{Finding, LintConfig, PolicyCheck};
+use crate::{Finding, LintConfig};
 
 /// Whether any register the address expression reads is tainted.
 fn addr_tainted(addr: &PrefetchAddr, taint: &BitSet) -> bool {
@@ -25,7 +25,7 @@ fn addr_tainted(addr: &PrefetchAddr, taint: &BitSet) -> bool {
     used.iter().any(|r| taint.contains(r.index()))
 }
 
-/// Runs the speculation-safety, placement, and policy checks.
+/// Runs the speculation-safety, placement, and guarded-load checks.
 pub fn check(func: &Function, cfg: &Cfg, forest: &LoopForest, config: &LintConfig) -> Vec<Finding> {
     // Taint propagation (may-analysis): a register is tainted if some path
     // assigns it a value derived from a SpecLoad result. Redefinition from
@@ -69,21 +69,16 @@ pub fn check(func: &Function, cfg: &Cfg, forest: &LoopForest, config: &LintConfi
                             format!("{}: prefetch outside any loop", func.name()),
                         ));
                     }
-                    let deref = addr_tainted(addr, &taint);
-                    let bad_kind = match config.policy {
-                        PolicyCheck::AllHardware => *kind != PrefetchKind::Hardware,
-                        PolicyCheck::AllGuarded => *kind != PrefetchKind::GuardedLoad,
-                        PolicyCheck::AutoDrops => deref && *kind != PrefetchKind::GuardedLoad,
-                        PolicyCheck::AutoKeeps => false,
-                    };
-                    if bad_kind {
+                    if config.guard_derefs
+                        && *kind != PrefetchKind::GuardedLoad
+                        && addr_tainted(addr, &taint)
+                    {
                         findings.push(Finding::at(
                             b,
                             Some(i),
                             format!(
-                                "{}: {kind} prefetch violates the {:?} policy",
-                                func.name(),
-                                config.policy
+                                "{}: {kind} dereference prefetch must be guarded",
+                                func.name()
                             ),
                         ));
                     }
@@ -208,11 +203,11 @@ mod tests {
         f
     }
 
-    fn run(f: &Function, policy: PolicyCheck) -> Vec<Finding> {
+    fn run(f: &Function, guard_derefs: bool) -> Vec<Finding> {
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dom);
-        check(f, &cfg, &forest, &LintConfig { policy })
+        check(f, &cfg, &forest, &LintConfig { guard_derefs })
     }
 
     #[test]
@@ -238,8 +233,8 @@ mod tests {
                 kind: PrefetchKind::GuardedLoad,
             });
         });
-        assert!(run(&f, PolicyCheck::AutoDrops).is_empty());
-        assert!(run(&f, PolicyCheck::AllGuarded).is_empty());
+        assert!(run(&f, true).is_empty());
+        assert!(run(&f, false).is_empty());
     }
 
     #[test]
@@ -267,7 +262,7 @@ mod tests {
                 elem: spf_ir::ElemTy::I32,
             });
         });
-        let findings = run(&f, PolicyCheck::AutoKeeps);
+        let findings = run(&f, false);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("leaks"));
     }
@@ -295,7 +290,7 @@ mod tests {
                 .instrs
                 .push(Instr::ArrayLen { dst: v, arr: alias });
         });
-        let findings = run(&f, PolicyCheck::AutoKeeps);
+        let findings = run(&f, false);
         // Two findings: the Move itself leaks, and the ArrayLen through the
         // alias leaks again.
         assert_eq!(findings.len(), 2, "{findings:?}");
@@ -314,13 +309,13 @@ mod tests {
             kind: PrefetchKind::Hardware,
         });
         f.block_mut(entry).term = Terminator::Return(None);
-        let findings = run(&f, PolicyCheck::AutoKeeps);
+        let findings = run(&f, false);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("outside any loop"));
     }
 
     #[test]
-    fn policy_conformance() {
+    fn dereference_prefetches_are_guarded_where_required() {
         let build = |kind: PrefetchKind| {
             loop_fn(move |f, bodyb, head| {
                 let spec = f.new_reg(Ty::Ref);
@@ -345,10 +340,8 @@ mod tests {
         let guarded = build(PrefetchKind::GuardedLoad);
         // A dereference-based hardware prefetch would be dropped on the TLB
         // miss it is supposed to cover (paper §3.3).
-        assert_eq!(run(&hw, PolicyCheck::AutoDrops).len(), 1);
-        assert!(run(&hw, PolicyCheck::AutoKeeps).is_empty());
-        assert_eq!(run(&hw, PolicyCheck::AllGuarded).len(), 1);
-        assert!(run(&guarded, PolicyCheck::AllGuarded).is_empty());
-        assert_eq!(run(&guarded, PolicyCheck::AllHardware).len(), 1);
+        assert_eq!(run(&hw, true).len(), 1);
+        assert!(run(&hw, false).is_empty());
+        assert!(run(&guarded, true).is_empty());
     }
 }

@@ -15,7 +15,7 @@ use spf_trace::{Attribution, SiteEffect, TraceSink};
 use spf_vm::Vm;
 
 /// A workload's original (pre-JIT) method bodies pass the structural
-/// verifier and the full lint with no policy constraint.
+/// verifier and the full lint with no guarded-load constraint.
 pub fn originals(name: &str, program: &Program) -> Vec<String> {
     let mut violations = Vec::new();
     for mid in program.method_ids() {
@@ -48,20 +48,17 @@ pub struct Generations {
 
 /// Every body the VM ever installed — patched, repatched and recompiled
 /// generations included, not just the bodies still live — passes the
-/// structural verifier, the lint under the guarded-load policy resolved
-/// for `proc`, and the provenance lint against the reports of its own
+/// structural verifier, the lint under `proc`'s guarded-load rule, and
+/// the provenance lint against the reports of its own
 /// compilation. Reports are paired with bodies by (method name,
 /// generation): the history and the report list are not positionally
 /// aligned when bodies are installed out of band.
 pub fn generations<S: TraceSink>(vm: &Vm<S>, proc: &ProcessorConfig) -> Generations {
-    let options = &vm.config().prefetch;
     let config = LintConfig {
-        policy: options
-            .guarded_policy
-            .lint_check(proc.swpf_drops_on_tlb_miss),
+        guard_derefs: proc.swpf_drops_on_tlb_miss,
     };
     let pcfg = ProvenanceConfig {
-        static_first: options.mode.static_first(),
+        static_first: vm.config().prefetch.mode.static_first(),
     };
     let mut out = Generations::default();
     for (_mid, generation, func) in vm.compiled_generations() {

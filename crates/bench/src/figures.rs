@@ -327,9 +327,7 @@ impl ExperimentData {
     /// tier-2 re-entry, how often the whole method was recompiled, and how
     /// often re-inspection re-agreed on prefetchable strides. Not a paper
     /// artifact — it characterizes the guard machinery this reproduction
-    /// adds on top of the paper's one-shot inspection. The `deopts` column
-    /// stays for continuity with older runs; it is always 0 now that
-    /// invalidation is per-loop.
+    /// adds on top of the paper's one-shot inspection.
     pub fn adaptive_table(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -338,15 +336,15 @@ impl ExperimentData {
         );
         let _ = writeln!(
             s,
-            "{:<12} {:>8} {:>9} {:>9} {:>12} {:>10}",
-            "program", "deopts", "loop-inv", "loop-rep", "recompiles", "reagreed"
+            "{:<12} {:>9} {:>9} {:>12} {:>10}",
+            "program", "loop-inv", "loop-rep", "recompiles", "reagreed"
         );
         for name in self.names() {
             if let Some(m) = self.get(name, "Pentium 4", PrefetchMode::Adaptive) {
                 let _ = writeln!(
                     s,
-                    "{:<12} {:>8} {:>9} {:>9} {:>12} {:>10}",
-                    name, m.deopts, m.loop_deopts, m.loop_repatches, m.recompiles, m.reagreed
+                    "{:<12} {:>9} {:>9} {:>12} {:>10}",
+                    name, m.loop_deopts, m.loop_repatches, m.recompiles, m.reagreed
                 );
             }
         }

@@ -25,10 +25,6 @@ spf_trace::record! {
         pub best_cycles: u64,
         /// Retired instructions in the best run.
         pub retired: u64,
-        /// Whole-method adaptive deoptimizations (always 0 since invalidation
-        /// went per-loop; kept so old readers keep their column).
-        #[default = 0]
-        pub deopts: u64,
         /// Full adaptive recompilations (zero outside the adaptive modes).
         #[default = 0]
         pub recompiles: u64,
@@ -70,7 +66,6 @@ impl From<&CellResult> for CellSummary {
             processor: m.processor.clone(),
             best_cycles: m.best_cycles,
             retired: m.retired,
-            deopts: m.deopts,
             recompiles: m.recompiles,
             loop_deopts: m.loop_deopts,
             loop_repatches: m.loop_repatches,

@@ -59,8 +59,8 @@ pub struct Measurement {
     /// methods (zero under `PrefetchMode::Off`, where no analysis runs).
     pub stride_check: StrideCrossCheck,
     /// Whole-method adaptive deoptimizations: warm-up plus the best
-    /// measured run. Always 0 since invalidation went per-loop; kept so
-    /// existing artifacts and parsers keep their column.
+    /// measured run. Always 0 since invalidation went per-loop; pinned by
+    /// `benchmark/src/matrix.rs:902`, which writes `deopts: 0`.
     pub deopts: u64,
     /// Full adaptive recompilations: warm-up plus the best measured run.
     pub recompiles: u64,

@@ -30,40 +30,10 @@ use spf_memsim::ProcessorConfig;
 use spf_trace::{PlannedShape, SuppressReason, TraceEvent, TraceSink};
 
 use crate::ldg::{Ldg, LdgNodeId};
-use crate::options::{PrefetchMode, PrefetchOptions};
+use crate::options::{PrefetchMode, PrefetchOptions, DISTANCE};
 use crate::pipeline::MIN_SAMPLES;
 use crate::profit::{has_dependent, stride_is_profitable, IssuedLines};
 use crate::report::{GeneratedKind, GeneratedPrefetch};
-
-/// How prefetches are mapped to hardware instructions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum GuardedPolicy {
-    /// The paper's mapping: guarded loads for dereference-based and
-    /// intra-iteration prefetches on processors that cancel prefetches on
-    /// DTLB misses, or when the stride exceeds half a page; the hardware
-    /// prefetch instruction otherwise.
-    #[default]
-    Auto,
-    /// Always use the hardware prefetch instruction (ablation).
-    AlwaysHardware,
-    /// Always use guarded loads (ablation).
-    AlwaysGuarded,
-}
-
-impl GuardedPolicy {
-    /// The discipline the speculation lint should enforce for code
-    /// generated under this policy on a processor that does (or does not)
-    /// drop software prefetches on DTLB misses. `spf-analysis` cannot
-    /// depend on this crate, so the mapping lives here.
-    pub fn lint_check(self, swpf_drops_on_tlb_miss: bool) -> spf_analysis::PolicyCheck {
-        match self {
-            GuardedPolicy::AlwaysHardware => spf_analysis::PolicyCheck::AllHardware,
-            GuardedPolicy::AlwaysGuarded => spf_analysis::PolicyCheck::AllGuarded,
-            GuardedPolicy::Auto if swpf_drops_on_tlb_miss => spf_analysis::PolicyCheck::AutoDrops,
-            GuardedPolicy::Auto => spf_analysis::PolicyCheck::AutoKeeps,
-        }
-    }
-}
 
 /// `A(L)`: the address the load or store `instr` uses, as the address form
 /// the IR's prefetches take; `None` for instructions without a register
@@ -132,18 +102,16 @@ impl<'a> PrefetchCodegen<'a> {
         }
     }
 
+    /// The paper's mapping (§3.3): a guarded load for dereference-based
+    /// and intra-iteration prefetches on processors that cancel prefetches
+    /// on DTLB misses, and for any displacement beyond half a page (TLB
+    /// priming); the hardware prefetch instruction otherwise.
     fn pick_kind(&self, dereference_like: bool, displacement: i64) -> PrefetchKind {
-        match self.options.guarded_policy {
-            GuardedPolicy::AlwaysHardware => PrefetchKind::Hardware,
-            GuardedPolicy::AlwaysGuarded => PrefetchKind::GuardedLoad,
-            GuardedPolicy::Auto => {
-                let big_stride = displacement.unsigned_abs() > self.proc.page_bytes / 2;
-                if (dereference_like && self.proc.swpf_drops_on_tlb_miss) || big_stride {
-                    PrefetchKind::GuardedLoad
-                } else {
-                    PrefetchKind::Hardware
-                }
-            }
+        let big_stride = displacement.unsigned_abs() > self.proc.page_bytes / 2;
+        if (dereference_like && self.proc.swpf_drops_on_tlb_miss) || big_stride {
+            PrefetchKind::GuardedLoad
+        } else {
+            PrefetchKind::Hardware
         }
     }
 
@@ -205,7 +173,7 @@ impl<'a> PrefetchCodegen<'a> {
         }
         let line = self.proc.swpf_line_bytes();
         let mut issued = IssuedLines::new();
-        let c = self.options.distance as i64;
+        let c = i64::from(DISTANCE);
 
         for lx in ldg.node_ids() {
             if exclude.contains(&lx) {
@@ -224,7 +192,7 @@ impl<'a> PrefetchCodegen<'a> {
                 }
                 continue; // loop-invariant address
             }
-            if self.options.profitability && !has_dependent(work, node.site) {
+            if !has_dependent(work, node.site) {
                 if S::ENABLED {
                     sink.emit(suppressed(node.site, SuppressReason::NoDependent));
                 }
@@ -266,19 +234,17 @@ impl<'a> PrefetchCodegen<'a> {
                         arr: base, delta, ..
                     } => (0x8000_0000 | base.index() as u32, delta),
                 };
-                if self.options.profitability {
-                    if !stride_is_profitable(d, line) {
-                        if S::ENABLED {
-                            sink.emit(suppressed(node.site, SuppressReason::StrideTooSmall));
-                        }
-                        continue;
+                if !stride_is_profitable(d, line) {
+                    if S::ENABLED {
+                        sink.emit(suppressed(node.site, SuppressReason::StrideTooSmall));
                     }
-                    if !issued.claim(claim_key, claim_off, line) {
-                        if S::ENABLED {
-                            sink.emit(suppressed(node.site, SuppressReason::LineShared));
-                        }
-                        continue;
+                    continue;
+                }
+                if !issued.claim(claim_key, claim_off, line) {
+                    if S::ENABLED {
+                        sink.emit(suppressed(node.site, SuppressReason::LineShared));
                     }
+                    continue;
                 }
                 let kind = self.pick_kind(false, d * c);
                 insertions
@@ -328,7 +294,7 @@ impl<'a> PrefetchCodegen<'a> {
                     continue;
                 };
                 let anchor_key = lx.index() as u32;
-                if !self.options.profitability || issued.claim(anchor_key, f_off, line) {
+                if issued.claim(anchor_key, f_off, line) {
                     let kind = self.pick_kind(true, 0);
                     insert.push(Instr::Prefetch {
                         addr: PrefetchAddr::FieldOf {
@@ -363,7 +329,7 @@ impl<'a> PrefetchCodegen<'a> {
                         let total = acc + s;
                         stack.push((e2.to, total));
                         let offset = f_off + total;
-                        if self.options.profitability && !issued.claim(anchor_key, offset, line) {
+                        if !issued.claim(anchor_key, offset, line) {
                             if S::ENABLED {
                                 sink.emit(suppressed(
                                     ldg.node(e2.to).site,
@@ -430,7 +396,7 @@ mod tests {
     use spf_ir::{ElemTy, ProgramBuilder};
 
     #[test]
-    fn guarded_policy_auto_follows_processor() {
+    fn pick_kind_follows_processor() {
         let layout_program = spf_ir::Program::new();
         let layout = Layout::compute(&layout_program);
         let opts = PrefetchOptions::default();

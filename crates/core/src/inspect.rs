@@ -14,8 +14,8 @@
 //! * any instruction with an `unknown` operand produces `unknown`.
 //!
 //! Loops encountered *before* the target loop have their bodies interpreted
-//! only once; the target loop is interpreted a configurable number of times
-//! (20 in the paper) while the addresses used by the candidate loads are
+//! only once; the target loop is interpreted [`INSPECT_ITERATIONS`] times
+//! (the paper's 20) while the addresses used by the candidate loads are
 //! recorded.
 
 use std::collections::{HashMap, HashSet};
@@ -28,7 +28,7 @@ use spf_ir::loops::{LoopForest, LoopId};
 use spf_ir::{BlockId, ElemTy, Function, Instr, InstrRef, PrefetchAddr, Program, Terminator};
 
 use crate::codegen::access_addr;
-use crate::options::PrefetchOptions;
+use crate::options::INSPECT_ITERATIONS;
 use crate::pipeline::MAX_INSPECT_STEPS;
 
 /// Cap on visits of a loop header *nested inside the target loop* per
@@ -71,7 +71,6 @@ pub struct Inspector<'a> {
     heap: &'a Heap,
     statics: &'a [Value],
     forest: &'a LoopForest,
-    options: &'a PrefetchOptions,
 }
 
 impl std::fmt::Debug for Inspector<'_> {
@@ -96,7 +95,6 @@ impl<'a> Inspector<'a> {
         heap: &'a Heap,
         statics: &'a [Value],
         forest: &'a LoopForest,
-        options: &'a PrefetchOptions,
     ) -> Self {
         Inspector {
             program,
@@ -104,7 +102,6 @@ impl<'a> Inspector<'a> {
             heap,
             statics,
             forest,
-            options,
         }
     }
 
@@ -158,7 +155,7 @@ impl<'a> Inspector<'a> {
             if cur == target_header {
                 result.iterations += 1;
                 entries_this_iter.clear();
-                if result.iterations > self.options.inspect_iterations {
+                if result.iterations > INSPECT_ITERATIONS {
                     break;
                 }
             } else if let Some(lid) = self.forest.innermost(cur) {
@@ -220,7 +217,7 @@ impl<'a> Inspector<'a> {
         }
         // Iterations were counted on header entry; the last entry that
         // overflowed the budget is not a recorded iteration.
-        result.iterations = result.iterations.min(self.options.inspect_iterations);
+        result.iterations = result.iterations.min(INSPECT_ITERATIONS);
         result
     }
 
@@ -499,7 +496,7 @@ mod tests {
         }
     }
 
-    fn inspect(fx: &Fixture, opts: &PrefetchOptions) -> (InspectionResult, Vec<InstrRef>) {
+    fn inspect(fx: &Fixture) -> (InspectionResult, Vec<InstrRef>) {
         let func = fx.program.method(fx.method).func();
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
@@ -509,7 +506,7 @@ mod tests {
             .filter(|&s| func.instr(s).is_ldg_load())
             .collect();
         let set: HashSet<InstrRef> = record.iter().copied().collect();
-        let insp = Inspector::new(&fx.program, func, &fx.heap, &[], &forest, opts);
+        let insp = Inspector::new(&fx.program, func, &fx.heap, &[], &forest);
         let res = insp.run(&[Value::Ref(fx.arr)], forest.roots()[0], &set);
         (res, record)
     }
@@ -517,7 +514,7 @@ mod tests {
     #[test]
     fn records_twenty_iterations() {
         let fx = fixture(100);
-        let (res, _) = inspect(&fx, &PrefetchOptions::default());
+        let (res, _) = inspect(&fx);
         assert_eq!(res.iterations, 20);
         assert!(!res.hit_step_budget);
     }
@@ -525,7 +522,7 @@ mod tests {
     #[test]
     fn aload_addresses_have_constant_stride() {
         let fx = fixture(100);
-        let (res, record) = inspect(&fx, &PrefetchOptions::default());
+        let (res, record) = inspect(&fx);
         let func = fx.program.method(fx.method).func();
         let aload_site = record
             .iter()
@@ -542,7 +539,7 @@ mod tests {
     #[test]
     fn getfield_addresses_stride_by_node_size() {
         let fx = fixture(100);
-        let (res, record) = inspect(&fx, &PrefetchOptions::default());
+        let (res, record) = inspect(&fx);
         let func = fx.program.method(fx.method).func();
         let gf_site = record
             .iter()
@@ -559,7 +556,7 @@ mod tests {
     #[test]
     fn short_loop_stops_at_exit() {
         let fx = fixture(5);
-        let (res, _) = inspect(&fx, &PrefetchOptions::default());
+        let (res, _) = inspect(&fx);
         assert_eq!(res.iterations, 5, "loop exits after 5 iterations");
     }
 
@@ -596,8 +593,7 @@ mod tests {
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
-        let opts = PrefetchOptions::default();
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, &opts);
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
         let res = insp.run(&[Value::Ref(arr_addr)], forest.roots()[0], &HashSet::new());
         assert_eq!(res.iterations, 8);
         for i in 0..8u64 {
@@ -644,13 +640,12 @@ mod tests {
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
-        let opts = PrefetchOptions::default();
         let gf = func
             .instr_sites()
             .find(|&s| matches!(func.instr(s), Instr::GetField { .. }))
             .unwrap();
         let set: HashSet<InstrRef> = [gf].into_iter().collect();
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, &opts);
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
         let res = insp.run(&[Value::Ref(o), Value::I32(5)], forest.roots()[0], &set);
         assert_eq!(res.iterations, 5);
         // The real heap still holds 0.
@@ -693,8 +688,7 @@ mod tests {
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
-        let opts = PrefetchOptions::default();
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, &opts);
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
         let res = insp.run(&[Value::I32(6)], forest.roots()[0], &HashSet::new());
         assert_eq!(res.iterations, 6);
         assert_eq!(heap.used(), used_before, "real heap untouched");
@@ -737,9 +731,8 @@ mod tests {
             .iter()
             .max_by_key(|&&l| forest.info(l).header)
             .unwrap();
-        let opts = PrefetchOptions::default();
         let statics = [Value::I32(0)];
-        let insp = Inspector::new(&program, func, &heap, &statics, &forest, &opts);
+        let insp = Inspector::new(&program, func, &heap, &statics, &forest);
         let res = insp.run(&[Value::I32(1000)], target, &HashSet::new());
         // The pre-loop ran once (not 1000 times): very few steps consumed.
         assert!(res.steps < 400, "steps = {}", res.steps);
@@ -777,25 +770,59 @@ mod tests {
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
-        let opts = PrefetchOptions::default();
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, &opts);
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
         let res = insp.run(&[Value::I32(100)], forest.roots()[0], &HashSet::new());
         assert_eq!(res.iterations, 20);
     }
 
     #[test]
     fn step_budget_is_respected() {
-        // A loop far longer than the budget, inspected without an
-        // iteration cap.
-        let fx = fixture(20_000);
-        let opts = PrefetchOptions {
-            inspect_iterations: u32::MAX,
-            ..PrefetchOptions::default()
-        };
-        let (res, _) = inspect(&fx, &opts);
+        // Each outer iteration runs a nested loop up to its header cap
+        // with a long body, so the paper's 20 outer iterations cost more
+        // steps than the budget allows.
+        let mut pb = ProgramBuilder::new();
+        let mut b = pb.function("nested", &[Ty::I32], Some(Ty::I32));
+        let n = b.param(0);
+        let acc = b.new_reg(Ty::I32);
+        let z = b.const_i32(0);
+        b.move_(acc, z);
+        b.for_i32(
+            0,
+            1,
+            CmpOp::Lt,
+            |_| n,
+            |b, _| {
+                b.for_i32(
+                    0,
+                    1,
+                    CmpOp::Lt,
+                    |_| n,
+                    |b, j| {
+                        for _ in 0..50 {
+                            let s = b.add(acc, j);
+                            b.move_(acc, s);
+                        }
+                    },
+                );
+            },
+        );
+        b.ret(Some(acc));
+        let m = b.finish();
+        let program = pb.finish();
+        let heap = Heap::new(Layout::compute(&program), 1 << 12);
+        let func = program.method(m).func();
+        let cfg = Cfg::compute(func);
+        let dom = DomTree::compute(func, &cfg);
+        let forest = LoopForest::compute(func, &cfg, &dom);
+        let outer = *forest
+            .roots()
+            .first()
+            .expect("the outer loop is the only root");
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
+        let res = insp.run(&[Value::I32(1_000)], outer, &HashSet::new());
         assert!(res.hit_step_budget);
         assert!(res.steps <= MAX_INSPECT_STEPS + 1);
-        assert!(res.iterations < 20_000);
+        assert!(res.iterations < INSPECT_ITERATIONS, "{}", res.iterations);
     }
 
     use spf_ir::CmpOp;
@@ -854,7 +881,7 @@ mod interprocedural_tests {
         (program, walk, heap, arr)
     }
 
-    fn inspect(opts: &PrefetchOptions) -> (InspectionResult, Option<InstrRef>) {
+    fn inspect() -> (InspectionResult, Option<InstrRef>) {
         let (program, walk, heap, arr) = fixture();
         let func = program.method(walk).func();
         let cfg = Cfg::compute(func);
@@ -864,15 +891,14 @@ mod interprocedural_tests {
             .instr_sites()
             .find(|&s| matches!(func.instr(s), Instr::GetField { .. }));
         let record: HashSet<InstrRef> = gf_site.into_iter().collect();
-        let insp = Inspector::new(&program, func, &heap, &[], &forest, opts);
+        let insp = Inspector::new(&program, func, &heap, &[], &forest);
         let res = insp.run(&[Value::Ref(arr)], forest.roots()[0], &record);
         (res, gf_site)
     }
 
     #[test]
     fn skipped_calls_leave_addresses_unknown() {
-        let opts = PrefetchOptions::default();
-        let (res, gf) = inspect(&opts);
+        let (res, gf) = inspect();
         assert!(
             !res.traces.contains_key(&gf.unwrap()),
             "call result unknown -> no addresses recorded"

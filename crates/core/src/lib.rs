@@ -82,10 +82,9 @@ pub mod profit;
 pub mod report;
 pub mod stride;
 
-pub use codegen::GuardedPolicy;
 pub use inspect::{InspectionResult, Inspector};
 pub use ldg::{Ldg, LdgNodeId};
-pub use options::{PrefetchMode, PrefetchOptions};
+pub use options::{PrefetchMode, PrefetchOptions, INSPECT_ITERATIONS};
 pub use pipeline::{
     OptimizeOutcome, StridePrefetcher, INSPECT_CYCLES_PER_SAMPLE, INSPECT_CYCLES_PER_STEP,
 };

@@ -1,7 +1,5 @@
 //! Configuration of the prefetching algorithm.
 
-use crate::codegen::GuardedPolicy;
-
 /// Which stride patterns the optimizer exploits — the two configurations
 /// evaluated in the paper's §4 plus "off" (the baseline).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -68,38 +66,29 @@ impl std::fmt::Display for PrefetchMode {
     }
 }
 
-/// Tuning knobs of the algorithm; defaults are the paper's settings.
-#[derive(Clone, PartialEq, Debug)]
+/// Iterations of the target loop to interpret ("We investigated the first
+/// 20 iterations of a given loop", §4).
+pub const INSPECT_ITERATIONS: u32 = 20;
+
+/// Fraction of identical strides required to accept a pattern ("it matches
+/// 75% of the all collected strides", §4).
+pub const MAJORITY: f64 = 0.75;
+
+// At or below one half, two strides can both reach the majority, and the
+// `max_by_key` over a `HashMap` in `dominant_stride` then picks one by hash
+// order.
+const _: () = assert!(MAJORITY > 0.5);
+
+/// Scheduling distance in iterations ("We fixed the scheduling distance as
+/// one iteration", §4).
+pub const DISTANCE: u32 = 1;
+
+/// The algorithm's configuration: which of the paper's modes runs. Its
+/// other parameters are the paper's constants above.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct PrefetchOptions {
     /// Pattern classes to exploit.
     pub mode: PrefetchMode,
-    /// Iterations of the target loop to interpret ("We investigated the
-    /// first 20 iterations of a given loop", §4).
-    pub inspect_iterations: u32,
-    /// Fraction of identical strides required to accept a pattern ("it
-    /// matches 75% of the all collected strides", §4).
-    pub majority: f64,
-    /// Scheduling distance in iterations ("We fixed the scheduling distance
-    /// as one iteration", §4).
-    pub distance: u32,
-    /// How prefetches are mapped to hardware instructions (§3.3).
-    pub guarded_policy: GuardedPolicy,
-    /// Whether the profitability analysis runs (ablation knob; the paper
-    /// always enables it).
-    pub profitability: bool,
-}
-
-impl Default for PrefetchOptions {
-    fn default() -> Self {
-        PrefetchOptions {
-            mode: PrefetchMode::InterIntra,
-            inspect_iterations: 20,
-            majority: 0.75,
-            distance: 1,
-            guarded_policy: GuardedPolicy::Auto,
-            profitability: true,
-        }
-    }
 }
 
 impl PrefetchOptions {
@@ -107,7 +96,6 @@ impl PrefetchOptions {
     pub fn inter() -> Self {
         PrefetchOptions {
             mode: PrefetchMode::Inter,
-            ..Self::default()
         }
     }
 
@@ -120,7 +108,6 @@ impl PrefetchOptions {
     pub fn off() -> Self {
         PrefetchOptions {
             mode: PrefetchMode::Off,
-            ..Self::default()
         }
     }
 
@@ -129,7 +116,6 @@ impl PrefetchOptions {
     pub fn adaptive() -> Self {
         PrefetchOptions {
             mode: PrefetchMode::Adaptive,
-            ..Self::default()
         }
     }
 
@@ -139,7 +125,6 @@ impl PrefetchOptions {
     pub fn static_first() -> Self {
         PrefetchOptions {
             mode: PrefetchMode::StaticFirst,
-            ..Self::default()
         }
     }
 }
@@ -150,11 +135,10 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let o = PrefetchOptions::default();
-        assert_eq!(o.inspect_iterations, 20);
-        assert!((o.majority - 0.75).abs() < 1e-9);
-        assert_eq!(o.distance, 1);
-        assert_eq!(o.mode, PrefetchMode::InterIntra);
+        assert_eq!(PrefetchOptions::default().mode, PrefetchMode::InterIntra);
+        assert_eq!(INSPECT_ITERATIONS, 20);
+        assert_eq!(MAJORITY, 0.75);
+        assert_eq!(DISTANCE, 1);
     }
 
     #[test]
@@ -182,11 +166,10 @@ mod tests {
     #[test]
     fn adaptive_generates_like_inter_intra() {
         // Adaptive changes *when* methods are (re)compiled, not what the
-        // code generator emits; everything else matches the default.
+        // code generator emits.
         let a = PrefetchOptions::adaptive();
         assert_eq!(a.mode, PrefetchMode::Adaptive);
-        let d = PrefetchOptions::default();
-        assert_eq!(a.inspect_iterations, d.inspect_iterations);
-        assert_eq!(a.guarded_policy, d.guarded_policy);
+        assert!(a.mode.intra_patterns());
+        assert!(!a.mode.static_first());
     }
 }

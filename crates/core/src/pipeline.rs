@@ -260,11 +260,9 @@ impl StridePrefetcher {
             let inspection = if record.is_empty() {
                 InspectionResult::default()
             } else {
-                let inspector =
-                    Inspector::new(program, func, heap, statics, &forest, &self.options);
-                inspector.run(args, target, &record)
+                Inspector::new(program, func, heap, statics, &forest).run(args, target, &record)
             };
-            annotate_ldg(&mut ldg, &inspection.traces, &self.options);
+            annotate_ldg(&mut ldg, &inspection.traces);
             let mut stride_check = StrideCrossCheck::default();
             for id in ldg.node_ids() {
                 let node = ldg.node(id);
@@ -873,7 +871,6 @@ mod tests {
                 PrefetchOptions::inter_intra(),
                 PrefetchOptions::static_first(),
             ] {
-                let policy = opts.guarded_policy.lint_check(proc.swpf_drops_on_tlb_miss);
                 let opt = StridePrefetcher::new(opts);
                 let out = opt.optimize(
                     &p,
@@ -883,7 +880,10 @@ mod tests {
                     &[Value::Ref(arr)],
                     &proc,
                 );
-                let findings = spf_analysis::lint(&out.func, &spf_analysis::LintConfig { policy });
+                let config = spf_analysis::LintConfig {
+                    guard_derefs: proc.swpf_drops_on_tlb_miss,
+                };
+                let findings = spf_analysis::lint(&out.func, &config);
                 assert!(findings.is_empty(), "{findings:?}");
             }
         }

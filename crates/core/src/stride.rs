@@ -5,8 +5,8 @@
 //! constant; an adjacent pair `(Ly, Lz)` of the load dependence graph has an
 //! **intra-iteration** stride pattern when, pairing their executions within
 //! each iteration, the address differences `A(Lz) − A(Ly)` are dominated by
-//! one constant. "Dominated" means at least the configured majority (75% in
-//! the paper) of the collected strides are identical.
+//! one constant. "Dominated" means at least [`MAJORITY`] (75%, the paper's
+//! figure) of the collected strides are identical.
 
 use std::collections::HashMap;
 
@@ -14,13 +14,13 @@ use spf_heap::Addr;
 use spf_ir::InstrRef;
 
 use crate::ldg::Ldg;
-use crate::options::PrefetchOptions;
+use crate::options::MAJORITY;
 use crate::pipeline::MIN_SAMPLES;
 
-/// Returns the dominant value of `samples` if it reaches the `majority`
-/// fraction and there are at least `min_samples` samples.
-pub fn dominant_stride(samples: &[i64], majority: f64, min_samples: usize) -> Option<i64> {
-    if samples.len() < min_samples {
+/// Returns the dominant value of `samples` if it reaches the [`MAJORITY`]
+/// fraction and there are at least [`MIN_SAMPLES`] samples.
+pub fn dominant_stride(samples: &[i64]) -> Option<i64> {
+    if samples.len() < MIN_SAMPLES {
         return None;
     }
     let mut counts: HashMap<i64, usize> = HashMap::new();
@@ -28,7 +28,7 @@ pub fn dominant_stride(samples: &[i64], majority: f64, min_samples: usize) -> Op
         *counts.entry(s).or_insert(0) += 1;
     }
     let (&best, &n) = counts.iter().max_by_key(|(_, &n)| n)?;
-    if n as f64 >= majority * samples.len() as f64 {
+    if n as f64 >= MAJORITY * samples.len() as f64 {
         Some(best)
     } else {
         None
@@ -99,18 +99,14 @@ pub fn resolve_stride(
 
 /// Annotates `ldg` with inter-iteration strides on nodes and
 /// intra-iteration strides on edges, from the `traces` of one inspection.
-pub fn annotate_ldg(
-    ldg: &mut Ldg,
-    traces: &HashMap<InstrRef, Vec<(u32, Addr)>>,
-    options: &PrefetchOptions,
-) {
+pub fn annotate_ldg(ldg: &mut Ldg, traces: &HashMap<InstrRef, Vec<(u32, Addr)>>) {
     for id in ldg.node_ids().collect::<Vec<_>>() {
         let site = ldg.node(id).site;
         if let Some(trace) = traces.get(&site) {
             let samples = inter_iteration_samples(trace);
             let node = ldg.node_mut(id);
             node.samples = trace.len();
-            node.inter_stride = dominant_stride(&samples, options.majority, MIN_SAMPLES);
+            node.inter_stride = dominant_stride(&samples);
         }
     }
     let sites: Vec<(InstrRef, InstrRef)> = ldg
@@ -123,8 +119,7 @@ pub fn annotate_ldg(
             continue;
         };
         let samples = intra_iteration_samples(from, to);
-        ldg.edges_mut()[edge].intra_stride =
-            dominant_stride(&samples, options.majority, MIN_SAMPLES);
+        ldg.edges_mut()[edge].intra_stride = dominant_stride(&samples);
     }
 }
 
@@ -134,11 +129,11 @@ mod tests {
 
     #[test]
     fn dominant_requires_majority() {
-        assert_eq!(dominant_stride(&[8, 8, 8, 8], 0.75, 4), Some(8));
-        assert_eq!(dominant_stride(&[8, 8, 8, 4], 0.75, 4), Some(8));
-        assert_eq!(dominant_stride(&[8, 8, 4, 4], 0.75, 4), None);
-        assert_eq!(dominant_stride(&[8, 8, 8], 0.75, 4), None, "too few");
-        assert_eq!(dominant_stride(&[], 0.75, 1), None);
+        assert_eq!(dominant_stride(&[8, 8, 8, 8]), Some(8));
+        assert_eq!(dominant_stride(&[8, 8, 8, 4]), Some(8));
+        assert_eq!(dominant_stride(&[8, 8, 4, 4]), None);
+        assert_eq!(dominant_stride(&[8, 8, 8]), None, "too few");
+        assert_eq!(dominant_stride(&[]), None);
     }
 
     #[test]
@@ -183,6 +178,6 @@ mod tests {
         // the paper's design intends ("we focus on discovering single
         // stride patterns", §5).
         let samples = vec![8, 8, 8, 32, 32, 32, 8, 8, 32, 32];
-        assert_eq!(dominant_stride(&samples, 0.75, 4), None);
+        assert_eq!(dominant_stride(&samples), None);
     }
 }

@@ -44,8 +44,10 @@ use spf_trace::FaultKind;
 use crate::sim::ServeOutcome;
 use crate::traffic::Request;
 
-/// Chaos-mode configuration: the fault mix plus the degradation knobs
-/// some caller sets (the rest are constants of this module). Lives on
+/// Chaos-mode configuration: the fault mix plus two degradation knobs
+/// (the rest are constants of this module). Only `seed` has a setter
+/// outside tests (`spf-serve --chaos-seed`); the other seven fields are
+/// set by `Default` and by tests alone. Lives on
 /// [`crate::ServeConfig::chaos`] as `Option` — `None` takes the exact
 /// legacy code paths, so fault-free runs stay byte-identical.
 #[derive(Clone, Copy, Debug)]

@@ -44,9 +44,6 @@ spf_trace::record! {
         pub compiles: u64,
         /// Code-cache capacity evictions.
         pub evictions: u64,
-        /// Whole-method adaptive deoptimizations across the fleet (always 0
-        /// since invalidation went per-loop; kept for old readers).
-        pub deopts: u64,
         /// Full adaptive recompilations across the fleet.
         pub recompiles: u64,
         /// Per-loop invalidations across the fleet.
@@ -112,7 +109,6 @@ impl ModeReport {
             },
             compiles: out.compiles,
             evictions: out.evictions,
-            deopts: out.deopts,
             recompiles: out.recompiles,
             loop_deopts: out.loop_deopts,
             loop_repatches: out.loop_repatches,
@@ -370,7 +366,6 @@ mod tests {
                     queue_depth_mean_milli: 1_250,
                     compiles: 40,
                     evictions: 3,
-                    deopts: 0,
                     recompiles: 0,
                     loop_deopts: 0,
                     loop_repatches: 0,
@@ -389,7 +384,6 @@ mod tests {
                     queue_depth_mean_milli: 1_500,
                     compiles: 55,
                     evictions: 6,
-                    deopts: 0,
                     recompiles: 2,
                     loop_deopts: 4,
                     loop_repatches: 3,

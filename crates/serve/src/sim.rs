@@ -99,10 +99,6 @@ pub struct ServeOutcome {
     pub compiles: u64,
     /// Code-cache capacity evictions.
     pub evictions: u64,
-    /// Whole-method adaptive deoptimizations summed over all tenant VMs.
-    /// Always 0 since invalidation went per-loop; kept so downstream
-    /// reports keep their column.
-    pub deopts: u64,
     /// Full adaptive recompilations summed over all tenant VMs.
     pub recompiles: u64,
     /// Per-loop invalidations (prefetch sites patched to no-ops, body
@@ -410,7 +406,6 @@ pub fn run(
             events: Vec::new(),
             compiles: 0,
             evictions: 0,
-            deopts: 0,
             recompiles: 0,
             loop_deopts: 0,
             loop_repatches: 0,
@@ -677,7 +672,6 @@ pub fn run(
     for slot in tenants.iter_mut() {
         let t = slot.get_mut().unwrap();
         let s = t.vm.stats();
-        out.deopts += s.deopts;
         out.recompiles += s.recompiles;
         out.loop_deopts += s.loop_deopts;
         out.loop_repatches += s.loop_repatches;
@@ -886,10 +880,6 @@ mod tests {
         assert!(!out.shed.is_empty(), "bursts past depth 2 must shed");
         assert_eq!(out.shed.len(), out.shed_times.len());
         assert!(out.loop_deopts > 0, "GC storms must stale loop guards");
-        assert_eq!(
-            out.deopts, 0,
-            "invalidation is per-loop, never whole-method"
-        );
         assert_eq!(out.stranded_final, 0, "and recovery must still drain");
         assert!(
             out.loop_repatches >= out.loop_deopts,

@@ -43,8 +43,8 @@ pub struct VmStats {
     /// Cycles charged for garbage collection.
     pub gc_cycles: u64,
     /// Whole-method adaptive deoptimizations. Always 0 since staleness
-    /// went per-loop (see `loop_deopts`); kept so pre-existing reports
-    /// and parsers keep their column.
+    /// went per-loop (see `loop_deopts`); pinned by
+    /// `benchmark/src/matrix.rs:344`, which reads `warm.deopts + best.deopts`.
     pub deopts: u64,
     /// Full adaptive recompilations (a new generation of the whole body,
     /// e.g. after a code-cache eviction re-crosses the threshold).

@@ -385,16 +385,15 @@ impl<S: TraceSink> Vm<S> {
 
     /// Debug builds run the static lint over every body the pipeline
     /// emits: nothing may use a register before assignment, leak a
-    /// speculative value, or break the prefetch-kind policy. (Kept out of
-    /// release builds, so measured numbers are untouched.)
+    /// speculative value, or leave a dereference prefetch unguarded where
+    /// the processor requires a guarded load. (Kept out of release builds,
+    /// so measured numbers are untouched.)
     #[cfg(debug_assertions)]
     fn assert_lint_clean(&self, func: &Function) {
-        let policy = self
-            .config
-            .prefetch
-            .guarded_policy
-            .lint_check(self.mem.config().swpf_drops_on_tlb_miss);
-        let findings = spf_analysis::lint(func, &spf_analysis::LintConfig { policy });
+        let config = spf_analysis::LintConfig {
+            guard_derefs: self.mem.config().swpf_drops_on_tlb_miss,
+        };
+        let findings = spf_analysis::lint(func, &config);
         assert!(
             findings.is_empty(),
             "JIT output for {} fails the static lint: {findings:?}",
@@ -928,29 +927,29 @@ impl<S: TraceSink> Vm<S> {
 
     /// Deterministic estimate of the object-inspection share of compiling
     /// `func`: per candidate-bearing loop, interpreting the body for the
-    /// configured iterations costs roughly one step per candidate load per
+    /// paper's 20 iterations costs roughly one step per candidate load per
     /// iteration plus one recorded sample per inspected load per
     /// iteration. OFF inspects nothing; STATIC-FIRST discounts the sample
     /// term by the statically proved sites and skips fully proved loops
     /// outright, so its queue estimates come in below the legacy modes'.
     fn inspection_cost_estimate(&self, func: &Function) -> u64 {
         use spf_ir::{cfg::Cfg, defuse::UseDef, dom::DomTree, loops::LoopForest};
-        let opts = &self.config.prefetch;
-        if opts.mode == PrefetchMode::Off {
+        let mode = self.config.prefetch.mode;
+        if mode == PrefetchMode::Off {
             return 0;
         }
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
         let ud = UseDef::compute(func, &cfg);
-        let iters = u64::from(opts.inspect_iterations);
+        let iters = u64::from(spf_core::INSPECT_ITERATIONS);
         let mut cycles = 0u64;
         for target in forest.postorder() {
             let ldg = spf_core::Ldg::build(func, &ud, &forest, target);
             if ldg.is_empty() {
                 continue;
             }
-            let inspected = if opts.mode.static_first() {
+            let inspected = if mode.static_first() {
                 let proved =
                     spf_analysis::scev::loop_static_strides(func, &cfg, &dom, &forest, &ud, target);
                 ldg.node_ids()

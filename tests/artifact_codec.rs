@@ -79,7 +79,6 @@ fn serve_summary(a: &str, b: &str) -> ServeSummary {
         queue_depth_mean_milli: 1_250,
         compiles: 40,
         evictions: 3,
-        deopts: 0,
         recompiles: 2,
         loop_deopts: 4,
         loop_repatches: 3,
@@ -617,7 +616,6 @@ fn every_record_reads_back_what_it_wrote() {
             processor: text(r),
             best_cycles: int!(r, u64),
             retired: int!(r, u64),
-            deopts: int!(r, u64),
             recompiles: int!(r, u64),
             loop_deopts: int!(r, u64),
             loop_repatches: int!(r, u64),
@@ -640,7 +638,6 @@ fn every_record_reads_back_what_it_wrote() {
             queue_depth_mean_milli: int!(r, u64),
             compiles: int!(r, u64),
             evictions: int!(r, u64),
-            deopts: int!(r, u64),
             recompiles: int!(r, u64),
             loop_deopts: int!(r, u64),
             loop_repatches: int!(r, u64),
@@ -716,7 +713,6 @@ fn exactly_the_declared_defaults_are_optional() {
     );
     let cell = &matrix_json::parse(&matrix_text("db", "P4")).expect("matrix")[0];
     let optional = zero(&[
-        "deopts",
         "recompiles",
         "loop_deopts",
         "loop_repatches",

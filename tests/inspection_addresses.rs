@@ -193,8 +193,7 @@ fn every_address_the_inspector_records_is_a_line_the_vm_misses_on() {
                 .filter(|&s| (case.under_test)(func.instr(s)))
                 .collect();
             assert_eq!(record.len(), 1, "{what}: one load under test");
-            let options = PrefetchOptions::default();
-            let inspector = Inspector::new(vm.program(), func, vm.heap(), &[], &forest, &options);
+            let inspector = Inspector::new(vm.program(), func, vm.heap(), &[], &forest);
             let seen = inspector.run(&[x], forest.roots()[0], &record);
 
             let site = record.iter().next().expect("one site");

@@ -3,6 +3,7 @@
 //! proptest).
 
 use spf_testkit::{cases, Rng};
+use stride_prefetch::bench::matrix;
 use stride_prefetch::heap::{Heap, Layout, Value, ARRAY_DATA_OFFSET, NULL};
 use stride_prefetch::ir::cfg::Cfg;
 use stride_prefetch::ir::dom::DomTree;
@@ -146,7 +147,7 @@ fn memsim_second_access_hits() {
 }
 
 // -------------------------------------------------------------------
-// Optimizer fuzz: random configurations never change db's checksum.
+// Optimizer fuzz: no mode on either processor changes db's checksum.
 // -------------------------------------------------------------------
 
 #[test]
@@ -162,14 +163,9 @@ fn random_options_preserve_semantics() {
         db.warm(&mut vm, 1)
     };
     cases(8, "random options preserve semantics", |rng| {
-        let options = PrefetchOptions {
-            inspect_iterations: rng.u64_in(2, 39) as u32,
-            majority: rng.f64_in(0.3, 1.0),
-            distance: rng.u64_in(1, 4) as u32,
-            profitability: rng.bool(),
-            ..PrefetchOptions::inter_intra()
-        };
-        let mut vm = db.vm(db.vm_config(&options), &p4, NoopSink);
+        let options = &matrix::modes()[rng.index(5)];
+        let proc = &matrix::processors()[rng.index(2)];
+        let mut vm = db.vm(db.vm_config(options), proc, NoopSink);
         assert_eq!(db.warm(&mut vm, 1), reference);
         assert_eq!(db.warm(&mut vm, 1), reference);
     });
@@ -357,10 +353,9 @@ fn inspected_equals(s: Scalar, expected: Value) -> Option<bool> {
         .instr_sites()
         .find(|&at| matches!(func.instr(at), Instr::ALoad { .. }))
         .unwrap();
-    let options = PrefetchOptions::default();
     let mut argv = vec![Value::Ref(arr)];
     argv.extend(args);
-    let result = Inspector::new(&program, func, &heap, &[], &forest, &options).run(
+    let result = Inspector::new(&program, func, &heap, &[], &forest).run(
         &argv,
         forest.roots()[0],
         &[site].into_iter().collect(),

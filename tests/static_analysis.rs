@@ -2,8 +2,8 @@
 //!
 //! Two directions: every method body the JIT produces — after lowering,
 //! folding, DCE, and prefetch insertion — must pass the structural
-//! verifier and the full lint under the policy discipline of the
-//! simulated processor; and deliberately broken IR (use-before-def,
+//! verifier and the full lint under the simulated processor's
+//! guarded-load rule; and deliberately broken IR (use-before-def,
 //! speculation leaking into a store) must be caught, including shapes the
 //! structural verifier alone cannot see.
 
@@ -15,7 +15,7 @@ use stride_prefetch::ir::{
     BinOp, CmpOp, Const, ElemTy, Function, Instr, PrefetchAddr, ProgramBuilder, Terminator, Ty,
 };
 use stride_prefetch::memsim::ProcessorConfig;
-use stride_prefetch::prefetch::{GuardedPolicy, PrefetchMode, PrefetchOptions};
+use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::trace::NoopSink;
 use stride_prefetch::vm::{Vm, VmConfig};
 use stride_prefetch::workloads::{self, Size};
@@ -48,8 +48,8 @@ fn optimized_workloads_pass_lint_and_verifier() {
 }
 
 // -------------------------------------------------------------------
-// Randomized configurations: mode, guarded policy, inspected iterations
-// and distance never produce a compiled body the lint rejects.
+// Randomized configurations: no workload in any of the five modes, on
+// either processor, produces a compiled body the lint rejects.
 // -------------------------------------------------------------------
 
 #[test]
@@ -57,21 +57,7 @@ fn random_jit_configs_pass_lint() {
     let specs = workloads::all();
     cases(10, "random jit configs pass lint", |rng| {
         let spec = &specs[rng.index(specs.len())];
-        let options = PrefetchOptions {
-            mode: if rng.bool() {
-                PrefetchMode::Inter
-            } else {
-                PrefetchMode::InterIntra
-            },
-            guarded_policy: match rng.index(3) {
-                0 => GuardedPolicy::AlwaysHardware,
-                1 => GuardedPolicy::AlwaysGuarded,
-                _ => GuardedPolicy::Auto,
-            },
-            inspect_iterations: rng.u64_in(4, 30) as u32,
-            distance: rng.u64_in(1, 3) as u32,
-            ..PrefetchOptions::default()
-        };
+        let options = matrix::modes()[rng.index(5)].clone();
         run_and_lint(spec, options);
     });
 }
