@@ -298,5 +298,17 @@ pub fn serve(argv: &[String]) -> Result<Serve, String> {
         let usage = SERVE.usage();
         return Err(format!("--fault-events-out requires --chaos\n{usage}"));
     }
+    // Arrivals may span up to `2 * mean` cycles per request; that span
+    // gets half the clock, and service and queueing the other half.
+    let (mean, requests) = (args.cfg.mean_interarrival, args.cfg.requests);
+    let span = mean
+        .checked_mul(2)
+        .and_then(|gap| gap.checked_mul(u64::from(requests)));
+    if span.is_none_or(|c| c > u64::MAX / 2) {
+        let usage = SERVE.usage();
+        return Err(format!(
+            "--mean-interarrival {mean} overflows the arrival clock over {requests} request(s)\n{usage}"
+        ));
+    }
     Ok(args)
 }

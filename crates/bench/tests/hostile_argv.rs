@@ -140,6 +140,22 @@ fn a_typo_is_exit_1_in_every_cli_binary() {
             &["--tenats", "3"],
             "unknown flag \"--tenats\"",
         ),
+        (
+            env!("CARGO_BIN_EXE_spf-serve"),
+            &[
+                "--tenants",
+                "1",
+                "--requests",
+                "3",
+                "--mean-interarrival",
+                "18446744073709551615",
+                "--out",
+                "-",
+                "--jobs",
+                "1",
+            ],
+            "--mean-interarrival 18446744073709551615 overflows the arrival clock",
+        ),
     ] {
         let (code, err) = run(exe, args);
         assert_eq!(code, Some(1), "{args:?}: {err}");

@@ -6,7 +6,9 @@
 //! that is static at install time: field offsets and element types (the
 //! degenerate monomorphic case of a field inline cache — this IR has one
 //! class per field, so the "cache" never misses and bakes to a constant),
-//! static addresses, class sizes, and branch targets (as flat pcs).
+//! static addresses, class sizes, and branch targets (as flat pcs). A call
+//! op names its callee by method index only: the VM picks the body at call
+//! time with one load (`compiled[mid]`, else the original).
 //!
 //! Pipeline: lower each block to ops → peephole-fuse adjacent pairs
 //! ([`crate::fuse`]) → flatten blocks in id order → patch branch targets
@@ -115,9 +117,6 @@ pub(crate) struct ThreadedCode<S: TraceSink> {
     /// Flattened call argument lists; each call op holds a (start, len)
     /// window.
     pub arg_pool: Box<[u32]>,
-    /// Number of call sites; each gets a dense local PIC slot in `ext`,
-    /// mapped to a per-VM slot via the installing VM's `pic_base`.
-    pub call_sites: u32,
     /// Superinstructions formed by the fusion pass (host-side statistic).
     pub fused: u32,
 }
@@ -149,23 +148,13 @@ pub(crate) fn decode<S: TraceSink>(
         panic!("decode: {violation}");
     }
     let mut arg_pool: Vec<u32> = Vec::new();
-    let mut call_sites: u32 = 0;
     let mut blocks: Vec<Vec<DecOp<S>>> = Vec::new();
     for bid in func.block_ids() {
         let block = func.block(bid);
         let mut ops = Vec::with_capacity(block.instrs.len() + 1);
         for (i, instr) in block.instrs.iter().enumerate() {
             let site = InstrRef::new(bid, i).pack();
-            let d = lower(
-                program,
-                layout,
-                func,
-                instr,
-                site,
-                &mut arg_pool,
-                &mut call_sites,
-            );
-            ops.push(d);
+            ops.push(lower(program, layout, func, instr, site, &mut arg_pool));
         }
         ops.push(lower_term(&block.term));
         blocks.push(ops);
@@ -220,7 +209,6 @@ pub(crate) fn decode<S: TraceSink>(
         reg_count: func.reg_count(),
         ref_regs,
         arg_pool: arg_pool.into_boxed_slice(),
-        call_sites,
         fused,
     }
 }
@@ -246,7 +234,6 @@ fn lower<S: TraceSink>(
     instr: &Instr,
     site: u64,
     arg_pool: &mut Vec<u32>,
-    call_sites: &mut u32,
 ) -> DecOp<S> {
     // An operator's handler instance is chosen by the declared type of its
     // operands, which the verifier has checked agree.
@@ -392,7 +379,7 @@ fn lower<S: TraceSink>(
             (op, Kind::Plain)
         }
         // a=dst+1 (0 = none), b=callee index, c=arg pool start, d=arg
-        // count, ext=local PIC slot.
+        // count.
         Instr::Call {
             dst,
             callee,
@@ -404,8 +391,6 @@ fn lower<S: TraceSink>(
             op.c = arg_pool.len() as u32;
             op.d = args.len() as u32;
             arg_pool.extend(args.iter().map(|&a| r(a)));
-            op.ext = *call_sites;
-            *call_sites += 1;
             (op, Kind::Plain)
         }
         // FieldOf: b=base, imm=delta. ArrayElem: b=arr, c=idx, d=scale,

@@ -93,8 +93,6 @@ pub(crate) struct Ctx {
     pub cur_compiled: bool,
     /// Method of the current frame.
     pub cur_mid: MethodId,
-    /// First global PIC slot of the current frame's code.
-    pub cur_pic_base: u32,
     /// Set when execution halts (normal return from the entry frame or a
     /// fault).
     pub halt: Option<Result<Option<Value>, VmError>>,
@@ -207,7 +205,6 @@ pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
     ctx.frame_start = ctx.cycles;
     ctx.cur_mid = f.method;
     ctx.cur_compiled = code.compiled;
-    ctx.cur_pic_base = code.pic_base;
     ctx.cur_cost = if code.compiled {
         COMPILED_INSTR_COST
     } else {
@@ -812,8 +809,7 @@ pub(crate) fn h_call<S: TraceSink>(
     } else {
         Some(Reg::new((op.a - 1) as usize))
     };
-    let slot = ctx.cur_pic_base + op.ext;
-    match vm.call_into(callee, op.d as usize, ret_dst, Some(slot)) {
+    match vm.call_into(callee, op.d as usize, ret_dst) {
         Ok(()) => {
             ctx.cycles = vm.stats.cycles;
             reload_ctx(vm, ctx);

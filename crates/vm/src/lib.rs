@@ -22,17 +22,15 @@ pub(crate) mod dispatch;
 pub mod error;
 pub(crate) mod fuse;
 pub mod passes;
-pub mod pic;
 pub mod predecode;
 pub mod stats;
 pub mod vm;
 
 pub use config::VmConfig;
 pub use error::VmError;
-pub use pic::PicStats;
 pub use predecode::Predecoded;
 /// The sink parameter of [`Vm`] and [`Predecoded`], re-exported so a crate
 /// that builds VMs generically need not depend on `spf-trace`.
 pub use spf_trace::{NoopSink, TraceSink};
-pub use stats::VmStats;
+pub use stats::{PicStats, VmStats};
 pub use vm::Vm;

@@ -124,6 +124,16 @@ impl VmStats {
     }
 }
 
+/// Call-site inline-cache counters. Calls have no cache, so both read 0
+/// (see [`crate::Vm::pic_stats`], which `benchmark/` pins).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PicStats {
+    /// Calls resolved by a cache hit.
+    pub hits: u64,
+    /// Calls resolved without one.
+    pub misses: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

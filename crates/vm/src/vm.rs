@@ -4,9 +4,9 @@
 //! Function bodies are pre-decoded (the `decode` module) into flat arrays of
 //! handler `fn`-pointers with packed operands, optionally peephole-fused
 //! into superinstructions (the `fuse` module); the run loop is one indirect
-//! call per op. Call sites resolve their target bodies through 2-way
-//! polymorphic inline caches keyed by code revision ([`crate::pic`]). All
-//! of this is host-side machinery only: every simulated number — cycles,
+//! call per op. A call resolves its target body with one index load
+//! (`compiled[mid]`, else the interpreted original). All of this is
+//! host-side machinery only: every simulated number — cycles,
 //! memory latencies, retired counts, per-method attribution — is computed
 //! by the same component sequences the old `match *instr` interpreter
 //! ran, in the same order, and is bit-identical to it.
@@ -30,17 +30,14 @@ use crate::decode::{decode, ThreadedCode};
 use crate::dispatch::{self, Ctx, HALT, SWITCH};
 use crate::error::VmError;
 use crate::passes;
-use crate::pic::{CallPic, PicStats};
 use crate::predecode::Predecoded;
-use crate::stats::{MethodCycles, VmStats};
+use crate::stats::{MethodCycles, PicStats, VmStats};
 
-/// An installed, executable body: shared threaded code plus this VM's PIC
-/// slot allocation for its call sites. Lives in the [`Vm::codes`] arena
-/// and is named by index, so frames and PIC ways copy a `u32` instead of
-/// counting references.
+/// An installed, executable body: shared threaded code and whether it is
+/// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
+/// so frames copy a `u32` instead of counting references.
 pub(crate) struct Installed<S: TraceSink> {
     pub tcode: Arc<ThreadedCode<S>>,
-    pub pic_base: u32,
     pub compiled: bool,
 }
 
@@ -95,10 +92,6 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// Bodies replaced or evicted while frames were live; emptied when
     /// the outermost [`Vm::call`] finishes.
     retired: Vec<CodeId>,
-    /// Per-method code revision; bumped on every mutation of the installed
-    /// body (JIT install, external install, deopt). PIC ways are keyed by
-    /// it, so stale cache entries miss by construction.
-    code_rev: Vec<u32>,
     invocations: Vec<u32>,
     reports: Vec<MethodReport>,
     pub(crate) stats: VmStats,
@@ -118,9 +111,6 @@ pub struct Vm<S: TraceSink = NoopSink> {
     history: Vec<(MethodId, u32, Arc<Function>)>,
     /// Whether installed bodies are decoded with superinstruction fusion.
     fuse: bool,
-    pics: Vec<CallPic>,
-    pic_hits: u64,
-    pic_misses: u64,
     /// Async-compile mode: methods awaiting background compilation, with
     /// the arguments of the invocation that crossed the threshold (the
     /// inspector will run with them). Args may hold heap references, so
@@ -140,7 +130,7 @@ pub struct Vm<S: TraceSink = NoopSink> {
 }
 
 /// The live body named `code`. Panics on a freed slot: only bodies no
-/// frame and no current-revision PIC way can name are ever freed.
+/// frame can name are ever freed.
 #[inline(always)]
 pub(crate) fn body<S: TraceSink>(codes: &[Option<Installed<S>>], code: CodeId) -> &Installed<S> {
     codes[code as usize].as_ref().expect("live body")
@@ -201,16 +191,12 @@ impl<S: TraceSink> Vm<S> {
         // affine sites instead of re-running the inspector on them.
         let adaptive = config.prefetch.mode.adaptive_guards();
         let adapt = AdaptState::new(config.adapt);
-        let mut pics: Vec<CallPic> = Vec::new();
         let codes = pre
             .bodies()
             .iter()
             .map(|t| {
-                let pic_base = pics.len() as u32;
-                pics.extend((0..t.call_sites).map(|_| CallPic::default()));
                 Some(Installed {
                     tcode: Arc::clone(t),
-                    pic_base,
                     compiled: false,
                 })
             })
@@ -223,7 +209,6 @@ impl<S: TraceSink> Vm<S> {
             codes,
             compiled: vec![None; n],
             retired: Vec::new(),
-            code_rev: vec![0; n],
             invocations: vec![0; n],
             reports: Vec::new(),
             stats,
@@ -235,9 +220,6 @@ impl<S: TraceSink> Vm<S> {
             adaptive,
             history: Vec::new(),
             fuse: pre.fused(),
-            pics,
-            pic_hits: 0,
-            pic_misses: 0,
             pending: Vec::new(),
             fresh_requests: Vec::new(),
             deopt_args: Vec::new(),
@@ -292,10 +274,9 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// The one install path: makes `func` the compiled body of `mid` at
-    /// `generation` — site registration (traced VMs only), decode, dense
-    /// PIC slots for its call sites, the generation history, and the
-    /// revision bump that kills stale PIC ways. Returns the body's
-    /// instruction count (its code-cache footprint).
+    /// `generation` — site registration (traced VMs only), decode, and
+    /// the generation history. Returns the body's instruction count (its
+    /// code-cache footprint).
     fn install(&mut self, mid: MethodId, func: Function, generation: u32) -> u64 {
         let func = Arc::new(func);
         // Decoding verifies the body and panics on a violation, so it
@@ -309,29 +290,23 @@ impl<S: TraceSink> Vm<S> {
         if S::ENABLED {
             self.register_sites(mid, &func, generation);
         }
-        let pic_base = self.pics.len() as u32;
-        self.pics
-            .extend((0..tcode.call_sites).map(|_| CallPic::default()));
         let instrs = func.instr_sites().count() as u64;
         self.history.push((mid, generation, func));
         let code = self.codes.len() as CodeId;
         self.codes.push(Some(Installed {
             tcode,
-            pic_base,
             compiled: true,
         }));
         if let Some(old) = self.compiled[mid.index()].replace(code) {
             self.retire(old);
         }
-        self.code_rev[mid.index()] = self.code_rev[mid.index()].wrapping_add(1);
         instrs
     }
 
     /// Frees a replaced or evicted body once no frame can name it: at
     /// once when nothing is executing, else when the outermost
     /// [`Vm::call`] finishes (an older frame of a recursion may still be
-    /// running it). PIC ways may keep the id, but only under a revision
-    /// the bump that retired the body has already killed.
+    /// running it).
     fn retire(&mut self, code: CodeId) {
         if self.frames.is_empty() {
             self.codes[code as usize] = None;
@@ -410,16 +385,11 @@ impl<S: TraceSink> Vm<S> {
         self.history.iter().map(|(m, g, f)| (*m, *g, f.as_ref()))
     }
 
-    /// Host-side inline-cache effectiveness counters: call-site PIC hits,
-    /// misses, and megamorphic overflows. Purely observational — cache
-    /// state never affects simulated numbers.
+    /// Always zero: calls have no inline cache, since a call resolves
+    /// with one index load. Pinned by `benchmark/src/matrix.rs:330` and
+    /// `benchmark/src/serve.rs:354`, which read `.hits` / `.misses`.
     pub fn pic_stats(&self) -> PicStats {
-        PicStats {
-            hits: self.pic_hits,
-            misses: self.pic_misses,
-            sites: self.pics.len(),
-            megamorphic_sites: self.pics.iter().filter(|p| p.megamorphic).count(),
-        }
+        PicStats::default()
     }
 
     /// Total superinstructions across all currently installed bodies
@@ -529,7 +499,7 @@ impl<S: TraceSink> Vm<S> {
         }
         self.stack.extend(args.iter().map(|v| v.to_bits()));
         let result = self
-            .call_into(mid, args.len(), None, None)
+            .call_into(mid, args.len(), None)
             .and_then(|()| self.run());
         // A fault leaves its frames and their windows behind; a normal
         // return has already popped them all.
@@ -542,78 +512,21 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Invokes `mid` on the `argc` arguments its caller left on top of
-    /// the register stack: depth check, invocation accounting, body
-    /// resolution (through the call site's PIC when `pic` names a slot),
-    /// frame push. The check/JIT/resolve order matches the old
-    /// `push_frame` exactly; PIC hits resolve to the identical body the
-    /// slow path would pick.
+    /// the register stack: depth check, invocation accounting, the
+    /// adaptive per-loop check of a compiled body, the JIT trigger, body
+    /// resolution, frame push — in the old `push_frame`'s order.
     pub(crate) fn call_into(
         &mut self,
         mid: MethodId,
         argc: usize,
         ret_dst: Option<Reg>,
-        pic: Option<u32>,
     ) -> Result<(), VmError> {
         if self.frames.len() >= MAX_STACK_DEPTH {
             return Err(VmError::StackOverflow);
         }
         self.invocations[mid.index()] += 1;
         self.stats.per_method[mid.index()].invocations += 1;
-        if let Some(slot) = pic {
-            let rev = self.code_rev[mid.index()];
-            if let Some(target) = self.pics[slot as usize].lookup(rev) {
-                if body(&self.codes, target).compiled {
-                    // Cached compiled body. In adaptive mode the per-loop
-                    // staleness check still runs on every invocation,
-                    // exactly as the slow path does; a loop patch or
-                    // repatch bumps the revision, so the way dies and
-                    // resolution falls through (with the stale check
-                    // already consumed).
-                    if !self.adaptive || !self.maybe_patch(mid, argc) {
-                        self.pic_hits += 1;
-                        self.activate(target, mid, argc, ret_dst);
-                        return Ok(());
-                    }
-                    self.pic_misses += 1;
-                    return self.resolve_and_push(mid, argc, ret_dst, Some(slot), true);
-                }
-                // Cached interpreted body: only valid while the method
-                // stays under the compile threshold (adaptive backoff can
-                // hold it there arbitrarily long, so re-check per call).
-                if self.invocations[mid.index()] < self.config.compile_threshold {
-                    self.pic_hits += 1;
-                    self.activate(target, mid, argc, ret_dst);
-                    return Ok(());
-                }
-            }
-            self.pic_misses += 1;
-            return self.resolve_and_push(mid, argc, ret_dst, Some(slot), false);
-        }
-        self.resolve_and_push(mid, argc, ret_dst, None, false)
-    }
-
-    /// The pending call's arguments (the top `argc` stack slots), copied
-    /// out as values — typed by `mid`'s parameters — for the cold paths
-    /// that inspect or retain them.
-    fn top_args(&self, mid: MethodId, argc: usize) -> Vec<Value> {
-        let callee = self.program.method(mid).func();
-        let words = &self.stack[self.stack.len() - argc..];
-        (callee.params().zip(words))
-            .map(|(p, &bits)| Value::from_bits(callee.reg_ty(p), bits))
-            .collect()
-    }
-
-    /// Slow-path resolution: adaptive staleness check (unless the caller
-    /// already ran it), JIT trigger, body selection, PIC fill, activation.
-    fn resolve_and_push(
-        &mut self,
-        mid: MethodId,
-        argc: usize,
-        ret_dst: Option<Reg>,
-        pic: Option<u32>,
-        deopt_checked: bool,
-    ) -> Result<(), VmError> {
-        if !deopt_checked && self.adaptive && self.compiled[mid.index()].is_some() {
+        if self.adaptive && self.compiled[mid.index()].is_some() {
             self.maybe_patch(mid, argc);
         }
         if self.compiled[mid.index()].is_none()
@@ -629,31 +542,36 @@ impl<S: TraceSink> Vm<S> {
         }
         // Uncompiled methods run their original: arena slot == method index.
         let code = self.compiled[mid.index()].unwrap_or(mid.index() as CodeId);
-        if let Some(slot) = pic {
-            self.pics[slot as usize].insert(self.code_rev[mid.index()], code);
-        }
         self.activate(code, mid, argc, ret_dst);
         Ok(())
+    }
+
+    /// The pending call's arguments (the top `argc` stack slots), copied
+    /// out as values — typed by `mid`'s parameters — for the cold paths
+    /// that inspect or retain them.
+    fn top_args(&self, mid: MethodId, argc: usize) -> Vec<Value> {
+        let callee = self.program.method(mid).func();
+        let words = &self.stack[self.stack.len() - argc..];
+        (callee.params().zip(words))
+            .map(|(p, &bits)| Value::from_bits(callee.reg_ty(p), bits))
+            .collect()
     }
 
     /// Runs the adaptive per-loop maintenance for `mid` (which must have
     /// a compiled body installed): first repatches invalidated loops
     /// whose backoff has been served (tier-2 re-entry), then checks the
     /// loop guards and patches newly stale loops' prefetch sites to
-    /// no-ops (tier-1 invalidation). Returns whether the installed body
-    /// changed (the caller's PIC way is then dead). The current
-    /// invocation's `argc` arguments are on top of the stack: the repatch
-    /// re-inspects with them, and a patch retains them under
+    /// no-ops (tier-1 invalidation). The current invocation's `argc`
+    /// arguments are on top of the stack: the repatch re-inspects with
+    /// them, and a patch retains them under
     /// [`VmConfig::retain_deopt_args`] so the serving recovery sweep can
     /// repatch the method later.
-    fn maybe_patch(&mut self, mid: MethodId, argc: usize) -> bool {
+    fn maybe_patch(&mut self, mid: MethodId, argc: usize) {
         let epoch = self.heap.gc_epoch();
         let invocations = u64::from(self.invocations[mid.index()]);
-        let mut changed = false;
         let due = self.adapt.loops_due(mid.index(), invocations, epoch);
         if !due.is_empty() {
             self.repatch_loops(mid, &self.top_args(mid, argc), &due, false);
-            changed = true;
         }
         let stale = self.adapt.check_stale(mid.index(), epoch);
         if S::ENABLED {
@@ -669,11 +587,9 @@ impl<S: TraceSink> Vm<S> {
                 });
             }
         }
-        if stale.is_empty() {
-            return changed;
+        if !stale.is_empty() {
+            self.patch_loops(mid, &self.top_args(mid, argc), &stale);
         }
-        self.patch_loops(mid, &self.top_args(mid, argc), &stale);
-        true
     }
 
     /// Tier-1 invalidation: strips the `Prefetch`/`SpecLoad` instructions
@@ -1009,7 +925,6 @@ impl<S: TraceSink> Vm<S> {
         let code = self.compiled[mid.index()].take()?;
         let instrs = body(&self.codes, code).tcode.src.instr_sites().count() as u64;
         self.retire(code);
-        self.code_rev[mid.index()] = self.code_rev[mid.index()].wrapping_add(1);
         self.stats.code_evictions += 1;
         if self.adaptive {
             self.adapt.on_evicted(mid.index());
@@ -1205,7 +1120,6 @@ impl<S: TraceSink> Vm<S> {
             cur_cost: 0,
             cur_compiled: false,
             cur_mid: MethodId::new(0),
-            cur_pic_base: 0,
             regs: std::ptr::null_mut(),
             nregs: 0,
             halt: None,
@@ -1749,7 +1663,7 @@ mod tests {
         // halves of `Vm::call` by hand around an install.
         let compiled = vm.compiled_body(down).unwrap().clone();
         vm.stack.extend_from_slice(&[2, 1]);
-        vm.call_into(down, 2, None, None).unwrap();
+        vm.call_into(down, 2, None).unwrap();
         vm.install_compiled(down, compiled);
         assert_eq!(retained(&vm), methods + 2, "kept while a frame names it");
         assert_eq!(vm.run().unwrap(), Some(Value::I32(100 + 2)));
@@ -1804,45 +1718,6 @@ mod tests {
             vm.call(work, &[Value::I32(10)]).unwrap(),
             Some(Value::I32(45))
         );
-    }
-
-    #[test]
-    fn call_sites_hit_their_inline_caches() {
-        let mut pb = ProgramBuilder::new();
-        let sq = {
-            let mut b = pb.function("sq", &[Ty::I32], Some(Ty::I32));
-            let x = b.param(0);
-            let y = b.mul(x, x);
-            b.ret(Some(y));
-            b.finish()
-        };
-        let mut b = pb.function("main", &[Ty::I32], Some(Ty::I32));
-        let n = b.param(0);
-        let acc = b.new_reg(Ty::I32);
-        let z = b.const_i32(0);
-        b.move_(acc, z);
-        b.for_i32(
-            0,
-            1,
-            CmpOp::Lt,
-            |_| n,
-            |b, i| {
-                let s = b.call(sq, &[i]);
-                let t = b.add(acc, s);
-                b.move_(acc, t);
-            },
-        );
-        b.ret(Some(acc));
-        let main = b.finish();
-        let mut vm = vm_for(pb);
-        vm.call(main, &[Value::I32(100)]).unwrap();
-        let pic = vm.pic_stats();
-        assert!(pic.sites > 0);
-        assert!(
-            pic.hits > pic.misses,
-            "a hot monomorphic call site must mostly hit: {pic:?}"
-        );
-        assert_eq!(pic.megamorphic_sites, 0);
     }
 
     use spf_ir::CmpOp;

@@ -1,7 +1,8 @@
 //! Serving-layer invariants, end to end through the public facade: the
 //! fleet simulation must be a pure function of its config (bit-identical
 //! across host worker counts), results must be mode-invariant, and the
-//! `SERVE_summary.json` report must round-trip.
+//! `SERVE_summary.json` report must round-trip. EXPERIMENTS.md's Serving
+//! and Chaos tables are the renders of the committed baselines.
 
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
@@ -80,4 +81,21 @@ fn fleet_checksum_is_mode_invariant_and_summary_round_trips() {
     let parsed = report::parse(&report::emit(&summary)).expect("round trip");
     assert_eq!(parsed, summary);
     assert!(report::render(&summary).contains("ADAPTIVE"));
+}
+
+#[test]
+fn experiments_tables_are_renders_of_the_committed_baselines() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let read = |name: &str| {
+        std::fs::read_to_string(format!("{root}/{name}")).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let experiments = read("EXPERIMENTS.md");
+    for baseline in ["SERVE_baseline.json", "CHAOS_baseline.json"] {
+        let summary = report::parse(&read(baseline)).unwrap_or_else(|e| panic!("{baseline}: {e}"));
+        let table = format!("```\n{}```\n", report::render(&summary));
+        assert!(
+            experiments.contains(&table),
+            "EXPERIMENTS.md lacks the render of {baseline}:\n{table}"
+        );
+    }
 }
