@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p spf-bench --bin spf-serve
 //! cargo run --release -p spf-bench --bin spf-serve -- --tenants 200 --requests 1000
-//! cargo run --release -p spf-bench --bin spf-serve -- --jobs 4 --chaos
+//! cargo run --release -p spf-bench --bin spf-serve -- --chaos
 //! ```
 //!
 //! Runs the `spf-serve` fleet simulation — hundreds of tenant VMs over
@@ -14,8 +14,8 @@
 //! queue estimates: statically proved sites skip object inspection, so
 //! its scheduled compile latencies come in below the legacy modes'.
 //!
-//! The simulation is bit-identical across `--jobs` values; CI
-//! byte-compares the emitted files across two `--jobs` runs with `cmp`.
+//! The simulation is serial and a pure function of its configuration; CI
+//! byte-compares the emitted summaries with the committed baselines.
 //!
 //! `--chaos` additionally runs each mode a second time under the seeded
 //! fault plan (GC storms, compile stalls, cache squeezes, traffic
@@ -68,26 +68,26 @@ fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
     let horizon = base.last().map_or(args.cfg.slot_cycles, |r| r.arrival);
     for opts in matrix::modes() {
         eprintln!(
-            "serve: {} tenants x {} requests, mode {}, {} job(s)...",
-            args.cfg.tenants, args.cfg.requests, opts.mode, args.jobs
+            "serve: {} tenants x {} requests, mode {}...",
+            args.cfg.tenants, args.cfg.requests, opts.mode
         );
-        let out = sim::run(&args.cfg, &opts, &proc, args.jobs);
+        let out = sim::run(&args.cfg, &opts, &proc, 1);
         if args.events_out.is_some() {
             events_text.push_str(&export::events_jsonl(&out.events, None));
         }
         rows.push(ModeReport::from_outcome(&opts.mode.to_string(), &out));
-        if let Some(chaos) = &args.chaos {
+        if let Some(seed) = args.chaos {
             eprintln!("serve: mode {} again, under the fault plan...", opts.mode);
             let chaos_cfg = ServeConfig {
-                chaos: Some(*chaos),
+                chaos: Some(seed),
                 ..args.cfg
             };
-            let fault = sim::run(&chaos_cfg, &opts, &proc, args.jobs);
+            let fault = sim::run(&chaos_cfg, &opts, &proc, 1);
             if args.fault_events_out.is_some() {
                 fault_events_text
                     .push_str(&export::events_jsonl(&chaos_events(&fault.events), None));
             }
-            let plan = faults::generate(chaos, args.cfg.tenants, horizon, args.cfg.slot_cycles);
+            let plan = faults::generate(seed, args.cfg.tenants, horizon, args.cfg.slot_cycles);
             let recovery =
                 faults::verify_recovery(&plan, args.cfg.slot_cycles, &base, &fault, &out)
                     .map_err(|e| format!("mode {}: recovery invariant failed: {e}", opts.mode))?;

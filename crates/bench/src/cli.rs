@@ -15,7 +15,7 @@
 use std::io::Write as _;
 use std::str::FromStr;
 
-use spf_serve::{ChaosConfig, ServeConfig};
+use spf_serve::{faults, ServeConfig};
 use spf_workloads::Size;
 
 use crate::matrix::default_jobs;
@@ -238,14 +238,12 @@ pub struct Serve {
     /// The fleet: size, tenants, requests, inter-arrival gap and traffic
     /// seed come from the command line, the rest is the default.
     pub cfg: ServeConfig,
-    /// Host worker threads.
-    pub jobs: usize,
     /// Where `SERVE_summary.json` goes; `None` disables it.
     pub out: Option<String>,
     /// Where to dump every serve-level event of the fault-free runs.
     pub events_out: Option<String>,
-    /// The fault plan of the second, chaos run of each mode.
-    pub chaos: Option<ChaosConfig>,
+    /// The fault-plan seed of the second, chaos run of each mode.
+    pub chaos: Option<u64>,
     /// Where to write the chaos runs' fault events.
     pub fault_events_out: Option<String>,
 }
@@ -265,17 +263,16 @@ const SERVE: Grammar<Serve> = Grammar {
             number(v).map(|n| a.cfg.mean_interarrival = n)
         }),
         Flag("--seed", "N", |a, v| number(v).map(|n| a.cfg.seed = n)),
-        Flag("--jobs", "N", |a, v| positive(v).map(|n| a.jobs = n)),
         Flag("--out", "PATH|-", |a, v| path_or_dash(v).map(|p| a.out = p)),
         Flag("--events-out", "PATH", |a, v| {
             path(v).map(|p| a.events_out = Some(p))
         }),
         Flag("--chaos", "", |a, _| {
-            a.chaos.get_or_insert_default();
+            a.chaos.get_or_insert(faults::DEFAULT_SEED);
             Ok(())
         }),
         Flag("--chaos-seed", "N", |a, v| {
-            number(v).map(|n| a.chaos.get_or_insert_default().seed = n)
+            number(v).map(|n| a.chaos = Some(n))
         }),
         Flag("--fault-events-out", "PATH", |a, v| {
             path(v).map(|p| a.fault_events_out = Some(p))
@@ -287,7 +284,6 @@ const SERVE: Grammar<Serve> = Grammar {
 pub fn serve(argv: &[String]) -> Result<Serve, String> {
     let defaults = Serve {
         cfg: ServeConfig::default(),
-        jobs: default_jobs(),
         out: Some("SERVE_summary.json".to_string()),
         events_out: None,
         chaos: None,

@@ -151,10 +151,13 @@ fn a_typo_is_exit_1_in_every_cli_binary() {
                 "18446744073709551615",
                 "--out",
                 "-",
-                "--jobs",
-                "1",
             ],
             "--mean-interarrival 18446744073709551615 overflows the arrival clock",
+        ),
+        (
+            env!("CARGO_BIN_EXE_spf-serve"),
+            &["--jobs", "4"],
+            "unknown flag \"--jobs\"",
         ),
     ] {
         let (code, err) = run(exe, args);
@@ -169,7 +172,7 @@ fn a_typo_is_exit_1_in_every_cli_binary() {
 #[test]
 fn an_artifact_that_cannot_be_written_is_exit_1() {
     // One tenant, one request: the smallest run that reaches the writer.
-    let args = ["--tenants", "1", "--requests", "1", "--jobs", "1"];
+    let args = ["--tenants", "1", "--requests", "1"];
     let exe = env!("CARGO_BIN_EXE_spf-serve");
     let (code, err) = run(exe, &[&args[..], &["--out", "/proc/nope/s.json"]].concat());
     assert_eq!(code, Some(1), "{err}");

@@ -6,11 +6,12 @@
 //! [`FaultPlan`] is generated up front from a seeded [`spf_testkit::Rng`]
 //! as a set of [`FaultWindow`]s aligned to epoch-barrier boundaries, so an
 //! injected fault lands at exactly the same simulated cycle on every
-//! host and every `--jobs` value — chaos runs are `cmp`-gated in CI just
-//! like fault-free ones.
+//! host — chaos runs are `cmp`-gated in CI just like fault-free ones.
 //!
-//! Four fault kinds, each paired with a degradation mechanism in
-//! [`crate::sim`]:
+//! The seed is the one setting; the fault mix is this module's constants
+//! (`GC_STORMS`, `COMPILE_STALLS`, `CACHE_SQUEEZES` and `TRAFFIC_BURSTS`
+//! windows, `BURST_REQUESTS` per burst). Four fault kinds, each paired
+//! with a degradation mechanism in [`crate::sim`]:
 //!
 //! * **GC storm** — every tenant's heap is forced through a move epoch at
 //!   each barrier inside the window, mass-staling adaptive guards. Paired
@@ -19,15 +20,15 @@
 //!   methods from their retained deopt arguments.
 //! * **Compile stall** — the background compiler workers stop picking up
 //!   jobs (in-flight compiles still finish). Paired with compile-request
-//!   deadlines: a job waiting past the deadline re-enters the queue with
-//!   exponential backoff instead of wedging the FIFO.
+//!   deadlines: a job waiting past `COMPILE_DEADLINE_CYCLES` re-enters
+//!   the queue with exponential backoff instead of wedging the FIFO.
 //! * **Cache squeeze** — the shared code cache shrinks mid-run to
 //!   `SQUEEZE_CAPACITY_INSTRS`, evicting down to the new
 //!   capacity; per-tenant quotas keep one tenant from monopolizing what
 //!   is left.
 //! * **Traffic burst** — extra requests for one tenant inside the window.
 //!   Paired with queue-depth admission control: *surge* arrivals beyond
-//!   [`ChaosConfig::admission_max_depth`] are shed with a typed
+//!   `ADMISSION_MAX_DEPTH` are shed with a typed
 //!   [`spf_trace::TraceEvent::RequestShed`] outcome instead of growing
 //!   the tail unboundedly. Contracted base traffic is never shed — it
 //!   queues behind whatever surge was admitted — so sheds stop the
@@ -44,48 +45,31 @@ use spf_trace::FaultKind;
 use crate::sim::ServeOutcome;
 use crate::traffic::Request;
 
-/// Chaos-mode configuration: the fault mix plus two degradation knobs
-/// (the rest are constants of this module). Only `seed` has a setter
-/// outside tests (`spf-serve --chaos-seed`); the other seven fields are
-/// set by `Default` and by tests alone. Lives on
-/// [`crate::ServeConfig::chaos`] as `Option` — `None` takes the exact
-/// legacy code paths, so fault-free runs stay byte-identical.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Fault-plan seed (independent of the traffic seed).
-    pub seed: u64,
-    /// GC-storm windows to schedule.
-    pub gc_storms: u32,
-    /// Compile-stall windows to schedule.
-    pub compile_stalls: u32,
-    /// Cache-squeeze windows to schedule.
-    pub cache_squeezes: u32,
-    /// Per-tenant traffic-burst windows to schedule.
-    pub traffic_bursts: u32,
-    /// Extra requests injected per burst window.
-    pub burst_requests: u32,
-    /// A compile job waiting longer than this re-enters the queue with
-    /// backoff (and counts as a retry).
-    pub compile_deadline_cycles: u64,
-    /// Surge (burst-injected) arrivals beyond this per-tenant queue
-    /// depth are shed; base traffic always queues.
-    pub admission_max_depth: u32,
-}
+/// Fault-plan seed of `spf-serve --chaos` (`--chaos-seed` picks another).
+pub const DEFAULT_SEED: u64 = 0xC4A0_5C4A;
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 0xC4A0_5C4A,
-            gc_storms: 3,
-            compile_stalls: 1,
-            cache_squeezes: 1,
-            traffic_bursts: 2,
-            burst_requests: 30,
-            compile_deadline_cycles: 400_000,
-            admission_max_depth: 4,
-        }
-    }
-}
+/// GC-storm windows per plan.
+pub(crate) const GC_STORMS: u32 = 3;
+
+/// Compile-stall windows per plan.
+pub(crate) const COMPILE_STALLS: u32 = 1;
+
+/// Cache-squeeze windows per plan.
+pub(crate) const CACHE_SQUEEZES: u32 = 1;
+
+/// Per-tenant traffic-burst windows per plan.
+pub(crate) const TRAFFIC_BURSTS: u32 = 2;
+
+/// Extra requests injected per burst window.
+pub(crate) const BURST_REQUESTS: u32 = 30;
+
+/// A compile job waiting longer than this re-enters the queue with
+/// backoff (and counts as a retry).
+pub(crate) const COMPILE_DEADLINE_CYCLES: u64 = 400_000;
+
+/// Surge (burst-injected) arrivals beyond this per-tenant queue depth are
+/// shed; base traffic always queues.
+pub(crate) const ADMISSION_MAX_DEPTH: usize = 4;
 
 /// One scheduled fault: `kind` is active on cycles `start <= now < end`.
 /// Both bounds are epoch-slot multiples, so activation and deactivation
@@ -140,15 +124,15 @@ impl FaultPlan {
     }
 }
 
-/// Generates the fault schedule for a run expected to span `horizon`
-/// cycles with `slot`-cycle epochs. Pure function of its inputs: same
-/// config, same plan. Windows of the same `(kind, tenant)` never overlap
+/// Generates the fault schedule of plan `seed` for a run expected to span
+/// `horizon` cycles with `slot`-cycle epochs. Pure function of its inputs:
+/// same seed, same plan. Windows of the same `(kind, tenant)` never overlap
 /// (a window that cannot be placed after 16 draws is dropped); windows
 /// start no later than ~70% of the horizon so recovery has room.
-pub fn generate(chaos: &ChaosConfig, tenants: usize, horizon: u64, slot: u64) -> FaultPlan {
+pub fn generate(seed: u64, tenants: usize, horizon: u64, slot: u64) -> FaultPlan {
     assert!(slot > 0, "fault windows need a slot grid");
     assert!(tenants > 0, "fault plans need at least one tenant");
-    let mut rng = Rng::new(chaos.seed);
+    let mut rng = Rng::new(seed);
     let max_start_slot = ((horizon * 7 / 10) / slot).max(1);
     let mut windows: Vec<FaultWindow> = Vec::new();
     let mut place = |rng: &mut Rng, kind: FaultKind, count: u32, per_tenant: bool| {
@@ -177,42 +161,27 @@ pub fn generate(chaos: &ChaosConfig, tenants: usize, horizon: u64, slot: u64) ->
             }
         }
     };
-    place(&mut rng, FaultKind::GcStorm, chaos.gc_storms, false);
-    place(
-        &mut rng,
-        FaultKind::CompileStall,
-        chaos.compile_stalls,
-        false,
-    );
-    place(
-        &mut rng,
-        FaultKind::CacheSqueeze,
-        chaos.cache_squeezes,
-        false,
-    );
-    place(
-        &mut rng,
-        FaultKind::TrafficBurst,
-        chaos.traffic_bursts,
-        true,
-    );
+    place(&mut rng, FaultKind::GcStorm, GC_STORMS, false);
+    place(&mut rng, FaultKind::CompileStall, COMPILE_STALLS, false);
+    place(&mut rng, FaultKind::CacheSqueeze, CACHE_SQUEEZES, false);
+    place(&mut rng, FaultKind::TrafficBurst, TRAFFIC_BURSTS, true);
     windows.sort_by_key(|w| (w.start, w.end, w.kind, w.tenant));
     FaultPlan { windows }
 }
 
-/// Injects the plan's traffic bursts into a base request stream. Burst
-/// requests are spread evenly over their window, target the window's
-/// tenant, and take ids *after* every base id — so base request `i` keeps
-/// id `i` and its latency stays directly comparable with the fault-free
-/// run's. The result is sorted by `(arrival, id)` as the simulation
-/// requires.
-pub fn inject_bursts(base: &[Request], plan: &FaultPlan, chaos: &ChaosConfig) -> Vec<Request> {
+/// Injects the plan's traffic bursts into a base request stream. The
+/// `BURST_REQUESTS` of a burst are spread evenly over its window, target
+/// the window's tenant, and take ids *after* every base id — so base
+/// request `i` keeps id `i` and its latency stays directly comparable with
+/// the fault-free run's. The result is sorted by `(arrival, id)` as the
+/// simulation requires.
+pub fn inject_bursts(base: &[Request], plan: &FaultPlan) -> Vec<Request> {
     let mut out = base.to_vec();
     let mut next_id = base.len() as u32;
     for w in plan.of_kind(FaultKind::TrafficBurst) {
-        let gap = ((w.end - w.start) / u64::from(chaos.burst_requests.max(1))).max(1);
+        let gap = ((w.end - w.start) / u64::from(BURST_REQUESTS)).max(1);
         let mut arrival = w.start;
-        for _ in 0..chaos.burst_requests {
+        for _ in 0..BURST_REQUESTS {
             if arrival >= w.end {
                 break;
             }
@@ -350,27 +319,15 @@ mod tests {
     use super::*;
     use spf_testkit::cases;
 
-    fn arb_chaos(r: &mut Rng) -> ChaosConfig {
-        ChaosConfig {
-            seed: r.u64(),
-            gc_storms: r.u64_in(0, 4) as u32,
-            compile_stalls: r.u64_in(0, 3) as u32,
-            cache_squeezes: r.u64_in(0, 3) as u32,
-            traffic_bursts: r.u64_in(0, 4) as u32,
-            burst_requests: r.u64_in(1, 50) as u32,
-            ..ChaosConfig::default()
-        }
-    }
-
     #[test]
     fn plans_are_deterministic_and_sorted() {
         cases(64, "fault plan determinism", |r| {
-            let chaos = arb_chaos(r);
+            let seed = r.u64();
             let tenants = r.usize_in(1, 200);
             let horizon = r.u64_in(10, 2_000) * 1_000;
             let slot = r.u64_in(1, 20) * 500;
-            let a = generate(&chaos, tenants, horizon, slot);
-            let b = generate(&chaos, tenants, horizon, slot);
+            let a = generate(seed, tenants, horizon, slot);
+            let b = generate(seed, tenants, horizon, slot);
             assert_eq!(a, b, "same inputs must yield the same plan");
             for w in windows_pairs(&a) {
                 assert!(
@@ -389,10 +346,11 @@ mod tests {
     #[test]
     fn windows_are_slot_aligned_and_disjoint_per_kind_and_tenant() {
         cases(64, "fault plan shape", |r| {
-            let chaos = arb_chaos(r);
+            let seed = r.u64();
             let tenants = r.usize_in(1, 100);
+            let horizon = r.u64_in(10, 5_000) * 1_000;
             let slot = r.u64_in(1, 10) * 1_000;
-            let plan = generate(&chaos, tenants, 5_000_000, slot);
+            let plan = generate(seed, tenants, horizon, slot);
             for w in &plan.windows {
                 assert_eq!(w.start % slot, 0, "start off the slot grid");
                 assert_eq!(w.end % slot, 0, "end off the slot grid");
@@ -414,11 +372,7 @@ mod tests {
     #[test]
     fn bursts_preserve_base_ids_and_sortedness() {
         cases(32, "burst injection", |r| {
-            let chaos = ChaosConfig {
-                traffic_bursts: r.u64_in(1, 3) as u32,
-                burst_requests: r.u64_in(1, 40) as u32,
-                ..arb_chaos(r)
-            };
+            let seed = r.u64();
             let tenants = r.usize_in(1, 30);
             let base = crate::traffic::generate(&crate::traffic::TrafficConfig {
                 tenants,
@@ -426,8 +380,14 @@ mod tests {
                 mean_interarrival: 10_000,
                 seed: r.u64(),
             });
-            let plan = generate(&chaos, tenants, 2_000_000, 50_000);
-            let all = inject_bursts(&base, &plan, &chaos);
+            let horizon = r.u64_in(10, 4_000) * 1_000;
+            let slot = r.u64_in(1, 20) * 5_000;
+            let plan = generate(seed, tenants, horizon, slot);
+            let all = inject_bursts(&base, &plan);
+            // Every placed burst window adds its full complement.
+            let bursts = plan.of_kind(FaultKind::TrafficBurst).count();
+            assert!(bursts >= 1, "the first burst window never clashes");
+            assert_eq!(all.len(), base.len() + bursts * BURST_REQUESTS as usize);
             // Base requests survive untouched (same id, tenant, arrival).
             for b in &base {
                 assert!(all.contains(b), "base request lost: {b:?}");
@@ -453,7 +413,7 @@ mod tests {
 
     #[test]
     fn next_boundary_walks_every_edge() {
-        let plan = generate(&ChaosConfig::default(), 10, 5_000_000, 100_000);
+        let plan = generate(DEFAULT_SEED, 10, 5_000_000, 100_000);
         assert!(!plan.windows.is_empty());
         let mut now = 0;
         let mut seen = 0;

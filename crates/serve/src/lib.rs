@@ -20,17 +20,16 @@
 //!   backoff retry, per-tenant cache quotas, admission-control load
 //!   shedding), and [`faults::verify_recovery`] proves the fleet
 //!   recovered after the last window.
-//! - [`sim`] — the epoch-barrier fleet simulation: a work-stealing host
-//!   pool executes requests in parallel, but every shared-state mutation
-//!   happens at serial barriers in canonical order, so results are
-//!   bit-identical across `--jobs` values and host machines.
+//! - [`sim`] — the epoch-barrier fleet simulation: one serial
+//!   coordinator dispatches, executes and folds requests in canonical
+//!   tenant order, so results are bit-identical across host machines.
 //! - [`report`] — integer-only latency percentiles (p50/p99/p999) and
 //!   compilation-queue statistics, emitted as `SERVE_summary.json` and
 //!   gated in CI by byte comparison, exactly like `bench_diff` gates the
-//!   96-cell matrix.
+//!   120-cell matrix.
 //!
 //! The `spf-serve` binary in `spf-bench` drives [`sim::run`] over the
-//! four prefetch modes and writes the artifact.
+//! five prefetch modes and writes the artifact.
 
 pub mod cache;
 pub mod faults;
@@ -39,9 +38,7 @@ pub mod sim;
 pub mod traffic;
 
 pub use cache::{CacheEntry, CodeCache};
-pub use faults::{
-    inject_bursts, verify_recovery, ChaosConfig, FaultPlan, FaultWindow, RecoveryReport,
-};
+pub use faults::{inject_bursts, verify_recovery, FaultPlan, FaultWindow, RecoveryReport};
 pub use report::{percentile, ChaosRow, ModeReport, ServeSummary};
 pub use sim::{run, ServeConfig, ServeOutcome};
 pub use traffic::{generate, Request, TrafficConfig};

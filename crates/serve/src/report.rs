@@ -4,9 +4,10 @@
 //! Every statistic is an integer computed from simulated quantities
 //! (nearest-rank percentiles, floored means, milli-scaled queue depth), so
 //! the emitted file is byte-identical for byte-identical simulations —
-//! CI compares two `--jobs` runs with `cmp`, no tolerance needed. The two
-//! row types' declarations are their schemas ([`spf_trace::record`]); the
-//! document envelope is written and read here.
+//! CI compares a fresh run with the committed baseline using `cmp`, no
+//! tolerance needed. The two row types' declarations are their schemas
+//! ([`spf_trace::record`]); the document envelope is written and read
+//! here.
 
 use std::fmt::Write as _;
 
@@ -151,8 +152,8 @@ spf_trace::record! {
 }
 
 /// The full `SERVE_summary.json`: the configuration that produced the
-/// numbers plus one row per mode. Host-only facts (`--jobs`, wall-clock)
-/// are deliberately absent — two runs that should be bit-identical
+/// numbers plus one row per mode. Host-only facts (wall-clock) are
+/// deliberately absent — two runs that should be bit-identical
 /// produce byte-identical files.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ServeSummary {

@@ -1,7 +1,6 @@
 //! Shared workload infrastructure: sizes, the registry entry type, and IR
 //! helpers (a deterministic LCG and a Fisher–Yates shuffle emitted as IR).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use spf_core::PrefetchOptions;
@@ -168,54 +167,6 @@ impl<S: TraceSink> Prepared<S> {
     }
 }
 
-/// Runs `count` independent tasks on up to `jobs` worker threads through
-/// an atomic cursor, returning results in task order regardless of
-/// scheduling: the cursor only decides which host thread computes which
-/// index, so `task` must be index-pure for the result to be `jobs`-free.
-/// A worker's panic is re-raised with its own payload.
-pub fn run_pool<R: Send>(jobs: usize, count: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let jobs = jobs.clamp(1, count.max(1));
-    if jobs == 1 {
-        return (0..count).map(task).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    // Claim tasks through the shared cursor; keep results
-                    // local until the join to avoid any lock on the hot
-                    // path.
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        done.push((i, task(i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for w in workers {
-            match w.join() {
-                Ok(done) => {
-                    for (i, r) in done {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every task was claimed by a worker"))
-        .collect()
-}
-
 /// Emits `seed = seed * 1103515245 + 12345; value = (seed >>> 16) & 0x7fff`
 /// against a static seed slot; returns the non-negative pseudo-random
 /// `I32`.
@@ -278,25 +229,6 @@ mod tests {
     use super::*;
     use spf_heap::Value;
     use spf_ir::Ty;
-
-    #[test]
-    fn run_pool_preserves_order() {
-        for jobs in [1, 2, 7] {
-            let r = run_pool(jobs, 20, |i| i * i);
-            assert_eq!(r, (0..20).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
-        }
-    }
-
-    /// A worker's panic reaches the caller with its own message, not as
-    /// `std::thread::scope`'s "a scoped thread panicked".
-    #[test]
-    #[should_panic(expected = "task 3 faulted")]
-    fn run_pool_re_raises_a_worker_panic_with_its_message() {
-        run_pool(2, 8, |i| {
-            assert_ne!(i, 3, "task 3 faulted");
-            i
-        });
-    }
 
     #[test]
     fn size_scaling() {

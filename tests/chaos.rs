@@ -7,7 +7,7 @@
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::serve::{
-    faults, report, sim, traffic, ChaosConfig, ChaosRow, ModeReport, ServeConfig, TrafficConfig,
+    faults, report, sim, traffic, ChaosRow, ModeReport, ServeConfig, TrafficConfig,
 };
 use stride_prefetch::trace::TraceEvent;
 
@@ -16,7 +16,7 @@ fn chaos_fleet() -> ServeConfig {
         tenants: 8,
         requests: 60,
         mean_interarrival: 50_000,
-        chaos: Some(ChaosConfig::default()),
+        chaos: Some(faults::DEFAULT_SEED),
         ..ServeConfig::default()
     }
 }
@@ -26,8 +26,8 @@ fn fault_runs_degrade_then_recover() {
     let cfg = chaos_fleet();
     let proc = ProcessorConfig::pentium4();
     let opts = PrefetchOptions::adaptive();
-    let fault = sim::run(&cfg, &opts, &proc, 3);
-    let nofault = sim::run(&ServeConfig { chaos: None, ..cfg }, &opts, &proc, 3);
+    let fault = sim::run(&cfg, &opts, &proc, 1);
+    let nofault = sim::run(&ServeConfig { chaos: None, ..cfg }, &opts, &proc, 1);
 
     // Degradation fired and left a typed trail.
     assert!(fault.faults > 0, "no fault window activated");
@@ -52,8 +52,7 @@ fn fault_runs_degrade_then_recover() {
         seed: cfg.seed,
     });
     let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
-    let chaos = cfg.chaos.unwrap();
-    let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
+    let plan = faults::generate(faults::DEFAULT_SEED, cfg.tenants, horizon, cfg.slot_cycles);
     let recovery = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
         .expect("recovery invariants");
     assert_eq!(recovery.stranded_final, 0);
@@ -64,7 +63,7 @@ fn chaos_summary_section_round_trips_and_stays_optional() {
     let cfg = chaos_fleet();
     let proc = ProcessorConfig::pentium4();
     let opts = PrefetchOptions::inter_intra();
-    let fault = sim::run(&cfg, &opts, &proc, 2);
+    let fault = sim::run(&cfg, &opts, &proc, 1);
 
     let row = ModeReport::from_outcome(&opts.mode.to_string(), &fault);
     assert!(
@@ -152,17 +151,13 @@ fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
     let sweep = |opts: PrefetchOptions| {
         let nofault = sim::run(&cfg, &opts, &proc, 1);
         let seeds = (1..=6).map(|seed| {
-            let chaos = ChaosConfig {
-                seed,
-                ..ChaosConfig::default()
-            };
             let fault_cfg = ServeConfig {
-                chaos: Some(chaos),
+                chaos: Some(seed),
                 ..cfg
             };
             let fault = sim::run(&fault_cfg, &opts, &proc, 1);
             let cell = format!("{} / chaos seed {seed}", opts.mode);
-            let plan = faults::generate(&chaos, cfg.tenants, horizon, cfg.slot_cycles);
+            let plan = faults::generate(seed, cfg.tenants, horizon, cfg.slot_cycles);
             let r = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
                 .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert!(fault.faults > 0, "{cell}: no fault window activated");

@@ -151,16 +151,15 @@ fn accepted_argv_round_trips_the_values_it_set() {
         let gap = num(&argv, "--mean-interarrival", d.cfg.mean_interarrival);
         assert_eq!(got.cfg.mean_interarrival, gap);
         assert_eq!(got.cfg.seed, num(&argv, "--seed", d.cfg.seed));
-        assert_eq!(got.jobs, num(&argv, "--jobs", d.jobs));
         assert_eq!(got.out, path_or_dash(&argv, "--out", "SERVE_summary.json"));
         assert_eq!(got.events_out.as_deref(), last(&argv, "--events-out"));
         let fault_events = last(&argv, "--fault-events-out");
         assert_eq!(got.fault_events_out.as_deref(), fault_events);
         let chaos = has(&argv, "--chaos") || has(&argv, "--chaos-seed");
         assert_eq!(got.chaos.is_some(), chaos, "{argv:?}");
-        if let Some(c) = got.chaos {
-            let default_seed = stride_prefetch::serve::ChaosConfig::default().seed;
-            assert_eq!(c.seed, num(&argv, "--chaos-seed", default_seed));
+        if let Some(seed) = got.chaos {
+            let default_seed = stride_prefetch::serve::faults::DEFAULT_SEED;
+            assert_eq!(seed, num(&argv, "--chaos-seed", default_seed));
         }
         // What the command line cannot set stays the default.
         assert_eq!(got.cfg.slot_cycles, d.cfg.slot_cycles);
@@ -255,17 +254,19 @@ fn a_positive_count_of_zero_or_beyond_its_type_is_rejected() {
         ("figures", PARSERS[0].1, "--jobs", "0"),
         ("spf-serve", PARSERS[2].1, "--tenants", "0"),
         ("spf-serve", PARSERS[2].1, "--requests", "4294967297"),
-        ("spf-serve", PARSERS[2].1, "--jobs", "18446744073709551616"),
+        (
+            "spf-serve",
+            PARSERS[2].1,
+            "--tenants",
+            "18446744073709551616",
+        ),
     ] {
         assert_rejected(bin, parse, &strings(&[flag, bad]), &format!("{bad:?}"));
     }
     // u64::MAX is a seed like any other.
     let max = u64::MAX.to_string();
     let args = cli::serve(&strings(&["--seed", &max, "--chaos-seed", &max])).unwrap();
-    assert_eq!(
-        (args.cfg.seed, args.chaos.unwrap().seed),
-        (u64::MAX, u64::MAX)
-    );
+    assert_eq!((args.cfg.seed, args.chaos), (u64::MAX, Some(u64::MAX)));
 }
 
 #[test]
