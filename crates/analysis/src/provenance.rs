@@ -33,7 +33,7 @@
 //!
 //! The check runs for every compilation generation: under
 //! `debug_assertions` inside `spf-vm`'s JIT, and over every installed
-//! body in the `spf-lint` gate (`--provenance`).
+//! body in the `spf-lint` gate (which writes `STRIDE_provenance.jsonl`).
 
 use spf_ir::bitset::BitSet;
 use spf_ir::entities::Reg;

@@ -5,7 +5,6 @@
 //! cargo run --release -p spf-bench --bin figures -- small         # quicker
 //! cargo run --release -p spf-bench --bin figures -- tiny db       # one workload
 //! cargo run --release -p spf-bench --bin figures -- small --jobs 8
-//! cargo run --release -p spf-bench --bin figures -- tiny --verify-serial
 //! cargo run --release -p spf-bench --bin figures -- tiny --trace
 //! ```
 //!
@@ -16,21 +15,18 @@
 //! byte on any host and at any `--jobs`. Each sweep also writes
 //! `BENCH_matrix.json` (override the path with `--matrix-out PATH`,
 //! disable with `--matrix-out -`) recording every cell's simulated
-//! numbers; compare two such files with the `bench_diff` binary.
+//! numbers, equally host-free; `scripts/regen.sh` writes it over the
+//! committed `BENCH_baseline.json`, and `git diff` is the drift check.
 //! An argument the grammar does not know is an error
 //! ([`spf_bench::cli::figures`]), and so is an artifact that could not be
 //! written.
-//!
-//! `--verify-serial` runs one cell both through the parallel scheduler and
-//! directly on the main thread, then diffs the two `Measurement`s field by
-//! field and exits (0 = identical).
 //!
 //! `--trace` re-runs the matrix with event tracing after the untraced
 //! sweep, asserts the traced simulated numbers are bit-identical to the
 //! untraced ones, runs [`spf_bench::checks::attribution`] and
 //! [`spf_bench::checks::adaptive_counters`] on every cell, and writes the
-//! per-site effectiveness record to `TRACE_summary.jsonl` (render or diff
-//! it with the `spf-trace-report` binary). The adaptive-reprofiling
+//! per-site effectiveness record to `TRACE_summary.jsonl` (render it with
+//! the `spf-trace-report` binary). The adaptive-reprofiling
 //! events of every cell additionally land in `DEOPT_events.jsonl`;
 //! aggregate them per cell with
 //! `spf-trace-report deopt-summary DEOPT_events.jsonl`.
@@ -41,30 +37,6 @@ use std::time::Instant;
 use spf_bench::cli::emit;
 use spf_bench::{checks, cli, figures, matrix, matrix_json, write_artifact, RunPlan};
 use spf_trace::{attribute, deopt, summary};
-
-/// Runs the first kept cell both through the parallel scheduler and
-/// directly, and diffs the resulting `Measurement`s.
-fn verify_serial(plan: &RunPlan, keep: impl Fn(&str) -> bool) -> ExitCode {
-    let cells = matrix::cells(keep);
-    let cell = cells.first().expect("no workload matches the filter");
-    eprintln!(
-        "verify-serial: {} / {} / {}",
-        cell.spec.name, cell.options.mode, cell.proc.name
-    );
-    let threaded = matrix::run_cells(plan, 2, std::slice::from_ref(cell));
-    let direct = spf_bench::run_workload(&cell.spec, &cell.options, &cell.proc, plan);
-    let diff = threaded[0].measurement.simulated_diff(&direct);
-    if diff.is_empty() {
-        emit("verify-serial: OK — parallel and serial measurements are identical");
-        ExitCode::SUCCESS
-    } else {
-        emit("verify-serial: MISMATCH");
-        for d in &diff {
-            emit(&format!("  {d}"));
-        }
-        ExitCode::FAILURE
-    }
-}
 
 /// Re-runs the matrix with tracing, asserts the traced numbers are
 /// bit-identical to the untraced `results`, runs the attribution and
@@ -156,10 +128,6 @@ fn main() -> ExitCode {
         ..RunPlan::default()
     };
     let keep = |n: &str| args.only.as_deref().is_none_or(|o| o == n);
-
-    if args.verify_serial {
-        return verify_serial(&plan, keep);
-    }
 
     emit(&figures::table2());
     emit(&figures::table1_and_fig5());

@@ -4,8 +4,6 @@
 //! cargo run --release -p spf-bench --bin spf-lint                 # full size
 //! cargo run --release -p spf-bench --bin spf-lint -- tiny         # quicker
 //! cargo run --release -p spf-bench --bin spf-lint -- tiny db      # one workload
-//! cargo run -p spf-bench --bin spf-lint -- tiny --agreement-out -
-//! cargo run -p spf-bench --bin spf-lint -- tiny --provenance
 //! ```
 //!
 //! For each workload the original (pre-JIT) method bodies are checked by
@@ -17,10 +15,12 @@
 //! installed. Findings go to stdout; any violation, and any artifact
 //! that could not be written, makes the process exit nonzero.
 //!
-//! Unless disabled with `--agreement-out -`, the static-vs-inspected stride
-//! cross-check totals of each (workload, processor, mode) cell are written
-//! as JSON lines to `STRIDE_agreement.jsonl`. With `--provenance`, per-cell
-//! provenance tallies are additionally written to `STRIDE_provenance.jsonl`.
+//! Two artifacts land in the current directory, one JSON line per
+//! (workload, processor, mode) cell: the static-vs-inspected stride
+//! cross-check totals in `STRIDE_agreement.jsonl` and the provenance
+//! tallies in `STRIDE_provenance.jsonl`. Both are simulated only, so
+//! `spf-lint tiny` at the repository root rewrites the committed copies
+//! byte for byte, in a debug build as in a release one.
 
 use std::process::ExitCode;
 
@@ -125,12 +125,11 @@ fn main() -> ExitCode {
     }
 
     let mut ok = true;
-    let provenance_out = args.provenance.then_some("STRIDE_provenance.jsonl");
     for (path, text) in [
-        (args.agreement_out.as_deref(), &agreement),
-        (provenance_out, &provenance),
+        ("STRIDE_agreement.jsonl", &agreement),
+        ("STRIDE_provenance.jsonl", &provenance),
     ] {
-        if let Some(Err(e)) = path.map(|p| write_artifact(p, text)) {
+        if let Err(e) = write_artifact(path, text) {
             ok = false;
             eprintln!("error: {e}");
         }

@@ -14,8 +14,8 @@
 //! queue estimates: statically proved sites skip object inspection, so
 //! its scheduled compile latencies come in below the legacy modes'.
 //!
-//! The simulation is serial and a pure function of its configuration; CI
-//! byte-compares the emitted summaries with the committed baselines.
+//! The simulation is serial and a pure function of its configuration, so
+//! `scripts/regen.sh` rewrites the committed baselines byte for byte.
 //!
 //! `--chaos` additionally runs each mode a second time under the seeded
 //! fault plan (GC storms, compile stalls, cache squeezes, traffic
@@ -29,9 +29,7 @@ use std::process::ExitCode;
 use spf_bench::cli::{self, Serve};
 use spf_bench::{matrix, write_artifact};
 use spf_memsim::ProcessorConfig;
-use spf_serve::{
-    faults, report, sim, traffic, ChaosRow, ModeReport, ServeConfig, ServeSummary, TrafficConfig,
-};
+use spf_serve::{faults, report, sim, ChaosRow, ModeReport, ServeConfig, ServeSummary};
 use spf_trace::{export, TraceEvent};
 
 /// Events emitted only by the chaos machinery, for `FAULT_events.jsonl`.
@@ -57,15 +55,13 @@ fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
     let mut chaos_rows = Vec::new();
     let mut events_text = String::new();
     let mut fault_events_text = String::new();
-    // The base stream and fault plan are mode-independent: recompute them
-    // once, exactly as `sim::run` does internally.
-    let base = traffic::generate(&TrafficConfig {
-        tenants: args.cfg.tenants,
-        requests: args.cfg.requests,
-        mean_interarrival: args.cfg.mean_interarrival,
-        seed: args.cfg.seed,
-    });
-    let horizon = base.last().map_or(args.cfg.slot_cycles, |r| r.arrival);
+    // The chaos runs' base stream and fault plan are mode-independent:
+    // derive them once, from the function `sim::run` derives them with.
+    let chaos_cfg = ServeConfig {
+        chaos: args.chaos,
+        ..args.cfg
+    };
+    let (base, plan) = sim::base_and_plan(&chaos_cfg);
     for opts in matrix::modes() {
         eprintln!(
             "serve: {} tenants x {} requests, mode {}...",
@@ -76,18 +72,13 @@ fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
             events_text.push_str(&export::events_jsonl(&out.events, None));
         }
         rows.push(ModeReport::from_outcome(&opts.mode.to_string(), &out));
-        if let Some(seed) = args.chaos {
+        if args.chaos.is_some() {
             eprintln!("serve: mode {} again, under the fault plan...", opts.mode);
-            let chaos_cfg = ServeConfig {
-                chaos: Some(seed),
-                ..args.cfg
-            };
             let fault = sim::run(&chaos_cfg, &opts, &proc, 1);
             if args.fault_events_out.is_some() {
                 fault_events_text
                     .push_str(&export::events_jsonl(&chaos_events(&fault.events), None));
             }
-            let plan = faults::generate(seed, args.cfg.tenants, horizon, args.cfg.slot_cycles);
             let recovery =
                 faults::verify_recovery(&plan, args.cfg.slot_cycles, &base, &fault, &out)
                     .map_err(|e| format!("mode {}: recovery invariant failed: {e}", opts.mode))?;

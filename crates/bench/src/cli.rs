@@ -160,8 +160,6 @@ pub struct Figures {
     pub only: Option<String>,
     /// Worker threads for the sweep.
     pub jobs: usize,
-    /// Run one cell pooled and directly, diff, exit.
-    pub verify_serial: bool,
     /// Where `BENCH_matrix.json` goes; `None` disables it.
     pub matrix_out: Option<String>,
     /// Re-run the grid traced and gate on the cell checks.
@@ -174,7 +172,6 @@ const FIGURES: Grammar<Figures> = Grammar {
     workload: Some(|a, w| a.only = Some(w)),
     flags: &[
         Flag("--jobs", "N", |a, v| positive(v).map(|n| a.jobs = n)),
-        Flag("--verify-serial", "", |a, _| on(&mut a.verify_serial)),
         Flag("--matrix-out", "PATH|-", |a, v| {
             path_or_dash(v).map(|p| a.matrix_out = p)
         }),
@@ -189,7 +186,6 @@ pub fn figures(argv: &[String]) -> Result<Figures, String> {
         size: Size::Full,
         only: None,
         jobs: default_jobs(),
-        verify_serial: false,
         matrix_out: Some("BENCH_matrix.json".to_string()),
         trace: false,
     };
@@ -203,22 +199,13 @@ pub struct Lint {
     pub size: Size,
     /// Restrict the sweep to this workload.
     pub only: Option<String>,
-    /// Where `STRIDE_agreement.jsonl` goes; `None` disables it.
-    pub agreement_out: Option<String>,
-    /// Also write `STRIDE_provenance.jsonl`.
-    pub provenance: bool,
 }
 
 const LINT: Grammar<Lint> = Grammar {
     bin: "spf-lint",
     size: |a, size| a.size = size,
     workload: Some(|a, w| a.only = Some(w)),
-    flags: &[
-        Flag("--agreement-out", "PATH|-", |a, v| {
-            path_or_dash(v).map(|p| a.agreement_out = p)
-        }),
-        Flag("--provenance", "", |a, _| on(&mut a.provenance)),
-    ],
+    flags: &[],
 };
 
 /// Parses the arguments of `spf-lint`, like [`figures`].
@@ -226,8 +213,6 @@ pub fn lint(argv: &[String]) -> Result<Lint, String> {
     let defaults = Lint {
         size: Size::Full,
         only: None,
-        agreement_out: Some("STRIDE_agreement.jsonl".to_string()),
-        provenance: false,
     };
     LINT.parse(defaults, argv)
 }

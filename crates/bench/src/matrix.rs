@@ -274,6 +274,8 @@ mod tests {
         assert_eq!(cs[9].options.mode, spf_core::PrefetchMode::StaticFirst);
     }
 
+    /// A pooled cell shares its prepared program with the workload's other
+    /// cells; it must also equal a freshly prepared direct run.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let plan = tiny_plan();
@@ -282,9 +284,12 @@ mod tests {
         let par = run_matrix(&plan, 4, keep);
         assert_eq!(seq.len(), 10);
         assert_eq!(par.len(), 10);
-        for (a, b) in seq.iter().zip(&par) {
+        for ((a, b), c) in seq.iter().zip(&par).zip(cells(keep)) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");
+            let direct = crate::run_workload(&c.spec, &c.options, &c.proc, &plan);
+            let diff = b.measurement.simulated_diff(&direct);
+            assert!(diff.is_empty(), "pooled run diverged from direct: {diff:?}");
         }
     }
 

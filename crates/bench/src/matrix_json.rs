@@ -1,9 +1,9 @@
 //! `BENCH_matrix.json` — a machine-readable record of one matrix sweep.
 //!
-//! The emitter writes one JSON object per cell on its own line (so shell
-//! gates can `grep` a cell); the parser reads any JSON document of that
-//! schema through [`spf_trace::json`]. A cell's schema is [`CellSummary`]'s
-//! declaration ([`spf_trace::record`]).
+//! The emitter writes one JSON object per cell on its own line (so a
+//! drifted cell is one changed line of `git diff`); the parser reads any
+//! JSON document of that schema through [`spf_trace::json`]. A cell's
+//! schema is [`CellSummary`]'s declaration ([`spf_trace::record`]).
 
 use spf_trace::json;
 use spf_workloads::Size;
@@ -50,13 +50,6 @@ spf_trace::record! {
     }
 }
 
-impl CellSummary {
-    /// The (workload, mode, processor) key identifying this cell.
-    pub fn key(&self) -> (String, String, String) {
-        (self.name.clone(), self.mode.clone(), self.processor.clone())
-    }
-}
-
 impl From<&CellResult> for CellSummary {
     fn from(r: &CellResult) -> Self {
         let m = &r.measurement;
@@ -78,15 +71,14 @@ impl From<&CellResult> for CellSummary {
 }
 
 /// Renders a sweep as `BENCH_matrix.json`: simulated cell rows in a
-/// `size` / `jobs` / `total_wall_nanos` envelope.
+/// `size` envelope, so a sweep writes the same bytes on any host.
 ///
-/// `total_wall_nanos` is pinned by `benchmark/src/matrix.rs:774` until ROADMAP 1(B).
-pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u128) -> String {
+/// `_jobs` and `_total_wall_nanos` are ignored; `benchmark/src/matrix.rs:774`
+/// still passes them (ROADMAP 1(B)).
+pub fn emit(results: &[CellResult], size: Size, _jobs: usize, _total_wall_nanos: u128) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"size\": \"{size:?}\",\n"));
-    s.push_str(&format!("  \"jobs\": {jobs},\n"));
-    s.push_str(&format!("  \"total_wall_nanos\": {total_wall_nanos},\n"));
     s.push_str("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
         s.push_str("    ");
@@ -97,35 +89,15 @@ pub fn emit(results: &[CellResult], size: Size, jobs: usize, total_wall_nanos: u
     s
 }
 
-/// Parses a file produced by [`emit`] back into its cells.
+/// Parses a file produced by [`emit`] back into its cells. Members the
+/// declaration does not know, at the top level or in a cell, are ignored.
 ///
 /// # Errors
 ///
 /// Returns a message naming the line of the first JSON error, or the
 /// first cell with a missing or malformed field.
 pub fn parse(text: &str) -> Result<Vec<CellSummary>, String> {
-    parse_with_warnings(text).map(|(cells, _)| cells)
-}
-
-/// [`parse`], also reporting unknown *top-level* fields. Newer emitters
-/// (e.g. one that folds serve metrics into the sweep record) may add
-/// fields this reader does not know; those are ignored — the committed
-/// baselines stay comparable — but surfaced as warnings so the skew is
-/// visible in CI logs.
-///
-/// # Errors
-///
-/// As [`parse`].
-pub fn parse_with_warnings(text: &str) -> Result<(Vec<CellSummary>, Vec<String>), String> {
-    const KNOWN_TOP_LEVEL: [&str; 4] = ["size", "jobs", "total_wall_nanos", "cells"];
-    let doc = json::parse(text)?;
-    let cells = json::each("cells", doc.arr("cells")?, CellSummary::read)?;
-    let warnings = doc
-        .keys()
-        .filter(|key| !KNOWN_TOP_LEVEL.contains(key))
-        .map(|key| format!("ignoring unknown top-level field \"{key}\""))
-        .collect();
-    Ok((cells, warnings))
+    json::each("cells", json::parse(text)?.arr("cells")?, CellSummary::read)
 }
 
 #[cfg(test)]
@@ -204,28 +176,5 @@ mod tests {
     fn parse_rejects_malformed_cells() {
         let text = "{\"name\": \"db\", \"mode\": \"BASELINE\"}";
         assert!(parse(text).is_err());
-    }
-
-    #[test]
-    fn unknown_top_level_fields_warn_but_parse() {
-        let text = emit(&[sample("db", PrefetchMode::Off, 100)], Size::Tiny, 1, 9).replace(
-            "  \"jobs\": 1,",
-            "  \"jobs\": 1,\n  \"serve_summary\": \"SERVE_summary.json\",",
-        );
-        let (cells, warnings) = parse_with_warnings(&text).unwrap();
-        assert_eq!(cells.len(), 1, "unknown fields must not drop cells");
-        assert_eq!(
-            warnings,
-            vec!["ignoring unknown top-level field \"serve_summary\"".to_string()]
-        );
-        // The plain entry point still accepts the file silently.
-        assert_eq!(parse(&text).unwrap(), cells);
-    }
-
-    #[test]
-    fn known_top_level_fields_do_not_warn() {
-        let text = emit(&[sample("db", PrefetchMode::Off, 100)], Size::Tiny, 1, 9);
-        let (_, warnings) = parse_with_warnings(&text).unwrap();
-        assert!(warnings.is_empty(), "{warnings:?}");
     }
 }

@@ -158,7 +158,9 @@ fn every_prefetch_site_appears_exactly_once() {
     // The summary lists each site exactly once, keyed by position.
     let run = format!("{}/{}/{}", m.name, m.mode, m.processor);
     let rows = summary::rows(&run, &t.attribution, &t.sites);
-    let mut keys: Vec<_> = rows.iter().map(summary::SummaryRow::key).collect();
+    let mut keys: Vec<_> = (rows.iter())
+        .map(|r| (&r.method, r.block, r.index, r.generation))
+        .collect();
     keys.sort();
     let before = keys.len();
     keys.dedup();

@@ -328,7 +328,7 @@ impl StridePrefetcher {
                 merged.entry(site).or_default().extend(instrs);
             }
             // One provenance record per distinct prefetch anchor, for the
-            // provenance lint (spf-lint --provenance, and the JIT's
+            // provenance lint (spf-lint, and the JIT's
             // debug_assertions check). Anchor sites reference the
             // pre-insertion body, so the record carries the address
             // registers directly.

@@ -25,7 +25,7 @@
 //!   tenant order, so results are bit-identical across host machines.
 //! - [`report`] — integer-only latency percentiles (p50/p99/p999) and
 //!   compilation-queue statistics, emitted as `SERVE_summary.json` and
-//!   gated in CI by byte comparison, exactly like `bench_diff` gates the
+//!   gated in CI by `git diff` of the committed copies, exactly like the
 //!   120-cell matrix.
 //!
 //! The `spf-serve` binary in `spf-bench` drives [`sim::run`] over the

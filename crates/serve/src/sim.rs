@@ -10,7 +10,7 @@
 //! Every step runs serially in canonical tenant/worker order, so the
 //! simulation is a pure function of [`ServeConfig`] — bit-identical across
 //! host machines. That property is what lets CI gate serving latency
-//! numbers the same way `bench_diff` gates the matrix.
+//! numbers the way it gates the matrix: `git diff` of a rewritten file.
 
 use std::collections::VecDeque;
 
@@ -301,6 +301,27 @@ impl Fleet<'_> {
     }
 }
 
+/// The open-loop base stream of `cfg` and the fault plan injected into it
+/// (empty when `cfg.chaos` is `None`): [`run`] serves exactly these, and
+/// [`faults::verify_recovery`] judges a run against them.
+///
+/// The plan spans the base stream's arrival horizon; burst requests take
+/// ids after every base id, so base latencies stay directly comparable
+/// with a fault-free run's.
+pub fn base_and_plan(cfg: &ServeConfig) -> (Vec<Request>, FaultPlan) {
+    let base = traffic::generate(&TrafficConfig {
+        tenants: cfg.tenants,
+        requests: cfg.requests,
+        mean_interarrival: cfg.mean_interarrival,
+        seed: cfg.seed,
+    });
+    let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
+    let plan = cfg.chaos.map_or_else(FaultPlan::default, |seed| {
+        faults::generate(seed, cfg.tenants, horizon, cfg.slot_cycles)
+    });
+    (base, plan)
+}
+
 /// Runs the serving simulation: `cfg.requests` requests over
 /// `cfg.tenants` VMs under `options`. `_jobs` is ignored: the simulation
 /// is serial, and the parameter stays only for callers that still pass a
@@ -364,20 +385,7 @@ pub fn run(
         })
         .collect();
 
-    let base_requests = traffic::generate(&TrafficConfig {
-        tenants: cfg.tenants,
-        requests: cfg.requests,
-        mean_interarrival: cfg.mean_interarrival,
-        seed: cfg.seed,
-    });
-    // The fault plan spans the base stream's arrival horizon; burst
-    // requests take ids after every base id, so base latencies stay
-    // directly comparable with a fault-free run's.
-    let horizon = base_requests.last().map_or(cfg.slot_cycles, |r| r.arrival);
-    let plan = match chaos {
-        Some(seed) => faults::generate(seed, cfg.tenants, horizon, cfg.slot_cycles),
-        None => FaultPlan::default(),
-    };
+    let (base_requests, plan) = base_and_plan(cfg);
     let base_len = base_requests.len() as u32;
     let requests = match chaos {
         Some(_) => faults::inject_bursts(&base_requests, &plan),
@@ -783,15 +791,7 @@ mod tests {
             1,
         );
         assert_eq!(fault.checksum, nofault.checksum, "faults changed results");
-        // Recompute the base traffic and plan exactly as `run` does.
-        let base = traffic::generate(&TrafficConfig {
-            tenants: cfg.tenants,
-            requests: cfg.requests,
-            mean_interarrival: cfg.mean_interarrival,
-            seed: cfg.seed,
-        });
-        let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
-        let plan = faults::generate(faults::DEFAULT_SEED, cfg.tenants, horizon, cfg.slot_cycles);
+        let (base, plan) = base_and_plan(&cfg);
         let report = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
             .expect("recovery invariants must hold");
         assert_eq!(report.stranded_final, 0);

@@ -29,8 +29,7 @@
 //!   prefetch site instead of per run.
 //! * [`export`] — the JSONL event exporter.
 //! * [`summary`] — a per-site summary record that round-trips through a
-//!   JSONL file, with a renderer and a differ (the `spf-trace-report`
-//!   CLI).
+//!   JSONL file, with a renderer (the `spf-trace-report` CLI).
 //! * [`deopt`] — the per-cell loop-invalidation/repatch aggregation
 //!   (`spf-trace-report deopt-summary`), the diagnostic entry point for
 //!   adaptive-mode cycle blow-ups.

@@ -1,5 +1,5 @@
 //! `TRACE_summary.jsonl` — the per-site effectiveness record of a traced
-//! run, and the rendering/diffing behind the `spf-trace-report` CLI.
+//! run, and the rendering behind the `spf-trace-report` CLI.
 //!
 //! One JSON object per prefetch site per line: [`SummaryRow`]'s
 //! declaration is the schema ([`crate::record`]).
@@ -51,19 +51,6 @@ crate::record! {
 }
 
 impl SummaryRow {
-    /// The (run, method, block, index, generation) key identifying this
-    /// site across runs (site IDs are allocation-order-dependent;
-    /// positions and generations are not).
-    pub fn key(&self) -> (String, String, u32, u32, u32) {
-        (
-            self.run.clone(),
-            self.method.clone(),
-            self.block,
-            self.index,
-            self.generation,
-        )
-    }
-
     /// `method@bN.i` — the site's position.
     pub fn location(&self) -> String {
         format!("{}@b{}.{}", self.method, self.block, self.index)
@@ -195,64 +182,6 @@ pub fn render(rows: &[SummaryRow]) -> String {
     out
 }
 
-/// Compares two summaries site by site (matched on run + site position).
-/// Returns the rendered diff and the number of sites whose classification
-/// changed.
-pub fn diff(old: &[SummaryRow], new: &[SummaryRow]) -> (String, usize) {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<40} {:>16} {:>16} {:>16} {:>16}",
-        "run / site", "issued", "useful", "too-early", "too-late"
-    );
-    let mut changed = 0usize;
-    let mut matched = 0usize;
-    for o in old {
-        let Some(n) = new.iter().find(|n| n.key() == o.key()) else {
-            continue;
-        };
-        matched += 1;
-        let same = o.issued == n.issued
-            && o.useful == n.useful
-            && o.too_early == n.too_early
-            && o.too_late == n.too_late
-            && o.dropped == n.dropped;
-        if same {
-            continue;
-        }
-        changed += 1;
-        let delta = |a: u64, b: u64| format!("{a} -> {b}");
-        let _ = writeln!(
-            out,
-            "{:<40} {:>16} {:>16} {:>16} {:>16}",
-            format!("{} {}", o.run, o.location()),
-            delta(o.issued, n.issued),
-            delta(o.useful, n.useful),
-            delta(o.too_early, n.too_early),
-            delta(o.too_late, n.too_late),
-        );
-    }
-    for n in new {
-        if !old.iter().any(|o| o.key() == n.key()) {
-            changed += 1;
-            let _ = writeln!(
-                out,
-                "{:<40} {:>16} {:>16} {:>16} {:>16}",
-                format!("{} {} (new)", n.run, n.location()),
-                n.issued,
-                n.useful,
-                n.too_early,
-                n.too_late,
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "total: {matched} matched site(s), {changed} changed classification"
-    );
-    (out, changed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,20 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn render_and_diff() {
-        let rows = sample_rows();
-        let table = render(&rows);
+    fn render_names_each_run_and_site() {
+        let table = render(&sample_rows());
         assert!(table.contains("== db/INTER/Pentium 4 =="));
         assert!(table.contains("findInMemory@b4.1"));
-
-        let (text, changed) = diff(&rows, &rows);
-        assert_eq!(changed, 0, "{text}");
-
-        let mut moved = rows.clone();
-        moved[0].useful = 0;
-        moved[0].too_late = 1;
-        let (text, changed) = diff(&rows, &moved);
-        assert_eq!(changed, 1);
-        assert!(text.contains("1 -> 0"));
     }
 }

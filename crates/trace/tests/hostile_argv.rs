@@ -18,7 +18,9 @@ fn spf_trace_report_rejects_hostile_command_lines() {
             &["deopt-summary", "/proc/nope/d.jsonl"],
             "/proc/nope/d.jsonl",
         ),
-        (&["--help", ""], "--help: "),
+        // Two files was the deleted diff mode: now a usage error.
+        (&["--help", ""], "usage: spf-trace-report"),
+        (&["/proc/nope/s.jsonl"], "/proc/nope/s.jsonl"),
     ] {
         let out = Command::new(exe).args(args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);

@@ -66,6 +66,17 @@ fn matrix_text(a: &str, b: &str) -> String {
     matrix_json::emit(&[cell(a, b), cell(b, a)], Size::Tiny, 2, 99_999)
 }
 
+/// The matrix file is a function of the simulation only: the worker count
+/// and the sweep's wall time a caller passes leave no byte behind, so a
+/// sweep on any host rewrites the committed `BENCH_baseline.json` exactly.
+#[test]
+fn the_matrix_file_ignores_the_host_arguments() {
+    let cells = [cell("db", "Pentium 4"), cell("Euler", "Athlon MP")];
+    let text = matrix_json::emit(&cells, Size::Tiny, 1, 0);
+    assert_eq!(text, matrix_json::emit(&cells, Size::Tiny, 8, u128::MAX));
+    assert_eq!(matrix_json::parse(&text).expect("round trip").len(), 2);
+}
+
 fn serve_summary(a: &str, b: &str) -> ServeSummary {
     let mode = |mode: &str| ModeReport {
         mode: mode.to_string(),
@@ -243,7 +254,7 @@ fn an_event_dump_reads_back_as_its_adaptive_rows() {
 
 /// Every public `parse` entry point, fed the same text: none may panic.
 fn parse_all(text: &str) {
-    let _ = matrix_json::parse_with_warnings(text);
+    let _ = matrix_json::parse(text);
     let _ = report::parse(text);
     let _ = summary::parse(text);
     let _ = deopt::parse(text);
@@ -328,15 +339,24 @@ fn committed(name: &str) -> String {
 
 #[test]
 fn committed_artifacts_parse_through_their_readers() {
-    let (cells, warnings) = matrix_json::parse_with_warnings(&committed("BENCH_baseline.json"))
-        .expect("BENCH_baseline.json");
+    let cells = matrix_json::parse(&committed("BENCH_baseline.json")).expect("BENCH_baseline.json");
     assert_eq!(cells.len(), 120);
-    assert!(warnings.is_empty(), "{warnings:?}");
     let sites = summary::parse(&committed("TRACE_summary.jsonl")).expect("TRACE_summary.jsonl");
     assert_eq!(sites.len(), 67);
     let events = deopt::parse(&committed("DEOPT_events.jsonl")).expect("DEOPT_events.jsonl");
     assert_eq!(events.len(), 10);
     assert!(events.iter().all(|e| e.tag == "loop_invalidated"));
+    // `spf-lint`'s rows: where SCEV proves a stride the inspector agrees.
+    let disagree = json::lines(&committed("STRIDE_agreement.jsonl"), |row| {
+        row.num::<u64>("disagree").map(Some)
+    })
+    .expect("STRIDE_agreement.jsonl");
+    assert_eq!(disagree, [0; 120]);
+    let hybrid = json::lines(&committed("STRIDE_provenance.jsonl"), |row| {
+        row.num::<u64>("hybrid").map(Some)
+    })
+    .expect("STRIDE_provenance.jsonl");
+    assert_eq!((hybrid.len(), hybrid.iter().sum::<u64>()), (120, 25));
     // The benchmark's own files are plain JSON documents too.
     let manifest = committed("BENCHMARK.json");
     let manifest = json::parse(&manifest).expect("BENCHMARK.json");

@@ -6,9 +6,7 @@
 
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
-use stride_prefetch::serve::{
-    faults, report, sim, traffic, ChaosRow, ModeReport, ServeConfig, TrafficConfig,
-};
+use stride_prefetch::serve::{faults, report, sim, ChaosRow, ModeReport, ServeConfig};
 use stride_prefetch::trace::TraceEvent;
 
 fn chaos_fleet() -> ServeConfig {
@@ -45,14 +43,7 @@ fn fault_runs_degrade_then_recover() {
     );
 
     // Recovery is proven against the fault-free twin.
-    let base = traffic::generate(&TrafficConfig {
-        tenants: cfg.tenants,
-        requests: cfg.requests,
-        mean_interarrival: cfg.mean_interarrival,
-        seed: cfg.seed,
-    });
-    let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
-    let plan = faults::generate(faults::DEFAULT_SEED, cfg.tenants, horizon, cfg.slot_cycles);
+    let (base, plan) = sim::base_and_plan(&cfg);
     let recovery = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
         .expect("recovery invariants");
     assert_eq!(recovery.stranded_final, 0);
@@ -140,13 +131,6 @@ fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
         ..ServeConfig::default()
     };
     let proc = ProcessorConfig::pentium4();
-    let base = traffic::generate(&TrafficConfig {
-        tenants: cfg.tenants,
-        requests: cfg.requests,
-        mean_interarrival: cfg.mean_interarrival,
-        seed: cfg.seed,
-    });
-    let horizon = base.last().map_or(cfg.slot_cycles, |r| r.arrival);
     // The worst `(post_p99_ratio_milli, cell)` over the seeds of one mode.
     let sweep = |opts: PrefetchOptions| {
         let nofault = sim::run(&cfg, &opts, &proc, 1);
@@ -157,7 +141,7 @@ fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
             };
             let fault = sim::run(&fault_cfg, &opts, &proc, 1);
             let cell = format!("{} / chaos seed {seed}", opts.mode);
-            let plan = faults::generate(seed, cfg.tenants, horizon, cfg.slot_cycles);
+            let (base, plan) = sim::base_and_plan(&fault_cfg);
             let r = faults::verify_recovery(&plan, cfg.slot_cycles, &base, &fault, &nofault)
                 .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert!(fault.faults > 0, "{cell}: no fault window activated");
