@@ -14,21 +14,16 @@
 //!   guarded-load checks;
 //! - [`scev`] — SCEV-lite induction-variable and affine-recurrence
 //!   analysis producing statically-proven inter-iteration strides, which
-//!   the pipeline cross-checks against object inspection — and, in
-//!   static-first mode, uses to emit prefetches without inspecting;
-//! - [`provenance`] — a lint over the static/dynamic/hybrid tags the
-//!   static-first pipeline assigns to every emitted prefetch site.
+//!   the pipeline records against object inspection as a cross-check
+//!   that never changes the emitted code.
 //!
 //! The crate deliberately depends only on `spf-ir`: both the prefetch
 //! pipeline (`spf-core`) and the VM (`spf-vm`) call into it.
 
 pub mod dataflow;
 pub mod definite_init;
-pub mod provenance;
 pub mod scev;
 pub mod speclint;
-
-pub use provenance::{Provenance, ProvenanceConfig, SiteProvenance};
 
 use spf_ir::cfg::Cfg;
 use spf_ir::dom::DomTree;

@@ -162,7 +162,6 @@ fn main() -> ExitCode {
     let data = figures::from_measurements(results.into_iter().map(|r| r.measurement).collect());
     emit(&data.table3());
     emit(&data.stride_table());
-    emit(&data.static_first_table());
     emit(&data.adaptive_table());
     emit(&data.fig6());
     emit(&data.fig7());

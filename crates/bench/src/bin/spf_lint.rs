@@ -9,17 +9,16 @@
 //! For each workload the original (pre-JIT) method bodies are checked by
 //! [`spf_bench::checks::originals`]. Then every cell of the matrix
 //! ([`spf_bench::matrix::cells`]) is warmed up so the JIT compiles its hot
-//! methods, and [`spf_bench::checks::generations`] verifies, lints and
-//! provenance-checks every compiled *generation* of it — patched,
-//! repatched and recompiled bodies included, not just the bodies still
-//! installed. Findings go to stdout; any violation, and any artifact
-//! that could not be written, makes the process exit nonzero.
+//! methods, and [`spf_bench::checks::generations`] verifies and lints
+//! every compiled *generation* of it — patched, repatched and
+//! recompiled bodies included, not just the bodies still installed.
+//! Findings go to stdout; any violation, and an artifact that could not
+//! be written, makes the process exit nonzero.
 //!
-//! Two artifacts land in the current directory, one JSON line per
+//! One artifact lands in the current directory, one JSON line per
 //! (workload, processor, mode) cell: the static-vs-inspected stride
-//! cross-check totals in `STRIDE_agreement.jsonl` and the provenance
-//! tallies in `STRIDE_provenance.jsonl`. Both are simulated only, so
-//! `spf-lint tiny` at the repository root rewrites the committed copies
+//! cross-check totals in `STRIDE_agreement.jsonl`. It is simulated only,
+//! so `spf-lint tiny` at the repository root rewrites the committed copy
 //! byte for byte, in a debug build as in a release one.
 
 use std::process::ExitCode;
@@ -43,23 +42,6 @@ spf_trace::record! {
     }
 }
 
-spf_trace::record! {
-    /// One cell's line of `STRIDE_provenance.jsonl`: its emitted prefetch
-    /// sites by provenance tag, over every compiled generation
-    /// ([`checks::Generations`]).
-    pub struct ProvenanceRow {
-        pub name: String,
-        pub mode: String,
-        pub processor: String,
-        #[key = "static"]
-        pub static_sites: usize,
-        #[key = "dynamic"]
-        pub dynamic_sites: usize,
-        #[key = "hybrid"]
-        pub hybrid_sites: usize,
-    }
-}
-
 fn main() -> ExitCode {
     let args = cli::from_env(cli::lint);
     let cells = matrix::cells(|n| args.only.as_deref().is_none_or(|o| o == n));
@@ -67,9 +49,7 @@ fn main() -> ExitCode {
     let mut violations = 0;
     let mut compiled_total = 0;
     let mut grand = StrideCrossCheck::default();
-    let (mut statics, mut dynamics, mut hybrids) = (0, 0, 0);
     let mut agreement = String::new();
-    let mut provenance = String::new();
     // A workload's cells are adjacent; they share one prepared program.
     for group in cells.chunk_by(|a, b| a.spec.name == b.spec.name) {
         let name = group[0].spec.name;
@@ -92,9 +72,6 @@ fn main() -> ExitCode {
                 emit(&format!("{name}/{mode}/{}: {v}", proc.name));
             }
             compiled_total += found.compiled;
-            statics += found.static_sites;
-            dynamics += found.dynamic_sites;
-            hybrids += found.hybrid_sites;
             let mut strides = StrideCrossCheck::default();
             for r in vm.reports() {
                 strides.add(&r.stride_check_totals());
@@ -111,34 +88,17 @@ fn main() -> ExitCode {
             }
             .write(&mut agreement);
             agreement.push('\n');
-            ProvenanceRow {
-                name: name.to_string(),
-                mode: mode.to_string(),
-                processor: proc.name.clone(),
-                static_sites: found.static_sites,
-                dynamic_sites: found.dynamic_sites,
-                hybrid_sites: found.hybrid_sites,
-            }
-            .write(&mut provenance);
-            provenance.push('\n');
         }
     }
 
-    let mut ok = true;
-    for (path, text) in [
-        ("STRIDE_agreement.jsonl", &agreement),
-        ("STRIDE_provenance.jsonl", &provenance),
-    ] {
-        if let Err(e) = write_artifact(path, text) {
-            ok = false;
-            eprintln!("error: {e}");
-        }
+    let written = write_artifact("STRIDE_agreement.jsonl", &agreement);
+    if let Err(e) = &written {
+        eprintln!("error: {e}");
     }
     emit(&format!(
         "spf-lint: {} cell(s), {compiled_total} compiled method(s), \
-         strides[{grand}], provenance[static {statics} / dynamic {dynamics} / hybrid {hybrids}], \
-         {violations} violation(s)",
+         strides[{grand}], {violations} violation(s)",
         cells.len()
     ));
-    ExitCode::from(u8::from(!ok || violations > 0))
+    ExitCode::from(u8::from(written.is_err() || violations > 0))
 }

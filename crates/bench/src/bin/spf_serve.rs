@@ -8,11 +8,9 @@
 //!
 //! Runs the `spf-serve` fleet simulation — hundreds of tenant VMs over
 //! sharded heaps, a background compilation queue, and a bounded shared
-//! code cache — once per prefetch mode (BASELINE, INTER, INTER+INTRA,
-//! ADAPTIVE, STATIC-FIRST), prints the latency table, and writes
-//! `SERVE_summary.json`. STATIC-FIRST exercises the compile-cost-aware
-//! queue estimates: statically proved sites skip object inspection, so
-//! its scheduled compile latencies come in below the legacy modes'.
+//! code cache — once for each of the four prefetch modes (BASELINE,
+//! INTER, INTER+INTRA, ADAPTIVE), prints the latency table, and writes
+//! `SERVE_summary.json`.
 //!
 //! The simulation is serial and a pure function of its configuration, so
 //! `scripts/regen.sh` rewrites the committed baselines byte for byte.

@@ -7,7 +7,7 @@
 //! same functions. Strengthen an invariant here and every gate gets
 //! stronger with it.
 
-use spf_analysis::{lint, provenance, LintConfig, Provenance, ProvenanceConfig, SiteProvenance};
+use spf_analysis::{lint, LintConfig};
 use spf_ir::verify::verify_all;
 use spf_ir::Program;
 use spf_memsim::{MemStats, ProcessorConfig};
@@ -33,32 +33,18 @@ pub fn originals(name: &str, program: &Program) -> Vec<String> {
 /// What [`generations`] found in one VM.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Generations {
-    /// Verifier, lint and provenance findings, each prefixed
-    /// `METHOD gN: KIND:`.
+    /// Verifier and lint findings, each prefixed `METHOD gN: KIND:`.
     pub violations: Vec<String>,
     /// Compiled bodies checked (every generation counts).
     pub compiled: usize,
-    /// Emitted prefetch sites tagged static, over all generations.
-    pub static_sites: usize,
-    /// Emitted prefetch sites tagged dynamic.
-    pub dynamic_sites: usize,
-    /// Emitted prefetch sites tagged hybrid.
-    pub hybrid_sites: usize,
 }
 
 /// Every body the VM ever installed — patched, repatched and recompiled
 /// generations included, not just the bodies still live — passes the
-/// structural verifier, the lint under `proc`'s guarded-load rule, and
-/// the provenance lint against the reports of its own
-/// compilation. Reports are paired with bodies by (method name,
-/// generation): the history and the report list are not positionally
-/// aligned when bodies are installed out of band.
+/// structural verifier and the lint under `proc`'s guarded-load rule.
 pub fn generations<S: TraceSink>(vm: &Vm<S>, proc: &ProcessorConfig) -> Generations {
     let config = LintConfig {
         guard_derefs: proc.swpf_drops_on_tlb_miss,
-    };
-    let pcfg = ProvenanceConfig {
-        static_first: vm.config().prefetch.mode.static_first(),
     };
     let mut out = Generations::default();
     for (_mid, generation, func) in vm.compiled_generations() {
@@ -69,22 +55,6 @@ pub fn generations<S: TraceSink>(vm: &Vm<S>, proc: &ProcessorConfig) -> Generati
         }
         for f in lint(func, &config) {
             out.violations.push(format!("{at}: lint: {f}"));
-        }
-        let records: Vec<SiteProvenance> = vm
-            .reports()
-            .iter()
-            .filter(|r| r.method == func.name() && r.generation == generation)
-            .flat_map(|r| r.provenance_records().cloned())
-            .collect();
-        for r in &records {
-            match r.provenance {
-                Provenance::Static => out.static_sites += 1,
-                Provenance::Dynamic => out.dynamic_sites += 1,
-                Provenance::Hybrid => out.hybrid_sites += 1,
-            }
-        }
-        for f in provenance::check(func, &pcfg, &records) {
-            out.violations.push(format!("{at}: provenance: {f}"));
         }
     }
     out

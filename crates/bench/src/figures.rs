@@ -71,27 +71,26 @@ impl ExperimentData {
         let _ = writeln!(s, "{title}");
         let _ = writeln!(
             s,
-            "{:<12} {:>10} {:>14} {:>11} {:>13}",
-            "program", "INTER", "INTER+INTRA", "ADAPTIVE", "STATIC-FIRST"
+            "{:<12} {:>10} {:>14} {:>11}",
+            "program", "INTER", "INTER+INTRA", "ADAPTIVE"
         );
         for name in self.names() {
             let base = self.get(name, proc, PrefetchMode::Off);
             let inter = self.get(name, proc, PrefetchMode::Inter);
             let both = self.get(name, proc, PrefetchMode::InterIntra);
             if let (Some(base), Some(inter), Some(both)) = (base, inter, both) {
-                let relative = |mode| {
-                    self.get(name, proc, mode).map_or("-".to_string(), |a| {
+                let adaptive = self
+                    .get(name, proc, PrefetchMode::Adaptive)
+                    .map_or("-".to_string(), |a| {
                         format!("{:>+.1}%", (a.speedup_vs(base) - 1.0) * 100.0)
-                    })
-                };
+                    });
                 let _ = writeln!(
                     s,
-                    "{:<12} {:>+9.1}% {:>+13.1}% {:>11} {:>13}",
+                    "{:<12} {:>+9.1}% {:>+13.1}% {:>11}",
                     name,
                     (inter.speedup_vs(base) - 1.0) * 100.0,
                     (both.speedup_vs(base) - 1.0) * 100.0,
-                    relative(PrefetchMode::Adaptive),
-                    relative(PrefetchMode::StaticFirst)
+                    adaptive
                 );
             }
         }
@@ -223,9 +222,8 @@ impl ExperimentData {
     /// affine analysis proved a stride for, how many object inspection
     /// derived one for, and how often they agree where both speak. Not a
     /// paper artifact — it quantifies the paper's premise that inspection
-    /// covers access patterns static analysis cannot, and (per mode)
-    /// where STATIC-FIRST's proofs relieve the inspector. BASELINE runs
-    /// no analysis and is omitted.
+    /// covers access patterns static analysis cannot. BASELINE runs no
+    /// analysis and is omitted.
     pub fn stride_table(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -250,7 +248,6 @@ impl ExperimentData {
                 PrefetchMode::Inter,
                 PrefetchMode::InterIntra,
                 PrefetchMode::Adaptive,
-                PrefetchMode::StaticFirst,
             ] {
                 if let Some(m) = self.get(name, "Pentium 4", mode) {
                     let c = &m.stride_check;
@@ -272,50 +269,6 @@ impl ExperimentData {
                         rate
                     );
                 }
-            }
-        }
-        s
-    }
-
-    /// Compile-time cost model per workload (Pentium 4): deterministic
-    /// inspection cycles under INTER+INTRA, ADAPTIVE, and STATIC-FIRST,
-    /// plus the statically proved sites STATIC-FIRST excluded from the
-    /// record set. Not a paper artifact — it quantifies what static-first
-    /// compilation saves at compile time.
-    pub fn static_first_table(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "Static-first compile-time cost: inspection cycles by mode"
-        );
-        let _ = writeln!(
-            s,
-            "{:<12} {:>14} {:>12} {:>14} {:>13} {:>8}",
-            "program", "INTER+INTRA", "ADAPTIVE", "STATIC-FIRST", "static-sites", "saved%"
-        );
-        for name in self.names() {
-            let ii = self.get(name, "Pentium 4", PrefetchMode::InterIntra);
-            let ad = self.get(name, "Pentium 4", PrefetchMode::Adaptive);
-            let sf = self.get(name, "Pentium 4", PrefetchMode::StaticFirst);
-            if let (Some(ii), Some(ad), Some(sf)) = (ii, ad, sf) {
-                let saved = if ii.inspection_cycles == 0 {
-                    "-".to_string()
-                } else {
-                    format!(
-                        "{:.0}%",
-                        (1.0 - sf.inspection_cycles as f64 / ii.inspection_cycles as f64) * 100.0
-                    )
-                };
-                let _ = writeln!(
-                    s,
-                    "{:<12} {:>14} {:>12} {:>14} {:>13} {:>8}",
-                    name,
-                    ii.inspection_cycles,
-                    ad.inspection_cycles,
-                    sf.inspection_cycles,
-                    sf.static_sites,
-                    saved
-                );
             }
         }
         s
@@ -446,33 +399,20 @@ mod tests {
         assert!(f11.contains("%"), "{f11}");
         let t3 = data.table3();
         assert!(t3.contains("Memory resident database"), "{t3}");
-        // db's checksums agree across all ten configurations.
+        // db's checksums agree across all eight configurations.
         let db: Vec<_> = data
             .measurements()
             .iter()
             .filter(|m| m.name == "db")
             .collect();
-        assert_eq!(db.len(), 10);
+        assert_eq!(db.len(), 8);
         assert!(db.windows(2).all(|w| w[0].checksum == w[1].checksum));
         let at = data.adaptive_table();
         assert!(at.contains("db"), "{at}");
         assert!(at.contains("recompiles"), "{at}");
         // The stride-sources table breaks down per analysing mode.
         let st = data.stride_table();
-        assert!(st.contains("STATIC-FIRST"), "{st}");
+        assert!(st.contains("ADAPTIVE"), "{st}");
         assert!(st.contains("INTER+INTRA"), "{st}");
-        // The cost-model table shows STATIC-FIRST below INTER+INTRA on a
-        // workload with statically provable strides.
-        let ct = data.static_first_table();
-        assert!(ct.contains("saved%"), "{ct}");
-        let sf = |name: &str, mode| data.get(name, "Pentium 4", mode).unwrap();
-        use PrefetchMode::{InterIntra, StaticFirst};
-        assert!(
-            sf("compress", StaticFirst).inspection_cycles
-                < sf("compress", InterIntra).inspection_cycles,
-            "{ct}"
-        );
-        assert!(sf("compress", StaticFirst).static_sites > 0, "{ct}");
-        assert_eq!(sf("compress", InterIntra).static_sites, 0);
     }
 }

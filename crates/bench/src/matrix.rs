@@ -44,17 +44,13 @@ pub struct CellResult {
 }
 
 /// The prefetch-mode axis in canonical order: BASELINE, INTER,
-/// INTER+INTRA, ADAPTIVE, STATIC-FIRST. STATIC-FIRST is appended after
-/// the four pre-existing modes so their cells keep their positions (and
-/// their bit-identical numbers) in every artifact derived from this
-/// order.
-pub fn modes() -> [PrefetchOptions; 5] {
+/// INTER+INTRA, ADAPTIVE.
+pub fn modes() -> [PrefetchOptions; 4] {
     [
         PrefetchOptions::off(),
         PrefetchOptions::inter(),
         PrefetchOptions::inter_intra(),
         PrefetchOptions::adaptive(),
-        PrefetchOptions::static_first(),
     ]
 }
 
@@ -262,16 +258,15 @@ mod tests {
     #[test]
     fn cells_enumerate_in_matrix_order() {
         let cs = cells(|_| true);
-        assert_eq!(cs.len(), 12 * 2 * 5);
-        // First workload occupies the first ten cells: P4 then Athlon,
-        // each OFF/INTER/INTER+INTRA/ADAPTIVE/STATIC-FIRST.
-        assert!(cs[..10].iter().all(|c| c.spec.name == cs[0].spec.name));
+        assert_eq!(cs.len(), 12 * 2 * 4);
+        // First workload occupies the first eight cells: P4 then Athlon,
+        // each OFF/INTER/INTER+INTRA/ADAPTIVE.
+        assert!(cs[..8].iter().all(|c| c.spec.name == cs[0].spec.name));
         assert_eq!(cs[0].proc.name, "Pentium 4");
-        assert_eq!(cs[5].proc.name, "Athlon MP");
-        // STATIC-FIRST is appended after the legacy modes, so their
-        // positions within a (workload, processor) group are unchanged.
-        assert_eq!(cs[4].options.mode, spf_core::PrefetchMode::StaticFirst);
-        assert_eq!(cs[9].options.mode, spf_core::PrefetchMode::StaticFirst);
+        assert_eq!(cs[4].proc.name, "Athlon MP");
+        // ADAPTIVE closes each (workload, processor) group.
+        assert_eq!(cs[3].options.mode, spf_core::PrefetchMode::Adaptive);
+        assert_eq!(cs[7].options.mode, spf_core::PrefetchMode::Adaptive);
     }
 
     /// A pooled cell shares its prepared program with the workload's other
@@ -282,8 +277,8 @@ mod tests {
         let keep = |n: &str| n == "db";
         let seq = run_matrix(&plan, 1, keep);
         let par = run_matrix(&plan, 4, keep);
-        assert_eq!(seq.len(), 10);
-        assert_eq!(par.len(), 10);
+        assert_eq!(seq.len(), 8);
+        assert_eq!(par.len(), 8);
         for ((a, b), c) in seq.iter().zip(&par).zip(cells(keep)) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");

@@ -38,11 +38,11 @@ spf_trace::record! {
         #[default = 0]
         pub reagreed: u64,
         /// Deterministic inspection cycles charged by the compile-time cost
-        /// model (zero under BASELINE, lower under STATIC-FIRST).
+        /// model (zero under BASELINE).
         #[default = 0]
         pub inspection_cycles: u64,
-        /// Statically proved sites excluded from inspection (STATIC-FIRST
-        /// only).
+        /// Always 0; kept so the committed `BENCH_baseline.json` lines stay
+        /// byte-identical, until ROADMAP 4(C).
         #[default = 0]
         pub static_sites: u64,
         /// The workload's checksum.

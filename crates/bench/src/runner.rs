@@ -77,8 +77,9 @@ pub struct Measurement {
     /// Deterministic inspection cycles charged by the compile-time cost
     /// model: warm-up plus the best measured run (recompiles re-inspect).
     pub inspection_cycles: u64,
-    /// Statically proved prefetch sites excluded from object inspection.
-    /// Zero outside [`PrefetchMode::StaticFirst`].
+    /// Always 0: no mode skips inspection for a proved site. Pinned by
+    /// `benchmark/src/matrix.rs:350` and `:908`, which write it, until
+    /// ROADMAP 4(C).
     pub static_sites: u64,
     /// The workload's checksum (must agree across configurations).
     pub checksum: i32,

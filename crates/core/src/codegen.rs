@@ -23,7 +23,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use spf_analysis::Provenance;
 use spf_heap::Layout;
 use spf_ir::{Function, Instr, InstrRef, PrefetchAddr, PrefetchKind, Ty};
 use spf_memsim::ProcessorConfig;
@@ -120,23 +119,6 @@ impl<'a> PrefetchCodegen<'a> {
     /// (statics).
     fn addr_of(&self, func: &Function, site: InstrRef, extra: i64) -> Option<PrefetchAddr> {
         access_addr(self.layout, func.instr(site)).map(|addr| addr.with_extra_delta(extra))
-    }
-
-    /// Provenance tag for a prefetch covering `node`, reached through an
-    /// anchor whose stride is (or is not) statically proved. In the legacy
-    /// modes no node carries a static proof, so everything is `Dynamic`.
-    fn provenance_of(node: &crate::ldg::LdgNode, through_static_anchor: bool) -> Provenance {
-        if node.static_stride.is_some() {
-            if node.recorded {
-                Provenance::Hybrid
-            } else {
-                Provenance::Static
-            }
-        } else if through_static_anchor {
-            Provenance::Hybrid
-        } else {
-            Provenance::Dynamic
-        }
     }
 
     /// The constant offset `F[Lx,Ly]`: maps the value loaded by `Lx` (a
@@ -262,7 +244,6 @@ impl<'a> PrefetchCodegen<'a> {
                     anchor: node.site,
                     kind: GeneratedKind::InterStride { stride: d },
                     mapped: kind,
-                    provenance: Self::provenance_of(node, false),
                 });
                 continue;
             }
@@ -282,9 +263,7 @@ impl<'a> PrefetchCodegen<'a> {
                 anchor: node.site,
                 kind: GeneratedKind::SpeculativeLoad { stride: d },
                 mapped: PrefetchKind::GuardedLoad,
-                provenance: Self::provenance_of(node, false),
             });
-            let anchor_static = node.static_stride.is_some();
             for e in &successors {
                 let ly = e.to;
                 if !deref_worthy(e) {
@@ -310,7 +289,6 @@ impl<'a> PrefetchCodegen<'a> {
                         anchor: ldg.node(ly).site,
                         kind: GeneratedKind::Dereference { offset: f_off },
                         mapped: kind,
-                        provenance: Self::provenance_of(ldg.node(ly), anchor_static),
                     });
                 } else if S::ENABLED {
                     sink.emit(suppressed(ldg.node(ly).site, SuppressReason::LineShared));
@@ -357,7 +335,6 @@ impl<'a> PrefetchCodegen<'a> {
                             anchor: ldg.node(e2.to).site,
                             kind: GeneratedKind::IntraStride { stride: total },
                             mapped: kind,
-                            provenance: Self::provenance_of(ldg.node(e2.to), anchor_static),
                         });
                     }
                 }

@@ -42,14 +42,6 @@ pub struct LdgNode {
     pub inter_stride: Option<i64>,
     /// Number of address samples the annotation is based on.
     pub samples: usize,
-    /// Statically-proved affine stride (set by the static-first pipeline
-    /// before inspection; `None` in the legacy modes, where proofs are
-    /// record-only).
-    pub static_stride: Option<i64>,
-    /// Whether the site was in the object-inspection record set. Always
-    /// `true` in the legacy modes; static-first clears it for sites whose
-    /// stride is proved and whose successors are all proved too.
-    pub recorded: bool,
 }
 
 /// A direct data dependence between two loads.
@@ -95,8 +87,6 @@ impl Ldg {
                         innermost: forest.innermost(b),
                         inter_stride: None,
                         samples: 0,
-                        static_stride: None,
-                        recorded: true,
                     });
                     ldg.by_site.insert(site, id);
                 }

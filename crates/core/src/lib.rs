@@ -89,4 +89,3 @@ pub use pipeline::{
     OptimizeOutcome, StridePrefetcher, INSPECT_CYCLES_PER_SAMPLE, INSPECT_CYCLES_PER_STEP,
 };
 pub use report::{LoopReport, MethodReport, StrideCrossCheck};
-pub use stride::resolve_stride;

@@ -17,40 +17,21 @@ pub enum PrefetchMode {
     /// useless-prefetch counters); stale methods are deoptimized,
     /// re-inspected, and recompiled with fresh strides (ADAPTIVE).
     Adaptive,
-    /// Static-first compilation: loads whose stride the SCEV-lite affine
-    /// analysis *proves* are prefetched directly from the proof and
-    /// excluded from object inspection; only statically-opaque loads go
-    /// through the dynamic inspector. Carries the same adaptive guards as
-    /// ADAPTIVE, so deoptimized methods recompile — and a recompile
-    /// re-proves static sites instead of re-inspecting them
-    /// (STATIC-FIRST).
-    StaticFirst,
 }
 
 impl PrefetchMode {
     /// Whether the code generator exploits intra-iteration (dereference
     /// based) patterns in this mode. Adaptive generates the same code as
     /// INTER+INTRA; it differs only in when methods are (re)compiled.
-    /// StaticFirst changes where strides come from, not which pattern
-    /// classes are exploited.
     pub fn intra_patterns(self) -> bool {
-        matches!(
-            self,
-            PrefetchMode::InterIntra | PrefetchMode::Adaptive | PrefetchMode::StaticFirst
-        )
+        matches!(self, PrefetchMode::InterIntra | PrefetchMode::Adaptive)
     }
 
     /// Whether compiled methods carry adaptive-reprofiling guards (GC
     /// epoch stamps and useless-prefetch counters) that can deoptimize
     /// and recompile the method.
     pub fn adaptive_guards(self) -> bool {
-        matches!(self, PrefetchMode::Adaptive | PrefetchMode::StaticFirst)
-    }
-
-    /// Whether statically-proved strides drive emission and skip the
-    /// dynamic inspector for the proved sites.
-    pub fn static_first(self) -> bool {
-        matches!(self, PrefetchMode::StaticFirst)
+        matches!(self, PrefetchMode::Adaptive)
     }
 }
 
@@ -61,7 +42,6 @@ impl std::fmt::Display for PrefetchMode {
             PrefetchMode::Inter => f.write_str("INTER"),
             PrefetchMode::InterIntra => f.write_str("INTER+INTRA"),
             PrefetchMode::Adaptive => f.write_str("ADAPTIVE"),
-            PrefetchMode::StaticFirst => f.write_str("STATIC-FIRST"),
         }
     }
 }
@@ -118,15 +98,6 @@ impl PrefetchOptions {
             mode: PrefetchMode::Adaptive,
         }
     }
-
-    /// Static-first compilation: SCEV stride proofs drive emission and
-    /// skip the inspector for proved sites; opaque loads still go through
-    /// object inspection, and adaptive guards cover recompilation.
-    pub fn static_first() -> Self {
-        PrefetchOptions {
-            mode: PrefetchMode::StaticFirst,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,20 +118,6 @@ mod tests {
         assert_eq!(PrefetchMode::Inter.to_string(), "INTER");
         assert_eq!(PrefetchMode::InterIntra.to_string(), "INTER+INTRA");
         assert_eq!(PrefetchMode::Adaptive.to_string(), "ADAPTIVE");
-        assert_eq!(PrefetchMode::StaticFirst.to_string(), "STATIC-FIRST");
-    }
-
-    #[test]
-    fn static_first_generates_like_inter_intra() {
-        // StaticFirst changes where strides come from (proofs before
-        // inspection), not which pattern classes are exploited.
-        let s = PrefetchOptions::static_first();
-        assert_eq!(s.mode, PrefetchMode::StaticFirst);
-        assert!(s.mode.intra_patterns());
-        assert!(s.mode.adaptive_guards());
-        assert!(s.mode.static_first());
-        assert!(!PrefetchMode::Adaptive.static_first());
-        assert!(!PrefetchMode::InterIntra.adaptive_guards());
     }
 
     #[test]
@@ -170,6 +127,7 @@ mod tests {
         let a = PrefetchOptions::adaptive();
         assert_eq!(a.mode, PrefetchMode::Adaptive);
         assert!(a.mode.intra_patterns());
-        assert!(!a.mode.static_first());
+        assert!(a.mode.adaptive_guards());
+        assert!(!PrefetchMode::InterIntra.adaptive_guards());
     }
 }

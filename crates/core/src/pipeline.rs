@@ -14,11 +14,11 @@ use spf_memsim::ProcessorConfig;
 use spf_trace::{NoopSink, SuppressReason, TraceEvent, TraceSink};
 
 use crate::codegen::{apply_insertions, PrefetchCodegen};
-use crate::inspect::{InspectionResult, Inspector};
+use crate::inspect::Inspector;
 use crate::ldg::{Ldg, LdgNodeId};
 use crate::options::{PrefetchMode, PrefetchOptions};
 use crate::report::{LoopReport, MethodReport, StrideCrossCheck};
-use crate::stride::{annotate_ldg, resolve_stride};
+use crate::stride::annotate_ldg;
 
 /// Deterministic compile-time cost charged per instruction the object
 /// inspector interprets. Like the adaptive recompile constants in
@@ -219,62 +219,19 @@ impl StridePrefetcher {
                     edges: ldg.edges().len() as u32,
                 });
             }
-            // Static affine stride proofs. In the legacy modes these are
-            // record-only (the cross-check below must not influence
-            // codegen, so the pre-existing simulated numbers stay
-            // bit-identical); in static-first mode they drive emission.
+            let record: HashSet<InstrRef> = ldg.node_ids().map(|id| ldg.node(id).site).collect();
+            let inspection =
+                Inspector::new(program, func, heap, statics, &forest).run(args, target, &record);
+            annotate_ldg(&mut ldg, &inspection.traces);
+            // Static affine stride proofs are record-only: the cross-check
+            // never influences codegen, so a proof cannot change a
+            // simulated number (`STRIDE_agreement.jsonl` polices it).
             let static_strides =
                 spf_analysis::scev::loop_static_strides(func, &cfg, &dom, &forest, &ud, target);
-            let static_first = self.options.mode.static_first();
-            let mut static_sites = 0usize;
-            if static_first {
-                let ids: Vec<LdgNodeId> = ldg.node_ids().collect();
-                for &id in &ids {
-                    let site = ldg.node(id).site;
-                    ldg.node_mut(id).static_stride = static_strides.get(&site).copied();
-                }
-                // A proved site skips inspection unless one of its LDG
-                // successors is statically opaque: dereference-based and
-                // intra-iteration pairing need the anchor's samples, so
-                // such anchors stay recorded (and are tagged Hybrid).
-                for &id in &ids {
-                    if ldg.node(id).static_stride.is_none() {
-                        continue;
-                    }
-                    let opaque_succ = ldg
-                        .successors(id)
-                        .any(|e| ldg.node(e.to).static_stride.is_none());
-                    if !opaque_succ {
-                        ldg.node_mut(id).recorded = false;
-                        static_sites += 1;
-                    }
-                }
-            }
-            let record: HashSet<InstrRef> = ldg
-                .node_ids()
-                .filter(|&id| ldg.node(id).recorded)
-                .map(|id| ldg.node(id).site)
-                .collect();
-            // When every candidate is proved, the inspector never runs —
-            // the whole point of static-first: zero inspection budget.
-            let inspection = if record.is_empty() {
-                InspectionResult::default()
-            } else {
-                Inspector::new(program, func, heap, statics, &forest).run(args, target, &record)
-            };
-            annotate_ldg(&mut ldg, &inspection.traces);
             let mut stride_check = StrideCrossCheck::default();
             for id in ldg.node_ids() {
                 let node = ldg.node(id);
                 stride_check.record(static_strides.get(&node.site).copied(), node.inter_stride);
-            }
-            if static_first {
-                // Precedence: the proof wins wherever both sides produced
-                // a stride, and fills in for the uninspected proved sites.
-                for id in ldg.node_ids().collect::<Vec<_>>() {
-                    let node = ldg.node_mut(id);
-                    node.inter_stride = resolve_stride(true, node.static_stride, node.inter_stride);
-                }
             }
             // Deterministic inspection cost: charged as a counter (never
             // into the simulated clock — adaptive recompiles run inside
@@ -327,29 +284,6 @@ impl StridePrefetcher {
             for (site, instrs) in insertions {
                 merged.entry(site).or_default().extend(instrs);
             }
-            // One provenance record per distinct prefetch anchor, for the
-            // provenance lint (spf-lint, and the JIT's
-            // debug_assertions check). Anchor sites reference the
-            // pre-insertion body, so the record carries the address
-            // registers directly.
-            let mut site_provenance = Vec::new();
-            let mut seen_anchors: HashSet<InstrRef> = HashSet::new();
-            for g in &prefetches {
-                if !seen_anchors.insert(g.anchor) {
-                    continue;
-                }
-                let node = ldg.node(ldg.node_at(g.anchor).expect("anchor is an LDG node"));
-                let mut addr_regs = Vec::new();
-                func.instr(node.site).uses(&mut addr_regs);
-                site_provenance.push(spf_analysis::SiteProvenance {
-                    site: node.site,
-                    provenance: g.provenance,
-                    static_stride: node.static_stride,
-                    installed_stride: node.inter_stride,
-                    inspected: node.recorded,
-                    addr_regs,
-                });
-            }
             report.loops.push(LoopReport {
                 header: forest.info(target).header,
                 depth: forest.depth(target),
@@ -370,8 +304,6 @@ impl StridePrefetcher {
                 prefetches,
                 stride_check,
                 inspection_cycles,
-                static_sites,
-                site_provenance,
             });
         }
 
@@ -379,15 +311,6 @@ impl StridePrefetcher {
         #[cfg(debug_assertions)]
         if let Err(e) = spf_ir::verify::verify(program, &work) {
             panic!("prefetch insertion produced invalid IR: {e}");
-        }
-        #[cfg(debug_assertions)]
-        {
-            let pcfg = spf_analysis::ProvenanceConfig {
-                static_first: self.options.mode.static_first(),
-            };
-            let records: Vec<_> = report.provenance_records().cloned().collect();
-            let findings = spf_analysis::provenance::check(&work, &pcfg, &records);
-            assert!(findings.is_empty(), "provenance lint failed: {findings:?}");
         }
         report.total_prefetches = report.count_prefetches();
         report.pass_nanos = start.elapsed().as_nanos();
@@ -672,145 +595,14 @@ mod tests {
     }
 
     #[test]
-    fn static_first_skips_inspection_for_proved_sites() {
-        let (p, m, heap, arr) = fixture(false);
-        let run = |opts: PrefetchOptions| {
-            StridePrefetcher::new(opts).optimize(
-                &p,
-                p.method(m).func(),
-                &heap,
-                &[],
-                &[Value::Ref(arr)],
-                &ProcessorConfig::pentium4(),
-            )
-        };
-        let sf = run(PrefetchOptions::static_first());
-        let ii = run(PrefetchOptions::inter_intra());
-        // arr.length (loop-invariant) and arr[i] (affine) are provable;
-        // arr.length has no LDG successors, so it skips inspection.
-        assert!(sf.report.static_sites() >= 1, "{}", sf.report.render());
-        assert_eq!(ii.report.static_sites(), 0);
-        // The skipped site's samples are budget saved: strictly fewer
-        // inspection cycles than the all-dynamic pipeline.
-        assert!(
-            sf.report.inspection_cycles() < ii.report.inspection_cycles(),
-            "sf {} !< inter+intra {}",
-            sf.report.inspection_cycles(),
-            ii.report.inspection_cycles()
-        );
-        assert!(ii.report.inspection_cycles() > 0);
-        // Every legacy-mode prefetch is Dynamic.
-        use spf_analysis::Provenance;
-        assert!(ii
-            .report
-            .loops
-            .iter()
-            .flat_map(|l| &l.prefetches)
-            .all(|g| g.provenance == Provenance::Dynamic));
-        spf_ir::verify::verify(&p, &sf.func).unwrap();
-    }
-
-    #[test]
-    fn proved_anchor_with_opaque_successor_is_hybrid() {
-        // Permuted list-of-nodes: arr[i]'s *address* walk is affine
-        // (provable, stride 8) but the loaded pointers are shuffled, so
-        // node.data needs the dynamic side. The proved anchor therefore
-        // stays in the record set, and both its speculative-load anchor
-        // and the dereference threaded through it are tagged Hybrid.
-        let (p, m, heap, arr) = fixture(true);
-        let out = StridePrefetcher::new(PrefetchOptions::static_first()).optimize(
-            &p,
-            p.method(m).func(),
-            &heap,
-            &[],
-            &[Value::Ref(arr)],
-            &ProcessorConfig::pentium4(),
-        );
-        use spf_analysis::Provenance;
-        let provs: Vec<Provenance> = out
-            .report
-            .loops
-            .iter()
-            .flat_map(|l| &l.prefetches)
-            .map(|g| g.provenance)
-            .collect();
-        assert!(provs.contains(&Provenance::Hybrid), "{provs:?}");
-        spf_ir::verify::verify(&p, &out.func).unwrap();
-    }
-
-    #[test]
-    fn fully_proved_loop_never_runs_the_inspector() {
-        // A pure affine walk: every LDG candidate is provable, so the
-        // record set is empty and object inspection is skipped outright.
-        let mut pb = ProgramBuilder::new();
-        let mut b = pb.function("affine", &[Ty::Ref], Some(Ty::I64));
-        let arr = b.param(0);
-        let sum = b.new_reg(Ty::I64);
-        let z = b.const_i64(0);
-        b.move_(sum, z);
-        // Step 8 over i64 elements: stride 64 bytes, profitably wide.
-        b.for_i32(
-            0,
-            8,
-            CmpOp::Lt,
-            |b| b.arraylen(arr),
-            |b, i| {
-                let v = b.aload(arr, i, ElemTy::I64);
-                let s = b.add(sum, v);
-                b.move_(sum, s);
-            },
-        );
-        b.ret(Some(sum));
-        let m = b.finish();
-        let p = pb.finish();
-        let layout = Layout::compute(&p);
-        let mut heap = Heap::new(layout, 1 << 20);
-        let a = heap.alloc_array(ElemTy::I64, 4096).unwrap();
-
-        let out = StridePrefetcher::new(PrefetchOptions::static_first()).optimize(
-            &p,
-            p.method(m).func(),
-            &heap,
-            &[],
-            &[Value::Ref(a)],
-            &ProcessorConfig::athlon_mp(),
-        );
-        let lr = &out.report.loops[0];
-        assert_eq!(lr.inspected_steps, 0, "{}", out.report.render());
-        assert_eq!(lr.inspection_cycles, 0);
-        assert_eq!(lr.static_sites, 2, "arr.length and arr[i]");
-        // The proved stride is emitted anyway, tagged Static.
-        use spf_analysis::Provenance;
-        assert!(
-            lr.prefetches
-                .iter()
-                .any(|g| g.provenance == Provenance::Static
-                    && g.kind == crate::report::GeneratedKind::InterStride { stride: 64 }),
-            "{}",
-            out.report.render()
-        );
-        // The legacy pipeline pays inspection for the same loop.
-        let ii = StridePrefetcher::new(PrefetchOptions::inter_intra()).optimize(
-            &p,
-            p.method(m).func(),
-            &heap,
-            &[],
-            &[Value::Ref(a)],
-            &ProcessorConfig::athlon_mp(),
-        );
-        assert!(ii.report.inspection_cycles() > 0);
-        spf_ir::verify::verify(&p, &out.func).unwrap();
-    }
-
-    #[test]
-    fn disagreement_resolution_prefers_the_proof_only_under_static_first() {
+    fn a_disagreeing_proof_never_changes_the_emitted_stride() {
         // Organic static/dynamic disagreement is impossible by design —
         // scev's conservative guards bail out on every channel (masking,
         // conditional defs, wrapping arithmetic) where inspection could
-        // see a different stride. This test therefore doctors the LDG
-        // annotations to a synthetic disagreement (proof says 128,
-        // inspection says 8) and checks the precedence rule end to end
-        // through resolve_stride + codegen in both directions.
+        // see a different stride. This test therefore doctors the
+        // inspected stride of arr[i] to 128 while the proof still says 8,
+        // and checks that codegen emits the inspected stride: the proof is
+        // record-only.
         let (p, m, heap, _arr) = fixture(false);
         let func = p.method(m).func();
         let cfg = Cfg::compute(func);
@@ -819,58 +611,45 @@ mod tests {
         let ud = UseDef::compute(func, &cfg);
         let target = forest.postorder()[0];
 
-        let emitted_stride = |static_first: bool| -> Vec<i64> {
-            let mut ldg = Ldg::build(func, &ud, &forest, target);
-            let aload = ldg
-                .node_ids()
-                .find(|&id| matches!(func.instr(ldg.node(id).site), Instr::ALoad { .. }))
-                .unwrap();
-            let node = ldg.node_mut(aload);
-            node.static_stride = static_first.then_some(128);
-            node.samples = 20;
-            node.inter_stride = crate::stride::resolve_stride(static_first, Some(128), Some(8));
-            let opts = if static_first {
-                PrefetchOptions::static_first()
-            } else {
-                PrefetchOptions::inter_intra()
-            };
-            let proc = ProcessorConfig::athlon_mp();
-            let codegen = PrefetchCodegen::new(heap.layout_tables(), &proc, &opts);
-            let mut work = func.clone();
-            let (_, prefetches) = codegen.plan(
-                &mut work,
-                &ldg,
-                &HashSet::new(),
-                &mut HashSet::new(),
-                &mut spf_trace::NoopSink,
-            );
-            prefetches
-                .iter()
-                .filter_map(|g| match g.kind {
-                    crate::report::GeneratedKind::InterStride { stride }
-                    | crate::report::GeneratedKind::SpeculativeLoad { stride } => Some(stride),
-                    _ => None,
-                })
-                .collect()
-        };
-        // Static-first: the installed stride is the proof's 128.
-        assert!(emitted_stride(true).contains(&128));
-        // Legacy: the dynamic 8 wins — but stride 8 is inside the cache
-        // line, so the inter prefetch is suppressed entirely (no 128
-        // leaks through either).
-        let legacy = emitted_stride(false);
-        assert!(!legacy.contains(&128), "{legacy:?}");
+        let mut ldg = Ldg::build(func, &ud, &forest, target);
+        let aload = ldg
+            .node_ids()
+            .find(|&id| matches!(func.instr(ldg.node(id).site), Instr::ALoad { .. }))
+            .unwrap();
+        let proofs =
+            spf_analysis::scev::loop_static_strides(func, &cfg, &dom, &forest, &ud, target);
+        assert_eq!(proofs.get(&ldg.node(aload).site), Some(&8));
+        let node = ldg.node_mut(aload);
+        node.samples = 20;
+        node.inter_stride = Some(128);
+        let proc = ProcessorConfig::athlon_mp();
+        let opts = PrefetchOptions::default();
+        let codegen = PrefetchCodegen::new(heap.layout_tables(), &proc, &opts);
+        let mut work = func.clone();
+        let (_, prefetches) = codegen.plan(
+            &mut work,
+            &ldg,
+            &HashSet::new(),
+            &mut HashSet::new(),
+            &mut spf_trace::NoopSink,
+        );
+        let emitted: Vec<i64> = prefetches
+            .iter()
+            .filter_map(|g| match g.kind {
+                crate::report::GeneratedKind::InterStride { stride }
+                | crate::report::GeneratedKind::SpeculativeLoad { stride } => Some(stride),
+                _ => None,
+            })
+            .collect();
+        assert!(emitted.contains(&128), "{emitted:?}");
+        assert!(!emitted.contains(&8), "{emitted:?}");
     }
 
     #[test]
     fn optimized_function_passes_speculation_lint() {
         let (p, m, heap, arr) = fixture(true);
         for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
-            for opts in [
-                PrefetchOptions::inter(),
-                PrefetchOptions::inter_intra(),
-                PrefetchOptions::static_first(),
-            ] {
+            for opts in [PrefetchOptions::inter(), PrefetchOptions::inter_intra()] {
                 let opt = StridePrefetcher::new(opts);
                 let out = opt.optimize(
                     &p,
@@ -893,11 +672,7 @@ mod tests {
     fn optimized_function_verifies() {
         let (p, m, heap, arr) = fixture(true);
         for proc in [ProcessorConfig::pentium4(), ProcessorConfig::athlon_mp()] {
-            for opts in [
-                PrefetchOptions::inter(),
-                PrefetchOptions::inter_intra(),
-                PrefetchOptions::static_first(),
-            ] {
+            for opts in [PrefetchOptions::inter(), PrefetchOptions::inter_intra()] {
                 let opt = StridePrefetcher::new(opts);
                 let out = opt.optimize(
                     &p,

@@ -4,7 +4,6 @@
 //! list, Figure 5's load dependence graph) and feed the compile-time
 //! accounting of Figure 11.
 
-use spf_analysis::{Provenance, SiteProvenance};
 use spf_ir::{BlockId, InstrRef, PrefetchKind};
 
 /// The shape of one generated prefetch.
@@ -52,10 +51,6 @@ pub struct GeneratedPrefetch {
     pub kind: GeneratedKind,
     /// Hardware mapping chosen (§3.3).
     pub mapped: PrefetchKind,
-    /// Where the stride behind this prefetch came from: a static proof,
-    /// object inspection, or both (static-first mode only; the legacy
-    /// modes tag everything [`Provenance::Dynamic`]).
-    pub provenance: Provenance,
 }
 
 /// How statically-proven strides compare with inspection-derived ones for
@@ -156,15 +151,8 @@ pub struct LoopReport {
     pub stride_check: StrideCrossCheck,
     /// Deterministic compile-time cost of object inspection for this loop
     /// (`INSPECT_CYCLES_PER_STEP` per interpreted instruction plus
-    /// `INSPECT_CYCLES_PER_SAMPLE` per recorded address sample). Zero when
-    /// static-first proved every candidate and skipped inspection.
+    /// `INSPECT_CYCLES_PER_SAMPLE` per recorded address sample).
     pub inspection_cycles: u64,
-    /// LDG candidates whose stride was proved statically and therefore
-    /// excluded from the inspection record set (static-first mode only).
-    pub static_sites: usize,
-    /// Per-site provenance records for the provenance lint, one per
-    /// distinct prefetch anchor.
-    pub site_provenance: Vec<SiteProvenance>,
 }
 
 /// Per-method findings plus compile-time accounting.
@@ -202,17 +190,6 @@ impl MethodReport {
     /// Sums the deterministic inspection cost over all loops.
     pub fn inspection_cycles(&self) -> u64 {
         self.loops.iter().map(|l| l.inspection_cycles).sum()
-    }
-
-    /// Sums the statically-proved (inspection-skipped) sites over all
-    /// loops.
-    pub fn static_sites(&self) -> usize {
-        self.loops.iter().map(|l| l.static_sites).sum()
-    }
-
-    /// All per-site provenance records of this compilation.
-    pub fn provenance_records(&self) -> impl Iterator<Item = &SiteProvenance> {
-        self.loops.iter().flat_map(|l| l.site_provenance.iter())
     }
 
     /// Human-readable multi-line summary.
@@ -277,8 +254,6 @@ mod tests {
                 prefetches: vec![],
                 stride_check: StrideCrossCheck::default(),
                 inspection_cycles: 3800,
-                static_sites: 0,
-                site_provenance: vec![],
             }],
             pass_nanos: 1000,
             total_prefetches: 0,

@@ -75,28 +75,6 @@ pub fn intra_iteration_samples(from: &[(u32, Addr)], to: &[(u32, Addr)]) -> Vec<
     out
 }
 
-/// Resolves the stride a site's prefetch is emitted from when both a
-/// static proof and an inspection-derived stride exist — the precedence
-/// rule of static-first compilation.
-///
-/// Under `static_first`, the proof wins: inspection samples a handful of
-/// iterations against one heap snapshot, while an affine proof holds for
-/// every iteration on every heap. In the legacy modes the *dynamic* side
-/// wins (the proof is record-only), reproducing the paper's behaviour
-/// where inspection sees through data-dependent layouts the affine model
-/// cannot express.
-pub fn resolve_stride(
-    static_first: bool,
-    statically: Option<i64>,
-    inspected: Option<i64>,
-) -> Option<i64> {
-    if static_first {
-        statically.or(inspected)
-    } else {
-        inspected
-    }
-}
-
 /// Annotates `ldg` with inter-iteration strides on nodes and
 /// intra-iteration strides on edges, from the `traces` of one inspection.
 pub fn annotate_ldg(ldg: &mut Ldg, traces: &HashMap<InstrRef, Vec<(u32, Addr)>>) {
@@ -155,20 +133,6 @@ mod tests {
         let from = vec![(0, 1000), (2, 3000)];
         let to = vec![(1, 9999), (2, 3016)];
         assert_eq!(intra_iteration_samples(&from, &to), vec![16]);
-    }
-
-    #[test]
-    fn resolve_stride_precedence_both_directions() {
-        // Static-first: the proof wins over a disagreeing inspection.
-        assert_eq!(resolve_stride(true, Some(80), Some(8)), Some(80));
-        // ... and fills in where inspection saw nothing.
-        assert_eq!(resolve_stride(true, Some(80), None), Some(80));
-        assert_eq!(resolve_stride(true, None, Some(8)), Some(8));
-        // Legacy modes: the dynamic stride wins and the proof is
-        // record-only, even when both sides disagree.
-        assert_eq!(resolve_stride(false, Some(80), Some(8)), Some(8));
-        assert_eq!(resolve_stride(false, Some(80), None), None);
-        assert_eq!(resolve_stride(false, None, Some(8)), Some(8));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! The simulator's host-speed work (cache/TLB layout, fast paths) must
 //! never move a simulated number; this proves it in milliseconds, without
-//! the 120-cell sweep.
+//! the 96-cell sweep.
 //!
 //! The constants are those of the timestamp-LRU model the recency-ordered
 //! TLB/cache layout replaced. To recompute them, copy this file into a

@@ -26,10 +26,10 @@
 //! - [`report`] — integer-only latency percentiles (p50/p99/p999) and
 //!   compilation-queue statistics, emitted as `SERVE_summary.json` and
 //!   gated in CI by `git diff` of the committed copies, exactly like the
-//!   120-cell matrix.
+//!   96-cell matrix.
 //!
 //! The `spf-serve` binary in `spf-bench` drives [`sim::run`] over the
-//! five prefetch modes and writes the artifact.
+//! four prefetch modes and writes the artifact.
 
 pub mod cache;
 pub mod faults;

@@ -68,8 +68,9 @@ pub struct VmStats {
     /// `deopts`/`recompiles`: never added to `cycles`, so the simulated
     /// clock of the pre-existing modes is untouched.
     pub inspection_cycles: u64,
-    /// Prefetch candidate sites whose stride was statically proved and
-    /// therefore excluded from object inspection (STATIC-FIRST only).
+    /// Always 0: no mode skips inspection for a proved site. Pinned by
+    /// `benchmark/src/matrix.rs:350` and `benchmark/src/serve.rs:343`,
+    /// which read it, until ROADMAP 4(C).
     pub static_sites: u64,
     /// Per-method cycles, indexed by method id.
     pub per_method: Vec<MethodCycles>,

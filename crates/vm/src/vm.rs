@@ -186,9 +186,6 @@ impl<S: TraceSink> Vm<S> {
             per_method: vec![MethodCycles::default(); n],
             ..VmStats::default()
         };
-        // STATIC-FIRST carries the adaptive guards too: a deopt there
-        // recompiles through the static-first pipeline, which re-proves
-        // affine sites instead of re-running the inspector on them.
         let adaptive = config.prefetch.mode.adaptive_guards();
         let adapt = AdaptState::new(config.adapt);
         let codes = pre
@@ -355,7 +352,6 @@ impl<S: TraceSink> Vm<S> {
         self.stats.jit_nanos += t0.elapsed().as_nanos();
         self.stats.prefetch_pass_nanos += report.pass_nanos;
         self.stats.inspection_cycles += report.inspection_cycles();
-        self.stats.static_sites += report.static_sites() as u64;
     }
 
     /// Debug builds run the static lint over every body the pipeline
@@ -650,8 +646,8 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Tier-2 re-entry: re-runs the prefetch pipeline for the given
-    /// invalidated loops only — static-first re-proves, dynamic
-    /// re-inspects the live heap with `args` — splices the fresh sites
+    /// invalidated loops only — re-inspecting the live heap with `args` —
+    /// splices the fresh sites
     /// into the installed body, and reinstalls it. Charges a
     /// deterministic per-loop cost far below a full recompile unless
     /// `background` (a compilation-queue worker accounts for latency on
@@ -842,48 +838,27 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Deterministic estimate of the object-inspection share of compiling
-    /// `func`: per candidate-bearing loop, interpreting the body for the
-    /// paper's 20 iterations costs roughly one step per candidate load per
-    /// iteration plus one recorded sample per inspected load per
-    /// iteration. OFF inspects nothing; STATIC-FIRST discounts the sample
-    /// term by the statically proved sites and skips fully proved loops
-    /// outright, so its queue estimates come in below the legacy modes'.
+    /// `func`: per loop, interpreting the body for the paper's 20
+    /// iterations costs roughly one step plus one recorded sample per
+    /// candidate load per iteration. OFF inspects nothing.
     fn inspection_cost_estimate(&self, func: &Function) -> u64 {
         use spf_ir::{cfg::Cfg, defuse::UseDef, dom::DomTree, loops::LoopForest};
-        let mode = self.config.prefetch.mode;
-        if mode == PrefetchMode::Off {
+        if self.config.prefetch.mode == PrefetchMode::Off {
             return 0;
         }
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
         let ud = UseDef::compute(func, &cfg);
-        let iters = u64::from(spf_core::INSPECT_ITERATIONS);
-        let mut cycles = 0u64;
-        for target in forest.postorder() {
-            let ldg = spf_core::Ldg::build(func, &ud, &forest, target);
-            if ldg.is_empty() {
-                continue;
-            }
-            let inspected = if mode.static_first() {
-                let proved =
-                    spf_analysis::scev::loop_static_strides(func, &cfg, &dom, &forest, &ud, target);
-                ldg.node_ids()
-                    .filter(|&id| !proved.contains_key(&ldg.node(id).site))
-                    .count() as u64
-            } else {
-                ldg.len() as u64
-            };
-            if inspected == 0 {
-                // Fully proved loop: the record set is empty and the
-                // static-first pipeline never runs the inspector.
-                continue;
-            }
-            cycles += iters
-                * (spf_core::INSPECT_CYCLES_PER_STEP * ldg.len() as u64
-                    + spf_core::INSPECT_CYCLES_PER_SAMPLE * inspected);
-        }
-        cycles
+        let per_candidate = u64::from(spf_core::INSPECT_ITERATIONS)
+            * (spf_core::INSPECT_CYCLES_PER_STEP + spf_core::INSPECT_CYCLES_PER_SAMPLE);
+        forest
+            .postorder()
+            .into_iter()
+            .map(|target| {
+                per_candidate * spf_core::Ldg::build(func, &ud, &forest, target).len() as u64
+            })
+            .sum()
     }
 
     /// Runs the pending background compilation of `mid` and installs the
@@ -1289,62 +1264,6 @@ mod tests {
         assert!(vm.is_compiled(hot), "threshold 2 compiles on second call");
         assert_eq!(vm.stats().methods_compiled, 1);
         assert!(vm.stats().jit_nanos > 0);
-    }
-
-    #[test]
-    fn static_first_vm_skips_inspection_and_cheapens_compile_estimates() {
-        use spf_core::PrefetchOptions;
-        use spf_ir::CmpOp;
-        // A fully provable affine walk: step 8 over i64 elements.
-        let build = || {
-            let mut pb = ProgramBuilder::new();
-            let mut b = pb.function("affine", &[], Some(Ty::I64));
-            let n = b.const_i32(4096);
-            let arr = b.new_array(ElemTy::I64, n);
-            let sum = b.new_reg(Ty::I64);
-            let z = b.const_i64(0);
-            b.move_(sum, z);
-            b.for_i32(
-                0,
-                8,
-                CmpOp::Lt,
-                |b| b.arraylen(arr),
-                |b, i| {
-                    let v = b.aload(arr, i, ElemTy::I64);
-                    let s = b.add(sum, v);
-                    b.move_(sum, s);
-                },
-            );
-            b.ret(Some(sum));
-            let m = b.finish();
-            (pb.finish(), m)
-        };
-        let run = |opts: PrefetchOptions| {
-            let (p, m) = build();
-            let mut vm = Vm::new(
-                p,
-                VmConfig {
-                    prefetch: opts,
-                    ..VmConfig::default()
-                },
-                ProcessorConfig::pentium4(),
-            );
-            vm.call(m, &[]).unwrap();
-            vm.call(m, &[]).unwrap(); // second call crosses the threshold
-            assert!(vm.is_compiled(m));
-            let est = vm.compile_cost_estimate(m);
-            (vm.stats().clone(), est)
-        };
-        let (sf, sf_est) = run(PrefetchOptions::static_first());
-        let (ii, ii_est) = run(PrefetchOptions::inter_intra());
-        // STATIC-FIRST proves every candidate, skips the inspector, and
-        // charges zero inspection cycles; the legacy pipeline pays.
-        assert!(sf.static_sites > 0);
-        assert_eq!(sf.inspection_cycles, 0);
-        assert_eq!(ii.static_sites, 0);
-        assert!(ii.inspection_cycles > 0);
-        // The background-compile queue estimate sees the same discount.
-        assert!(sf_est < ii_est, "{sf_est} !< {ii_est}");
     }
 
     #[test]

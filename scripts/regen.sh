@@ -15,11 +15,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 bin="${CARGO_TARGET_DIR:-target}/release"
 
-# Table 3, Figures 6-11 and the 120-cell matrix.
+# Table 3, Figures 6-11 and the 96-cell matrix.
 "$bin/figures" tiny --matrix-out BENCH_baseline.json > FIGURES_tiny.txt
 # TRACE_summary.jsonl and DEOPT_events.jsonl, behind the trace checks.
 "$bin/figures" tiny db --trace --matrix-out - > /dev/null
-# STRIDE_agreement.jsonl and STRIDE_provenance.jsonl, behind the lint.
+# STRIDE_agreement.jsonl, behind the lint.
 "$bin/spf-lint" tiny
 # The serving fleet, then a denser one under the seeded fault plan.
 "$bin/spf-serve" --tenants 100 --requests 250 --out SERVE_baseline.json

@@ -211,7 +211,7 @@ fn gc_slide_invalidates_loops_and_repatches_without_deopt() {
 
     // Every compilation generation — including the patched (prefetches
     // stripped from stale loops) and repatched ones — passes the
-    // structural verifier, the full static lint and the provenance lint.
+    // structural verifier and the full static lint.
     let found = checks::generations(&vm, &ProcessorConfig::athlon_mp());
     assert_eq!(found.violations, Vec::<String>::new());
     let walk_generations = vm

@@ -161,11 +161,10 @@ fn recovery_holds_across_chaos_seeds_on_a_nonempty_post_window() {
             PrefetchOptions::inter(),
             PrefetchOptions::inter_intra(),
             PrefetchOptions::adaptive(),
-            PrefetchOptions::static_first(),
         ];
         let threads: Vec<_> = modes.map(|opts| s.spawn(|| sweep(opts))).into();
         let per_mode = threads.into_iter().map(|t| t.join().expect("mode sweep"));
-        per_mode.max().expect("five modes")
+        per_mode.max().expect("four modes")
     });
     println!(
         "worst post-recovery p99 ratio: {}.{:03}x ({}); bound {}.{:03}x + 4 slots",

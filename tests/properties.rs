@@ -163,7 +163,8 @@ fn random_options_preserve_semantics() {
         db.warm(&mut vm, 1)
     };
     cases(8, "random options preserve semantics", |rng| {
-        let options = &matrix::modes()[rng.index(5)];
+        let modes = matrix::modes();
+        let options = &modes[rng.index(modes.len())];
         let proc = &matrix::processors()[rng.index(2)];
         let mut vm = db.vm(db.vm_config(options), proc, NoopSink);
         assert_eq!(db.warm(&mut vm, 1), reference);

@@ -22,7 +22,7 @@ use stride_prefetch::workloads::{self, Size};
 
 /// Builds, warms up (so the JIT runs), and checks one workload
 /// configuration end to end: every compiled generation passes the
-/// verifier, the lint and the provenance lint on both processors.
+/// verifier and the lint on both processors.
 fn run_and_lint(spec: &workloads::WorkloadSpec, options: PrefetchOptions) {
     let prep = spec.prepare(Size::Tiny);
     for proc in matrix::processors() {
@@ -48,7 +48,7 @@ fn optimized_workloads_pass_lint_and_verifier() {
 }
 
 // -------------------------------------------------------------------
-// Randomized configurations: no workload in any of the five modes, on
+// Randomized configurations: no workload in any of the four modes, on
 // either processor, produces a compiled body the lint rejects.
 // -------------------------------------------------------------------
 
@@ -57,7 +57,8 @@ fn random_jit_configs_pass_lint() {
     let specs = workloads::all();
     cases(10, "random jit configs pass lint", |rng| {
         let spec = &specs[rng.index(specs.len())];
-        let options = matrix::modes()[rng.index(5)].clone();
+        let modes = matrix::modes();
+        let options = modes[rng.index(modes.len())].clone();
         run_and_lint(spec, options);
     });
 }
