@@ -1,15 +1,20 @@
 //! Parallel execution of the experiment matrix.
 //!
-//! Every (workload, processor, prefetch mode) cell of the paper's grid is
-//! an independent simulation: each cell builds its own [`spf_vm::Vm`],
-//! heap, and memory system, and shares no mutable state with any other
-//! cell. That makes the sweep embarrassingly parallel — cells are handed
-//! to a bounded pool of `std::thread` workers through an atomic cursor and
-//! the results are re-assembled in canonical matrix order, so the output
-//! is identical to a sequential sweep regardless of the worker count or
-//! scheduling. The checksum cross-check at the join point enforces the
-//! other half of the invariant: a workload computes the same answer in
-//! all ten of its configurations.
+//! The (workload, processor) pairs of the paper's grid share no mutable
+//! state: each builds its own [`spf_vm::Vm`]s, heaps and memory systems.
+//! Within a pair, modes whose JIT output is identical are one simulation,
+//! so [`run_cells`] runs them as one VM with *mode twins*
+//! ([`spf_vm::Twin`], DESIGN.md §3.1): the first remaining mode leads, the
+//! others ride along while they reproduce its every compile, and the ones
+//! that diverged form the next group. Pairs are handed to a bounded pool
+//! of `std::thread` workers through an atomic cursor and the results are
+//! re-assembled in canonical matrix order, so the output is identical to
+//! a sequential sweep — and to one VM per cell, [`run_workload`]'s way —
+//! regardless of the worker count or scheduling. The checksum cross-check
+//! at the join point enforces the other half of the invariant: a workload
+//! computes the same answer in all eight of its configurations.
+//!
+//! [`run_workload`]: crate::run_workload
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +44,9 @@ pub struct Cell {
 pub struct CellResult {
     /// The simulated measurement (independent of scheduling).
     pub measurement: Measurement,
-    /// Host nanoseconds of the run; pinned by `benchmark/src/matrix.rs:609`, `:749` until ROADMAP 1(B).
+    /// Host nanoseconds of the run, or the cell's share of its group's
+    /// (see [`run_cells`]); pinned by `benchmark/src/matrix.rs:609`, `:749`
+    /// until ROADMAP 1(B).
     pub wall_nanos: u128,
 }
 
@@ -145,19 +152,70 @@ pub struct TracedCellResult {
     pub wall_nanos: u128,
 }
 
-fn run_cell(plan: &RunPlan, cell: &Cell, prep: &Prepared) -> CellResult {
-    let t0 = Instant::now();
-    let measurement = run_prepared(prep, &cell.options, &cell.proc, plan, NoopSink).0;
-    CellResult {
-        measurement,
-        wall_nanos: t0.elapsed().as_nanos(),
+/// Runs the cells `chain` names — one program on one processor — in
+/// groups: the first remaining cell leads, every other remaining one rides
+/// along as its twin unless the leader has adaptive guards, and the twins
+/// that diverged form the next group. Returns each cell's result with its
+/// index, and how many VMs ran.
+fn run_chain(
+    plan: &RunPlan,
+    cells: &[Cell],
+    chain: &[usize],
+    prep: &Prepared,
+) -> (Vec<(usize, CellResult)>, usize) {
+    let mut done = Vec::with_capacity(chain.len());
+    let mut left = chain.to_vec();
+    let mut vms = 0;
+    while let Some((&lead, rest)) = left.split_first() {
+        let t0 = Instant::now();
+        let leader = &cells[lead];
+        let twins = if leader.options.mode.adaptive_guards() {
+            &[][..]
+        } else {
+            rest
+        };
+        let options: Vec<_> = twins.iter().map(|&i| cells[i].options.clone()).collect();
+        let (measurement, derived, _) = run_prepared(
+            prep,
+            &leader.options,
+            &options,
+            &leader.proc,
+            plan,
+            NoopSink,
+        );
+        vms += 1;
+        let mut group = vec![(lead, measurement)];
+        let mut next = rest[twins.len()..].to_vec();
+        for (&i, twin) in twins.iter().zip(derived) {
+            match twin {
+                Some(measurement) => group.push((i, measurement)),
+                None => next.push(i),
+            }
+        }
+        // The group's host time, split evenly over its cells: the shares
+        // sum to the time, and a caller that divides by the wall of one
+        // mode's cells (all twins on some workloads) never divides by 0.
+        let wall = t0.elapsed().as_nanos();
+        let n = group.len() as u128;
+        for (k, (i, measurement)) in group.into_iter().enumerate() {
+            let wall_nanos = wall / n + if k == 0 { wall % n } else { 0 };
+            done.push((
+                i,
+                CellResult {
+                    measurement,
+                    wall_nanos,
+                },
+            ));
+        }
+        left = next;
     }
+    (done, vms)
 }
 
 fn run_cell_traced(plan: &RunPlan, cell: &Cell, prep: &Prepared<RingSink>) -> TracedCellResult {
     let t0 = Instant::now();
     let ring = RingSink::default();
-    let (measurement, trace) = run_prepared(prep, &cell.options, &cell.proc, plan, ring);
+    let (measurement, _, trace) = run_prepared(prep, &cell.options, &[], &cell.proc, plan, ring);
     TracedCellResult {
         measurement,
         trace: trace.expect("ring sink is enabled"),
@@ -184,14 +242,49 @@ fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S
 }
 
 /// Runs `cells` on up to `jobs` worker threads, returning results in the
-/// same order as the input regardless of scheduling.
+/// same order as the input regardless of scheduling. The pool's tasks are
+/// the cells' (program, processor) pairs, each run as groups of mode
+/// twins (see the module docs): a twin's result is its leader's run, and
+/// the cells of one group share its host time evenly in `wall_nanos`.
 ///
 /// # Panics
 ///
 /// Panics if a workload faults (propagating the worker's panic).
 pub fn run_cells(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> Vec<CellResult> {
+    run_chains(plan, jobs, cells).0
+}
+
+/// [`run_cells`], also returning the VMs each (program, processor) pair
+/// ran, pairs in order of their first cell.
+fn run_chains(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> (Vec<CellResult>, Vec<usize>) {
     let preps = prepare_cells::<NoopSink>(plan.size, cells);
-    run_pool(jobs, cells.len(), |i| run_cell(plan, &cells[i], &preps[i]))
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    for (i, c) in cells.iter().enumerate() {
+        let same = |chain: &&mut Vec<usize>| {
+            let first = &cells[chain[0]];
+            first.spec.name == c.spec.name && first.proc == c.proc
+        };
+        match chains.iter_mut().find(same) {
+            Some(chain) => chain.push(i),
+            None => chains.push(vec![i]),
+        }
+    }
+    let ran = run_pool(jobs, chains.len(), |k| {
+        run_chain(plan, cells, &chains[k], &preps[chains[k][0]])
+    });
+    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
+    let mut vms = Vec::with_capacity(ran.len());
+    for (done, n) in ran {
+        vms.push(n);
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    }
+    let results = slots
+        .into_iter()
+        .map(|r| r.expect("every cell is in one chain"))
+        .collect();
+    (results, vms)
 }
 
 /// [`run_cells`] with event tracing: every cell runs with a recording
@@ -270,21 +363,39 @@ mod tests {
     }
 
     /// A pooled cell shares its prepared program with the workload's other
-    /// cells; it must also equal a freshly prepared direct run.
+    /// cells, and a twin's is derived from its leader's run; every cell
+    /// must equal a freshly prepared direct run. Search's four modes are
+    /// all twins, db's INTER twins BASELINE, Euler's INTER+INTRA twins
+    /// INTER, and ADAPTIVE runs alone on both.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let plan = tiny_plan();
-        let keep = |n: &str| n == "db";
-        let seq = run_matrix(&plan, 1, keep);
-        let par = run_matrix(&plan, 4, keep);
-        assert_eq!(seq.len(), 8);
-        assert_eq!(par.len(), 8);
-        for ((a, b), c) in seq.iter().zip(&par).zip(cells(keep)) {
+        let keep = |n: &str| ["db", "Euler", "Search"].contains(&n);
+        let cs = cells(keep);
+        let (seq, seq_vms) = run_chains(&plan, 1, &cs);
+        let (par, par_vms) = run_chains(&plan, 4, &cs);
+        assert_checksums_agree(&par);
+        assert_eq!(par.len(), 24);
+        let expected: Vec<usize> = cs
+            .chunks(4)
+            .map(|group| match group[0].spec.name {
+                "Search" => 1,
+                _ => 3,
+            })
+            .collect();
+        assert_eq!(seq_vms, expected);
+        assert_eq!(par_vms, expected);
+        for ((a, b), c) in seq.iter().zip(&par).zip(&cs) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");
             let direct = crate::run_workload(&c.spec, &c.options, &c.proc, &plan);
             let diff = b.measurement.simulated_diff(&direct);
-            assert!(diff.is_empty(), "pooled run diverged from direct: {diff:?}");
+            assert!(
+                diff.is_empty(),
+                "pooled {} / {} diverged from direct: {diff:?}",
+                c.spec.name,
+                c.options.mode
+            );
         }
     }
 

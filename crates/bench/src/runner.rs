@@ -1,6 +1,6 @@
 //! Workload runner: warm-up, steady-state measurement, counter capture.
 
-use spf_core::{PrefetchMode, PrefetchOptions, StrideCrossCheck};
+use spf_core::{MethodReport, PrefetchMode, PrefetchOptions, StrideCrossCheck};
 use spf_memsim::{MemStats, ProcessorConfig};
 use spf_trace::{Attribution, NoopSink, RingSink, SiteTable, TraceEvent, TraceSink};
 use spf_vm::VmStats;
@@ -67,12 +67,22 @@ pub struct Measurement {
     /// Per-loop invalidations (stale loops' prefetch sites patched to
     /// no-ops, body kept compiled): warm-up plus the best measured run.
     /// Zero outside the adaptive-guard modes.
+    ///
+    /// Measured runs before the best one are not counted, though the best
+    /// run executes the code they patched: db ADAPTIVE at `Size::Small`
+    /// invalidates 2 loops per processor in measured run 1, runs best in
+    /// run 2 with those loops patched, and reads 0 here. Counting every
+    /// measured run up to the best one must change
+    /// `benchmark/src/matrix.rs`'s copy of this sum in the same change
+    /// (ROADMAP 4).
     pub loop_deopts: u64,
     /// Per-loop repatches (invalidated loops re-inspected and re-entered):
-    /// warm-up plus the best measured run.
+    /// warm-up plus the best measured run, with the gap of
+    /// [`loop_deopts`](Self::loop_deopts).
     pub loop_repatches: u64,
     /// Recompilations whose re-inspection re-agreed on prefetchable
-    /// strides.
+    /// strides: warm-up plus the best measured run, with the gap of
+    /// [`loop_deopts`](Self::loop_deopts).
     pub reagreed: u64,
     /// Deterministic inspection cycles charged by the compile-time cost
     /// model: warm-up plus the best measured run (recompiles re-inspect).
@@ -168,7 +178,7 @@ pub fn run_workload(
     proc: &ProcessorConfig,
     plan: &RunPlan,
 ) -> Measurement {
-    run_prepared(&spec.prepare(plan.size), options, proc, plan, NoopSink).0
+    run_prepared(&spec.prepare(plan.size), options, &[], proc, plan, NoopSink).0
 }
 
 /// [`run_workload`] with event tracing into a default-capacity
@@ -185,43 +195,53 @@ pub fn run_workload_traced(
     plan: &RunPlan,
 ) -> (Measurement, WorkloadTrace) {
     let ring = RingSink::default();
-    let (m, t) = run_prepared(&spec.prepare(plan.size), options, proc, plan, ring);
+    let (m, _, t) = run_prepared(&spec.prepare(plan.size), options, &[], proc, plan, ring);
     (m, t.expect("ring sink is enabled"))
 }
 
 /// The measurement protocol against an already [`Prepared`] workload,
 /// generic over the trace sink so traced and untraced runs cannot drift
-/// apart. The trace is `Some` iff the sink records.
+/// apart. One VM runs it under `options`, with `twins` (see
+/// [`spf_vm::Twin`]). Returns the measurement, then per twin its
+/// measurement if it reproduced the VM's every compile, else `None` (the
+/// twin's mode needs a run of its own), then the trace, `Some` iff the
+/// sink records.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_workload`].
+/// Panics under the same conditions as [`run_workload`], and under those
+/// of [`spf_vm::Vm::add_twin`] if `twins` is not empty.
 pub fn run_prepared<S: TraceSink>(
     prep: &Prepared<S>,
     options: &PrefetchOptions,
+    twins: &[PrefetchOptions],
     proc: &ProcessorConfig,
     plan: &RunPlan,
     sink: S,
-) -> (Measurement, Option<WorkloadTrace>) {
+) -> (Measurement, Vec<Option<Measurement>>, Option<WorkloadTrace>) {
     let mut vm = prep.vm(prep.vm_config(options), proc, sink);
+    for twin in twins {
+        vm.add_twin(twin.clone());
+    }
     let checksum = prep.warm(&mut vm, plan.warmup_runs);
     let warm_stats = vm.stats().clone();
-    let prefetches_inserted = vm.reports().iter().map(|r| r.total_prefetches).sum();
-    let stride_check = {
-        let mut total = StrideCrossCheck::default();
-        for r in vm.reports() {
-            total.add(&r.stride_check_totals());
-        }
-        total
-    };
+    // The compiles of the warm-up: the leader's reports, and each twin's
+    // reports and inspection cost.
+    let warm_reports = vm.reports().len();
+    let warm_twins: Vec<(usize, u64)> = vm
+        .twins()
+        .iter()
+        .map(|t| (t.reports.len(), t.inspection_cycles))
+        .collect();
     let (compile_events, warm_lost) = if S::ENABLED {
         (vm.sink().snapshot(), vm.sink().lost())
     } else {
         (Vec::new(), 0)
     };
 
-    // Stats and memory counters of the best (fewest cycles) run.
-    let mut best: Option<(VmStats, MemStats)> = None;
+    // Stats and memory counters of the best (fewest cycles) run, and the
+    // twins' inspection cost in it.
+    let mut best: Option<(VmStats, MemStats, Vec<u64>)> = None;
     let mut best_events: Vec<TraceEvent> = Vec::new();
     let mut best_attribution = Attribution::default();
     let mut best_lost = 0u64;
@@ -237,8 +257,9 @@ pub fn run_prepared<S: TraceSink>(
             prep.name()
         );
         let s = vm.stats();
-        if best.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
-            best = Some((s.clone(), *vm.mem_stats()));
+        if best.as_ref().is_none_or(|(b, _, _)| s.cycles < b.cycles) {
+            let twin_inspection = vm.twins().iter().map(|t| t.inspection_cycles).collect();
+            best = Some((s.clone(), *vm.mem_stats(), twin_inspection));
             if S::ENABLED {
                 best_events = vm.sink().snapshot();
                 best_attribution = vm.sink().attribution();
@@ -246,7 +267,44 @@ pub fn run_prepared<S: TraceSink>(
             }
         }
     }
-    let (best, mem) = best.expect("at least one measured run");
+    let (best, mem, twin_inspection) = best.expect("at least one measured run");
+    let name = prep.name();
+    let leader = measure(
+        name,
+        options,
+        proc,
+        (&warm_stats, &best, mem),
+        &vm.reports()[..warm_reports],
+        checksum,
+    );
+    let derived = vm
+        .twins()
+        .iter()
+        .zip(warm_twins)
+        .zip(twin_inspection)
+        .map(|((twin, (reports, warm_inspection)), best_inspection)| {
+            twin.live.then(|| {
+                // The leader's run with the twin's compile-time cost.
+                let warm = VmStats {
+                    inspection_cycles: warm_inspection,
+                    ..warm_stats.clone()
+                };
+                let best = VmStats {
+                    inspection_cycles: best_inspection,
+                    ..best.clone()
+                };
+                let reports = &twin.reports[..reports];
+                measure(
+                    name,
+                    &twin.options,
+                    proc,
+                    (&warm, &best, mem),
+                    reports,
+                    checksum,
+                )
+            })
+        })
+        .collect();
     let trace = S::ENABLED.then(|| WorkloadTrace {
         attribution: best_attribution,
         compile_events,
@@ -255,28 +313,45 @@ pub fn run_prepared<S: TraceSink>(
         lost: best_lost,
         warm_lost,
     });
-    let measurement = Measurement {
-        name: prep.name().to_string(),
+    (leader, derived, trace)
+}
+
+/// Builds one configuration's [`Measurement`] from the counters of its
+/// warm-up, of its best measured run and that run's memory counters, and
+/// from the reports of the compiles its warm-up ran.
+fn measure(
+    name: &str,
+    options: &PrefetchOptions,
+    proc: &ProcessorConfig,
+    (warm, best, mem): (&VmStats, &VmStats, MemStats),
+    reports: &[MethodReport],
+    checksum: i32,
+) -> Measurement {
+    let mut stride_check = StrideCrossCheck::default();
+    for r in reports {
+        stride_check.add(&r.stride_check_totals());
+    }
+    Measurement {
+        name: name.to_string(),
         mode: options.mode,
         processor: proc.name.clone(),
         best_cycles: best.cycles,
         retired: best.retired_instructions,
         mem,
         compiled_fraction: best.compiled_code_fraction(),
-        jit_fraction: warm_stats.jit_time_fraction(),
-        prefetch_pass_fraction: warm_stats.prefetch_pass_fraction(),
-        prefetches_inserted,
+        jit_fraction: warm.jit_time_fraction(),
+        prefetch_pass_fraction: warm.prefetch_pass_fraction(),
+        prefetches_inserted: reports.iter().map(|r| r.total_prefetches).sum(),
         stride_check,
-        deopts: warm_stats.deopts + best.deopts,
-        recompiles: warm_stats.recompiles + best.recompiles,
-        loop_deopts: warm_stats.loop_deopts + best.loop_deopts,
-        loop_repatches: warm_stats.loop_repatches + best.loop_repatches,
-        reagreed: warm_stats.reagreed + best.reagreed,
-        inspection_cycles: warm_stats.inspection_cycles + best.inspection_cycles,
-        static_sites: warm_stats.static_sites + best.static_sites,
+        deopts: warm.deopts + best.deopts,
+        recompiles: warm.recompiles + best.recompiles,
+        loop_deopts: warm.loop_deopts + best.loop_deopts,
+        loop_repatches: warm.loop_repatches + best.loop_repatches,
+        reagreed: warm.reagreed + best.reagreed,
+        inspection_cycles: warm.inspection_cycles + best.inspection_cycles,
+        static_sites: warm.static_sites + best.static_sites,
         checksum,
-    };
-    (measurement, trace)
+    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ pub(crate) mod fuse;
 pub mod passes;
 pub mod predecode;
 pub mod stats;
+pub mod twin;
 pub mod vm;
 
 pub use config::VmConfig;
@@ -33,4 +34,5 @@ pub use predecode::Predecoded;
 /// that builds VMs generically need not depend on `spf-trace`.
 pub use spf_trace::{NoopSink, TraceSink};
 pub use stats::{PicStats, VmStats};
+pub use twin::Twin;
 pub use vm::Vm;

@@ -32,6 +32,7 @@ use crate::error::VmError;
 use crate::passes;
 use crate::predecode::Predecoded;
 use crate::stats::{MethodCycles, PicStats, VmStats};
+use crate::twin::Twin;
 
 /// An installed, executable body: shared threaded code and whether it is
 /// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
@@ -127,6 +128,9 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// `pending`, entries may hold heap references: [`Vm::gc`] roots and
     /// forwards them. Insertion-ordered for determinism.
     deopt_args: Vec<(MethodId, Vec<Value>)>,
+    /// Other prefetch configurations compiled alongside this one (see
+    /// [`Vm::add_twin`]).
+    pub(crate) twins: Vec<Twin>,
 }
 
 /// The live body named `code`. Panics on a freed slot: only bodies no
@@ -220,6 +224,7 @@ impl<S: TraceSink> Vm<S> {
             pending: Vec::new(),
             fresh_requests: Vec::new(),
             deopt_args: Vec::new(),
+            twins: Vec::new(),
             config,
         }
     }
@@ -267,6 +272,7 @@ impl<S: TraceSink> Vm<S> {
 
     /// Installs a pre-optimized body for `mid`, bypassing the JIT trigger.
     pub fn install_compiled(&mut self, mid: MethodId, func: Function) {
+        self.diverge_twins();
         self.install(mid, func, 0);
     }
 
@@ -450,12 +456,13 @@ impl<S: TraceSink> Vm<S> {
         self.compiled[mid.index()].map(|c| body(&self.codes, c).tcode.src.as_ref())
     }
 
-    /// Clears the memory system and measurement counters while keeping
-    /// compiled code, the heap, and statics — the "steady state" protocol:
-    /// the paper reports best run times under continuous execution, where
-    /// JIT compilation no longer occurs.
+    /// Clears the memory system and measurement counters (the twins'
+    /// included) while keeping compiled code, the heap, and statics — the
+    /// "steady state" protocol: the paper reports best run times under
+    /// continuous execution, where JIT compilation no longer occurs.
     pub fn reset_measurement(&mut self) {
         self.mem.reset();
+        self.reset_twins();
         let n = self.program.method_count();
         self.stats = VmStats {
             per_method: vec![MethodCycles::default(); n],
@@ -898,6 +905,7 @@ impl<S: TraceSink> Vm<S> {
     /// so the forced recompile does not burn the staleness budget.
     pub fn evict_compiled(&mut self, mid: MethodId) -> Option<u64> {
         let code = self.compiled[mid.index()].take()?;
+        self.diverge_twins();
         let instrs = body(&self.codes, code).tcode.src.instr_sites().count() as u64;
         self.retire(code);
         self.stats.code_evictions += 1;
@@ -957,6 +965,7 @@ impl<S: TraceSink> Vm<S> {
         #[cfg(debug_assertions)]
         self.assert_lint_clean(&outcome.func);
         self.book_pipeline(t0, &outcome.report);
+        self.compile_twins(&base, args, &proc, &outcome.func);
         if !background {
             // One size-proportional cost model for every generation: the
             // simulated clock never depends on host wall-clock time.
