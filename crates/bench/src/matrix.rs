@@ -1,18 +1,19 @@
 //! Parallel execution of the experiment matrix.
 //!
-//! The (workload, processor) pairs of the paper's grid share no mutable
-//! state: each builds its own [`spf_vm::Vm`]s, heaps and memory systems.
-//! Within a pair, modes whose JIT output is identical are one simulation,
-//! so [`run_cells`] runs them as one VM with *mode twins*
-//! ([`spf_vm::Twin`], DESIGN.md §3.1): the first remaining mode leads, the
-//! others ride along while they reproduce its every compile, and the ones
-//! that diverged form the next group. Pairs are handed to a bounded pool
-//! of `std::thread` workers through an atomic cursor and the results are
-//! re-assembled in canonical matrix order, so the output is identical to
-//! a sequential sweep — and to one VM per cell, [`run_workload`]'s way —
-//! regardless of the worker count or scheduling. The checksum cross-check
-//! at the join point enforces the other half of the invariant: a workload
-//! computes the same answer in all eight of its configurations.
+//! The programs of the paper's grid share no mutable state: each builds
+//! its own [`spf_vm::Vm`]s, heaps and memory systems. Within a program,
+//! cells whose runs are one simulation — the same JIT output, loop guards
+//! that never fire, whatever the processor — are run by one VM with
+//! *twins* ([`spf_vm::Twin`], DESIGN.md §3.1): the first remaining cell
+//! leads, the others ride along while they reproduce its run, and the
+//! ones that diverged form the next group. Programs are handed to a
+//! bounded pool of `std::thread` workers through an atomic cursor and the
+//! results are re-assembled in canonical matrix order, so the output is
+//! identical to a sequential sweep — and to one VM per cell,
+//! [`run_workload`]'s way — regardless of the worker count or scheduling.
+//! The checksum cross-check at the join point enforces the other half of
+//! the invariant: a workload computes the same answer in all eight of its
+//! configurations.
 //!
 //! [`run_workload`]: crate::run_workload
 
@@ -152,11 +153,11 @@ pub struct TracedCellResult {
     pub wall_nanos: u128,
 }
 
-/// Runs the cells `chain` names — one program on one processor — in
-/// groups: the first remaining cell leads, every other remaining one rides
-/// along as its twin unless the leader has adaptive guards, and the twins
-/// that diverged form the next group. Returns each cell's result with its
-/// index, and how many VMs ran.
+/// Runs the cells `chain` names — one program's — in groups: the first
+/// remaining cell leads, every other remaining one rides along as its twin
+/// unless the leader has adaptive guards, and the twins that diverged form
+/// the next group. Returns each cell's result with its index, and how many
+/// VMs ran.
 fn run_chain(
     plan: &RunPlan,
     cells: &[Cell],
@@ -174,11 +175,13 @@ fn run_chain(
         } else {
             rest
         };
-        let options: Vec<_> = twins.iter().map(|&i| cells[i].options.clone()).collect();
+        let twin_cells: Vec<_> = (twins.iter())
+            .map(|&i| (cells[i].options.clone(), cells[i].proc.clone()))
+            .collect();
         let (measurement, derived, _) = run_prepared(
             prep,
             &leader.options,
-            &options,
+            &twin_cells,
             &leader.proc,
             plan,
             NoopSink,
@@ -243,9 +246,10 @@ fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S
 
 /// Runs `cells` on up to `jobs` worker threads, returning results in the
 /// same order as the input regardless of scheduling. The pool's tasks are
-/// the cells' (program, processor) pairs, each run as groups of mode
-/// twins (see the module docs): a twin's result is its leader's run, and
-/// the cells of one group share its host time evenly in `wall_nanos`.
+/// the cells' programs, each run as groups of twins (see the module
+/// docs): a twin's result is its leader's run on the twin's processor,
+/// and the cells of one group share its host time evenly in
+/// `wall_nanos`.
 ///
 /// # Panics
 ///
@@ -254,17 +258,13 @@ pub fn run_cells(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> Vec<CellResult>
     run_chains(plan, jobs, cells).0
 }
 
-/// [`run_cells`], also returning the VMs each (program, processor) pair
-/// ran, pairs in order of their first cell.
+/// [`run_cells`], also returning the VMs each program ran, programs in
+/// order of their first cell.
 fn run_chains(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> (Vec<CellResult>, Vec<usize>) {
     let preps = prepare_cells::<NoopSink>(plan.size, cells);
     let mut chains: Vec<Vec<usize>> = Vec::new();
     for (i, c) in cells.iter().enumerate() {
-        let same = |chain: &&mut Vec<usize>| {
-            let first = &cells[chain[0]];
-            first.spec.name == c.spec.name && first.proc == c.proc
-        };
-        match chains.iter_mut().find(same) {
+        match (chains.iter_mut()).find(|chain| cells[chain[0]].spec.name == c.spec.name) {
             Some(chain) => chain.push(i),
             None => chains.push(vec![i]),
         }
@@ -364,27 +364,27 @@ mod tests {
 
     /// A pooled cell shares its prepared program with the workload's other
     /// cells, and a twin's is derived from its leader's run; every cell
-    /// must equal a freshly prepared direct run. Search's four modes are
-    /// all twins, db's INTER twins BASELINE, Euler's INTER+INTRA twins
-    /// INTER, and ADAPTIVE runs alone on both.
+    /// must equal a freshly prepared direct run. The VMs each program runs
+    /// are pinned, so a change that silently stops twinning fails here.
+    /// Search's eight cells are one VM. BASELINE and INTER are one VM for
+    /// both processors on jess and db, and INTER+INTRA is one more per
+    /// processor, as its bodies differ across them. On the Pentium 4,
+    /// jess's ADAPTIVE rides along with INTER+INTRA, since no guard fires;
+    /// db's fires on both processors, so its ADAPTIVE runs alone twice.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let plan = tiny_plan();
-        let keep = |n: &str| ["db", "Euler", "Search"].contains(&n);
-        let cs = cells(keep);
+        let programs = ["db", "Euler", "Search", "jess", "mpegaudio"];
+        let cs = cells(|n| programs.contains(&n));
         let (seq, seq_vms) = run_chains(&plan, 1, &cs);
         let (par, par_vms) = run_chains(&plan, 4, &cs);
         assert_checksums_agree(&par);
-        assert_eq!(par.len(), 24);
-        let expected: Vec<usize> = cs
-            .chunks(4)
-            .map(|group| match group[0].spec.name {
-                "Search" => 1,
-                _ => 3,
-            })
-            .collect();
-        assert_eq!(seq_vms, expected);
-        assert_eq!(par_vms, expected);
+        assert_eq!(par.len(), 40);
+        // Registry order: jess, db, mpegaudio, Euler, Search.
+        let names: Vec<_> = cs.chunks(8).map(|c| c[0].spec.name).collect();
+        assert_eq!(names, ["jess", "db", "mpegaudio", "Euler", "Search"]);
+        assert_eq!(seq_vms, [4, 5, 4, 4, 1]);
+        assert_eq!(par_vms, seq_vms);
         for ((a, b), c) in seq.iter().zip(&par).zip(&cs) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");
@@ -392,8 +392,9 @@ mod tests {
             let diff = b.measurement.simulated_diff(&direct);
             assert!(
                 diff.is_empty(),
-                "pooled {} / {} diverged from direct: {diff:?}",
+                "pooled {} / {} / {} diverged from direct: {diff:?}",
                 c.spec.name,
+                c.proc.name,
                 c.options.mode
             );
         }

@@ -201,11 +201,11 @@ pub fn run_workload_traced(
 
 /// The measurement protocol against an already [`Prepared`] workload,
 /// generic over the trace sink so traced and untraced runs cannot drift
-/// apart. One VM runs it under `options`, with `twins` (see
-/// [`spf_vm::Twin`]). Returns the measurement, then per twin its
-/// measurement if it reproduced the VM's every compile, else `None` (the
-/// twin's mode needs a run of its own), then the trace, `Some` iff the
-/// sink records.
+/// apart. One VM runs it under `options` on `proc`, with `twins`, each a
+/// configuration on a processor (see [`spf_vm::Twin`]). Returns the
+/// measurement, then per twin its measurement if it reproduced the VM's
+/// run to the end, else `None` (the twin's cell needs a run of its own),
+/// then the trace, `Some` iff the sink records.
 ///
 /// # Panics
 ///
@@ -214,24 +214,22 @@ pub fn run_workload_traced(
 pub fn run_prepared<S: TraceSink>(
     prep: &Prepared<S>,
     options: &PrefetchOptions,
-    twins: &[PrefetchOptions],
+    twins: &[(PrefetchOptions, ProcessorConfig)],
     proc: &ProcessorConfig,
     plan: &RunPlan,
     sink: S,
 ) -> (Measurement, Vec<Option<Measurement>>, Option<WorkloadTrace>) {
     let mut vm = prep.vm(prep.vm_config(options), proc, sink);
-    for twin in twins {
-        vm.add_twin(twin.clone());
+    for (options, proc) in twins {
+        vm.add_twin(options.clone(), proc.clone());
     }
     let checksum = prep.warm(&mut vm, plan.warmup_runs);
     let warm_stats = vm.stats().clone();
-    // The compiles of the warm-up: the leader's reports, and each twin's
-    // reports and inspection cost.
+    // The compiles of the warm-up: the leader's reports, and each live
+    // twin's counters and reports.
     let warm_reports = vm.reports().len();
-    let warm_twins: Vec<(usize, u64)> = vm
-        .twins()
-        .iter()
-        .map(|t| (t.reports.len(), t.inspection_cycles))
+    let warm_twins: Vec<Option<(VmStats, usize)>> = (vm.twins().iter().enumerate())
+        .map(|(k, t)| t.live.then(|| (vm.twin_stats(k), t.reports.len())))
         .collect();
     let (compile_events, warm_lost) = if S::ENABLED {
         (vm.sink().snapshot(), vm.sink().lost())
@@ -239,9 +237,10 @@ pub fn run_prepared<S: TraceSink>(
         (Vec::new(), 0)
     };
 
-    // Stats and memory counters of the best (fewest cycles) run, and the
-    // twins' inspection cost in it.
-    let mut best: Option<(VmStats, MemStats, Vec<u64>)> = None;
+    // Stats and memory counters of the best (fewest cycles) run, the
+    // leader's and each twin's by its own clock.
+    let mut best: Option<(VmStats, MemStats)> = None;
+    let mut twin_best: Vec<Option<(VmStats, MemStats)>> = vec![None; twins.len()];
     let mut best_events: Vec<TraceEvent> = Vec::new();
     let mut best_attribution = Attribution::default();
     let mut best_lost = 0u64;
@@ -257,17 +256,25 @@ pub fn run_prepared<S: TraceSink>(
             prep.name()
         );
         let s = vm.stats();
-        if best.as_ref().is_none_or(|(b, _, _)| s.cycles < b.cycles) {
-            let twin_inspection = vm.twins().iter().map(|t| t.inspection_cycles).collect();
-            best = Some((s.clone(), *vm.mem_stats(), twin_inspection));
+        if best.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
+            best = Some((s.clone(), *vm.mem_stats()));
             if S::ENABLED {
                 best_events = vm.sink().snapshot();
                 best_attribution = vm.sink().attribution();
                 best_lost = vm.sink().lost();
             }
         }
+        for (k, slot) in twin_best.iter_mut().enumerate() {
+            if !vm.twins()[k].live {
+                continue;
+            }
+            let s = vm.twin_stats(k);
+            if slot.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
+                *slot = Some((s, *vm.twin_mem_stats(k)));
+            }
+        }
     }
-    let (best, mem, twin_inspection) = best.expect("at least one measured run");
+    let (best, mem) = best.expect("at least one measured run");
     let name = prep.name();
     let leader = measure(
         name,
@@ -277,32 +284,19 @@ pub fn run_prepared<S: TraceSink>(
         &vm.reports()[..warm_reports],
         checksum,
     );
-    let derived = vm
-        .twins()
-        .iter()
-        .zip(warm_twins)
-        .zip(twin_inspection)
-        .map(|((twin, (reports, warm_inspection)), best_inspection)| {
-            twin.live.then(|| {
-                // The leader's run with the twin's compile-time cost.
-                let warm = VmStats {
-                    inspection_cycles: warm_inspection,
-                    ..warm_stats.clone()
-                };
-                let best = VmStats {
-                    inspection_cycles: best_inspection,
-                    ..best.clone()
-                };
-                let reports = &twin.reports[..reports];
-                measure(
-                    name,
-                    &twin.options,
-                    proc,
-                    (&warm, &best, mem),
-                    reports,
-                    checksum,
-                )
-            })
+    let derived = (vm.twins().iter().zip(warm_twins).zip(twin_best))
+        .map(|((twin, warm), best)| {
+            let ((warm, reports), (best, mem)) = warm.zip(best).filter(|_| twin.live)?;
+            let reports = &twin.reports[..reports];
+            let run = (&warm, &best, mem);
+            Some(measure(
+                name,
+                &twin.options,
+                &twin.proc,
+                run,
+                reports,
+                checksum,
+            ))
         })
         .collect();
     let trace = S::ENABLED.then(|| WorkloadTrace {

@@ -16,12 +16,12 @@ use spf_ir::{
     packed::unpack_reg_pair, BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, Ty,
     UnOp,
 };
-use spf_memsim::CacheLevel;
 use spf_trace::{SiteId, TraceSink};
 
 use crate::config::{CALL_OVERHEAD, COMPILED_INSTR_COST, INTERP_COST_MULTIPLIER};
 use crate::decode::{Op, ThreadedCode};
 use crate::error::VmError;
+use crate::twin::{prefetch_useless, Access};
 use crate::vm::{body, Vm};
 
 /// Handler signature. The op is a borrow into the current frame's threaded
@@ -159,10 +159,14 @@ fn charge_term(ctx: &mut Ctx) {
 }
 
 /// Flushes `frame_acc` into the current method's per-method attribution
-/// (the old `flush_frame!`).
+/// (the old `flush_frame!`), and into each shadow's (see the `twin`
+/// module).
 #[inline(always)]
 pub(crate) fn flush_frame_acc<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
     let acc = ctx.cycles - ctx.frame_start;
+    if !S::ENABLED && !vm.shadows.is_empty() {
+        vm.flush_shadows(ctx.cur_mid, ctx.cur_compiled, acc);
+    }
     let pm = &mut vm.stats.per_method[ctx.cur_mid.index()];
     if ctx.cur_compiled {
         pm.compiled += acc;
@@ -211,6 +215,18 @@ pub(crate) fn reload_ctx<S: TraceSink>(vm: &mut Vm<S>, ctx: &mut Ctx) {
         COMPILED_INSTR_COST * INTERP_COST_MULTIPLIER
     };
     enter_window(vm, ctx, f.base);
+}
+
+/// Makes one memory access at the live clock and returns its latency.
+/// Every shadow memory system (see the `twin` module) makes it too, at its
+/// own clock.
+#[inline(always)]
+fn mem_access<S: TraceSink>(vm: &mut Vm<S>, ctx: &Ctx, access: Access, addr: u64) -> u64 {
+    let lat = access.apply(&mut vm.mem, addr, ctx.cycles);
+    if !S::ENABLED && !vm.shadows.is_empty() {
+        vm.shadow_access(access, addr, ctx.cycles, lat);
+    }
+    lat
 }
 
 /// Names the IR position of component 0 or 1 of the op before `next`
@@ -328,7 +344,7 @@ fn do_getfield<S: TraceSink>(
         return false;
     };
     let addr = a + off;
-    let lat = vm.mem.load(addr, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Load, addr);
     ctx.cycles += lat;
     match vm.heap.load_bits(addr, ty) {
         Some(bits) => {
@@ -381,7 +397,7 @@ fn do_aload<S: TraceSink>(
     let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
         return false;
     };
-    let lat = vm.mem.load(addr, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Load, addr);
     ctx.cycles += lat;
     match vm.heap.load_bits(addr, elem) {
         Some(bits) => {
@@ -393,7 +409,8 @@ fn do_aload<S: TraceSink>(
 }
 
 /// Shared prefetch-issue tail: site attribution for tracing, adaptive
-/// usefulness probing, then the actual memory-system prefetch.
+/// usefulness probing (this VM's and its guarded twins'), then the actual
+/// memory-system prefetch.
 #[inline(always)]
 fn prefetch_issue<S: TraceSink>(
     vm: &mut Vm<S>,
@@ -408,22 +425,14 @@ fn prefetch_issue<S: TraceSink>(
         vm.mem.set_site(id.copied().unwrap_or(SiteId::UNKNOWN));
     }
     if vm.adaptive {
-        // A prefetch whose line is already cached at the fill target is
-        // useless — the same test the memory system applies internally,
-        // probed non-mutatingly so simulated numbers are untouched.
-        let level = match kind {
-            PrefetchKind::Hardware => vm.mem.config().swpf_target,
-            PrefetchKind::GuardedLoad => CacheLevel::L1,
-        };
-        let useless = vm.mem.line_present(level, target);
+        let useless = prefetch_useless(&vm.mem, kind, target);
         let block = site_at(site).block.index() as u32;
         vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
+    } else if !S::ENABLED && !vm.twins.is_empty() {
+        let block = site_at(site).block.index() as u32;
+        vm.probe_twins(ctx.cur_mid, block, target, kind);
     }
-    let cost = match kind {
-        PrefetchKind::Hardware => vm.mem.software_prefetch(target, ctx.cycles),
-        PrefetchKind::GuardedLoad => vm.mem.guarded_load(target, ctx.cycles),
-    };
-    ctx.cycles += cost;
+    ctx.cycles += mem_access(vm, ctx, Access::prefetch(kind), target);
 }
 
 /// `FieldOf { base, delta }` address computation; `None` when the base is
@@ -584,7 +593,7 @@ pub(crate) fn h_putfield<S: TraceSink, const TY: u8>(
         return HALT;
     };
     let addr = a + op.imm as u64;
-    let lat = vm.mem.store(addr, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Store, addr);
     ctx.cycles += lat;
     if !vm
         .heap
@@ -603,7 +612,7 @@ pub(crate) fn h_getstatic<S: TraceSink>(
     next: usize,
 ) -> usize {
     charge_instr(ctx);
-    let lat = vm.mem.load(op.imm as u64, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Load, op.imm as u64);
     ctx.cycles += lat;
     ctx.set_reg(op.a, vm.statics[op.b as usize].to_bits());
     next
@@ -617,7 +626,7 @@ pub(crate) fn h_putstatic<S: TraceSink>(
     next: usize,
 ) -> usize {
     charge_instr(ctx);
-    let lat = vm.mem.store(op.imm as u64, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Store, op.imm as u64);
     ctx.cycles += lat;
     // Statics stay `Value`s (the inspector and the GC read them as such):
     // the word is typed by the static's declared type, carried in `ext`.
@@ -657,7 +666,7 @@ fn do_astore<S: TraceSink>(
     let Some(addr) = elem_slot(vm, ctx, arr, idx, elem, site) else {
         return false;
     };
-    let lat = vm.mem.store(addr, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Store, addr);
     ctx.cycles += lat;
     if !vm.heap.store_bits(addr, elem, ctx.reg(src)) {
         return fail(vm, ctx, VmError::BadAccess { addr });
@@ -692,7 +701,7 @@ pub(crate) fn h_arraylen<S: TraceSink>(
     let Some(a) = non_null(vm, ctx, op.b, (tc, next, 0)) else {
         return HALT;
     };
-    let lat = vm.mem.load(a + ARRAY_LENGTH_OFFSET, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Load, a + ARRAY_LENGTH_OFFSET);
     ctx.cycles += lat;
     // The `I32` result is the length's low half, as a slot word.
     ctx.set_reg(op.a, vm.heap.array_len(a) as u32 as u64);
@@ -735,7 +744,7 @@ pub(crate) fn h_new<S: TraceSink>(
         Err(e) => return halt(vm, ctx, Err(e)),
     };
     let size = op.imm as u64;
-    let lat = vm.mem.store(a, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Store, a);
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
     ctx.set_reg(op.a, a);
@@ -772,7 +781,7 @@ pub(crate) fn h_newarray<S: TraceSink>(
         Err(e) => return halt(vm, ctx, Err(e)),
     };
     let size = spf_heap::Layout::array_size(elem, n as u64);
-    let lat = vm.mem.store(a, ctx.cycles);
+    let lat = mem_access(vm, ctx, Access::Store, a);
     let cost = lat + 4 + size / 32;
     ctx.cycles += cost;
     ctx.set_reg(op.a, a);

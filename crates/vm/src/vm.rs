@@ -32,7 +32,7 @@ use crate::error::VmError;
 use crate::passes;
 use crate::predecode::Predecoded;
 use crate::stats::{MethodCycles, PicStats, VmStats};
-use crate::twin::Twin;
+use crate::twin::{Shadow, Twin};
 
 /// An installed, executable body: shared threaded code and whether it is
 /// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
@@ -93,7 +93,7 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// Bodies replaced or evicted while frames were live; emptied when
     /// the outermost [`Vm::call`] finishes.
     retired: Vec<CodeId>,
-    invocations: Vec<u32>,
+    pub(crate) invocations: Vec<u32>,
     reports: Vec<MethodReport>,
     pub(crate) stats: VmStats,
     sites: SiteTable,
@@ -128,9 +128,12 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// `pending`, entries may hold heap references: [`Vm::gc`] roots and
     /// forwards them. Insertion-ordered for determinism.
     deopt_args: Vec<(MethodId, Vec<Value>)>,
-    /// Other prefetch configurations compiled alongside this one (see
-    /// [`Vm::add_twin`]).
+    /// Other cells simulated alongside this one (see [`Vm::add_twin`]).
     pub(crate) twins: Vec<Twin>,
+    /// The memory systems of the live twins' processors other than this
+    /// VM's, one per processor; empty without such twins, which the run
+    /// loop tests at every access.
+    pub(crate) shadows: Vec<Shadow>,
 }
 
 /// The live body named `code`. Panics on a freed slot: only bodies no
@@ -225,6 +228,7 @@ impl<S: TraceSink> Vm<S> {
             fresh_requests: Vec::new(),
             deopt_args: Vec::new(),
             twins: Vec::new(),
+            shadows: Vec::new(),
             config,
         }
     }
@@ -330,7 +334,7 @@ impl<S: TraceSink> Vm<S> {
     /// every body compiled from one method has the same blocks and the
     /// same owners. Host-side analysis only; never charged to the
     /// simulated clock.
-    fn loop_owners(func: &Function) -> Vec<u32> {
+    pub(crate) fn loop_owners(func: &Function) -> Vec<u32> {
         let cfg = spf_ir::cfg::Cfg::compute(func);
         let dom = spf_ir::dom::DomTree::compute(func, &cfg);
         let forest = spf_ir::loops::LoopForest::compute(func, &cfg, &dom);
@@ -341,6 +345,19 @@ impl<S: TraceSink> Vm<S> {
                     .map_or(spf_adapt::NO_LOOP, |l| forest.info(l).header.index() as u32)
             })
             .collect()
+    }
+
+    /// The block of every `Prefetch`/`SpecLoad` site of `func`: the
+    /// blocks whose owning loops get guards.
+    pub(crate) fn site_blocks(func: &Function) -> impl Iterator<Item = u32> + '_ {
+        func.instr_sites()
+            .filter(|&s| {
+                matches!(
+                    func.instr(s),
+                    Instr::Prefetch { .. } | Instr::SpecLoad { .. }
+                )
+            })
+            .map(|s| s.block.index() as u32)
     }
 
     /// Adds JIT-side `cycles` (compile, patch or repatch) to the
@@ -456,8 +473,9 @@ impl<S: TraceSink> Vm<S> {
         self.compiled[mid.index()].map(|c| body(&self.codes, c).tcode.src.as_ref())
     }
 
-    /// Clears the memory system and measurement counters (the twins'
-    /// included) while keeping compiled code, the heap, and statics — the
+    /// Clears the memory system and measurement counters (the twins' and
+    /// their shadows' included; their loop guards, like this VM's, stay)
+    /// while keeping compiled code, the heap, and statics — the
     /// "steady state" protocol: the paper reports best run times under
     /// continuous execution, where JIT compilation no longer occurs.
     pub fn reset_measurement(&mut self) {
@@ -517,7 +535,8 @@ impl<S: TraceSink> Vm<S> {
     /// Invokes `mid` on the `argc` arguments its caller left on top of
     /// the register stack: depth check, invocation accounting, the
     /// adaptive per-loop check of a compiled body, the JIT trigger, body
-    /// resolution, frame push — in the old `push_frame`'s order.
+    /// resolution, frame push — in the old `push_frame`'s order. A live
+    /// guarded twin's loop checks run where the adaptive ones would.
     pub(crate) fn call_into(
         &mut self,
         mid: MethodId,
@@ -529,8 +548,12 @@ impl<S: TraceSink> Vm<S> {
         }
         self.invocations[mid.index()] += 1;
         self.stats.per_method[mid.index()].invocations += 1;
-        if self.adaptive && self.compiled[mid.index()].is_some() {
-            self.maybe_patch(mid, argc);
+        if self.compiled[mid.index()].is_some() {
+            if self.adaptive {
+                self.maybe_patch(mid, argc);
+            } else if !S::ENABLED && !self.twins.is_empty() {
+                self.check_twin_guards(mid);
+            }
         }
         if self.compiled[mid.index()].is_none()
             && self.invocations[mid.index()] >= self.config.compile_threshold
@@ -948,15 +971,11 @@ impl<S: TraceSink> Vm<S> {
         // key off which loop owns each emitted site.
         let generation = if self.adaptive {
             let f = &outcome.func;
-            let site_blocks = f
-                .instr_sites()
-                .filter(|&s| matches!(f.instr(s), Instr::Prefetch { .. } | Instr::SpecLoad { .. }))
-                .map(|s| s.block.index() as u32);
             self.adapt.on_compile(
                 mid.index(),
                 self.heap.gc_epoch(),
                 Self::loop_owners(f),
-                site_blocks,
+                Self::site_blocks(f),
             )
         } else {
             0
@@ -965,7 +984,7 @@ impl<S: TraceSink> Vm<S> {
         #[cfg(debug_assertions)]
         self.assert_lint_clean(&outcome.func);
         self.book_pipeline(t0, &outcome.report);
-        self.compile_twins(&base, args, &proc, &outcome.func);
+        self.compile_twins(mid, &base, args, &outcome.func);
         if !background {
             // One size-proportional cost model for every generation: the
             // simulated clock never depends on host wall-clock time.

@@ -1,9 +1,10 @@
-//! Mode twins: a VM that compiles other prefetch configurations
-//! alongside its own runs exactly as it would alone, and a twin stays live
-//! only while it reproduces every body the leader installs.
+//! Twins: a VM that simulates other cells alongside its own runs exactly
+//! as it would alone, and a twin stays live only while it reproduces the
+//! leader's run — every body the leader installs, on the twin's own
+//! processor's clock, with loop guards that never fire.
 
 use spf_core::{MethodReport, PrefetchOptions};
-use spf_ir::{Function, Instr};
+use spf_ir::Function;
 use spf_memsim::ProcessorConfig;
 use spf_vm::{NoopSink, Vm};
 use spf_workloads::{Prepared, Size};
@@ -16,20 +17,53 @@ fn tiny(name: &str) -> Prepared {
         .prepare(Size::Tiny)
 }
 
-/// A VM under `options` with `twins`, after the runner's protocol at
-/// one measured run: two warm-up calls, a reset, one more call.
-fn run(prep: &Prepared, options: PrefetchOptions, twins: &[PrefetchOptions]) -> Vm {
-    let mut vm = prep.vm(
-        prep.vm_config(&options),
-        &ProcessorConfig::pentium4(),
-        NoopSink,
-    );
-    for twin in twins {
-        vm.add_twin(twin.clone());
+fn p4() -> ProcessorConfig {
+    ProcessorConfig::pentium4()
+}
+
+fn athlon() -> ProcessorConfig {
+    ProcessorConfig::athlon_mp()
+}
+
+/// A fresh VM under `options` on `proc` with `twins`.
+fn vm(
+    prep: &Prepared,
+    options: &PrefetchOptions,
+    proc: &ProcessorConfig,
+    twins: &[(PrefetchOptions, ProcessorConfig)],
+) -> Vm {
+    let mut vm = prep.vm(prep.vm_config(options), proc, NoopSink);
+    for (options, proc) in twins {
+        vm.add_twin(options.clone(), proc.clone());
     }
-    prep.warm(&mut vm, 2);
-    vm.reset_measurement();
-    prep.warm(&mut vm, 1);
+    vm
+}
+
+/// The runner's protocol at two measured runs — two warm-up calls, then
+/// a reset and a call twice — on each VM in lockstep, calling `check`
+/// with the VMs and the call's index (0 to 3) after every call.
+fn protocol(prep: &Prepared, vms: &mut [Vm], mut check: impl FnMut(&[Vm], usize)) {
+    for call in 0..4 {
+        for vm in vms.iter_mut() {
+            if call >= 2 {
+                vm.reset_measurement();
+            }
+            prep.warm(vm, 1);
+        }
+        check(vms, call);
+    }
+}
+
+/// A VM under `options` on `proc` with `twins`, after the whole protocol.
+fn run(
+    prep: &Prepared,
+    options: PrefetchOptions,
+    proc: &ProcessorConfig,
+    twins: &[(PrefetchOptions, ProcessorConfig)],
+) -> Vm {
+    let mut vms = [vm(prep, &options, proc, twins)];
+    protocol(prep, &mut vms, |_, _| {});
+    let [vm] = vms;
     vm
 }
 
@@ -54,25 +88,48 @@ fn bodies(vm: &Vm) -> Vec<Function> {
         .collect()
 }
 
-fn has_site(func: &Function) -> bool {
-    func.instr_sites().any(|s| {
-        matches!(
-            func.instr(s),
-            Instr::Prefetch { .. } | Instr::SpecLoad { .. }
-        )
-    })
+/// Asserts that the leader `vms[0]` runs as the twin-free `vms[1]` does.
+fn assert_leader_alone(vms: &[Vm], call: usize) {
+    let (leader, alone) = (&vms[0], &vms[1]);
+    assert_eq!(
+        leader.stats().simulated(),
+        alone.stats().simulated(),
+        "leader stats after call {call}"
+    );
+    assert_eq!(
+        leader.mem_stats(),
+        alone.mem_stats(),
+        "leader memory after call {call}"
+    );
+}
+
+/// Asserts that twin `k` of `leader` has run as the standalone `own` VM.
+fn assert_twin_is(leader: &Vm, k: usize, own: &Vm, call: usize) {
+    let twin = &leader.twins()[k];
+    assert!(twin.live, "twin {k} live after call {call}");
+    assert_eq!(
+        leader.twin_stats(k).simulated(),
+        own.stats().simulated(),
+        "twin {k} stats after call {call}"
+    );
+    assert_eq!(
+        leader.twin_mem_stats(k),
+        own.mem_stats(),
+        "twin {k} memory after call {call}"
+    );
+    assert_eq!(simulated(&twin.reports), simulated(own.reports()));
 }
 
 #[test]
 fn a_leader_with_twins_runs_as_it_would_alone() {
     let prep = tiny("db");
     let twins = [
-        PrefetchOptions::off(),
-        PrefetchOptions::inter_intra(),
-        PrefetchOptions::adaptive(),
+        (PrefetchOptions::off(), p4()),
+        (PrefetchOptions::inter_intra(), p4()),
+        (PrefetchOptions::adaptive(), p4()),
     ];
-    let alone = run(&prep, PrefetchOptions::inter(), &[]);
-    let twinned = run(&prep, PrefetchOptions::inter(), &twins);
+    let alone = run(&prep, PrefetchOptions::inter(), &p4(), &[]);
+    let twinned = run(&prep, PrefetchOptions::inter(), &p4(), &twins);
     assert_eq!(twinned.stats().simulated(), alone.stats().simulated());
     assert_eq!(twinned.mem_stats(), alone.mem_stats());
     assert_eq!(simulated(twinned.reports()), simulated(alone.reports()));
@@ -80,17 +137,41 @@ fn a_leader_with_twins_runs_as_it_would_alone() {
     // recorded what a BASELINE VM of its own would.
     let live: Vec<bool> = twinned.twins().iter().map(|t| t.live).collect();
     assert_eq!(live, [true, false, false]);
-    let baseline = run(&prep, PrefetchOptions::off(), &[]);
+    let baseline = run(&prep, PrefetchOptions::off(), &p4(), &[]);
+    assert_twin_is(&twinned, 0, &baseline, 3);
     let twin = &twinned.twins()[0];
-    assert_eq!(simulated(&twin.reports), simulated(baseline.reports()));
     assert_eq!(twin.inspection_cycles, baseline.stats().inspection_cycles);
+}
+
+/// A BASELINE twin on the Athlon of a BASELINE leader on the Pentium 4
+/// reads a shadow memory system at its own clock: after every call of the
+/// protocol its counters are a standalone Athlon VM's, on db (memory
+/// bound, with GCs) and on jess (dispatch bound), and the leader's are a
+/// twin-free VM's.
+#[test]
+fn a_twin_on_another_processor_runs_as_a_vm_of_its_own() {
+    for name in ["db", "jess"] {
+        let prep = tiny(name);
+        let off = PrefetchOptions::off();
+        let mut vms = [
+            vm(&prep, &off, &p4(), &[(off.clone(), athlon())]),
+            vm(&prep, &off, &p4(), &[]),
+            vm(&prep, &off, &athlon(), &[]),
+        ];
+        protocol(&prep, &mut vms, |vms, call| {
+            assert_leader_alone(vms, call);
+            assert_twin_is(&vms[0], 0, &vms[2], call);
+            // The processors differ where it shows: in the stalls.
+            assert_ne!(vms[0].stats().cycles, vms[2].stats().cycles, "{name}");
+        });
+    }
 }
 
 #[test]
 fn a_twin_that_differs_at_the_kth_compile_stays_diverged() {
     let prep = tiny("jess");
-    let base = bodies(&run(&prep, PrefetchOptions::off(), &[]));
-    let ii = bodies(&run(&prep, PrefetchOptions::inter_intra(), &[]));
+    let base = bodies(&run(&prep, PrefetchOptions::off(), &p4(), &[]));
+    let ii = bodies(&run(&prep, PrefetchOptions::inter_intra(), &p4(), &[]));
     assert_eq!(base.len(), ii.len());
     let k = base
         .iter()
@@ -104,29 +185,73 @@ fn a_twin_that_differs_at_the_kth_compile_stays_diverged() {
     let twinned = run(
         &prep,
         PrefetchOptions::off(),
-        &[PrefetchOptions::inter_intra()],
+        &p4(),
+        &[(PrefetchOptions::inter_intra(), p4())],
     );
     let twin = &twinned.twins()[0];
     assert!(!twin.live);
     assert_eq!(twin.reports.len(), k);
 }
 
+/// A twin's pipeline runs with its own processor: db's INTER+INTRA emits
+/// other bodies on the Athlon, so that twin of a Pentium 4 leader ends at
+/// the first compile whose bodies differ.
 #[test]
-fn an_adaptive_twin_diverges_at_the_first_site_although_the_bodies_are_equal() {
+fn a_twin_compiles_for_its_own_processor() {
     let prep = tiny("db");
-    let ii = bodies(&run(&prep, PrefetchOptions::inter_intra(), &[]));
-    let adaptive = bodies(&run(&prep, PrefetchOptions::adaptive(), &[]));
-    let j = ii
+    let ii = PrefetchOptions::inter_intra;
+    let on_p4 = bodies(&run(&prep, ii(), &p4(), &[]));
+    let on_athlon = bodies(&run(&prep, ii(), &athlon(), &[]));
+    let k = on_p4
         .iter()
-        .position(has_site)
-        .expect("a db body carries a site");
-    assert_eq!(ii[..=j], adaptive[..=j]);
-    let twinned = run(
-        &prep,
-        PrefetchOptions::inter_intra(),
-        &[PrefetchOptions::adaptive()],
-    );
+        .zip(&on_athlon)
+        .position(|(a, b)| a != b)
+        .expect("db's INTER+INTRA bodies differ across processors");
+    let twinned = run(&prep, ii(), &p4(), &[(ii(), athlon())]);
     let twin = &twinned.twins()[0];
     assert!(!twin.live);
-    assert_eq!(twin.reports.len(), j);
+    assert_eq!(twin.reports.len(), k);
+}
+
+/// An ADAPTIVE twin keeps loop guards of its own. On jess no guard fires,
+/// so the twin of an INTER+INTRA leader lives through the protocol and is
+/// a standalone ADAPTIVE VM. On db a guard fires: the twin ends at the
+/// call in which a standalone ADAPTIVE VM first invalidates a loop, and
+/// the leader still runs as it would alone.
+#[test]
+fn an_adaptive_twin_lives_until_a_standalone_adaptive_vm_patches() {
+    let ii = PrefetchOptions::inter_intra();
+    let adaptive = PrefetchOptions::adaptive();
+    let jess = tiny("jess");
+    let mut vms = [
+        vm(&jess, &ii, &p4(), &[(adaptive.clone(), p4())]),
+        vm(&jess, &ii, &p4(), &[]),
+        vm(&jess, &adaptive, &p4(), &[]),
+    ];
+    protocol(&jess, &mut vms, |vms, call| {
+        assert_leader_alone(vms, call);
+        assert_twin_is(&vms[0], 0, &vms[2], call);
+        let twin = &vms[0].twins()[0];
+        assert_eq!(twin.inspection_cycles, vms[2].stats().inspection_cycles);
+    });
+
+    let db = tiny("db");
+    let mut vms = [
+        vm(&db, &ii, &p4(), &[(adaptive.clone(), p4())]),
+        vm(&db, &ii, &p4(), &[]),
+        vm(&db, &adaptive, &p4(), &[]),
+    ];
+    let mut patched_at = None;
+    protocol(&db, &mut vms, |vms, call| {
+        assert_leader_alone(vms, call);
+        let patched = vms[2].stats().loop_deopts > 0;
+        if patched && patched_at.is_none() {
+            patched_at = Some(call);
+        }
+        assert_eq!(vms[0].twins()[0].live, patched_at.is_none(), "call {call}");
+        if patched_at.is_none() {
+            assert_twin_is(&vms[0], 0, &vms[2], call);
+        }
+    });
+    assert!(patched_at.is_some(), "a db loop guard fires");
 }
