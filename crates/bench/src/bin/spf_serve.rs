@@ -27,7 +27,9 @@ use std::process::ExitCode;
 use spf_bench::cli::{self, Serve};
 use spf_bench::{matrix, write_artifact};
 use spf_memsim::ProcessorConfig;
-use spf_serve::{faults, report, sim, ChaosRow, ModeReport, ServeConfig, ServeSummary};
+use spf_serve::{
+    faults, report, sim, ChaosRow, ModeReport, ServeConfig, ServeOutcome, ServeSummary,
+};
 use spf_trace::{export, TraceEvent};
 
 /// Events emitted only by the chaos machinery, for `FAULT_events.jsonl`.
@@ -45,6 +47,17 @@ fn chaos_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
         })
         .cloned()
         .collect()
+}
+
+/// Reports on stderr how many requests a run served, and how many of
+/// them its tenants simulated instead of reading a tenant twin's output.
+fn print_shared(out: &ServeOutcome) {
+    eprintln!(
+        "serve: requests served {}, simulated {} ({} VM clones)",
+        out.latencies.iter().filter(|&&l| l > 0).count(),
+        out.simulated,
+        out.clones
+    );
 }
 
 fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
@@ -66,6 +79,7 @@ fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
             args.cfg.tenants, args.cfg.requests, opts.mode
         );
         let out = sim::run(&args.cfg, &opts, &proc, 1);
+        print_shared(&out);
         if args.events_out.is_some() {
             events_text.push_str(&export::events_jsonl(&out.events, None));
         }
@@ -73,6 +87,7 @@ fn sweep(args: &Serve) -> Result<(ServeSummary, String, String), String> {
         if args.chaos.is_some() {
             eprintln!("serve: mode {} again, under the fault plan...", opts.mode);
             let fault = sim::run(&chaos_cfg, &opts, &proc, 1);
+            print_shared(&fault);
             if args.fault_events_out.is_some() {
                 fault_events_text
                     .push_str(&export::events_jsonl(&chaos_events(&fault.events), None));

@@ -59,7 +59,7 @@ impl std::error::Error for HeapError {}
 /// Objects and arrays are allocated with a bump pointer, so back-to-back
 /// allocations are adjacent in the address space — the property stride
 /// prefetching exploits.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Heap {
     pub(crate) base: Addr,
     pub(crate) data: Vec<u8>,
@@ -68,6 +68,26 @@ pub struct Heap {
     pub(crate) allocated_bytes_total: u64,
     pub(crate) allocation_count: u64,
     pub(crate) gc_epoch: u64,
+}
+
+/// A clone copies only the allocated prefix `data[..top]` into a fresh
+/// zeroed buffer: every allocation zero-fills its storage (see `bump`), so
+/// the stale bytes a compaction leaves above `top` are never read, and a
+/// fresh buffer faults in only the pages the prefix touches.
+impl Clone for Heap {
+    fn clone(&self) -> Self {
+        let mut data = vec![0; self.data.len()];
+        data[..self.top].copy_from_slice(&self.data[..self.top]);
+        Heap {
+            base: self.base,
+            data,
+            top: self.top,
+            layout: self.layout.clone(),
+            allocated_bytes_total: self.allocated_bytes_total,
+            allocation_count: self.allocation_count,
+            gc_epoch: self.gc_epoch,
+        }
+    }
 }
 
 /// Splits a workload's configured heap budget across `shards` tenant VMs:
@@ -131,6 +151,12 @@ impl Heap {
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.data.len() as u64
+    }
+
+    /// The whole backing store: the allocated prefix `[..used()]`, then
+    /// free space no access can reach.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
     }
 
     /// Running total of bytes ever allocated (monotonic; GC does not reduce

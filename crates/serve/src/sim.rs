@@ -1,6 +1,6 @@
 //! The epoch-barrier serving simulation.
 //!
-//! Hundreds of tenant VMs — each a full mixed-mode [`spf_vm::Vm`] over its
+//! Hundreds of tenants — each a full mixed-mode [`spf_vm::Vm`] over its
 //! own heap shard — serve an open-loop request stream. Time advances in
 //! *epochs*: at each epoch barrier one coordinator absorbs arrivals,
 //! completes and schedules background compilations, evicts from the shared
@@ -11,8 +11,27 @@
 //! simulation is a pure function of [`ServeConfig`] — bit-identical across
 //! host machines. That property is what lets CI gate serving latency
 //! numbers the way it gates the matrix: `git diff` of a rewritten file.
+//!
+//! **Tenant twins.** A tenant VM's state is a pure function of its program
+//! and the `Step`s applied to it since it was built: requests served,
+//! compiles installed, bodies evicted and the chaos steps. So a tenant
+//! holds a *history*, not a VM. The fleet interns histories as a tree, one
+//! node per distinct `(parent, step)`, and keeps VM states by history,
+//! each with the output of the step that reached it. `Fleet::step` is
+//! the only code path that changes a tenant: when the step's child state
+//! exists the tenant moves to it and reads the stored output; otherwise
+//! the step runs on the tenant's own state — in place when no other
+//! tenant occupies that state or can still reach it, on a clone
+//! otherwise. All tenants of a program start on one state.
+//!
+//! A state is kept while a tenant occupies it or occupies a proper prefix
+//! of its history. When more states than tenants are kept, the
+//! unoccupied state furthest ahead of its nearest occupied ancestor goes
+//! first, so the fleet never holds more VMs than a fleet of one VM per
+//! tenant. A stored output is what the tenant's own VM would have
+//! produced, so no simulated number depends on the sharing.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use spf_adapt::AdaptConfig;
 use spf_core::PrefetchOptions;
@@ -31,7 +50,7 @@ use crate::traffic::{self, Request, TrafficConfig};
 /// simulated number.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Number of tenant VMs. Tenant `i` runs workload `i % 12` from the
+    /// Number of tenants. Tenant `i` runs workload `i % 12` from the
     /// Table 3 registry.
     pub tenants: usize,
     /// Total requests in the open-loop stream.
@@ -126,11 +145,105 @@ pub struct ServeOutcome {
     /// Fleet stranded-loop count sampled once per epoch (chaos runs
     /// only; empty otherwise).
     pub stranded_samples: Vec<u64>,
+    /// Requests the fleet ran on a VM; every other served request read
+    /// the output a tenant with the same history had stored (host-side
+    /// statistic: no simulated number depends on it).
+    pub simulated: u64,
+    /// VM states cloned so that a step could run while other tenants
+    /// keep the state it started from (host-side statistic).
+    pub clones: u64,
 }
 
-/// One tenant: a VM plus its request queue and serving clock.
-struct Tenant<'w> {
+/// One step of a tenant VM's history (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Step {
+    /// Serve a request: call the workload's entry method once.
+    Serve,
+    /// Install the pending background compile of a method
+    /// ([`Vm::compile_pending`]).
+    Install(MethodId),
+    /// Evict a method's compiled body ([`Vm::evict_compiled`]).
+    Evict(MethodId),
+    /// Chaos: a GC storm advances the heap epoch
+    /// ([`Vm::inject_heap_move`]).
+    HeapMove,
+    /// Chaos: re-enqueue the methods with stranded loops
+    /// ([`Vm::reenqueue_stranded`]).
+    Reenqueue,
+}
+
+/// What a step produced besides the VM's next state.
+#[derive(Clone, Debug, Default)]
+struct Output {
+    /// `Serve`: simulated cycles the request took.
+    service: u64,
+    /// `Serve`: the workload checksum the request returned.
+    checksum: i32,
+    /// `Serve` and `Reenqueue`: the compile requests the step raised, in
+    /// request order, with their costs.
+    requests: Vec<(MethodId, u64)>,
+    /// `Serve` under chaos: the guard re-arms, `(method, generation)`.
+    rearms: Vec<(u32, u32)>,
+    /// `Install`: the installed body's instruction count, or `None` when
+    /// the request was withdrawn.
+    installed: Option<u64>,
+}
+
+impl Step {
+    /// Applies the step to `vm`, a VM of `prep`'s program. The drains of
+    /// what it raised are part of the step, so no state holds undrained
+    /// requests or re-arms: a `Serve` or `Reenqueue` drains the compile
+    /// requests and a chaos `Serve` the re-arms, exactly where the epoch
+    /// loop consumes them.
+    fn apply(self, vm: &mut Vm, prep: &Prepared, chaos: bool) -> Output {
+        let mut out = Output::default();
+        match self {
+            Step::Serve => {
+                let before = vm.stats().cycles;
+                out.checksum = prep.warm(vm, 1);
+                out.service = vm.stats().cycles - before;
+                if chaos {
+                    out.rearms = vm.take_rearmed();
+                }
+            }
+            Step::Install(method) => out.installed = vm.compile_pending(method),
+            Step::Evict(method) => {
+                vm.evict_compiled(method);
+            }
+            Step::HeapMove => vm.inject_heap_move(),
+            Step::Reenqueue => {
+                vm.reenqueue_stranded();
+            }
+        }
+        if matches!(self, Step::Serve | Step::Reenqueue) {
+            let requests = vm.take_compile_requests();
+            out.requests = (requests.into_iter())
+                .map(|mid| (mid, vm.compile_cost_estimate(mid)))
+                .collect();
+        }
+        out
+    }
+}
+
+/// A kept VM state and the output of the step that reached it.
+struct State {
     vm: Vm,
+    output: Output,
+}
+
+/// A node of the history tree: the history one step shorter, the number
+/// of steps since the VM was built, and the program it runs.
+#[derive(Clone, Copy)]
+struct Node {
+    parent: Option<u32>,
+    len: u32,
+    program: u32,
+}
+
+/// One tenant: a history plus its request queue and serving clock.
+struct Tenant<'w> {
+    /// The tenant's history: its VM is the state kept for this node.
+    at: u32,
     /// The workload the tenant serves (shared with its `i % 12` peers).
     prep: &'w Prepared,
     /// First observed checksum; later requests must reproduce it.
@@ -161,6 +274,20 @@ struct CompileJob {
 /// only in which steps they call.
 struct Fleet<'w> {
     tenants: Vec<Tenant<'w>>,
+    /// The history tree, by node id: the roots are the programs' freshly
+    /// built VMs.
+    nodes: Vec<Node>,
+    /// The child of each `(node, step)` taken so far.
+    children: HashMap<(u32, Step), u32>,
+    /// The kept state of each node, if any.
+    states: Vec<Option<Box<State>>>,
+    /// Tenants at each node.
+    occupants: Vec<u32>,
+    /// The nodes that hold a state, in the order they got it.
+    kept: Vec<u32>,
+    /// Distinct programs: tenant `i` runs program `i % programs`.
+    programs: usize,
+    chaos: bool,
     cache: CodeCache,
     queue: VecDeque<CompileJob>,
     /// `workers[w]` holds the job worker `w` finishes at `finish_at`.
@@ -169,12 +296,116 @@ struct Fleet<'w> {
 }
 
 impl Fleet<'_> {
+    /// Tenant `ti`'s VM.
+    fn vm(&self, ti: usize) -> &Vm {
+        let state = self.states[self.tenants[ti].at as usize].as_ref();
+        &state.expect("an occupied history keeps its state").vm
+    }
+
+    /// Applies `step` to tenant `ti` — the one code path that changes a
+    /// tenant — and returns the step's output (see the module docs).
+    fn step(&mut self, ti: usize, step: Step) -> Output {
+        let from = self.tenants[ti].at;
+        let child = match self.children.get(&(from, step)) {
+            Some(&child) => child,
+            None => {
+                let child = self.nodes.len() as u32;
+                let node = self.nodes[from as usize];
+                self.nodes.push(Node {
+                    parent: Some(from),
+                    len: node.len + 1,
+                    program: node.program,
+                });
+                self.states.push(None);
+                self.occupants.push(0);
+                self.children.insert((from, step), child);
+                child
+            }
+        };
+        if self.states[child as usize].is_none() {
+            let node = self.nodes[from as usize];
+            let floor = self.floors()[node.program as usize];
+            let shared = self.occupants[from as usize] > 1
+                || self.nearest_occupied(node.parent, floor).is_some();
+            let mut vm = if shared {
+                self.out.clones += 1;
+                self.vm(ti).clone()
+            } else {
+                self.kept.retain(|&n| n != from);
+                let state = self.states[from as usize].take();
+                state.expect("an occupied history keeps its state").vm
+            };
+            let output = step.apply(&mut vm, self.tenants[ti].prep, self.chaos);
+            if step == Step::Serve {
+                self.out.simulated += 1;
+            }
+            self.states[child as usize] = Some(Box::new(State { vm, output }));
+            self.kept.push(child);
+        }
+        self.occupants[from as usize] -= 1;
+        self.occupants[child as usize] += 1;
+        self.tenants[ti].at = child;
+        self.retain();
+        let state = self.states[child as usize].as_ref();
+        state
+            .expect("an occupied history keeps its state")
+            .output
+            .clone()
+    }
+
+    /// The length of the shortest history each program's tenants occupy,
+    /// by program: no tenant reaches a history above its program's.
+    fn floors(&self) -> Vec<u32> {
+        let mut floors = vec![u32::MAX; self.programs];
+        for (ti, t) in self.tenants.iter().enumerate() {
+            let floor = &mut floors[ti % self.programs];
+            *floor = (*floor).min(self.nodes[t.at as usize].len);
+        }
+        floors
+    }
+
+    /// The nearest history at or above `node` that a tenant occupies,
+    /// looking no higher than `floor` (see [`Fleet::floors`]); `None`
+    /// when no tenant can reach `node` any more.
+    fn nearest_occupied(&self, node: Option<u32>, floor: u32) -> Option<u32> {
+        let mut at = node;
+        while let Some(n) = at.filter(|&n| self.nodes[n as usize].len >= floor) {
+            if self.occupants[n as usize] > 0 {
+                return Some(n);
+            }
+            at = self.nodes[n as usize].parent;
+        }
+        None
+    }
+
+    /// The retention rule: drops every state no tenant can reach, then,
+    /// while more states than tenants are kept, the one furthest ahead of
+    /// its nearest occupied ancestor (the newest of equals).
+    fn retain(&mut self) {
+        let floors = self.floors();
+        let mut kept: Vec<(u32, u32)> = Vec::with_capacity(self.kept.len());
+        for &n in &self.kept {
+            let node = self.nodes[n as usize];
+            match self.nearest_occupied(Some(n), floors[node.program as usize]) {
+                Some(o) => kept.push((n, node.len - self.nodes[o as usize].len)),
+                None => self.states[n as usize] = None,
+            }
+        }
+        while kept.len() > self.tenants.len() {
+            let (i, &(n, _)) = (kept.iter().enumerate())
+                .max_by_key(|&(i, &(_, d))| (d, i))
+                .expect("more states than tenants");
+            self.states[n as usize] = None;
+            kept.remove(i);
+        }
+        self.kept = kept.into_iter().map(|(n, _)| n).collect();
+    }
+
     /// Evicts code-cache `victims` from their VMs.
     fn evict(&mut self, victims: Vec<CacheEntry>, now: u64) {
         for victim in victims {
-            self.tenants[victim.tenant as usize]
-                .vm
-                .evict_compiled(MethodId::new(victim.method as usize));
+            let method = MethodId::new(victim.method as usize);
+            self.step(victim.tenant as usize, Step::Evict(method));
             self.out.evictions += 1;
             self.out.events.push(TraceEvent::CodeCacheEvicted {
                 tenant: victim.tenant,
@@ -197,10 +428,8 @@ impl Fleet<'_> {
                 continue;
             }
             self.workers[w] = None;
-            let installed = self.tenants[job.tenant as usize]
-                .vm
-                .compile_pending(job.method);
-            let Some(instrs) = installed else {
+            let installed = self.step(job.tenant as usize, Step::Install(job.method));
+            let Some(instrs) = installed.installed else {
                 continue; // request withdrawn (method no longer pending)
             };
             let method = job.method.index() as u32;
@@ -235,15 +464,17 @@ impl Fleet<'_> {
         }
     }
 
-    /// Moves tenant `ti`'s fresh compile requests onto the shared queue,
-    /// recording a `CompileEnqueued` event for each when `announce`.
-    fn enqueue_requests(&mut self, ti: usize, now: u64, announce: bool) {
-        let vm = &mut self.tenants[ti].vm;
-        let requests = vm.take_compile_requests();
-        let costs: Vec<u64> = (requests.iter())
-            .map(|&mid| vm.compile_cost_estimate(mid))
-            .collect();
-        for (method, cost) in requests.into_iter().zip(costs) {
+    /// Moves the compile `requests` a step of tenant `ti` raised onto the
+    /// shared queue, recording a `CompileEnqueued` event for each when
+    /// `announce`.
+    fn enqueue_requests(
+        &mut self,
+        ti: usize,
+        requests: Vec<(MethodId, u64)>,
+        now: u64,
+        announce: bool,
+    ) {
+        for (method, cost) in requests {
             self.queue.push_back(CompileJob {
                 tenant: ti as u32,
                 method,
@@ -267,17 +498,23 @@ impl Fleet<'_> {
     /// Chaos: the recovery sweep. Methods with stranded (invalidated,
     /// never repatched) loops are re-enqueued from their retained
     /// invalidation arguments — the degradation pairing for GC storms,
-    /// and the mechanism that drives the stranded count back to zero.
+    /// and the mechanism that drives the stranded count back to zero. A
+    /// tenant with no stranded loop takes no step: re-enqueueing would
+    /// raise nothing.
     fn recovery_sweep(&mut self, now: u64, announce: bool) {
         for ti in 0..self.tenants.len() {
-            self.tenants[ti].vm.reenqueue_stranded();
-            self.enqueue_requests(ti, now, announce);
+            if self.vm(ti).stranded_count() > 0 {
+                let requests = self.step(ti, Step::Reenqueue).requests;
+                self.enqueue_requests(ti, requests, now, announce);
+            }
         }
     }
 
     /// Loops stranded across the fleet right now.
     fn stranded(&self) -> u64 {
-        self.tenants.iter().map(|t| t.vm.stranded_count()).sum()
+        (0..self.tenants.len())
+            .map(|ti| self.vm(ti).stranded_count())
+            .sum()
     }
 
     /// Compilation-queue depth: waiting plus in service.
@@ -323,9 +560,9 @@ pub fn base_and_plan(cfg: &ServeConfig) -> (Vec<Request>, FaultPlan) {
 }
 
 /// Runs the serving simulation: `cfg.requests` requests over
-/// `cfg.tenants` VMs under `options`. `_jobs` is ignored: the simulation
-/// is serial, and the parameter stays only for callers that still pass a
-/// host worker count.
+/// `cfg.tenants` tenants under `options`. `_jobs` is ignored: the
+/// simulation is serial, and the parameter stays only for callers that
+/// still pass a host worker count.
 ///
 /// # Panics
 ///
@@ -338,52 +575,81 @@ pub fn run(
     proc: &ProcessorConfig,
     _jobs: usize,
 ) -> ServeOutcome {
+    let workloads = prepare(cfg);
+    serve(cfg, options, proc, &workloads).outcome()
+}
+
+/// Builds and pre-decodes each distinct workload of `cfg`'s fleet once;
+/// its VMs share the decoded bodies exactly like the benchmark matrix
+/// does.
+fn prepare(cfg: &ServeConfig) -> Vec<Prepared> {
+    let specs = all();
+    specs
+        .iter()
+        .take(cfg.tenants.min(specs.len()))
+        .map(|spec| spec.prepare(cfg.size))
+        .collect()
+}
+
+/// A freshly built tenant VM of `prep` under `options`.
+fn tenant_vm(
+    cfg: &ServeConfig,
+    prep: &Prepared,
+    options: &PrefetchOptions,
+    proc: &ProcessorConfig,
+) -> Vm {
+    let chaos = cfg.chaos.is_some();
+    let base = prep.vm_config(options);
+    // Chaos runs harden the adaptive policy: a deliberately tight
+    // recompile budget (so GC storms exhaust it and exercise the re-arm
+    // path) and retained deopt arguments (so the recovery sweep can
+    // recompile stranded methods). Fault-free runs keep the exact legacy
+    // configuration.
+    let mut adapt = AdaptConfig::default();
+    if chaos {
+        adapt.max_recompiles = faults::ADAPT_MAX_RECOMPILES;
+        adapt.rearm_stable_epochs = faults::REARM_STABLE_EPOCHS;
+    }
+    // A tenant gets a shard of the standalone heap and compiles in the
+    // background; the rest is the workload's own config.
+    let config = VmConfig {
+        heap_bytes: shard_bytes(base.heap_bytes, cfg.heap_shard_div, cfg.heap_floor_bytes),
+        async_compile: true,
+        retain_deopt_args: chaos,
+        adapt,
+        ..base
+    };
+    prep.vm(config, proc, NoopSink)
+}
+
+/// Serves `cfg`'s stream on a fleet of `workloads` and returns the fleet
+/// as the run left it.
+fn serve<'w>(
+    cfg: &ServeConfig,
+    options: &PrefetchOptions,
+    proc: &ProcessorConfig,
+    workloads: &'w [Prepared],
+) -> Fleet<'w> {
     assert!(cfg.tenants > 0, "need at least one tenant");
     assert!(cfg.compile_workers > 0, "need at least one compiler worker");
     assert!(cfg.slot_cycles > 0, "epochs must advance");
 
-    let specs = all();
-    // Build and pre-decode each distinct workload once; tenants share the
-    // decoded bodies exactly like the benchmark matrix does.
-    let workloads: Vec<Prepared> = specs
-        .iter()
-        .take(cfg.tenants.min(specs.len()))
-        .map(|spec| spec.prepare(cfg.size))
-        .collect();
-
     let chaos = cfg.chaos;
+    // Node `p` is program `p`'s freshly built VM, where all its tenants
+    // start.
     let tenants: Vec<Tenant> = (0..cfg.tenants)
-        .map(|i| {
-            let prep = &workloads[i % workloads.len()];
-            let base = prep.vm_config(options);
-            // Chaos runs harden the adaptive policy: a deliberately tight
-            // recompile budget (so GC storms exhaust it and exercise the
-            // re-arm path) and retained deopt arguments (so the recovery
-            // sweep can recompile stranded methods). Fault-free runs keep
-            // the exact legacy configuration.
-            let mut adapt = AdaptConfig::default();
-            if chaos.is_some() {
-                adapt.max_recompiles = faults::ADAPT_MAX_RECOMPILES;
-                adapt.rearm_stable_epochs = faults::REARM_STABLE_EPOCHS;
-            }
-            // A tenant gets a shard of the standalone heap and compiles
-            // in the background; the rest is the workload's own config.
-            let config = VmConfig {
-                heap_bytes: shard_bytes(base.heap_bytes, cfg.heap_shard_div, cfg.heap_floor_bytes),
-                async_compile: true,
-                retain_deopt_args: chaos.is_some(),
-                adapt,
-                ..base
-            };
-            Tenant {
-                vm: prep.vm(config, proc, NoopSink),
-                prep,
-                checksum: None,
-                queue: VecDeque::new(),
-                free_at: 0,
-            }
+        .map(|i| Tenant {
+            at: (i % workloads.len()) as u32,
+            prep: &workloads[i % workloads.len()],
+            checksum: None,
+            queue: VecDeque::new(),
+            free_at: 0,
         })
         .collect();
+    let mut occupants = vec![0; workloads.len()];
+    for t in &tenants {
+        occupants[t.at as usize] += 1;
+    }
 
     let (base_requests, plan) = base_and_plan(cfg);
     let base_len = base_requests.len() as u32;
@@ -394,6 +660,25 @@ pub fn run(
 
     let mut fleet = Fleet {
         tenants,
+        nodes: (0..workloads.len() as u32)
+            .map(|program| Node {
+                parent: None,
+                len: 0,
+                program,
+            })
+            .collect(),
+        children: HashMap::new(),
+        states: (workloads.iter())
+            .map(|prep| {
+                let vm = tenant_vm(cfg, prep, options, proc);
+                let output = Output::default();
+                Some(Box::new(State { vm, output }))
+            })
+            .collect(),
+        occupants,
+        kept: (0..workloads.len() as u32).collect(),
+        programs: workloads.len(),
+        chaos: chaos.is_some(),
         cache: CodeCache::with_quota(
             cfg.cache_capacity_instrs,
             chaos.map_or(0, |_| faults::TENANT_QUOTA_INSTRS),
@@ -418,6 +703,8 @@ pub fn run(
             faults: 0,
             stranded_final: 0,
             stranded_samples: Vec::new(),
+            simulated: 0,
+            clones: 0,
         },
     };
 
@@ -454,8 +741,8 @@ pub fn run(
                 fleet.evict(victims, now);
             }
             if plan.is_active(FaultKind::GcStorm, now) {
-                for t in &mut fleet.tenants {
-                    t.vm.inject_heap_move();
+                for ti in 0..fleet.tenants.len() {
+                    fleet.step(ti, Step::HeapMove);
                 }
             }
         }
@@ -525,27 +812,22 @@ pub fn run(
         }
 
         // 5. Execute the dispatched requests, in tenant order.
-        let results: Vec<(u64, i32)> = (dispatched.iter())
-            .map(|&(ti, _)| {
-                let t = &mut fleet.tenants[ti];
-                let before = t.vm.stats().cycles;
-                let value = t.prep.warm(&mut t.vm, 1);
-                (t.vm.stats().cycles - before, value)
-            })
+        let results: Vec<Output> = (dispatched.iter())
+            .map(|&(ti, _)| fleet.step(ti, Step::Serve))
             .collect();
 
         // 6. Barrier: fold results back into shared state, in tenant
         //    order.
-        for (&(ti, req), (service, value)) in dispatched.iter().zip(results) {
+        for (&(ti, req), served) in dispatched.iter().zip(results) {
             let t = &mut fleet.tenants[ti];
-            let first = *t.checksum.get_or_insert(value);
+            let first = *t.checksum.get_or_insert(served.checksum);
             assert_eq!(
-                value,
+                served.checksum,
                 first,
                 "tenant {ti} ({}) diverged between requests",
                 t.prep.name()
             );
-            let completion = now + service;
+            let completion = now + served.service;
             t.free_at = completion;
             fleet.out.latencies[req.id as usize] = completion - req.arrival;
             completed += 1;
@@ -555,9 +837,9 @@ pub fn run(
                 latency: completion - req.arrival,
                 now,
             });
-            fleet.enqueue_requests(ti, now, true);
+            fleet.enqueue_requests(ti, served.requests, now, true);
             if chaos.is_some() {
-                for (method, generation) in fleet.tenants[ti].vm.take_rearmed() {
+                for (method, generation) in served.rearms {
                     fleet.out.rearms += 1;
                     fleet.out.events.push(TraceEvent::GuardRearmed {
                         tenant: ti as u32,
@@ -570,7 +852,7 @@ pub fn run(
             // The tenant just ran: refresh its cache entries' recency and
             // drop entries whose body the VM deopted away on its own.
             fleet.cache.touch_tenant(ti as u32, now);
-            let vm = &fleet.tenants[ti].vm;
+            let vm = fleet.vm(ti);
             let dead: Vec<u32> = fleet
                 .cache
                 .tenant_entries(ti as u32)
@@ -659,19 +941,35 @@ pub fn run(
         }
     }
 
-    let mut out = fleet.out;
-    for t in &fleet.tenants {
-        let s = t.vm.stats();
-        out.recompiles += s.recompiles;
-        out.loop_deopts += s.loop_deopts;
-        out.loop_repatches += s.loop_repatches;
-        out.stranded_final += t.vm.stranded_count();
-        out.checksum = out
-            .checksum
-            .wrapping_mul(31)
-            .wrapping_add(i64::from(t.checksum.unwrap_or(0)));
+    fleet
+}
+
+impl Fleet<'_> {
+    /// The run's outcome: the fleet's record plus what each tenant's VM
+    /// holds at the end.
+    fn outcome(self) -> ServeOutcome {
+        let (mut recompiles, mut loop_deopts, mut loop_repatches) = (0, 0, 0);
+        let (mut stranded_final, mut checksum) = (0, 0i64);
+        for (ti, t) in self.tenants.iter().enumerate() {
+            let vm = self.vm(ti);
+            let s = vm.stats();
+            recompiles += s.recompiles;
+            loop_deopts += s.loop_deopts;
+            loop_repatches += s.loop_repatches;
+            stranded_final += vm.stranded_count();
+            checksum = checksum
+                .wrapping_mul(31)
+                .wrapping_add(i64::from(t.checksum.unwrap_or(0)));
+        }
+        ServeOutcome {
+            recompiles,
+            loop_deopts,
+            loop_repatches,
+            stranded_final,
+            checksum,
+            ..self.out
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -740,6 +1038,75 @@ mod tests {
             "prefetching must never change results"
         );
         assert_eq!(off.latencies.len(), ada.latencies.len());
+    }
+
+    /// Serves `cfg` under ADAPTIVE, then replays each tenant's history
+    /// step by step on a freshly built VM of its own: it must reach the
+    /// VM the fleet holds for the tenant, and the tenant's checksum.
+    /// Returns the requests served and the `Serve` steps simulated.
+    fn replay_every_tenant(cfg: &ServeConfig) -> (u64, u64) {
+        let (options, proc) = (PrefetchOptions::adaptive(), ProcessorConfig::pentium4());
+        let workloads = prepare(cfg);
+        let fleet = serve(cfg, &options, &proc, &workloads);
+        let parent: HashMap<u32, (u32, Step)> = (fleet.children.iter())
+            .map(|(&(from, step), &child)| (child, (from, step)))
+            .collect();
+        for (ti, t) in fleet.tenants.iter().enumerate() {
+            let mut steps = Vec::new();
+            let mut at = t.at;
+            while let Some(&(from, step)) = parent.get(&at) {
+                steps.push(step);
+                at = from;
+            }
+            assert_eq!(at as usize, ti % workloads.len(), "tenant {ti}'s root");
+            let mut vm = tenant_vm(cfg, t.prep, &options, &proc);
+            let mut checksum = None;
+            for &step in steps.iter().rev() {
+                let output = step.apply(&mut vm, t.prep, fleet.chaos);
+                if step == Step::Serve {
+                    checksum = Some(output.checksum);
+                }
+            }
+            let held = fleet.vm(ti);
+            assert_eq!(
+                vm.stats().simulated(),
+                held.stats().simulated(),
+                "tenant {ti}: VmStats after {} steps",
+                steps.len()
+            );
+            assert_eq!(vm.mem_stats(), held.mem_stats(), "tenant {ti}: MemStats");
+            assert_eq!(checksum, t.checksum, "tenant {ti}: checksum");
+        }
+        let out = fleet.outcome();
+        let served = out.latencies.iter().filter(|&&l| l > 0).count() as u64;
+        (served, out.simulated)
+    }
+
+    /// A fleet of 36 tenants, three per program.
+    fn shared_cfg() -> ServeConfig {
+        ServeConfig {
+            tenants: 36,
+            requests: 120,
+            mean_interarrival: 50_000,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn tenant_twins_replay_on_fresh_vms() {
+        let (served, simulated) = replay_every_tenant(&shared_cfg());
+        // Pinned, so that a change that silently stops sharing fails.
+        assert_eq!((served, simulated), (120, 72));
+    }
+
+    #[test]
+    fn tenant_twins_replay_on_fresh_vms_under_chaos() {
+        let cfg = ServeConfig {
+            chaos: Some(faults::DEFAULT_SEED),
+            ..shared_cfg()
+        };
+        let (served, simulated) = replay_every_tenant(&cfg);
+        assert_eq!((served, simulated), (128, 111));
     }
 
     fn chaos_cfg() -> ServeConfig {

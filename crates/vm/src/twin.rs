@@ -67,7 +67,7 @@ pub struct Twin {
 
 /// The memory system of a processor other than the leader's, shared by
 /// the twins on it (see the module docs).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Shadow {
     mem: MemorySystem,
     /// The shadow's clock minus the leader's.

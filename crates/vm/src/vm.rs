@@ -37,6 +37,7 @@ use crate::twin::{Shadow, Twin};
 /// An installed, executable body: shared threaded code and whether it is
 /// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
 /// so frames copy a `u32` instead of counting references.
+#[derive(Clone)]
 pub(crate) struct Installed<S: TraceSink> {
     pub tcode: Arc<ThreadedCode<S>>,
     pub compiled: bool,
@@ -77,6 +78,11 @@ pub(crate) struct Frame {
 /// let out = vm.call(main, &[spf_heap::Value::I32(21)]).unwrap();
 /// assert_eq!(out, Some(spf_heap::Value::I32(42)));
 /// ```
+///
+/// A clone is an independent VM in the same state: the same calls on
+/// both produce the same results, statistics and reports. Bodies are
+/// shared, the heap copies only its allocated prefix.
+#[derive(Clone)]
 pub struct Vm<S: TraceSink = NoopSink> {
     pub(crate) program: Arc<Program>,
     pub(crate) config: VmConfig,
