@@ -4,8 +4,8 @@
 //! its own [`spf_vm::Vm`]s, heaps and memory systems. Within a program,
 //! cells whose runs are one simulation — the same JIT output, loop guards
 //! that never fire, whatever the processor — are run by one VM with
-//! *twins* ([`spf_vm::Twin`], DESIGN.md §3.1): the first remaining cell
-//! leads, the others ride along while they reproduce its run, and the
+//! *twins* ([`spf_vm::Vm::add_twin`], DESIGN.md §3.1): the first remaining
+//! cell leads, the others ride along while they reproduce its run, and the
 //! ones that diverged form the next group. Programs are handed to a
 //! bounded pool of `std::thread` workers through an atomic cursor and the
 //! results are re-assembled in canonical matrix order, so the output is
@@ -18,13 +18,12 @@
 //! [`run_workload`]: crate::run_workload
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use spf_core::PrefetchOptions;
 use spf_memsim::ProcessorConfig;
 use spf_trace::{NoopSink, RingSink, TraceSink};
-use spf_workloads::{Prepared, Size, WorkloadSpec};
+use spf_workloads::{Prepared, WorkloadSpec};
 
 use crate::runner::{run_prepared, Measurement, RunPlan, WorkloadTrace};
 
@@ -153,45 +152,34 @@ pub struct TracedCellResult {
     pub wall_nanos: u128,
 }
 
-/// Runs the cells `chain` names — one program's — in groups: the first
-/// remaining cell leads, every other remaining one rides along as its twin
-/// unless the leader has adaptive guards, and the twins that diverged form
-/// the next group. Returns each cell's result with its index, and how many
-/// VMs ran.
-fn run_chain(
+/// Runs the cells `chain` names — one program's, prepared here once — in
+/// groups: the first remaining cell leads, every other remaining one rides
+/// along as its twin unless the leader has adaptive guards or records
+/// events, and the twins that diverged form the next group. Returns each
+/// cell's result and trace with its index, and how many VMs ran.
+fn run_chain<S: TraceSink + Default>(
     plan: &RunPlan,
     cells: &[Cell],
     chain: &[usize],
-    prep: &Prepared,
-) -> (Vec<(usize, CellResult)>, usize) {
+) -> (Vec<(usize, CellResult, Option<WorkloadTrace>)>, usize) {
+    let prep: Prepared<S> = cells[chain[0]].spec.prepare(plan.size);
     let mut done = Vec::with_capacity(chain.len());
     let mut left = chain.to_vec();
     let mut vms = 0;
-    while let Some((&lead, rest)) = left.split_first() {
+    while !left.is_empty() {
         let t0 = Instant::now();
-        let leader = &cells[lead];
-        let twins = if leader.options.mode.adaptive_guards() {
-            &[][..]
-        } else {
-            rest
-        };
-        let twin_cells: Vec<_> = (twins.iter())
+        let alone = S::ENABLED || cells[left[0]].options.mode.adaptive_guards();
+        let group = if alone { &left[..1] } else { &left[..] };
+        let run: Vec<_> = (group.iter())
             .map(|&i| (cells[i].options.clone(), cells[i].proc.clone()))
             .collect();
-        let (measurement, derived, _) = run_prepared(
-            prep,
-            &leader.options,
-            &twin_cells,
-            &leader.proc,
-            plan,
-            NoopSink,
-        );
+        let (measurements, mut trace) = run_prepared(&prep, &run, plan, S::default());
         vms += 1;
-        let mut group = vec![(lead, measurement)];
-        let mut next = rest[twins.len()..].to_vec();
-        for (&i, twin) in twins.iter().zip(derived) {
-            match twin {
-                Some(measurement) => group.push((i, measurement)),
+        let mut ran = Vec::new();
+        let mut next = left[group.len()..].to_vec();
+        for (&i, measurement) in group.iter().zip(measurements) {
+            match measurement {
+                Some(measurement) => ran.push((i, measurement)),
                 None => next.push(i),
             }
         }
@@ -199,49 +187,18 @@ fn run_chain(
         // sum to the time, and a caller that divides by the wall of one
         // mode's cells (all twins on some workloads) never divides by 0.
         let wall = t0.elapsed().as_nanos();
-        let n = group.len() as u128;
-        for (k, (i, measurement)) in group.into_iter().enumerate() {
+        let n = ran.len() as u128;
+        for (k, (i, measurement)) in ran.into_iter().enumerate() {
             let wall_nanos = wall / n + if k == 0 { wall % n } else { 0 };
-            done.push((
-                i,
-                CellResult {
-                    measurement,
-                    wall_nanos,
-                },
-            ));
+            let result = CellResult {
+                measurement,
+                wall_nanos,
+            };
+            done.push((i, result, trace.take()));
         }
         left = next;
     }
     (done, vms)
-}
-
-fn run_cell_traced(plan: &RunPlan, cell: &Cell, prep: &Prepared<RingSink>) -> TracedCellResult {
-    let t0 = Instant::now();
-    let ring = RingSink::default();
-    let (measurement, _, trace) = run_prepared(prep, &cell.options, &[], &cell.proc, plan, ring);
-    TracedCellResult {
-        measurement,
-        trace: trace.expect("ring sink is enabled"),
-        wall_nanos: t0.elapsed().as_nanos(),
-    }
-}
-
-/// Builds one [`Prepared`] per distinct workload in `cells` and hands
-/// every cell an `Arc` to its workload's instance, so the pool decodes
-/// each program once instead of once per cell.
-fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S>>> {
-    let mut by_name: Vec<Arc<Prepared<S>>> = Vec::new();
-    cells
-        .iter()
-        .map(|c| match by_name.iter().find(|p| p.name() == c.spec.name) {
-            Some(p) => Arc::clone(p),
-            None => {
-                let p = Arc::new(c.spec.prepare(size));
-                by_name.push(Arc::clone(&p));
-                p
-            }
-        })
-        .collect()
 }
 
 /// Runs `cells` on up to `jobs` worker threads, returning results in the
@@ -255,13 +212,36 @@ fn prepare_cells<S: TraceSink>(size: Size, cells: &[Cell]) -> Vec<Arc<Prepared<S
 ///
 /// Panics if a workload faults (propagating the worker's panic).
 pub fn run_cells(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> Vec<CellResult> {
-    run_chains(plan, jobs, cells).0
+    let (results, _) = run_chains::<NoopSink>(plan, jobs, cells);
+    results.into_iter().map(|(r, _)| r).collect()
 }
 
-/// [`run_cells`], also returning the VMs each program ran, programs in
-/// order of their first cell.
-fn run_chains(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> (Vec<CellResult>, Vec<usize>) {
-    let preps = prepare_cells::<NoopSink>(plan.size, cells);
+/// [`run_cells`] with event tracing: every cell runs on a VM of its own
+/// with a recording sink and returns its trace artifacts alongside the
+/// measurement.
+///
+/// # Panics
+///
+/// Panics if a workload faults (propagating the worker's panic).
+pub fn run_cells_traced(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> Vec<TracedCellResult> {
+    let (results, _) = run_chains::<RingSink>(plan, jobs, cells);
+    (results.into_iter())
+        .map(|(r, trace)| TracedCellResult {
+            measurement: r.measurement,
+            trace: trace.expect("ring sink is enabled"),
+            wall_nanos: r.wall_nanos,
+        })
+        .collect()
+}
+
+/// Runs `cells` through [`run_chain`], one chain per program, returning
+/// each cell's result and trace in input order and the VMs each program
+/// ran, programs in order of their first cell.
+fn run_chains<S: TraceSink + Default>(
+    plan: &RunPlan,
+    jobs: usize,
+    cells: &[Cell],
+) -> (Vec<(CellResult, Option<WorkloadTrace>)>, Vec<usize>) {
     let mut chains: Vec<Vec<usize>> = Vec::new();
     for (i, c) in cells.iter().enumerate() {
         match (chains.iter_mut()).find(|chain| cells[chain[0]].spec.name == c.spec.name) {
@@ -270,14 +250,14 @@ fn run_chains(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> (Vec<CellResult>, 
         }
     }
     let ran = run_pool(jobs, chains.len(), |k| {
-        run_chain(plan, cells, &chains[k], &preps[chains[k][0]])
+        run_chain::<S>(plan, cells, &chains[k])
     });
-    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<_>> = (0..cells.len()).map(|_| None).collect();
     let mut vms = Vec::with_capacity(ran.len());
     for (done, n) in ran {
         vms.push(n);
-        for (i, r) in done {
-            slots[i] = Some(r);
+        for (i, r, trace) in done {
+            slots[i] = Some((r, trace));
         }
     }
     let results = slots
@@ -285,19 +265,6 @@ fn run_chains(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> (Vec<CellResult>, 
         .map(|r| r.expect("every cell is in one chain"))
         .collect();
     (results, vms)
-}
-
-/// [`run_cells`] with event tracing: every cell runs with a recording
-/// sink and returns its trace artifacts alongside the measurement.
-///
-/// # Panics
-///
-/// Panics if a workload faults (propagating the worker's panic).
-pub fn run_cells_traced(plan: &RunPlan, jobs: usize, cells: &[Cell]) -> Vec<TracedCellResult> {
-    let preps = prepare_cells::<RingSink>(plan.size, cells);
-    run_pool(jobs, cells.len(), |i| {
-        run_cell_traced(plan, &cells[i], &preps[i])
-    })
 }
 
 /// Runs the whole (filtered) matrix on up to `jobs` workers and verifies
@@ -376,8 +343,9 @@ mod tests {
         let plan = tiny_plan();
         let programs = ["db", "Euler", "Search", "jess", "mpegaudio"];
         let cs = cells(|n| programs.contains(&n));
-        let (seq, seq_vms) = run_chains(&plan, 1, &cs);
-        let (par, par_vms) = run_chains(&plan, 4, &cs);
+        let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
+        let (par, par_vms) = run_chains::<NoopSink>(&plan, 4, &cs);
+        let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
         assert_checksums_agree(&par);
         assert_eq!(par.len(), 40);
         // Registry order: jess, db, mpegaudio, Euler, Search.
@@ -385,7 +353,7 @@ mod tests {
         assert_eq!(names, ["jess", "db", "mpegaudio", "Euler", "Search"]);
         assert_eq!(seq_vms, [4, 5, 4, 4, 1]);
         assert_eq!(par_vms, seq_vms);
-        for ((a, b), c) in seq.iter().zip(&par).zip(&cs) {
+        for (((a, _), b), c) in seq.iter().zip(&par).zip(&cs) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");
             let direct = crate::run_workload(&c.spec, &c.options, &c.proc, &plan);
@@ -393,6 +361,27 @@ mod tests {
             assert!(
                 diff.is_empty(),
                 "pooled {} / {} / {} diverged from direct: {diff:?}",
+                c.spec.name,
+                c.proc.name,
+                c.options.mode
+            );
+        }
+    }
+
+    /// A traced sweep runs every cell on a VM of its own, as a traced VM
+    /// takes no twins, and each traced cell equals its untraced one.
+    #[test]
+    fn a_traced_sweep_runs_one_vm_per_cell_and_matches_the_untraced_one() {
+        let plan = tiny_plan();
+        let cs = cells(|n| ["jess", "db"].contains(&n));
+        let (traced, vms) = run_chains::<RingSink>(&plan, 2, &cs);
+        assert_eq!(vms, [8, 8]);
+        for (((t, trace), u), c) in traced.iter().zip(run_cells(&plan, 1, &cs)).zip(&cs) {
+            assert!(trace.is_some(), "{} has its trace", c.spec.name);
+            let diff = t.measurement.simulated_diff(&u.measurement);
+            assert!(
+                diff.is_empty(),
+                "traced {} / {} / {} diverged from untraced: {diff:?}",
                 c.spec.name,
                 c.proc.name,
                 c.options.mode

@@ -178,7 +178,9 @@ pub fn run_workload(
     proc: &ProcessorConfig,
     plan: &RunPlan,
 ) -> Measurement {
-    run_prepared(&spec.prepare(plan.size), options, &[], proc, plan, NoopSink).0
+    let cell = [(options.clone(), proc.clone())];
+    let (mut m, _) = run_prepared(&spec.prepare(plan.size), &cell, plan, NoopSink);
+    m.pop().flatten().expect("the VM's own cell has a run")
 }
 
 /// [`run_workload`] with event tracing into a default-capacity
@@ -194,42 +196,45 @@ pub fn run_workload_traced(
     proc: &ProcessorConfig,
     plan: &RunPlan,
 ) -> (Measurement, WorkloadTrace) {
+    let cell = [(options.clone(), proc.clone())];
     let ring = RingSink::default();
-    let (m, _, t) = run_prepared(&spec.prepare(plan.size), options, &[], proc, plan, ring);
+    let (mut m, t) = run_prepared(&spec.prepare(plan.size), &cell, plan, ring);
+    let m = m.pop().flatten().expect("the VM's own cell has a run");
     (m, t.expect("ring sink is enabled"))
 }
 
 /// The measurement protocol against an already [`Prepared`] workload,
 /// generic over the trace sink so traced and untraced runs cannot drift
-/// apart. One VM runs it under `options` on `proc`, with `twins`, each a
-/// configuration on a processor (see [`spf_vm::Twin`]). Returns the
-/// measurement, then per twin its measurement if it reproduced the VM's
-/// run to the end, else `None` (the twin's cell needs a run of its own),
-/// then the trace, `Some` iff the sink records.
+/// apart. One VM runs `cells`, each a configuration on a processor: the
+/// VM's own is `cells[0]`, the others are its twins (see
+/// [`spf_vm::Vm::cell`]). Returns per cell its measurement if it
+/// reproduced the VM's run to the end, else `None` (the cell needs a run
+/// of its own), then the trace of cell 0, `Some` iff the sink records.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run_workload`], and under those
-/// of [`spf_vm::Vm::add_twin`] if `twins` is not empty.
+/// of [`spf_vm::Vm::add_twin`] if `cells` has more than one.
 pub fn run_prepared<S: TraceSink>(
     prep: &Prepared<S>,
-    options: &PrefetchOptions,
-    twins: &[(PrefetchOptions, ProcessorConfig)],
-    proc: &ProcessorConfig,
+    cells: &[(PrefetchOptions, ProcessorConfig)],
     plan: &RunPlan,
     sink: S,
-) -> (Measurement, Vec<Option<Measurement>>, Option<WorkloadTrace>) {
+) -> (Vec<Option<Measurement>>, Option<WorkloadTrace>) {
+    assert!(plan.measured_runs > 0, "at least one measured run");
+    let (options, proc) = &cells[0];
     let mut vm = prep.vm(prep.vm_config(options), proc, sink);
-    for (options, proc) in twins {
+    for (options, proc) in &cells[1..] {
         vm.add_twin(options.clone(), proc.clone());
     }
     let checksum = prep.warm(&mut vm, plan.warmup_runs);
-    let warm_stats = vm.stats().clone();
-    // The compiles of the warm-up: the leader's reports, and each live
-    // twin's counters and reports.
-    let warm_reports = vm.reports().len();
-    let warm_twins: Vec<Option<(VmStats, usize)>> = (vm.twins().iter().enumerate())
-        .map(|(k, t)| t.live.then(|| (vm.twin_stats(k), t.reports.len())))
+    // Each live cell's counters after the warm-up, and how many compiles
+    // the warm-up ran.
+    let warm: Vec<Option<(VmStats, usize)>> = (0..cells.len())
+        .map(|k| {
+            let cell = vm.cell(k);
+            cell.run.map(|(stats, _)| (stats, cell.reports.len()))
+        })
         .collect();
     let (compile_events, warm_lost) = if S::ENABLED {
         (vm.sink().snapshot(), vm.sink().lost())
@@ -237,10 +242,9 @@ pub fn run_prepared<S: TraceSink>(
         (Vec::new(), 0)
     };
 
-    // Stats and memory counters of the best (fewest cycles) run, the
-    // leader's and each twin's by its own clock.
-    let mut best: Option<(VmStats, MemStats)> = None;
-    let mut twin_best: Vec<Option<(VmStats, MemStats)>> = vec![None; twins.len()];
+    // Each cell's stats and memory counters of its best (fewest cycles)
+    // run by its own clock.
+    let mut best: Vec<Option<(VmStats, MemStats)>> = vec![None; cells.len()];
     let mut best_events: Vec<TraceEvent> = Vec::new();
     let mut best_attribution = Attribution::default();
     let mut best_lost = 0u64;
@@ -255,46 +259,30 @@ pub fn run_prepared<S: TraceSink>(
             "{} is deterministic across runs",
             prep.name()
         );
-        let s = vm.stats();
-        if best.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
-            best = Some((s.clone(), *vm.mem_stats()));
-            if S::ENABLED {
-                best_events = vm.sink().snapshot();
-                best_attribution = vm.sink().attribution();
-                best_lost = vm.sink().lost();
-            }
-        }
-        for (k, slot) in twin_best.iter_mut().enumerate() {
-            if !vm.twins()[k].live {
+        for (k, slot) in best.iter_mut().enumerate() {
+            let Some((s, mem)) = vm.cell(k).run else {
                 continue;
-            }
-            let s = vm.twin_stats(k);
+            };
             if slot.as_ref().is_none_or(|(b, _)| s.cycles < b.cycles) {
-                *slot = Some((s, *vm.twin_mem_stats(k)));
+                *slot = Some((s, *mem));
+                if k == 0 && S::ENABLED {
+                    best_events = vm.sink().snapshot();
+                    best_attribution = vm.sink().attribution();
+                    best_lost = vm.sink().lost();
+                }
             }
         }
     }
-    let (best, mem) = best.expect("at least one measured run");
-    let name = prep.name();
-    let leader = measure(
-        name,
-        options,
-        proc,
-        (&warm_stats, &best, mem),
-        &vm.reports()[..warm_reports],
-        checksum,
-    );
-    let derived = (vm.twins().iter().zip(warm_twins).zip(twin_best))
-        .map(|((twin, warm), best)| {
-            let ((warm, reports), (best, mem)) = warm.zip(best).filter(|_| twin.live)?;
-            let reports = &twin.reports[..reports];
-            let run = (&warm, &best, mem);
+    let measurements = (warm.into_iter().zip(best).enumerate())
+        .map(|(k, (warm, best))| {
+            let cell = vm.cell(k);
+            let ((warm, reports), (best, mem)) = warm.zip(best).filter(|_| cell.run.is_some())?;
             Some(measure(
-                name,
-                &twin.options,
-                &twin.proc,
-                run,
-                reports,
+                prep.name(),
+                cell.options,
+                cell.proc,
+                (&warm, &best, mem),
+                &cell.reports[..reports],
                 checksum,
             ))
         })
@@ -307,7 +295,7 @@ pub fn run_prepared<S: TraceSink>(
         lost: best_lost,
         warm_lost,
     });
-    (leader, derived, trace)
+    (measurements, trace)
 }
 
 /// Builds one configuration's [`Measurement`] from the counters of its

@@ -90,19 +90,28 @@ impl CodeCache {
     pub fn set_capacity(&mut self, capacity: u64) -> Vec<CacheEntry> {
         self.capacity = capacity;
         let mut evicted = Vec::new();
-        while self.used > self.capacity && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.last_touch, e.seq))
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let e = self.entries.swap_remove(victim);
-            self.used -= e.instrs;
-            evicted.push(e);
-        }
+        while self.used > self.capacity && self.evict_lru(|_| true, &mut evicted) {}
         evicted
+    }
+
+    /// Moves the least-recently-used `eligible` entry into `evicted`;
+    /// returns whether there was one.
+    fn evict_lru(
+        &mut self,
+        eligible: impl Fn(&CacheEntry) -> bool,
+        evicted: &mut Vec<CacheEntry>,
+    ) -> bool {
+        let victim = (self.entries.iter().enumerate())
+            .filter(|(_, e)| eligible(e))
+            .min_by_key(|(_, e)| (e.last_touch, e.seq))
+            .map(|(i, _)| i);
+        let Some(victim) = victim else {
+            return false;
+        };
+        let e = self.entries.swap_remove(victim);
+        self.used -= e.instrs;
+        evicted.push(e);
+        true
     }
 
     /// Number of resident bodies.
@@ -127,8 +136,9 @@ impl CodeCache {
         }
     }
 
-    /// Removes `tenant`'s entry for `method` (the VM dropped the body on
-    /// its own, e.g. an adaptive deopt). Returns the freed instructions.
+    /// Removes `tenant`'s entry for `method`, so that a per-loop repatch's
+    /// refreshed body is charged once at its new size. Returns the freed
+    /// instructions.
     pub fn remove(&mut self, tenant: u32, method: u32) -> Option<u64> {
         let i = self
             .entries
@@ -157,35 +167,11 @@ impl CodeCache {
         // bodies until it fits its allowance, so one tenant's spill never
         // costs another tenant code. A body bigger than the whole quota
         // is admitted alone, mirroring the capacity rule below.
-        if self.quota > 0 {
-            while self.tenant_used(tenant) + instrs > self.quota
-                && self.entries.iter().any(|e| e.tenant == tenant)
-            {
-                let victim = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.tenant == tenant)
-                    .min_by_key(|(_, e)| (e.last_touch, e.seq))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let e = self.entries.swap_remove(victim);
-                self.used -= e.instrs;
-                evicted.push(e);
-            }
-        }
-        while self.used + instrs > self.capacity && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.last_touch, e.seq))
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let e = self.entries.swap_remove(victim);
-            self.used -= e.instrs;
-            evicted.push(e);
-        }
+        while self.quota > 0
+            && self.tenant_used(tenant) + instrs > self.quota
+            && self.evict_lru(|e| e.tenant == tenant, &mut evicted)
+        {}
+        while self.used + instrs > self.capacity && self.evict_lru(|_| true, &mut evicted) {}
         self.seq += 1;
         self.entries.push(CacheEntry {
             tenant,
@@ -196,11 +182,6 @@ impl CodeCache {
         });
         self.used += instrs;
         evicted
-    }
-
-    /// The resident bodies of `tenant`, in insertion order.
-    pub fn tenant_entries(&self, tenant: u32) -> impl Iterator<Item = &CacheEntry> {
-        self.entries.iter().filter(move |e| e.tenant == tenant)
     }
 }
 
@@ -292,15 +273,5 @@ mod tests {
         assert_eq!(c.capacity(), 50);
         assert!(c.set_capacity(200).is_empty(), "growing evicts nothing");
         assert_eq!(c.capacity(), 200);
-    }
-
-    #[test]
-    fn tenant_entries_filters() {
-        let mut c = CodeCache::new(100);
-        c.insert(0, 1, 10, 1);
-        c.insert(1, 1, 10, 1);
-        c.insert(0, 2, 10, 1);
-        assert_eq!(c.tenant_entries(0).count(), 2);
-        assert_eq!(c.tenant_entries(1).count(), 1);
     }
 }

@@ -4,8 +4,8 @@
 //! own heap shard — serve an open-loop request stream. Time advances in
 //! *epochs*: at each epoch barrier one coordinator absorbs arrivals,
 //! completes and schedules background compilations, evicts from the shared
-//! code cache, dispatches at most one request per idle tenant, runs the
-//! dispatched requests in tenant order, and folds their results back.
+//! code cache, and then, in one pass in tenant order, hands each idle
+//! tenant one queued request, serves it and folds its result back.
 //!
 //! Every step runs serially in canonical tenant/worker order, so the
 //! simulation is a pure function of [`ServeConfig`] — bit-identical across
@@ -25,11 +25,12 @@
 //! otherwise. All tenants of a program start on one state.
 //!
 //! A state is kept while a tenant occupies it or occupies a proper prefix
-//! of its history. When more states than tenants are kept, the
-//! unoccupied state furthest ahead of its nearest occupied ancestor goes
-//! first, so the fleet never holds more VMs than a fleet of one VM per
-//! tenant. A stored output is what the tenant's own VM would have
-//! produced, so no simulated number depends on the sharing.
+//! of its history, found by walking its ancestors up to the program's
+//! root. When more states than tenants are kept, the unoccupied state
+//! furthest ahead of its nearest occupied ancestor goes first, so the
+//! fleet never holds more VMs than a fleet of one VM per tenant. A stored
+//! output is what the tenant's own VM would have produced, so no
+//! simulated number depends on the sharing.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -231,13 +232,12 @@ struct State {
     output: Output,
 }
 
-/// A node of the history tree: the history one step shorter, the number
-/// of steps since the VM was built, and the program it runs.
+/// A node of the history tree: the history one step shorter, and the
+/// number of steps since the VM was built.
 #[derive(Clone, Copy)]
 struct Node {
     parent: Option<u32>,
     len: u32,
-    program: u32,
 }
 
 /// One tenant: a history plus its request queue and serving clock.
@@ -285,8 +285,6 @@ struct Fleet<'w> {
     occupants: Vec<u32>,
     /// The nodes that hold a state, in the order they got it.
     kept: Vec<u32>,
-    /// Distinct programs: tenant `i` runs program `i % programs`.
-    programs: usize,
     chaos: bool,
     cache: CodeCache,
     queue: VecDeque<CompileJob>,
@@ -310,11 +308,9 @@ impl Fleet<'_> {
             Some(&child) => child,
             None => {
                 let child = self.nodes.len() as u32;
-                let node = self.nodes[from as usize];
                 self.nodes.push(Node {
                     parent: Some(from),
-                    len: node.len + 1,
-                    program: node.program,
+                    len: self.nodes[from as usize].len + 1,
                 });
                 self.states.push(None);
                 self.occupants.push(0);
@@ -323,10 +319,9 @@ impl Fleet<'_> {
             }
         };
         if self.states[child as usize].is_none() {
-            let node = self.nodes[from as usize];
-            let floor = self.floors()[node.program as usize];
-            let shared = self.occupants[from as usize] > 1
-                || self.nearest_occupied(node.parent, floor).is_some();
+            let parent = self.nodes[from as usize].parent;
+            let shared =
+                self.occupants[from as usize] > 1 || self.nearest_occupied(parent).is_some();
             let mut vm = if shared {
                 self.out.clones += 1;
                 self.vm(ti).clone()
@@ -353,23 +348,11 @@ impl Fleet<'_> {
             .clone()
     }
 
-    /// The length of the shortest history each program's tenants occupy,
-    /// by program: no tenant reaches a history above its program's.
-    fn floors(&self) -> Vec<u32> {
-        let mut floors = vec![u32::MAX; self.programs];
-        for (ti, t) in self.tenants.iter().enumerate() {
-            let floor = &mut floors[ti % self.programs];
-            *floor = (*floor).min(self.nodes[t.at as usize].len);
-        }
-        floors
-    }
-
-    /// The nearest history at or above `node` that a tenant occupies,
-    /// looking no higher than `floor` (see [`Fleet::floors`]); `None`
-    /// when no tenant can reach `node` any more.
-    fn nearest_occupied(&self, node: Option<u32>, floor: u32) -> Option<u32> {
+    /// The nearest history at or above `node` that a tenant occupies;
+    /// `None` when no tenant can reach `node` any more.
+    fn nearest_occupied(&self, node: Option<u32>) -> Option<u32> {
         let mut at = node;
-        while let Some(n) = at.filter(|&n| self.nodes[n as usize].len >= floor) {
+        while let Some(n) = at {
             if self.occupants[n as usize] > 0 {
                 return Some(n);
             }
@@ -382,12 +365,11 @@ impl Fleet<'_> {
     /// while more states than tenants are kept, the one furthest ahead of
     /// its nearest occupied ancestor (the newest of equals).
     fn retain(&mut self) {
-        let floors = self.floors();
         let mut kept: Vec<(u32, u32)> = Vec::with_capacity(self.kept.len());
         for &n in &self.kept {
-            let node = self.nodes[n as usize];
-            match self.nearest_occupied(Some(n), floors[node.program as usize]) {
-                Some(o) => kept.push((n, node.len - self.nodes[o as usize].len)),
+            let len = self.nodes[n as usize].len;
+            match self.nearest_occupied(Some(n)) {
+                Some(o) => kept.push((n, len - self.nodes[o as usize].len)),
                 None => self.states[n as usize] = None,
             }
         }
@@ -660,13 +642,13 @@ fn serve<'w>(
 
     let mut fleet = Fleet {
         tenants,
-        nodes: (0..workloads.len() as u32)
-            .map(|program| Node {
+        nodes: vec![
+            Node {
                 parent: None,
                 len: 0,
-                program,
-            })
-            .collect(),
+            };
+            workloads.len()
+        ],
         children: HashMap::new(),
         states: (workloads.iter())
             .map(|prep| {
@@ -677,7 +659,6 @@ fn serve<'w>(
             .collect(),
         occupants,
         kept: (0..workloads.len() as u32).collect(),
-        programs: workloads.len(),
         chaos: chaos.is_some(),
         cache: CodeCache::with_quota(
             cfg.cache_capacity_instrs,
@@ -801,24 +782,16 @@ fn serve<'w>(
         // 3. Hand waiting jobs to idle compiler workers.
         fleet.assign_workers(now, plan.is_active(FaultKind::CompileStall, now));
 
-        // 4. Dispatch one queued request per idle tenant, in tenant order.
-        let mut dispatched: Vec<(usize, Request)> = Vec::new();
-        for (ti, t) in fleet.tenants.iter_mut().enumerate() {
-            if t.free_at <= now {
-                if let Some(r) = t.queue.pop_front() {
-                    dispatched.push((ti, r));
-                }
+        // 4. Dispatch one queued request to each idle tenant, serve it and
+        //    fold its result back into shared state, in tenant order.
+        for ti in 0..fleet.tenants.len() {
+            if fleet.tenants[ti].free_at > now {
+                continue;
             }
-        }
-
-        // 5. Execute the dispatched requests, in tenant order.
-        let results: Vec<Output> = (dispatched.iter())
-            .map(|&(ti, _)| fleet.step(ti, Step::Serve))
-            .collect();
-
-        // 6. Barrier: fold results back into shared state, in tenant
-        //    order.
-        for (&(ti, req), served) in dispatched.iter().zip(results) {
+            let Some(req) = fleet.tenants[ti].queue.pop_front() else {
+                continue;
+            };
+            let served = fleet.step(ti, Step::Serve);
             let t = &mut fleet.tenants[ti];
             let first = *t.checksum.get_or_insert(served.checksum);
             assert_eq!(
@@ -838,38 +811,25 @@ fn serve<'w>(
                 now,
             });
             fleet.enqueue_requests(ti, served.requests, now, true);
-            if chaos.is_some() {
-                for (method, generation) in served.rearms {
-                    fleet.out.rearms += 1;
-                    fleet.out.events.push(TraceEvent::GuardRearmed {
-                        tenant: ti as u32,
-                        method,
-                        generation,
-                        now,
-                    });
-                }
+            for (method, generation) in served.rearms {
+                fleet.out.rearms += 1;
+                fleet.out.events.push(TraceEvent::GuardRearmed {
+                    tenant: ti as u32,
+                    method,
+                    generation,
+                    now,
+                });
             }
-            // The tenant just ran: refresh its cache entries' recency and
-            // drop entries whose body the VM deopted away on its own.
+            // The tenant just ran: refresh its cache entries' recency.
             fleet.cache.touch_tenant(ti as u32, now);
-            let vm = fleet.vm(ti);
-            let dead: Vec<u32> = fleet
-                .cache
-                .tenant_entries(ti as u32)
-                .filter(|e| !vm.is_compiled(MethodId::new(e.method as usize)))
-                .map(|e| e.method)
-                .collect();
-            for m in dead {
-                fleet.cache.remove(ti as u32, m);
-            }
         }
 
-        // 6b. Chaos: the recovery sweep.
+        // 4b. Chaos: the recovery sweep.
         if chaos.is_some() {
             fleet.recovery_sweep(now, true);
         }
 
-        // 7. Sample the compilation-queue depth (and, under chaos, the
+        // 5. Sample the compilation-queue depth (and, under chaos, the
         //    fleet stranded-method count).
         let depth = fleet.queue_depth();
         fleet.out.queue_depth_samples.push(depth);
@@ -878,7 +838,7 @@ fn serve<'w>(
             fleet.out.stranded_samples.push(stranded);
         }
 
-        // 8. Advance to the next epoch barrier: at least one slot, or
+        // 6. Advance to the next epoch barrier: at least one slot, or
         //    straight to the next interesting time (rounded up to a slot
         //    multiple) when the fleet is idle. Fault edges are events too
         //    (activation must land on its exact barrier).
@@ -1077,6 +1037,16 @@ mod tests {
             assert_eq!(vm.mem_stats(), held.mem_stats(), "tenant {ti}: MemStats");
             assert_eq!(checksum, t.checksum, "tenant {ti}: checksum");
         }
+        // Every compiled body is in the code cache and every entry is a
+        // compiled body: no VM drops a body the cache did not evict.
+        let compiled: usize = (0..fleet.tenants.len())
+            .map(|ti| {
+                let vm = fleet.vm(ti);
+                let methods = vm.program().method_ids();
+                methods.filter(|&m| vm.is_compiled(m)).count()
+            })
+            .sum();
+        assert_eq!(fleet.cache.len(), compiled, "code-cache entries");
         let out = fleet.outcome();
         let served = out.latencies.iter().filter(|&&l| l > 0).count() as u64;
         (served, out.simulated)

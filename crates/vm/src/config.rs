@@ -50,12 +50,6 @@ pub struct VmConfig {
     /// Adaptive-reprofiling thresholds (only consulted when
     /// `prefetch.mode` is [`spf_core::PrefetchMode::Adaptive`]).
     pub adapt: AdaptConfig,
-    /// Fuse hot adjacent opcode pairs into superinstruction handlers when
-    /// pre-decoding bodies for the threaded interpreter. Superinstructions
-    /// execute the exact per-component cost/counter sequence of their
-    /// unfused forms, so simulated numbers are identical either way; the
-    /// knob exists for differential testing and host-perf triage.
-    pub fuse_superinstructions: bool,
     /// Decouple compilation from execution, production-JVM style: when a
     /// method crosses the compile threshold the VM *enqueues* a compile
     /// request (drained via [`crate::Vm::take_compile_requests`]) and keeps
@@ -79,7 +73,6 @@ impl Default for VmConfig {
             compile_threshold: 2,
             prefetch: PrefetchOptions::default(),
             adapt: AdaptConfig::default(),
-            fuse_superinstructions: true,
             async_compile: false,
             retain_deopt_args: false,
         }

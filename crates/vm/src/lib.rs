@@ -34,5 +34,5 @@ pub use predecode::Predecoded;
 /// that builds VMs generically need not depend on `spf-trace`.
 pub use spf_trace::{NoopSink, TraceSink};
 pub use stats::{PicStats, VmStats};
-pub use twin::Twin;
+pub use twin::CellRun;
 pub use vm::Vm;

@@ -41,28 +41,41 @@ use crate::stats::{MethodCycles, VmStats};
 use crate::vm::Vm;
 
 /// One twin of a [`Vm`] (see [`Vm::add_twin`]); read through
-/// [`Vm::twins`].
+/// [`Vm::cell`].
 #[derive(Clone, Debug)]
-pub struct Twin {
-    /// The twin's prefetch configuration.
-    pub options: PrefetchOptions,
-    /// The twin's processor.
-    pub proc: ProcessorConfig,
+pub(crate) struct Twin {
+    options: PrefetchOptions,
+    proc: ProcessorConfig,
     /// Whether the twin still reproduces the leader's run: every install
     /// so far was a leader JIT compile whose body it reproduced, and none
     /// of its loop guards fired (see the module docs).
-    pub live: bool,
+    live: bool,
     /// The twin's optimization reports, one per compile it reproduced.
-    pub reports: Vec<MethodReport>,
+    reports: Vec<MethodReport>,
     /// The twin's inspection cost since the last
     /// [`Vm::reset_measurement`], the counterpart of
     /// [`VmStats::inspection_cycles`].
-    pub inspection_cycles: u64,
+    inspection_cycles: u64,
     /// The index of the twin's shadow in `Vm::shadows`, or `None` on the
     /// leader's processor.
     shadow: Option<usize>,
     /// The loop guards of a twin with adaptive guards.
     adapt: Option<AdaptState>,
+}
+
+/// One cell a [`Vm`] simulates, its own or a twin's (see [`Vm::cell`]).
+#[derive(Clone, Debug)]
+pub struct CellRun<'a> {
+    /// The cell's prefetch configuration.
+    pub options: &'a PrefetchOptions,
+    /// The cell's processor.
+    pub proc: &'a ProcessorConfig,
+    /// The cell's optimization reports: a twin that diverged keeps those
+    /// of the compiles it reproduced.
+    pub reports: &'a [MethodReport],
+    /// The cell's execution and memory-system statistics so far, or
+    /// `None` once the twin has diverged: it has no run.
+    pub run: Option<(VmStats, &'a MemStats)>,
 }
 
 /// The memory system of a processor other than the leader's, shared by
@@ -173,47 +186,40 @@ impl<S: TraceSink> Vm<S> {
         });
     }
 
-    /// The twins, in the order they were added.
-    pub fn twins(&self) -> &[Twin] {
-        &self.twins
-    }
-
-    /// Twin `k`'s execution statistics so far: the leader's, with the
-    /// clock and the per-method cycles of the twin's processor and the
-    /// twin's own inspection cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless twin `k` is live: a twin that diverged has no run.
-    pub fn twin_stats(&self, k: usize) -> VmStats {
-        let twin = &self.twins[k];
-        assert!(twin.live, "twin {k} diverged from its leader");
-        let mut stats = VmStats {
-            inspection_cycles: twin.inspection_cycles,
-            ..self.stats.clone()
+    /// Cell `k`: the VM's own for `k = 0`, else twin `k − 1` in the order
+    /// the twins were added. A live twin's statistics are the leader's,
+    /// with the clock and the per-method cycles of the twin's processor
+    /// and the twin's own inspection cost.
+    pub fn cell(&self, k: usize) -> CellRun<'_> {
+        let Some(twin) = k.checked_sub(1).map(|k| &self.twins[k]) else {
+            return CellRun {
+                options: &self.config.prefetch,
+                proc: self.mem.config(),
+                reports: self.reports(),
+                run: Some((self.stats.clone(), self.mem.stats())),
+            };
         };
-        if let Some(i) = twin.shadow {
+        let run = twin.live.then(|| {
+            let mut stats = VmStats {
+                inspection_cycles: twin.inspection_cycles,
+                ..self.stats.clone()
+            };
+            let Some(i) = twin.shadow else {
+                return (stats, self.mem.stats());
+            };
             let shadow = &self.shadows[i];
             stats.cycles = stats.cycles.wrapping_add_signed(shadow.offset);
             for (pm, own) in stats.per_method.iter_mut().zip(&shadow.per_method) {
                 pm.compiled = own.compiled;
                 pm.interpreted = own.interpreted;
             }
-        }
-        stats
-    }
-
-    /// Twin `k`'s memory-system statistics so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless twin `k` is live.
-    pub fn twin_mem_stats(&self, k: usize) -> &MemStats {
-        let twin = &self.twins[k];
-        assert!(twin.live, "twin {k} diverged from its leader");
-        match twin.shadow {
-            Some(i) => self.shadows[i].mem.stats(),
-            None => self.mem.stats(),
+            (stats, shadow.mem.stats())
+        });
+        CellRun {
+            options: &twin.options,
+            proc: &twin.proc,
+            reports: &twin.reports,
+            run,
         }
     }
 

@@ -170,18 +170,14 @@ impl<S: TraceSink> Vm<S> {
     /// events into `sink`. With [`NoopSink`] every emission site compiles
     /// out and this is exactly [`Vm::new`].
     pub fn with_sink(program: Program, config: VmConfig, proc: ProcessorConfig, sink: S) -> Self {
-        let pre = Arc::new(Predecoded::with_fusion(
-            program,
-            config.fuse_superinstructions,
-        ));
-        Vm::from_predecoded(&pre, config, proc, sink)
+        Vm::from_predecoded(&Arc::new(Predecoded::new(program)), config, proc, sink)
     }
 
     /// Creates a VM from a shared pre-decoded program, skipping per-VM
     /// body cloning and decoding entirely (the benchmark matrix builds one
     /// [`Predecoded`] per workload and all cells from it). The
     /// `Predecoded`'s fusion setting applies to bodies this VM JIT-installs
-    /// later, superseding [`VmConfig::fuse_superinstructions`].
+    /// later.
     pub fn from_predecoded(
         pre: &Arc<Predecoded<S>>,
         config: VmConfig,

@@ -9,13 +9,15 @@
 //! `i`, a zero `y`), so the fused and unfused runs of one case execute the
 //! same IR and differ only in how it was threaded.
 
+use std::sync::Arc;
+
 use spf_heap::{Value, NULL};
 use spf_ir::{
     BinOp, BlockId, ElemTy, FieldId, FunctionBuilder, Instr, InstrRef, MethodId, ProgramBuilder,
     Reg, Ty, UnOp,
 };
 use spf_memsim::ProcessorConfig;
-use spf_vm::{Vm, VmConfig, VmError};
+use spf_vm::{NoopSink, Predecoded, Vm, VmConfig, VmError};
 
 /// The fusable shapes that can hold a faulting component, and `Alone` for
 /// each faulting instruction as a singleton op.
@@ -182,11 +184,11 @@ fn run(
     };
     let main = build(&mut pb, shape, op, ty, fields[0]);
     let config = VmConfig {
-        fuse_superinstructions: fuse,
         compile_threshold: u32::MAX,
         ..VmConfig::default()
     };
-    let mut vm = Vm::new(pb.finish(), config, ProcessorConfig::pentium4());
+    let pre = Arc::new(Predecoded::with_fusion(pb.finish(), fuse));
+    let mut vm = Vm::from_predecoded(&pre, config, ProcessorConfig::pentium4(), NoopSink);
     if compiled {
         let body = vm.program().method(main).func().clone();
         vm.install_compiled(main, body);

@@ -103,21 +103,25 @@ fn assert_leader_alone(vms: &[Vm], call: usize) {
     );
 }
 
-/// Asserts that twin `k` of `leader` has run as the standalone `own` VM.
+/// Asserts that cell `k` of `leader` (twin `k - 1`) has run as the
+/// standalone `own` VM.
 fn assert_twin_is(leader: &Vm, k: usize, own: &Vm, call: usize) {
-    let twin = &leader.twins()[k];
-    assert!(twin.live, "twin {k} live after call {call}");
+    let cell = leader.cell(k);
+    let Some((stats, mem)) = cell.run else {
+        panic!("cell {k} live after call {call}");
+    };
     assert_eq!(
-        leader.twin_stats(k).simulated(),
+        stats.simulated(),
         own.stats().simulated(),
-        "twin {k} stats after call {call}"
+        "cell {k} stats after call {call}"
     );
-    assert_eq!(
-        leader.twin_mem_stats(k),
-        own.mem_stats(),
-        "twin {k} memory after call {call}"
-    );
-    assert_eq!(simulated(&twin.reports), simulated(own.reports()));
+    assert_eq!(mem, own.mem_stats(), "cell {k} memory after call {call}");
+    assert_eq!(simulated(cell.reports), simulated(own.reports()));
+}
+
+/// Whether cell `k` of `vm` still has a run of its own.
+fn live(vm: &Vm, k: usize) -> bool {
+    vm.cell(k).run.is_some()
 }
 
 #[test]
@@ -133,14 +137,16 @@ fn a_leader_with_twins_runs_as_it_would_alone() {
     assert_eq!(twinned.stats().simulated(), alone.stats().simulated());
     assert_eq!(twinned.mem_stats(), alone.mem_stats());
     assert_eq!(simulated(twinned.reports()), simulated(alone.reports()));
+    // Cell 0 is the VM's own.
+    assert_twin_is(&twinned, 0, &alone, 3);
     // db's INTER changes no body, so the BASELINE twin lives and has
     // recorded what a BASELINE VM of its own would.
-    let live: Vec<bool> = twinned.twins().iter().map(|t| t.live).collect();
-    assert_eq!(live, [true, false, false]);
+    let twins_live: Vec<bool> = (1..=3).map(|k| live(&twinned, k)).collect();
+    assert_eq!(twins_live, [true, false, false]);
     let baseline = run(&prep, PrefetchOptions::off(), &p4(), &[]);
-    assert_twin_is(&twinned, 0, &baseline, 3);
-    let twin = &twinned.twins()[0];
-    assert_eq!(twin.inspection_cycles, baseline.stats().inspection_cycles);
+    assert_twin_is(&twinned, 1, &baseline, 3);
+    let (stats, _) = twinned.cell(1).run.expect("live");
+    assert_eq!(stats.inspection_cycles, baseline.stats().inspection_cycles);
 }
 
 /// A BASELINE twin on the Athlon of a BASELINE leader on the Pentium 4
@@ -160,7 +166,8 @@ fn a_twin_on_another_processor_runs_as_a_vm_of_its_own() {
         ];
         protocol(&prep, &mut vms, |vms, call| {
             assert_leader_alone(vms, call);
-            assert_twin_is(&vms[0], 0, &vms[2], call);
+            assert_twin_is(&vms[0], 1, &vms[2], call);
+            assert_eq!(*vms[0].cell(1).proc, athlon());
             // The processors differ where it shows: in the stalls.
             assert_ne!(vms[0].stats().cycles, vms[2].stats().cycles, "{name}");
         });
@@ -188,9 +195,8 @@ fn a_twin_that_differs_at_the_kth_compile_stays_diverged() {
         &p4(),
         &[(PrefetchOptions::inter_intra(), p4())],
     );
-    let twin = &twinned.twins()[0];
-    assert!(!twin.live);
-    assert_eq!(twin.reports.len(), k);
+    assert!(!live(&twinned, 1));
+    assert_eq!(twinned.cell(1).reports.len(), k);
 }
 
 /// A twin's pipeline runs with its own processor: db's INTER+INTRA emits
@@ -208,9 +214,8 @@ fn a_twin_compiles_for_its_own_processor() {
         .position(|(a, b)| a != b)
         .expect("db's INTER+INTRA bodies differ across processors");
     let twinned = run(&prep, ii(), &p4(), &[(ii(), athlon())]);
-    let twin = &twinned.twins()[0];
-    assert!(!twin.live);
-    assert_eq!(twin.reports.len(), k);
+    assert!(!live(&twinned, 1));
+    assert_eq!(twinned.cell(1).reports.len(), k);
 }
 
 /// An ADAPTIVE twin keeps loop guards of its own. On jess no guard fires,
@@ -230,9 +235,9 @@ fn an_adaptive_twin_lives_until_a_standalone_adaptive_vm_patches() {
     ];
     protocol(&jess, &mut vms, |vms, call| {
         assert_leader_alone(vms, call);
-        assert_twin_is(&vms[0], 0, &vms[2], call);
-        let twin = &vms[0].twins()[0];
-        assert_eq!(twin.inspection_cycles, vms[2].stats().inspection_cycles);
+        assert_twin_is(&vms[0], 1, &vms[2], call);
+        let (stats, _) = vms[0].cell(1).run.expect("live");
+        assert_eq!(stats.inspection_cycles, vms[2].stats().inspection_cycles);
     });
 
     let db = tiny("db");
@@ -248,9 +253,9 @@ fn an_adaptive_twin_lives_until_a_standalone_adaptive_vm_patches() {
         if patched && patched_at.is_none() {
             patched_at = Some(call);
         }
-        assert_eq!(vms[0].twins()[0].live, patched_at.is_none(), "call {call}");
+        assert_eq!(live(&vms[0], 1), patched_at.is_none(), "call {call}");
         if patched_at.is_none() {
-            assert_twin_is(&vms[0], 0, &vms[2], call);
+            assert_twin_is(&vms[0], 1, &vms[2], call);
         }
     });
     assert!(patched_at.is_some(), "a db loop guard fires");

@@ -6,6 +6,7 @@
 //! evaluator, and check that a word survives the VM bit for bit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use spf_heap::{apply_bin, apply_cmp, apply_conv, apply_un, Value, NULL};
 use spf_ir::{
@@ -13,7 +14,7 @@ use spf_ir::{
     Ty, UnOp,
 };
 use spf_memsim::ProcessorConfig;
-use spf_vm::{Vm, VmConfig, VmError};
+use spf_vm::{NoopSink, Predecoded, Vm, VmConfig, VmError};
 
 // ---------------------------------------------------------------------
 // Guards
@@ -160,11 +161,11 @@ fn run_both(
         let mut pb = ProgramBuilder::new();
         let main = build(&mut pb);
         let config = VmConfig {
-            fuse_superinstructions: fuse,
             compile_threshold: u32::MAX,
             ..VmConfig::default()
         };
-        let mut vm = Vm::new(pb.finish(), config, ProcessorConfig::pentium4());
+        let pre = Arc::new(Predecoded::with_fusion(pb.finish(), fuse));
+        let mut vm = Vm::from_predecoded(&pre, config, ProcessorConfig::pentium4(), NoopSink);
         let formed = vm.fused_op_count();
         let out = vm.call(main, args);
         (out, vm.stats().simulated(), *vm.mem_stats(), formed)

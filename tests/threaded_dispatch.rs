@@ -3,12 +3,14 @@
 //! semantics and simulated numbers with fusion on or off), and a call must
 //! run whatever body its callee has installed at that moment.
 
+use std::sync::Arc;
+
 use spf_testkit::{cases, Rng};
 use stride_prefetch::heap::Value;
 use stride_prefetch::ir::{CmpOp, Conv, ElemTy, Instr, ProgramBuilder, Ty};
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
-use stride_prefetch::vm::{Vm, VmConfig, VmStats};
+use stride_prefetch::vm::{NoopSink, Predecoded, Vm, VmConfig, VmStats};
 
 // ---------------------------------------------------------------------
 // Fusion equivalence: random programs exercising every fusable pattern
@@ -16,8 +18,8 @@ use stride_prefetch::vm::{Vm, VmConfig, VmStats};
 // compare-and-branch back edges) and every typed handler family (`long`,
 // `double` and reference compares, NaN operands included, alone and
 // branched on; `byte` arrays; all six conversions) must produce the same
-// values and the same simulated counters with `fuse_superinstructions` on
-// and off.
+// values and the same simulated counters whether `Predecoded` fuses
+// superinstructions or not.
 // ---------------------------------------------------------------------
 
 /// A random arithmetic expression over the in-scope `int` variables.
@@ -141,14 +143,14 @@ fn run(
     let program = stride_prefetch::lang::compile(src)
         .unwrap_or_else(|err| panic!("compile error {err} in {src}"));
     let mid = program.method_by_name("f").unwrap();
-    let mut vm = Vm::new(
-        program,
+    let mut vm = Vm::from_predecoded(
+        &Arc::new(Predecoded::with_fusion(program, fuse)),
         VmConfig {
-            fuse_superinstructions: fuse,
             prefetch,
             ..VmConfig::default()
         },
         ProcessorConfig::pentium4(),
+        NoopSink,
     );
     let outs = (0..4)
         .map(|i| {
