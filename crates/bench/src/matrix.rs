@@ -2,10 +2,12 @@
 //!
 //! The programs of the paper's grid share no mutable state: each builds
 //! its own [`spf_vm::Vm`]s, heaps and memory systems. Within a program,
-//! cells whose runs are one simulation — the same JIT output, loop guards
-//! that never fire, whatever the processor — are run by one VM with
-//! *twins* ([`spf_vm::Vm::add_twin`], DESIGN.md §3.1): the first remaining
-//! cell leads, the others ride along while they reproduce its run, and the
+//! cells whose runs one simulation can derive — JIT output that is the
+//! leader's minus prefetch ops, whatever the processor, with loop guards
+//! of their own — are run by one VM with *twins*
+//! ([`spf_vm::Vm::add_twin`], DESIGN.md §3.1): the remaining cell of the
+//! most prefetching mode without guards leads (see `run_chain`), the
+//! others ride along while they reproduce a run of their own, and the
 //! ones that diverged form the next group. Programs are handed to a
 //! bounded pool of `std::thread` workers through an atomic cursor and the
 //! results are re-assembled in canonical matrix order, so the output is
@@ -20,7 +22,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use spf_core::PrefetchOptions;
+use spf_core::{PrefetchMode, PrefetchOptions};
 use spf_memsim::ProcessorConfig;
 use spf_trace::{NoopSink, RingSink, TraceSink};
 use spf_workloads::{Prepared, WorkloadSpec};
@@ -153,10 +155,16 @@ pub struct TracedCellResult {
 }
 
 /// Runs the cells `chain` names — one program's, prepared here once — in
-/// groups: the first remaining cell leads, every other remaining one rides
-/// along as its twin unless the leader has adaptive guards or records
-/// events, and the twins that diverged form the next group. Returns each
-/// cell's result and trace with its index, and how many VMs ran.
+/// groups. A group's leader is the remaining cell of the most prefetching
+/// mode without adaptive guards — INTER+INTRA, then INTER, then BASELINE,
+/// the first in `chain` order among equals — or, when only ADAPTIVE cells
+/// remain, the first of them. Twins must compile to a subset of the
+/// leader's bodies, which only a leader with at least their prefetch ops
+/// offers, and a leader with guards would patch code no twin compiled.
+/// Every other remaining cell rides along as its twin unless the leader
+/// has adaptive guards or records events, and the twins that diverged
+/// form the next group. Returns each cell's result and trace with its
+/// index, and how many VMs ran.
 fn run_chain<S: TraceSink + Default>(
     plan: &RunPlan,
     cells: &[Cell],
@@ -168,21 +176,28 @@ fn run_chain<S: TraceSink + Default>(
     let mut vms = 0;
     while !left.is_empty() {
         let t0 = Instant::now();
-        let alone = S::ENABLED || cells[left[0]].options.mode.adaptive_guards();
-        let group = if alone { &left[..1] } else { &left[..] };
+        let mode = |i: usize| cells[left[i]].options.mode;
+        let lead = (0..left.len())
+            .filter(|&i| !mode(i).adaptive_guards())
+            .max_by_key(|&i| (prefetching(mode(i)), std::cmp::Reverse(i)))
+            .unwrap_or(0);
+        let mut group = vec![left.remove(lead)];
+        if !S::ENABLED && !cells[group[0]].options.mode.adaptive_guards() {
+            group.append(&mut left);
+        }
         let run: Vec<_> = (group.iter())
             .map(|&i| (cells[i].options.clone(), cells[i].proc.clone()))
             .collect();
         let (measurements, mut trace) = run_prepared(&prep, &run, plan, S::default());
         vms += 1;
         let mut ran = Vec::new();
-        let mut next = left[group.len()..].to_vec();
         for (&i, measurement) in group.iter().zip(measurements) {
             match measurement {
                 Some(measurement) => ran.push((i, measurement)),
-                None => next.push(i),
+                None => left.push(i),
             }
         }
+        left.sort_unstable();
         // The group's host time, split evenly over its cells: the shares
         // sum to the time, and a caller that divides by the wall of one
         // mode's cells (all twins on some workloads) never divides by 0.
@@ -196,9 +211,18 @@ fn run_chain<S: TraceSink + Default>(
             };
             done.push((i, result, trace.take()));
         }
-        left = next;
     }
     (done, vms)
+}
+
+/// How much of the paper's pass `mode` runs, for choosing a leader:
+/// BASELINE none, INTER the inter-iteration half, INTER+INTRA all of it.
+fn prefetching(mode: PrefetchMode) -> u8 {
+    match mode {
+        PrefetchMode::Off => 0,
+        PrefetchMode::Inter => 1,
+        PrefetchMode::InterIntra | PrefetchMode::Adaptive => 2,
+    }
 }
 
 /// Runs `cells` on up to `jobs` worker threads, returning results in the
@@ -331,32 +355,60 @@ mod tests {
 
     /// A pooled cell shares its prepared program with the workload's other
     /// cells, and a twin's is derived from its leader's run; every cell
-    /// must equal a freshly prepared direct run. The VMs each program runs
-    /// are pinned, so a change that silently stops twinning fails here.
-    /// Search's eight cells are one VM. BASELINE and INTER are one VM for
-    /// both processors on jess and db, and INTER+INTRA is one more per
-    /// processor, as its bodies differ across them. On the Pentium 4,
-    /// jess's ADAPTIVE rides along with INTER+INTRA, since no guard fires;
-    /// db's fires on both processors, so its ADAPTIVE runs alone twice.
+    /// of all twelve programs must equal a freshly prepared direct run.
+    /// The VMs each program runs are pinned, so a change that silently
+    /// stops twinning fails here. INTER+INTRA on the Pentium 4 leads
+    /// first, and every body of the other modes there, and of BASELINE
+    /// and INTER on the Athlon, is a subset of its bodies, so eight
+    /// programs run one VM. The Athlon's INTER+INTRA bodies differ on
+    /// jess, db, MolDyn and RayTracer (another prefetch kind), so those
+    /// run a second VM that it leads; MolDyn's INTER there rides along
+    /// with it. The Athlon ADAPTIVE twins of jess and RayTracer repatch a
+    /// loop into a body their leader lacks and run a third VM alone.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let plan = tiny_plan();
-        let programs = ["db", "Euler", "Search", "jess", "mpegaudio"];
-        let cs = cells(|n| programs.contains(&n));
+        let cs = cells(|_| true);
         let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
         let (par, par_vms) = run_chains::<NoopSink>(&plan, 4, &cs);
         let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
         assert_checksums_agree(&par);
-        assert_eq!(par.len(), 40);
-        // Registry order: jess, db, mpegaudio, Euler, Search.
+        assert_eq!(par.len(), 96);
         let names: Vec<_> = cs.chunks(8).map(|c| c[0].spec.name).collect();
-        assert_eq!(names, ["jess", "db", "mpegaudio", "Euler", "Search"]);
-        assert_eq!(seq_vms, [4, 5, 4, 4, 1]);
+        assert_eq!(
+            names,
+            [
+                "mtrt",
+                "jess",
+                "compress",
+                "db",
+                "mpegaudio",
+                "jack",
+                "javac",
+                "Euler",
+                "MolDyn",
+                "MonteCarlo",
+                "RayTracer",
+                "Search"
+            ]
+        );
+        assert_eq!(seq_vms, [1, 3, 1, 2, 1, 1, 1, 1, 2, 1, 3, 1]);
         assert_eq!(par_vms, seq_vms);
-        for (((a, _), b), c) in seq.iter().zip(&par).zip(&cs) {
+        assert_pooled_is_direct(&plan, &cs, &seq, &par);
+    }
+
+    /// Asserts that the sequential and parallel results of `cs` agree and
+    /// that each equals a direct run of its cell.
+    fn assert_pooled_is_direct(
+        plan: &RunPlan,
+        cs: &[Cell],
+        seq: &[(CellResult, Option<WorkloadTrace>)],
+        par: &[CellResult],
+    ) {
+        for (((a, _), b), c) in seq.iter().zip(par).zip(cs) {
             let diff = a.measurement.simulated_diff(&b.measurement);
             assert!(diff.is_empty(), "parallel run diverged: {diff:?}");
-            let direct = crate::run_workload(&c.spec, &c.options, &c.proc, &plan);
+            let direct = crate::run_workload(&c.spec, &c.options, &c.proc, plan);
             let diff = b.measurement.simulated_diff(&direct);
             assert!(
                 diff.is_empty(),
@@ -366,6 +418,29 @@ mod tests {
                 c.options.mode
             );
         }
+    }
+
+    /// At `Size::Small` the ADAPTIVE guards of db and RayTracer fire in
+    /// measured runs (see `Measurement::loop_deopts`, which does not
+    /// count them), which tiny never reaches, so their twins patch
+    /// their own code there — RayTracer's while a frame deeper in a
+    /// recursion runs the body patched — and every pooled cell must still
+    /// equal its direct run. Each program runs one VM per processor. A
+    /// release-profile test: the debug profile takes minutes here.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "runs in the release test step")]
+    fn pooled_cells_equal_direct_runs_where_small_guards_fire() {
+        let plan = RunPlan {
+            size: Size::Small,
+            ..RunPlan::default()
+        };
+        let cs = cells(|n| ["db", "RayTracer"].contains(&n));
+        let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
+        let (par, par_vms) = run_chains::<NoopSink>(&plan, 2, &cs);
+        let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
+        assert_eq!(seq_vms, [2, 2]);
+        assert_eq!(par_vms, seq_vms);
+        assert_pooled_is_direct(&plan, &cs, &seq, &par);
     }
 
     /// A traced sweep runs every cell on a VM of its own, as a traced VM

@@ -8,7 +8,7 @@
 //! relative order — and, for equal-sized garbage gaps, the strides — of
 //! survivors are preserved.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use spf_ir::ElemTy;
 
@@ -79,28 +79,7 @@ impl Heap {
             }
             self.set_mark(addr, true);
             marked += 1;
-            let w = self.read_u64(addr);
-            if w & ARRAY_BIT != 0 {
-                if crate::layout::tag_elem(w & TAG_MASK) == ElemTy::Ref {
-                    let len = self.array_len(addr);
-                    for i in 0..len {
-                        let slot = addr + ARRAY_DATA_OFFSET + i * 8;
-                        let v = self.read_u64(slot);
-                        if v != NULL {
-                            stack.push(v);
-                        }
-                    }
-                }
-            } else {
-                let cid =
-                    spf_ir::ClassId::new((w & TAG_MASK & !(crate::layout::MARK_BIT)) as usize);
-                for off in self.layout.ref_map(cid).to_vec() {
-                    let v = self.read_u64(addr + off);
-                    if v != NULL {
-                        stack.push(v);
-                    }
-                }
-            }
+            self.push_refs(addr, &mut stack);
         }
 
         // --- compute forwarding addresses (address order = sliding) --------
@@ -168,6 +147,45 @@ impl Heap {
             moved_objects,
         };
         (stats, forwarding)
+    }
+
+    /// Whether [`Heap::collect`] would mark every address of `targets`
+    /// from `roots` alone — so that adding `targets` to `roots` keeps
+    /// nothing more alive. Changes nothing.
+    pub fn reaches(&self, roots: &[Addr], targets: &[Addr]) -> bool {
+        let mut seen = HashSet::new();
+        let mut stack = roots.to_vec();
+        while let Some(addr) = stack.pop() {
+            if addr == NULL || !self.contains(addr) || !seen.insert(addr) {
+                continue;
+            }
+            self.push_refs(addr, &mut stack);
+        }
+        targets.iter().all(|t| seen.contains(t))
+    }
+
+    /// Pushes the non-null references stored in the allocation at `addr`.
+    fn push_refs(&self, addr: Addr, stack: &mut Vec<Addr>) {
+        let w = self.read_u64(addr) & !crate::layout::MARK_BIT;
+        if w & ARRAY_BIT != 0 {
+            if crate::layout::tag_elem(w & TAG_MASK) == ElemTy::Ref {
+                let len = self.array_len(addr);
+                for i in 0..len {
+                    let v = self.read_u64(addr + ARRAY_DATA_OFFSET + i * 8);
+                    if v != NULL {
+                        stack.push(v);
+                    }
+                }
+            }
+        } else {
+            let cid = spf_ir::ClassId::new((w & TAG_MASK) as usize);
+            for &off in self.layout.ref_map(cid) {
+                let v = self.read_u64(addr + off);
+                if v != NULL {
+                    stack.push(v);
+                }
+            }
+        }
     }
 
     /// Like [`Heap::walk`] but collecting into a `Vec` first, because the
@@ -255,6 +273,21 @@ mod tests {
         // Stored references were rewritten.
         assert_eq!(h.read(na + off_next, ElemTy::Ref).unwrap(), Value::Ref(nb));
         assert_eq!(h.read(nb + off_next, ElemTy::Ref).unwrap(), Value::Ref(nc));
+    }
+
+    #[test]
+    fn reaches_follows_stored_references_and_marks_nothing() {
+        let (mut h, c, off_next) = setup();
+        let a = h.alloc_object(c).unwrap();
+        let b = h.alloc_object(c).unwrap();
+        let lone = h.alloc_object(c).unwrap();
+        h.write(a + off_next, ElemTy::Ref, Value::Ref(b)).unwrap();
+        assert!(h.reaches(&[a], &[a, b]));
+        assert!(!h.reaches(&[a], &[lone]));
+        assert!(!h.reaches(&[b], &[a]));
+        // Nothing was marked: a collection from `a` still frees `lone`.
+        let (stats, _) = h.collect(&[a]);
+        assert_eq!((stats.live_objects, stats.freed_objects), (2, 1));
     }
 
     #[test]

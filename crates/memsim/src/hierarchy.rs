@@ -108,6 +108,22 @@ impl<S: TraceSink> MemorySystem<S> {
         }
     }
 
+    /// An untraced memory system in this one's state: the same caches,
+    /// TLB and counters, without the sink and its attribution state.
+    pub fn untraced(&self) -> MemorySystem {
+        MemorySystem {
+            cfg: self.cfg.clone(),
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            tlb: self.tlb.clone(),
+            stats: self.stats,
+            sink: NoopSink,
+            cur_site: SiteId::UNKNOWN,
+            pending_l1: HashMap::new(),
+            pending_l2: HashMap::new(),
+        }
+    }
+
     /// Clears caches, TLB, counters, pending attributions, and the trace
     /// sink (between benchmark runs — events must not leak from one matrix
     /// cell into the next).

@@ -149,12 +149,19 @@ pub(crate) fn decode<S: TraceSink>(
     }
     let mut arg_pool: Vec<u32> = Vec::new();
     let mut blocks: Vec<Vec<DecOp<S>>> = Vec::new();
+    // The next prefetch op's index (see `lower`).
+    let mut prefetches = 0;
     for bid in func.block_ids() {
         let block = func.block(bid);
         let mut ops = Vec::with_capacity(block.instrs.len() + 1);
         for (i, instr) in block.instrs.iter().enumerate() {
             let site = InstrRef::new(bid, i).pack();
-            ops.push(lower(program, layout, func, instr, site, &mut arg_pool));
+            let mut op = lower(program, layout, func, instr, site, &mut arg_pool);
+            if is_prefetch(instr) {
+                op.op.ext = prefetches;
+                prefetches += 1;
+            }
+            ops.push(op);
         }
         ops.push(lower_term(&block.term));
         blocks.push(ops);
@@ -211,6 +218,12 @@ pub(crate) fn decode<S: TraceSink>(
         arg_pool: arg_pool.into_boxed_slice(),
         fused,
     }
+}
+
+/// Whether `instr` is one of the prefetch ops the stride pass inserts
+/// and a loop patch strips.
+pub(crate) fn is_prefetch(instr: &Instr) -> bool {
+    matches!(instr, Instr::Prefetch { .. } | Instr::SpecLoad { .. })
 }
 
 /// A body's ops must be numbered below the two values handlers return in
@@ -395,6 +408,9 @@ fn lower<S: TraceSink>(
         }
         // FieldOf: b=base, imm=delta. ArrayElem: b=arr, c=idx, d=scale,
         // imm=delta. Handler picks the prefetch kind via const generic.
+        // `decode` sets ext, here and for SpecLoad, to the op's index
+        // among the body's prefetch ops in block and instruction order
+        // (the index of a twin's prefetch mask).
         Instr::Prefetch { addr, kind } => {
             let guarded = kind == PrefetchKind::GuardedLoad;
             let mut op = match addr {

@@ -408,31 +408,44 @@ fn do_aload<S: TraceSink>(
     }
 }
 
-/// Shared prefetch-issue tail: site attribution for tracing, adaptive
+/// Shared tail of a prefetch op — the `index`-th of its body — after its
+/// charge. A `target` gets site attribution for tracing, adaptive
 /// usefulness probing (this VM's and its guarded twins'), then the actual
-/// memory-system prefetch.
+/// memory-system prefetch. Every shadow (see the `twin` module) then
+/// makes the op at its own clock, or takes it back out if its code lacks
+/// the op.
 #[inline(always)]
-fn prefetch_issue<S: TraceSink>(
+fn prefetch_op<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
     site: SiteOf<'_, S>,
-    target: spf_heap::Addr,
+    index: u32,
+    target: Option<spf_heap::Addr>,
     kind: PrefetchKind,
 ) {
-    if S::ENABLED {
-        let site_ref = site_at(site);
-        let id = vm.site_ids.get(&(ctx.cur_mid, site_ref));
-        vm.mem.set_site(id.copied().unwrap_or(SiteId::UNKNOWN));
+    let lat = match target {
+        Some(target) => {
+            if S::ENABLED {
+                let site_ref = site_at(site);
+                let id = vm.site_ids.get(&(ctx.cur_mid, site_ref));
+                vm.mem.set_site(id.copied().unwrap_or(SiteId::UNKNOWN));
+            }
+            if vm.adaptive {
+                let useless = prefetch_useless(&vm.mem, kind, target);
+                let block = site_at(site).block.index() as u32;
+                vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
+            } else if !S::ENABLED && !vm.twins.is_empty() {
+                let block = site_at(site).block.index() as u32;
+                vm.probe_twins(ctx.cur_mid, block, index, target, kind);
+            }
+            Access::prefetch(kind).apply(&mut vm.mem, target, ctx.cycles)
+        }
+        None => 0,
+    };
+    if !S::ENABLED && !vm.shadows.is_empty() {
+        vm.shadow_prefetch(index, kind, target, (ctx.cycles, ctx.cur_cost), lat);
     }
-    if vm.adaptive {
-        let useless = prefetch_useless(&vm.mem, kind, target);
-        let block = site_at(site).block.index() as u32;
-        vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
-    } else if !S::ENABLED && !vm.twins.is_empty() {
-        let block = site_at(site).block.index() as u32;
-        vm.probe_twins(ctx.cur_mid, block, target, kind);
-    }
-    ctx.cycles += mem_access(vm, ctx, Access::prefetch(kind), target);
+    ctx.cycles += lat;
 }
 
 /// `FieldOf { base, delta }` address computation; `None` when the base is
@@ -457,19 +470,14 @@ fn elem_addr(ctx: &Ctx, arr: u32, idx: u32, scale: u32, delta: i64) -> Option<sp
 fn do_specload<S: TraceSink>(
     vm: &mut Vm<S>,
     ctx: &mut Ctx,
-    dst: u32,
+    op: &Op<S>,
     site: SiteOf<'_, S>,
     target: Option<spf_heap::Addr>,
 ) {
-    let v = match target {
-        Some(target) => {
-            prefetch_issue(vm, ctx, site, target, PrefetchKind::GuardedLoad);
-            // A speculative load never faults: an invalid address reads null.
-            vm.heap.load_bits(target, ElemTy::Ref).unwrap_or(NULL)
-        }
-        None => NULL,
-    };
-    ctx.set_reg(dst, v);
+    prefetch_op(vm, ctx, site, op.ext, target, PrefetchKind::GuardedLoad);
+    // A speculative load never faults: an invalid address reads null.
+    let v = target.map_or(NULL, |t| vm.heap.load_bits(t, ElemTy::Ref).unwrap_or(NULL));
+    ctx.set_reg(op.a, v);
 }
 
 // ---------------------------------------------------------------------------
@@ -843,14 +851,13 @@ pub(crate) fn h_prefetch_field<S: TraceSink, const GUARDED: bool>(
     next: usize,
 ) -> usize {
     charge_instr(ctx);
-    if let Some(target) = field_addr(ctx, op.b, op.imm) {
-        let kind = if GUARDED {
-            PrefetchKind::GuardedLoad
-        } else {
-            PrefetchKind::Hardware
-        };
-        prefetch_issue(vm, ctx, (tc, next, 0), target, kind);
-    }
+    let target = field_addr(ctx, op.b, op.imm);
+    let kind = if GUARDED {
+        PrefetchKind::GuardedLoad
+    } else {
+        PrefetchKind::Hardware
+    };
+    prefetch_op(vm, ctx, (tc, next, 0), op.ext, target, kind);
     next
 }
 
@@ -862,14 +869,13 @@ pub(crate) fn h_prefetch_elem<S: TraceSink, const GUARDED: bool>(
     next: usize,
 ) -> usize {
     charge_instr(ctx);
-    if let Some(target) = elem_addr(ctx, op.b, op.c, op.d, op.imm) {
-        let kind = if GUARDED {
-            PrefetchKind::GuardedLoad
-        } else {
-            PrefetchKind::Hardware
-        };
-        prefetch_issue(vm, ctx, (tc, next, 0), target, kind);
-    }
+    let target = elem_addr(ctx, op.b, op.c, op.d, op.imm);
+    let kind = if GUARDED {
+        PrefetchKind::GuardedLoad
+    } else {
+        PrefetchKind::Hardware
+    };
+    prefetch_op(vm, ctx, (tc, next, 0), op.ext, target, kind);
     next
 }
 
@@ -882,7 +888,7 @@ pub(crate) fn h_specload_field<S: TraceSink>(
 ) -> usize {
     charge_instr(ctx);
     let target = field_addr(ctx, op.b, op.imm);
-    do_specload(vm, ctx, op.a, (tc, next, 0), target);
+    do_specload(vm, ctx, op, (tc, next, 0), target);
     next
 }
 
@@ -895,7 +901,7 @@ pub(crate) fn h_specload_elem<S: TraceSink>(
 ) -> usize {
     charge_instr(ctx);
     let target = elem_addr(ctx, op.b, op.c, op.d, op.imm);
-    do_specload(vm, ctx, op.a, (tc, next, 0), target);
+    do_specload(vm, ctx, op, (tc, next, 0), target);
     next
 }
 

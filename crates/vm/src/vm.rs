@@ -26,7 +26,7 @@ use crate::config::{
     VmConfig, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES, MAX_STACK_DEPTH,
     RECOMPILE_BASE_CYCLES, RECOMPILE_CYCLES_PER_INSTR,
 };
-use crate::decode::{decode, ThreadedCode};
+use crate::decode::{decode, is_prefetch, ThreadedCode};
 use crate::dispatch::{self, Ctx, HALT, SWITCH};
 use crate::error::VmError;
 use crate::passes;
@@ -95,7 +95,7 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// soon as no frame can name it (see [`Vm::retire`]).
     pub(crate) codes: Vec<Option<Installed<S>>>,
     /// The compiled body of each method, if one is installed.
-    compiled: Vec<Option<CodeId>>,
+    pub(crate) compiled: Vec<Option<CodeId>>,
     /// Bodies replaced or evicted while frames were live; emptied when
     /// the outermost [`Vm::call`] finishes.
     retired: Vec<CodeId>,
@@ -316,7 +316,7 @@ impl<S: TraceSink> Vm<S> {
     /// once when nothing is executing, else when the outermost
     /// [`Vm::call`] finishes (an older frame of a recursion may still be
     /// running it).
-    fn retire(&mut self, code: CodeId) {
+    pub(crate) fn retire(&mut self, code: CodeId) {
         if self.frames.is_empty() {
             self.codes[code as usize] = None;
         } else {
@@ -353,12 +353,7 @@ impl<S: TraceSink> Vm<S> {
     /// blocks whose owning loops get guards.
     pub(crate) fn site_blocks(func: &Function) -> impl Iterator<Item = u32> + '_ {
         func.instr_sites()
-            .filter(|&s| {
-                matches!(
-                    func.instr(s),
-                    Instr::Prefetch { .. } | Instr::SpecLoad { .. }
-                )
-            })
+            .filter(|&s| is_prefetch(func.instr(s)))
             .map(|s| s.block.index() as u32)
     }
 
@@ -554,7 +549,7 @@ impl<S: TraceSink> Vm<S> {
             if self.adaptive {
                 self.maybe_patch(mid, argc);
             } else if !S::ENABLED && !self.twins.is_empty() {
-                self.check_twin_guards(mid);
+                self.check_twin_guards(mid, argc);
             }
         }
         if self.compiled[mid.index()].is_none()
@@ -577,7 +572,7 @@ impl<S: TraceSink> Vm<S> {
     /// The pending call's arguments (the top `argc` stack slots), copied
     /// out as values — typed by `mid`'s parameters — for the cold paths
     /// that inspect or retain them.
-    fn top_args(&self, mid: MethodId, argc: usize) -> Vec<Value> {
+    pub(crate) fn top_args(&self, mid: MethodId, argc: usize) -> Vec<Value> {
         let callee = self.program.method(mid).func();
         let words = &self.stack[self.stack.len() - argc..];
         (callee.params().zip(words))
@@ -628,18 +623,8 @@ impl<S: TraceSink> Vm<S> {
     fn patch_loops(&mut self, mid: MethodId, args: &[Value], stale: &[spf_adapt::StaleLoop]) {
         let code = self.compiled[mid.index()].expect("staleness requires a compiled body");
         let src = Arc::clone(&body(&self.codes, code).tcode.src);
-        let owners = Self::loop_owners(&src);
-        let stale_headers: std::collections::HashSet<u32> =
-            stale.iter().map(|s| s.header).collect();
-        let mut func = (*src).clone();
-        for b in func.block_ids() {
-            if !stale_headers.contains(&owners[b.index()]) {
-                continue;
-            }
-            func.block_mut(b)
-                .instrs
-                .retain(|i| !matches!(i, Instr::Prefetch { .. } | Instr::SpecLoad { .. }));
-        }
+        let headers: Vec<u32> = stale.iter().map(|s| s.header).collect();
+        let func = Self::strip_loops(&src, &headers);
         // A patch is a deterministic code edit, far cheaper than any
         // recompile; charged per stale loop.
         self.charge_jit(LOOP_PATCH_CYCLES * stale.len() as u64);
@@ -658,7 +643,7 @@ impl<S: TraceSink> Vm<S> {
         }
         let generation = self.adapt.on_patch(
             mid.index(),
-            &stale.iter().map(|s| s.header).collect::<Vec<_>>(),
+            &headers,
             u64::from(self.invocations[mid.index()]),
             self.heap.gc_epoch(),
         );
@@ -707,25 +692,7 @@ impl<S: TraceSink> Vm<S> {
             &due_set,
             self.mem.sink_mut(),
         );
-        // Deterministic repatch cost: per due loop, a base charge plus
-        // the per-instruction rate over that loop's own blocks — always
-        // far below RECOMPILE_BASE_CYCLES + per-instr over the whole
-        // body, which is the point of per-loop re-entry.
-        let owners = Self::loop_owners(&src);
-        let mut loop_instrs: HashMap<u32, u64> = HashMap::new();
-        for b in src.block_ids() {
-            let owner = owners[b.index()];
-            if due_set.contains(&owner) {
-                *loop_instrs.entry(owner).or_default() += src.block(b).instrs.len() as u64;
-            }
-        }
-        let repatch_cycles: u64 = due
-            .iter()
-            .map(|h| {
-                LOOP_RECOMPILE_BASE_CYCLES
-                    + RECOMPILE_CYCLES_PER_INSTR * loop_instrs.get(h).copied().unwrap_or(0)
-            })
-            .sum();
+        let repatch_cycles = Self::repatch_cycles(&src, due);
         self.book_pipeline(t0, &outcome.report);
         if !background {
             self.charge_jit(repatch_cycles);
@@ -765,6 +732,41 @@ impl<S: TraceSink> Vm<S> {
             self.deopt_args.retain(|(m, _)| *m != mid);
         }
         instrs
+    }
+
+    /// `src` with the prefetch ops of the loops headed by `headers`
+    /// stripped: a tier-1 patch.
+    pub(crate) fn strip_loops(src: &Function, headers: &[u32]) -> Function {
+        let owners = Self::loop_owners(src);
+        let mut func = src.clone();
+        for b in func.block_ids() {
+            if headers.contains(&owners[b.index()]) {
+                func.block_mut(b).instrs.retain(|i| !is_prefetch(i));
+            }
+        }
+        func
+    }
+
+    /// The deterministic cost of repatching the `due` loops of `src`: per
+    /// due loop, a base charge plus the per-instruction rate over that
+    /// loop's own blocks — always far below RECOMPILE_BASE_CYCLES +
+    /// per-instr over the whole body, which is the point of per-loop
+    /// re-entry.
+    pub(crate) fn repatch_cycles(src: &Function, due: &[u32]) -> u64 {
+        let owners = Self::loop_owners(src);
+        let mut loop_instrs: HashMap<u32, u64> = HashMap::new();
+        for b in src.block_ids() {
+            let owner = owners[b.index()];
+            if due.contains(&owner) {
+                *loop_instrs.entry(owner).or_default() += src.block(b).instrs.len() as u64;
+            }
+        }
+        due.iter()
+            .map(|h| {
+                LOOP_RECOMPILE_BASE_CYCLES
+                    + RECOMPILE_CYCLES_PER_INSTR * loop_instrs.get(h).copied().unwrap_or(0)
+            })
+            .sum()
     }
 
     /// Pushes a frame executing `code`: its window starts at the `argc`
@@ -986,7 +988,6 @@ impl<S: TraceSink> Vm<S> {
         #[cfg(debug_assertions)]
         self.assert_lint_clean(&outcome.func);
         self.book_pipeline(t0, &outcome.report);
-        self.compile_twins(mid, &base, args, &outcome.func);
         if !background {
             // One size-proportional cost model for every generation: the
             // simulated clock never depends on host wall-clock time.
@@ -1016,6 +1017,10 @@ impl<S: TraceSink> Vm<S> {
         // deopt arguments are no longer needed (and must stop extending
         // GC liveness).
         self.deopt_args.retain(|(m, _)| *m != mid);
+        if !S::ENABLED && !self.twins.is_empty() {
+            let code = self.compiled[mid.index()].expect("just installed");
+            self.compile_twins(mid, &base, args, code);
+        }
         instrs
     }
 
@@ -1028,7 +1033,7 @@ impl<S: TraceSink> Vm<S> {
     fn gc(&mut self) {
         let mut roots: Vec<Addr> = Vec::new();
         let heap = &self.heap;
-        let mut root = |a: Addr| {
+        let root = |roots: &mut Vec<Addr>, a: Addr| {
             if a != NULL && heap.contains(a) {
                 roots.push(a);
             }
@@ -1044,8 +1049,9 @@ impl<S: TraceSink> Vm<S> {
             })
             .collect();
         for &slot in &ref_slots {
-            root(self.stack[slot]);
+            root(&mut roots, self.stack[slot]);
         }
+        let slot_roots = roots.len();
         // Arguments held for pending background compiles stay live until
         // the compile runs (the inspector dereferences them). Retained
         // deopt arguments (recovery-sweep inputs) likewise stay live until
@@ -1054,8 +1060,11 @@ impl<S: TraceSink> Vm<S> {
         let held = self.pending.iter().chain(&self.deopt_args);
         for v in (self.statics.iter()).chain(held.flat_map(|(_, args)| args)) {
             if let Value::Ref(a) = *v {
-                root(a);
+                root(&mut roots, a);
             }
+        }
+        if !S::ENABLED && !self.shadows.is_empty() {
+            self.check_twin_roots(&ref_slots, &roots[slot_roots..]);
         }
         let (cstats, fwd) = self.heap.collect(&roots);
         if S::ENABLED {

@@ -1,10 +1,11 @@
 //! Twins: a VM that simulates other cells alongside its own runs exactly
 //! as it would alone, and a twin stays live only while it reproduces the
-//! leader's run — every body the leader installs, on the twin's own
-//! processor's clock, with loop guards that never fire.
+//! run of a VM of its own — every body it compiles is the leader's minus
+//! some prefetch ops, on its own code class's memory system and clock,
+//! patching its own code where its loop guards fire.
 
 use spf_core::{MethodReport, PrefetchOptions};
-use spf_ir::Function;
+use spf_ir::{Function, Instr};
 use spf_memsim::ProcessorConfig;
 use spf_vm::{NoopSink, Vm};
 use spf_workloads::{Prepared, Size};
@@ -218,45 +219,94 @@ fn a_twin_compiles_for_its_own_processor() {
     assert_eq!(twinned.cell(1).reports.len(), k);
 }
 
+/// Prefetch ops of `f`: the ops a twin's body may lack.
+fn prefetch_ops(f: &Function) -> usize {
+    f.instr_sites()
+        .filter(|&s| matches!(f.instr(s), Instr::Prefetch { .. } | Instr::SpecLoad { .. }))
+        .count()
+}
+
 /// An ADAPTIVE twin keeps loop guards of its own. On jess no guard fires,
 /// so the twin of an INTER+INTRA leader lives through the protocol and is
-/// a standalone ADAPTIVE VM. On db a guard fires: the twin ends at the
-/// call in which a standalone ADAPTIVE VM first invalidates a loop, and
-/// the leader still runs as it would alone.
+/// a standalone ADAPTIVE VM. On db a guard fires: the twin patches its
+/// own code where a standalone ADAPTIVE VM does, lives through its
+/// patches, and still is that VM after each call, while the leader runs
+/// as it would alone.
 #[test]
-fn an_adaptive_twin_lives_until_a_standalone_adaptive_vm_patches() {
+fn an_adaptive_twin_lives_through_its_patches() {
     let ii = PrefetchOptions::inter_intra();
     let adaptive = PrefetchOptions::adaptive();
-    let jess = tiny("jess");
+    for (name, patches) in [("jess", false), ("db", true)] {
+        let prep = tiny(name);
+        let mut vms = [
+            vm(&prep, &ii, &p4(), &[(adaptive.clone(), p4())]),
+            vm(&prep, &ii, &p4(), &[]),
+            vm(&prep, &adaptive, &p4(), &[]),
+        ];
+        let mut patched = false;
+        protocol(&prep, &mut vms, |vms, call| {
+            assert_leader_alone(vms, call);
+            assert_twin_is(&vms[0], 1, &vms[2], call);
+            let (stats, _) = vms[0].cell(1).run.expect("live");
+            assert_eq!(stats.inspection_cycles, vms[2].stats().inspection_cycles);
+            patched |= vms[2].stats().loop_deopts > 0;
+        });
+        assert_eq!(patched, patches, "{name}: a loop guard fires");
+    }
+}
+
+/// A twin on the leader's processor whose bodies lack some of the
+/// leader's prefetch ops runs on a memory system of its own: BASELINE on
+/// the Pentium 4 under an INTER+INTRA leader there on db, whose bodies
+/// differ, is after every call a standalone BASELINE VM.
+#[test]
+fn a_subset_twin_on_the_leaders_processor_runs_as_a_vm_of_its_own() {
+    let prep = tiny("db");
+    let (ii, off) = (PrefetchOptions::inter_intra(), PrefetchOptions::off());
+    assert_ne!(
+        bodies(&run(&prep, ii.clone(), &p4(), &[])),
+        bodies(&run(&prep, off.clone(), &p4(), &[])),
+        "db's INTER+INTRA inserts prefetch ops"
+    );
     let mut vms = [
-        vm(&jess, &ii, &p4(), &[(adaptive.clone(), p4())]),
-        vm(&jess, &ii, &p4(), &[]),
-        vm(&jess, &adaptive, &p4(), &[]),
+        vm(&prep, &ii, &p4(), &[(off.clone(), p4())]),
+        vm(&prep, &ii, &p4(), &[]),
+        vm(&prep, &off, &p4(), &[]),
     ];
-    protocol(&jess, &mut vms, |vms, call| {
+    protocol(&prep, &mut vms, |vms, call| {
         assert_leader_alone(vms, call);
         assert_twin_is(&vms[0], 1, &vms[2], call);
-        let (stats, _) = vms[0].cell(1).run.expect("live");
-        assert_eq!(stats.inspection_cycles, vms[2].stats().inspection_cycles);
     });
+    // The leader's extra prefetch ops ran: they show in its retired count.
+    assert_ne!(
+        vms[0].stats().retired_instructions,
+        vms[2].stats().retired_instructions
+    );
+}
 
-    let db = tiny("db");
+/// A twin whose body gains a prefetch op the leader's lacks ends at that
+/// compile, having been a VM of its own until then: db's INTER+INTRA
+/// under an INTER leader on the Pentium 4.
+#[test]
+fn a_twin_whose_body_gains_an_op_ends() {
+    let prep = tiny("db");
+    let (inter, ii) = (PrefetchOptions::inter(), PrefetchOptions::inter_intra());
+    let leader_bodies = bodies(&run(&prep, inter.clone(), &p4(), &[]));
+    let twin_bodies = bodies(&run(&prep, ii.clone(), &p4(), &[]));
+    let k = (leader_bodies.iter().zip(&twin_bodies))
+        .position(|(l, t)| prefetch_ops(t) > prefetch_ops(l))
+        .expect("INTER+INTRA adds an op to a db body");
     let mut vms = [
-        vm(&db, &ii, &p4(), &[(adaptive.clone(), p4())]),
-        vm(&db, &ii, &p4(), &[]),
-        vm(&db, &adaptive, &p4(), &[]),
+        vm(&prep, &inter, &p4(), &[(ii.clone(), p4())]),
+        vm(&prep, &inter, &p4(), &[]),
+        vm(&prep, &ii, &p4(), &[]),
     ];
-    let mut patched_at = None;
-    protocol(&db, &mut vms, |vms, call| {
+    protocol(&prep, &mut vms, |vms, call| {
         assert_leader_alone(vms, call);
-        let patched = vms[2].stats().loop_deopts > 0;
-        if patched && patched_at.is_none() {
-            patched_at = Some(call);
-        }
-        assert_eq!(live(&vms[0], 1), patched_at.is_none(), "call {call}");
-        if patched_at.is_none() {
+        if live(&vms[0], 1) {
             assert_twin_is(&vms[0], 1, &vms[2], call);
         }
     });
-    assert!(patched_at.is_some(), "a db loop guard fires");
+    assert!(!live(&vms[0], 1));
+    assert_eq!(vms[0].cell(1).reports.len(), k);
 }
