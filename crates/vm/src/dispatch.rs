@@ -21,7 +21,7 @@ use spf_trace::{SiteId, TraceSink};
 use crate::config::{CALL_OVERHEAD, COMPILED_INSTR_COST, INTERP_COST_MULTIPLIER};
 use crate::decode::{Op, ThreadedCode};
 use crate::error::VmError;
-use crate::twin::{prefetch_useless, Access};
+use crate::twin::Access;
 use crate::vm::{body, Vm};
 
 /// Handler signature. The op is a borrow into the current frame's threaded
@@ -430,13 +430,9 @@ fn prefetch_op<S: TraceSink>(
                 let id = vm.site_ids.get(&(ctx.cur_mid, site_ref));
                 vm.mem.set_site(id.copied().unwrap_or(SiteId::UNKNOWN));
             }
-            if vm.adaptive {
-                let useless = prefetch_useless(&vm.mem, kind, target);
+            if vm.guarded() {
                 let block = site_at(site).block.index() as u32;
-                vm.adapt.record_issue(ctx.cur_mid.index(), block, useless);
-            } else if !S::ENABLED && !vm.twins.is_empty() {
-                let block = site_at(site).block.index() as u32;
-                vm.probe_twins(ctx.cur_mid, block, index, target, kind);
+                vm.probe_issue(ctx.cur_mid, block, index, target, kind);
             }
             Access::prefetch(kind).apply(&mut vm.mem, target, ctx.cycles)
         }

@@ -1,6 +1,6 @@
-//! Twins: other cells — a prefetch configuration on a processor —
-//! simulated alongside a [`Vm`]'s own, so one run stands for every cell
-//! whose run it reproduces.
+//! Cells: the prefetch configurations on processors a [`Vm`] simulates —
+//! its own, cell 0, and its *twins*, simulated alongside so that one run
+//! stands for every cell whose run it reproduces.
 //!
 //! Three rules make a live twin's numbers those of a VM of its own:
 //!
@@ -33,18 +33,20 @@
 //!   for another body size move the class's clock and JIT cycles, not
 //!   its per-method cycles. At each frame flush the change in the offset
 //!   since the segment began goes into the shadow's per-method cycles.
-//! - **Its own guards.** A twin with adaptive guards keeps its own
-//!   [`AdaptState`]: its compiles register its bodies, every prefetch op
-//!   its code has probes its own class's memory system before any memory
-//!   system applies the op, and every call of a compiled method runs the
-//!   loop maintenance an adaptive VM runs there, on the twin's own body.
-//!   A patch strips the twin's body and shrinks its mask; a repatch
-//!   re-runs the pipeline on the twin's body, which must again be a
-//!   subset of the leader's. Either moves the twin onto a class of its
-//!   own and charges its clock. Where a leader frame — deeper in a
-//!   recursion — runs the body the twin patches, the leader's body gets a
-//!   new code id for the frames to come, so the older ones keep the
-//!   twin's old mask, as its VM's frames keep its old body.
+//! - **One adaptive road.** Every cell has its own options, processor,
+//!   reports and, under a mode with guards, [`AdaptState`], and the guard
+//!   policy runs once over the guarded cells (`Vm::guards`): a compile
+//!   registers each cell's body (`Vm::book_compile`), each prefetch op a
+//!   cell's code has probes that cell's memory system before any memory
+//!   system applies the op (`Vm::probe_issue`), and each call of a
+//!   compiled method repatches and patches the cell's loops on its own
+//!   body (`Vm::guard_loops`). Only where the new body goes depends on
+//!   the cell (`Vm::place`): cell 0 installs it; a twin's must again be a
+//!   subset of the leader's, and moves the twin onto a class of its own.
+//!   Where a leader frame — deeper in a recursion — runs the body a twin
+//!   patches, the leader's body gets a new code id for the frames to come
+//!   (`Vm::fork_code`), so the older ones keep the twin's old mask, as its
+//!   VM's frames keep its old body.
 //!
 //! A twin's compile-time reports, inspection cost and adaptive counters
 //! are its own; every other counter is the leader's, rebased onto the
@@ -53,50 +55,73 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use spf_adapt::{AdaptState, StaleLoop};
-use spf_core::{MethodReport, PrefetchOptions, StridePrefetcher};
+use spf_adapt::{AdaptConfig, AdaptState, StaleLoop};
+use spf_core::{MethodReport, PrefetchOptions};
 use spf_heap::{Addr, Value, NULL};
 use spf_ir::{Function, Instr, MethodId, PrefetchAddr, PrefetchKind, Reg};
 use spf_memsim::{CacheLevel, MemStats, MemorySystem, ProcessorConfig};
-use spf_trace::{NoopSink, TraceSink};
+use spf_trace::TraceSink;
 
-use crate::config::{LOOP_PATCH_CYCLES, RECOMPILE_CYCLES_PER_INSTR};
+use crate::config::RECOMPILE_CYCLES_PER_INSTR;
 use crate::decode::is_prefetch;
 use crate::stats::{MethodCycles, VmStats};
 use crate::vm::{body, CodeId, Installed, Vm};
 
-/// One twin of a [`Vm`] (see [`Vm::add_twin`]); read through
-/// [`Vm::cell`].
+/// One cell a [`Vm`] simulates: cell 0 is the VM's own, every other one
+/// a twin (see [`Vm::add_twin`]); read through [`Vm::cell`].
 #[derive(Clone, Debug)]
-pub(crate) struct Twin {
-    options: PrefetchOptions,
-    proc: ProcessorConfig,
-    /// Whether the twin still reproduces the leader's run: every install
-    /// so far was a leader JIT compile whose body was a subset of the
-    /// twin's, and every patch of its own kept it one (see the module
-    /// docs).
+pub(crate) struct CellState {
+    pub(crate) options: PrefetchOptions,
+    pub(crate) proc: ProcessorConfig,
+    /// Whether the cell still reproduces the leader's run (see the module
+    /// docs); cell 0 always does.
     live: bool,
-    /// The twin's optimization reports, one per compile or repatch it
+    /// The cell's optimization reports, one per compile or repatch it
     /// reproduced.
-    reports: Vec<MethodReport>,
-    /// The twin's own counters since the last [`Vm::reset_measurement`].
-    own: Own,
-    /// The index of the twin's class's shadow in `Vm::shadows`, or `None`
+    pub(crate) reports: Vec<MethodReport>,
+    /// A twin's own inspection cost and adaptive counters since the last
+    /// [`Vm::reset_measurement`]; cell 0's are [`Vm::stats`].
+    own: VmStats,
+    /// The index of the cell's class's shadow in `Vm::shadows`, or `None`
     /// for the leader's processor and code.
     shadow: Option<usize>,
-    /// The loop guards of a twin with adaptive guards.
-    adapt: Option<AdaptState>,
-    /// The twin's compiled body of each method, by method index.
+    /// The cell's loop guards, under a mode with adaptive guards.
+    pub(crate) adapt: Option<AdaptState>,
+    /// A twin's compiled body of each method, by method index; cell 0's
+    /// are the VM's installed bodies.
     bodies: Vec<Option<Arc<Function>>>,
 }
 
-/// The counters of [`VmStats`] a twin keeps for itself.
-#[derive(Clone, Debug, Default)]
-struct Own {
-    inspection_cycles: u64,
-    loop_deopts: u64,
-    loop_repatches: u64,
-    reagreed: u64,
+impl CellState {
+    /// A live cell compiled with `options` on `proc`, running the
+    /// leader's code, with the loop-guard policy `adapt` if its mode has
+    /// guards, for a program of `methods` methods.
+    pub(crate) fn new(
+        options: PrefetchOptions,
+        proc: ProcessorConfig,
+        adapt: AdaptConfig,
+        methods: usize,
+    ) -> CellState {
+        CellState {
+            adapt: (options.mode.adaptive_guards()).then(|| AdaptState::new(adapt)),
+            options,
+            proc,
+            live: true,
+            reports: Vec::new(),
+            own: VmStats::default(),
+            shadow: None,
+            bodies: vec![None; methods],
+        }
+    }
+}
+
+/// A loop edit of a compiled body, as cell 0 records it (see
+/// `Vm::place`).
+pub(crate) enum Edit<'a> {
+    /// A patch of these stale loops, at a call with these arguments.
+    Patch(&'a [StaleLoop], &'a [Value]),
+    /// A repatch: each loop's header and new loop generation.
+    Repatch(Vec<(u32, u32)>),
 }
 
 /// One cell a [`Vm`] simulates, its own or a twin's (see [`Vm::cell`]).
@@ -140,6 +165,20 @@ pub(crate) struct Shadow {
 type Mask = Option<Box<[bool]>>;
 
 impl Shadow {
+    /// A shadow on `mem`, at the leader's clock, with the per-method
+    /// cycles `per_method`.
+    fn new(mem: MemorySystem, per_method: Vec<MethodCycles>) -> Shadow {
+        Shadow {
+            mem,
+            offset: 0,
+            seg_offset: 0,
+            per_method,
+            masks: Vec::new(),
+            skipped: 0,
+            jit_delta: 0,
+        }
+    }
+
     /// Whether this class's code has prefetch op `index` of the leader's
     /// body `code`.
     fn has(&self, code: CodeId, index: u32) -> bool {
@@ -196,11 +235,7 @@ impl Access {
 /// Whether a prefetch of `kind` for `target` is useless on `mem`: its line
 /// is already cached at the fill target — the test the memory system
 /// applies internally, probed without changing anything.
-pub(crate) fn prefetch_useless<T: TraceSink>(
-    mem: &MemorySystem<T>,
-    kind: PrefetchKind,
-    target: Addr,
-) -> bool {
+fn prefetch_useless<T: TraceSink>(mem: &MemorySystem<T>, kind: PrefetchKind, target: Addr) -> bool {
     let level = match kind {
         PrefetchKind::Hardware => mem.config().swpf_target,
         PrefetchKind::GuardedLoad => CacheLevel::L1,
@@ -425,7 +460,10 @@ impl<S: TraceSink> Vm<S> {
             !self.config.retain_deopt_args,
             "a retaining VM takes no twins"
         );
-        assert!(!self.adaptive, "an adaptive VM takes no twins");
+        assert!(
+            self.cells[0].adapt.is_none(),
+            "an adaptive VM takes no twins"
+        );
         assert!(
             self.compiled_generations().next().is_none(),
             "twins join before the first compile"
@@ -433,29 +471,15 @@ impl<S: TraceSink> Vm<S> {
         let shadow = (proc != *self.mem.config()).then(|| {
             let found = self.shadows.iter().position(|s| *s.mem.config() == proc);
             found.unwrap_or_else(|| {
-                self.shadows.push(Shadow {
-                    mem: MemorySystem::new(proc.clone()),
-                    offset: 0,
-                    seg_offset: 0,
-                    per_method: vec![MethodCycles::default(); self.program.method_count()],
-                    masks: Vec::new(),
-                    skipped: 0,
-                    jit_delta: 0,
-                });
+                let mem = MemorySystem::new(proc.clone());
+                let per_method = vec![MethodCycles::default(); self.program.method_count()];
+                self.shadows.push(Shadow::new(mem, per_method));
                 self.shadows.len() - 1
             })
         });
-        let adapt = (options.mode.adaptive_guards()).then(|| AdaptState::new(self.config.adapt));
-        self.twins.push(Twin {
-            options,
-            proc,
-            live: true,
-            reports: Vec::new(),
-            own: Own::default(),
-            shadow,
-            adapt,
-            bodies: vec![None; self.program.method_count()],
-        });
+        let methods = self.program.method_count();
+        let cell = CellState::new(options, proc, self.config.adapt, methods);
+        self.cells.push(CellState { shadow, ..cell });
     }
 
     /// Cell `k`: the VM's own for `k = 0`, else twin `k − 1` in the order
@@ -464,24 +488,20 @@ impl<S: TraceSink> Vm<S> {
     /// of the twin's class and the twin's own inspection cost and
     /// adaptive counters.
     pub fn cell(&self, k: usize) -> CellRun<'_> {
-        let Some(twin) = k.checked_sub(1).map(|k| &self.twins[k]) else {
-            return CellRun {
-                options: &self.config.prefetch,
-                proc: self.mem.config(),
-                reports: self.reports(),
-                run: Some((self.stats.clone(), self.mem.stats())),
+        let cell = &self.cells[k];
+        let run = cell.live.then(|| {
+            let (own, stats) = (&cell.own, self.stats.clone());
+            let mut stats = match k {
+                0 => stats,
+                _ => VmStats {
+                    inspection_cycles: own.inspection_cycles,
+                    loop_deopts: own.loop_deopts,
+                    loop_repatches: own.loop_repatches,
+                    reagreed: own.reagreed,
+                    ..stats
+                },
             };
-        };
-        let run = twin.live.then(|| {
-            let own = &twin.own;
-            let mut stats = VmStats {
-                inspection_cycles: own.inspection_cycles,
-                loop_deopts: own.loop_deopts,
-                loop_repatches: own.loop_repatches,
-                reagreed: own.reagreed,
-                ..self.stats.clone()
-            };
-            let Some(i) = twin.shadow else {
+            let Some(i) = cell.shadow else {
                 return (stats, self.mem.stats());
             };
             let shadow = &self.shadows[i];
@@ -496,9 +516,9 @@ impl<S: TraceSink> Vm<S> {
             (stats, shadow.mem.stats())
         });
         CellRun {
-            options: &twin.options,
-            proc: &twin.proc,
-            reports: &twin.reports,
+            options: &cell.options,
+            proc: &cell.proc,
+            reports: &cell.reports,
             run,
         }
     }
@@ -561,11 +581,11 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Records the issue of prefetch op `index` of the top frame's body,
-    /// in `block` of `mid`, in the guards of every live guarded twin whose
-    /// code has the op, probed on its class's memory system before any
-    /// memory system applies the prefetch.
-    #[cold]
-    pub(crate) fn probe_twins(
+    /// in `block` of `mid`, in the guards of every guarded cell whose code
+    /// has the op, probed on the cell's memory system before any memory
+    /// system applies the prefetch: the one issue-time test of a useless
+    /// prefetch.
+    pub(crate) fn probe_issue(
         &mut self,
         mid: MethodId,
         block: u32,
@@ -573,112 +593,70 @@ impl<S: TraceSink> Vm<S> {
         target: Addr,
         kind: PrefetchKind,
     ) {
-        let code = self.frames.last().expect("a frame runs the op").code;
-        for twin in self.twins.iter_mut().filter(|t| t.live) {
-            let Some(adapt) = &mut twin.adapt else {
+        for cell in &mut self.cells {
+            let Some(adapt) = cell.adapt.as_mut().filter(|_| cell.live) else {
                 continue;
             };
-            let useless = match twin.shadow {
-                Some(i) if !self.shadows[i].has(code, index) => continue,
-                Some(i) => prefetch_useless(&self.shadows[i].mem, kind, target),
+            let useless = match cell.shadow {
                 None => prefetch_useless(&self.mem, kind, target),
+                Some(i) => {
+                    let code = self.frames.last().expect("a frame runs the op").code;
+                    if !self.shadows[i].has(code, index) {
+                        continue;
+                    }
+                    prefetch_useless(&self.shadows[i].mem, kind, target)
+                }
             };
             adapt.record_issue(mid.index(), block, useless);
         }
     }
 
-    /// Runs, for every live guarded twin, the loop maintenance an
-    /// adaptive VM runs at a call of the compiled `mid` (see
-    /// `Vm::maybe_patch`), on the twin's own body: repatches the loops
-    /// whose backoff is served, then patches the stale ones. The call's
-    /// `argc` arguments are on top of the stack.
-    #[cold]
-    pub(crate) fn check_twin_guards(&mut self, mid: MethodId, argc: usize) {
-        let epoch = self.heap.gc_epoch();
-        let invocations = u64::from(self.invocations[mid.index()]);
-        for k in 0..self.twins.len() {
-            let twin = &mut self.twins[k];
-            let Some(adapt) = twin.adapt.as_mut().filter(|_| twin.live) else {
-                continue;
-            };
-            let due = adapt.loops_due(mid.index(), invocations, epoch);
-            if !due.is_empty() {
-                self.repatch_twin(k, mid, argc, &due);
-            }
-            let twin = &mut self.twins[k];
-            let Some(adapt) = twin.adapt.as_mut().filter(|_| twin.live) else {
-                continue;
-            };
-            let stale = adapt.check_stale(mid.index(), epoch);
-            if !stale.is_empty() {
-                self.patch_twin(k, mid, &stale);
-            }
-        }
+    /// The loop guards of cell `k` (see [`Vm::cell`]), if it has them
+    /// and still lives: whether the cell is *guarded*.
+    pub(crate) fn guards(&mut self, k: usize) -> Option<&mut AdaptState> {
+        let cell = &mut self.cells[k];
+        cell.adapt.as_mut().filter(|_| cell.live)
     }
 
-    /// Twin `k`'s side of `Vm::patch_loops`: strips the prefetch ops of
-    /// the `stale` loops from its body of `mid`.
-    fn patch_twin(&mut self, k: usize, mid: MethodId, stale: &[StaleLoop]) {
-        let headers: Vec<u32> = stale.iter().map(|s| s.header).collect();
-        let twin = &mut self.twins[k];
-        let src = twin.bodies[mid.index()].clone().expect("a compiled body");
-        let func = Self::strip_loops(&src, &headers);
-        twin.own.loop_deopts += stale.len() as u64;
-        let invocations = u64::from(self.invocations[mid.index()]);
-        let adapt = twin.adapt.as_mut().expect("a guarded twin");
-        adapt.on_patch(mid.index(), &headers, invocations, self.heap.gc_epoch());
-        self.recode_twin(k, mid, func, LOOP_PATCH_CYCLES * stale.len() as u64);
+    /// Cell `k`'s compiled body of `mid`: a twin's own, cell 0's the one
+    /// installed.
+    pub(crate) fn cell_body(&self, k: usize, mid: MethodId) -> Arc<Function> {
+        let twin = self.cells[k].bodies[mid.index()].clone();
+        twin.unwrap_or_else(|| {
+            let code = self.compiled[mid.index()].expect("a compiled body");
+            Arc::clone(&body(&self.codes, code).tcode.src)
+        })
     }
 
-    /// Twin `k`'s side of `Vm::repatch_loops`: re-runs its pipeline for
-    /// the `due` loops of its body of `mid`, with the call's `argc`
-    /// arguments.
-    fn repatch_twin(&mut self, k: usize, mid: MethodId, argc: usize, due: &[u32]) {
-        let args = self.top_args(mid, argc);
-        let epoch = self.heap.gc_epoch();
-        let twin = &mut self.twins[k];
-        let src = twin.bodies[mid.index()].clone().expect("a compiled body");
-        let due_set: HashSet<u32> = due.iter().copied().collect();
-        let mut outcome = StridePrefetcher::new(twin.options.clone()).reoptimize_loops(
-            &self.program,
-            &src,
-            &self.heap,
-            &self.statics,
-            &args,
-            &twin.proc,
-            &due_set,
-            &mut NoopSink,
-        );
-        twin.own.inspection_cycles += outcome.report.inspection_cycles();
-        if outcome.report.total_prefetches > 0 {
-            twin.own.reagreed += 1;
-        }
-        let adapt = twin.adapt.as_mut().expect("a guarded twin");
-        for &h in due {
-            adapt.on_repatch(mid.index(), h, epoch);
-            twin.own.loop_repatches += 1;
-        }
-        outcome.report.generation = adapt.on_repatch_install(mid.index());
-        let cycles = Self::repatch_cycles(&src, due);
-        if self.recode_twin(k, mid, outcome.func, cycles) {
-            self.twins[k].reports.push(outcome.report);
-        }
+    /// Books `f` on cell `k`'s own counters: [`Vm::stats`] for cell 0,
+    /// else those of [`VmStats`] a twin keeps for itself.
+    pub(crate) fn count(&mut self, k: usize, f: impl FnOnce(&mut VmStats)) {
+        f(match k {
+            0 => &mut self.stats,
+            _ => &mut self.cells[k].own,
+        });
     }
 
-    /// Makes `func`, patched at a cost of `cycles`, twin `k`'s body of
-    /// `mid`, on a class of its own; ends the twin instead if `func` is
-    /// no subset of the leader's body. Returns whether the twin lives.
-    fn recode_twin(&mut self, k: usize, mid: MethodId, func: Function, cycles: u64) -> bool {
+    /// Makes `func`, patched at a cost of `cycles`, the body of `mid` of
+    /// cell `k`, a twin, on a class of its own; ends the twin instead if
+    /// `func` is no subset of the leader's body. Returns whether it lives.
+    pub(crate) fn recode_twin(
+        &mut self,
+        k: usize,
+        mid: MethodId,
+        func: Function,
+        cycles: u64,
+    ) -> bool {
         let mut code = self.compiled[mid.index()].expect("a compiled body");
         let Some(mask) = prefetch_mask(&func, &body(&self.codes, code).tcode.src) else {
-            self.twins[k].live = false;
+            self.cells[k].live = false;
             self.drop_idle_shadows();
             return false;
         };
         if self.frames.iter().any(|f| f.code == code) {
             code = self.fork_code(mid);
         }
-        self.twins[k].bodies[mid.index()] = Some(Arc::new(func));
+        self.cells[k].bodies[mid.index()] = Some(Arc::new(func));
         self.recode(code, &[(k, full_or(mask), cycles as i64)]);
         true
     }
@@ -709,56 +687,29 @@ impl<S: TraceSink> Vm<S> {
 
     /// Runs every live twin's pipeline on the inputs the leader's compile
     /// of `mid` just used, keeps live those whose body is a subset of the
-    /// leader's body `code`, and regroups the live ones by class. Emits no
-    /// event and charges nothing to [`Vm::stats`].
-    pub(crate) fn compile_twins(
-        &mut self,
-        mid: MethodId,
-        base: &Function,
-        args: &[Value],
-        code: CodeId,
-    ) {
-        if self.twins.iter().all(|t| !t.live) {
+    /// leader's body just installed, and regroups the live ones by class.
+    /// Emits no event and charges nothing to [`Vm::stats`].
+    pub(crate) fn compile_twins(&mut self, mid: MethodId, base: &Function, args: &[Value]) {
+        if self.cells[1..].iter().all(|t| !t.live) {
             return;
         }
+        let code = self.compiled[mid.index()].expect("just installed");
         let leader = Arc::clone(&body(&self.codes, code).tcode.src);
         let leader_instrs = leader.instr_sites().count() as i64;
-        let epoch = self.heap.gc_epoch();
-        let mut owners = None;
         let mut changes = Vec::new();
-        for (k, twin) in self.twins.iter_mut().enumerate() {
-            if !twin.live {
+        for k in 1..self.cells.len() {
+            if !self.cells[k].live {
                 continue;
             }
-            let outcome = StridePrefetcher::new(twin.options.clone()).optimize(
-                &self.program,
-                base,
-                &self.heap,
-                &self.statics,
-                args,
-                &twin.proc,
-            );
+            let outcome = self.pipeline(k, base, args, None);
             let Some(mask) = prefetch_mask(&outcome.func, &leader) else {
-                twin.live = false;
+                self.cells[k].live = false;
                 continue;
             };
-            let report = outcome.report;
-            if let Some(adapt) = &mut twin.adapt {
-                let owners = owners.get_or_insert_with(|| Self::loop_owners(&leader));
-                // The leader compiles each method once, so this is the
-                // twin's first compile of it: generation 0.
-                adapt.on_compile(
-                    mid.index(),
-                    epoch,
-                    owners.clone(),
-                    Self::site_blocks(&outcome.func),
-                );
-            }
-            twin.own.inspection_cycles += report.inspection_cycles();
-            twin.reports.push(report);
+            self.book_compile(k, mid, &outcome.func, outcome.report);
             let instrs = outcome.func.instr_sites().count() as i64;
             let jit = RECOMPILE_CYCLES_PER_INSTR as i64 * (instrs - leader_instrs);
-            twin.bodies[mid.index()] = Some(Arc::new(outcome.func));
+            self.cells[k].bodies[mid.index()] = Some(Arc::new(outcome.func));
             changes.push((k, full_or(mask), jit));
         }
         self.recode(code, &changes);
@@ -773,7 +724,7 @@ impl<S: TraceSink> Vm<S> {
     /// leader's code at the leader's clock keeps); every other class gets
     /// a copy of the old one's.
     fn recode(&mut self, code: CodeId, changes: &[(usize, Mask, i64)]) {
-        let stays = |twins: &[Twin], i: usize| {
+        let stays = |twins: &[CellState], i: usize| {
             (twins.iter().enumerate())
                 .any(|(j, t)| t.live && t.shadow == Some(i) && changes.iter().all(|c| c.0 != j))
         };
@@ -782,14 +733,14 @@ impl<S: TraceSink> Vm<S> {
         let mut classes: Vec<(Option<usize>, &Mask, i64, Option<usize>)> = Vec::new();
         let mut class_of = Vec::with_capacity(changes.len());
         for (k, mask, jit) in changes {
-            let old = self.twins[*k].shadow;
+            let old = self.cells[*k].shadow;
             let found = classes
                 .iter()
                 .position(|c| (c.0, c.1, c.2) == (old, mask, *jit));
             class_of.push(found.unwrap_or_else(|| {
                 let new = match old {
                     None if mask.is_none() && *jit == 0 => None,
-                    Some(i) if classes.iter().all(|c| c.0 != old) && !stays(&self.twins, i) => {
+                    Some(i) if classes.iter().all(|c| c.0 != old) && !stays(&self.cells, i) => {
                         Some(i)
                     }
                     _ => Some(self.split(old)),
@@ -801,14 +752,13 @@ impl<S: TraceSink> Vm<S> {
         for &(_, mask, jit, new) in &classes {
             let Some(i) = new else { continue };
             let shadow = &mut self.shadows[i];
-            if shadow.masks.len() <= code as usize {
-                shadow.masks.resize(code as usize + 1, None);
-            }
+            let len = shadow.masks.len().max(code as usize + 1);
+            shadow.masks.resize(len, None);
             shadow.masks[code as usize] = mask.clone();
             shadow.charge_jit(jit);
         }
         for ((k, ..), c) in changes.iter().zip(class_of) {
-            self.twins[*k].shadow = classes[c].3;
+            self.cells[*k].shadow = classes[c].3;
         }
         self.drop_idle_shadows();
     }
@@ -818,15 +768,7 @@ impl<S: TraceSink> Vm<S> {
     fn split(&mut self, from: Option<usize>) -> usize {
         let shadow = match from {
             Some(i) => self.shadows[i].clone(),
-            None => Shadow {
-                mem: self.mem.untraced(),
-                offset: 0,
-                seg_offset: 0,
-                per_method: self.stats.per_method.clone(),
-                masks: Vec::new(),
-                skipped: 0,
-                jit_delta: 0,
-            },
+            None => Shadow::new(self.mem.untraced(), self.stats.per_method.clone()),
         };
         self.shadows.push(shadow);
         self.shadows.len() - 1
@@ -837,7 +779,6 @@ impl<S: TraceSink> Vm<S> {
     /// keeps: `ref_slots` are the stack slots it roots and `roots` all of
     /// its roots but those.
     pub(crate) fn check_twin_roots(&mut self, ref_slots: &[usize], roots: &[Addr]) {
-        let mut ended = false;
         for i in 0..self.shadows.len() {
             let shadow = &self.shadows[i];
             let mut dropped = HashSet::new();
@@ -873,23 +814,18 @@ impl<S: TraceSink> Vm<S> {
                     .filter_map(rooted),
             );
             if !heap.reaches(&own, &extra) {
-                for twin in &mut self.twins {
-                    if twin.shadow == Some(i) {
-                        twin.live = false;
-                        ended = true;
-                    }
+                for twin in self.cells.iter_mut().filter(|t| t.shadow == Some(i)) {
+                    twin.live = false;
                 }
             }
         }
-        if ended {
-            self.drop_idle_shadows();
-        }
+        self.drop_idle_shadows();
     }
 
     /// Ends every twin: an install the leader's JIT did not make (or an
     /// eviction) is one no twin reproduced.
     pub(crate) fn diverge_twins(&mut self) {
-        for twin in &mut self.twins {
+        for twin in &mut self.cells[1..] {
             twin.live = false;
         }
         self.shadows.clear();
@@ -898,38 +834,25 @@ impl<S: TraceSink> Vm<S> {
     /// Drops the shadows no live twin runs on, so the run loop stops
     /// feeding them.
     fn drop_idle_shadows(&mut self) {
-        let mut used = vec![false; self.shadows.len()];
-        for twin in self.twins.iter().filter(|t| t.live) {
-            if let Some(i) = twin.shadow {
-                used[i] = true;
-            }
-        }
-        if used.iter().all(|&u| u) {
-            return;
-        }
-        let mut kept = 0;
-        let remap: Vec<Option<usize>> = used
-            .iter()
-            .map(|&u| {
-                kept += usize::from(u);
-                u.then(|| kept - 1)
-            })
+        let used: Vec<bool> = (0..self.shadows.len())
+            .map(|i| self.cells.iter().any(|t| t.live && t.shadow == Some(i)))
             .collect();
         let mut i = 0;
         self.shadows.retain(|_| {
             i += 1;
             used[i - 1]
         });
-        for twin in &mut self.twins {
-            twin.shadow = twin.shadow.and_then(|i| remap[i]);
+        for twin in &mut self.cells {
+            let kept = |i: usize| used[..i].iter().filter(|&&u| u).count();
+            twin.shadow = twin.shadow.filter(|&i| used[i]).map(kept);
         }
     }
 
     /// Restarts the twins' measurement counters and their shadows, with
     /// [`Vm::stats`] and the leader's memory system.
     pub(crate) fn reset_twins(&mut self) {
-        for twin in &mut self.twins {
-            twin.own = Own::default();
+        for twin in &mut self.cells[1..] {
+            twin.own = VmStats::default();
         }
         for shadow in &mut self.shadows {
             shadow.mem.reset();

@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spf_adapt::AdaptState;
-use spf_core::{MethodReport, PrefetchMode, StridePrefetcher};
+use spf_adapt::{AdaptState, StaleLoop};
+use spf_core::{MethodReport, OptimizeOutcome, PrefetchMode, StridePrefetcher};
 use spf_heap::{Addr, Heap, Layout, Value, NULL};
 use spf_ir::{ElemTy, Function, Instr, InstrRef, MethodId, PrefetchKind, Program, Reg};
 use spf_memsim::{MemorySystem, ProcessorConfig};
@@ -32,7 +32,7 @@ use crate::error::VmError;
 use crate::passes;
 use crate::predecode::Predecoded;
 use crate::stats::{MethodCycles, PicStats, VmStats};
-use crate::twin::{Shadow, Twin};
+use crate::twin::{CellState, Edit, Shadow};
 
 /// An installed, executable body: shared threaded code and whether it is
 /// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
@@ -100,7 +100,6 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// the outermost [`Vm::call`] finishes.
     retired: Vec<CodeId>,
     pub(crate) invocations: Vec<u32>,
-    reports: Vec<MethodReport>,
     pub(crate) stats: VmStats,
     sites: SiteTable,
     pub(crate) site_ids: HashMap<(MethodId, InstrRef), SiteId>,
@@ -113,8 +112,6 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// what each of its slots holds, and a `Value` exists only where one
     /// enters or leaves the VM.
     pub(crate) stack: Vec<u64>,
-    pub(crate) adapt: AdaptState,
-    pub(crate) adaptive: bool,
     history: Vec<(MethodId, u32, Arc<Function>)>,
     /// Whether installed bodies are decoded with superinstruction fusion.
     fuse: bool,
@@ -134,8 +131,9 @@ pub struct Vm<S: TraceSink = NoopSink> {
     /// `pending`, entries may hold heap references: [`Vm::gc`] roots and
     /// forwards them. Insertion-ordered for determinism.
     deopt_args: Vec<(MethodId, Vec<Value>)>,
-    /// Other cells simulated alongside this one (see [`Vm::add_twin`]).
-    pub(crate) twins: Vec<Twin>,
+    /// Every cell this VM simulates: its own, cell 0, then its twins (see
+    /// [`Vm::add_twin`]).
+    pub(crate) cells: Vec<CellState>,
     /// The memory systems of the live twins' processors other than this
     /// VM's, one per processor; empty without such twins, which the run
     /// loop tests at every access.
@@ -195,8 +193,7 @@ impl<S: TraceSink> Vm<S> {
             per_method: vec![MethodCycles::default(); n],
             ..VmStats::default()
         };
-        let adaptive = config.prefetch.mode.adaptive_guards();
-        let adapt = AdaptState::new(config.adapt);
+        let own = CellState::new(config.prefetch.clone(), proc.clone(), config.adapt, n);
         let codes = pre
             .bodies()
             .iter()
@@ -216,20 +213,17 @@ impl<S: TraceSink> Vm<S> {
             compiled: vec![None; n],
             retired: Vec::new(),
             invocations: vec![0; n],
-            reports: Vec::new(),
             stats,
             sites: SiteTable::new(),
             site_ids: HashMap::new(),
             frames: Vec::new(),
             stack: Vec::new(),
-            adapt,
-            adaptive,
             history: Vec::new(),
             fuse: pre.fused(),
             pending: Vec::new(),
             fresh_requests: Vec::new(),
             deopt_args: Vec::new(),
-            twins: Vec::new(),
+            cells: vec![own],
             shadows: Vec::new(),
             config,
         }
@@ -273,7 +267,7 @@ impl<S: TraceSink> Vm<S> {
 
     /// Optimization reports of all JIT compilations performed.
     pub fn reports(&self) -> &[MethodReport] {
-        &self.reports
+        &self.cells[0].reports
     }
 
     /// Installs a pre-optimized body for `mid`, bypassing the JIT trigger.
@@ -330,13 +324,10 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// The owning loop of every block of `func`, indexed by block: the
-    /// innermost enclosing loop's header block index, or
-    /// [`spf_adapt::NO_LOOP`] outside any loop — the ownership key of
-    /// the per-loop guards. The pipeline only inserts instructions, so
-    /// every body compiled from one method has the same blocks and the
-    /// same owners. Host-side analysis only; never charged to the
-    /// simulated clock.
-    pub(crate) fn loop_owners(func: &Function) -> Vec<u32> {
+    /// innermost enclosing loop's header, or [`spf_adapt::NO_LOOP`] — the
+    /// key of the per-loop guards. The pipeline only inserts instructions,
+    /// so all bodies of a method have the same owners. Host-side only.
+    fn loop_owners(func: &Function) -> Vec<u32> {
         let cfg = spf_ir::cfg::Cfg::compute(func);
         let dom = spf_ir::dom::DomTree::compute(func, &cfg);
         let forest = spf_ir::loops::LoopForest::compute(func, &cfg, &dom);
@@ -349,14 +340,6 @@ impl<S: TraceSink> Vm<S> {
             .collect()
     }
 
-    /// The block of every `Prefetch`/`SpecLoad` site of `func`: the
-    /// blocks whose owning loops get guards.
-    pub(crate) fn site_blocks(func: &Function) -> impl Iterator<Item = u32> + '_ {
-        func.instr_sites()
-            .filter(|&s| is_prefetch(func.instr(s)))
-            .map(|s| s.block.index() as u32)
-    }
-
     /// Adds JIT-side `cycles` (compile, patch or repatch) to the
     /// simulated clock.
     fn charge_jit(&mut self, cycles: u64) {
@@ -364,32 +347,87 @@ impl<S: TraceSink> Vm<S> {
         self.stats.cycles += cycles;
     }
 
-    /// Books one finished run of the prefetch pipeline started at `t0`:
-    /// host time (the only place it is read, and it stays in the `_nanos`
-    /// fields) and the deterministic compile-time cost counters, which
-    /// are never added onto `cycles`.
-    fn book_pipeline(&mut self, t0: Instant, report: &MethodReport) {
+    /// Books the host time of one finished run of the prefetch pipeline
+    /// started at `t0`: the only place it is read, and it stays in the
+    /// `_nanos` fields.
+    fn book_host(&mut self, t0: Instant, report: &MethodReport) {
         self.stats.jit_nanos += t0.elapsed().as_nanos();
         self.stats.prefetch_pass_nanos += report.pass_nanos;
-        self.stats.inspection_cycles += report.inspection_cycles();
     }
 
-    /// Debug builds run the static lint over every body the pipeline
-    /// emits: nothing may use a register before assignment, leak a
-    /// speculative value, or leave a dereference prefetch unguarded where
-    /// the processor requires a guarded load. (Kept out of release builds,
-    /// so measured numbers are untouched.)
-    #[cfg(debug_assertions)]
-    fn assert_lint_clean(&self, func: &Function) {
-        let config = spf_analysis::LintConfig {
-            guard_derefs: self.mem.config().swpf_drops_on_tlb_miss,
+    /// The loop guards of this VM's own cell, cell 0, under a mode with
+    /// adaptive guards.
+    fn own_guards(&self) -> Option<&AdaptState> {
+        self.cells[0].adapt.as_ref()
+    }
+
+    /// Cell 0's loop guard of `mid`, once it compiled `mid` with guards.
+    fn own_guard(&self, mid: MethodId) -> Option<&spf_adapt::MethodGuard> {
+        self.own_guards()?.guard(mid.index())
+    }
+
+    /// Runs cell `k`'s prefetch pipeline on `func` with the arguments
+    /// `args`: over the whole body, or with `due` over those loops only
+    /// (a repatch).
+    pub(crate) fn pipeline(
+        &mut self,
+        k: usize,
+        func: &Function,
+        args: &[Value],
+        due: Option<&[u32]>,
+    ) -> OptimizeOutcome {
+        let prefetcher = StridePrefetcher::new(self.cells[k].options.clone());
+        let proc = self.cells[k].proc.clone();
+        let (program, heap, statics) = (&self.program, &self.heap, &self.statics);
+        // The processor is a clone, so the pipeline can borrow the memory
+        // system's sink mutably.
+        let sink = self.mem.sink_mut();
+        let outcome = match due {
+            None => prefetcher.optimize_traced(program, func, heap, statics, args, &proc, sink),
+            Some(due) => {
+                let due = due.iter().copied().collect();
+                prefetcher.reoptimize_loops(program, func, heap, statics, args, &proc, &due, sink)
+            }
         };
-        let findings = spf_analysis::lint(func, &config);
-        assert!(
-            findings.is_empty(),
-            "JIT output for {} fails the static lint: {findings:?}",
-            func.name()
-        );
+        // Debug builds lint the output: nothing may use a register before
+        // assignment, leak a speculative value, or leave a dereference
+        // prefetch unguarded where the processor requires a guarded load.
+        // (Kept out of release builds, so measured numbers are untouched.)
+        #[cfg(debug_assertions)]
+        {
+            let guard_derefs = proc.swpf_drops_on_tlb_miss;
+            let findings =
+                spf_analysis::lint(&outcome.func, &spf_analysis::LintConfig { guard_derefs });
+            let name = func.name();
+            assert!(
+                findings.is_empty(),
+                "JIT output for {name} fails the static lint: {findings:?}"
+            );
+        }
+        outcome
+    }
+
+    /// Cell `k`'s bookkeeping of its compile of `mid` to `func`: registers
+    /// the body with its guards, if any (each loop owning a prefetch site
+    /// gets one), stamps the install generation on `report`, counts its
+    /// inspection cost and keeps it. Returns the generation.
+    pub(crate) fn book_compile(
+        &mut self,
+        k: usize,
+        mid: MethodId,
+        func: &Function,
+        mut report: MethodReport,
+    ) -> u32 {
+        let epoch = self.heap.gc_epoch();
+        report.generation = self.guards(k).map_or(0, |adapt| {
+            let sites = func.instr_sites().filter(|&s| is_prefetch(func.instr(s)));
+            let blocks = sites.map(|s| s.block.index() as u32);
+            adapt.on_compile(mid.index(), epoch, Self::loop_owners(func), blocks)
+        });
+        self.count(k, |s| s.inspection_cycles += report.inspection_cycles());
+        let generation = report.generation;
+        self.cells[k].reports.push(report);
+        generation
     }
 
     /// Every compiled body installed so far, as `(method, generation,
@@ -531,9 +569,9 @@ impl<S: TraceSink> Vm<S> {
 
     /// Invokes `mid` on the `argc` arguments its caller left on top of
     /// the register stack: depth check, invocation accounting, the
-    /// adaptive per-loop check of a compiled body, the JIT trigger, body
-    /// resolution, frame push — in the old `push_frame`'s order. A live
-    /// guarded twin's loop checks run where the adaptive ones would.
+    /// per-loop maintenance of a compiled body's guarded cells, the JIT
+    /// trigger, body resolution, frame push — in the old `push_frame`'s
+    /// order.
     pub(crate) fn call_into(
         &mut self,
         mid: MethodId,
@@ -545,12 +583,8 @@ impl<S: TraceSink> Vm<S> {
         }
         self.invocations[mid.index()] += 1;
         self.stats.per_method[mid.index()].invocations += 1;
-        if self.compiled[mid.index()].is_some() {
-            if self.adaptive {
-                self.maybe_patch(mid, argc);
-            } else if !S::ENABLED && !self.twins.is_empty() {
-                self.check_twin_guards(mid, argc);
-            }
+        if self.compiled[mid.index()].is_some() && self.guarded() {
+            self.guard_loops(mid, argc);
         }
         if self.compiled[mid.index()].is_none()
             && self.invocations[mid.index()] >= self.config.compile_threshold
@@ -580,163 +614,182 @@ impl<S: TraceSink> Vm<S> {
             .collect()
     }
 
-    /// Runs the adaptive per-loop maintenance for `mid` (which must have
-    /// a compiled body installed): first repatches invalidated loops
-    /// whose backoff has been served (tier-2 re-entry), then checks the
-    /// loop guards and patches newly stale loops' prefetch sites to
-    /// no-ops (tier-1 invalidation). The current invocation's `argc`
-    /// arguments are on top of the stack: the repatch re-inspects with
-    /// them, and a patch retains them under
-    /// [`VmConfig::retain_deopt_args`] so the serving recovery sweep can
-    /// repatch the method later.
-    fn maybe_patch(&mut self, mid: MethodId, argc: usize) {
+    /// Whether a cell this VM simulates may have loop guards: its own
+    /// has, or it has twins (which only an untraced VM takes).
+    #[inline(always)]
+    pub(crate) fn guarded(&self) -> bool {
+        (!S::ENABLED && self.cells.len() > 1) || self.cells[0].adapt.is_some()
+    }
+
+    /// The per-loop maintenance at a call of the compiled `mid`, in every
+    /// guarded cell (see [`Vm::guards`]), on its own body: repatches the
+    /// invalidated loops whose backoff is served (tier-2 re-entry), then
+    /// patches the prefetch sites of newly stale loops to no-ops (tier-1
+    /// invalidation). A repatch re-inspects with the call's `argc`
+    /// arguments, on top of the stack; cell 0 retains a patch's.
+    fn guard_loops(&mut self, mid: MethodId, argc: usize) {
         let epoch = self.heap.gc_epoch();
         let invocations = u64::from(self.invocations[mid.index()]);
-        let due = self.adapt.loops_due(mid.index(), invocations, epoch);
-        if !due.is_empty() {
-            self.repatch_loops(mid, &self.top_args(mid, argc), &due, false);
-        }
-        let stale = self.adapt.check_stale(mid.index(), epoch);
-        if S::ENABLED {
-            // `check_stale` may have re-armed a disarmed loop guard even
-            // when it returned no verdict; surface that to the trace.
-            let now = self.stats.cycles;
-            for (method, generation) in self.adapt.take_rearmed() {
-                self.mem.sink_mut().emit(TraceEvent::GuardRearmed {
-                    tenant: u32::MAX,
-                    method,
-                    generation,
-                    now,
-                });
+        let mut args = None;
+        for k in 0..self.cells.len() {
+            let Some(adapt) = self.guards(k) else {
+                continue;
+            };
+            let due = adapt.loops_due(mid.index(), invocations, epoch);
+            if !due.is_empty() {
+                let args = args.get_or_insert_with(|| self.top_args(mid, argc));
+                self.repatch_loops(k, mid, args, &due, false);
             }
-        }
-        if !stale.is_empty() {
-            self.patch_loops(mid, &self.top_args(mid, argc), &stale);
+            // A repatch the leader's body cannot take ends a twin.
+            let Some(adapt) = self.guards(k) else {
+                continue;
+            };
+            let stale = adapt.check_stale(mid.index(), epoch);
+            if S::ENABLED {
+                // `check_stale` may re-arm a guard without a verdict; a
+                // traced VM has no twins, so this is cell 0.
+                let (rearmed, now) = (adapt.take_rearmed(), self.stats.cycles);
+                for (method, generation) in rearmed {
+                    self.mem.sink_mut().emit(TraceEvent::GuardRearmed {
+                        tenant: u32::MAX,
+                        method,
+                        generation,
+                        now,
+                    });
+                }
+            }
+            if !stale.is_empty() {
+                let args = args.get_or_insert_with(|| self.top_args(mid, argc));
+                self.patch_loops(k, mid, args, &stale);
+            }
         }
     }
 
-    /// Tier-1 invalidation: strips the `Prefetch`/`SpecLoad` instructions
-    /// from the blocks of the given stale loops and reinstalls the body.
-    /// Everything else — the other loops' sites included — keeps running
-    /// compiled; only the stale loops drop to plain (unprefetched)
-    /// compiled code until their repatch is due.
-    fn patch_loops(&mut self, mid: MethodId, args: &[Value], stale: &[spf_adapt::StaleLoop]) {
-        let code = self.compiled[mid.index()].expect("staleness requires a compiled body");
-        let src = Arc::clone(&body(&self.codes, code).tcode.src);
+    /// Tier-1 invalidation in cell `k`: strips the `Prefetch`/`SpecLoad`
+    /// ops of the `stale` loops from its body of `mid` and puts the body
+    /// in place. The other loops' sites keep running; the stale loops run
+    /// plain compiled code until their repatch is due.
+    fn patch_loops(&mut self, k: usize, mid: MethodId, args: &[Value], stale: &[StaleLoop]) {
         let headers: Vec<u32> = stale.iter().map(|s| s.header).collect();
-        let func = Self::strip_loops(&src, &headers);
+        let func = Self::strip_loops(&self.cell_body(k, mid), &headers);
+        let invocations = u64::from(self.invocations[mid.index()]);
+        let epoch = self.heap.gc_epoch();
+        let adapt = self.guards(k).expect("staleness requires guards");
+        let generation = adapt.on_patch(mid.index(), &headers, invocations, epoch);
+        let loops = stale.len() as u64;
+        self.count(k, |s| s.loop_deopts += loops);
         // A patch is a deterministic code edit, far cheaper than any
         // recompile; charged per stale loop.
-        self.charge_jit(LOOP_PATCH_CYCLES * stale.len() as u64);
-        self.stats.loop_deopts += stale.len() as u64;
-        if S::ENABLED {
-            let now = self.stats.cycles;
-            for s in stale {
-                self.mem.sink_mut().emit(TraceEvent::LoopInvalidated {
-                    method: mid.index() as u32,
-                    loop_header: s.header,
-                    generation: s.generation,
-                    reason: s.reason,
-                    now,
-                });
-            }
-        }
-        let generation = self.adapt.on_patch(
-            mid.index(),
-            &headers,
-            u64::from(self.invocations[mid.index()]),
-            self.heap.gc_epoch(),
-        );
-        self.install(mid, func, generation);
-        if self.config.retain_deopt_args {
-            // Keep this invocation's arguments so a recovery sweep can
-            // repatch the stranded loops without waiting for the backoff.
-            // Retaining values extends their GC liveness, so this is
-            // strictly opt-in (chaos/serving runs only).
-            if let Some(entry) = self.deopt_args.iter_mut().find(|(m, _)| *m == mid) {
-                entry.1.clear();
-                entry.1.extend_from_slice(args);
-            } else {
-                self.deopt_args.push((mid, args.to_vec()));
-            }
-        }
+        let edit = Edit::Patch(stale, args);
+        self.place(k, mid, func, generation, LOOP_PATCH_CYCLES * loops, edit);
     }
 
-    /// Tier-2 re-entry: re-runs the prefetch pipeline for the given
-    /// invalidated loops only — re-inspecting the live heap with `args` —
-    /// splices the fresh sites
-    /// into the installed body, and reinstalls it. Charges a
-    /// deterministic per-loop cost far below a full recompile unless
-    /// `background` (a compilation-queue worker accounts for latency on
-    /// its own clock). Returns the installed body's instruction count.
+    /// Tier-2 re-entry in cell `k`: re-runs its pipeline over the `due`
+    /// loops of its body of `mid` only, re-inspecting the live heap with
+    /// `args`, and puts the body in place, at a per-loop cost far below a
+    /// full recompile — none if a compilation-queue worker made it.
     fn repatch_loops(
         &mut self,
+        k: usize,
         mid: MethodId,
         args: &[Value],
         due: &[u32],
         background: bool,
-    ) -> u64 {
+    ) {
         let t0 = Instant::now();
-        let code = self.compiled[mid.index()].expect("repatch requires a compiled body");
-        let src = Arc::clone(&body(&self.codes, code).tcode.src);
-        let due_set: std::collections::HashSet<u32> = due.iter().copied().collect();
-        let prefetcher = StridePrefetcher::new(self.config.prefetch.clone());
-        let proc = self.mem.config().clone();
-        let mut outcome = prefetcher.reoptimize_loops(
-            &self.program,
-            &src,
-            &self.heap,
-            &self.statics,
-            args,
-            &proc,
-            &due_set,
-            self.mem.sink_mut(),
-        );
-        let repatch_cycles = Self::repatch_cycles(&src, due);
-        self.book_pipeline(t0, &outcome.report);
-        if !background {
-            self.charge_jit(repatch_cycles);
-        }
-        if outcome.report.total_prefetches > 0 {
-            // Re-inspection re-agreed on prefetchable strides.
-            self.stats.reagreed += 1;
-        }
-        #[cfg(debug_assertions)]
-        self.assert_lint_clean(&outcome.func);
+        let src = self.cell_body(k, mid);
+        let mut outcome = self.pipeline(k, &src, args, Some(due));
+        self.book_host(t0, &outcome.report);
         let epoch = self.heap.gc_epoch();
-        for &h in due {
-            let loop_generation = self.adapt.on_repatch(mid.index(), h, epoch);
-            self.stats.loop_repatches += 1;
-            if S::ENABLED {
-                let now = self.stats.cycles;
-                self.mem.sink_mut().emit(TraceEvent::LoopRepatched {
-                    method: mid.index() as u32,
-                    loop_header: h,
-                    generation: loop_generation,
-                    now,
-                });
+        let adapt = self.guards(k).expect("a repatch requires guards");
+        let loops = due
+            .iter()
+            .map(|&h| (h, adapt.on_repatch(mid.index(), h, epoch)))
+            .collect();
+        let generation = adapt.on_repatch_install(mid.index());
+        outcome.report.generation = generation;
+        let report = &outcome.report;
+        self.count(k, |s| {
+            s.inspection_cycles += report.inspection_cycles();
+            s.loop_repatches += due.len() as u64;
+            // Re-inspection re-agreed on prefetchable strides.
+            s.reagreed += u64::from(report.total_prefetches > 0);
+        });
+        // A compilation-queue worker accounts for it on its own clock.
+        let cycles = u64::from(!background) * Self::repatch_cycles(&src, due);
+        let edit = Edit::Repatch(loops);
+        if self.place(k, mid, outcome.func, generation, cycles, edit) {
+            self.cells[k].reports.push(outcome.report);
+        }
+    }
+
+    /// Puts `func`, cell `k`'s new body of `mid` at install generation
+    /// `generation`, which the loop edit `edit` made at a JIT cost of
+    /// `cycles`, where the cell runs it; returns whether the cell still
+    /// lives. A twin re-masks the leader's body (see `Vm::recode_twin`).
+    /// Cell 0 installs it, and alone charges the cost, emits the edit's
+    /// trace events and keeps a patch's arguments under
+    /// [`VmConfig::retain_deopt_args`] — so the serving recovery sweep can
+    /// repatch the stranded loops without waiting for the backoff — until
+    /// no loop of the method is stranded.
+    fn place(
+        &mut self,
+        k: usize,
+        mid: MethodId,
+        func: Function,
+        generation: u32,
+        cycles: u64,
+        edit: Edit<'_>,
+    ) -> bool {
+        if k > 0 {
+            return self.recode_twin(k, mid, func, cycles);
+        }
+        self.charge_jit(cycles);
+        let (method, now) = (mid.index() as u32, self.stats.cycles);
+        match edit {
+            Edit::Patch(stale, args) => {
+                for s in stale.iter().filter(|_| S::ENABLED) {
+                    self.mem.sink_mut().emit(TraceEvent::LoopInvalidated {
+                        method,
+                        loop_header: s.header,
+                        generation: s.generation,
+                        reason: s.reason,
+                        now,
+                    });
+                }
+                // Retaining values extends their GC liveness, so this is
+                // strictly opt-in (chaos/serving runs only).
+                if self.config.retain_deopt_args {
+                    match self.deopt_args.iter_mut().find(|(m, _)| *m == mid) {
+                        Some(entry) => entry.1 = args.to_vec(),
+                        None => self.deopt_args.push((mid, args.to_vec())),
+                    }
+                }
+            }
+            Edit::Repatch(loops) => {
+                for &(loop_header, generation) in loops.iter().filter(|_| S::ENABLED) {
+                    self.mem.sink_mut().emit(TraceEvent::LoopRepatched {
+                        method,
+                        loop_header,
+                        generation,
+                        now,
+                    });
+                }
+                if self
+                    .own_guard(mid)
+                    .is_none_or(|g| g.stale_loops().is_empty())
+                {
+                    self.deopt_args.retain(|(m, _)| *m != mid);
+                }
             }
         }
-        let generation = self.adapt.on_repatch_install(mid.index());
-        outcome.report.generation = generation;
-        let instrs = self.install(mid, outcome.func, generation);
-        self.reports.push(outcome.report);
-        // Once no loop of the method is stranded anymore, the retained
-        // invalidation arguments are no longer needed (and must stop
-        // extending GC liveness).
-        if self
-            .adapt
-            .guard(mid.index())
-            .is_none_or(|g| g.stale_loops().is_empty())
-        {
-            self.deopt_args.retain(|(m, _)| *m != mid);
-        }
-        instrs
+        self.install(mid, func, generation);
+        true
     }
 
     /// `src` with the prefetch ops of the loops headed by `headers`
     /// stripped: a tier-1 patch.
-    pub(crate) fn strip_loops(src: &Function, headers: &[u32]) -> Function {
+    fn strip_loops(src: &Function, headers: &[u32]) -> Function {
         let owners = Self::loop_owners(src);
         let mut func = src.clone();
         for b in func.block_ids() {
@@ -752,7 +805,7 @@ impl<S: TraceSink> Vm<S> {
     /// loop's own blocks — always far below RECOMPILE_BASE_CYCLES +
     /// per-instr over the whole body, which is the point of per-loop
     /// re-entry.
-    pub(crate) fn repatch_cycles(src: &Function, due: &[u32]) -> u64 {
+    fn repatch_cycles(src: &Function, due: &[u32]) -> u64 {
         let owners = Self::loop_owners(src);
         let mut loop_instrs: HashMap<u32, u64> = HashMap::new();
         for b in src.block_ids() {
@@ -829,7 +882,8 @@ impl<S: TraceSink> Vm<S> {
     /// the methods enqueued (ascending, deterministic).
     pub fn reenqueue_stranded(&mut self) -> Vec<MethodId> {
         let mut out = Vec::new();
-        for idx in self.adapt.stranded_methods() {
+        let stranded = self.own_guards().map(AdaptState::stranded_methods);
+        for idx in stranded.unwrap_or_default() {
             let mid = MethodId::new(idx);
             if self.pending.iter().any(|(m, _)| *m == mid) {
                 continue;
@@ -847,7 +901,7 @@ impl<S: TraceSink> Vm<S> {
     /// Number of loops currently stranded: invalidated by a stale guard
     /// (their prefetch sites patched out) and not repatched since.
     pub fn stranded_count(&self) -> u64 {
-        self.adapt.stranded()
+        self.own_guards().map_or(0, AdaptState::stranded)
     }
 
     /// Drains `(method, generation)` guard re-arms since the last drain
@@ -856,7 +910,7 @@ impl<S: TraceSink> Vm<S> {
     /// for untraced serving tenants that report re-arms at epoch
     /// barriers.
     pub fn take_rearmed(&mut self) -> Vec<(u32, u32)> {
-        self.adapt.take_rearmed()
+        self.guards(0).map_or(Vec::new(), AdaptState::take_rearmed)
     }
 
     /// Deterministic cycle cost of compiling `mid` on a background
@@ -910,16 +964,14 @@ impl<S: TraceSink> Vm<S> {
             // waiving the invocation backoff — this is an explicit
             // recovery decision by the serving layer, not the adaptive
             // policy firing early.
-            if self.adaptive {
-                let stale = self
-                    .adapt
-                    .guard(mid.index())
-                    .map_or(Vec::new(), |g| g.stale_loops());
-                if !stale.is_empty() {
-                    return Some(self.repatch_loops(mid, &args, &stale, true));
-                }
+            let stale = self.own_guard(mid).map_or(Vec::new(), |g| g.stale_loops());
+            if stale.is_empty() {
+                return None;
             }
-            return None;
+            self.repatch_loops(0, mid, &args, &stale, true);
+            return self
+                .compiled_body(mid)
+                .map(|f| f.instr_sites().count() as u64);
         }
         Some(self.jit_compile(mid, &args, true))
     }
@@ -936,8 +988,8 @@ impl<S: TraceSink> Vm<S> {
         let instrs = body(&self.codes, code).tcode.src.instr_sites().count() as u64;
         self.retire(code);
         self.stats.code_evictions += 1;
-        if self.adaptive {
-            self.adapt.on_evicted(mid.index());
+        if let Some(adapt) = self.guards(0) {
+            adapt.on_evicted(mid.index());
         }
         Some(instrs)
     }
@@ -956,38 +1008,13 @@ impl<S: TraceSink> Vm<S> {
         }
         let original = Arc::clone(&self.original(mid).tcode.src);
         let base = passes::optimize(&self.program, &original);
-        let prefetcher = StridePrefetcher::new(self.config.prefetch.clone());
-        // Clone the processor description so the optimizer can borrow the
-        // memory system's sink mutably at the same time.
-        let proc = self.mem.config().clone();
-        let mut outcome = prefetcher.optimize_traced(
-            &self.program,
-            &base,
-            &self.heap,
-            &self.statics,
-            args,
-            &proc,
-            self.mem.sink_mut(),
-        );
-        // Stamp the compilation generation and the GC epoch the inspected
-        // strides belong to (no GC can run inside `jit_compile`, so the
-        // epoch read here is the one inspection saw). The per-loop guards
-        // key off which loop owns each emitted site.
-        let generation = if self.adaptive {
-            let f = &outcome.func;
-            self.adapt.on_compile(
-                mid.index(),
-                self.heap.gc_epoch(),
-                Self::loop_owners(f),
-                Self::site_blocks(f),
-            )
-        } else {
-            0
-        };
-        outcome.report.generation = generation;
-        #[cfg(debug_assertions)]
-        self.assert_lint_clean(&outcome.func);
-        self.book_pipeline(t0, &outcome.report);
+        let outcome = self.pipeline(0, &base, args, None);
+        self.book_host(t0, &outcome.report);
+        // Re-inspection re-agreed on prefetchable strides.
+        let reagreed = outcome.report.total_prefetches > 0;
+        // No GC can run inside `jit_compile`, so the GC epoch the guards
+        // stamp is the one inspection saw.
+        let generation = self.book_compile(0, mid, &outcome.func, outcome.report);
         if !background {
             // One size-proportional cost model for every generation: the
             // simulated clock never depends on host wall-clock time.
@@ -999,10 +1026,7 @@ impl<S: TraceSink> Vm<S> {
         self.stats.methods_compiled += 1;
         if generation > 0 {
             self.stats.recompiles += 1;
-            if outcome.report.total_prefetches > 0 {
-                // Re-inspection re-agreed on prefetchable strides.
-                self.stats.reagreed += 1;
-            }
+            self.stats.reagreed += u64::from(reagreed);
             if S::ENABLED {
                 self.mem.sink_mut().emit(TraceEvent::Recompile {
                     method: mid.index() as u32,
@@ -1012,14 +1036,12 @@ impl<S: TraceSink> Vm<S> {
             }
         }
         let instrs = self.install(mid, outcome.func, generation);
-        self.reports.push(outcome.report);
         // A successful compile ends the method's stranding; the retained
         // deopt arguments are no longer needed (and must stop extending
         // GC liveness).
         self.deopt_args.retain(|(m, _)| *m != mid);
-        if !S::ENABLED && !self.twins.is_empty() {
-            let code = self.compiled[mid.index()].expect("just installed");
-            self.compile_twins(mid, &base, args, code);
+        if !S::ENABLED {
+            self.compile_twins(mid, &base, args);
         }
         instrs
     }

@@ -5,9 +5,9 @@
 //! patching its own code where its loop guards fire.
 
 use spf_core::{MethodReport, PrefetchOptions};
-use spf_ir::{Function, Instr};
+use spf_ir::{CmpOp, ElemTy, Function, Instr, MethodId, Program, ProgramBuilder, Ty};
 use spf_memsim::ProcessorConfig;
-use spf_vm::{NoopSink, Vm};
+use spf_vm::{NoopSink, Vm, VmConfig};
 use spf_workloads::{Prepared, Size};
 
 fn tiny(name: &str) -> Prepared {
@@ -309,4 +309,162 @@ fn a_twin_whose_body_gains_an_op_ends() {
     });
     assert!(!live(&vms[0], 1));
     assert_eq!(vms[0].cell(1).reports.len(), k);
+}
+
+/// A twin that patches a body older frames of a recursion still run:
+/// on RayTracer, the ADAPTIVE twin of an INTER+INTRA leader, both on the
+/// Pentium 4, patches the recursive `rt_shade` below frames that run it,
+/// so the leader's body gets a new code id for the frames to come. After
+/// every call the twin is a standalone ADAPTIVE VM, and the leader runs
+/// as it would alone. (`rt_shade`'s older frames never re-enter the
+/// patched loop, so which code they keep shows only in
+/// `a_twin_patch_leaves_older_frames_on_the_old_code`.)
+#[test]
+fn a_twin_patches_a_body_older_frames_still_run() {
+    let prep = tiny("RayTracer");
+    let (ii, adaptive) = (PrefetchOptions::inter_intra(), PrefetchOptions::adaptive());
+    let mut vms = [
+        vm(&prep, &ii, &p4(), &[(adaptive.clone(), p4())]),
+        vm(&prep, &ii, &p4(), &[]),
+        vm(&prep, &adaptive, &p4(), &[]),
+    ];
+    protocol(&prep, &mut vms, |vms, call| {
+        assert_leader_alone(vms, call);
+        assert_twin_is(&vms[0], 1, &vms[2], call);
+    });
+    let patched = vms[2]
+        .compiled_generations()
+        .any(|(_, g, f)| g > 0 && f.name() == "rt_shade");
+    assert!(patched, "the standalone ADAPTIVE VM patches rt_shade");
+}
+
+/// A recursive walk whose loop guard goes stale inside the recursion,
+/// and `main`, which walks `ROUNDS` times. `walk(arr, depth)` walks the
+/// nodes of `arr` and, halfway, calls itself one level deeper. The nodes
+/// fit the Athlon's L1, so the walk's prefetches are soon useless: a
+/// recursive call finds the loop stale and patches it, and the frame
+/// that made the call runs the rest of its loop on the body it entered.
+fn stale_in_recursion() -> (Program, MethodId) {
+    const ELEMS: i32 = 300;
+    const DEPTH: i32 = 4;
+    const ROUNDS: i32 = 8;
+    let mut pb = ProgramBuilder::new();
+    let (node, nf) = pb.add_class(
+        "Node",
+        &[
+            ("v", ElemTy::I32),
+            ("data", ElemTy::Ref),
+            ("pad0", ElemTy::I64),
+            ("pad1", ElemTy::I64),
+        ],
+    );
+    let walk = pb.declare("walk", &[Ty::Ref, Ty::I32], Some(Ty::I32));
+    {
+        let mut b = pb.define(walk);
+        let (arr, depth) = (b.param(0), b.param(1));
+        let acc = b.new_reg(Ty::I32);
+        let zero = b.const_i32(0);
+        b.move_(acc, zero);
+        b.for_i32(
+            0,
+            1,
+            CmpOp::Lt,
+            |b| b.arraylen(arr),
+            |b, i| {
+                let n = b.aload(arr, i, ElemTy::Ref);
+                let v = b.getfield(n, nf[0]);
+                let d = b.getfield(n, nf[1]);
+                let zero = b.const_i32(0);
+                let d0 = b.aload(d, zero, ElemTy::I32);
+                let s1 = b.add(acc, v);
+                let s2 = b.add(s1, d0);
+                b.move_(acc, s2);
+                let half = b.const_i32(ELEMS / 2);
+                let at_half = b.cmp(CmpOp::Eq, i, half);
+                let deeper = b.gt(depth, zero);
+                let recurse = b.and(at_half, deeper);
+                b.if_(recurse, |b| {
+                    let one = b.const_i32(1);
+                    let d1 = b.sub(depth, one);
+                    let s = b.call(walk, &[arr, d1]);
+                    let t = b.add(acc, s);
+                    b.move_(acc, t);
+                });
+            },
+        );
+        b.ret(Some(acc));
+        b.finish();
+    }
+    let mut b = pb.function("main", &[], Some(Ty::I32));
+    let n = b.const_i32(ELEMS);
+    let arr = b.new_array(ElemTy::Ref, n);
+    b.for_i32(
+        0,
+        1,
+        CmpOp::Lt,
+        |_| n,
+        |b, i| {
+            let keep = b.new_object(node);
+            let four = b.const_i32(4);
+            let data = b.new_array(ElemTy::I32, four);
+            b.putfield(keep, nf[0], i);
+            b.putfield(keep, nf[1], data);
+            let zero = b.const_i32(0);
+            b.astore(data, zero, i, ElemTy::I32);
+            b.astore(arr, i, keep, ElemTy::Ref);
+        },
+    );
+    let acc = b.new_reg(Ty::I32);
+    let zero = b.const_i32(0);
+    b.move_(acc, zero);
+    let rounds = b.const_i32(ROUNDS);
+    b.for_i32(
+        0,
+        1,
+        CmpOp::Lt,
+        |_| rounds,
+        |b, _| {
+            let depth = b.const_i32(DEPTH);
+            let s = b.call(walk, &[arr, depth]);
+            let t = b.add(acc, s);
+            b.move_(acc, t);
+        },
+    );
+    b.ret(Some(acc));
+    let main = b.finish();
+    (pb.finish(), main)
+}
+
+/// Where a twin patches a body that older frames of a recursion go on
+/// running, those frames keep its old code, as its own VM's keep its old
+/// body: on `stale_in_recursion`, the ADAPTIVE twin of an INTER+INTRA
+/// leader, both on the Athlon, is after every call a standalone ADAPTIVE
+/// VM — which patches `walk` at a recursive call — and the leader runs as
+/// it would alone.
+#[test]
+fn a_twin_patch_leaves_older_frames_on_the_old_code() {
+    let athlon = athlon();
+    let (ii, adaptive) = (PrefetchOptions::inter_intra(), PrefetchOptions::adaptive());
+    let new_vm = |prefetch: &PrefetchOptions| {
+        let config = VmConfig {
+            prefetch: prefetch.clone(),
+            ..VmConfig::default()
+        };
+        Vm::new(stale_in_recursion().0, config, athlon.clone())
+    };
+    let main = stale_in_recursion().1;
+    let mut vms = [new_vm(&ii), new_vm(&ii), new_vm(&adaptive)];
+    vms[0].add_twin(adaptive.clone(), athlon.clone());
+    for call in 0..3 {
+        let outs: Vec<_> = vms.iter_mut().map(|vm| vm.call(main, &[])).collect();
+        assert!(
+            outs.iter().all(|o| *o == outs[0]),
+            "checksums after call {call}"
+        );
+        assert_leader_alone(&vms, call);
+        assert_twin_is(&vms[0], 1, &vms[2], call);
+        vms.iter_mut().for_each(Vm::reset_measurement);
+    }
+    let patched = vms[2].compiled_generations().filter(|(_, g, _)| *g > 0);
+    assert!(patched.count() > 0, "walk goes stale");
 }

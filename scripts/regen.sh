@@ -17,6 +17,9 @@ bin="${CARGO_TARGET_DIR:-target}/release"
 
 # Table 3, Figures 6-11 and the 96-cell matrix.
 "$bin/figures" tiny --matrix-out BENCH_baseline.json > FIGURES_tiny.txt
+# The same at full size, where the paper's shapes show (EXPERIMENTS.md's
+# shape checklist, asserted by tests/paper_claims.rs).
+"$bin/figures" full --matrix-out BENCH_full.json > FIGURES_full.txt
 # TRACE_summary.jsonl and DEOPT_events.jsonl, behind the trace checks.
 "$bin/figures" tiny db --trace --matrix-out - > /dev/null
 # STRIDE_agreement.jsonl, behind the lint.

@@ -2,7 +2,7 @@
 //! simulator at reduced problem sizes. These check *shape* — who wins,
 //! which mechanism fires — not absolute numbers (see EXPERIMENTS.md).
 
-use stride_prefetch::bench::{run_workload, RunPlan};
+use stride_prefetch::bench::{matrix_json, run_workload, RunPlan};
 use stride_prefetch::memsim::ProcessorConfig;
 use stride_prefetch::prefetch::PrefetchOptions;
 use stride_prefetch::workloads::{self, Size};
@@ -188,4 +188,65 @@ fn compiled_code_fraction_spread() {
         db.compiled_fraction
     );
     assert!(db.compiled_fraction > 0.8);
+}
+
+/// The committed full-size sweep, `BENCH_full.json`, keeps EXPERIMENTS.md's
+/// shape checklist on both processors, so a regenerated file that breaks
+/// a paper shape fails here rather than passing `git diff` once committed.
+#[test]
+fn the_full_size_sweep_keeps_the_shape_checklist() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_full.json");
+    let text = std::fs::read_to_string(path).expect("the committed BENCH_full.json");
+    assert!(text.contains(r#""size": "Full""#), "a full-size sweep");
+    let cells = matrix_json::parse(&text).expect("a matrix file");
+    let cycles = |name: &str, mode: &str, proc: &str| {
+        let cell = cells
+            .iter()
+            .find(|c| c.name == name && c.mode == mode && c.processor == proc);
+        cell.unwrap_or_else(|| panic!("no cell {name} / {mode} / {proc}"))
+            .best_cycles
+    };
+    // The speedup of `mode` over BASELINE, minus one.
+    let gain = |name: &str, mode: &str, proc: &str| {
+        cycles(name, "BASELINE", proc) as f64 / cycles(name, mode, proc) as f64 - 1.0
+    };
+    for proc in ["Pentium 4", "Athlon MP"] {
+        assert_eq!(
+            cycles("db", "INTER", proc),
+            cycles("db", "BASELINE", proc),
+            "db: INTER gets nothing on the {proc}"
+        );
+        let db = gain("db", "INTER+INTRA", proc);
+        assert!(
+            db > 0.10,
+            "db: INTER+INTRA wins big on the {proc}, got {db:+.3}"
+        );
+        assert_eq!(
+            cycles("Euler", "INTER", proc),
+            cycles("Euler", "INTER+INTRA", proc),
+            "Euler: INTER is INTER+INTRA on the {proc}"
+        );
+        for name in ["compress", "jack", "javac", "MonteCarlo", "Search"] {
+            for mode in ["INTER", "INTER+INTRA"] {
+                assert_eq!(
+                    cycles(name, mode, proc),
+                    cycles(name, "BASELINE", proc),
+                    "{name}: {mode} changes nothing on the {proc}"
+                );
+            }
+        }
+    }
+    let (p4, athlon) = (
+        gain("MolDyn", "INTER+INTRA", "Pentium 4"),
+        gain("MolDyn", "INTER+INTRA", "Athlon MP"),
+    );
+    assert!(
+        p4 <= 0.0 && athlon > 0.0,
+        "MolDyn: prefetching to L2 does not pay, to L1 does: {p4:+.3} / {athlon:+.3}"
+    );
+    let rt = gain("RayTracer", "INTER+INTRA", "Pentium 4");
+    assert!(
+        rt > 0.10,
+        "RayTracer wins big on the Pentium 4, got {rt:+.3}"
+    );
 }
