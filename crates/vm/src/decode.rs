@@ -111,9 +111,15 @@ pub(crate) struct ThreadedCode<S: TraceSink> {
     /// Length of a frame's register window. A new window is zero-filled:
     /// every type's zero value is the zero word.
     pub reg_count: usize,
-    /// Indices of `Ref`-typed registers: the slots the GC roots and
-    /// forwards (a slot does not say what it holds).
+    /// Indices of `Ref`-typed registers but the `ghost_regs`: the slots
+    /// the GC roots and forwards (a slot does not say what it holds).
     pub ref_regs: Box<[u32]>,
+    /// Which prefetch ops, by the index `decode` gives them, the VM's own
+    /// cell lacks (see the `twin` module); empty if none.
+    pub ghosts: Box<[bool]>,
+    /// The destinations of the ghost `SpecLoad`s: the GC forwards them but
+    /// roots them only in the twins whose code has them.
+    pub ghost_regs: Box<[u32]>,
     /// Flattened call argument lists; each call op holds a (start, len)
     /// window.
     pub arg_pool: Box<[u32]>,
@@ -122,7 +128,9 @@ pub(crate) struct ThreadedCode<S: TraceSink> {
 }
 
 /// Decodes `src` into threaded code. `fuse` enables superinstruction
-/// fusion; either way the simulated semantics are identical.
+/// fusion; either way the simulated semantics are identical. The prefetch
+/// ops `ghosts` names, by index, are ones the VM's own cell lacks: they
+/// are lowered to ghost handlers, which charge the VM nothing.
 ///
 /// # Panics
 ///
@@ -133,6 +141,7 @@ pub(crate) fn decode<S: TraceSink>(
     layout: &Layout,
     src: &Arc<Function>,
     fuse: bool,
+    ghosts: &[bool],
 ) -> ThreadedCode<S> {
     let func = src.as_ref();
     // SAFETY CONTRACT: this is the one type check, made once per body at
@@ -151,6 +160,7 @@ pub(crate) fn decode<S: TraceSink>(
     let mut blocks: Vec<Vec<DecOp<S>>> = Vec::new();
     // The next prefetch op's index (see `lower`).
     let mut prefetches = 0;
+    let mut ghost_regs = Vec::new();
     for bid in func.block_ids() {
         let block = func.block(bid);
         let mut ops = Vec::with_capacity(block.instrs.len() + 1);
@@ -159,6 +169,10 @@ pub(crate) fn decode<S: TraceSink>(
             let mut op = lower(program, layout, func, instr, site, &mut arg_pool);
             if is_prefetch(instr) {
                 op.op.ext = prefetches;
+                if ghosts.get(prefetches as usize) == Some(&true) {
+                    op.op.handler = h::ghost_handler::<S>(instr);
+                    ghost_regs.extend(instr.dst().map(r));
+                }
                 prefetches += 1;
             }
             ops.push(op);
@@ -204,9 +218,8 @@ pub(crate) fn decode<S: TraceSink>(
             op
         })
         .collect();
-    let ref_regs: Box<[u32]> = (0..func.reg_count())
-        .filter(|&i| func.reg_ty(Reg::new(i)) == Ty::Ref)
-        .map(|i| i as u32)
+    let ref_regs: Box<[u32]> = (0..func.reg_count() as u32)
+        .filter(|&i| func.reg_ty(Reg::new(i as usize)) == Ty::Ref && !ghost_regs.contains(&i))
         .collect();
     ThreadedCode {
         src: Arc::clone(src),
@@ -217,6 +230,8 @@ pub(crate) fn decode<S: TraceSink>(
         ref_regs,
         arg_pool: arg_pool.into_boxed_slice(),
         fused,
+        ghosts: ghosts.into(),
+        ghost_regs: ghost_regs.into_boxed_slice(),
     }
 }
 

@@ -13,8 +13,8 @@ use spf_heap::{
     apply_bin, apply_cmp, apply_conv, apply_un, Value, ARRAY_DATA_OFFSET, ARRAY_LENGTH_OFFSET, NULL,
 };
 use spf_ir::{
-    packed::unpack_reg_pair, BinOp, CmpOp, Conv, ElemTy, InstrRef, MethodId, PrefetchKind, Reg, Ty,
-    UnOp,
+    packed::unpack_reg_pair, BinOp, CmpOp, Conv, ElemTy, Instr, InstrRef, MethodId, PrefetchAddr,
+    PrefetchKind, Reg, Ty, UnOp,
 };
 use spf_trace::{SiteId, TraceSink};
 
@@ -432,7 +432,7 @@ fn prefetch_op<S: TraceSink>(
             }
             if vm.guarded() {
                 let block = site_at(site).block.index() as u32;
-                vm.probe_issue(ctx.cur_mid, block, index, target, kind);
+                vm.probe_issue((ctx.cur_mid, block), index, target, kind, false);
             }
             Access::prefetch(kind).apply(&mut vm.mem, target, ctx.cycles)
         }
@@ -898,6 +898,59 @@ pub(crate) fn h_specload_elem<S: TraceSink>(
     charge_instr(ctx);
     let target = elem_addr(ctx, op.b, op.c, op.d, op.imm);
     do_specload(vm, ctx, op, (tc, next, 0), target);
+    next
+}
+
+/// The handler of `instr`, a prefetch op the VM's own cell lacks (see
+/// `decode::decode`).
+pub(crate) fn ghost_handler<S: TraceSink>(instr: &Instr) -> Handler<S> {
+    use PrefetchKind::{GuardedLoad, Hardware};
+    let elem = |addr: &PrefetchAddr| matches!(addr, PrefetchAddr::ArrayElem { .. });
+    match instr {
+        Instr::Prefetch { addr, kind } => match (elem(addr), kind) {
+            (false, Hardware) => h_ghost::<S, false, false, false>,
+            (false, GuardedLoad) => h_ghost::<S, false, true, false>,
+            (true, Hardware) => h_ghost::<S, true, false, false>,
+            (true, GuardedLoad) => h_ghost::<S, true, true, false>,
+        },
+        Instr::SpecLoad { addr, .. } if elem(addr) => h_ghost::<S, true, true, true>,
+        Instr::SpecLoad { .. } => h_ghost::<S, false, true, true>,
+        _ => unreachable!("only a prefetch op is a ghost"),
+    }
+}
+
+/// A prefetch op the VM's own cell lacks and some twin's code has — of an
+/// `ArrayElem` address if `ELEM`, a guarded load if `GUARDED`, a
+/// `SpecLoad` if `SPEC`. It charges this VM nothing: the guarded twins
+/// whose code has it probe it, and the shadows whose code has it make it
+/// at their own clock (see the `twin` module). A `SpecLoad` still writes
+/// its register, which only their ops read.
+pub(crate) fn h_ghost<S: TraceSink, const ELEM: bool, const GUARDED: bool, const SPEC: bool>(
+    vm: &mut Vm<S>,
+    ctx: &mut Ctx,
+    op: &Op<S>,
+    tc: &ThreadedCode<S>,
+    next: usize,
+) -> usize {
+    let target = if ELEM {
+        elem_addr(ctx, op.b, op.c, op.d, op.imm)
+    } else {
+        field_addr(ctx, op.b, op.imm)
+    };
+    let kind = if GUARDED {
+        PrefetchKind::GuardedLoad
+    } else {
+        PrefetchKind::Hardware
+    };
+    if let Some(target) = target.filter(|_| vm.guarded()) {
+        let block = site_at((tc, next, 0)).block.index() as u32;
+        vm.probe_issue((ctx.cur_mid, block), op.ext, target, kind, true);
+    }
+    vm.shadow_ghost(op.ext, kind, target, (ctx.cycles, ctx.cur_cost));
+    if SPEC {
+        let v = target.map_or(NULL, |t| vm.heap.load_bits(t, ElemTy::Ref).unwrap_or(NULL));
+        ctx.set_reg(op.a, v);
+    }
     next
 }
 

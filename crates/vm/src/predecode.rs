@@ -43,7 +43,7 @@ impl<S: TraceSink> Predecoded<S> {
             .method_ids()
             .map(|m| {
                 let src = Arc::new(program.method(m).func().clone());
-                Arc::new(decode(&program, &layout, &src, fuse))
+                Arc::new(decode(&program, &layout, &src, fuse, &[]))
             })
             .collect();
         Predecoded {

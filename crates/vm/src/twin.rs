@@ -4,18 +4,25 @@
 //!
 //! Three rules make a live twin's numbers those of a VM of its own:
 //!
-//! - **Subset bodies.** At each JIT compile of the leader, every live twin
+//! - **Union bodies.** At each JIT compile of the leader, every live twin
 //!   runs its own prefetch pipeline, with its own processor, on the same
 //!   base body, heap, statics and arguments, and stays live only while
-//!   every body it produces is the leader's installed body minus some
-//!   `Prefetch`/`SpecLoad` ops (`prefetch_mask`): the rest in the same
-//!   order and identical, a `SpecLoad` destination at most renamed onto
-//!   the leader's, and no other op touching a `SpecLoad` destination. A
-//!   prefetch op changes no register another op reads and nothing on the
-//!   heap, so the twin's program executes the leader's instruction stream
-//!   minus those ops, on the same heap, with the same allocation and GC —
-//!   except where a `SpecLoad` destination only the leader has is the one
-//!   root of an object at a collection, which ends the twin.
+//!   every body it produces and the leader's are one base body plus some
+//!   `Prefetch`/`SpecLoad` ops ([`union`]). The VM installs the union of
+//!   its cells' bodies: the shared base ops and, in each gap between them,
+//!   a common supersequence of every cell's prefetch ops, where a kind is
+//!   part of an op and each `SpecLoad` destination only twins have gets a
+//!   fresh register. A prefetch op changes no register another op reads
+//!   and nothing on the heap, so each cell's program executes the union's
+//!   instruction stream minus the ops its code lacks, on the same heap,
+//!   with the same allocation and GC — except where a `SpecLoad`
+//!   destination one cell has and another lacks is the one root of an
+//!   object at a collection, which ends the twins whose VM would keep
+//!   other objects than the leader's (`Vm::check_twin_roots`). The
+//!   leader's own body sets all its charges — JIT cycles, retired and
+//!   compiled counts, GC roots — and decode lowers the ops it lacks, its
+//!   *ghosts*, to handlers that charge it nothing. A VM without twins
+//!   installs its own bodies as they are.
 //! - **One memory system per code class.** Only the memory system's
 //!   stalls depend on the processor, and only the prefetch ops the code
 //!   has change what the memory system sees. Twins on the leader's
@@ -24,15 +31,17 @@
 //!   all equal — shares one *shadow* memory system, which every load and
 //!   store of the leader's reaches too, at the leader's clock plus the
 //!   shadow's *offset*: its summed stall minus the leader's. A shadow
-//!   holds a *mask* per leader body: the prefetch ops (numbered by
-//!   decode) its code has. It makes those at its own clock, and for every
-//!   other one the leader runs it rebases: the offset drops by the op's
+//!   holds a *mask* per installed body: the prefetch ops (numbered by
+//!   decode) its code has. It makes those at its own clock. For every
+//!   other one the leader runs it rebases — the offset drops by the op's
 //!   cost and its latency on the leader, and the op leaves the retired
-//!   counts. A compile or patch that splits a class clones its memory
-//!   system, so the classes go on from one state. JIT and patch charges
-//!   for another body size move the class's clock and JIT cycles, not
-//!   its per-method cycles. At each frame flush the change in the offset
-//!   since the segment began goes into the shadow's per-method cycles.
+//!   counts — and each ghost its code has adds its cost and latency to
+//!   the offset, and the op to the retired counts. A compile or patch
+//!   that splits a class clones its memory system, so the classes go on
+//!   from one state. JIT and patch charges for another body size move the
+//!   class's clock and JIT cycles, not its per-method cycles. At each
+//!   frame flush the change in the offset since the segment began goes
+//!   into the shadow's per-method cycles.
 //! - **One adaptive road.** Every cell has its own options, processor,
 //!   reports and, under a mode with guards, [`AdaptState`], and the guard
 //!   policy runs once over the guarded cells (`Vm::guards`): a compile
@@ -41,12 +50,12 @@
 //!   system applies the op (`Vm::probe_issue`), and each call of a
 //!   compiled method repatches and patches the cell's loops on its own
 //!   body (`Vm::guard_loops`). Only where the new body goes depends on
-//!   the cell (`Vm::place`): cell 0 installs it; a twin's must again be a
-//!   subset of the leader's, and moves the twin onto a class of its own.
-//!   Where a leader frame — deeper in a recursion — runs the body a twin
-//!   patches, the leader's body gets a new code id for the frames to come
-//!   (`Vm::fork_code`), so the older ones keep the twin's old mask, as its
-//!   VM's frames keep its old body.
+//!   the cell (`Vm::place`): cell 0 installs it; a twin's must have no op
+//!   the installed union lacks, and moves the twin onto a class of its
+//!   own. Where a leader frame — deeper in a recursion — runs the body a
+//!   twin patches, the installed body gets a new code id for the frames
+//!   to come (`Vm::fork_code`), so the older ones keep the twin's old
+//!   mask, as its VM's frames keep its old body.
 //!
 //! A twin's compile-time reports, inspection cost and adaptive counters
 //! are its own; every other counter is the leader's, rebased onto the
@@ -58,12 +67,12 @@ use std::sync::Arc;
 use spf_adapt::{AdaptConfig, AdaptState, StaleLoop};
 use spf_core::{MethodReport, PrefetchOptions};
 use spf_heap::{Addr, Value, NULL};
-use spf_ir::{Function, Instr, MethodId, PrefetchAddr, PrefetchKind, Reg};
+use spf_ir::{Function, Instr, MethodId, PrefetchAddr, PrefetchKind, Reg, Ty};
 use spf_memsim::{CacheLevel, MemStats, MemorySystem, ProcessorConfig};
 use spf_trace::TraceSink;
 
 use crate::config::RECOMPILE_CYCLES_PER_INSTR;
-use crate::decode::is_prefetch;
+use crate::decode::{decode, is_prefetch};
 use crate::stats::{MethodCycles, VmStats};
 use crate::vm::{body, CodeId, Installed, Vm};
 
@@ -87,9 +96,9 @@ pub(crate) struct CellState {
     shadow: Option<usize>,
     /// The cell's loop guards, under a mode with adaptive guards.
     pub(crate) adapt: Option<AdaptState>,
-    /// A twin's compiled body of each method, by method index; cell 0's
-    /// are the VM's installed bodies.
-    bodies: Vec<Option<Arc<Function>>>,
+    /// The cell's compiled body of each method, by method index; where
+    /// twins add ops to cell 0's, the VM installs their union instead.
+    pub(crate) bodies: Vec<Option<Arc<Function>>>,
 }
 
 impl CellState {
@@ -151,17 +160,17 @@ pub(crate) struct Shadow {
     /// Per-method compiled and interpreted cycles of this class;
     /// invocations are the leader's.
     per_method: Vec<MethodCycles>,
-    /// This class's mask of each leader body, by [`CodeId`]; past the
+    /// This class's mask of each installed body, by [`CodeId`]; past the
     /// end, `None`.
     masks: Vec<Mask>,
-    /// Prefetch ops the leader retired that this class's code lacks.
-    skipped: u64,
+    /// Prefetch ops this class retired minus those the leader retired.
+    retired: i64,
     /// This class's JIT cycles minus the leader's.
     jit_delta: i64,
 }
 
-/// Which prefetch ops of a leader body a class's code has, by the index
-/// decode gives them; `None` for all of them.
+/// Which prefetch ops of an installed body a class's code has, by the
+/// index decode gives them; `None` for the leader's.
 type Mask = Option<Box<[bool]>>;
 
 impl Shadow {
@@ -174,17 +183,17 @@ impl Shadow {
             seg_offset: 0,
             per_method,
             masks: Vec::new(),
-            skipped: 0,
+            retired: 0,
             jit_delta: 0,
         }
     }
 
-    /// Whether this class's code has prefetch op `index` of the leader's
-    /// body `code`.
-    fn has(&self, code: CodeId, index: u32) -> bool {
+    /// Whether this class's code has prefetch op `index` of the installed
+    /// body `code`, a `ghost` op or one the leader's code has.
+    fn has(&self, code: CodeId, index: u32, ghost: bool) -> bool {
         match self.masks.get(code as usize) {
             Some(Some(mask)) => mask[index as usize],
-            _ => true,
+            _ => !ghost,
         }
     }
 
@@ -243,98 +252,167 @@ fn prefetch_useless<T: TraceSink>(mem: &MemorySystem<T>, kind: PrefetchKind, tar
     mem.line_present(level, target)
 }
 
-/// Which prefetch ops of `leader`, in block and instruction order (the
-/// order decode numbers them in), `twin` has — if `twin` is `leader`
-/// minus some `Prefetch`/`SpecLoad` ops, else `None`.
+/// The union of the body a VM runs and a twin's body of the same method
+/// (see [`union`]).
+pub(crate) struct Union {
+    /// The body the VM runs, with every prefetch op of the twin's it
+    /// lacked inserted.
+    pub(crate) body: Function,
+    /// For each prefetch op of `body`, in the order decode numbers them,
+    /// its index among the old body's, or `None` for an op the twin added.
+    origin: Vec<Option<usize>>,
+    /// Which prefetch ops of `body` the twin has.
+    pub(crate) mask: Vec<bool>,
+}
+
+impl Union {
+    /// Whether the twin added no op: its body is the old one minus some
+    /// prefetch ops.
+    pub(crate) fn adds_nothing(&self) -> bool {
+        self.origin.iter().all(Option::is_some)
+    }
+
+    /// The mask over `body` of a class whose mask over the old body was
+    /// `old`: it lacks every op the twin added.
+    pub(crate) fn carry(&self, old: &[bool]) -> Vec<bool> {
+        (self.origin.iter())
+            .map(|o| o.is_some_and(|j| old[j]))
+            .collect()
+    }
+}
+
+/// The union of `run`, the body a VM runs, and `twin`, a twin's body of
+/// the same method, if both are one base body plus some
+/// `Prefetch`/`SpecLoad` ops; else `None`.
 ///
 /// The check is syntactic. Both bodies must have the same signature,
-/// blocks and terminators, and the same ops in each block once the
-/// leader's extra prefetch ops are left out. Each `SpecLoad` destination
-/// of `twin` may be renamed, one to one, onto the destination of the
-/// leader's `SpecLoad` it matches; a prefetch op of `twin` must read that
-/// name where the leader's reads the leader's. No other op and no
-/// terminator may touch a `SpecLoad` destination of either body, and
-/// every other register has one type in both. So every register but the
-/// destinations holds the same value in both bodies, each destination of
-/// `twin` the value of its leader name — no `SpecLoad` the twin lacks
-/// writes one — and each prefetch op of `twin` reaches the address of
-/// the leader's op it matches.
-pub(crate) fn prefetch_mask(twin: &Function, leader: &Function) -> Option<Vec<bool>> {
-    if twin.name() != leader.name()
-        || twin.param_count() != leader.param_count()
-        || twin.ret_ty() != leader.ret_ty()
-        || twin.entry() != leader.entry()
-        || twin.block_count() != leader.block_count()
+/// blocks and terminators, and the same other ops in the same order. In
+/// each gap between two of those, the union's prefetch ops are a common
+/// supersequence of both bodies' there: `run`'s in their order, a longest
+/// common subsequence with `twin`'s shared, and every other op of `twin`
+/// inserted where it keeps its order. Two ops match if they are of one
+/// kind — a `Prefetch` of another kind is another op — with addresses of
+/// one shape and the same constants, under a one-to-one renaming of
+/// `twin`'s `SpecLoad` destinations onto `run`'s; a destination that
+/// matches none gets a fresh register, which only inserted ops name. No
+/// other op and no terminator may touch a `SpecLoad` destination of
+/// either body, every other register of `twin` is `run`'s with its type,
+/// and no `SpecLoad` of the union that `twin` lacks may write a register
+/// `twin`'s ops are renamed onto. So each register `twin` names holds in
+/// the union what it holds in `twin`'s own run, each of its prefetch ops
+/// reaches the address it would, and `run`'s ops keep their registers.
+pub(crate) fn union(run: &Function, twin: &Function) -> Option<Union> {
+    if twin.name() != run.name()
+        || twin.param_count() != run.param_count()
+        || twin.ret_ty() != run.ret_ty()
+        || twin.entry() != run.entry()
+        || twin.block_count() != run.block_count()
     {
         return None;
     }
-    let (spec_t, spec_l) = (spec_dsts(twin), spec_dsts(leader));
-    for r in 0..twin.reg_count().max(leader.reg_count()) {
-        let spec = spec_t.get(r) == Some(&true) || spec_l.get(r) == Some(&true);
-        let same = r < twin.reg_count()
-            && r < leader.reg_count()
-            && twin.reg_ty(Reg::new(r)) == leader.reg_ty(Reg::new(r));
-        if !spec && !same {
+    let (spec_t, spec_r) = (spec_dsts(twin), spec_dsts(run));
+    for r in (0..twin.reg_count()).filter(|&r| !spec_t[r] && spec_r.get(r) != Some(&true)) {
+        let reg = Reg::new(r);
+        if r >= run.reg_count() || twin.reg_ty(reg) != run.reg_ty(reg) {
             return None;
         }
     }
+    let spec = |r: &Reg| spec_t.get(r.index()) == Some(&true) || spec_r[r.index()];
     let plain = |i: &Instr| {
         let mut regs = Vec::new();
         i.uses(&mut regs);
         regs.extend(i.dst());
-        regs.iter()
-            .all(|r| !spec_t[r.index()] && !spec_l[r.index()])
+        !regs.iter().any(spec)
     };
+    let mut out = run.clone();
     let mut names = Renaming {
-        to_leader: vec![None; twin.reg_count()],
-        taken: vec![false; leader.reg_count()],
+        to_union: vec![None; twin.reg_count()],
+        taken: vec![false; run.reg_count()],
         spec_t: &spec_t,
-        spec_l: &spec_l,
+        spec_r: &spec_r,
     };
-    let mut mask = Vec::new();
-    // The destinations of the leader's `SpecLoad`s the twin lacks.
-    let mut unmatched = Vec::new();
-    for b in leader.block_ids() {
-        let (tb, lb) = (twin.block(b), leader.block(b));
-        let mut ls = lb.instrs.iter();
-        for t in &tb.instrs {
-            loop {
-                let l = ls.next()?;
-                if !is_prefetch(l) {
-                    if is_prefetch(t) || t != l || !plain(t) {
-                        return None;
-                    }
-                    break;
-                }
-                if names.bind(t, l) {
-                    mask.push(true);
-                    break;
-                }
-                mask.push(false);
-                if let Instr::SpecLoad { dst, .. } = l {
-                    unmatched.push(*dst);
-                }
-            }
-        }
-        for l in ls {
-            if !is_prefetch(l) {
-                return None;
-            }
-            mask.push(false);
-            if let Instr::SpecLoad { dst, .. } = l {
-                unmatched.push(*dst);
-            }
-        }
+    let (mut origin, mut mask, mut old) = (Vec::new(), Vec::new(), 0);
+    for b in run.block_ids() {
+        let (rb, tb) = (run.block(b), twin.block(b));
         let mut regs = Vec::new();
-        lb.term.uses(&mut regs);
-        if tb.term != lb.term || regs.iter().any(|r| spec_t[r.index()] || spec_l[r.index()]) {
+        rb.term.uses(&mut regs);
+        let (rg, tg) = (gaps(&rb.instrs), gaps(&tb.instrs));
+        if tb.term != rb.term || regs.iter().any(spec) || rg.len() != tg.len() {
             return None;
         }
+        let mut instrs = Vec::with_capacity(rb.instrs.len());
+        for ((rops, rbase), (tops, tbase)) in rg.into_iter().zip(tg) {
+            let (n, m) = (tops.len(), rops.len());
+            // `lcs[i][j]`: the longest common subsequence of `tops[i..]`
+            // and `rops[j..]`, matched under the renaming so far.
+            let mut lcs = vec![vec![0u32; m + 1]; n + 1];
+            for i in (0..n).rev() {
+                for j in (0..m).rev() {
+                    lcs[i][j] = match names.pairs(tops[i], rops[j]) {
+                        Some(_) => lcs[i + 1][j + 1] + 1,
+                        None => lcs[i + 1][j].max(lcs[i][j + 1]),
+                    };
+                }
+            }
+            let (mut i, mut j) = (0, 0);
+            while i < n || j < m {
+                let matched = i < n
+                    && j < m
+                    && lcs[i][j] == lcs[i + 1][j + 1] + 1
+                    && names.bind(tops[i], rops[j]);
+                if matched || (j < m && (i == n || lcs[i][j + 1] >= lcs[i + 1][j])) {
+                    instrs.push(rops[j].clone());
+                    origin.push(Some(old));
+                    mask.push(matched);
+                    old += 1;
+                    i += usize::from(matched);
+                    j += 1;
+                } else {
+                    instrs.push(names.insert(tops[i], &mut out)?);
+                    origin.push(None);
+                    mask.push(true);
+                    i += 1;
+                }
+            }
+            match (rbase, tbase) {
+                (Some(r), Some(t)) if r == t && plain(r) => instrs.push(r.clone()),
+                (None, None) => {}
+                _ => return None,
+            }
+        }
+        out.block_mut(b).instrs = instrs;
     }
-    unmatched
-        .iter()
-        .all(|r| !names.taken[r.index()])
-        .then_some(mask)
+    let ops = out
+        .instr_sites()
+        .map(|s| out.instr(s))
+        .filter(|i| is_prefetch(i));
+    let clobbers = |(op, &has): (&Instr, &bool)| {
+        !has && matches!(op, Instr::SpecLoad { dst, .. } if names.taken[dst.index()])
+    };
+    if ops.zip(&mask).any(clobbers) {
+        return None;
+    }
+    Some(Union {
+        body: out,
+        origin,
+        mask,
+    })
+}
+
+/// `instrs` cut at each op other than a prefetch op: per cut, the
+/// prefetch ops before it and that op, then the trailing prefetch ops.
+fn gaps(instrs: &[Instr]) -> Vec<(Vec<&Instr>, Option<&Instr>)> {
+    let mut out = vec![(Vec::new(), None)];
+    for i in instrs {
+        let last = out.last_mut().expect("one gap at least");
+        if is_prefetch(i) {
+            last.0.push(i);
+        } else {
+            last.1 = Some(i);
+            out.push((Vec::new(), None));
+        }
+    }
+    out
 }
 
 /// Which registers of `func` a `SpecLoad` writes, by index.
@@ -348,57 +426,114 @@ fn spec_dsts(func: &Function) -> Vec<bool> {
     out
 }
 
-/// The renaming of a twin's `SpecLoad` destinations onto the leader's
-/// that [`prefetch_mask`] builds as it matches prefetch ops.
+/// The renaming of a twin's `SpecLoad` destinations onto the union's that
+/// [`union`] builds as it matches and inserts prefetch ops.
 struct Renaming<'a> {
-    to_leader: Vec<Option<Reg>>,
-    /// Leader registers some twin register is renamed onto.
+    to_union: Vec<Option<Reg>>,
+    /// Union registers some twin register is renamed onto; past the old
+    /// body's registers, the fresh ones.
     taken: Vec<bool>,
     spec_t: &'a [bool],
-    spec_l: &'a [bool],
+    spec_r: &'a [bool],
 }
 
 impl Renaming<'_> {
-    /// Whether the twin's prefetch op `t` is the leader's `l` under the
-    /// renaming, extended as needed; extends it if so.
-    fn bind(&mut self, t: &Instr, l: &Instr) -> bool {
+    /// The register pairs under which the twin's prefetch op `t` is the
+    /// old body's `r`, if it is under the renaming, extended as needed.
+    fn pairs(&self, t: &Instr, r: &Instr) -> Option<Vec<(Reg, Reg)>> {
         let mut pairs = Vec::new();
-        let same = match (t, l) {
-            (Instr::Prefetch { addr: at, kind: kt }, Instr::Prefetch { addr: al, kind: kl }) => {
-                kt == kl && addr_pairs(at, al, &mut pairs)
+        let same = match (t, r) {
+            (Instr::Prefetch { addr: at, kind: kt }, Instr::Prefetch { addr: ar, kind: kr }) => {
+                kt == kr && addr_pairs(at, ar, &mut pairs)
             }
-            (Instr::SpecLoad { dst: dt, addr: at }, Instr::SpecLoad { dst: dl, addr: al }) => {
-                pairs.push((*dt, *dl));
-                addr_pairs(at, al, &mut pairs)
+            (Instr::SpecLoad { dst: dt, addr: at }, Instr::SpecLoad { dst: dr, addr: ar }) => {
+                pairs.push((*dt, *dr));
+                addr_pairs(at, ar, &mut pairs)
             }
             _ => false,
         };
-        if !same {
-            return false;
-        }
-        // Check every pair before committing any, and against the pairs
-        // before it, so a failed match leaves the renaming as it was.
-        for (k, &(rt, rl)) in pairs.iter().enumerate() {
-            let (st, sl) = (self.spec_t[rt.index()], self.spec_l[rl.index()]);
-            let ok = match (st, self.to_leader[rt.index()]) {
-                (false, _) => !sl && rt == rl,
-                (true, Some(bound)) => bound == rl,
+        // Every pair is checked against the ones before it too.
+        let ok = |(k, &(rt, rr)): (usize, &(Reg, Reg))| {
+            let (st, sr) = (self.spec_t[rt.index()], self.spec_r[rr.index()]);
+            match (st, self.to_union[rt.index()]) {
+                (false, _) => !sr && rt == rr,
+                (true, Some(bound)) => bound == rr,
                 (true, None) => {
-                    sl && !self.taken[rl.index()]
-                        && pairs[..k].iter().all(|&(t2, l2)| (t2 == rt) == (l2 == rl))
+                    sr && !self.taken[rr.index()]
+                        && pairs[..k].iter().all(|&(t2, r2)| (t2 == rt) == (r2 == rr))
                 }
-            };
-            if !ok {
-                return false;
             }
-        }
-        for (rt, rl) in pairs {
+        };
+        (same && pairs.iter().enumerate().all(ok)).then_some(pairs)
+    }
+
+    /// Whether the twin's prefetch op `t` is the old body's `r` under the
+    /// renaming, extended as needed; extends it if so.
+    fn bind(&mut self, t: &Instr, r: &Instr) -> bool {
+        let Some(pairs) = self.pairs(t, r) else {
+            return false;
+        };
+        for (rt, rr) in pairs {
             if self.spec_t[rt.index()] {
-                self.to_leader[rt.index()] = Some(rl);
-                self.taken[rl.index()] = true;
+                self.to_union[rt.index()] = Some(rr);
+                self.taken[rr.index()] = true;
             }
         }
         true
+    }
+
+    /// The twin's prefetch op `t` renamed into `union`, where it is
+    /// inserted: a `SpecLoad` destination with no name yet gets a fresh
+    /// register. `None` if it would read or write a `SpecLoad`
+    /// destination of the old body.
+    fn insert(&mut self, t: &Instr, union: &mut Function) -> Option<Instr> {
+        let old = self.spec_r.len();
+        let mut clash = false;
+        let mut rename = |r: Reg| match self.spec_t[r.index()] {
+            false => {
+                clash |= self.spec_r.get(r.index()) == Some(&true);
+                r
+            }
+            true => *self.to_union[r.index()].get_or_insert_with(|| {
+                self.taken.push(true);
+                union.new_reg(Ty::Ref)
+            }),
+        };
+        let op = match *t {
+            Instr::Prefetch { addr, kind } => Instr::Prefetch {
+                addr: rename_addr(addr, &mut rename),
+                kind,
+            },
+            Instr::SpecLoad { dst, addr } => {
+                let addr = rename_addr(addr, &mut rename);
+                let dst = rename(dst);
+                clash |= dst.index() < old;
+                Instr::SpecLoad { dst, addr }
+            }
+            _ => unreachable!("only prefetch ops fill a gap"),
+        };
+        (!clash).then_some(op)
+    }
+}
+
+/// `addr` with each register `r` replaced by `f(r)`.
+fn rename_addr(addr: PrefetchAddr, f: &mut impl FnMut(Reg) -> Reg) -> PrefetchAddr {
+    match addr {
+        PrefetchAddr::FieldOf { base, delta } => PrefetchAddr::FieldOf {
+            base: f(base),
+            delta,
+        },
+        PrefetchAddr::ArrayElem {
+            arr,
+            idx,
+            scale,
+            delta,
+        } => PrefetchAddr::ArrayElem {
+            arr: f(arr),
+            idx: f(idx),
+            scale,
+            delta,
+        },
     }
 }
 
@@ -507,8 +642,12 @@ impl<S: TraceSink> Vm<S> {
             let shadow = &self.shadows[i];
             stats.cycles = stats.cycles.wrapping_add_signed(shadow.offset);
             stats.jit_cycles = stats.jit_cycles.wrapping_add_signed(shadow.jit_delta);
-            stats.retired_instructions -= shadow.skipped;
-            stats.compiled_instructions -= shadow.skipped;
+            stats.retired_instructions = stats
+                .retired_instructions
+                .wrapping_add_signed(shadow.retired);
+            stats.compiled_instructions = stats
+                .compiled_instructions
+                .wrapping_add_signed(shadow.retired);
             for (pm, own) in stats.per_method.iter_mut().zip(&shadow.per_method) {
                 pm.compiled = own.compiled;
                 pm.interpreted = own.interpreted;
@@ -552,13 +691,37 @@ impl<S: TraceSink> Vm<S> {
     ) {
         let code = self.frames.last().expect("a frame runs the op").code;
         for shadow in &mut self.shadows {
-            if !shadow.has(code, index) {
+            if !shadow.has(code, index, false) {
                 shadow.offset -= (cost + lat) as i64;
-                shadow.skipped += 1;
+                shadow.retired -= 1;
             } else if let Some(addr) = target {
                 let at = now.wrapping_add_signed(shadow.offset);
                 let own = Access::prefetch(kind).apply(&mut shadow.mem, addr, at);
                 shadow.offset += own as i64 - lat as i64;
+            }
+        }
+    }
+
+    /// Runs prefetch op `index` of the top frame's body, one the leader's
+    /// code lacks, at the leader's time `now` in a frame whose ops cost
+    /// `cost`, on every shadow whose code has it: charged and made at the
+    /// shadow's own time, added to its clock and retired count.
+    #[cold]
+    pub(crate) fn shadow_ghost(
+        &mut self,
+        index: u32,
+        kind: PrefetchKind,
+        target: Option<Addr>,
+        (now, cost): (u64, u64),
+    ) {
+        let code = self.frames.last().expect("a frame runs the op").code;
+        for shadow in self.shadows.iter_mut().filter(|s| s.has(code, index, true)) {
+            shadow.offset += cost as i64;
+            shadow.retired += 1;
+            if let Some(addr) = target {
+                let at = now.wrapping_add_signed(shadow.offset);
+                let own = Access::prefetch(kind).apply(&mut shadow.mem, addr, at);
+                shadow.offset += own as i64;
             }
         }
     }
@@ -582,26 +745,27 @@ impl<S: TraceSink> Vm<S> {
 
     /// Records the issue of prefetch op `index` of the top frame's body,
     /// in `block` of `mid`, in the guards of every guarded cell whose code
-    /// has the op, probed on the cell's memory system before any memory
-    /// system applies the prefetch: the one issue-time test of a useless
-    /// prefetch.
+    /// has the op — which the leader's lacks if it is a `ghost` — probed
+    /// on the cell's memory system before any memory system applies the
+    /// prefetch: the one issue-time test of a useless prefetch.
     pub(crate) fn probe_issue(
         &mut self,
-        mid: MethodId,
-        block: u32,
+        (mid, block): (MethodId, u32),
         index: u32,
         target: Addr,
         kind: PrefetchKind,
+        ghost: bool,
     ) {
         for cell in &mut self.cells {
             let Some(adapt) = cell.adapt.as_mut().filter(|_| cell.live) else {
                 continue;
             };
             let useless = match cell.shadow {
+                None if ghost => continue,
                 None => prefetch_useless(&self.mem, kind, target),
                 Some(i) => {
                     let code = self.frames.last().expect("a frame runs the op").code;
-                    if !self.shadows[i].has(code, index) {
+                    if !self.shadows[i].has(code, index, ghost) {
                         continue;
                     }
                     prefetch_useless(&self.shadows[i].mem, kind, target)
@@ -618,14 +782,10 @@ impl<S: TraceSink> Vm<S> {
         cell.adapt.as_mut().filter(|_| cell.live)
     }
 
-    /// Cell `k`'s compiled body of `mid`: a twin's own, cell 0's the one
-    /// installed.
+    /// Cell `k`'s compiled body of `mid`.
     pub(crate) fn cell_body(&self, k: usize, mid: MethodId) -> Arc<Function> {
-        let twin = self.cells[k].bodies[mid.index()].clone();
-        twin.unwrap_or_else(|| {
-            let code = self.compiled[mid.index()].expect("a compiled body");
-            Arc::clone(&body(&self.codes, code).tcode.src)
-        })
+        let own = self.cells[k].bodies[mid.index()].clone();
+        own.expect("a compiled body")
     }
 
     /// Books `f` on cell `k`'s own counters: [`Vm::stats`] for cell 0,
@@ -639,7 +799,8 @@ impl<S: TraceSink> Vm<S> {
 
     /// Makes `func`, patched at a cost of `cycles`, the body of `mid` of
     /// cell `k`, a twin, on a class of its own; ends the twin instead if
-    /// `func` is no subset of the leader's body. Returns whether it lives.
+    /// `func` has an op the installed body lacks. Returns whether it
+    /// lives.
     pub(crate) fn recode_twin(
         &mut self,
         k: usize,
@@ -648,7 +809,9 @@ impl<S: TraceSink> Vm<S> {
         cycles: u64,
     ) -> bool {
         let mut code = self.compiled[mid.index()].expect("a compiled body");
-        let Some(mask) = prefetch_mask(&func, &body(&self.codes, code).tcode.src) else {
+        let tcode = &body(&self.codes, code).tcode;
+        let fit = union(&tcode.src, &func).filter(Union::adds_nothing);
+        let Some(mask) = fit.map(|fit| relative(fit.mask, &tcode.ghosts)) else {
             self.cells[k].live = false;
             self.drop_idle_shadows();
             return false;
@@ -657,7 +820,7 @@ impl<S: TraceSink> Vm<S> {
             code = self.fork_code(mid);
         }
         self.cells[k].bodies[mid.index()] = Some(Arc::new(func));
-        self.recode(code, &[(k, full_or(mask), cycles as i64)]);
+        self.recode(code, &[(k, mask, cycles as i64)]);
         true
     }
 
@@ -686,36 +849,60 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Runs every live twin's pipeline on the inputs the leader's compile
-    /// of `mid` just used, keeps live those whose body is a subset of the
-    /// leader's body just installed, and regroups the live ones by class.
+    /// of `mid` just used and keeps live those whose body has a union with
+    /// the leader's and the other twins'. Where that union has ops the
+    /// leader's body lacks, it replaces the body just installed, with
+    /// those ops lowered as ghosts; then the live twins regroup by class.
     /// Emits no event and charges nothing to [`Vm::stats`].
     pub(crate) fn compile_twins(&mut self, mid: MethodId, base: &Function, args: &[Value]) {
         if self.cells[1..].iter().all(|t| !t.live) {
             return;
         }
-        let code = self.compiled[mid.index()].expect("just installed");
-        let leader = Arc::clone(&body(&self.codes, code).tcode.src);
-        let leader_instrs = leader.instr_sites().count() as i64;
-        let mut changes = Vec::new();
+        let own = self.cell_body(0, mid);
+        let own_instrs = own.instr_sites().count() as i64;
+        let ops = own.instr_sites().filter(|&s| is_prefetch(own.instr(s)));
+        // Each cell's mask over `run`, cell 0's first, with its JIT cycles
+        // beyond cell 0's.
+        let mut masks = vec![(0, vec![true; ops.count()], 0)];
+        let mut run = Function::clone(&own);
         for k in 1..self.cells.len() {
             if !self.cells[k].live {
                 continue;
             }
             let outcome = self.pipeline(k, base, args, None);
-            let Some(mask) = prefetch_mask(&outcome.func, &leader) else {
+            let Some(union) = union(&run, &outcome.func) else {
                 self.cells[k].live = false;
                 continue;
             };
             self.book_compile(k, mid, &outcome.func, outcome.report);
             let instrs = outcome.func.instr_sites().count() as i64;
-            let jit = RECOMPILE_CYCLES_PER_INSTR as i64 * (instrs - leader_instrs);
+            let jit = RECOMPILE_CYCLES_PER_INSTR as i64 * (instrs - own_instrs);
             self.cells[k].bodies[mid.index()] = Some(Arc::new(outcome.func));
-            changes.push((k, full_or(mask), jit));
+            for (_, mask, _) in &mut masks {
+                *mask = union.carry(mask);
+            }
+            masks.push((k, union.mask, jit));
+            run = union.body;
         }
+        let code = self.compiled[mid.index()].expect("just installed");
+        let (_, own_mask, _) = masks.remove(0);
+        let ghosts: Vec<bool> = own_mask.iter().map(|has| !has).collect();
+        if ghosts.contains(&true) {
+            let layout = self.heap.layout_tables();
+            let tcode = decode(&self.program, layout, &Arc::new(run), self.fuse, &ghosts);
+            let installed = Installed {
+                tcode: Arc::new(tcode),
+                compiled: true,
+            };
+            self.codes[code as usize] = Some(installed);
+        }
+        let changes: Vec<_> = (masks.into_iter())
+            .map(|(k, mask, jit)| (k, relative(mask, &ghosts), jit))
+            .collect();
         self.recode(code, &changes);
     }
 
-    /// Gives each twin `k` of `changes` the mask for the leader's body
+    /// Gives each twin `k` of `changes` the mask for the installed body
     /// `code` and the JIT cycles `jit` beyond the leader's that come with
     /// it, and moves it onto the shadow of its new class: the twins of
     /// one old class that agree on both. The first new class of an old
@@ -774,36 +961,46 @@ impl<S: TraceSink> Vm<S> {
         self.shadows.len() - 1
     }
 
-    /// Ends every twin whose class lacks a `SpecLoad` that holds, in a
-    /// live frame, the one root of an object the collection about to run
-    /// keeps: `ref_slots` are the stack slots it roots and `roots` all of
-    /// its roots but those.
+    /// Ends every twin whose class's VM would keep other objects than the
+    /// collection about to run: where, in a live frame, a `SpecLoad` the
+    /// class's code lacks holds the one root of an object the collection
+    /// keeps, or a ghost `SpecLoad` its code has holds the one root of an
+    /// object the collection frees. `ref_slots` are the stack slots the
+    /// collection roots and `roots` all of its roots but those.
     pub(crate) fn check_twin_roots(&mut self, ref_slots: &[usize], roots: &[Addr]) {
-        for i in 0..self.shadows.len() {
-            let shadow = &self.shadows[i];
-            let mut dropped = HashSet::new();
+        let heap = &self.heap;
+        let rooted = |slot: &usize| {
+            let a = self.stack[*slot];
+            (a != NULL && heap.contains(a)).then_some(a)
+        };
+        let mut all: Vec<Addr> = roots.to_vec();
+        all.extend(ref_slots.iter().filter_map(rooted));
+        let mut ended = Vec::new();
+        for (i, shadow) in self.shadows.iter().enumerate() {
+            // The slots the collection roots and the class's VM does not,
+            // and the other way round.
+            let (mut dropped, mut held) = (HashSet::new(), Vec::new());
             for f in &self.frames {
                 let Some(Some(mask)) = shadow.masks.get(f.code as usize) else {
                     continue;
                 };
-                let src = &body(&self.codes, f.code).tcode.src;
-                let ops = src
-                    .instr_sites()
-                    .map(|s| src.instr(s))
-                    .filter(|i| is_prefetch(i));
-                for (op, &has) in ops.zip(mask.iter()) {
-                    if let (Instr::SpecLoad { dst, .. }, false) = (op, has) {
-                        dropped.insert(f.base + dst.index());
+                let tcode = &body(&self.codes, f.code).tcode;
+                let src = &tcode.src;
+                let ops = src.instr_sites().map(|s| src.instr(s));
+                for (n, op) in ops.filter(|i| is_prefetch(i)).enumerate() {
+                    let Instr::SpecLoad { dst, .. } = op else {
+                        continue;
+                    };
+                    match (mask[n], tcode.ghosts.get(n) == Some(&true)) {
+                        (false, false) => _ = dropped.insert(f.base + dst.index()),
+                        (true, true) => held.push(f.base + dst.index()),
+                        _ => {}
                     }
                 }
             }
-            let heap = &self.heap;
-            let rooted = |slot: &usize| {
-                let a = self.stack[*slot];
-                (a != NULL && heap.contains(a)).then_some(a)
-            };
             let extra: Vec<Addr> = dropped.iter().filter_map(rooted).collect();
-            if extra.is_empty() {
+            let held: Vec<Addr> = held.iter().filter_map(rooted).collect();
+            if extra.is_empty() && held.is_empty() {
                 continue;
             }
             let mut own: Vec<Addr> = roots.to_vec();
@@ -813,11 +1010,13 @@ impl<S: TraceSink> Vm<S> {
                     .filter(|s| !dropped.contains(s))
                     .filter_map(rooted),
             );
-            if !heap.reaches(&own, &extra) {
-                for twin in self.cells.iter_mut().filter(|t| t.shadow == Some(i)) {
-                    twin.live = false;
-                }
+            own.extend(&held);
+            if !heap.reaches(&own, &extra) || !heap.reaches(&all, &held) {
+                ended.push(i);
             }
+        }
+        for twin in &mut self.cells {
+            twin.live &= !twin.shadow.is_some_and(|i| ended.contains(&i));
         }
         self.drop_idle_shadows();
     }
@@ -859,15 +1058,17 @@ impl<S: TraceSink> Vm<S> {
             shadow.offset = 0;
             shadow.seg_offset = 0;
             shadow.per_method.fill(MethodCycles::default());
-            shadow.skipped = 0;
+            shadow.retired = 0;
             shadow.jit_delta = 0;
         }
     }
 }
 
-/// A mask, or `None` if it has every op.
-fn full_or(mask: Vec<bool>) -> Mask {
-    (!mask.iter().all(|&m| m)).then(|| mask.into_boxed_slice())
+/// `mask` over a body whose ops the leader's code lacks are `ghosts` (none
+/// if empty), or `None` if it has the leader's ops.
+fn relative(mask: Vec<bool>, ghosts: &[bool]) -> Mask {
+    let leaders = |(i, has): (usize, &bool)| *has != (ghosts.get(i) == Some(&true));
+    (!mask.iter().enumerate().all(leaders)).then(|| mask.into_boxed_slice())
 }
 
 #[cfg(test)]
@@ -934,12 +1135,22 @@ mod tests {
         f
     }
 
+    /// The prefetch ops of `f`, in the order decode numbers them.
+    fn ops(f: &Function) -> Vec<Instr> {
+        let ops = f.instr_sites().map(|s| f.instr(s).clone());
+        ops.filter(is_prefetch).collect()
+    }
+
     #[test]
-    fn a_body_is_a_subset_of_itself_with_every_op() {
+    fn a_body_and_its_subsets_add_nothing() {
         let l = leader();
-        assert_eq!(prefetch_mask(&l, &l), Some(vec![true; 5]));
+        let u = union(&l, &l).expect("a union");
+        assert!(u.adds_nothing());
+        assert_eq!((u.body, u.mask), (l.clone(), vec![true; 5]));
         let (base, _) = walk();
-        assert_eq!(prefetch_mask(&base, &l), Some(vec![false; 5]));
+        let u = union(&l, &base).expect("a union");
+        assert!(u.adds_nothing());
+        assert_eq!((u.body, u.mask), (l, vec![false; 5]));
     }
 
     /// The twin keeps the leader's first `SpecLoad`, with the prefetch
@@ -966,38 +1177,105 @@ mod tests {
             l.block(l.entry()).instrs[2],
             Instr::SpecLoad { dst, .. } if dst == c
         ));
-        assert_eq!(
-            prefetch_mask(&twin, &l),
-            Some(vec![true, true, false, false, true])
-        );
+        let u = union(&l, &twin).expect("a union");
+        assert!(u.adds_nothing());
+        assert_eq!(u.mask, [true, true, false, false, true]);
     }
 
+    /// An op only the twin has joins the union where its order keeps, and
+    /// every old mask lacks it.
     #[test]
-    fn a_twin_only_op_is_no_subset() {
-        let twin = with(leader(), 0, prefetch(Reg::new(0), 128));
-        assert_eq!(prefetch_mask(&twin, &leader()), None);
+    fn a_twin_only_op_joins_the_union() {
+        let l = leader();
+        let twin = with(l.clone(), 0, prefetch(Reg::new(0), 128));
+        let u = union(&l, &twin).expect("a union");
+        assert!(!u.adds_nothing());
+        assert_eq!(u.body, twin);
+        assert_eq!(u.mask, [true; 6]);
+        assert_eq!(u.carry(&[true; 5]), [false, true, true, true, true, true]);
+        let old = [false, true, false, true, false];
+        assert_eq!(u.carry(&old), [false, false, true, false, true, false]);
+        // The twin's ops after a shared one stay after it.
         let (base, _) = walk();
-        let twin = with(base.clone(), 0, prefetch(Reg::new(0), 64));
-        assert_eq!(prefetch_mask(&twin, &base), None);
+        let run = with(base.clone(), 0, prefetch(Reg::new(0), 64));
+        let twin = with(run.clone(), 1, prefetch(Reg::new(0), 8));
+        let u = union(&run, &twin).expect("a union");
+        assert_eq!(ops(&u.body), ops(&twin));
+        assert_eq!(u.carry(&[true]), [true, false]);
     }
 
     #[test]
-    fn another_prefetch_kind_is_no_subset() {
+    fn another_prefetch_kind_is_another_op() {
         let (base, _) = walk();
         let l = with(base.clone(), 0, prefetch(Reg::new(0), 64));
-        let twin = with(
-            base,
-            0,
-            Instr::Prefetch {
-                addr: field(Reg::new(0), 64),
-                kind: PrefetchKind::GuardedLoad,
-            },
+        let guarded = Instr::Prefetch {
+            addr: field(Reg::new(0), 64),
+            kind: PrefetchKind::GuardedLoad,
+        };
+        let twin = with(base, 0, guarded.clone());
+        let u = union(&l, &twin).expect("a union");
+        assert_eq!(ops(&u.body), [prefetch(Reg::new(0), 64), guarded]);
+        assert_eq!(u.mask, [false, true]);
+        assert_eq!(u.carry(&[true]), [true, false]);
+    }
+
+    /// A `SpecLoad` only the twin has writes a fresh register of the
+    /// union, and the twin's prefetch through it reads that register.
+    #[test]
+    fn a_twin_only_specload_gets_a_fresh_register() {
+        let (base, _) = walk();
+        let p = Reg::new(0);
+        let run = with(base.clone(), 0, prefetch(p, 64));
+        let mut twin = base;
+        let c = twin.new_reg(Ty::Ref);
+        let spec = Instr::SpecLoad {
+            dst: c,
+            addr: field(p, 16),
+        };
+        for (i, op) in [spec, prefetch(c, 0), prefetch(p, 64)]
+            .into_iter()
+            .enumerate()
+        {
+            twin = with(twin, i, op);
+        }
+        let u = union(&run, &twin).expect("a union");
+        let fresh = Reg::new(run.reg_count());
+        assert_eq!(u.body.reg_count(), run.reg_count() + 1);
+        assert_eq!(u.body.reg_ty(fresh), Ty::Ref);
+        let spec = Instr::SpecLoad {
+            dst: fresh,
+            addr: field(p, 16),
+        };
+        assert_eq!(ops(&u.body), [spec, prefetch(fresh, 0), prefetch(p, 64)]);
+        assert_eq!(u.mask, [true; 3]);
+        assert_eq!(u.carry(&[true]), [false, false, true]);
+    }
+
+    /// A `SpecLoad` of the run body the twin lacks must not write a
+    /// register the twin's ops are renamed onto.
+    #[test]
+    fn a_specload_the_twin_lacks_must_not_clobber_its_register() {
+        let (base, _) = walk();
+        let p = Reg::new(0);
+        let mut run = base.clone();
+        let a = run.new_reg(Ty::Ref);
+        let spec = |delta| Instr::SpecLoad {
+            dst: a,
+            addr: field(p, delta),
+        };
+        let twin = with(with(run.clone(), 0, spec(16)), 1, prefetch(a, 0));
+        let run = with(with(twin.clone(), 0, spec(24)), 0, prefetch(p, 8));
+        assert_eq!(union(&run, &twin).map(|u| u.mask), None);
+        // Without the second writer it matches.
+        let run = with(twin.clone(), 0, prefetch(p, 8));
+        assert_eq!(
+            union(&run, &twin).map(|u| u.mask),
+            Some(vec![false, true, true])
         );
-        assert_eq!(prefetch_mask(&twin, &l), None);
     }
 
     #[test]
-    fn a_non_prefetch_difference_is_no_subset() {
+    fn a_non_prefetch_difference_has_no_union() {
         let l = leader();
         let (_, [v, _]) = walk();
         let entry = l.entry();
@@ -1014,16 +1292,16 @@ mod tests {
             field: next,
         };
         assert_ne!(next, v);
-        assert_eq!(prefetch_mask(&twin, &l), None);
+        assert!(union(&l, &twin).is_none());
         // A plain op that reads a `SpecLoad` destination is no prefetch
         // op: the leader's values there are not the twin's.
         let a = Reg::new(walk().0.reg_count());
         let moved = with(l.clone(), 5, Instr::Move { dst: a, src: a });
-        assert_eq!(prefetch_mask(&moved, &moved), None);
+        assert!(union(&moved, &moved).is_none());
     }
 
     #[test]
-    fn a_terminator_difference_is_no_subset() {
+    fn a_terminator_difference_has_no_union() {
         let l = leader();
         let mut twin = l.clone();
         let entry = twin.entry();
@@ -1034,6 +1312,6 @@ mod tests {
         let w = twin.block(entry).instrs[last].dst().expect("a load");
         assert_ne!(v, w);
         twin.block_mut(entry).term = Terminator::Return(Some(w));
-        assert_eq!(prefetch_mask(&twin, &l), None);
+        assert!(union(&l, &twin).is_none());
     }
 }

@@ -114,7 +114,7 @@ pub struct Vm<S: TraceSink = NoopSink> {
     pub(crate) stack: Vec<u64>,
     history: Vec<(MethodId, u32, Arc<Function>)>,
     /// Whether installed bodies are decoded with superinstruction fusion.
-    fuse: bool,
+    pub(crate) fuse: bool,
     /// Async-compile mode: methods awaiting background compilation, with
     /// the arguments of the invocation that crossed the threshold (the
     /// inspector will run with them). Args may hold heap references, so
@@ -289,11 +289,13 @@ impl<S: TraceSink> Vm<S> {
             self.heap.layout_tables(),
             &func,
             self.fuse,
+            &[],
         ));
         if S::ENABLED {
             self.register_sites(mid, &func, generation);
         }
         let instrs = func.instr_sites().count() as u64;
+        self.cells[0].bodies[mid.index()] = Some(Arc::clone(&func));
         self.history.push((mid, generation, func));
         let code = self.codes.len() as CodeId;
         self.codes.push(Some(Installed {
@@ -503,9 +505,11 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// The installed compiled body of `mid`, if any (for external analyses
-    /// such as the `spf-lint` tool).
+    /// such as the `spf-lint` tool): this VM's own, without the ops only
+    /// its twins have.
     pub fn compiled_body(&self, mid: MethodId) -> Option<&Function> {
-        self.compiled[mid.index()].map(|c| body(&self.codes, c).tcode.src.as_ref())
+        self.compiled[mid.index()]?;
+        self.cells[0].bodies[mid.index()].as_deref()
     }
 
     /// Clears the memory system and measurement counters (the twins' and
@@ -640,7 +644,7 @@ impl<S: TraceSink> Vm<S> {
                 let args = args.get_or_insert_with(|| self.top_args(mid, argc));
                 self.repatch_loops(k, mid, args, &due, false);
             }
-            // A repatch the leader's body cannot take ends a twin.
+            // A repatch the installed body cannot take ends a twin.
             let Some(adapt) = self.guards(k) else {
                 continue;
             };
@@ -726,7 +730,7 @@ impl<S: TraceSink> Vm<S> {
     /// Puts `func`, cell `k`'s new body of `mid` at install generation
     /// `generation`, which the loop edit `edit` made at a JIT cost of
     /// `cycles`, where the cell runs it; returns whether the cell still
-    /// lives. A twin re-masks the leader's body (see `Vm::recode_twin`).
+    /// lives. A twin re-masks the installed body (see `Vm::recode_twin`).
     /// Cell 0 installs it, and alone charges the cost, emits the edit's
     /// trace events and keeps a patch's arguments under
     /// [`VmConfig::retain_deopt_args`] — so the serving recovery sweep can
@@ -983,9 +987,9 @@ impl<S: TraceSink> Vm<S> {
     /// was installed. In adaptive mode the guard earns an eviction credit
     /// so the forced recompile does not burn the staleness budget.
     pub fn evict_compiled(&mut self, mid: MethodId) -> Option<u64> {
+        let instrs = self.compiled_body(mid)?.instr_sites().count() as u64;
         let code = self.compiled[mid.index()].take()?;
         self.diverge_twins();
-        let instrs = body(&self.codes, code).tcode.src.instr_sites().count() as u64;
         self.retire(code);
         self.stats.code_evictions += 1;
         if let Some(adapt) = self.guards(0) {
@@ -1085,8 +1089,15 @@ impl<S: TraceSink> Vm<S> {
                 root(&mut roots, a);
             }
         }
+        // The registers only ghost ops write are roots of the twins whose
+        // code has them, so they are checked and forwarded, not rooted.
+        let mut ghost_slots = Vec::new();
         if !S::ENABLED && !self.shadows.is_empty() {
             self.check_twin_roots(&ref_slots, &roots[slot_roots..]);
+            ghost_slots.extend(self.frames.iter().flat_map(|f| {
+                let regs = body(&self.codes, f.code).tcode.ghost_regs.iter();
+                regs.map(move |&i| f.base + i as usize)
+            }));
         }
         let (cstats, fwd) = self.heap.collect(&roots);
         if S::ENABLED {
@@ -1097,7 +1108,7 @@ impl<S: TraceSink> Vm<S> {
                 moved_objects: cstats.moved_objects,
             });
         }
-        for slot in ref_slots {
+        for slot in ref_slots.into_iter().chain(ghost_slots) {
             self.stack[slot] = fwd.forward(self.stack[slot]);
         }
         let held = self.pending.iter_mut().chain(&mut self.deopt_args);

@@ -1,11 +1,12 @@
 //! Twins: a VM that simulates other cells alongside its own runs exactly
 //! as it would alone, and a twin stays live only while it reproduces the
-//! run of a VM of its own — every body it compiles is the leader's minus
-//! some prefetch ops, on its own code class's memory system and clock,
-//! patching its own code where its loop guards fire.
+//! run of a VM of its own — the VM runs the union of its own bodies and
+//! its twins', each cell its own ops of it, on its own code class's
+//! memory system and clock, patching its own code where its loop guards
+//! fire.
 
 use spf_core::{MethodReport, PrefetchOptions};
-use spf_ir::{CmpOp, ElemTy, Function, Instr, MethodId, Program, ProgramBuilder, Ty};
+use spf_ir::{CmpOp, ElemTy, Function, Instr, MethodId, PrefetchKind, Program, ProgramBuilder, Ty};
 use spf_memsim::ProcessorConfig;
 use spf_vm::{NoopSink, Vm, VmConfig};
 use spf_workloads::{Prepared, Size};
@@ -125,29 +126,37 @@ fn live(vm: &Vm, k: usize) -> bool {
     vm.cell(k).run.is_some()
 }
 
+/// db's INTER inserts no op, so INTER+INTRA and ADAPTIVE twins on its
+/// processor add every op they have, and all three twins are, after
+/// every call, VMs of their own, while the leader runs as it would alone.
 #[test]
 fn a_leader_with_twins_runs_as_it_would_alone() {
     let prep = tiny("db");
-    let twins = [
-        (PrefetchOptions::off(), p4()),
-        (PrefetchOptions::inter_intra(), p4()),
-        (PrefetchOptions::adaptive(), p4()),
+    let modes = [
+        PrefetchOptions::off(),
+        PrefetchOptions::inter_intra(),
+        PrefetchOptions::adaptive(),
     ];
-    let alone = run(&prep, PrefetchOptions::inter(), &p4(), &[]);
-    let twinned = run(&prep, PrefetchOptions::inter(), &p4(), &twins);
-    assert_eq!(twinned.stats().simulated(), alone.stats().simulated());
-    assert_eq!(twinned.mem_stats(), alone.mem_stats());
-    assert_eq!(simulated(twinned.reports()), simulated(alone.reports()));
-    // Cell 0 is the VM's own.
-    assert_twin_is(&twinned, 0, &alone, 3);
-    // db's INTER changes no body, so the BASELINE twin lives and has
-    // recorded what a BASELINE VM of its own would.
-    let twins_live: Vec<bool> = (1..=3).map(|k| live(&twinned, k)).collect();
-    assert_eq!(twins_live, [true, false, false]);
-    let baseline = run(&prep, PrefetchOptions::off(), &p4(), &[]);
-    assert_twin_is(&twinned, 1, &baseline, 3);
-    let (stats, _) = twinned.cell(1).run.expect("live");
-    assert_eq!(stats.inspection_cycles, baseline.stats().inspection_cycles);
+    let twins: Vec<_> = modes.iter().map(|o| (o.clone(), p4())).collect();
+    let inter = PrefetchOptions::inter();
+    let mut vms = vec![
+        vm(&prep, &inter, &p4(), &twins),
+        vm(&prep, &inter, &p4(), &[]),
+    ];
+    vms.extend(modes.iter().map(|o| vm(&prep, o, &p4(), &[])));
+    protocol(&prep, &mut vms, |vms, call| {
+        assert_leader_alone(vms, call);
+        // Cell 0 is the VM's own.
+        assert_twin_is(&vms[0], 0, &vms[1], call);
+        for k in 1..=3 {
+            assert_twin_is(&vms[0], k, &vms[k + 1], call);
+            let (stats, _) = vms[0].cell(k).run.expect("live");
+            assert_eq!(
+                stats.inspection_cycles,
+                vms[k + 1].stats().inspection_cycles
+            );
+        }
+    });
 }
 
 /// A BASELINE twin on the Athlon of a BASELINE leader on the Pentium 4
@@ -175,48 +184,70 @@ fn a_twin_on_another_processor_runs_as_a_vm_of_its_own() {
     }
 }
 
-#[test]
-fn a_twin_that_differs_at_the_kth_compile_stays_diverged() {
-    let prep = tiny("jess");
-    let base = bodies(&run(&prep, PrefetchOptions::off(), &p4(), &[]));
-    let ii = bodies(&run(&prep, PrefetchOptions::inter_intra(), &p4(), &[]));
-    assert_eq!(base.len(), ii.len());
-    let k = base
-        .iter()
-        .zip(&ii)
-        .position(|(a, b)| a != b)
-        .expect("INTER+INTRA changes a jess body");
-    assert!(k > 0, "the twin reproduces at least one compile first");
-    // A later compile reproduces the leader's body again; the twin must
-    // not come back to life for it.
-    assert!(base[k + 1..].iter().zip(&ii[k + 1..]).any(|(a, b)| a == b));
-    let twinned = run(
-        &prep,
-        PrefetchOptions::off(),
-        &p4(),
-        &[(PrefetchOptions::inter_intra(), p4())],
-    );
-    assert!(!live(&twinned, 1));
-    assert_eq!(twinned.cell(1).reports.len(), k);
+/// `f` with every `Prefetch` made a hardware one.
+fn one_kind(f: &Function) -> Function {
+    let mut f = f.clone();
+    for b in f.block_ids().collect::<Vec<_>>() {
+        for i in &mut f.block_mut(b).instrs {
+            if let Instr::Prefetch { kind, .. } = i {
+                *kind = PrefetchKind::Hardware;
+            }
+        }
+    }
+    f
 }
 
-/// A twin's pipeline runs with its own processor: db's INTER+INTRA emits
-/// other bodies on the Athlon, so that twin of a Pentium 4 leader ends at
-/// the first compile whose bodies differ.
+/// Runs `twin` on `twin_proc` as the twin of an INTER+INTRA leader on the
+/// Pentium 4 through the protocol, checking after every call that the
+/// leader runs as it would alone and the twin as a VM of its own.
+fn assert_rides_along(prep: &Prepared, twin: &PrefetchOptions, twin_proc: &ProcessorConfig) {
+    let ii = PrefetchOptions::inter_intra();
+    let mut vms = [
+        vm(prep, &ii, &p4(), &[(twin.clone(), twin_proc.clone())]),
+        vm(prep, &ii, &p4(), &[]),
+        vm(prep, twin, twin_proc, &[]),
+    ];
+    protocol(prep, &mut vms, |vms, call| {
+        assert_leader_alone(vms, call);
+        assert_twin_is(&vms[0], 1, &vms[2], call);
+    });
+}
+
+/// A twin's pipeline runs with its own processor, and where the Athlon's
+/// profitability analysis adds a prefetch op to a jess body, the
+/// Athlon's INTER+INTRA twin of a Pentium 4 INTER+INTRA leader runs the
+/// union of both: the leader pays nothing for the op, and the twin makes
+/// it on its own clock.
 #[test]
-fn a_twin_compiles_for_its_own_processor() {
+fn a_superset_twin_on_another_processor_runs_as_a_vm_of_its_own() {
+    let prep = tiny("jess");
+    let ii = PrefetchOptions::inter_intra;
+    let on_p4 = bodies(&run(&prep, ii(), &p4(), &[]));
+    let on_athlon = bodies(&run(&prep, ii(), &athlon(), &[]));
+    assert!(
+        (on_p4.iter().zip(&on_athlon)).any(|(p, a)| prefetch_ops(a) > prefetch_ops(p)),
+        "the Athlon adds a prefetch op to a jess body"
+    );
+    assert_rides_along(&prep, &ii(), &athlon());
+}
+
+/// A prefetch op's kind is part of its identity: `db_sort`'s INTER+INTRA
+/// body on the Athlon differs from the Pentium 4's only in the kind of
+/// its dereference prefetches, and that twin of a Pentium 4 leader runs
+/// the union of both kinds.
+#[test]
+fn a_twin_of_another_prefetch_kind_runs_as_a_vm_of_its_own() {
     let prep = tiny("db");
     let ii = PrefetchOptions::inter_intra;
     let on_p4 = bodies(&run(&prep, ii(), &p4(), &[]));
     let on_athlon = bodies(&run(&prep, ii(), &athlon(), &[]));
-    let k = on_p4
-        .iter()
-        .zip(&on_athlon)
-        .position(|(a, b)| a != b)
-        .expect("db's INTER+INTRA bodies differ across processors");
-    let twinned = run(&prep, ii(), &p4(), &[(ii(), athlon())]);
-    assert!(!live(&twinned, 1));
-    assert_eq!(twinned.cell(1).reports.len(), k);
+    let kind_pair = |(p, a): (&Function, &Function)| p != a && one_kind(p) == one_kind(a);
+    let sort = (on_p4.iter().zip(&on_athlon)).find(|(p, _)| p.name() == "db_sort");
+    assert!(
+        sort.is_some_and(kind_pair),
+        "db_sort differs only in its kinds"
+    );
+    assert_rides_along(&prep, &ii(), &athlon());
 }
 
 /// Prefetch ops of `f`: the ops a twin's body may lack.
@@ -284,18 +315,20 @@ fn a_subset_twin_on_the_leaders_processor_runs_as_a_vm_of_its_own() {
     );
 }
 
-/// A twin whose body gains a prefetch op the leader's lacks ends at that
-/// compile, having been a VM of its own until then: db's INTER+INTRA
-/// under an INTER leader on the Pentium 4.
+/// A twin whose body gains prefetch ops the leader's lacks rides along:
+/// db's INTER+INTRA under an INTER leader on the Pentium 4 is after every
+/// call a standalone INTER+INTRA VM, and retires the ops the leader's
+/// code lacks.
 #[test]
-fn a_twin_whose_body_gains_an_op_ends() {
+fn a_twin_whose_body_gains_an_op_rides_along() {
     let prep = tiny("db");
     let (inter, ii) = (PrefetchOptions::inter(), PrefetchOptions::inter_intra());
     let leader_bodies = bodies(&run(&prep, inter.clone(), &p4(), &[]));
     let twin_bodies = bodies(&run(&prep, ii.clone(), &p4(), &[]));
-    let k = (leader_bodies.iter().zip(&twin_bodies))
-        .position(|(l, t)| prefetch_ops(t) > prefetch_ops(l))
-        .expect("INTER+INTRA adds an op to a db body");
+    assert!(
+        (leader_bodies.iter().zip(&twin_bodies)).any(|(l, t)| prefetch_ops(t) > prefetch_ops(l)),
+        "INTER+INTRA adds an op to a db body"
+    );
     let mut vms = [
         vm(&prep, &inter, &p4(), &[(ii.clone(), p4())]),
         vm(&prep, &inter, &p4(), &[]),
@@ -303,18 +336,16 @@ fn a_twin_whose_body_gains_an_op_ends() {
     ];
     protocol(&prep, &mut vms, |vms, call| {
         assert_leader_alone(vms, call);
-        if live(&vms[0], 1) {
-            assert_twin_is(&vms[0], 1, &vms[2], call);
-        }
+        assert_twin_is(&vms[0], 1, &vms[2], call);
     });
-    assert!(!live(&vms[0], 1));
-    assert_eq!(vms[0].cell(1).reports.len(), k);
+    let (twin, _) = vms[0].cell(1).run.expect("live");
+    assert!(twin.retired_instructions > vms[0].stats().retired_instructions);
 }
 
 /// A twin that patches a body older frames of a recursion still run:
 /// on RayTracer, the ADAPTIVE twin of an INTER+INTRA leader, both on the
 /// Pentium 4, patches the recursive `rt_shade` below frames that run it,
-/// so the leader's body gets a new code id for the frames to come. After
+/// so the installed body gets a new code id for the frames to come. After
 /// every call the twin is a standalone ADAPTIVE VM, and the leader runs
 /// as it would alone. (`rt_shade`'s older frames never re-enter the
 /// patched loop, so which code they keep shows only in
@@ -467,4 +498,138 @@ fn a_twin_patch_leaves_older_frames_on_the_old_code() {
     }
     let patched = vms[2].compiled_generations().filter(|(_, g, _)| *g > 0);
     assert!(patched.count() > 0, "walk goes stale");
+}
+
+/// A walk whose speculative load can hold the one way to an object at a
+/// collection, and `main`, which fills the array and walks it `ROUNDS`
+/// times. `walk(arr)` sums the `v` of each node of `arr`, replaces the
+/// next node with a fresh one and allocates a garbage array of irregular
+/// length, so the nodes lie at no stride. INTER+INTRA then loads the next
+/// node speculatively and prefetches its `v` through that register: from
+/// the replacement on, the register holds the one way to the old node,
+/// and the garbage array's allocation can collect.
+fn replaced_ahead() -> (Program, MethodId) {
+    const ELEMS: i32 = 64;
+    const ROUNDS: i32 = 12;
+    let mut pb = ProgramBuilder::new();
+    let (node, nf) = pb.add_class("Node", &[("v", ElemTy::I32), ("pad", ElemTy::I64)]);
+    let walk = pb.declare("walk", &[Ty::Ref], Some(Ty::I32));
+    {
+        let mut b = pb.define(walk);
+        let arr = b.param(0);
+        let acc = b.new_reg(Ty::I32);
+        let zero = b.const_i32(0);
+        b.move_(acc, zero);
+        b.for_i32(
+            0,
+            1,
+            CmpOp::Lt,
+            |b| b.arraylen(arr),
+            |b, i| {
+                let n = b.aload(arr, i, ElemTy::Ref);
+                let v = b.getfield(n, nf[0]);
+                let s = b.add(acc, v);
+                b.move_(acc, s);
+                let one = b.const_i32(1);
+                let j = b.add(i, one);
+                let len = b.arraylen(arr);
+                let ahead = b.lt(j, len);
+                b.if_(ahead, |b| {
+                    let fresh = b.new_object(node);
+                    b.putfield(fresh, nf[0], j);
+                    b.astore(arr, j, fresh, ElemTy::Ref);
+                });
+                let (seven, five) = (b.const_i32(7), b.const_i32(5));
+                let k = b.mul(i, seven);
+                let k = b.rem(k, five);
+                let k = b.add(k, one);
+                b.new_array(ElemTy::I32, k);
+            },
+        );
+        b.ret(Some(acc));
+        b.finish();
+    }
+    let mut b = pb.function("main", &[], Some(Ty::I32));
+    let n = b.const_i32(ELEMS);
+    let arr = b.new_array(ElemTy::Ref, n);
+    b.for_i32(
+        0,
+        1,
+        CmpOp::Lt,
+        |_| n,
+        |b, i| {
+            let keep = b.new_object(node);
+            b.putfield(keep, nf[0], i);
+            b.astore(arr, i, keep, ElemTy::Ref);
+            let three = b.const_i32(3);
+            let k = b.rem(i, three);
+            b.new_array(ElemTy::I64, k);
+        },
+    );
+    let acc = b.new_reg(Ty::I32);
+    let zero = b.const_i32(0);
+    b.move_(acc, zero);
+    let rounds = b.const_i32(ROUNDS);
+    b.for_i32(
+        0,
+        1,
+        CmpOp::Lt,
+        |_| rounds,
+        |b, _| {
+            let s = b.call(walk, &[arr]);
+            let t = b.add(acc, s);
+            b.move_(acc, t);
+        },
+    );
+    b.ret(Some(acc));
+    let main = b.finish();
+    (pb.finish(), main)
+}
+
+/// A `SpecLoad` only a twin's code has writes a register the leader's
+/// collections do not root: on `replaced_ahead`, where that register
+/// holds the one way to a node at a collection, the INTER+INTRA twin of a
+/// BASELINE leader, both on the Pentium 4, ends, and the leader runs as a
+/// twin-free VM does: it collects the node.
+#[test]
+fn a_twin_only_specload_holding_the_one_way_to_an_object_ends_its_twin() {
+    let (off, ii) = (PrefetchOptions::off(), PrefetchOptions::inter_intra());
+    let new_vm = |prefetch: &PrefetchOptions| {
+        let config = VmConfig {
+            prefetch: prefetch.clone(),
+            heap_bytes: 16 << 10,
+            ..VmConfig::default()
+        };
+        Vm::new(replaced_ahead().0, config, p4())
+    };
+    let main = replaced_ahead().1;
+    let mut vms = [new_vm(&off), new_vm(&off), new_vm(&ii)];
+    vms[0].add_twin(ii.clone(), p4());
+    let mut gcs = 0;
+    for call in 0..3 {
+        let outs: Vec<_> = vms.iter_mut().map(|vm| vm.call(main, &[])).collect();
+        assert!(
+            outs.iter().all(|o| *o == outs[0]),
+            "checksums after call {call}"
+        );
+        assert_leader_alone(&vms, call);
+        if live(&vms[0], 1) {
+            assert_twin_is(&vms[0], 1, &vms[2], call);
+        }
+        gcs += vms[0].stats().gc_count;
+        vms.iter_mut().for_each(Vm::reset_measurement);
+    }
+    let spec = |vm: &Vm| {
+        (vm.compiled_generations()).any(|(_, _, f)| {
+            f.instr_sites()
+                .any(|s| matches!(f.instr(s), Instr::SpecLoad { .. }))
+        })
+    };
+    assert!(
+        spec(&vms[2]) && !spec(&vms[0]),
+        "only the twin's walk loads speculatively"
+    );
+    assert!(gcs > 0, "the walk collects");
+    assert!(!live(&vms[0], 1), "the twin ends");
+    assert!(!vms[0].cell(1).reports.is_empty(), "after compiling walk");
 }
