@@ -358,9 +358,8 @@ mod tests {
     /// of all twelve programs must equal a freshly prepared direct run.
     /// The VMs each program runs are pinned, so a change that silently
     /// stops twinning fails here. INTER+INTRA on the Pentium 4 leads, and
-    /// its VM runs the union of every cell's bodies, so ten programs run
-    /// one VM. The Athlon ADAPTIVE twins of jess and RayTracer repatch a
-    /// loop into a body the union lacks and run a second VM alone.
+    /// its VM runs the union of every cell's bodies — re-installed at each
+    /// twin's patch and repatch — so every program runs one VM.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let plan = tiny_plan();
@@ -388,7 +387,7 @@ mod tests {
                 "Search"
             ]
         );
-        assert_eq!(seq_vms, [1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1]);
+        assert_eq!(seq_vms, [1; 12]);
         assert_eq!(par_vms, seq_vms);
         assert_pooled_is_direct(&plan, &cs, &seq, &par);
     }

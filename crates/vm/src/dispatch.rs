@@ -439,7 +439,7 @@ fn prefetch_op<S: TraceSink>(
         None => 0,
     };
     if !S::ENABLED && !vm.shadows.is_empty() {
-        vm.shadow_prefetch(index, kind, target, (ctx.cycles, ctx.cur_cost), lat);
+        vm.shadow_prefetch(index, kind, target, (ctx.cycles, ctx.cur_cost), lat, false);
     }
     ctx.cycles += lat;
 }
@@ -946,7 +946,7 @@ pub(crate) fn h_ghost<S: TraceSink, const ELEM: bool, const GUARDED: bool, const
         let block = site_at((tc, next, 0)).block.index() as u32;
         vm.probe_issue((ctx.cur_mid, block), op.ext, target, kind, true);
     }
-    vm.shadow_ghost(op.ext, kind, target, (ctx.cycles, ctx.cur_cost));
+    vm.shadow_prefetch(op.ext, kind, target, (ctx.cycles, ctx.cur_cost), 0, true);
     if SPEC {
         let v = target.map_or(NULL, |t| vm.heap.load_bits(t, ElemTy::Ref).unwrap_or(NULL));
         ctx.set_reg(op.a, v);

@@ -644,7 +644,7 @@ impl<S: TraceSink> Vm<S> {
                 let args = args.get_or_insert_with(|| self.top_args(mid, argc));
                 self.repatch_loops(k, mid, args, &due, false);
             }
-            // A repatch the installed body cannot take ends a twin.
+            // A repatch whose body has no union with the others' ends a twin.
             let Some(adapt) = self.guards(k) else {
                 continue;
             };
@@ -730,7 +730,8 @@ impl<S: TraceSink> Vm<S> {
     /// Puts `func`, cell `k`'s new body of `mid` at install generation
     /// `generation`, which the loop edit `edit` made at a JIT cost of
     /// `cycles`, where the cell runs it; returns whether the cell still
-    /// lives. A twin re-masks the installed body (see `Vm::recode_twin`).
+    /// lives. A twin's goes into the union the VM installs (see
+    /// `Vm::install_union`).
     /// Cell 0 installs it, and alone charges the cost, emits the edit's
     /// trace events and keeps a patch's arguments under
     /// [`VmConfig::retain_deopt_args`] — so the serving recovery sweep can
@@ -746,7 +747,11 @@ impl<S: TraceSink> Vm<S> {
         edit: Edit<'_>,
     ) -> bool {
         if k > 0 {
-            return self.recode_twin(k, mid, func, cycles);
+            self.cells[k].bodies[mid.index()] = Some(Arc::new(func));
+            let mut jit = vec![0; self.cells.len()];
+            jit[k] = cycles as i64;
+            self.install_union(mid, &jit);
+            return self.cells[k].live;
         }
         self.charge_jit(cycles);
         let (method, now) = (mid.index() as u32, self.stats.cycles);

@@ -286,6 +286,32 @@ fn an_adaptive_twin_lives_through_its_patches() {
     }
 }
 
+/// A twin's repatch re-installs the union of every cell's body. On jess
+/// and RayTracer the Athlon ADAPTIVE twin of a Pentium 4 INTER+INTRA
+/// leader patches a loop and repatches it into a body that still
+/// declares the registers of the `SpecLoad`s its patch stripped: the twin
+/// lives through the repatch and is after every call a standalone Athlon
+/// ADAPTIVE VM, while the leader runs as it would alone.
+#[test]
+fn an_adaptive_twin_on_another_processor_lives_through_its_repatch() {
+    let (ii, adaptive) = (PrefetchOptions::inter_intra(), PrefetchOptions::adaptive());
+    for name in ["jess", "RayTracer"] {
+        let prep = tiny(name);
+        let mut vms = [
+            vm(&prep, &ii, &p4(), &[(adaptive.clone(), athlon())]),
+            vm(&prep, &ii, &p4(), &[]),
+            vm(&prep, &adaptive, &athlon(), &[]),
+        ];
+        let mut repatched = false;
+        protocol(&prep, &mut vms, |vms, call| {
+            assert_leader_alone(vms, call);
+            assert_twin_is(&vms[0], 1, &vms[2], call);
+            repatched |= vms[2].stats().loop_repatches > 0;
+        });
+        assert!(repatched, "{name}: the Athlon ADAPTIVE VM repatches");
+    }
+}
+
 /// A twin on the leader's processor whose bodies lack some of the
 /// leader's prefetch ops runs on a memory system of its own: BASELINE on
 /// the Pentium 4 under an INTER+INTRA leader there on db, whose bodies
