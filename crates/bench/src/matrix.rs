@@ -6,9 +6,9 @@
 //! base body plus prefetch ops, whatever the processor, with loop guards
 //! of their own — are run by one VM with *twins*
 //! ([`spf_vm::Vm::add_twin`], DESIGN.md §3.1): the remaining cell of the
-//! most prefetching mode without guards leads (see `run_chain`), the
-//! others ride along while they reproduce a run of their own, and the
-//! ones that diverged form the next group. Programs are handed to a
+//! most prefetching mode leads (see `run_chain`), the others ride along
+//! while they reproduce a run of their own, and the ones that diverged
+//! form the next group. Programs are handed to a
 //! bounded pool of `std::thread` workers through an atomic cursor and the
 //! results are re-assembled in canonical matrix order, so the output is
 //! identical to a sequential sweep — and to one VM per cell,
@@ -48,7 +48,7 @@ pub struct CellResult {
     pub measurement: Measurement,
     /// Host nanoseconds of the run, or the cell's share of its group's
     /// (see [`run_cells`]); pinned by `benchmark/src/matrix.rs:609`, `:749`
-    /// until ROADMAP 1(B).
+    /// until ROADMAP 4(B).
     pub wall_nanos: u128,
 }
 
@@ -150,21 +150,19 @@ pub struct TracedCellResult {
     pub measurement: Measurement,
     /// Events, site table, and per-site attribution of the best run.
     pub trace: WorkloadTrace,
-    /// Host nanoseconds of the run; pinned by `benchmark/src/matrix.rs:622` until ROADMAP 1(B).
+    /// Host nanoseconds of the run; pinned by `benchmark/src/matrix.rs:622` until ROADMAP 4(B).
     pub wall_nanos: u128,
 }
 
 /// Runs the cells `chain` names — one program's, prepared here once — in
 /// groups. A group's leader is the remaining cell of the most prefetching
-/// mode without adaptive guards — INTER+INTRA, then INTER, then BASELINE,
-/// the first in `chain` order among equals — or, when only ADAPTIVE cells
-/// remain, the first of them. The VM runs the union of its cells'
+/// mode — INTER+INTRA or ADAPTIVE, then INTER, then BASELINE — the first
+/// in `chain` order among equals. The VM runs the union of its cells'
 /// bodies, and the leader with the most prefetch ops leaves the fewest
-/// to the twins alone; a leader with guards would patch code no twin
-/// compiled. Every other remaining cell rides along as its twin unless the leader
-/// has adaptive guards or records events, and the twins that diverged
-/// form the next group. Returns each cell's result and trace with its
-/// index, and how many VMs ran.
+/// to the twins alone. Every other remaining cell rides along as its
+/// twin unless the VM records events, and the twins that diverged form
+/// the next group. Returns each cell's result and trace with its index,
+/// and how many VMs ran.
 fn run_chain<S: TraceSink + Default>(
     plan: &RunPlan,
     cells: &[Cell],
@@ -178,11 +176,10 @@ fn run_chain<S: TraceSink + Default>(
         let t0 = Instant::now();
         let mode = |i: usize| cells[left[i]].options.mode;
         let lead = (0..left.len())
-            .filter(|&i| !mode(i).adaptive_guards())
             .max_by_key(|&i| (prefetching(mode(i)), std::cmp::Reverse(i)))
-            .unwrap_or(0);
+            .expect("a cell remains");
         let mut group = vec![left.remove(lead)];
-        if !S::ENABLED && !cells[group[0]].options.mode.adaptive_guards() {
+        if !S::ENABLED {
             group.append(&mut left);
         }
         let run: Vec<_> = (group.iter())
@@ -392,6 +389,23 @@ mod tests {
         assert_pooled_is_direct(&plan, &cs, &seq, &par);
     }
 
+    /// In a sweep of ADAPTIVE cells alone the Pentium 4's leads, patching
+    /// its own loops with the Athlon's riding along: each program runs one
+    /// VM, and every pooled cell equals its direct run.
+    #[test]
+    fn an_adaptive_only_sweep_runs_one_vm_per_program() {
+        let plan = tiny_plan();
+        let cs: Vec<_> = (cells(|_| true).into_iter())
+            .filter(|c| c.options.mode == PrefetchMode::Adaptive)
+            .collect();
+        let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
+        let (par, par_vms) = run_chains::<NoopSink>(&plan, 2, &cs);
+        let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
+        assert_eq!(seq_vms, [1; 12]);
+        assert_eq!(par_vms, seq_vms);
+        assert_pooled_is_direct(&plan, &cs, &seq, &par);
+    }
+
     /// Asserts that the sequential and parallel results of `cs` agree and
     /// that each equals a direct run of its cell.
     fn assert_pooled_is_direct(
@@ -422,8 +436,10 @@ mod tests {
     /// recursion runs the body patched — and every pooled cell must still
     /// equal its direct run. The Athlon's bodies of jess, db, MolDyn and
     /// RayTracer have prefetch ops (and kinds) the Pentium 4's lack, so
-    /// their leaders run unions there; each program runs one VM. A
-    /// release-profile test: the debug profile takes minutes here.
+    /// their leaders run unions there; each program runs one VM. Without
+    /// their INTER+INTRA cells, db's and RayTracer's Pentium 4 ADAPTIVE
+    /// cells lead, and their guards fire in the leader's own measured
+    /// runs. A release-profile test: the debug profile takes minutes here.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "runs in the release test step")]
     fn pooled_cells_equal_direct_runs_where_small_guards_fire() {
@@ -431,13 +447,18 @@ mod tests {
             size: Size::Small,
             ..RunPlan::default()
         };
-        let cs = cells(|n| ["jess", "db", "MolDyn", "RayTracer"].contains(&n));
-        let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
-        let (par, par_vms) = run_chains::<NoopSink>(&plan, 2, &cs);
-        let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
-        assert_eq!(seq_vms, [1, 1, 1, 1]);
-        assert_eq!(par_vms, seq_vms);
-        assert_pooled_is_direct(&plan, &cs, &seq, &par);
+        let all = cells(|n| ["jess", "db", "MolDyn", "RayTracer"].contains(&n));
+        let adaptive_led = (cells(|n| ["db", "RayTracer"].contains(&n)).into_iter())
+            .filter(|c| c.options.mode != PrefetchMode::InterIntra)
+            .collect();
+        for (cs, vms) in [(all, vec![1; 4]), (adaptive_led, vec![1; 2])] {
+            let (seq, seq_vms) = run_chains::<NoopSink>(&plan, 1, &cs);
+            let (par, par_vms) = run_chains::<NoopSink>(&plan, 2, &cs);
+            let par: Vec<_> = par.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(seq_vms, vms);
+            assert_eq!(par_vms, seq_vms);
+            assert_pooled_is_direct(&plan, &cs, &seq, &par);
+        }
     }
 
     /// A traced sweep runs every cell on a VM of its own, as a traced VM

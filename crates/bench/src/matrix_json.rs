@@ -74,7 +74,7 @@ impl From<&CellResult> for CellSummary {
 /// `size` envelope, so a sweep writes the same bytes on any host.
 ///
 /// `_jobs` and `_total_wall_nanos` are ignored; `benchmark/src/matrix.rs:774`
-/// still passes them (ROADMAP 1(B)).
+/// still passes them (ROADMAP 4(B)).
 pub fn emit(results: &[CellResult], size: Size, _jobs: usize, _total_wall_nanos: u128) -> String {
     let mut s = String::new();
     s.push_str("{\n");

@@ -15,7 +15,7 @@ pub struct RunPlan {
     pub warmup_runs: u32,
     /// Measured invocations; the best (fewest cycles) is reported.
     pub measured_runs: u32,
-    /// Read by nothing; pinned by `benchmark/src/matrix.rs:32` until ROADMAP 1(B) deletes it.
+    /// Read by nothing; pinned by `benchmark/src/matrix.rs:32` until ROADMAP 4(B) deletes it.
     pub timing_runs: u32,
 }
 

@@ -229,7 +229,7 @@ pub const RECOVERY_P99_RATIO_MILLI: u64 = 2_000;
 /// What [`verify_recovery`] measured while checking the invariants.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RecoveryReport {
-    /// Methods still stranded (deopted, uncompiled) at run end.
+    /// Loops still stranded (invalidated, never repatched) at run end.
     pub stranded_final: u64,
     /// Requests shed over the whole run.
     pub shed: u64,
@@ -247,7 +247,7 @@ pub struct RecoveryReport {
 }
 
 /// Checks the recovery invariants of a fault run against its fault-free
-/// twin: stranded methods drained to zero, no sheds after the recovery
+/// twin: stranded loops drained to zero, no sheds after the recovery
 /// point, and post-recovery p99 within [`RECOVERY_P99_RATIO_MILLI`] (plus
 /// four slots of absolute slack) of the fault-free run. `base` is the
 /// *uninjected* request stream — ids below `base.len()` mean the same
@@ -275,7 +275,7 @@ pub fn verify_recovery(
     };
     if fault.stranded_final != 0 {
         return Err(format!(
-            "{} methods still stranded in the interpreter at run end",
+            "{} loops still stranded (invalidated, never repatched) at run end",
             fault.stranded_final
         ));
     }

@@ -135,7 +135,7 @@ spf_trace::record! {
         pub retries: u64,
         /// Adaptive guard re-arms across the fleet.
         pub rearms: u64,
-        /// Methods still stranded at run end (must be 0 after recovery).
+        /// Loops still stranded at run end (must be 0 after recovery).
         pub stranded_final: u64,
         /// Requests served (non-shed) in the fault run.
         pub completed: u64,

@@ -585,7 +585,7 @@ fn tenant_vm(
     // Chaos runs harden the adaptive policy: a deliberately tight
     // recompile budget (so GC storms exhaust it and exercise the re-arm
     // path) and retained deopt arguments (so the recovery sweep can
-    // recompile stranded methods). Fault-free runs keep the exact legacy
+    // repatch stranded loops). Fault-free runs keep the exact legacy
     // configuration.
     let mut adapt = AdaptConfig::default();
     if chaos {

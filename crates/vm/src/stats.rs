@@ -31,10 +31,10 @@ pub struct VmStats {
     /// Methods JIT-compiled.
     pub methods_compiled: u64,
     /// Wall-clock nanoseconds spent in JIT compilation (all passes).
-    /// Pinned by `benchmark/src/matrix.rs:307` until ROADMAP 1(B).
+    /// Pinned by `benchmark/src/matrix.rs:307` until ROADMAP 4(B).
     pub jit_nanos: u128,
     /// Wall-clock nanoseconds of `jit_nanos` spent in the prefetching pass.
-    /// Pinned by `benchmark/src/matrix.rs:307` until ROADMAP 1(B).
+    /// Pinned by `benchmark/src/matrix.rs:307` until ROADMAP 4(B).
     pub prefetch_pass_nanos: u128,
     /// Cycles charged to the simulated clock for JIT compilation.
     pub jit_cycles: u64,

@@ -4,13 +4,13 @@
 //!
 //! Three rules make a live twin's numbers those of a VM of its own:
 //!
-//! - **Union bodies.** At each JIT compile of the leader, every live twin
-//!   runs its own prefetch pipeline, with its own processor, on the same
-//!   base body, heap, statics and arguments, and lives only while every
-//!   body it produces or patches and the leader's are one base body plus
-//!   some `Prefetch`/`SpecLoad` ops (`union`). At each compile and each
-//!   twin's patch the VM installs the union of its cells' bodies
-//!   (`Vm::install_union`): the shared base ops and, in each gap between
+//! - **Union bodies.** At each JIT compile every live cell runs its own
+//!   prefetch pipeline, with its own processor, on the same base body,
+//!   heap, statics and arguments, and a twin lives only while every body
+//!   it produces or patches and the leader's are one base body plus some
+//!   `Prefetch`/`SpecLoad` ops (`union`). At each compile and each cell's
+//!   patch the VM installs the union of its cells' bodies on one road
+//!   (`Vm::install`): the shared base ops and, in each gap between
 //!   them, a common supersequence of every cell's prefetch ops, where a
 //!   kind is part of an op and each `SpecLoad` destination only twins
 //!   have gets a fresh register. A prefetch op changes no register
@@ -50,13 +50,14 @@
 //!   cell's code has probes that cell's memory system before any memory
 //!   system applies the op (`Vm::probe_issue`), and each call of a
 //!   compiled method repatches and patches the cell's loops on its own
-//!   body (`Vm::guard_loops`). Only where the new body goes depends on
-//!   the cell (`Vm::place`): cell 0 installs it; a twin's joins the union,
-//!   installed again, and moves the twin onto a class of its own. Where a
-//!   leader frame — deeper in a recursion — runs the body a twin patches,
+//!   body (`Vm::guard_loops`). A patched body, cell 0's as much as a
+//!   twin's, joins the union on the compile's road, and the twins regroup
+//!   by code and JIT cycles; only cell 0 emits trace events, retains
+//!   deoptimization arguments and keeps a generation history. Where a
+//!   leader frame — deeper in a recursion — runs the body a cell patches,
 //!   the union gets a new code id for the frames to come, so the older
-//!   ones keep every class's old mask, as the twin's VM's frames keep its
-//!   old body.
+//!   ones keep every class's old mask, as the cell's own VM's frames keep
+//!   its old body.
 //!
 //! A twin's compile-time reports, inspection cost and adaptive counters
 //! are its own; every other counter is the leader's, rebased onto the
@@ -65,14 +66,13 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use spf_adapt::{AdaptConfig, AdaptState, StaleLoop};
+use spf_adapt::{AdaptConfig, AdaptState};
 use spf_core::{MethodReport, PrefetchOptions};
-use spf_heap::{Addr, Value, NULL};
+use spf_heap::{Addr, NULL};
 use spf_ir::{Function, Instr, MethodId, PrefetchAddr, PrefetchKind, Reg, Ty};
 use spf_memsim::{CacheLevel, MemStats, MemorySystem, ProcessorConfig};
 use spf_trace::TraceSink;
 
-use crate::config::RECOMPILE_CYCLES_PER_INSTR;
 use crate::decode::{decode, is_prefetch};
 use crate::stats::{MethodCycles, VmStats};
 use crate::vm::{body, CodeId, Installed, Vm};
@@ -97,8 +97,8 @@ pub(crate) struct CellState {
     shadow: Option<usize>,
     /// The cell's loop guards, under a mode with adaptive guards.
     pub(crate) adapt: Option<AdaptState>,
-    /// The cell's compiled body of each method, by method index; where
-    /// twins add ops to cell 0's, the VM installs their union instead.
+    /// The cell's compiled body of each method, by method index; the VM
+    /// installs the union of its cells' bodies.
     pub(crate) bodies: Vec<Option<Arc<Function>>>,
 }
 
@@ -123,15 +123,6 @@ impl CellState {
             bodies: vec![None; methods],
         }
     }
-}
-
-/// A loop edit of a compiled body, as cell 0 records it (see
-/// `Vm::place`).
-pub(crate) enum Edit<'a> {
-    /// A patch of these stale loops, at a call with these arguments.
-    Patch(&'a [StaleLoop], &'a [Value]),
-    /// A repatch: each loop's header and new loop generation.
-    Repatch(Vec<(u32, u32)>),
 }
 
 /// One cell a [`Vm`] simulates, its own or a twin's (see [`Vm::cell`]).
@@ -591,19 +582,14 @@ impl<S: TraceSink> Vm<S> {
     /// Panics unless this VM is untraced (a twin has no event stream of
     /// its own), compiles synchronously (a background compile's cost
     /// estimate depends on the mode), retains no deoptimization arguments
-    /// (they would be GC roots of the twin's own), has no adaptive guards
-    /// (only a leader that never patches installs every body through the
-    /// JIT) and has compiled nothing yet.
+    /// (they would be GC roots of the twin's own) and has compiled
+    /// nothing yet.
     pub fn add_twin(&mut self, options: PrefetchOptions, proc: ProcessorConfig) {
         assert!(!S::ENABLED, "a traced VM takes no twins");
         assert!(!self.config.async_compile, "an async VM takes no twins");
         assert!(
             !self.config.retain_deopt_args,
             "a retaining VM takes no twins"
-        );
-        assert!(
-            self.cells[0].adapt.is_none(),
-            "an adaptive VM takes no twins"
         );
         assert!(
             self.compiled_generations().next().is_none(),
@@ -786,54 +772,34 @@ impl<S: TraceSink> Vm<S> {
         });
     }
 
-    /// Runs every live twin's pipeline on the inputs the leader's compile
-    /// of `mid` just used, installs the union of the cells' bodies and
-    /// books the twins that survive it. Emits no event and charges
-    /// nothing to [`Vm::stats`].
-    pub(crate) fn compile_twins(&mut self, mid: MethodId, base: &Function, args: &[Value]) {
-        if self.cells[1..].iter().all(|t| !t.live) {
-            return;
+    /// The one install road: makes each `(k, body, cycles)` of `new` cell
+    /// `k`'s body of `mid`, made at a JIT cost of `cycles` (a cell not in
+    /// `new` pays nothing), and installs the union of every live cell's
+    /// body. Folds [`union`] over the bodies, cell 0's first, and ends
+    /// each twin whose body has none. Unless the union is the installed
+    /// code, decodes it with the ops cell 0 lacks as ghosts, before
+    /// anything changes: decode refuses an ill-typed body. Charges cell
+    /// 0's cycles to the clock, and takes a new [`CodeId`] only while a
+    /// frame runs the old one, so that frame keeps every class's old mask,
+    /// as a cell's own VM's older frames keep its old body. Then regroups
+    /// the live twins by class, each with its cycles beyond cell 0's.
+    pub(crate) fn install(&mut self, mid: MethodId, new: Vec<(usize, Function, u64)>) {
+        let mut cycles = vec![0; self.cells.len()];
+        let mut bodies: Vec<_> = (self.cells.iter())
+            .map(|c| c.bodies[mid.index()].clone())
+            .collect();
+        for (k, func, jit) in new {
+            (bodies[k], cycles[k]) = (Some(Arc::new(func)), jit);
         }
-        let size = |f: &Function| f.instr_sites().count() as i64;
-        let own = size(&self.cell_body(0, mid));
-        let (mut jit, mut reports) = (vec![0; self.cells.len()], Vec::new());
-        for (k, jit) in jit.iter_mut().enumerate().skip(1) {
-            if !self.cells[k].live {
-                continue;
-            }
-            let outcome = self.pipeline(k, base, args, None);
-            *jit = RECOMPILE_CYCLES_PER_INSTR as i64 * (size(&outcome.func) - own);
-            self.cells[k].bodies[mid.index()] = Some(Arc::new(outcome.func));
-            reports.push((k, outcome.report));
-        }
-        self.install_union(mid, &jit);
-        for (k, report) in reports {
-            if self.cells[k].live {
-                self.book_compile(k, mid, &self.cell_body(k, mid), report);
-            }
-        }
-    }
-
-    /// Installs the union of every live cell's body of `mid` — the one
-    /// road of a compile's twins and of a twin's patch — where `jit[k]` is
-    /// cell `k`'s JIT cycles beyond the leader's. Folds [`union`] over the
-    /// bodies, cell 0's first, and ends each twin whose body has none.
-    /// Unless the union is the installed code, decodes it with the ops
-    /// cell 0 lacks as ghosts; under a new [`CodeId`] while a frame runs
-    /// the old one, so that frame keeps every class's old mask, as a
-    /// cell's own VM's older frames keep its old body. Then regroups the
-    /// live twins by class.
-    pub(crate) fn install_union(&mut self, mid: MethodId, jit: &[i64]) {
-        let mut run = self.cell_body(0, mid);
+        let body_of = |k: usize| bodies[k].as_ref().expect("a compiled body");
+        let mut run = Arc::clone(body_of(0));
         let ops = run.instr_sites().filter(|&s| is_prefetch(run.instr(s)));
         // Each cell's mask over `run`, cell 0's first.
         let mut masks = vec![(0, vec![true; ops.count()])];
-        for k in 1..self.cells.len() {
-            if !self.cells[k].live {
-                continue;
-            }
-            let Some(union) = union(&run, &self.cell_body(k, mid)) else {
-                self.cells[k].live = false;
+        let mut ended = Vec::new();
+        for k in (1..self.cells.len()).filter(|&k| self.cells[k].live) {
+            let Some(union) = union(&run, body_of(k)) else {
+                ended.push(k);
                 continue;
             };
             for (_, mask) in &mut masks {
@@ -843,30 +809,47 @@ impl<S: TraceSink> Vm<S> {
             run = Arc::new(union.body);
         }
         let (_, own) = masks.remove(0);
-        // Without ghosts the list is empty, as `Vm::install` decodes.
+        // Without ghosts the list is empty.
         let ghosts: Vec<bool> = match own.contains(&false) {
             true => own.iter().map(|has| !has).collect(),
             false => Vec::new(),
         };
-        let old = self.compiled[mid.index()].expect("a compiled body");
-        let mut tcode = Arc::clone(&body(&self.codes, old).tcode);
-        if *tcode.src != *run || *tcode.ghosts != *ghosts {
-            let layout = self.heap.layout_tables();
-            tcode = Arc::new(decode(&self.program, layout, &run, self.fuse, &ghosts));
+        let old = self.compiled[mid.index()];
+        let installed = old.map(|c| Arc::clone(&body(&self.codes, c).tcode));
+        let tcode = match installed.filter(|t| *t.src == *run && *t.ghosts == *ghosts) {
+            Some(tcode) => tcode,
+            None => {
+                let layout = self.heap.layout_tables();
+                Arc::new(decode(&self.program, layout, &run, self.fuse, &ghosts))
+            }
+        };
+        for k in ended {
+            self.cells[k].live = false;
         }
-        let mut code = old;
-        if self.frames.iter().any(|f| f.code == old) {
-            code = self.codes.len() as CodeId;
-            self.codes.push(None);
-            self.compiled[mid.index()] = Some(code);
-            self.retire(old);
+        for (cell, body) in self.cells.iter_mut().zip(bodies) {
+            cell.bodies[mid.index()] = body;
         }
+        self.stats.jit_cycles += cycles[0];
+        self.stats.cycles += cycles[0];
+        let code = match old {
+            Some(old) if self.frames.iter().all(|f| f.code != old) => old,
+            _ => {
+                if let Some(old) = old {
+                    self.retire(old);
+                }
+                self.codes.push(None);
+                let code = self.codes.len() as CodeId - 1;
+                self.compiled[mid.index()] = Some(code);
+                code
+            }
+        };
         self.codes[code as usize] = Some(Installed {
             tcode,
             compiled: true,
         });
+        let jit = |k: usize| cycles[k] as i64 - cycles[0] as i64;
         let changes: Vec<_> = (masks.into_iter())
-            .map(|(k, mask)| (k, relative(mask, &ghosts), jit[k]))
+            .map(|(k, mask)| (k, relative(mask, &ghosts), jit(k)))
             .collect();
         self.recode(code, &changes);
     }

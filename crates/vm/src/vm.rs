@@ -26,13 +26,13 @@ use crate::config::{
     VmConfig, LOOP_PATCH_CYCLES, LOOP_RECOMPILE_BASE_CYCLES, MAX_STACK_DEPTH,
     RECOMPILE_BASE_CYCLES, RECOMPILE_CYCLES_PER_INSTR,
 };
-use crate::decode::{decode, is_prefetch, ThreadedCode};
+use crate::decode::{is_prefetch, ThreadedCode};
 use crate::dispatch::{self, Ctx, HALT, SWITCH};
 use crate::error::VmError;
 use crate::passes;
 use crate::predecode::Predecoded;
 use crate::stats::{MethodCycles, PicStats, VmStats};
-use crate::twin::{CellState, Edit, Shadow};
+use crate::twin::{CellState, Shadow};
 
 /// An installed, executable body: shared threaded code and whether it is
 /// a JIT install. Lives in the [`Vm::codes`] arena and is named by index,
@@ -126,10 +126,10 @@ pub struct Vm<S: TraceSink = NoopSink> {
     fresh_requests: Vec<MethodId>,
     /// Arguments of the invocation that triggered each method's last
     /// deopt, retained only under [`VmConfig::retain_deopt_args`] so a
-    /// serving-layer recovery sweep can recompile stranded methods
-    /// without waiting for them to re-cross the compile threshold. Like
-    /// `pending`, entries may hold heap references: [`Vm::gc`] roots and
-    /// forwards them. Insertion-ordered for determinism.
+    /// serving-layer recovery sweep can repatch stranded loops without
+    /// waiting for their backoff. Like `pending`, entries may hold heap
+    /// references: [`Vm::gc`] roots and forwards them. Insertion-ordered
+    /// for determinism.
     deopt_args: Vec<(MethodId, Vec<Value>)>,
     /// Every cell this VM simulates: its own, cell 0, then its twins (see
     /// [`Vm::add_twin`]).
@@ -273,39 +273,19 @@ impl<S: TraceSink> Vm<S> {
     /// Installs a pre-optimized body for `mid`, bypassing the JIT trigger.
     pub fn install_compiled(&mut self, mid: MethodId, func: Function) {
         self.diverge_twins();
-        self.install(mid, func, 0);
+        self.install(mid, vec![(0, func, 0)]);
+        self.record(mid, 0);
     }
 
-    /// The one install path: makes `func` the compiled body of `mid` at
-    /// `generation` — site registration (traced VMs only), decode, and
-    /// the generation history. Returns the body's instruction count (its
-    /// code-cache footprint).
-    fn install(&mut self, mid: MethodId, func: Function, generation: u32) -> u64 {
-        let func = Arc::new(func);
-        // Decoding verifies the body and panics on a violation, so it
-        // comes before anything of the VM is touched.
-        let tcode = Arc::new(decode(
-            &self.program,
-            self.heap.layout_tables(),
-            &func,
-            self.fuse,
-            &[],
-        ));
+    /// Records cell 0's body of `mid`, just installed at `generation`:
+    /// registers its sites (traced VMs only) and appends it to the
+    /// generation history.
+    fn record(&mut self, mid: MethodId, generation: u32) {
+        let func = self.cell_body(0, mid);
         if S::ENABLED {
             self.register_sites(mid, &func, generation);
         }
-        let instrs = func.instr_sites().count() as u64;
-        self.cells[0].bodies[mid.index()] = Some(Arc::clone(&func));
         self.history.push((mid, generation, func));
-        let code = self.codes.len() as CodeId;
-        self.codes.push(Some(Installed {
-            tcode,
-            compiled: true,
-        }));
-        if let Some(old) = self.compiled[mid.index()].replace(code) {
-            self.retire(old);
-        }
-        instrs
     }
 
     /// Frees a replaced or evicted body once no frame can name it: at
@@ -340,13 +320,6 @@ impl<S: TraceSink> Vm<S> {
                     .map_or(spf_adapt::NO_LOOP, |l| forest.info(l).header.index() as u32)
             })
             .collect()
-    }
-
-    /// Adds JIT-side `cycles` (compile, patch or repatch) to the
-    /// simulated clock.
-    fn charge_jit(&mut self, cycles: u64) {
-        self.stats.jit_cycles += cycles;
-        self.stats.cycles += cycles;
     }
 
     /// Books the host time of one finished run of the prefetch pipeline
@@ -670,9 +643,13 @@ impl<S: TraceSink> Vm<S> {
     }
 
     /// Tier-1 invalidation in cell `k`: strips the `Prefetch`/`SpecLoad`
-    /// ops of the `stale` loops from its body of `mid` and puts the body
-    /// in place. The other loops' sites keep running; the stale loops run
-    /// plain compiled code until their repatch is due.
+    /// ops of the `stale` loops from its body of `mid` and installs the
+    /// body. The other loops' sites keep running; the stale loops run
+    /// plain compiled code until their repatch is due. Cell 0 alone emits
+    /// the trace events and keeps the call's `args` under
+    /// [`VmConfig::retain_deopt_args`] — so the serving recovery sweep can
+    /// repatch the stranded loops without waiting for the backoff — until
+    /// no loop of the method is stranded.
     fn patch_loops(&mut self, k: usize, mid: MethodId, args: &[Value], stale: &[StaleLoop]) {
         let headers: Vec<u32> = stale.iter().map(|s| s.header).collect();
         let func = Self::strip_loops(&self.cell_body(k, mid), &headers);
@@ -684,14 +661,37 @@ impl<S: TraceSink> Vm<S> {
         self.count(k, |s| s.loop_deopts += loops);
         // A patch is a deterministic code edit, far cheaper than any
         // recompile; charged per stale loop.
-        let edit = Edit::Patch(stale, args);
-        self.place(k, mid, func, generation, LOOP_PATCH_CYCLES * loops, edit);
+        self.install(mid, vec![(k, func, LOOP_PATCH_CYCLES * loops)]);
+        if k > 0 {
+            return;
+        }
+        let (method, now) = (mid.index() as u32, self.stats.cycles);
+        for s in stale.iter().filter(|_| S::ENABLED) {
+            self.mem.sink_mut().emit(TraceEvent::LoopInvalidated {
+                method,
+                loop_header: s.header,
+                generation: s.generation,
+                reason: s.reason,
+                now,
+            });
+        }
+        // Retaining values extends their GC liveness, so this is strictly
+        // opt-in (chaos/serving runs only).
+        if self.config.retain_deopt_args {
+            match self.deopt_args.iter_mut().find(|(m, _)| *m == mid) {
+                Some(entry) => entry.1 = args.to_vec(),
+                None => self.deopt_args.push((mid, args.to_vec())),
+            }
+        }
+        self.record(mid, generation);
     }
 
     /// Tier-2 re-entry in cell `k`: re-runs its pipeline over the `due`
     /// loops of its body of `mid` only, re-inspecting the live heap with
-    /// `args`, and puts the body in place, at a per-loop cost far below a
-    /// full recompile — none if a compilation-queue worker made it.
+    /// `args`, and installs the body, at a per-loop cost far below a full
+    /// recompile — none if a compilation-queue worker made it. Cell 0
+    /// alone emits the trace events and drops the retained arguments of a
+    /// method with no stranded loop left.
     fn repatch_loops(
         &mut self,
         k: usize,
@@ -706,7 +706,7 @@ impl<S: TraceSink> Vm<S> {
         self.book_host(t0, &outcome.report);
         let epoch = self.heap.gc_epoch();
         let adapt = self.guards(k).expect("a repatch requires guards");
-        let loops = due
+        let loops: Vec<_> = due
             .iter()
             .map(|&h| (h, adapt.on_repatch(mid.index(), h, epoch)))
             .collect();
@@ -721,79 +721,28 @@ impl<S: TraceSink> Vm<S> {
         });
         // A compilation-queue worker accounts for it on its own clock.
         let cycles = u64::from(!background) * Self::repatch_cycles(&src, due);
-        let edit = Edit::Repatch(loops);
-        if self.place(k, mid, outcome.func, generation, cycles, edit) {
-            self.cells[k].reports.push(outcome.report);
+        self.install(mid, vec![(k, outcome.func, cycles)]);
+        // A body with no union with the other cells' ends a twin.
+        if !self.cells[k].live {
+            return;
         }
-    }
-
-    /// Puts `func`, cell `k`'s new body of `mid` at install generation
-    /// `generation`, which the loop edit `edit` made at a JIT cost of
-    /// `cycles`, where the cell runs it; returns whether the cell still
-    /// lives. A twin's goes into the union the VM installs (see
-    /// `Vm::install_union`).
-    /// Cell 0 installs it, and alone charges the cost, emits the edit's
-    /// trace events and keeps a patch's arguments under
-    /// [`VmConfig::retain_deopt_args`] — so the serving recovery sweep can
-    /// repatch the stranded loops without waiting for the backoff — until
-    /// no loop of the method is stranded.
-    fn place(
-        &mut self,
-        k: usize,
-        mid: MethodId,
-        func: Function,
-        generation: u32,
-        cycles: u64,
-        edit: Edit<'_>,
-    ) -> bool {
+        self.cells[k].reports.push(outcome.report);
         if k > 0 {
-            self.cells[k].bodies[mid.index()] = Some(Arc::new(func));
-            let mut jit = vec![0; self.cells.len()];
-            jit[k] = cycles as i64;
-            self.install_union(mid, &jit);
-            return self.cells[k].live;
+            return;
         }
-        self.charge_jit(cycles);
         let (method, now) = (mid.index() as u32, self.stats.cycles);
-        match edit {
-            Edit::Patch(stale, args) => {
-                for s in stale.iter().filter(|_| S::ENABLED) {
-                    self.mem.sink_mut().emit(TraceEvent::LoopInvalidated {
-                        method,
-                        loop_header: s.header,
-                        generation: s.generation,
-                        reason: s.reason,
-                        now,
-                    });
-                }
-                // Retaining values extends their GC liveness, so this is
-                // strictly opt-in (chaos/serving runs only).
-                if self.config.retain_deopt_args {
-                    match self.deopt_args.iter_mut().find(|(m, _)| *m == mid) {
-                        Some(entry) => entry.1 = args.to_vec(),
-                        None => self.deopt_args.push((mid, args.to_vec())),
-                    }
-                }
-            }
-            Edit::Repatch(loops) => {
-                for &(loop_header, generation) in loops.iter().filter(|_| S::ENABLED) {
-                    self.mem.sink_mut().emit(TraceEvent::LoopRepatched {
-                        method,
-                        loop_header,
-                        generation,
-                        now,
-                    });
-                }
-                if self
-                    .own_guard(mid)
-                    .is_none_or(|g| g.stale_loops().is_empty())
-                {
-                    self.deopt_args.retain(|(m, _)| *m != mid);
-                }
-            }
+        for &(loop_header, generation) in loops.iter().filter(|_| S::ENABLED) {
+            self.mem.sink_mut().emit(TraceEvent::LoopRepatched {
+                method,
+                loop_header,
+                generation,
+                now,
+            });
         }
-        self.install(mid, func, generation);
-        true
+        if (self.own_guard(mid)).is_none_or(|g| g.stale_loops().is_empty()) {
+            self.deopt_args.retain(|(m, _)| *m != mid);
+        }
+        self.record(mid, generation);
     }
 
     /// `src` with the prefetch ops of the loops headed by `headers`
@@ -1003,11 +952,12 @@ impl<S: TraceSink> Vm<S> {
         Some(instrs)
     }
 
-    /// JIT-compiles `mid`: baseline passes, then the stride-prefetching
-    /// pass with the actual `args` of the pending invocation. In
-    /// `background` mode (the serving layer's compiler workers) no cycles
-    /// are charged to this VM's simulated clock. Returns the compiled
-    /// body's instruction count.
+    /// JIT-compiles `mid`: baseline passes, then every live cell's
+    /// stride-prefetching pass, cell 0's first, with the actual `args` of
+    /// the pending invocation, installed on the one road ([`Vm::install`]).
+    /// In `background` mode (the serving layer's compiler workers) no
+    /// cycles are charged to this VM's simulated clock. Returns cell 0's
+    /// compiled body's instruction count.
     fn jit_compile(&mut self, mid: MethodId, args: &[Value], background: bool) -> u64 {
         let t0 = Instant::now();
         if S::ENABLED {
@@ -1017,20 +967,35 @@ impl<S: TraceSink> Vm<S> {
         }
         let original = Arc::clone(&self.original(mid).tcode.src);
         let base = passes::optimize(&self.program, &original);
-        let outcome = self.pipeline(0, &base, args, None);
-        self.book_host(t0, &outcome.report);
-        // Re-inspection re-agreed on prefetchable strides.
-        let reagreed = outcome.report.total_prefetches > 0;
-        // No GC can run inside `jit_compile`, so the GC epoch the guards
-        // stamp is the one inspection saw.
-        let generation = self.book_compile(0, mid, &outcome.func, outcome.report);
-        if !background {
+        let (mut new, mut reports) = (Vec::new(), Vec::new());
+        for k in 0..self.cells.len() {
+            if !self.cells[k].live {
+                continue;
+            }
+            let outcome = self.pipeline(k, &base, args, None);
+            if k == 0 {
+                self.book_host(t0, &outcome.report);
+            }
             // One size-proportional cost model for every generation: the
             // simulated clock never depends on host wall-clock time.
-            self.charge_jit(
-                RECOMPILE_BASE_CYCLES
-                    + RECOMPILE_CYCLES_PER_INSTR * outcome.func.instr_sites().count() as u64,
-            );
+            let instrs = outcome.func.instr_sites().count() as u64;
+            let cycles = RECOMPILE_BASE_CYCLES + RECOMPILE_CYCLES_PER_INSTR * instrs;
+            new.push((k, outcome.func, u64::from(!background) * cycles));
+            reports.push((k, outcome.report));
+        }
+        // Re-inspection re-agreed on prefetchable strides.
+        let reagreed = reports[0].1.total_prefetches > 0;
+        self.install(mid, new);
+        // No GC can run inside `jit_compile`, so the GC epoch the guards
+        // stamp is the one inspection saw.
+        let mut generation = 0;
+        for (k, report) in reports {
+            if self.cells[k].live {
+                let booked = self.book_compile(k, mid, &self.cell_body(k, mid), report);
+                if k == 0 {
+                    generation = booked;
+                }
+            }
         }
         self.stats.methods_compiled += 1;
         if generation > 0 {
@@ -1044,15 +1009,12 @@ impl<S: TraceSink> Vm<S> {
                 });
             }
         }
-        let instrs = self.install(mid, outcome.func, generation);
+        self.record(mid, generation);
         // A successful compile ends the method's stranding; the retained
         // deopt arguments are no longer needed (and must stop extending
         // GC liveness).
         self.deopt_args.retain(|(m, _)| *m != mid);
-        if !S::ENABLED {
-            self.compile_twins(mid, &base, args);
-        }
-        instrs
+        self.cell_body(0, mid).instr_sites().count() as u64
     }
 
     /// Collects. Only [`Vm::alloc_object`] / [`Vm::alloc_array`] get here,

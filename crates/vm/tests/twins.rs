@@ -395,6 +395,43 @@ fn a_twin_patches_a_body_older_frames_still_run() {
     assert!(patched, "the standalone ADAPTIVE VM patches rt_shade");
 }
 
+/// A leader with loop guards takes twins: its patches and repatches
+/// install the union of every cell's body, as a twin's do. The Pentium 4
+/// ADAPTIVE leader of INTER+INTRA and BASELINE twins there and of
+/// INTER+INTRA and ADAPTIVE twins on the Athlon runs, after every call,
+/// as a twin-free ADAPTIVE VM, and every twin as a VM of its own: on
+/// jess, where no guard of the leader fires, and on db and RayTracer,
+/// where the leader patches its loops.
+#[test]
+fn an_adaptive_leader_takes_twins() {
+    let (ii, off) = (PrefetchOptions::inter_intra(), PrefetchOptions::off());
+    let adaptive = PrefetchOptions::adaptive();
+    let twins = [
+        (ii.clone(), p4()),
+        (off, p4()),
+        (ii, athlon()),
+        (adaptive.clone(), athlon()),
+    ];
+    for (name, patches) in [("jess", false), ("db", true), ("RayTracer", true)] {
+        let prep = tiny(name);
+        let mut vms = vec![
+            vm(&prep, &adaptive, &p4(), &twins),
+            vm(&prep, &adaptive, &p4(), &[]),
+        ];
+        vms.extend(twins.iter().map(|(o, p)| vm(&prep, o, p, &[])));
+        let mut patched = false;
+        protocol(&prep, &mut vms, |vms, call| {
+            assert_leader_alone(vms, call);
+            assert_twin_is(&vms[0], 0, &vms[1], call);
+            for k in 1..=twins.len() {
+                assert_twin_is(&vms[0], k, &vms[k + 1], call);
+            }
+            patched |= vms[1].stats().loop_deopts > 0;
+        });
+        assert_eq!(patched, patches, "{name}: the leader patches");
+    }
+}
+
 /// A recursive walk whose loop guard goes stale inside the recursion,
 /// and `main`, which walks `ROUNDS` times. `walk(arr, depth)` walks the
 /// nodes of `arr` and, halfway, calls itself one level deeper. The nodes
