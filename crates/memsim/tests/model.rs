@@ -226,14 +226,27 @@ impl RefTlb {
     }
 }
 
+const PAGE_BYTES: u64 = 4096;
+
 /// Runs `steps` random operations over `pages` against both TLBs,
 /// flushing both once in about `4 * flush_one_in` of them.
 fn check_tlb(rng: &mut Rng, entries: u32, pages: &[u64], steps: usize, flush_one_in: u64) {
-    let page_bytes = 4096u64;
-    let mut real = Tlb::new(entries, page_bytes);
-    let mut model = RefTlb::new(entries as usize, page_bytes);
+    let mut real = Tlb::new(entries, PAGE_BYTES);
+    let mut model = RefTlb::new(entries as usize, PAGE_BYTES);
+    run_tlb(rng, &mut real, &mut model, pages, steps, flush_one_in);
+}
+
+/// [`check_tlb`]'s operation loop, on TLBs the caller made.
+fn run_tlb(
+    rng: &mut Rng,
+    real: &mut Tlb,
+    model: &mut RefTlb,
+    pages: &[u64],
+    steps: usize,
+    flush_one_in: u64,
+) {
     for _ in 0..steps {
-        let addr = pages[rng.index(pages.len())] * page_bytes + rng.u64_in(0, page_bytes - 1);
+        let addr = pages[rng.index(pages.len())] * PAGE_BYTES + rng.u64_in(0, PAGE_BYTES - 1);
         match rng.index(4) {
             0 => {
                 real.insert(addr);
@@ -280,6 +293,103 @@ fn shipped_tlb_sizes_match_reference_model() {
         cases(8, "shipped TLB size matches reference", |rng| {
             let pages: Vec<u64> = (0..u64::from(entries) * 3 / 2).collect();
             check_tlb(rng, entries, &pages, 30_000, 2_500);
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Page pools that stress the TLB's page → slot index.
+// ---------------------------------------------------------------------
+
+/// The TLB's index hash, restated: the home bucket of `page` in an index
+/// of `buckets` (a power of two) is the top bits of its Fibonacci hash.
+/// `restated_index_hash_is_the_tlbs` and `tlb::tests::index_hash_is_pinned`
+/// pin the same homes, so the two copies cannot drift apart unseen.
+fn home(page: u64, buckets: u64) -> u64 {
+    page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - buckets.trailing_zeros())
+}
+
+/// Index buckets of a TLB with `entries` entries.
+fn buckets(entries: u32) -> u64 {
+    (u64::from(entries) * 4).next_power_of_two()
+}
+
+/// The first `count` pages from `start` up whose home is among `homes`.
+fn colliding_pages(entries: u32, homes: &[u64], start: u64, count: usize) -> Vec<u64> {
+    let buckets = buckets(entries);
+    (start..)
+        .filter(|&p| homes.contains(&home(p, buckets)))
+        .take(count)
+        .collect()
+}
+
+#[test]
+fn restated_index_hash_is_the_tlbs() {
+    assert_eq!(
+        [0, 1, 2, 233, 144].map(|p| home(p, 256)),
+        [0, 158, 60, 0, 255]
+    );
+    assert_eq!([1, 2, 3].map(|p| home(p, 1024)), [632, 241, 874]);
+}
+
+/// Pools whose pages all hash to the index's last bucket, or to the four
+/// buckets around its end, one to three times the capacity: probe chains
+/// run off the end of the table and wrap to its start, and each eviction's
+/// backward shift moves entries across that seam.
+#[test]
+fn colliding_pages_match_reference_model() {
+    for entries in [1, 3, 8, 64, 256] {
+        cases(8, "TLB over colliding pages matches reference", |rng| {
+            let last = buckets(entries) - 1;
+            let homes = if rng.bool() {
+                vec![last]
+            } else {
+                vec![last - 1, last, 0, 1]
+            };
+            let count = entries as usize * rng.usize_in(1, 3) + rng.usize_in(0, 2);
+            let pages = colliding_pages(entries, &homes, rng.below(1 << 20), count);
+            check_tlb(rng, entries, &pages, 4_000, 500);
+        });
+    }
+}
+
+/// The shipped DTLB sizes over two to four times as many pages as entries,
+/// spread over a wide range, never flushed: once the TLB is full every
+/// insert of a page not resident evicts the LRU page and re-indexes.
+#[test]
+fn oversubscribed_shipped_tlbs_match_reference_model() {
+    for entries in [
+        ProcessorConfig::pentium4().dtlb_entries,
+        ProcessorConfig::athlon_mp().dtlb_entries,
+    ] {
+        cases(8, "oversubscribed TLB matches reference", |rng| {
+            let count = u64::from(entries) * rng.u64_in(2, 4);
+            let pages: Vec<u64> = (0..count).map(|_| rng.below(1 << 36)).collect();
+            check_tlb(rng, entries, &pages, 20_000, u64::MAX);
+        });
+    }
+}
+
+/// A stream over pages colliding around the index's end, a flush of both
+/// TLBs in its middle, then the same pool again: the flush empties the
+/// index with the list, and the refill takes slots from the first again.
+#[test]
+fn a_flush_mid_stream_then_reuse_matches_reference_model() {
+    for entries in [
+        ProcessorConfig::pentium4().dtlb_entries,
+        ProcessorConfig::athlon_mp().dtlb_entries,
+    ] {
+        cases(8, "TLB flushed mid-stream matches reference", |rng| {
+            let last = buckets(entries) - 1;
+            let count = entries as usize * 2;
+            let pages = colliding_pages(entries, &[last, 0], rng.below(1 << 20), count);
+            let mut real = Tlb::new(entries, PAGE_BYTES);
+            let mut model = RefTlb::new(entries as usize, PAGE_BYTES);
+            run_tlb(rng, &mut real, &mut model, &pages, 5_000, u64::MAX);
+            real.flush();
+            model.flush();
+            assert!(pages.iter().all(|p| !real.contains(p * PAGE_BYTES)));
+            run_tlb(rng, &mut real, &mut model, &pages, 5_000, u64::MAX);
         });
     }
 }
