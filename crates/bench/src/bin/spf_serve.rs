@@ -53,10 +53,11 @@ fn chaos_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
 /// them its tenants simulated instead of reading a tenant twin's output.
 fn print_shared(out: &ServeOutcome) {
     eprintln!(
-        "serve: requests served {}, simulated {} ({} VM clones)",
+        "serve: requests served {}, simulated {} ({} VM clones, {} heap copies)",
         out.latencies.iter().filter(|&&l| l > 0).count(),
         out.simulated,
-        out.clones
+        out.clones,
+        out.heap_copies
     );
 }
 

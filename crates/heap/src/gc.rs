@@ -131,7 +131,7 @@ impl Heap {
                 moved_objects += 1;
                 let src = (old - self.base) as usize;
                 let dst = (new - self.base) as usize;
-                self.data.copy_within(src..src + size as usize, dst);
+                self.data_mut().copy_within(src..src + size as usize, dst);
             }
         }
         self.top = (new_cursor - self.base) as usize;

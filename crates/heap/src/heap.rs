@@ -1,5 +1,7 @@
 //! The simulated heap: bump allocation and typed memory access.
 
+use std::sync::Arc;
+
 use spf_ir::{ClassId, ElemTy};
 
 use crate::layout::{
@@ -62,7 +64,9 @@ impl std::error::Error for HeapError {}
 #[derive(Debug)]
 pub struct Heap {
     pub(crate) base: Addr,
-    pub(crate) data: Vec<u8>,
+    /// The backing store, shared with every clone until one side writes
+    /// (see [`Heap::clone`]).
+    data: Arc<Vec<u8>>,
     pub(crate) top: usize,
     pub(crate) layout: Layout,
     pub(crate) allocated_bytes_total: u64,
@@ -70,17 +74,18 @@ pub struct Heap {
     pub(crate) gc_epoch: u64,
 }
 
-/// A clone copies only the allocated prefix `data[..top]` into a fresh
-/// zeroed buffer: every allocation zero-fills its storage (see `bump`), so
-/// the stale bytes a compaction leaves above `top` are never read, and a
-/// fresh buffer faults in only the pages the prefix touches.
+/// A clone shares the backing store: it costs no copy until one side
+/// writes. The first write on either side — a store, an allocation's
+/// zero-fill or header, a collection's marks and slides — gives that side
+/// a store of its own: the allocated prefix `data[..top]` copied into a
+/// fresh zeroed buffer. Every allocation zero-fills its storage (see
+/// `bump`), so the stale bytes a compaction leaves above `top` are never
+/// read, and a fresh buffer faults in only the pages the prefix touches.
 impl Clone for Heap {
     fn clone(&self) -> Self {
-        let mut data = vec![0; self.data.len()];
-        data[..self.top].copy_from_slice(&self.data[..self.top]);
         Heap {
             base: self.base,
-            data,
+            data: Arc::clone(&self.data),
             top: self.top,
             layout: self.layout.clone(),
             allocated_bytes_total: self.allocated_bytes_total,
@@ -129,7 +134,9 @@ impl Heap {
         );
         Heap {
             base,
-            data: vec![0; capacity],
+            // `Arc::new` moves the vector, so the zeroed buffer is not
+            // touched: its pages fault in as allocations reach them.
+            data: Arc::new(vec![0; capacity]),
             top: 0,
             layout,
             allocated_bytes_total: 0,
@@ -157,6 +164,31 @@ impl Heap {
     /// free space no access can reach.
     pub fn bytes(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Names the backing store: two heaps return the same key exactly
+    /// when they share one store, a clone neither side has written since.
+    pub fn store_key(&self) -> usize {
+        Arc::as_ptr(&self.data) as usize
+    }
+
+    /// The backing store, to write: a store shared with a clone is first
+    /// replaced by a copy of the allocated prefix over a fresh zeroed
+    /// buffer, so the other side's bytes never change.
+    #[inline(always)]
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
+        if Arc::strong_count(&self.data) != 1 {
+            self.unshare();
+        }
+        Arc::get_mut(&mut self.data).expect("a heap's store is its own after unsharing")
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        let mut data = vec![0; self.data.len()];
+        data[..self.top].copy_from_slice(&self.data[..self.top]);
+        self.data = Arc::new(data);
     }
 
     /// Running total of bytes ever allocated (monotonic; GC does not reduce
@@ -201,7 +233,8 @@ impl Heap {
         }
         let addr = self.base + self.top as u64;
         // Zero the storage: it may contain stale bytes from before a GC.
-        self.data[self.top..self.top + size as usize].fill(0);
+        let top = self.top;
+        self.data_mut()[top..top + size as usize].fill(0);
         self.top += size as usize;
         self.allocated_bytes_total += size;
         self.allocation_count += 1;
@@ -258,7 +291,7 @@ impl Heap {
         let Some(off) = self.offset_of(addr, ty.size()) else {
             return false;
         };
-        let Some(at) = self.data[off..].get_mut(..ty.size() as usize) else {
+        let Some(at) = self.data_mut()[off..].get_mut(..ty.size() as usize) else {
             return false;
         };
         at.copy_from_slice(&bits.to_le_bytes()[..at.len()]);
@@ -582,6 +615,74 @@ mod tests {
         // Zero shards is treated as one; result stays 8-byte aligned.
         assert_eq!(shard_bytes(4096, 0, 0), 4096);
         assert_eq!(shard_bytes(1000, 3, 0) % 8, 0);
+    }
+
+    #[test]
+    fn a_write_on_either_side_of_a_clone_leaves_the_other_unchanged() {
+        let (p, c, fs) = token_program();
+        let layout = Layout::compute(&p);
+        let off = layout.field_offset(fs[0]);
+        spf_testkit::cases(64, "a store, an allocation or a GC unshares", |rng| {
+            let mut h = Heap::new(layout.clone(), 1 << 12);
+            let objs: Vec<Addr> = (0..rng.u64_in(2, 8))
+                .map(|_| h.alloc_object(c).unwrap())
+                .collect();
+            for &a in &objs {
+                h.write(a + off, ElemTy::I32, Value::I32(rng.i32_in(1, 1000)))
+                    .unwrap();
+            }
+            let mut clone = h.clone();
+            assert_eq!(clone.store_key(), h.store_key(), "a clone shares");
+            let (writer, other) = if rng.bool() {
+                (&mut h, &clone)
+            } else {
+                (&mut clone, &h)
+            };
+            let before = other.bytes().to_vec();
+            match rng.index(3) {
+                0 => {
+                    let a = *rng.pick(&objs);
+                    writer.write(a + off, ElemTy::I32, Value::I32(-1)).unwrap();
+                }
+                1 => {
+                    writer.alloc_object(c).unwrap();
+                }
+                _ => {
+                    // Only the last object survives, so it slides down.
+                    let (stats, _) = writer.collect(&objs[objs.len() - 1..]);
+                    assert_eq!(stats.moved_objects, 1);
+                }
+            }
+            assert_ne!(writer.store_key(), other.store_key(), "the write unshared");
+            assert!(other.bytes() == &before[..], "the other side's bytes");
+        });
+    }
+
+    #[test]
+    fn unsharing_copies_the_allocated_prefix_over_zeros() {
+        let (p, c, fs) = token_program();
+        let layout = Layout::compute(&p);
+        let off = layout.field_offset(fs[0]);
+        let mut h = Heap::new(layout, 1 << 12);
+        let a = h.alloc_object(c).unwrap();
+        let b = h.alloc_object(c).unwrap();
+        h.write(a + off, ElemTy::I32, Value::I32(7)).unwrap();
+        h.write(b + off, ElemTy::I32, Value::I32(9)).unwrap();
+        // `b` slides onto `a`, leaving its old bytes above `top`.
+        let (_, fwd) = h.collect(&[b]);
+        let top = h.used() as usize;
+        assert!(h.bytes()[top..].iter().any(|&x| x != 0), "stale bytes");
+
+        let mut clone = h.clone();
+        clone.force_move_epoch();
+        assert_eq!(clone.store_key(), h.store_key(), "an epoch is no write");
+        clone
+            .write(fwd.forward(b) + off, ElemTy::I32, Value::I32(9))
+            .unwrap();
+        assert_ne!(clone.store_key(), h.store_key());
+        assert_eq!(clone.capacity(), h.capacity());
+        assert_eq!(clone.bytes()[..top], h.bytes()[..top], "the prefix");
+        assert!(clone.bytes()[top..].iter().all(|&x| x == 0), "zeros above");
     }
 
     #[test]

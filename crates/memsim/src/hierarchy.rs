@@ -208,12 +208,12 @@ impl<S: TraceSink> MemorySystem<S> {
         });
     }
 
-    /// A demand access, probed inline in the caller: when the page is the
-    /// DTLB's most recent and the line its L1 set's most recent with the
-    /// fill complete, the general path below would find both in their
-    /// first slot, move nothing and charge one settled hit — so that is
-    /// all this does, reading the same two slots and keeping no state of
-    /// its own. Everything else is [`Self::demand_general`].
+    /// A demand access, probed inline in the caller: the probe compares
+    /// the page with the head of the DTLB's recency list and the line
+    /// with its L1 set's front way. When both match and the fill is
+    /// complete, the general path below would hit in both, move nothing
+    /// and charge one settled hit — so that is all this does, keeping no
+    /// state of its own. Everything else is [`Self::demand_general`].
     #[inline(always)]
     fn demand_access(&mut self, addr: u64, now: u64, is_load: bool) -> u64 {
         if self.tlb.is_front(addr) && self.l1.front_settled(addr, now) {

@@ -8,6 +8,9 @@ use spf_memsim::config::CacheParams;
 use spf_memsim::{ProcessorConfig, Tlb};
 use spf_testkit::{cases, Rng};
 
+mod pools;
+use pools::{buckets, colliding_pages, home};
+
 // ---------------------------------------------------------------------
 // Reference cache: per-set recency-ordered `Vec`s, most recent at the
 // back. This is an executable restatement of "set-associative LRU with
@@ -300,28 +303,6 @@ fn shipped_tlb_sizes_match_reference_model() {
 // ---------------------------------------------------------------------
 // Page pools that stress the TLB's page → slot index.
 // ---------------------------------------------------------------------
-
-/// The TLB's index hash, restated: the home bucket of `page` in an index
-/// of `buckets` (a power of two) is the top bits of its Fibonacci hash.
-/// `restated_index_hash_is_the_tlbs` and `tlb::tests::index_hash_is_pinned`
-/// pin the same homes, so the two copies cannot drift apart unseen.
-fn home(page: u64, buckets: u64) -> u64 {
-    page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - buckets.trailing_zeros())
-}
-
-/// Index buckets of a TLB with `entries` entries.
-fn buckets(entries: u32) -> u64 {
-    (u64::from(entries) * 4).next_power_of_two()
-}
-
-/// The first `count` pages from `start` up whose home is among `homes`.
-fn colliding_pages(entries: u32, homes: &[u64], start: u64, count: usize) -> Vec<u64> {
-    let buckets = buckets(entries);
-    (start..)
-        .filter(|&p| homes.contains(&home(p, buckets)))
-        .take(count)
-        .collect()
-}
 
 #[test]
 fn restated_index_hash_is_the_tlbs() {

@@ -10,6 +10,8 @@
 use spf_memsim::{CacheLevel, CacheParams, MemStats, MemorySystem, ProcessorConfig};
 use spf_testkit::Rng;
 
+mod pools;
+
 // ---------------------------------------------------------------------
 // Timestamp LRU: the one replacement policy of the TLB and both caches.
 // ---------------------------------------------------------------------
@@ -435,5 +437,57 @@ fn the_shipped_hierarchy_is_the_reference_on_streams_with_the_matrix_locality() 
         }
         let dropped = stats.swpf_dropped_tlb > 0;
         assert_eq!(dropped, name == "Pentium 4", "{name}: {stats:?}");
+    }
+}
+
+/// Replays a stream over pages that all hash to the four DTLB index
+/// buckets around the index's end, two to three times as many pages as
+/// the DTLB holds, on `cfg`: demand loads and stores (some in runs on
+/// one line, so the front probe serves them), prefetches and guarded
+/// loads. Nearly every DTLB miss evicts, and its re-indexing moves
+/// entries across the index's seam (`model.rs` runs the same pools on
+/// the TLB alone).
+fn replay_colliding(cfg: ProcessorConfig, seed: u64) -> MemStats {
+    let mut rng = Rng::new(seed);
+    let entries = cfg.dtlb_entries;
+    let last = pools::buckets(entries) - 1;
+    let count = entries as usize * rng.usize_in(2, 3);
+    let pages = pools::colliding_pages(entries, &[last - 1, last, 0, 1], rng.below(1 << 20), count);
+    let page_bytes = cfg.page_bytes;
+    let mut r = Run {
+        real: MemorySystem::new(cfg.clone()),
+        model: Reference::new(cfg),
+        now: 0,
+        ops: 0,
+    };
+    for _ in 0..20_000 {
+        let addr = rng.pick(&pages) * page_bytes + rng.below(page_bytes) / 8 * 8;
+        match rng.index(4) {
+            0 => r.step(*rng.pick(&[Op::Prefetch, Op::Guarded]), addr),
+            1 => {
+                for k in 0..rng.u64_in(2, 8) {
+                    r.access(&mut rng, (addr & !63) + k * 8);
+                }
+            }
+            _ => r.access(&mut rng, addr),
+        }
+    }
+    assert_eq!(*r.real.stats(), r.model.stats, "at the end");
+    r.model.stats
+}
+
+#[test]
+fn the_shipped_hierarchy_is_the_reference_over_colliding_pages() {
+    for (cfg, seed) in [
+        (ProcessorConfig::pentium4(), 0x5EED_0003),
+        (ProcessorConfig::athlon_mp(), 0x5EED_0004),
+    ] {
+        let name = cfg.name.clone();
+        let stats = replay_colliding(cfg, seed);
+        // Not vacuous: the DTLB both evicts and hits.
+        let misses = stats.dtlb_load_misses + stats.dtlb_store_misses;
+        let demand = stats.loads + stats.stores;
+        assert!(misses > demand / 4, "{name}: {stats:?}");
+        assert!(misses < demand * 3 / 4, "{name}: {stats:?}");
     }
 }

@@ -26,11 +26,18 @@
 //!
 //! A state is kept while a tenant occupies it or occupies a proper prefix
 //! of its history, found by walking its ancestors up to the program's
-//! root. When more states than tenants are kept, the unoccupied state
-//! furthest ahead of its nearest occupied ancestor goes first, so the
-//! fleet never holds more VMs than a fleet of one VM per tenant. A stored
-//! output is what the tenant's own VM would have produced, so no
-//! simulated number depends on the sharing.
+//! root. A cloned VM shares its heap's store until a step writes to it,
+//! and an `Install` or `Evict` never does, so retention counts heap
+//! stores, not states: while the kept states hold more distinct stores
+//! than there are tenants, the unoccupied state furthest ahead of its
+//! nearest occupied ancestor goes first. The fleet never holds more heaps
+//! than a fleet of one VM per tenant, and a state that only changed code
+//! costs its VM's memory system, not a heap. The states that share a
+//! store descend from the one whose step wrote it by steps that write
+//! nothing, so their number is bounded by the steps a history takes
+//! between two that write its heap. A stored output is what the tenant's
+//! own VM would have produced, so no simulated number depends on the
+//! sharing.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -153,6 +160,9 @@ pub struct ServeOutcome {
     /// VM states cloned so that a step could run while other tenants
     /// keep the state it started from (host-side statistic).
     pub clones: u64,
+    /// Heap stores copied: a cloned VM shares its heap's store until a
+    /// step writes to it (host-side statistic).
+    pub heap_copies: u64,
 }
 
 /// One step of a tenant VM's history (see the module docs).
@@ -330,7 +340,11 @@ impl Fleet<'_> {
                 let state = self.states[from as usize].take();
                 state.expect("an occupied history keeps its state").vm
             };
+            let store = vm.heap().store_key();
             let output = step.apply(&mut vm, self.tenants[ti].prep, self.chaos);
+            if vm.heap().store_key() != store {
+                self.out.heap_copies += 1;
+            }
             if step == Step::Serve {
                 self.out.simulated += 1;
             }
@@ -361,9 +375,16 @@ impl Fleet<'_> {
         None
     }
 
+    /// The heap store of the state kept for `node`.
+    fn store_key(&self, node: u32) -> usize {
+        let state = self.states[node as usize].as_ref();
+        state.expect("a kept state").vm.heap().store_key()
+    }
+
     /// The retention rule: drops every state no tenant can reach, then,
-    /// while more states than tenants are kept, the one furthest ahead of
-    /// its nearest occupied ancestor (the newest of equals).
+    /// while the kept states hold more distinct heap stores than there
+    /// are tenants, the state furthest ahead of its nearest occupied
+    /// ancestor (the newest of equals).
     fn retain(&mut self) {
         let mut kept: Vec<(u32, u32)> = Vec::with_capacity(self.kept.len());
         for &n in &self.kept {
@@ -373,10 +394,20 @@ impl Fleet<'_> {
                 None => self.states[n as usize] = None,
             }
         }
-        while kept.len() > self.tenants.len() {
+        let mut holders: HashMap<usize, u32> = HashMap::new();
+        for &(n, _) in &kept {
+            *holders.entry(self.store_key(n)).or_default() += 1;
+        }
+        while holders.len() > self.tenants.len() {
             let (i, &(n, _)) = (kept.iter().enumerate())
                 .max_by_key(|&(i, &(_, d))| (d, i))
-                .expect("more states than tenants");
+                .expect("more heaps than tenants");
+            let key = self.store_key(n);
+            let left = holders.get_mut(&key).expect("a counted store");
+            *left -= 1;
+            if *left == 0 {
+                holders.remove(&key);
+            }
             self.states[n as usize] = None;
             kept.remove(i);
         }
@@ -686,6 +717,7 @@ fn serve<'w>(
             stranded_samples: Vec::new(),
             simulated: 0,
             clones: 0,
+            heap_copies: 0,
         },
     };
 
@@ -1066,7 +1098,9 @@ mod tests {
     fn tenant_twins_replay_on_fresh_vms() {
         let (served, simulated) = replay_every_tenant(&shared_cfg());
         // Pinned, so that a change that silently stops sharing fails.
-        assert_eq!((served, simulated), (120, 72));
+        // Retention bounds heap stores, not states, so states that share
+        // a store stay kept and fewer requests run twice.
+        assert_eq!((served, simulated), (120, 69));
     }
 
     #[test]

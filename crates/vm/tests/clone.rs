@@ -1,9 +1,10 @@
 //! A cloned `Vm` is the same VM: the same steps on the original and on
 //! the clone give the same statistics, memory statistics, checksums,
-//! reports and stranded loops, and the clone's heap is the original's
-//! allocated prefix over zeros. Exercised the way a serving tenant runs —
-//! ADAPTIVE, background compilation, a heap shard — and cloned at every
-//! kind of state a tenant passes through.
+//! reports and stranded loops. The clone's heap starts as the original's
+//! allocated prefix, and a request served on either side leaves the
+//! other side's heap bytes as they were. Exercised the way a serving
+//! tenant runs — ADAPTIVE, background compilation, a heap shard — and
+//! cloned at every kind of state a tenant passes through.
 
 use spf_core::{MethodReport, PrefetchOptions};
 use spf_heap::shard_bytes;
@@ -60,11 +61,14 @@ fn simulated(reports: &[MethodReport]) -> Vec<String> {
         .collect()
 }
 
-/// Clones `vm`, checks the clone's heap, then serves the same requests
-/// on both and checks that they agree.
+/// Clones `vm` twice and checks the clones' heaps, then serves the same
+/// requests on the original and on one clone and checks that they agree.
+/// The original serves first, while both clones still share its heap's
+/// store, and then the first clone, while the second one does.
 fn check_clone(prep: &Prepared, mut vm: Vm, when: &str) {
     let name = prep.name();
     let mut clone = vm.clone();
+    let second = vm.clone();
     let (heap, copy) = (vm.heap(), clone.heap());
     let top = heap.used() as usize;
     assert_eq!(copy.used(), heap.used(), "{name}, {when}: top");
@@ -74,13 +78,18 @@ fn check_clone(prep: &Prepared, mut vm: Vm, when: &str) {
         copy.bytes()[..top] == heap.bytes()[..top],
         "{name}, {when}: the allocated prefix"
     );
-    assert!(
-        copy.bytes()[top..].iter().all(|&b| b == 0),
-        "{name}, {when}: zero above the prefix"
-    );
 
+    let before = second.heap().bytes().to_vec();
     let ours = serve(prep, &mut vm, 6);
+    assert!(
+        clone.heap().bytes() == &before[..] && second.heap().bytes() == &before[..],
+        "{name}, {when}: the original's requests changed a clone's heap"
+    );
     let theirs = serve(prep, &mut clone, 6);
+    assert!(
+        second.heap().bytes() == &before[..],
+        "{name}, {when}: a clone's requests changed its twin's heap"
+    );
     assert_eq!(ours, theirs, "{name}, {when}: checksums");
     assert_eq!(
         vm.stats().simulated(),
