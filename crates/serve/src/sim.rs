@@ -1098,8 +1098,6 @@ mod tests {
     fn tenant_twins_replay_on_fresh_vms() {
         let (served, simulated) = replay_every_tenant(&shared_cfg());
         // Pinned, so that a change that silently stops sharing fails.
-        // Retention bounds heap stores, not states, so states that share
-        // a store stay kept and fewer requests run twice.
         assert_eq!((served, simulated), (120, 69));
     }
 
